@@ -185,9 +185,41 @@ func lookup(name string) (workload, bool) {
 	return workload{}, false
 }
 
+// specFile is the benchmark's definition, read from the repository root,
+// where run.sh runs the program. A traced run reports every per-layer
+// metric it lists.
+const specFile = "BENCHMARK.json"
+
+// metricDef is one per-layer metric of specFile.
+type metricDef struct {
+	Name string `json:"name"`
+	Unit string `json:"unit"`
+}
+
+func perLayerMetrics() ([]metricDef, error) {
+	raw, err := os.ReadFile(specFile)
+	if err != nil {
+		return nil, err
+	}
+	var spec struct {
+		PerLayer []metricDef `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil, fmt.Errorf("%s: %w", specFile, err)
+	}
+	return spec.PerLayer, nil
+}
+
 // measure runs one workload and assembles its result, printing a readable
 // report first.
 func measure(ctx context.Context, wl workload, p params, trace int, w io.Writer) (result, error) {
+	var perLayer []metricDef
+	if trace == 1 {
+		var err error
+		if perLayer, err = perLayerMetrics(); err != nil {
+			return result{}, err
+		}
+	}
 	fmt.Fprintf(w, "# perfbench workload=%s seed=%d seconds=%d trace=%d %s\n", wl.name, p.seed, p.seconds, trace, provenance())
 	fmt.Fprintf(w, "# why: %s\n", wl.why)
 	o, err := wl.run(ctx, p, nil)
@@ -219,15 +251,15 @@ func measure(ctx context.Context, wl workload, p params, trace int, w io.Writer)
 		res.Failed += to.failed
 		o.problems = append(o.problems, to.problems...)
 		for _, def := range perLayer {
-			v, ok := to.layer[def.name]
-			if !ok && strings.HasPrefix(def.name, wl.name+".") {
-				return result{}, fmt.Errorf("traced pass did not measure %s", def.name)
+			v, ok := to.layer[def.Name]
+			if !ok && strings.HasPrefix(def.Name, wl.name+".") {
+				return result{}, fmt.Errorf("traced pass did not measure %s", def.Name)
 			}
 			// Metrics of other workloads' layers read 0: this workload
 			// spends nothing there.
-			res.Metrics[def.name] = metricValue{v, def.unit}
+			res.Metrics[def.Name] = metricValue{v, def.Unit}
 			if ok {
-				rows = append(rows, reportRow{def.name, v, def.unit, 0})
+				rows = append(rows, reportRow{def.Name, v, def.Unit, 0})
 			}
 		}
 	}
