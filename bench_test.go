@@ -180,7 +180,8 @@ func BenchmarkMCGuaranteedVsExpected10kParallel8(b *testing.B) { benchE8Workers(
 
 var sinkTick quant.Tick
 
-// BenchmarkSolveFast measures the O(pU log U) crossing-point solver.
+// BenchmarkSolveFast measures the hinted crossing-point solver, O(pU) on
+// this instance (the crossing moves at most a tick per lifespan tick).
 func BenchmarkSolveFast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -332,5 +333,39 @@ func BenchmarkGuaranteedWorkFacade(b *testing.B) {
 		if w <= 0 {
 			b.Fatal("no work")
 		}
+	}
+}
+
+// BenchmarkEngineSimulate measures the public Engine.Simulate path: one
+// opportunity at p = 2, U/c = 750 over 750 task durations, against one
+// Poisson owner built outside the loop. After the warm-up call the engine
+// runs on pooled scratch, so it reports 0 allocs/op.
+func BenchmarkEngineSimulate(b *testing.B) {
+	const ratio, setup = 750, 5.0
+	e, err := New(Opportunity{Lifespan: ratio * setup, Interrupts: 2, Setup: setup})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eq, err := e.AdaptiveEqualized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	opts := SimOptions{TaskDurations: make([]float64, ratio)}
+	for i := range opts.TaskDurations {
+		opts.TaskDurations[i] = float64(50+rng.Intn(351)) * setup / 100 // [c/2, 4c]
+	}
+	adv := e.PoissonAdversary(ratio*setup/3, 1)
+	if _, err := e.Simulate(eq, adv, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Simulate(eq, adv, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTick = quant.Tick(res.Episodes)
 	}
 }

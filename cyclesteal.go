@@ -41,6 +41,7 @@ package cyclesteal
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cyclesteal/internal/game"
 	"cyclesteal/internal/model"
@@ -68,17 +69,29 @@ type Scheduler = model.EpisodeScheduler
 // Adversary decides when the owner reclaims the workstation during a
 // simulation. Implementations live in internal/adversary; the Engine exposes
 // constructors for the common ones, and WorstCase returns the exact minimax
-// adversary for a schedule.
+// adversary for a schedule. The episode an Adversary is shown is valid only
+// during its NextInterrupt call: the simulator reuses that buffer.
 type Adversary = sim.Interrupter
 
 // Engine binds an Opportunity to a tick grid and provides schedule
 // construction, exact worst-case evaluation, and simulation.
+//
+// An Engine is safe for concurrent use: every method may be called from
+// several goroutines at once. The game solver behind Optimal, OptimalWork
+// and OptimalSchedule is built once, by whichever call needs it first, and
+// shared read-only afterwards; concurrent Simulate calls each borrow their
+// own scratch. The schedulers the Engine hands out may be shared across
+// goroutines too; a stochastic adversary carries its own random source and
+// belongs to one goroutine.
 type Engine struct {
 	opp    Opportunity
 	ticksC quant.Tick // grid resolution: ticks per setup cost
 	u      quant.Tick
 	p      int
-	solver *game.Solver // lazily built
+
+	solveOnce sync.Once
+	solver    *game.Solver // built by the first ensureSolver, with solveErr
+	solveErr  error
 }
 
 // Option configures an Engine.
@@ -236,16 +249,19 @@ func (e *Engine) WorstCase(s Scheduler) (float64, Adversary, error) {
 	return e.Units(w), br, nil
 }
 
+// ensureSolver builds the game solver on first use. The first caller solves
+// while any concurrent callers wait; the solver, or the error, is kept for
+// every later call.
 func (e *Engine) ensureSolver() error {
-	if e.solver != nil {
-		return nil
-	}
-	s, err := game.Solve(e.p, e.u, e.ticksC)
-	if err != nil {
-		return fmt.Errorf("cyclesteal: solving the game (consider a coarser WithTicksPerSetup): %w", err)
-	}
-	e.solver = s
-	return nil
+	e.solveOnce.Do(func() {
+		s, err := game.Solve(e.p, e.u, e.ticksC)
+		if err != nil {
+			e.solveErr = fmt.Errorf("cyclesteal: solving the game (consider a coarser WithTicksPerSetup): %w", err)
+			return
+		}
+		e.solver = s
+	})
+	return e.solveErr
 }
 
 // --- predictions ---------------------------------------------------------------

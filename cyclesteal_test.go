@@ -2,7 +2,13 @@ package cyclesteal
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
+
+	"cyclesteal/internal/quant"
+	"cyclesteal/internal/sim"
+	"cyclesteal/internal/task"
 )
 
 func engine(t *testing.T, o Opportunity, opts ...Option) *Engine {
@@ -238,5 +244,190 @@ func TestFixedChunkAndEqualSplit(t *testing.T) {
 	}
 	if e.FixedChunk(0) == nil {
 		t.Error("degenerate chunk should clamp, not nil")
+	}
+}
+
+// The opportunity benchmark's shape (p = 2, c = 5, U/c ∈ {500, 750, 1000})
+// pinned by value: the optimum, the optimal first episode and both guideline
+// floors, in ticks of the default grid (100 ticks per setup).
+func TestEnginePinnedValues(t *testing.T) {
+	for _, pin := range []struct {
+		ratio                         float64
+		optimal, guideline, equalized quant.Tick
+		schedule                      []quant.Tick
+	}{
+		{500, 44918, 43959, 44842, []quant.Tick{
+			1934, 1896, 1858, 1820, 1781, 1743, 1705, 1667, 1628, 1589, 1551, 1513, 1475, 1437, 1399, 1360, 1322,
+			1284, 1246, 1208, 1169, 1131, 1093, 1055, 1017, 978, 940, 902, 864, 826, 787, 749, 711, 672, 635, 596,
+			558, 520, 481, 444, 405, 367, 330, 290, 253, 216, 174, 140, 281}},
+		{750, 68767, 67553, 68694, []quant.Tick{
+			2374, 2335, 2298, 2259, 2220, 2182, 2144, 2106, 2067, 2029, 1991, 1953, 1915, 1877, 1838, 1800, 1762,
+			1723, 1686, 1647, 1609, 1571, 1532, 1495, 1456, 1418, 1380, 1341, 1303, 1265, 1227, 1189, 1151, 1112,
+			1074, 1036, 998, 960, 921, 883, 845, 807, 769, 730, 693, 654, 616, 578, 539, 502, 464, 424, 388, 348,
+			310, 273, 231, 196, 158, 116, 232}},
+		{1000, 92797, 91357, 92727, []quant.Tick{
+			2744, 2706, 2668, 2630, 2592, 2553, 2514, 2476, 2438, 2399, 2362, 2323, 2285, 2247, 2209, 2171, 2132,
+			2094, 2056, 2018, 1980, 1941, 1903, 1865, 1827, 1788, 1750, 1712, 1674, 1636, 1597, 1560, 1521, 1483,
+			1445, 1406, 1369, 1330, 1292, 1254, 1215, 1177, 1139, 1100, 1063, 1025, 986, 948, 910, 872, 834, 795,
+			758, 719, 681, 643, 604, 567, 528, 489, 452, 413, 375, 338, 297, 262, 223, 184, 150, 101, 202}},
+	} {
+		e := engine(t, Opportunity{Lifespan: pin.ratio * 5, Interrupts: 2, Setup: 5})
+		opt, err := e.OptimalWork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := e.Units(pin.optimal); opt != want {
+			t.Errorf("U/c=%g: OptimalWork = %v, pinned %v", pin.ratio, opt, want)
+		}
+		sch, err := e.OptimalSchedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, len(pin.schedule))
+		for i, ticks := range pin.schedule {
+			want[i] = e.Units(ticks)
+		}
+		if !reflect.DeepEqual(sch, want) {
+			t.Errorf("U/c=%g: OptimalSchedule = %v, pinned %v", pin.ratio, sch, want)
+		}
+		guide, err := e.AdaptiveGuideline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eq, err := e.AdaptiveEqualized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, floor := range []struct {
+			name  string
+			s     Scheduler
+			ticks quant.Tick
+		}{{"guideline", guide, pin.guideline}, {"equalized", eq, pin.equalized}} {
+			got, err := e.GuaranteedWork(floor.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := e.Units(floor.ticks); got != want {
+				t.Errorf("U/c=%g: GuaranteedWork(%s) = %v, pinned %v", pin.ratio, floor.name, got, want)
+			}
+		}
+	}
+}
+
+// Goroutines released together on one fresh Engine (so they also race to
+// build its solver) must each get exactly what a serial caller gets. Every
+// goroutine simulates its own task count, so scratch leaking between pooled
+// Simulate calls would show as a wrong result.
+func TestEngineConcurrentUse(t *testing.T) {
+	opp := Opportunity{Lifespan: 2000, Interrupts: 2, Setup: 5}
+	type outcome struct {
+		optimal, floor float64
+		sims           []Result
+	}
+	run := func(e *Engine, g int) (outcome, error) {
+		var o outcome
+		var err error
+		if o.optimal, err = e.OptimalWork(); err != nil {
+			return o, err
+		}
+		eq, err := e.AdaptiveEqualized()
+		if err != nil {
+			return o, err
+		}
+		if o.floor, err = e.GuaranteedWork(eq); err != nil {
+			return o, err
+		}
+		durations := make([]float64, 40+60*g)
+		for i := range durations {
+			durations[i] = float64(1 + (i*7+g)%12)
+		}
+		for k := 0; k < 4; k++ {
+			res, err := e.Simulate(eq, e.PoissonAdversary(700, int64(10*g+k)), SimOptions{TaskDurations: durations})
+			if err != nil {
+				return o, err
+			}
+			o.sims = append(o.sims, res)
+		}
+		return o, nil
+	}
+	const goroutines = 8
+	serial := engine(t, opp)
+	want := make([]outcome, goroutines)
+	for g := range want {
+		var err error
+		if want[g], err = run(serial, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := engine(t, opp)
+	got := make([]outcome, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g], errs[g] = run(shared, g)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Errorf("goroutine %d: concurrent %+v, serial %+v", g, got[g], want[g])
+		}
+	}
+}
+
+// Simulate on pooled scratch must match a run on fresh buffers and a fresh
+// bag, call after call, as the task count grows, shrinks and drops to none.
+func TestSimulatePooledMatchesFreshRun(t *testing.T) {
+	e := engine(t, Opportunity{Lifespan: 3000, Interrupts: 2, Setup: 5})
+	eq, err := e.AdaptiveEqualized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	U, c := e.Ticks()
+	for k, n := range []int{300, 40, 0, 500, 7} {
+		durations := make([]float64, n)
+		tasks := make([]task.Task, n)
+		for i := range tasks {
+			ticks := quant.Tick(50 + (37*i+11*k)%351)
+			durations[i] = e.Units(ticks)
+			tasks[i] = task.Task{ID: i, Duration: ticks}
+		}
+		seed := int64(k + 1)
+		got, err := e.Simulate(eq, e.PoissonAdversary(1000, seed), SimOptions{TaskDurations: durations})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg sim.Config
+		bag := task.NewBag(tasks)
+		if n > 0 {
+			cfg.Bag = bag
+		}
+		res, err := sim.Run(eq, e.PoissonAdversary(1000, seed), sim.Opportunity{U: U, P: 2, C: c}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Result{
+			Work:           e.Units(res.Work),
+			TaskWork:       e.Units(res.TaskWork),
+			TasksCompleted: res.TasksCompleted,
+			TasksRemaining: bag.Remaining(),
+			Episodes:       res.Episodes,
+			Interrupts:     res.Interrupts,
+			SetupTime:      e.Units(res.SetupTicks),
+			KilledTime:     e.Units(res.KilledTicks),
+			IdleTime:       e.Units(res.IdleTicks),
+		}
+		if got != want {
+			t.Errorf("%d tasks: pooled %+v, fresh %+v", n, got, want)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import "cyclesteal/internal/quant"
 // the previous interrupt level in full and the current level at smaller
 // lifespans, so two rows suffice.
 //
+// It runs the same hinted crossing search as Solve, in the same time.
+//
 // The returned slice r satisfies r[L] == Solve(P, U, c).Value(P, L).
 func SolveValueRow(P int, U, c quant.Tick) ([]quant.Tick, error) {
 	if err := validate(P, U, c); err != nil {
@@ -23,38 +25,11 @@ func SolveValueRow(P int, U, c quant.Tick) ([]quant.Tick, error) {
 	cur := make([]quant.Tick, U+1)
 	for q := 1; q <= P; q++ {
 		cur[0] = 0
+		var x quant.Tick // the crossing at L−1 seeds the search at L
 		for L := quant.Tick(1); L <= U; L++ {
-			cur[L] = solveCellRows(cur, prev, L, c)
+			cur[L], _, x = solveCell(cur, prev, L, c, x)
 		}
 		prev, cur = cur, prev
 	}
 	return prev, nil
-}
-
-// solveCellRows is solveCell against explicit rows (cur = level q filled up
-// to L−1, prev = level q−1 complete). See Solver.solveCell for the
-// crossing-point argument.
-func solveCellRows(cur, prev []quant.Tick, L, c quant.Tick) quant.Tick {
-	tmin := c + 1
-	if tmin > L {
-		return 0
-	}
-	complete := func(t quant.Tick) quant.Tick { return (t - c) + cur[L-t] }
-	interrupt := func(t quant.Tick) quant.Tick { return prev[L-t] }
-	lo, hi := tmin, L
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if complete(mid) >= interrupt(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	best := min(complete(lo), interrupt(lo))
-	if lo > tmin {
-		if cand := min(complete(lo-1), interrupt(lo-1)); cand > best {
-			best = cand
-		}
-	}
-	return best
 }

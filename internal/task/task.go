@@ -46,8 +46,22 @@ type Bag struct {
 
 // NewBag builds a bag from explicit tasks.
 func NewBag(tasks []Task) *Bag {
-	b := &Bag{buf: make([]Task, len(tasks))}
+	b := &Bag{}
+	b.Reset(tasks)
+	return b
+}
+
+// Reset empties the bag and refills it with a copy of tasks, reusing the
+// bag's storage when it is large enough: a bag reset per opportunity
+// allocates nothing once warm. The result is indistinguishable from
+// NewBag(tasks).
+func (b *Bag) Reset(tasks []Task) {
+	if cap(b.buf) < len(tasks) {
+		b.buf = make([]Task, len(tasks))
+	}
+	b.buf = b.buf[:len(tasks)]
 	copy(b.buf, tasks)
+	b.head, b.nextID, b.minDur = 0, 0, 0
 	for _, t := range tasks {
 		if t.ID >= b.nextID {
 			b.nextID = t.ID + 1
@@ -56,7 +70,6 @@ func NewBag(tasks []Task) *Bag {
 			b.minDur = t.Duration
 		}
 	}
-	return b
 }
 
 // pending is the live queue view.

@@ -203,6 +203,43 @@ func TestNewBagAssignsNextID(t *testing.T) {
 	}
 }
 
+// A used bag, reset, behaves exactly like a fresh NewBag of the same tasks,
+// and a warm reset reuses its storage.
+func TestResetMatchesNewBag(t *testing.T) {
+	tasks := Uniform(200, 3, 40, 1)
+	b := NewBag(Exponential(300, 9, 2))
+	b.Take(100)
+	b.Return([]Task{{ID: 1000, Duration: 1}})
+	b.Steal(7)
+	b.Reset(tasks)
+	fresh := NewBag(tasks)
+	if b.head != 0 || b.nextID != fresh.nextID || b.minDur != fresh.minDur {
+		t.Fatalf("reset bag head=%d nextID=%d minDur=%d, fresh nextID=%d minDur=%d",
+			b.head, b.nextID, b.minDur, fresh.nextID, fresh.minDur)
+	}
+	for capacity := quant.Tick(1); b.Remaining() > 0; capacity += 13 {
+		got, want := b.Take(capacity), fresh.Take(capacity)
+		if len(got) != len(want) {
+			t.Fatalf("Take(%d) after Reset = %v, fresh bag %v", capacity, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Take(%d) after Reset = %v, fresh bag %v", capacity, got, want)
+			}
+		}
+	}
+	if fresh.Remaining() != 0 {
+		t.Errorf("fresh bag kept %d tasks the reset bag did not", fresh.Remaining())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { b.Reset(tasks) }); allocs != 0 {
+		t.Errorf("warm Reset allocates %.1f per call", allocs)
+	}
+	b.Reset(nil)
+	if b.Remaining() != 0 || b.Take(100) != nil {
+		t.Errorf("Reset(nil) left %d tasks", b.Remaining())
+	}
+}
+
 func TestDurations(t *testing.T) {
 	if Durations(nil) != 0 {
 		t.Error("Durations(nil) != 0")

@@ -3,6 +3,7 @@ package cyclesteal
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"cyclesteal/internal/adversary"
 	"cyclesteal/internal/quant"
@@ -31,21 +32,40 @@ type SimOptions struct {
 	TaskDurations []float64
 }
 
+// simScratch is the reusable state of one Simulate call: the simulator's
+// episode and shipping buffers, the tick-converted tasks, and the bag they
+// refill.
+type simScratch struct {
+	bufs  sim.Buffers
+	tasks []task.Task
+	bag   task.Bag
+}
+
+// simPool lends each Simulate call its scratch, so repeated simulations —
+// Monte-Carlo trials above all, from one goroutine or many — allocate
+// nothing once warm.
+var simPool = sync.Pool{New: func() any { return new(simScratch) }}
+
 // Simulate plays one opportunity of this engine's shape with the given
-// schedule and adversary.
+// schedule and adversary. Each call borrows pooled scratch, so concurrent
+// calls are safe and repeated calls allocate nothing once warm.
 func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, error) {
-	cfg := sim.Config{}
+	scratch := simPool.Get().(*simScratch)
+	defer simPool.Put(scratch)
+	cfg := sim.Config{Buffers: &scratch.bufs}
 	var bag *task.Bag
 	if len(opts.TaskDurations) > 0 {
-		tasks := make([]task.Task, len(opts.TaskDurations))
+		tasks := scratch.tasks[:0]
 		for i, d := range opts.TaskDurations {
 			ticks := quant.Tick(math.Round(d / e.opp.Setup * float64(e.ticksC)))
 			if ticks < 1 {
 				ticks = 1
 			}
-			tasks[i] = task.Task{ID: i, Duration: ticks}
+			tasks = append(tasks, task.Task{ID: i, Duration: ticks})
 		}
-		bag = task.NewBag(tasks)
+		scratch.tasks = tasks
+		bag = &scratch.bag
+		bag.Reset(tasks)
 		cfg.Bag = bag
 	}
 	res, err := sim.Run(s, adv, sim.Opportunity{U: e.u, P: e.p, C: e.ticksC}, cfg)
