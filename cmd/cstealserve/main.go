@@ -119,15 +119,15 @@ type config struct {
 	killRound                int
 }
 
-// service builds the resident session — a fresh one, or one recovered from
-// the -recover log. The returned closer releases the WAL file, if any.
-func (c config) service() (*fleet.Service, func() error, error) {
+// serviceConfig translates the flags into the session's configuration,
+// less its WAL.
+func (c config) serviceConfig() (fleet.ServiceConfig, error) {
 	var ownerList []fleet.Owner
 	if c.owners != "" {
 		for _, name := range strings.Split(c.owners, ",") {
 			o, err := fleet.OwnerByName(strings.TrimSpace(name))
 			if err != nil {
-				return nil, nil, err
+				return fleet.ServiceConfig{}, err
 			}
 			ownerList = append(ownerList, o)
 		}
@@ -136,7 +136,7 @@ func (c config) service() (*fleet.Service, func() error, error) {
 	if c.policy != "" {
 		pol = fleet.Policy{Name: c.policy}
 	}
-	sc := fleet.ServiceConfig{
+	return fleet.ServiceConfig{
 		Fleet: fleet.Config{
 			Stations:           c.stations,
 			Setup:              c.setup,
@@ -161,6 +161,15 @@ func (c config) service() (*fleet.Service, func() error, error) {
 			MinStations: c.minStations,
 			MaxStations: c.maxStations,
 		},
+	}, nil
+}
+
+// service builds the resident session — a fresh one, or one recovered from
+// the -recover log. The returned closer releases the WAL file, if any.
+func (c config) service() (*fleet.Service, func() error, error) {
+	sc, err := c.serviceConfig()
+	if err != nil {
+		return nil, nil, err
 	}
 	closeWAL := func() error { return nil }
 	if c.wal != "" {

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -97,13 +99,17 @@ func FuzzParseJob(f *testing.F) {
 }
 
 // TestRunEndToEnd drives the whole binary path short of main: stdin
-// submissions, a watched directory, churn, checkpointing, and the final
-// summary — twice, asserting the runs are identical (the service engine is
-// deterministic and submission order is fixed).
+// submissions, a watched directory, churn, checkpointing, a WAL, and the
+// final summary — twice. Wall-clock timing decides which round each
+// submission lands on, so the passes may log different events; the
+// contract is that each pass's summary is the one its own event log
+// replays to, and that passes logging the same events print the same
+// summary.
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	input := "ana 50x8\nbo 20x12,5x3\n# comment\n\nana 10x2\n"
 	outputs := make([]string, 2)
+	logs := make([][]fleet.ServiceEvent, 2)
 	for i := range outputs {
 		if err := os.WriteFile(filepath.Join(dir, "batch.jobs"), []byte("carol 30x5\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -117,6 +123,7 @@ func TestRunEndToEnd(t *testing.T) {
 			seed:  7,
 			stats: time.Millisecond,
 			watch: dir,
+			wal:   filepath.Join(t.TempDir(), "run.wal"), // outside the watched directory
 		}
 		if err := run(cfg, strings.NewReader(input), &out, &errOut); err != nil {
 			t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
@@ -134,6 +141,7 @@ func TestRunEndToEnd(t *testing.T) {
 			t.Errorf("watched job submitted but unfinished:\n%s", got)
 		}
 		outputs[i] = got
+		logs[i] = replayedSummary(t, cfg, got)
 		if _, err := os.Stat(filepath.Join(dir, "batch.jobs.done")); err == nil {
 			if err := os.Remove(filepath.Join(dir, "batch.jobs.done")); err != nil {
 				t.Fatal(err)
@@ -143,11 +151,41 @@ func TestRunEndToEnd(t *testing.T) {
 			os.Remove(filepath.Join(dir, "batch.jobs"))
 		}
 	}
-	// Determinism only holds when the wall-clock watcher submitted the same
-	// set both times; stdin-only content always matches.
-	if strings.Contains(outputs[0], "carol") == strings.Contains(outputs[1], "carol") && outputs[0] != outputs[1] {
-		t.Errorf("identical submissions, different summaries:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", outputs[0], outputs[1])
+	if reflect.DeepEqual(logs[0], logs[1]) && outputs[0] != outputs[1] {
+		t.Errorf("identical event logs, different summaries:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", outputs[0], outputs[1])
 	}
+}
+
+// replayedSummary checks a finished pass against its own WAL: replaying the
+// logged events under the pass's configuration must print its summary byte
+// for byte. It returns the events.
+func replayedSummary(t *testing.T, cfg config, summary string) []fleet.ServiceEvent {
+	t.Helper()
+	f, err := os.Open(cfg.wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := fleet.ReadWAL(f)
+	if err != nil {
+		t.Fatalf("reading the pass's WAL: %v", err)
+	}
+	sc, err := cfg.serviceConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.ReplayService(context.Background(), sc, events)
+	if err != nil {
+		t.Fatalf("replaying the pass's WAL: %v", err)
+	}
+	var replayed bytes.Buffer
+	if err := report(&replayed, res); err != nil {
+		t.Fatal(err)
+	}
+	if replayed.String() != summary {
+		t.Errorf("the pass's WAL replays to a different summary:\n--- run ---\n%s\n--- replay ---\n%s", summary, replayed.String())
+	}
+	return events
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {

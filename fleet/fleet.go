@@ -373,6 +373,34 @@ func (g grid) ticks(units float64) quant.Tick {
 	return t
 }
 
+// quantize validates caller-unit task durations and puts them on the grid,
+// task i with ID i, returning the tasks and their total ticks. It refuses
+// NaN, ±Inf and negative durations, and durations whose tick count — or
+// the job's total — overflows a quant.Tick; the error names the task.
+// Every job enters through it: batch runs, studies, and service submits,
+// replays and recoveries.
+func (g grid) quantize(durations []float64) ([]task.Task, quant.Tick, error) {
+	tasks := make([]task.Task, len(durations))
+	var work quant.Tick
+	for i, d := range durations {
+		if !finite(d) || d < 0 {
+			return nil, 0, fmt.Errorf("fleet: task %d duration must be ≥ 0 and finite, got %g", i, d)
+		}
+		// Checked before the conversion: converting an out-of-range float64
+		// to int64 gives an implementation-dependent value (on amd64 one
+		// below 1, which ticks would round up to a single tick).
+		if t := math.Round(d / g.setup * float64(g.ticksC)); t >= math.MaxInt64 {
+			return nil, 0, fmt.Errorf("fleet: task %d duration %g overflows the tick grid", i, d)
+		}
+		tasks[i] = task.Task{ID: i, Duration: g.ticks(d)}
+		if work > math.MaxInt64-tasks[i].Duration {
+			return nil, 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
+		}
+		work += tasks[i].Duration
+	}
+	return tasks, work, nil
+}
+
 // units converts ticks back to caller units.
 func (g grid) units(t quant.Tick) float64 {
 	return float64(t) / float64(g.ticksC) * g.setup
@@ -610,14 +638,12 @@ func (f *Fleet) shards() int {
 	return f.cfg.Shards
 }
 
-// job quantizes the caller's task durations onto the tick grid.
-func (f *Fleet) job(job Job) farm.Job {
+// job validates the caller's task durations and quantizes them onto the
+// tick grid.
+func (f *Fleet) job(job Job) (farm.Job, error) {
 	if len(job.Tasks) == 0 {
-		return farm.Job{}
+		return farm.Job{}, nil
 	}
-	tasks := make([]task.Task, len(job.Tasks))
-	for i, d := range job.Tasks {
-		tasks[i] = task.Task{ID: i, Duration: f.g.ticks(d)}
-	}
-	return farm.Job{Tasks: tasks}
+	tasks, _, err := f.g.quantize(job.Tasks)
+	return farm.Job{Tasks: tasks}, err
 }

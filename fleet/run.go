@@ -88,7 +88,10 @@ func (r Result) Imbalance() float64 {
 // bit-identical at any Workers. Cancelling ctx stops every station at its
 // next opportunity boundary and returns ctx.Err().
 func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
-	fj := f.job(job)
+	fj, err := f.job(job)
+	if err != nil {
+		return Result{}, err
+	}
 	stations, recorded, err := f.runStations()
 	if err != nil {
 		return Result{}, err
@@ -119,7 +122,10 @@ func (f *Fleet) RunDeterministic(ctx context.Context, job Job) (Result, error) {
 	if f.cfg.Pool == Private || len(job.Tasks) == 0 {
 		return f.Run(ctx, job) // both already bit-identical at any Workers
 	}
-	fj := f.job(job)
+	fj, err := f.job(job)
+	if err != nil {
+		return Result{}, err
+	}
 	stations, recorded, err := f.runStations()
 	if err != nil {
 		return Result{}, err

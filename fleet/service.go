@@ -227,6 +227,7 @@ type svcJob struct {
 	id        int
 	tenant    string
 	specs     []float64 // caller-unit durations, for the event log
+	walTasks  []byte    // specs encoded for the WAL until logged; nil without one
 	tasks     []task.Task
 	work      quant.Tick
 	base      int // first task ID (contiguous range), set at apply
@@ -447,11 +448,21 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 
 // Submit admits a job for the tenant and returns its handle. Admission is
 // immediate: a tenant already holding MaxQueuedPerTenant unactivated jobs is
-// rejected here, as is an empty job or a stopped service. The job itself
-// enters the fleet at the next round top.
+// rejected here, as is an empty job, a NaN, infinite, negative or
+// grid-overflowing duration (the error names the task), or a stopped
+// service. The job itself enters the fleet at the next round top.
+//
+// Submit copies, validates and quantizes the durations — and, with a WAL,
+// encodes them for the log — on the caller's goroutine before it takes the
+// service lock: O(job) work the caller pays and the round loop never does.
+// The job's WAL record is still exactly what encoding/json writes for it.
 func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 	if len(j.Tasks) == 0 {
 		return nil, fmt.Errorf("fleet: a service job needs ≥ 1 task")
+	}
+	job, err := s.newJob(tenant, append([]float64(nil), j.Tasks...))
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -464,15 +475,23 @@ func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 	if n := s.pendingFor(tenant) + len(s.queues[tenant]); n >= s.maxQueued {
 		return nil, fmt.Errorf("fleet: tenant %q has %d jobs queued (max %d)", tenant, n, s.maxQueued)
 	}
-	specs := append([]float64(nil), j.Tasks...)
-	tasks := make([]task.Task, len(specs))
-	var work quant.Tick
-	for i, d := range specs {
-		tasks[i] = task.Task{Duration: s.f.g.ticks(d)} // IDs assigned at apply
-		work += tasks[i].Duration
+	job.id = s.nextJobID
+	s.nextJobID++
+	s.pendingOps = append(s.pendingOps, op{kind: EventSubmit, job: job})
+	s.wake()
+	return &JobHandle{ID: job.id, Tenant: tenant, s: s, j: job}, nil
+}
+
+// newJob builds a job from its caller-unit durations, which it keeps:
+// validated and quantized (task IDs are assigned at apply), and encoded for
+// the WAL when the service has one. It touches no service state, so Submit
+// runs it before taking the lock.
+func (s *Service) newJob(tenant string, specs []float64) (*svcJob, error) {
+	tasks, work, err := s.f.g.quantize(specs)
+	if err != nil {
+		return nil, err
 	}
-	job := &svcJob{
-		id:        s.nextJobID,
+	j := &svcJob{
 		tenant:    tenant,
 		specs:     specs,
 		tasks:     tasks,
@@ -481,10 +500,10 @@ func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 		finished:  -1,
 		done:      make(chan struct{}),
 	}
-	s.nextJobID++
-	s.pendingOps = append(s.pendingOps, op{kind: EventSubmit, job: job})
-	s.wake()
-	return &JobHandle{ID: job.id, Tenant: tenant, s: s, j: job}, nil
+	if s.cfg.WAL != nil {
+		j.walTasks = appendWALTasks(nil, specs)
+	}
+	return j, nil
 }
 
 // pendingFor counts a tenant's submissions still waiting to apply.
@@ -569,12 +588,13 @@ func (s *Service) pendingSubmits() int {
 
 // --- the round loop -----------------------------------------------------------
 
-// logEvent stamps an event into the log and the write-ahead log. During
-// recovery it also checks the event against the recorded log at the cursor:
-// regenerated sampling must reproduce the original sequence exactly, so a
-// recovery under different seeds or config fails loudly instead of
-// diverging silently.
-func (s *Service) logEvent(ev ServiceEvent) {
+// logEvent stamps an event into the log and the write-ahead log; tasks is a
+// submit's walTasks, nil for every other event. During recovery it also
+// checks the event against the recorded log at the cursor: regenerated
+// sampling must reproduce the original sequence exactly, so a recovery
+// under different seeds or config fails loudly instead of diverging
+// silently.
+func (s *Service) logEvent(ev ServiceEvent, tasks []byte) {
 	if s.recovering {
 		if s.recoverCur < len(s.recoverLog) && eventsMatch(s.recoverLog[s.recoverCur], ev) {
 			s.recoverCur++
@@ -584,7 +604,7 @@ func (s *Service) logEvent(ev ServiceEvent) {
 	}
 	s.events = append(s.events, ev)
 	if s.walw != nil && s.walErr == nil {
-		if err := writeWALEvent(s.walw, ev); err != nil {
+		if err := writeWALRecord(s.walw, ev, tasks); err != nil {
 			s.walErr = fmt.Errorf("fleet: write-ahead log: %w", err)
 		}
 	}
@@ -680,22 +700,11 @@ func (s *Service) applyOps() error {
 func (s *Service) applyEvent(ev ServiceEvent) error {
 	switch ev.Kind {
 	case EventSubmit:
-		tasks := make([]task.Task, len(ev.Tasks))
-		var work quant.Tick
-		for i, d := range ev.Tasks {
-			tasks[i] = task.Task{Duration: s.f.g.ticks(d)}
-			work += tasks[i].Duration
+		j, err := s.newJob(ev.Tenant, ev.Tasks)
+		if err != nil {
+			return fmt.Errorf("%w (logged job %d, round %d)", err, ev.JobID, ev.Round)
 		}
-		j := &svcJob{
-			id:        ev.JobID,
-			tenant:    ev.Tenant,
-			specs:     ev.Tasks,
-			tasks:     tasks,
-			work:      work,
-			submitted: -1,
-			finished:  -1,
-			done:      make(chan struct{}),
-		}
+		j.id = ev.JobID
 		if ev.JobID >= s.nextJobID {
 			s.nextJobID = ev.JobID + 1
 		}
@@ -715,7 +724,7 @@ func (s *Service) applyEvent(ev ServiceEvent) error {
 	case EventKill:
 		// Replaying a killed session re-kills it at the same round; the
 		// replayed result matches the original, error included.
-		s.logEvent(ev)
+		s.logEvent(ev, nil)
 		if err := s.flushWAL(); err != nil {
 			return err
 		}
@@ -741,7 +750,8 @@ func (s *Service) applySubmit(j *svcJob) {
 	s.queuedTotal++
 	s.logEvent(ServiceEvent{
 		Round: s.round, Kind: EventSubmit, Tenant: j.tenant, JobID: j.id, Tasks: j.specs,
-	})
+	}, j.walTasks)
+	j.walTasks = nil
 }
 
 func (s *Service) applyJoin(sampled bool) error {
@@ -754,7 +764,7 @@ func (s *Service) applyJoin(sampled bool) error {
 	slot := s.core.Join(ws)
 	s.alive = append(s.alive, true)
 	s.joined++
-	s.logEvent(ServiceEvent{Round: s.round, Kind: EventJoin, Station: slot, Sampled: sampled})
+	s.logEvent(ServiceEvent{Round: s.round, Kind: EventJoin, Station: slot, Sampled: sampled}, nil)
 	return nil
 }
 
@@ -765,7 +775,7 @@ func (s *Service) applyLeave(slot int, sampled bool) {
 	s.core.Leave(slot)
 	s.alive[slot] = false
 	s.departed++
-	s.logEvent(ServiceEvent{Round: s.round, Kind: EventLeave, Station: slot, Sampled: sampled})
+	s.logEvent(ServiceEvent{Round: s.round, Kind: EventLeave, Station: slot, Sampled: sampled}, nil)
 }
 
 // applyCrash fails a station hard: unlike a leave, an orphaned group's
@@ -777,7 +787,7 @@ func (s *Service) applyCrash(slot int, sampled bool) {
 	s.core.Crash(slot)
 	s.alive[slot] = false
 	s.crashed++
-	s.logEvent(ServiceEvent{Round: s.round, Kind: EventCrash, Station: slot, Sampled: sampled})
+	s.logEvent(ServiceEvent{Round: s.round, Kind: EventCrash, Station: slot, Sampled: sampled}, nil)
 }
 
 func (s *Service) applyCheckpoint(interval float64, adaptive bool) {
@@ -788,7 +798,7 @@ func (s *Service) applyCheckpoint(interval float64, adaptive bool) {
 	s.core.SetCheckpoint(ticks, adaptive)
 	s.logEvent(ServiceEvent{
 		Round: s.round, Kind: EventCheckpoint, Checkpoint: interval, Adaptive: adaptive,
-	})
+	}, nil)
 }
 
 // sampleChurn runs one round's churn: each live slot leaves with LeaveProb
@@ -943,7 +953,7 @@ func (s *Service) step(ctx context.Context) (done bool, err error) {
 		// the durable log closes with a kill record, and RecoverService can
 		// rebuild the session from it. (A recovery with the same plan must
 		// raise or clear KillRound, or it re-kills here immediately.)
-		s.logEvent(ServiceEvent{Round: s.round, Kind: EventKill, Sampled: true})
+		s.logEvent(ServiceEvent{Round: s.round, Kind: EventKill, Sampled: true}, nil)
 		if err := s.flushWAL(); err != nil {
 			return true, err
 		}

@@ -170,7 +170,10 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,
 	}
-	fj := f.job(job)
+	fj, err := f.job(job)
+	if err != nil {
+		return nil, err
+	}
 	if f.cfg.Pool == Private || len(fj.Tasks) == 0 {
 		// Empty jobs replicate as pure fluid surveys (see Run): the shared
 		// pools would end each trial before its first opportunity.

@@ -1,0 +1,232 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// badDurations are jobs no run can hold: the log cannot encode a non-finite
+// duration, and the tick grid cannot represent a negative one or one whose
+// tick count — alone or summed over the job — overflows. want names the
+// offending task.
+var badDurations = []struct {
+	name  string
+	tasks []float64
+	want  string
+}{
+	{"NaN", []float64{3, math.NaN()}, "task 1"},
+	{"+Inf", []float64{math.Inf(1)}, "task 0"},
+	{"-Inf", []float64{2, 2, math.Inf(-1)}, "task 2"},
+	{"negative", []float64{4, -1}, "task 1"},
+	{"tick overflow", []float64{1e300}, "task 0"},
+	{"job total overflow", []float64{1, 3e17, 3e17}, "task 2"},
+}
+
+// A job with a duration the log cannot hold is refused at Submit, naming
+// the task, instead of stopping the whole WAL'd service at the next round
+// top and failing every other tenant's job with it; a valid job submitted
+// alongside still completes and the log stays readable.
+func TestSubmitRefusesBadDurations(t *testing.T) {
+	var wal bytes.Buffer
+	// MaxRounds bounds a regression that admits a job of grid-overflowing
+	// tasks, which no period could ever fit.
+	s, err := NewService(ServiceConfig{Fleet: serviceFleet(0), MaxRounds: 1000, WAL: &wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Submit("ana", serviceJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range badDurations {
+		if _, err := s.Submit("mallory", Job{Tasks: tc.tasks}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Submit error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	res, err := s.Drain(context.Background())
+	if err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if jr, err := h.Result(); err != nil || !jr.Completed {
+		t.Fatalf("valid job: completed %v, error %v", jr.Completed, err)
+	}
+	if len(res.Jobs) != 1 {
+		t.Fatalf("%d jobs ran, want only the valid one", len(res.Jobs))
+	}
+	if evs, err := ReadWAL(bytes.NewReader(wal.Bytes())); err != nil || !reflect.DeepEqual(evs, res.Events) {
+		t.Fatalf("WAL does not decode to the run's events (%v)", err)
+	}
+	for _, j := range s.jobs {
+		if j.walTasks != nil {
+			t.Errorf("job %d keeps its %d encoded WAL bytes after they were logged", j.id, len(j.walTasks))
+		}
+	}
+}
+
+// The batch paths share Submit's check: Run, RunDeterministic and Study
+// (behind Replicate and the distrib coordinator) refuse the same jobs.
+func TestRunsRefuseBadDurations(t *testing.T) {
+	ctx := context.Background()
+	for _, pool := range []Pool{Sharded, Private} {
+		f, err := New(Config{Stations: 4, Setup: 5, Opportunities: 4, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range badDurations {
+			job := Job{Tasks: tc.tasks}
+			_, runErr := f.Run(ctx, job)
+			_, detErr := f.RunDeterministic(ctx, job)
+			_, studyErr := f.Study(job, 2)
+			for name, err := range map[string]error{"Run": runErr, "RunDeterministic": detErr, "Study": studyErr} {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s pool, %s: %s error %v, want one naming %q", pool, tc.name, name, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// runLogged drives a WAL'd session to its end: a job of distinct
+// durations, one of repeats and float edge cases, and (with a kill round
+// set) the scheduler kill.
+func runLogged(t *testing.T, kill int, wal *bytes.Buffer) (ServiceResult, error) {
+	t.Helper()
+	s, err := NewService(faultedConfig(1, kill, wal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[string]Job{
+		"ana":       {Tasks: ExponentialTasks(3000, 12, 3)},
+		`<bo&"co">`: {Tasks: append(FixedTasks(2000, 7.5), 0, math.Copysign(0, -1), 1e-7, 1e-7, 5e-324, 123456.125, 123456.125)},
+	}
+	for _, tenant := range []string{"ana", `<bo&"co">`} {
+		if _, err := s.Submit(tenant, jobs[tenant]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.Drain(context.Background())
+}
+
+// A session's WAL holds exactly json.Marshal's record for every event, and
+// the WAL a recovery re-logs is byte-identical to the one the uninterrupted
+// session wrote — recovered submits go through the same encoder.
+func TestServiceWALRecoversByteIdentical(t *testing.T) {
+	var full bytes.Buffer
+	want, err := runLogged(t, 0, &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full.Bytes(), []byte("\n"))
+	if len(lines) != len(want.Events)+2 || len(lines[len(lines)-1]) != 0 { // header, events, empty tail
+		t.Fatalf("WAL holds %d lines for %d events", len(lines)-1, len(want.Events))
+	}
+	for i, ev := range want.Events {
+		if ref := marshalWALRecord(t, ev); !bytes.Equal(lines[i+1], ref) {
+			t.Fatalf("event %d logged as\n%s\nwant\n%s", i, lines[i+1], ref)
+		}
+	}
+
+	for _, kill := range []int{0, want.Rounds / 2} {
+		log := full.Bytes()
+		if kill > 0 {
+			var killed bytes.Buffer
+			if _, err := runLogged(t, kill, &killed); err == nil {
+				t.Fatalf("kill %d: session was not killed", kill)
+			}
+			log = killed.Bytes()
+		}
+		var relogged bytes.Buffer
+		s, err := RecoverService(faultedConfig(1, 0, &relogged), bytes.NewReader(log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Drain(context.Background()); err != nil {
+			t.Fatalf("kill %d: recovered Drain: %v", kill, err)
+		}
+		if !bytes.Equal(relogged.Bytes(), full.Bytes()) {
+			t.Fatalf("kill %d: the recovery's WAL (%d bytes) differs from the uninterrupted session's (%d bytes)", kill, relogged.Len(), full.Len())
+		}
+	}
+}
+
+// Tenants submit concurrently into a started, WAL'd, churning service.
+// Whatever order their submissions land in, the run is the one its own
+// event log replays, and the log decodes to those events. Run it under
+// -race.
+func TestServiceConcurrentSubmitsReplay(t *testing.T) {
+	const tenants, perTenant = 4, 5
+	var wal bytes.Buffer
+	cfg := ServiceConfig{
+		Fleet:              serviceFleet(0),
+		MaxQueuedPerTenant: perTenant,
+		Churn:              ChurnConfig{LeaveProb: 0.05, JoinProb: 0.2, MinStations: 4, Seed: 3},
+		WAL:                &wal,
+	}
+	s, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	handles := make([][]*JobHandle, tenants)
+	var wg sync.WaitGroup
+	for tn := 0; tn < tenants; tn++ {
+		wg.Add(1)
+		go func(tn int) {
+			defer wg.Done()
+			for k := 0; k < perTenant; k++ {
+				job := Job{Tasks: FixedTasks(40+10*k, float64(3+tn))}
+				if k%2 == 1 {
+					job = Job{Tasks: ExponentialTasks(60, 10, int64(10*tn+k))}
+				}
+				h, err := s.Submit(fmt.Sprintf("tenant-%d", tn), job)
+				if err != nil {
+					t.Errorf("tenant %d job %d: %v", tn, k, err)
+					return
+				}
+				handles[tn] = append(handles[tn], h)
+			}
+		}(tn)
+	}
+	wg.Wait()
+	for _, hs := range handles {
+		for _, h := range hs {
+			select {
+			case <-h.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatal("live service never finished a job")
+			}
+		}
+	}
+	cancel()
+	live, _ := s.Wait() // the error is the cancellation
+	if len(live.Jobs) != tenants*perTenant {
+		t.Fatalf("%d jobs ran, want %d", len(live.Jobs), tenants*perTenant)
+	}
+	for _, j := range live.Jobs {
+		if !j.Completed {
+			t.Fatalf("job %d of %s unfinished", j.ID, j.Tenant)
+		}
+	}
+	cfg.WAL = nil
+	rep, err := ReplayService(context.Background(), cfg, live.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, live) {
+		t.Fatalf("replay diverges from the live run:\nreplay: %+v\nlive:   %+v", rep, live)
+	}
+	if evs, err := ReadWAL(bytes.NewReader(wal.Bytes())); err != nil || !reflect.DeepEqual(evs, live.Events) {
+		t.Fatalf("WAL does not decode to the run's events (%v)", err)
+	}
+}

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The service write-ahead log is JSON Lines, the same shape as the trace
@@ -62,22 +65,160 @@ func writeWALHeader(w io.Writer, ticksPerSetup int) error {
 	return writeWALLine(w, walHeader{Format: walFormat, Version: walVersion, TicksPerSetup: ticksPerSetup})
 }
 
+// writeWALEvent writes ev's line, encoding its tasks.
 func writeWALEvent(w io.Writer, ev ServiceEvent) error {
-	if _, ok := walKinds[ev.Kind.String()]; !ok {
+	for i, d := range ev.Tasks {
+		if !finite(d) {
+			return fmt.Errorf("cannot encode task %d duration %g", i, d)
+		}
+	}
+	return writeWALRecord(w, ev, appendWALTasks(nil, ev.Tasks))
+}
+
+// writeWALRecord writes ev's line: exactly the bytes json.Marshal writes for
+// its walRecord, then a newline. tasks is ev.Tasks as appendWALTasks encodes
+// them — a service encodes a job's durations when it is submitted, off the
+// round loop, and the record only splices them in.
+func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
+	kind := ev.Kind.String()
+	if _, ok := walKinds[kind]; !ok {
 		return fmt.Errorf("cannot encode event kind %v", ev.Kind)
 	}
-	return writeWALLine(w, walRecord{
-		Round:      ev.Round,
-		Kind:       ev.Kind.String(),
-		Sampled:    ev.Sampled,
-		Tenant:     ev.Tenant,
-		JobID:      ev.JobID,
-		Tasks:      ev.Tasks,
-		Station:    ev.Station,
-		Checkpoint: ev.Checkpoint,
-		Adaptive:   ev.Adaptive,
-	})
+	if !finite(ev.Checkpoint) {
+		return fmt.Errorf("cannot encode checkpoint %g", ev.Checkpoint)
+	}
+	b := make([]byte, 0, 64)
+	b = strconv.AppendInt(append(b, `{"round":`...), int64(ev.Round), 10)
+	b = append(append(append(b, `,"kind":"`...), kind...), '"')
+	if ev.Sampled {
+		b = append(b, `,"sampled":true`...)
+	}
+	if ev.Tenant != "" {
+		b = appendJSONString(append(b, `,"tenant":`...), ev.Tenant)
+	}
+	if ev.JobID != 0 {
+		b = strconv.AppendInt(append(b, `,"job_id":`...), int64(ev.JobID), 10)
+	}
+	if len(ev.Tasks) > 0 {
+		if _, err := w.Write(append(b, `,"tasks":`...)); err != nil {
+			return err
+		}
+		if _, err := w.Write(tasks); err != nil {
+			return err
+		}
+		b = b[:0]
+	}
+	if ev.Station != 0 {
+		b = strconv.AppendInt(append(b, `,"station":`...), int64(ev.Station), 10)
+	}
+	if ev.Checkpoint != 0 {
+		b = appendJSONFloat(append(b, `,"checkpoint":`...), ev.Checkpoint)
+	}
+	if ev.Adaptive {
+		b = append(b, `,"adaptive":true`...)
+	}
+	_, err := w.Write(append(b, "}\n"...))
+	return err
 }
+
+// appendWALTasks appends a submit record's task array: exactly the bytes
+// encoding/json writes for the []float64. Every duration must be finite;
+// the service validates them (grid.quantize) before they get here. A
+// duration equal to its predecessor copies the predecessor's bytes instead
+// of formatting them again, so the runs of equal durations that FixedTasks
+// and NxD job lines produce cost a copy per task.
+func appendWALTasks(dst []byte, tasks []float64) []byte {
+	if len(tasks) == 0 {
+		return append(dst, "[]"...)
+	}
+	start := len(dst) + 1 // the previous duration's bytes are dst[start:end]
+	dst = appendJSONFloat(append(dst, '['), tasks[0])
+	end := len(dst)
+	// Room for every duration as long as the first: exact for one value.
+	dst = slices.Grow(dst, (end-start+1)*(len(tasks)-1)+1)
+	for i := 1; i < len(tasks); i++ {
+		dst = append(dst, ',')
+		if math.Float64bits(tasks[i]) == math.Float64bits(tasks[i-1]) {
+			dst = append(dst, dst[start:end]...)
+			continue
+		}
+		start = len(dst)
+		dst = appendJSONFloat(dst, tasks[i])
+		end = len(dst)
+	}
+	return append(dst, ']')
+}
+
+// appendJSONFloat appends a finite f as encoding/json formats a float64:
+// the ES6 number-to-string conversion, %f from 1e-6 up to 1e21 and %e
+// beyond, with a one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
+}
+
+// appendJSONString appends s as encoding/json writes a string: quoted;
+// with ", \ and control characters escaped (\b, \f, \n, \r, \t, else
+// \u00XX); with <, > and & escaped for HTML, invalid UTF-8 replaced by
+// \ufffd, and U+2028 and U+2029 escaped. Unlike json.Marshal it allocates
+// nothing of its own, so a record's allocations do not depend on the state
+// of encoding/json's buffer pool.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is pending, needing no escape
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// finite reports whether f is neither NaN nor ±Inf.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 func writeWALLine(w io.Writer, v any) error {
 	line, err := json.Marshal(v)

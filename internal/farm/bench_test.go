@@ -205,3 +205,22 @@ func BenchmarkFarmReplicateTwoLevel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFarmCoreAddTasks prices a job's arrival in the round engine:
+// dealing 100,000 tasks round-robin into a fresh 64-group Core's queues —
+// what every Study trial and every activated service job pays once.
+func BenchmarkFarmCoreAddTasks(b *testing.B) {
+	tasks := task.Uniform(100000, 5, 50, 1)
+	f := benchFleet(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		core := f.NewCore(equalizedFactory, 1, 64, 0, false)
+		b.StartTimer()
+		core.AddTasks(tasks)
+		if core.Pending() != len(tasks) {
+			b.Fatalf("core holds %d of %d tasks", core.Pending(), len(tasks))
+		}
+	}
+}

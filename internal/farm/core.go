@@ -96,8 +96,9 @@ type Core struct {
 	crossDead   []bool      // per-group: degraded to intra-cluster scanning for good
 	nextCrossAt []int64     // per-group backoff: earliest clock for the next request
 
-	arrived []int   // reusable rebalance snapshot
-	errbuf  []error // reusable error-join scratch
+	arrived []int       // reusable rebalance snapshot
+	errbuf  []error     // reusable error-join scratch
+	dealTo  []*task.Bag // reusable liveQueues scratch
 }
 
 // NewCore builds the event-driven engine state for this farm's knobs.
@@ -251,19 +252,21 @@ func (c *Core) drainGroup(g int) {
 		return
 	}
 	tasks := c.queues[g].Steal(n) // the whole queue, in bag order
-	targets := make([]int, 0, c.groups)
-	for t := 0; t < c.groups; t++ {
-		if c.liveIn[t] > 0 {
-			targets = append(targets, t)
+	to := c.liveQueues()
+	task.DealInto(to, tasks)
+	c.steals += min(n, len(to)) // one per queue that received tasks
+}
+
+// liveQueues lists, in group order, the queues of groups that still have
+// live stations. The slice is scratch, valid until the next call.
+func (c *Core) liveQueues() []*task.Bag {
+	c.dealTo = c.dealTo[:0]
+	for g, q := range c.queues {
+		if c.liveIn[g] > 0 {
+			c.dealTo = append(c.dealTo, q)
 		}
 	}
-	for i, hand := range task.Deal(tasks, len(targets)) {
-		if len(hand) == 0 {
-			continue
-		}
-		c.queues[targets[i]].Append(hand)
-		c.steals++
-	}
+	return c.dealTo
 }
 
 // AddTasks deals newly arrived tasks round-robin across the group queues —
@@ -278,26 +281,10 @@ func (c *Core) AddTasks(tasks []task.Task) {
 	c.total += len(tasks)
 	if c.live == 0 || c.live == len(c.runners) {
 		// Fast path (and the batch engines' only path): no group is dead.
-		for g, hand := range task.Deal(tasks, c.groups) {
-			c.queues[g].Append(hand)
-		}
+		task.DealInto(c.queues, tasks)
 		return
 	}
-	targets := make([]int, 0, c.groups)
-	for g := 0; g < c.groups; g++ {
-		if c.liveIn[g] > 0 {
-			targets = append(targets, g)
-		}
-	}
-	if len(targets) == 0 {
-		targets = targets[:0]
-		for g := 0; g < c.groups; g++ {
-			targets = append(targets, g)
-		}
-	}
-	for i, hand := range task.Deal(tasks, len(targets)) {
-		c.queues[targets[i]].Append(hand)
-	}
+	task.DealInto(c.liveQueues(), tasks) // some station is live, so some group is
 }
 
 // SetCheckpoint changes the checkpoint policy for every subsequent

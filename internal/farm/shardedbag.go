@@ -157,11 +157,16 @@ func NewShardedBagTopology(tasks []task.Task, shards, clusters int, latency int6
 	for c := range b.richest {
 		b.richest[c].Store(int64(c * b.perCluster))
 	}
-	for s, hand := range task.Deal(tasks, shards) {
-		b.shards[s].bag = task.NewBag(hand)
-		b.shards[s].size.Store(int64(len(hand)))
+	bags := make([]*task.Bag, shards)
+	for s := range bags {
+		bags[s] = task.NewBag(nil)
+	}
+	task.DealInto(bags, tasks)
+	for s, bag := range bags {
+		b.shards[s].bag = bag
+		b.shards[s].size.Store(int64(bag.Remaining()))
 		if b.clusterTasks != nil {
-			b.clusterTasks[s/b.perCluster].Add(int64(len(hand)))
+			b.clusterTasks[s/b.perCluster].Add(int64(bag.Remaining()))
 		}
 	}
 	b.remaining.Store(int64(len(tasks)))

@@ -183,8 +183,35 @@ func (b *Bag) Return(tasks []Task) {
 // migrated in from another queue (front is reserved for killed in-flight
 // tasks, which stay next in line).
 func (b *Bag) Append(tasks []Task) {
+	b.reserve(len(tasks))
 	b.buf = append(b.buf, tasks...)
 	b.noteAdded(tasks)
+}
+
+// reserve makes room for n more tasks at the back. A resident queue takes
+// from the front and is refilled at the back for as long as it lives, so
+// its storage must track what it holds, not everything it ever held: once
+// the consumed prefix is at least as long as the pending tasks, they slide
+// down over it. When the tasks still do not fit, the pending ones move to a
+// buffer with room for n more or for as many again as are pending,
+// whichever is more — exactly n for an empty bag. A slide copies no more
+// tasks than were taken since the last one, and a move at least doubles
+// the room for what is pending, so appending stays amortized O(1).
+func (b *Bag) reserve(n int) {
+	if len(b.buf)+n <= cap(b.buf) {
+		return
+	}
+	pending := len(b.buf) - b.head
+	if b.head >= pending {
+		copy(b.buf, b.buf[b.head:])
+		b.buf, b.head = b.buf[:pending], 0
+		if pending+n <= cap(b.buf) {
+			return
+		}
+	}
+	grown := make([]Task, pending, pending+max(pending, n))
+	copy(grown, b.pending())
+	b.buf, b.head = grown, 0
 }
 
 // Steal removes and returns up to n tasks from the back of the bag, in bag
@@ -205,10 +232,11 @@ func (b *Bag) Steal(n int) []Task {
 }
 
 // Deal splits a task set into n hands by round-robin on task index — the
-// deterministic partition the sharded farm bag starts from. Task i lands in
+// deterministic partition every farm layout starts from. Task i lands in
 // hand i mod n, so the split is a pure function of (tasks, n): independent
 // of worker scheduling, and every hand sees a representative duration mix
-// even when the set is sorted.
+// even when the set is sorted. To fill existing bags, DealInto makes the
+// same partition without the hands.
 func Deal(tasks []Task, n int) [][]Task {
 	if n < 1 {
 		n = 1
@@ -222,6 +250,36 @@ func Deal(tasks []Task, n int) [][]Task {
 		hands[i%n] = append(hands[i%n], t)
 	}
 	return hands
+}
+
+// DealInto deals tasks round-robin onto the backs of bags: task i goes to
+// bags[i mod len(bags)], the partition Deal makes, and each bag ends up
+// exactly as if Append had added its hand. Unlike Deal it builds no
+// intermediate hands: it makes one pass over the tasks, and each bag grows
+// at most once. bags must not be empty.
+func DealInto(bags []*Bag, tasks []Task) {
+	if len(tasks) == 0 {
+		return
+	}
+	per, extra := len(tasks)/len(bags), len(tasks)%len(bags)
+	for i, b := range bags {
+		if i < extra {
+			b.reserve(per + 1)
+		} else {
+			b.reserve(per)
+		}
+	}
+	i := 0
+	for _, t := range tasks {
+		b := bags[i]
+		b.buf = append(b.buf, t)
+		if b.minDur == 0 || t.Duration < b.minDur {
+			b.minDur = t.Duration
+		}
+		if i++; i == len(bags) {
+			i = 0
+		}
+	}
 }
 
 // CompletedPrefix returns the length of the longest prefix of tasks that

@@ -401,3 +401,121 @@ func TestCompletedPrefix(t *testing.T) {
 		t.Errorf("CompletedPrefix(nil) = %d, want 0", got)
 	}
 }
+
+// DealInto must leave every bag exactly as Deal's hands appended one by one
+// would: same pending tasks in the same order, same min-duration bound, and
+// so the same Take results from then on — on bags that already hold tasks
+// behind a consumed prefix, with more bags than tasks, and for an empty job.
+func TestDealIntoMatchesDealAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// used builds k bags that have been taken from, returned to and stolen
+	// from; the same seed builds the same bags.
+	used := func(k int, seed int64) []*Bag {
+		r := rand.New(rand.NewSource(seed))
+		bags := make([]*Bag, k)
+		for i := range bags {
+			bags[i] = NewBag(Uniform(r.Intn(30), 1, 40, seed+int64(i)))
+			for step := r.Intn(6); step > 0; step-- {
+				got := bags[i].Take(quant.Tick(r.Intn(90)))
+				if r.Intn(3) == 0 {
+					bags[i].Return(got)
+				}
+			}
+			bags[i].Steal(r.Intn(3))
+		}
+		return bags
+	}
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(9)
+		n := rng.Intn(40)
+		switch trial % 3 {
+		case 1:
+			n = rng.Intn(k) // more bags than tasks (possibly none)
+		case 2:
+			n = 0
+		}
+		tasks := Uniform(n, 1, 50, int64(trial))
+		want, got := used(k, int64(trial)), used(k, int64(trial))
+		for i, hand := range Deal(tasks, k) {
+			want[i].Append(hand)
+		}
+		DealInto(got, tasks)
+		fresh := []*Bag{NewBag(nil), NewBag(nil), NewBag(nil)}
+		DealInto(fresh, tasks)
+		for i, b := range fresh {
+			if cap(b.buf) != len(b.buf) {
+				t.Fatalf("trial %d: empty bag %d grew to %d for its %d tasks; DealInto sizes each bag once", trial, i, cap(b.buf), len(b.buf))
+			}
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if !equalTasks(g.pending(), w.pending()) || g.minDur != w.minDur {
+				t.Fatalf("trial %d bag %d: DealInto left %v (min %d), Deal+Append %v (min %d)", trial, i, g.pending(), g.minDur, w.pending(), w.minDur)
+			}
+			if g.Remaining() != w.Remaining() || g.RemainingWork() != w.RemainingWork() {
+				t.Fatalf("trial %d bag %d: %d tasks/%d work, want %d/%d", trial, i, g.Remaining(), g.RemainingWork(), w.Remaining(), w.RemainingWork())
+			}
+			for capacity := quant.Tick(1); w.Remaining() > 0; capacity += 7 {
+				if gt, wt := g.Take(capacity), w.Take(capacity); !equalTasks(gt, wt) {
+					t.Fatalf("trial %d bag %d: Take(%d) = %v, want %v", trial, i, capacity, gt, wt)
+				}
+			}
+			if g.Remaining() != 0 {
+				t.Fatalf("trial %d bag %d: %d tasks left over", trial, i, g.Remaining())
+			}
+		}
+	}
+}
+
+func equalTasks(a, b []Task) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A resident queue is refilled at the back and drained from the front for
+// as long as it lives; its storage must track what it holds, not grow with
+// every task it ever held.
+func TestAppendKeepsStorageBounded(t *testing.T) {
+	b := NewBag(nil)
+	hundred, buf := Fixed(100, 3), make([]Task, 0, 100)
+	refill := func() {
+		b.Append(hundred)
+		buf = b.TakeInto(buf[:0], 300)
+	}
+	for cycle := 0; cycle < 1000; cycle++ {
+		refill()
+		if len(buf) != 100 || b.Remaining() != 0 {
+			t.Fatalf("cycle %d: took %d tasks, %d left", cycle, len(buf), b.Remaining())
+		}
+		if c := cap(b.buf); c > 200 {
+			t.Fatalf("cycle %d: 100 tasks at a time, but the bag's storage grew to %d", cycle, c)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
+		t.Errorf("warm append-100/take-all cycle allocates %.1f per call", allocs)
+	}
+	// A steady queue that takes one task and gets one back keeps its storage
+	// within twice what it holds, and stops allocating once warm.
+	b = NewBag(Fixed(500, 3))
+	one, buf := Fixed(1, 3), make([]Task, 0, 1)
+	cycle := func() {
+		buf = b.TakeInto(buf[:0], 3)
+		b.Append(one)
+	}
+	for i := 0; i < 5000; i++ {
+		cycle()
+	}
+	if c := cap(b.buf); c > 2*500+1 {
+		t.Fatalf("steady 500-task queue holds storage for %d", c)
+	}
+	if allocs := testing.AllocsPerRun(2000, cycle); allocs != 0 {
+		t.Errorf("warm take-one/append-one cycle allocates %.2f per call", allocs)
+	}
+}
