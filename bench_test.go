@@ -1,7 +1,7 @@
 package cyclesteal
 
 // Benchmark harness: one benchmark per reproduced artifact (Table 1, Table 2,
-// and each figure-equivalent experiment E3–E10 of DESIGN.md §3), plus
+// and each figure-equivalent experiment E3–E10; see cstealtables -list), plus
 // micro-benchmarks for the hot components (solvers, evaluators, simulator,
 // fleet driver). Run with:
 //
@@ -341,6 +341,46 @@ func BenchmarkGuaranteedWorkFacade(b *testing.B) {
 // Poisson owner built outside the loop. After the warm-up call the engine
 // runs on pooled scratch, so it reports 0 allocs/op.
 func BenchmarkEngineSimulate(b *testing.B) {
+	e, eq, opts, mean := engineSimulateShape(b)
+	adv := e.PoissonAdversary(mean, 1)
+	if _, err := e.Simulate(eq, adv, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Simulate(eq, adv, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTick = quant.Tick(res.Episodes)
+	}
+}
+
+// BenchmarkEngineSimulateSeeded is BenchmarkEngineSimulate with a fresh
+// Poisson owner per op, seeded inside the loop as a replication trial seeds
+// it, so each op also pays for seeding the owner's stream.
+func BenchmarkEngineSimulateSeeded(b *testing.B) {
+	e, eq, opts, mean := engineSimulateShape(b)
+	if _, err := e.Simulate(eq, e.PoissonAdversary(mean, 0), opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Simulate(eq, e.PoissonAdversary(mean, int64(i)), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTick = quant.Tick(res.Episodes)
+	}
+}
+
+// engineSimulateShape builds the Engine.Simulate benchmarks' inputs: an
+// engine at p = 2, U/c = 750, its equalized schedule, 750 task durations in
+// [c/2, 4c], and the Poisson owner's mean absence, U/3.
+func engineSimulateShape(b *testing.B) (*Engine, Scheduler, SimOptions, float64) {
+	b.Helper()
 	const ratio, setup = 750, 5.0
 	e, err := New(Opportunity{Lifespan: ratio * setup, Interrupts: 2, Setup: setup})
 	if err != nil {
@@ -355,17 +395,5 @@ func BenchmarkEngineSimulate(b *testing.B) {
 	for i := range opts.TaskDurations {
 		opts.TaskDurations[i] = float64(50+rng.Intn(351)) * setup / 100 // [c/2, 4c]
 	}
-	adv := e.PoissonAdversary(ratio*setup/3, 1)
-	if _, err := e.Simulate(eq, adv, opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Simulate(eq, adv, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkTick = quant.Tick(res.Episodes)
-	}
+	return e, eq, opts, ratio * setup / 3
 }

@@ -1,6 +1,6 @@
 // Command cstealtables regenerates the paper's evaluation artifacts — Table
-// 1, Table 2, and every figure-equivalent claim series (experiments E1–E10 of
-// DESIGN.md) — and prints them as text, CSV, or JSON.
+// 1, Table 2, and every figure-equivalent claim series (experiments E1–E17;
+// -list names them) — and prints them as text, CSV, or JSON.
 //
 // Usage:
 //

@@ -34,8 +34,8 @@
 //
 // All public Engine methods speak the caller's continuous time units;
 // internally everything runs on an exact integer tick grid (see
-// internal/quant). See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the reproduction results.
+// internal/quant). See the README for the system inventory and
+// EXPERIMENTS.md for the reproduction results.
 package cyclesteal
 
 import (
@@ -149,8 +149,9 @@ func (e *Engine) NonAdaptive() (Scheduler, error) {
 	return sched.NewNonAdaptive(e.u, e.p, e.ticksC)
 }
 
-// AdaptiveGuideline returns the §3.2 printed guideline Σ_a (see DESIGN.md §4
-// for the reconstruction of its scan-damaged constants).
+// AdaptiveGuideline returns the §3.2 printed guideline Σ_a. The scanned
+// paper's adjustment-period constant is damaged; sched.AdaptiveGuideline
+// documents the (p+½)c reading used here.
 func (e *Engine) AdaptiveGuideline() (Scheduler, error) {
 	return sched.NewAdaptiveGuideline(e.ticksC)
 }

@@ -384,6 +384,32 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 }
 
+// A Poisson owner whose mean absence is huge or infinite never returns in
+// time, so it must simulate exactly like the owner who never interrupts —
+// not overflow the conversion of its draw to ticks.
+func TestPoissonHugeMeanSimulatesLikeNoAdversary(t *testing.T) {
+	e := engine(t, Opportunity{Lifespan: 3000, Interrupts: 2, Setup: 5})
+	eq, err := e.AdaptiveEqualized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Simulate(eq, e.NoAdversary(), SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mean := range []float64{1e20, 1e300, math.Inf(1)} {
+		for seed := int64(1); seed <= 3; seed++ {
+			got, err := e.Simulate(eq, e.PoissonAdversary(mean, seed), SimOptions{})
+			if err != nil {
+				t.Fatalf("mean %g, seed %d: %v", mean, seed, err)
+			}
+			if got != want {
+				t.Errorf("mean %g, seed %d: %+v, want the benign owner's %+v", mean, seed, got, want)
+			}
+		}
+	}
+}
+
 // Simulate on pooled scratch must match a run on fresh buffers and a fresh
 // bag, call after call, as the task count grows, shrinks and drops to none.
 func TestSimulatePooledMatchesFreshRun(t *testing.T) {

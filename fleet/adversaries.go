@@ -92,8 +92,9 @@ func (o Stochastic) model(b binding) (station.OwnerModel, error) {
 // interrupts it. The natural stochastic owner for NOW workstations.
 type Poisson struct {
 	Base Owner
-	// Mean is the mean absence in caller time units; 0 means half the
-	// contract's lifespan (the Office temperament's return process).
+	// Mean is the mean absence in caller time units, finite and ≥ 0; 0
+	// means half the contract's lifespan (the Office temperament's return
+	// process).
 	Mean float64
 }
 
@@ -102,11 +103,14 @@ func (o Poisson) model(b binding) (station.OwnerModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Mean < 0 {
-		return nil, fmt.Errorf("fleet: poisson mean must be ≥ 0, got %g", o.Mean)
+	if !finite(o.Mean) || o.Mean < 0 {
+		return nil, fmt.Errorf("fleet: poisson mean must be ≥ 0 and finite, got %g", o.Mean)
 	}
 	meanTicks := 0.0
 	if o.Mean > 0 {
+		if b.g.overflows(o.Mean) {
+			return nil, fmt.Errorf("fleet: poisson mean %g overflows the tick grid", o.Mean)
+		}
 		meanTicks = float64(b.g.ticks(o.Mean))
 	}
 	return overrideModel{base: base, label: "poisson", mk: func(rng *rand.Rand, c station.Contract) sim.Interrupter {

@@ -83,12 +83,11 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"strings"
 	"time"
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/fault"
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/task"
@@ -347,7 +346,7 @@ func FixedTasks(n int, d float64) []float64 {
 // ExponentialTasks builds n exponentially distributed task durations with
 // the given mean — the standard heterogeneous workload of the experiments.
 func ExponentialTasks(n int, mean float64, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = rng.ExpFloat64() * mean
@@ -373,6 +372,14 @@ func (g grid) ticks(units float64) quant.Tick {
 	return t
 }
 
+// overflows reports whether a duration's tick count is too large for a
+// quant.Tick. Check it before ticks: converting an out-of-range float64 to
+// int64 gives an implementation-dependent value (on amd64 one below 1,
+// which ticks would round up to a single tick).
+func (g grid) overflows(units float64) bool {
+	return math.Round(units/g.setup*float64(g.ticksC)) >= math.MaxInt64
+}
+
 // quantize validates caller-unit task durations and puts them on the grid,
 // task i with ID i, returning the tasks and their total ticks. It refuses
 // NaN, ±Inf and negative durations, and durations whose tick count — or
@@ -386,10 +393,7 @@ func (g grid) quantize(durations []float64) ([]task.Task, quant.Tick, error) {
 		if !finite(d) || d < 0 {
 			return nil, 0, fmt.Errorf("fleet: task %d duration must be ≥ 0 and finite, got %g", i, d)
 		}
-		// Checked before the conversion: converting an out-of-range float64
-		// to int64 gives an implementation-dependent value (on amd64 one
-		// below 1, which ticks would round up to a single tick).
-		if t := math.Round(d / g.setup * float64(g.ticksC)); t >= math.MaxInt64 {
+		if g.overflows(d) {
 			return nil, 0, fmt.Errorf("fleet: task %d duration %g overflows the tick grid", i, d)
 		}
 		tasks[i] = task.Task{ID: i, Duration: g.ticks(d)}
@@ -459,7 +463,7 @@ func New(cfg Config) (*Fleet, error) {
 		shards := farm.ResolveShards(cfg.Shards, cfg.Stations)
 		if shards%cfg.Clusters != 0 {
 			return nil, fmt.Errorf("fleet: %d clusters cannot partition %d shards evenly; valid cluster counts: %s",
-				cfg.Clusters, shards, divisorList(shards))
+				cfg.Clusters, shards, farm.DivisorList(shards))
 		}
 	}
 	if cfg.TicksPerSetup < 0 {
@@ -612,22 +616,6 @@ func (f *Fleet) stealLatencyTicks() quant.Tick {
 		return 0
 	}
 	return f.g.ticks(f.cfg.StealLatency)
-}
-
-// divisorList renders the divisors of n in ascending order — the cluster
-// counts that partition n shards evenly.
-func divisorList(n int) string {
-	var b strings.Builder
-	for d := 1; d <= n; d++ {
-		if n%d != 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", d)
-	}
-	return b.String()
 }
 
 // shards resolves the pool choice into the engine's stripe count.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -303,6 +304,31 @@ func TestScriptedAndStochasticOwners(t *testing.T) {
 	cfg.Owners = []Owner{SampledWorst{Base: Laptop{}}}
 	if res := mustRun(t, cfg, Job{}); res.Interrupts == 0 {
 		t.Error("sampled-worst owner never fired")
+	}
+}
+
+// A Poisson owner's mean must be finite and fit the tick grid. NaN used to
+// become the default mean, and a mean whose tick count overflowed became a
+// single tick, an owner who interrupts every contract.
+func TestPoissonMeanRefusedUnlessFiniteOnGrid(t *testing.T) {
+	cfg := Config{Stations: 4, Setup: 5, Opportunities: 4, Seed: 3}
+	for _, mean := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e20, 1e300} {
+		cfg.Owners = []Owner{Poisson{Base: Office{}, Mean: mean}}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "poisson mean") {
+			t.Errorf("mean %g: error %v, want one naming the poisson mean", mean, err)
+		}
+	}
+	cfg.Owners = []Owner{Poisson{Base: Office{}, Mean: 1e6}}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.RunDeterministic(context.Background(), Job{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interrupts != 0 {
+		t.Errorf("an owner away 1e6 units on average interrupted %d times", res.Interrupts)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/fault"
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/task"
 )
@@ -422,7 +423,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		if seed == 0 {
 			seed = cfg.Fleet.Seed ^ 0x636875726e // "churn"
 		}
-		s.churn = rand.New(rand.NewSource(seed))
+		s.churn = lazyrand.New(seed)
 	}
 	if plan := cfg.Fleet.Faults.internal(); plan.Active() {
 		s.faults = plan.NewInjector(cfg.Fleet.Seed ^ farm.FaultSeedSalt)

@@ -12,6 +12,7 @@
 package adversary
 
 import (
+	"math"
 	"math/rand"
 
 	"cyclesteal/internal/model"
@@ -141,8 +142,14 @@ func (po *Poisson) NextInterrupt(p int, L quant.Tick, ep model.TickSchedule) (qu
 	if p <= 0 || len(ep) == 0 || po.Mean <= 0 {
 		return 0, false
 	}
-	arrival := quant.Tick(po.Rng.ExpFloat64()*po.Mean) + 1
-	if total := ep.Total(); arrival <= total {
+	x := po.Rng.ExpFloat64() * po.Mean
+	// Checked before the conversion: a huge or infinite Mean puts the draw
+	// past every tick count (0·Inf makes it NaN), and converting it would
+	// overflow. Such an owner never returns within the episode.
+	if !(x < math.MaxInt64) {
+		return 0, false
+	}
+	if arrival := quant.Tick(x) + 1; arrival <= ep.Total() {
 		return arrival, true
 	}
 	return 0, false

@@ -13,9 +13,8 @@
 //
 //	E[W(S)] = Σ_k  e^{−λ·T_k} · (t_k ⊖ c).
 //
-// This is *not* from the paper being reproduced; it is flagged as an
-// extension in DESIGN.md and used only for the guaranteed-vs-expected
-// comparison.
+// This is *not* from the paper being reproduced: it is an extension, used
+// only for the guaranteed-vs-expected comparison of experiment E8.
 package expect
 
 import (

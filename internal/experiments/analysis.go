@@ -57,7 +57,7 @@ func NonAdaptiveAnalysis(cfg Config, ps []int, ratios []quant.Tick) (*tab.Table,
 		}
 	}
 	t.Note("measured = exact min over all ≤p-interrupt kill sets with the §2.2 long-period rule")
-	t.Note("the measured curve matches U−2√(pcU)+pc; the scanned √(2pcU) reading overshoots (see DESIGN.md §4 item 5)")
+	t.Note("the measured curve matches U−2√(pcU)+pc; the scanned √(2pcU) reading overshoots (the scan is ambiguous between the two)")
 	return t, nil
 }
 

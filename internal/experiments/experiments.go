@@ -1,6 +1,6 @@
 // Package experiments regenerates every evaluation artifact of the paper —
 // Table 1, Table 2, and the quantitative claims of §3.1, §5.1–5.2 and
-// Prop. 4.1 — plus the ablations DESIGN.md commits to. Each driver returns a
+// Prop. 4.1 — plus the repo's ablations (E9) and extensions. Each returns a
 // tab.Table; cmd/cstealtables prints them and bench_test.go wraps them as
 // benchmarks. EXPERIMENTS.md records paper-vs-measured for each.
 package experiments
@@ -68,7 +68,7 @@ type Experiment struct {
 	Run   func(Config) (*tab.Table, error)
 }
 
-// All returns every experiment in DESIGN.md order, with default shapes.
+// All returns every experiment in ID order, E1 to E17, with default shapes.
 func All() []Experiment {
 	return []Experiment{
 		{"table1", "E1: Table 1 — consequences of the adversary's options", func(c Config) (*tab.Table, error) {

@@ -103,7 +103,8 @@ func GuaranteedVsExpected(cfg Config, U quant.Tick, p int, trials int) (*tab.Tab
 // threads through its trials: the simulator's episode/task buffers plus an
 // episode memo bound to the study's scheduler. With it warm, the opportunity
 // itself allocates nothing (see TestMonteCarloTrialAllocationFree and
-// BenchmarkMCE8Trial*) — each trial pays only for its rng and interrupter.
+// BenchmarkMCE8Trial*) — each trial pays only for its interrupter, since the
+// rng is its worker's reseeded source.
 type trialScratch struct {
 	bufs sim.Buffers
 	memo *sched.Memo

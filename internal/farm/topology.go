@@ -77,7 +77,7 @@ func (t Topology) Validate(shards int) error {
 	}
 	if shards%c != 0 {
 		return fmt.Errorf("farm: %d clusters cannot partition %d shards evenly; valid cluster counts: %s",
-			t.Clusters, shards, divisorList(shards))
+			t.Clusters, shards, DivisorList(shards))
 	}
 	if t.CrossLatency > 0 && c < 2 {
 		return fmt.Errorf("farm: CrossLatency %d needs ≥ 2 clusters to cross, got %d", t.CrossLatency, t.Clusters)
@@ -85,9 +85,9 @@ func (t Topology) Validate(shards int) error {
 	return nil
 }
 
-// divisorList renders the divisors of n in ascending order — the shapes a
-// cluster count may take.
-func divisorList(n int) string {
+// DivisorList renders the divisors of n in ascending order — the cluster
+// counts that partition n shards evenly — for errors that list them.
+func DivisorList(n int) string {
 	var b strings.Builder
 	for d := 1; d <= n; d++ {
 		if n%d != 0 {

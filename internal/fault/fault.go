@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"cyclesteal/internal/lazyrand"
 )
 
 // DefaultStealRetries is the cross-cluster retry budget when the plan does
@@ -135,7 +137,7 @@ func (p Plan) NewInjector(defaultSeed int64) *Injector {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	in := &Injector{plan: p, rng: rand.New(rand.NewSource(seed))}
+	in := &Injector{plan: p, rng: lazyrand.New(seed)}
 	if len(p.Crashes) > 0 {
 		in.crashes = make(map[int][]int, len(p.Crashes))
 		for _, c := range p.Crashes {

@@ -6,10 +6,13 @@
 //
 // # Seed-stream contract
 //
-// Trial i always draws its randomness from rand.New(rand.NewSource(seed+i)),
+// Trial i always draws exactly the stream of rand.New(rand.NewSource(seed+i)),
 // where seed is Config.Seed — one independent deterministic stream per
-// trial, never a shared source. Two consequences the rest of the repo relies
-// on:
+// trial, never a shared source. Each worker goroutine draws those streams
+// from one lazyrand.Source that it reseeds before every trial (lazyrand seeds
+// in O(1); rand.NewSource fills a 5 KB register per stream), so the
+// *rand.Rand a trial receives is valid only during its call. Two consequences
+// the rest of the repo relies on:
 //
 //   - Reproducibility: a (seed, trials) pair names the exact same set of
 //     trial executions forever, independent of scheduling. Changing Workers
@@ -36,12 +39,12 @@
 // contract.
 //
 // Closures run concurrently: a closure may freely use its private *rand.Rand
-// and anything it creates, but shared inputs (schedulers, solvers) must be
-// treated as read-only. Closures that want reusable per-goroutine scratch
-// (simulator buffers, episode memos) use the per-worker state hook
-// (RunState/RunVecState): the engine builds one state value per worker
-// goroutine and hands it to every trial that worker runs, so trials can ride
-// the allocation-free opportunity path without any synchronization.
+// during the call, and anything it creates, but shared inputs (schedulers,
+// solvers) must be treated as read-only. Closures that want reusable
+// per-goroutine scratch (simulator buffers, episode memos) use the per-worker
+// state hook (RunState/RunVecState): the engine builds one state value per
+// worker goroutine and hands it to every trial that worker runs, so trials
+// can ride the allocation-free opportunity path without any synchronization.
 //
 // # Cancellation
 //
@@ -61,6 +64,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/stats"
 )
 
@@ -134,7 +138,9 @@ func observe(cfg Config, total int, done *atomic.Int64) (stop func()) {
 }
 
 // RunFunc is a single-metric trial: it receives the trial's private rng and
-// returns the observed value.
+// returns the observed value. The rng draws rand.New(rand.NewSource(seed+i))'s
+// stream for trial i and is valid only during the call: the worker reseeds it
+// for its next trial, so nothing the trial leaves behind may keep it.
 type RunFunc func(rng *rand.Rand) (float64, error)
 
 // VecFunc is a multi-metric trial: it returns one value per metric, in a
@@ -146,7 +152,8 @@ type VecFunc func(rng *rand.Rand) ([]float64, error)
 // value NewState built for the worker goroutine running the trial, owned by
 // that goroutine for the duration of the call. Trials from several shards
 // may share one state (a worker drains shard after shard), so state must be
-// pure scratch, never shard-keyed.
+// pure scratch, never shard-keyed. The rng is RunFunc's: trial i's stream,
+// valid only during the call, so state must not keep it either.
 type StateFunc func(rng *rand.Rand, state any) (float64, error)
 
 // VecStateFunc is a multi-metric trial with per-worker state (see
@@ -302,6 +309,7 @@ func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewSt
 			defer wg.Done()
 			var state any
 			stateBuilt := false
+			var rng *rand.Rand
 			for j := range jobs {
 				s := shardIDs[j]
 				st := &shards[j]
@@ -323,7 +331,12 @@ func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewSt
 						state = newState()
 						stateBuilt = true
 					}
-					rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
+					if rng == nil {
+						// Like the state, built at the worker's first trial:
+						// workers left without trials allocate nothing.
+						rng = lazyrand.New(0)
+					}
+					rng.Seed(cfg.Seed + int64(i)) // also drops Read's buffered bytes
 					vals, err := fn(rng, state)
 					if err == nil && len(vals) != metrics {
 						err = fmt.Errorf("mc: trial %d returned %d metrics, want %d", i, len(vals), metrics)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -64,6 +65,69 @@ func TestRunSeedStreamContract(t *testing.T) {
 	}
 	if math.Abs(sum.Mean-ref.Mean) > 1e-12 || sum.Min != ref.Min || sum.Max != ref.Max {
 		t.Errorf("summary does not match the promised per-trial streams:\n  got %+v\n  want %+v", sum, ref)
+	}
+}
+
+// TestRunReseedsWorkerSource cycles each worker's trials through 0, 1, 300
+// and 700 draws — none, short of, across and past the point where the lazy
+// source builds its register — and checks every trial's draws against
+// rand.NewSource(seed+i). A trial identifies its i by its first draw. Each
+// drawing trial ends with a 3-byte Read, which leaves 4 bytes buffered: the
+// next trial's Read must not see them.
+func TestRunReseedsWorkerSource(t *testing.T) {
+	const seed, trials = 7, 400
+	bySeed := make(map[int64]int64, trials) // first draw → seed+i
+	for i := int64(0); i < trials; i++ {
+		bySeed[rand.New(rand.NewSource(seed+i)).Int63()] = seed + i
+	}
+	draws := []int{0, 1, 300, 700}
+	for _, workers := range []int{1, 8} {
+		var mu sync.Mutex
+		checked, silent := make(map[int64]bool), 0
+		newState := func() any { return new(int) } // the worker's trials so far
+		_, err := RunState(context.Background(), Config{Trials: trials, Seed: seed, Workers: workers}, newState,
+			func(rng *rand.Rand, state any) (float64, error) {
+				n := state.(*int)
+				k := draws[*n%len(draws)]
+				*n++
+				if k == 0 {
+					mu.Lock()
+					silent++
+					mu.Unlock()
+					return 0, nil
+				}
+				first := rng.Int63()
+				s, ok := bySeed[first]
+				if !ok {
+					return 0, fmt.Errorf("first draw %d starts no trial's stream", first)
+				}
+				ref := rand.New(rand.NewSource(s))
+				ref.Int63()
+				for d := 1; d < k; d++ {
+					if got, want := rng.Int63(), ref.Int63(); got != want {
+						return 0, fmt.Errorf("seed %d: draw %d = %d, want %d", s, d, got, want)
+					}
+				}
+				got, want := make([]byte, 3), make([]byte, 3)
+				rng.Read(got)
+				ref.Read(want)
+				if !bytes.Equal(got, want) {
+					return 0, fmt.Errorf("seed %d: Read after %d draws = %x, want %x", s, k, got, want)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if checked[s] {
+					return 0, fmt.Errorf("seed %d's stream drawn twice", s)
+				}
+				checked[s] = true
+				return float64(k), nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(checked)+silent != trials || silent == 0 {
+			t.Errorf("workers=%d: %d streams checked and %d trials drew nothing, want %d in all with some of each", workers, len(checked), silent, trials)
+		}
 	}
 }
 

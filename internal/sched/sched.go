@@ -97,7 +97,7 @@ func appendQuantizeExact(dst model.TickSchedule, periods []float64, L quant.Tick
 // verbatim; after the p-th interrupt the remainder of the opportunity is one
 // long period. Because interrupts consume no time, the tail is a pure
 // function of the residual lifespan, which lets NonAdaptive satisfy the
-// adaptive EpisodeScheduler interface exactly (see DESIGN.md §4).
+// adaptive EpisodeScheduler interface exactly.
 type NonAdaptive struct {
 	U, C    quant.Tick
 	P       int
@@ -211,8 +211,9 @@ func (s *NonAdaptive) Name() string { return fmt.Sprintf("nonadaptive(m=%d)", le
 //
 // The episode shape follows the paper: a descending ramp with arithmetic step
 // δ = 4^{1−p}c, then one adjustment period of (p+½)c, then ℓ_p = ⌈2p/3⌉
-// terminal periods of (3/2)c. See DESIGN.md §4 item 3 for the reconstruction
-// of the adjustment constant from the OCR-damaged original.
+// terminal periods of (3/2)c. The adjustment constant is damaged in the
+// scanned original; (p+½)c is the reading used here, and E9b's ablations
+// vary the ramp step and tail count around it.
 type AdaptiveGuideline struct {
 	C quant.Tick
 	// scratch holds the continuous-time periods between AppendEpisode calls

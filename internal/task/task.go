@@ -10,8 +10,8 @@ package task
 
 import (
 	"fmt"
-	"math/rand"
 
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 )
 
@@ -331,7 +331,7 @@ func Uniform(n int, lo, hi quant.Tick, seed int64) []Task {
 	if hi < lo {
 		hi = lo
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	out := make([]Task, n)
 	for i := range out {
 		out[i] = Task{ID: i, Duration: lo + quant.Tick(rng.Int63n(int64(hi-lo+1)))}
@@ -349,7 +349,7 @@ func Bimodal(n int, small, large quant.Tick, fracLarge float64, seed int64) []Ta
 	if large < small {
 		large = small
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	out := make([]Task, n)
 	for i := range out {
 		d := small
@@ -367,7 +367,7 @@ func Exponential(n int, mean float64, seed int64) []Task {
 	if mean < 1 {
 		mean = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	out := make([]Task, n)
 	for i := range out {
 		d := quant.Tick(rng.ExpFloat64() * mean)

@@ -256,7 +256,7 @@ func GuidelineP1Work(U, c float64) float64 {
 // (internal/game) confirms these coefficients to three digits, while the
 // scanned paper's printed coefficient (2−2^{1−p}) and printed schedule length
 // 2^{p−1/2}√(U/c) are mutually inconsistent for p ≥ 2 and agree with K_p only
-// at p = 1 (see DESIGN.md §4 and EXPERIMENTS.md E4).
+// at p = 1 (see EXPERIMENTS.md E4).
 
 // EqualizedAlpha returns α_p, the self-similar period coefficient of the
 // equalization schedule: the first period of an episode with residual R and p

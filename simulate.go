@@ -2,10 +2,10 @@ package cyclesteal
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"cyclesteal/internal/adversary"
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/task"
@@ -107,7 +107,7 @@ func (e *Engine) GreedyAdversary() Adversary {
 // distributed absence with the given mean (caller's time units).
 func (e *Engine) PoissonAdversary(meanReturn float64, seed int64) Adversary {
 	return &adversary.Poisson{
-		Rng:  rand.New(rand.NewSource(seed)),
+		Rng:  lazyrand.New(seed),
 		Mean: meanReturn / e.opp.Setup * float64(e.ticksC),
 	}
 }
@@ -115,7 +115,7 @@ func (e *Engine) PoissonAdversary(meanReturn float64, seed int64) Adversary {
 // RandomAdversary returns an owner who interrupts each episode with the
 // given probability at a uniform moment.
 func (e *Engine) RandomAdversary(prob float64, seed int64) Adversary {
-	return &adversary.Random{Rng: rand.New(rand.NewSource(seed)), Prob: prob}
+	return &adversary.Random{Rng: lazyrand.New(seed), Prob: prob}
 }
 
 // PeriodicAdversary returns an owner on a fixed routine, reclaiming the
