@@ -18,6 +18,7 @@ import (
 
 	"cyclesteal/internal/adversary"
 	"cyclesteal/internal/experiments"
+	"cyclesteal/internal/farm"
 	"cyclesteal/internal/game"
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/now"
@@ -298,7 +299,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	for i := range stations {
 		stations[i] = now.Workstation{ID: i, Owner: now.Office{MeanIdle: 20000, MaxP: 2}, Setup: 50}
 	}
-	fleet := now.Fleet{Stations: stations, OpportunitiesPerStation: 10}
+	fleet := now.Fleet{Farm: farm.Farm{Stations: stations, OpportunitiesPerStation: 10}}
 	factory := func(ws now.Workstation, c now.Contract) (model.EpisodeScheduler, error) {
 		return sched.NewAdaptiveEqualized(ws.Setup)
 	}

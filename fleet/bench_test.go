@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"cyclesteal/fleet"
@@ -139,6 +140,45 @@ func BenchmarkFleetServiceWAL(b *testing.B) {
 		}
 		if wal.Len() == 0 {
 			b.Fatal("write-ahead log stayed empty")
+		}
+	}
+}
+
+// BenchmarkFleetReplicateGuideline prices a replication study under the
+// adaptive guideline, the policy every other farm and fleet benchmark
+// leaves out: E12's mixed fleet (Office, Laptop, Overnight owners) at bench
+// size, 200 stations with 20 tasks each uniform on the grid over [c/2, 4c],
+// 4 opportunities per station, 8 trials. Workers 1 keeps allocs/op
+// deterministic for the exact alloc gate; seeds vary per iteration so
+// nothing memoizes.
+func BenchmarkFleetReplicateGuideline(b *testing.B) {
+	const stations, tasksPer = 200, 20
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]float64, stations*tasksPer)
+	for i := range tasks {
+		tasks[i] = float64(50+rng.Intn(351)) / 100
+	}
+	job := fleet.Job{Tasks: tasks}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := fleet.New(fleet.Config{
+			Stations:      stations,
+			Setup:         1,
+			Opportunities: 4,
+			Policy:        fleet.Policy{Name: "guideline"},
+			Workers:       1,
+			Seed:          int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := f.Replicate(context.Background(), job, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.TasksCompleted.Mean == 0 {
+			b.Fatal("replication completed no tasks")
 		}
 	}
 }

@@ -197,9 +197,6 @@ type Config struct {
 	// 0 means 100, which keeps quantization error far below the paper's
 	// low-order terms.
 	TicksPerSetup int
-	// DisableEpisodeMemo turns off the per-station episode cache. Results
-	// are bit-identical either way; the switch exists for benchmarking.
-	DisableEpisodeMemo bool
 	// Checkpoint, when > 0, softens the draconian contract with intra-period
 	// checkpointing: stations save their state every Checkpoint time units
 	// inside a period (each save costs one setup), so an owner's kill loses
@@ -585,7 +582,6 @@ func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
 		OpportunitiesPerStation: f.cfg.Opportunities,
 		Workers:                 f.cfg.Workers,
 		Shards:                  f.shards(),
-		DisableEpisodeMemo:      f.cfg.DisableEpisodeMemo,
 		CheckpointAdaptive:      f.cfg.CheckpointAdaptive,
 		ProgressInterval:        f.cfg.ProgressInterval,
 	}

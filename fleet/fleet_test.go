@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -178,7 +179,7 @@ func TestPrivateRunBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	hands := task.Deal(equivalentInternalJob(job).Tasks, 12)
-	nf := now.Fleet{Stations: station.MixedFleet(12, 100), OpportunitiesPerStation: 5}
+	nf := now.Fleet{Farm: farm.Farm{Stations: station.MixedFleet(12, 100), OpportunitiesPerStation: 5}}
 	raw, err := nf.Run(context.Background(), f.factory, 7, func(ws now.Workstation) *task.Bag {
 		return task.NewBag(hands[ws.ID])
 	})
@@ -202,6 +203,74 @@ func sumLifespan(raw now.FleetResult) float64 {
 		u += float64(s.LifespanTicks) / 100 * 5
 	}
 	return u
+}
+
+// TestPrivateReplicateHonorsCheckpoint pins the Private survey path to the
+// run it replicates: a one-trial Replicate equals Run of the same Config at
+// the trial's seed, under every checkpoint setting and for the empty-job
+// survey too. Replicate's trial 0 plays the farm seed the mc stream for
+// Config.Seed draws first.
+func TestPrivateReplicateHonorsCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	base := Config{Stations: 12, Setup: 1, Opportunities: 6, Pool: Private, Seed: 3,
+		Owners: []Owner{Office{MeanIdle: 40, Interrupts: 3}}}
+	trialSeed := rand.New(rand.NewSource(base.Seed)).Int63()
+	policies := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"draconian", func(*Config) {}},
+		{"fixed", func(c *Config) { c.Checkpoint = 3 }},
+		{"adaptive", func(c *Config) { c.CheckpointAdaptive = true }},
+		{"split costs", func(c *Config) { c.Checkpoint = 3; c.CheckpointSaveCost = 0.5; c.CheckpointRestartCost = 2 }},
+	}
+	for _, job := range []Job{{Tasks: FixedTasks(600, 2)}, {}} {
+		var draconian float64
+		for _, pol := range policies {
+			cfg := base
+			pol.set(&cfg)
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := f.Replicate(ctx, job, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed = trialSeed
+			g, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := g.Run(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var killed float64
+			for _, s := range res.Stations {
+				killed += s.Killed
+			}
+			tasks := len(job.Tasks)
+			for _, m := range []struct {
+				name     string
+				rep, run float64
+			}{
+				{"Work", rep.Work.Mean, res.Work},
+				{"Killed", rep.Killed.Mean, killed},
+				{"TaskWork", rep.TaskWork.Mean, res.TaskWork},
+				{"Interrupts", rep.Interrupts.Mean, float64(res.Interrupts)},
+			} {
+				if m.rep != m.run {
+					t.Errorf("%s, %d tasks: Replicate %s %g, Run %g", pol.name, tasks, m.name, m.rep, m.run)
+				}
+			}
+			if pol.name == "draconian" {
+				draconian = res.Work
+			} else if res.Work == draconian {
+				t.Errorf("%s, %d tasks: Run work %g equals the draconian run's; the pin would be vacuous", pol.name, tasks, res.Work)
+			}
+		}
+	}
 }
 
 // TestReplicateBitIdentical pins Replicate to itself across worker counts

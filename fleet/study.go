@@ -178,11 +178,7 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		// Empty jobs replicate as pure fluid surveys (see Run): the shared
 		// pools would end each trial before its first opportunity.
 		s.survey = true
-		s.nf = now.Fleet{
-			Stations:                f.stations,
-			OpportunitiesPerStation: f.cfg.Opportunities,
-			DisableEpisodeMemo:      f.cfg.DisableEpisodeMemo,
-		}
+		s.nf = now.Fleet{Farm: f.farm(f.stations)}
 		if len(fj.Tasks) > 0 {
 			// Each trial drains fresh bags; the deal itself is a pure
 			// function of (job, fleet), and ws.ID indexes it because New

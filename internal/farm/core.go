@@ -9,7 +9,6 @@ import (
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/quant"
-	"cyclesteal/internal/sched"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/task"
@@ -30,14 +29,9 @@ type runner struct {
 	left bool  // departed mid-run (service churn); its report remains
 }
 
-// newRunner builds one station's persistent state according to the farm's
-// memo setting.
-func (f Farm) newRunner(ws station.Workstation, seed int64) runner {
-	r := runner{ws: ws, rng: station.RNG(seed, ws.ID), rep: StationReport{Station: ws.ID}}
-	if !f.DisableEpisodeMemo {
-		r.scr.memo = sched.NewMemo(0)
-	}
-	return r
+// newRunner builds one station's persistent state.
+func newRunner(ws station.Workstation, seed int64) runner {
+	return runner{ws: ws, rng: station.RNG(seed, ws.ID), rep: StationReport{Station: ws.ID}}
 }
 
 // Core is the event-driven heart of the round-synchronized engines: a
@@ -62,7 +56,7 @@ func (f Farm) newRunner(ws station.Workstation, seed int64) runner {
 // start. With the initial fleet joined as slots 0..n−1 this reproduces the
 // batch engine's "station i in group i mod groups" partition exactly.
 type Core struct {
-	opts    Farm // engine knobs: checkpoint policy, memo switch, topology
+	opts    Farm // engine knobs: checkpoint policy, topology
 	factory station.SchedulerFactory
 	seed    int64
 
@@ -146,7 +140,7 @@ func (f Farm) NewCore(factory station.SchedulerFactory, seed int64, groups, capa
 // stream derived from (seed, station ID).
 func (c *Core) Join(ws station.Workstation) int {
 	slot := len(c.runners)
-	c.runners = append(c.runners, c.opts.newRunner(ws, c.seed))
+	c.runners = append(c.runners, newRunner(ws, c.seed))
 	c.liveIn[slot%c.groups]++
 	c.live++
 	return slot

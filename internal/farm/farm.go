@@ -69,8 +69,8 @@ import (
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/mc"
+	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
-	"cyclesteal/internal/sched"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
@@ -246,12 +246,6 @@ type Farm struct {
 	// Topology.Validate(ResolveShards(Shards, len(Stations))); under
 	// RunDeterministic it joins Shards in the determinism key.
 	Topology Topology
-	// DisableEpisodeMemo turns off the per-station episode cache (sched.Memo)
-	// both engines layer over the scheduler factory. Episodes are pure
-	// functions of (p, L) for the keyed schedulers, so results are
-	// bit-identical either way — the switch exists for benchmarking and for
-	// the tests that pin that equivalence.
-	DisableEpisodeMemo bool
 	// Checkpoint, when ≥ 1, softens the draconian contract with intra-period
 	// checkpointing at the given tick interval: a kill loses only the work
 	// since the last completed save instead of the whole period (see
@@ -563,16 +557,39 @@ func (s *settleSource) settle() {
 
 // stationScratch is the per-station reusable state both engines thread
 // through playOpportunity: the simulator's episode/task buffers and the
-// episode memo the scheduler factory's output is bound to. One station
-// goroutine owns a scratch at a time (in RunDeterministic, round barriers
-// order the handoffs between workers).
+// station's warm scheduler. One station goroutine owns a scratch at a time
+// (in RunDeterministic, round barriers order the handoffs between workers),
+// so the kept scheduler is played by that station alone.
 type stationScratch struct {
 	bufs sim.Buffers
-	memo *sched.Memo // nil when DisableEpisodeMemo
+	kept model.EpisodeScheduler // the last keyed scheduler the factory built; nil before the first
+	key  model.MemoKey          // kept's EpisodeMemoKey
+}
+
+// warm returns the scheduler the station plays for a contract whose factory
+// built s. When s reports the same EpisodeMemoKey as the kept instance, the
+// kept one plays instead: by the model.EpisodeMemoKeyer contract equal keys
+// emit bit-identical episodes, and the kept instance's scratch is warm where
+// s would start cold. A new key replaces the kept instance. Unkeyed
+// schedulers pass through and leave it alone.
+func (scr *stationScratch) warm(s model.EpisodeScheduler) model.EpisodeScheduler {
+	mk, ok := s.(model.EpisodeMemoKeyer)
+	if !ok {
+		return s
+	}
+	k, ok := mk.EpisodeMemoKey()
+	if !ok {
+		return s
+	}
+	if scr.kept != nil && k == scr.key {
+		return scr.kept
+	}
+	scr.kept, scr.key = s, k
+	return s
 }
 
 func (f Farm) runStation(ctx context.Context, ws station.Workstation, n int, factory station.SchedulerFactory, seed int64, src *settleSource, unfinished *atomic.Int64, advance func(quant.Tick)) (StationReport, error) {
-	r := f.newRunner(ws, seed)
+	r := newRunner(ws, seed)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return r.rep, err // cancelled between opportunities
@@ -597,6 +614,8 @@ func (f Farm) runStation(ctx context.Context, ws station.Workstation, n int, fac
 
 // playOpportunity samples one owner contract and simulates it against the
 // station's task source — the shared inner step of Run and RunDeterministic.
+// The factory builds a scheduler per contract; the station plays its warm
+// equal-keyed instance in its place (see stationScratch.warm).
 func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *rand.Rand, factory station.SchedulerFactory, src sim.TaskSource, scr *stationScratch) error {
 	contract := ws.Owner.Sample(rng)
 	if contract.U < 1 {
@@ -606,13 +625,7 @@ func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *r
 	if err != nil {
 		return fmt.Errorf("farm: station %d: %w", ws.ID, err)
 	}
-	if scr.memo != nil {
-		// Bind the factory's scheduler to the station's episode cache: for
-		// keyed schedulers (pure functions of (p, L) at fixed c) the cache
-		// stays warm across contracts, so repeated residual lifespans skip
-		// the episode construction entirely.
-		s = scr.memo.Bind(s)
-	}
+	s = scr.warm(s)
 	adv := ws.Owner.Interrupter(rng, contract)
 	ck := f.Checkpoint
 	if f.CheckpointAdaptive {

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -502,56 +503,153 @@ func TestReplicateThousandStationsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Episode memoization must be invisible in results: RunDeterministic is
-// bit-identical with the cache on vs off, at any worker count, for both a
-// keyed adaptive scheduler and the (deliberately unkeyed, memo-passthrough)
-// non-adaptive family.
-func TestRunDeterministicMemoOnOffBitIdentical(t *testing.T) {
-	nonadaptiveFactory := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
-		return sched.NewNonAdaptive(c.U, c.P, ws.Setup)
+// unkeyed hides a scheduler's EpisodeMemoKey, so a station never reuses
+// its instances: every contract plays the factory's fresh scheduler.
+type unkeyed struct{ model.EpisodeScheduler }
+
+// AppendEpisode keeps the wrapped scheduler's append path.
+func (u unkeyed) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) model.TickSchedule {
+	return model.AppendEpisode(u.EpisodeScheduler, dst, p, L)
+}
+
+// hideKeys wraps every scheduler the factory builds in unkeyed.
+func hideKeys(factory station.SchedulerFactory) station.SchedulerFactory {
+	return func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+		s, err := factory(ws, c)
+		if err != nil {
+			return nil, err
+		}
+		return unkeyed{s}, nil
 	}
-	factories := map[string]station.SchedulerFactory{
-		"equalized":   equalizedFactory,
-		"nonadaptive": nonadaptiveFactory,
+}
+
+// reuseFactories are the policies the reuse pins run: two keyed adaptive
+// schedulers and the unkeyed non-adaptive one, which always passes through.
+func reuseFactories() map[string]station.SchedulerFactory {
+	return map[string]station.SchedulerFactory{
+		"equalized": equalizedFactory,
+		"guideline": func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+			return sched.NewAdaptiveGuideline(ws.Setup)
+		},
+		"nonadaptive": func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+			return sched.NewNonAdaptive(c.U, c.P, ws.Setup)
+		},
 	}
-	for name, factory := range factories {
-		f := testFarm(24, station.Office{MeanIdle: 700, MaxP: 2})
-		f.OpportunitiesPerStation = 6
-		job := Job{Tasks: task.Exponential(1500, 15, 5)}
-		base, err := f.RunDeterministic(context.Background(), job, factory, 42, 1)
+}
+
+// Warm-scheduler reuse must be invisible in results: RunDeterministic at
+// Workers 1 and 8, and Replicate, are reflect.DeepEqual whether stations
+// replay their kept instance or play every contract's fresh one.
+func TestRunDeterministicReuseInvisible(t *testing.T) {
+	ctx := context.Background()
+	job := Job{Tasks: task.Exponential(1500, 15, 5)}
+	f := testFarm(24, station.Office{MeanIdle: 700, MaxP: 2})
+	f.OpportunitiesPerStation = 6
+	for name, factory := range reuseFactories() {
+		for _, workers := range []int{1, 8} {
+			want, err := f.RunDeterministic(ctx, job, factory, 42, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.RunDeterministic(ctx, job, hideKeys(factory), 42, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: workers=%d: RunDeterministic without reuse diverged", name, workers)
+			}
+		}
+		cfg := mc.Config{Trials: 12, Seed: 3, Workers: 2}
+		want, err := f.Replicate(ctx, job, factory, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, memoOff := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				g := f
-				g.DisableEpisodeMemo = memoOff
-				got, err := g.RunDeterministic(context.Background(), job, factory, 42, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !resultsEqual(base, got) {
-					t.Errorf("%s: memoOff=%v workers=%d diverged from memo-on serial", name, memoOff, workers)
-				}
-			}
+		got, err := f.Replicate(ctx, job, hideKeys(factory), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: Replicate without reuse diverged", name)
 		}
 	}
 }
 
-// The live engine's aggregate invariants (task conservation) must also hold
-// identically with the memo on or off; per-station assignment is free to
-// differ (it is scheduling-dependent either way).
-func TestRunMemoOnOffConserves(t *testing.T) {
-	for _, memoOff := range []bool{false, true} {
+// The live engine's aggregate invariants (task conservation) must hold
+// with reuse and without it; per-station assignment is free to differ (it
+// is scheduling-dependent either way).
+func TestRunReuseConserves(t *testing.T) {
+	for _, hide := range []bool{false, true} {
+		factory := station.SchedulerFactory(equalizedFactory)
+		if hide {
+			factory = hideKeys(factory)
+		}
 		f := testFarm(16, station.Laptop{MeanIdle: 2000})
-		f.DisableEpisodeMemo = memoOff
 		job := Job{Tasks: task.Uniform(2000, 5, 60, 9)}
-		res, err := f.Run(context.Background(), job, equalizedFactory, 5)
+		res, err := f.Run(context.Background(), job, factory, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
-			t.Errorf("memoOff=%v: %d + %d ≠ %d", memoOff, res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+			t.Errorf("hidden keys=%v: %d + %d ≠ %d", hide, res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+		}
+	}
+}
+
+// counted is a scheduler instance that logs which contract it played on.
+type counted struct {
+	sched.EqualSplit
+	id    int
+	keyed bool
+	log   *countLog
+}
+
+type countLog struct {
+	contract int
+	plays    map[int][]int // contract → instance ids that played it
+}
+
+func (c *counted) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) model.TickSchedule {
+	c.log.plays[c.log.contract] = append(c.log.plays[c.log.contract], c.id)
+	return c.EqualSplit.AppendEpisode(dst, p, L)
+}
+
+func (c *counted) EpisodeMemoKey() (model.MemoKey, bool) {
+	k, _ := c.EqualSplit.EpisodeMemoKey()
+	return k, c.keyed
+}
+
+// TestStationReusesFirstEqualKeyInstance pins what reuse does: a station
+// plays the first instance the factory gave it on every later contract with
+// an equal key, switches to the fresh instance when the key changes, and
+// passes unkeyed schedulers through without dropping the kept one.
+func TestStationReusesFirstEqualKeyInstance(t *testing.T) {
+	// Per contract: EqualSplit's M, or 0 for an unkeyed instance.
+	pattern := []int{3, 3, 3, 4, 3, 4, 4, 0, 4, 3}
+	want := []int{0, 0, 0, 3, 4, 5, 5, 7, 5, 9}
+	log := &countLog{contract: -1, plays: map[int][]int{}}
+	factory := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+		log.contract++
+		m := pattern[log.contract]
+		return &counted{EqualSplit: sched.EqualSplit{M: max(m, 2)}, id: log.contract, keyed: m != 0, log: log}, nil
+	}
+	f := testFarm(1, station.Overnight{Window: 500})
+	f.OpportunitiesPerStation = len(pattern)
+	res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(10000, 5)}, factory, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stations[0].Opportunities != len(pattern) {
+		t.Fatalf("played %d contracts, want %d", res.Stations[0].Opportunities, len(pattern))
+	}
+	for k, id := range want {
+		plays := log.plays[k]
+		if len(plays) == 0 {
+			t.Fatalf("contract %d played no episode", k)
+		}
+		for _, got := range plays {
+			if got != id {
+				t.Errorf("contract %d (M=%d) played instance %d, want %d", k, pattern[k], got, id)
+			}
 		}
 	}
 }

@@ -374,10 +374,11 @@ type MemoKey struct {
 // EpisodeMemoKeyer is implemented by schedulers whose Episode is a pure
 // function of (p, L) and the reported key: two scheduler instances returning
 // equal keys (with ok true) emit bit-identical episodes for every (p, L), so
-// a (p, L)-keyed episode cache may outlive any single instance — the property
-// sched.Memo relies on to keep one warm cache per station while factories
-// hand it a fresh scheduler per contract. Schedulers whose episodes depend on
-// state the key cannot capture must return ok false.
+// one instance may stand in for another — the property the farm engine
+// relies on to replay a station's warm scheduler while factories hand it a
+// fresh one per contract, and sched.Memo to keep a (p, L)-keyed episode
+// cache across instances. Schedulers whose episodes depend on state the key
+// cannot capture must return ok false.
 type EpisodeMemoKeyer interface {
 	EpisodeMemoKey() (key MemoKey, ok bool)
 }

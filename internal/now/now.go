@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
@@ -92,35 +91,16 @@ func (f FleetResult) Utilization() float64 {
 // opportunities — the survey view of a NOW: every station plays out all its
 // contracts (no shared job to exhaust), optionally each against a private
 // task bag.
+//
+// The embedded Farm is the engine the survey runs on, with every knob it
+// honors: Stations, OpportunitiesPerStation, Workers (0 means GOMAXPROCS),
+// the Checkpoint* policy, and Progress and ProgressInterval (with private
+// bags, Completed counts tasks whose completing opportunity has ended,
+// fleet-wide; observing never affects results). The pool-layout knobs
+// (Shards, Topology) do not apply to private bags, and the live engine
+// refuses active Faults.
 type Fleet struct {
-	Stations []Workstation
-	// OpportunitiesPerStation is how many contracts each station runs.
-	OpportunitiesPerStation int
-	// Workers bounds the worker pool; 0 means GOMAXPROCS.
-	Workers int
-	// DisableEpisodeMemo turns off the shared engine's per-station episode
-	// cache — results are bit-identical either way (the cache serves pure
-	// (p, L) functions); the switch exists for benchmarking and the tests
-	// that pin the equivalence.
-	DisableEpisodeMemo bool
-	// Progress and ProgressInterval pass through to the shared engine's
-	// wall-clock observer (see farm.Farm.Progress): with per-station private
-	// bags, Completed counts tasks whose completing opportunity has ended,
-	// fleet-wide. Observing never affects results.
-	Progress         func(farm.Progress)
-	ProgressInterval time.Duration
-}
-
-// farm binds the fleet onto the shared engine.
-func (f Fleet) farm() farm.Farm {
-	return farm.Farm{
-		Stations:                f.Stations,
-		OpportunitiesPerStation: f.OpportunitiesPerStation,
-		Workers:                 f.Workers,
-		DisableEpisodeMemo:      f.DisableEpisodeMemo,
-		Progress:                f.Progress,
-		ProgressInterval:        f.ProgressInterval,
-	}
+	farm.Farm
 }
 
 // pools builds the degenerate per-station task pool backing a run. It is a
@@ -149,7 +129,7 @@ func (f Fleet) Run(ctx context.Context, factory SchedulerFactory, seed int64, ta
 	if len(f.Stations) == 0 {
 		return FleetResult{}, fmt.Errorf("now: empty fleet")
 	}
-	res, err := f.farm().RunPool(ctx, f.pools(tasksPer), factory, seed)
+	res, err := f.RunPool(ctx, f.pools(tasksPer), factory, seed)
 	if err != nil {
 		return FleetResult{}, err
 	}

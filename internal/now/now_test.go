@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
@@ -19,7 +20,7 @@ func testFleet(nStations int, owner OwnerModel) Fleet {
 	for i := range stations {
 		stations[i] = Workstation{ID: i, Owner: owner, Setup: 10}
 	}
-	return Fleet{Stations: stations, OpportunitiesPerStation: 5}
+	return Fleet{farm.Farm{Stations: stations, OpportunitiesPerStation: 5}}
 }
 
 func equalizedFactory(ws Workstation, c Contract) (model.EpisodeScheduler, error) {
@@ -235,12 +236,29 @@ func TestFleetReplicateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// Episode memoization must be invisible: the whole FleetResult is
-// bit-identical with the per-station episode cache enabled vs disabled, at
-// Workers 1 and 8, with and without private task bags.
-func TestFleetRunMemoOnOffBitIdentical(t *testing.T) {
+// unkeyed hides a scheduler's EpisodeMemoKey, so a station never reuses
+// its instances: every contract plays the factory's fresh scheduler.
+type unkeyed struct{ model.EpisodeScheduler }
+
+// AppendEpisode keeps the wrapped scheduler's append path.
+func (u unkeyed) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) model.TickSchedule {
+	return model.AppendEpisode(u.EpisodeScheduler, dst, p, L)
+}
+
+// Warm-scheduler reuse must be invisible: the whole FleetResult is
+// bit-identical whether stations replay their kept scheduler or play every
+// contract's fresh one, at Workers 1 and 8, with and without private task
+// bags.
+func TestFleetRunReuseInvisible(t *testing.T) {
 	tasksPer := func(ws Workstation) *task.Bag {
 		return task.NewBag(task.Uniform(200, 10, 80, int64(ws.ID)))
+	}
+	hidden := func(ws Workstation, c Contract) (model.EpisodeScheduler, error) {
+		s, err := equalizedFactory(ws, c)
+		if err != nil {
+			return nil, err
+		}
+		return unkeyed{s}, nil
 	}
 	for _, bags := range []func(Workstation) *task.Bag{nil, tasksPer} {
 		base := testFleet(12, Office{MeanIdle: 2500, MaxP: 2})
@@ -249,18 +267,16 @@ func TestFleetRunMemoOnOffBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, memoOff := range []bool{false, true} {
+		for _, factory := range []SchedulerFactory{equalizedFactory, hidden} {
 			for _, workers := range []int{1, 8} {
 				f := base
 				f.Workers = workers
-				f.DisableEpisodeMemo = memoOff
-				got, err := f.Run(context.Background(), equalizedFactory, 13, bags)
+				got, err := f.Run(context.Background(), factory, 13, bags)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("memoOff=%v workers=%d (bags=%v): FleetResult diverged",
-						memoOff, workers, bags != nil)
+					t.Errorf("workers=%d (bags=%v): FleetResult diverged", workers, bags != nil)
 				}
 			}
 		}

@@ -1,22 +1,22 @@
 package sched
 
 // The episode memo: schedulers in this package are pure functions of
-// (p, L) once their setup cost is fixed, so the episodes a station replays
+// (p, L) once their setup cost is fixed, so the episodes a caller replays
 // across thousands of opportunities can be served from a bounded cache
 // instead of being rebuilt (√-ramp float math, quantization) every time.
-// The farm engine keeps one Memo per station and re-Binds it to whatever
-// scheduler the factory returns per contract; as long as the scheduler's
-// EpisodeMemoKey is unchanged, the cache stays warm across contracts.
+// E8's Monte-Carlo trials keep one Memo per mc worker and re-Bind it to the
+// study's scheduler every trial; as long as the scheduler's EpisodeMemoKey
+// is unchanged, the cache stays warm across trials.
 
 import (
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
 )
 
-// DefaultMemoEntries is the episode-cache bound the farm engine uses per
-// station: big enough that the handful of distinct (p, L) pairs a station
-// replays in a fleet study all fit, small enough that a thousand-station
-// fleet's caches stay in the megabytes.
+// DefaultMemoEntries is the episode-cache bound NewMemo(0) picks: big
+// enough that the handful of distinct (p, L) pairs a replayed opportunity
+// reaches all fit, small enough that one cache per worker stays in the
+// megabytes.
 const DefaultMemoEntries = 512
 
 type memoKey struct {
@@ -33,8 +33,8 @@ type memoKey struct {
 // are a pure function of the miss sequence — no clocks, no randomness —
 // keeping the deterministic engines deterministic.
 //
-// A Memo belongs to one goroutine (the farm engine keeps one per station);
-// it is not safe for concurrent use.
+// A Memo belongs to one goroutine (E8 keeps one per mc worker); it is not
+// safe for concurrent use.
 // coldRebinds is how many consecutive useless bindings (cache replaced
 // without ever serving a hit) a Memo tolerates before concluding the
 // caller's keys churn per contract and dropping to passthrough. Churning

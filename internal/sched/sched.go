@@ -196,9 +196,10 @@ func (s *NonAdaptive) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick)
 
 // NonAdaptive deliberately implements no EpisodeMemoKey: its key would have
 // to embed U, which fleet factories sample fresh per contract — every
-// opportunity would rebind the memo cold. There is also nothing to win:
-// AppendEpisode is already a zero-alloc tail copy, exactly the work a cache
-// hit would do.
+// opportunity would bring a new key, so neither a farm station's kept
+// instance nor a sched.Memo cache would ever be reused. There is also
+// nothing to win: AppendEpisode is already a zero-alloc tail copy, exactly
+// the work a cache hit would do.
 
 // Name implements model.Namer.
 func (s *NonAdaptive) Name() string { return fmt.Sprintf("nonadaptive(m=%d)", len(s.periods)) }

@@ -519,3 +519,168 @@ func TestAppendKeepsStorageBounded(t *testing.T) {
 		t.Errorf("warm take-one/append-one cycle allocates %.2f per call", allocs)
 	}
 }
+
+// refBag is the reference model for Bag: a plain slice in pending order,
+// with first-fit taking written the naive way — scan everything, keep what
+// fits, leave the rest in order.
+type refBag struct{ tasks []Task }
+
+func (m *refBag) take(capacity quant.Tick) []Task {
+	var got, rest []Task
+	for _, t := range m.tasks {
+		if t.Duration <= capacity {
+			got = append(got, t)
+			capacity -= t.Duration
+		} else {
+			rest = append(rest, t)
+		}
+	}
+	m.tasks = rest
+	return got
+}
+
+func (m *refBag) steal(n int) []Task {
+	n = min(max(n, 0), len(m.tasks))
+	cut := len(m.tasks) - n
+	stolen := append([]Task(nil), m.tasks[cut:]...)
+	m.tasks = m.tasks[:cut]
+	return stolen
+}
+
+func sameTasks(a, b []Task) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBagMatchesReferenceModel drives random sequences of every Bag
+// operation — Take, TakeInto, Return, Append, Steal, Reset and DealInto —
+// against refBag, and checks after each step that both took the same tasks
+// in the same order and hold the same pending queue, Remaining and
+// RemainingWork. It also checks the one piece of hidden state: minDur must
+// never exceed the true pending minimum, or TakeInto would stop scanning
+// while a task still fits.
+func TestBagMatchesReferenceModel(t *testing.T) {
+	const nbags = 3
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nextID := 0
+		fresh := func(n int) []Task {
+			out := make([]Task, n)
+			for i := range out {
+				out[i] = Task{ID: nextID, Duration: quant.Tick(1 + rng.Intn(20))}
+				nextID++
+			}
+			return out
+		}
+		bags := make([]*Bag, nbags)
+		refs := make([]*refBag, nbags)
+		for i := range bags {
+			init := fresh(rng.Intn(12))
+			bags[i] = NewBag(init)
+			refs[i] = &refBag{tasks: append([]Task(nil), init...)}
+		}
+		var held [nbags][]Task // taken and not yet returned, per bag
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(nbags)
+			b, m := bags[i], refs[i]
+			var op string
+			switch k := rng.Intn(8); k {
+			case 0, 1:
+				capacity := quant.Tick(rng.Intn(60))
+				op = "Take"
+				var got []Task
+				if k == 0 {
+					got = b.Take(capacity)
+					if got != nil && len(got) == 0 {
+						t.Fatalf("seed %d step %d: Take returned an empty non-nil slice", seed, step)
+					}
+				} else {
+					op = "TakeInto"
+					prefix := []Task{{ID: -1, Duration: 7}}
+					got = b.TakeInto(prefix, capacity)
+					if got[0] != prefix[0] {
+						t.Fatalf("seed %d step %d: TakeInto clobbered dst's prefix", seed, step)
+					}
+					got = got[1:]
+				}
+				want := m.take(capacity)
+				if !sameTasks(got, want) {
+					t.Fatalf("seed %d step %d: %s(%d) took %v, model took %v", seed, step, op, capacity, got, want)
+				}
+				held[i] = append(held[i], got...)
+			case 2:
+				op = "Return"
+				// Return a suffix of what was taken (a killed period's
+				// tasks) or, now and then, tasks the bag never held; then
+				// clobber the caller's slice: the bag must have copied
+				// what it keeps.
+				var back []Task
+				if rng.Intn(4) == 0 {
+					back = fresh(rng.Intn(4))
+				} else {
+					n := rng.Intn(len(held[i]) + 1)
+					back = append(back, held[i][len(held[i])-n:]...)
+					held[i] = held[i][:len(held[i])-n]
+				}
+				b.Return(back)
+				m.tasks = append(append([]Task(nil), back...), m.tasks...)
+				for j := range back {
+					back[j] = Task{ID: -2, Duration: 1}
+				}
+			case 3:
+				op = "Append"
+				add := fresh(rng.Intn(10))
+				b.Append(add)
+				m.tasks = append(m.tasks, add...)
+			case 4:
+				op = "Steal"
+				n := rng.Intn(8) - 1
+				got, want := b.Steal(n), m.steal(n)
+				if !sameTasks(got, want) {
+					t.Fatalf("seed %d step %d: Steal(%d) = %v, model %v", seed, step, n, got, want)
+				}
+			case 5:
+				op = "Reset"
+				init := fresh(rng.Intn(15))
+				b.Reset(init)
+				m.tasks = append([]Task(nil), init...)
+				held[i] = nil
+			default:
+				op = "DealInto"
+				add := fresh(rng.Intn(25))
+				DealInto(bags, add)
+				for j, task := range add {
+					refs[j%nbags].tasks = append(refs[j%nbags].tasks, task)
+				}
+			}
+			for j := range bags {
+				b, m := bags[j], refs[j]
+				if !sameTasks(b.pending(), m.tasks) {
+					t.Fatalf("seed %d step %d after %s: bag %d pending %v, model %v", seed, step, op, j, b.pending(), m.tasks)
+				}
+				var work quant.Tick
+				low := quant.Tick(0)
+				for _, task := range m.tasks {
+					work += task.Duration
+					if low == 0 || task.Duration < low {
+						low = task.Duration
+					}
+				}
+				if b.Remaining() != len(m.tasks) || b.RemainingWork() != work {
+					t.Fatalf("seed %d step %d after %s: bag %d holds %d tasks / %d work, model %d / %d",
+						seed, step, op, j, b.Remaining(), b.RemainingWork(), len(m.tasks), work)
+				}
+				if len(m.tasks) > 0 && b.minDur > low {
+					t.Fatalf("seed %d step %d after %s: bag %d minDur %d exceeds the pending minimum %d", seed, step, op, j, b.minDur, low)
+				}
+			}
+		}
+	}
+}
