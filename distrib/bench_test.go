@@ -1,8 +1,10 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"testing"
 
 	"cyclesteal/fleet"
@@ -50,4 +52,51 @@ func BenchmarkShardEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// studyFrameSpec is perfbench's study frame: E12's mixed fleet of 1,000
+// stations under the guideline policy with 4 opportunities, a job of
+// 100,000 durations (50+Intn(351))/100 drawn at a fixed seed, 16 trials.
+func studyFrameSpec(tb testing.TB) Spec {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]float64, 100_000)
+	for i := range tasks {
+		tasks[i] = float64(50+rng.Intn(351)) / 100
+	}
+	cfg := fleet.Config{Stations: 1000, Setup: 1, Opportunities: 4, Policy: fleet.Policy{Name: "guideline"}, Seed: 1}
+	spec, err := NewSpec(cfg, fleet.Job{Tasks: tasks}, 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec
+}
+
+// BenchmarkDistribStudyFrame measures the study frame's codec, the fixed
+// cost every connection pays before its first trial: encoding the frame
+// (once per coordinator) and parsing it (once per worker).
+func BenchmarkDistribStudyFrame(b *testing.B) {
+	spec := studyFrameSpec(b)
+	f := Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec}
+	var line bytes.Buffer
+	if err := EncodeFrame(&line, f); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := EncodeFrame(io.Discard, f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		raw := bytes.TrimSuffix(line.Bytes(), []byte("\n"))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseFrame(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

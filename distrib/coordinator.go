@@ -51,14 +51,16 @@ type Options struct {
 // Coordinator deals a study's shards to workers and merges their results.
 // Build one with NewCoordinator; Run may be called once.
 type Coordinator struct {
-	spec  Spec
 	opts  Options
 	study *fleet.Study
+	// studyLine is the encoded study frame. Every dial writes these same
+	// bytes, re-dials included.
+	studyLine []byte
 }
 
 // NewCoordinator validates the spec — including everything fleet.New and
 // fleet.Fleet.Study enforce, so a bad study fails here, before any worker
-// spawns — and prepares a coordinator.
+// spawns — encodes its study frame once, and prepares a coordinator.
 func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 	study, err := spec.Study()
 	if err != nil {
@@ -82,7 +84,15 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
 	}
-	return &Coordinator{spec: spec, opts: opts, study: study}, nil
+	frame := Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec}
+	if err := frame.validate(); err != nil {
+		return nil, err
+	}
+	line, err := encodeFrame(frame)
+	if err != nil {
+		return nil, err
+	}
+	return &Coordinator{opts: opts, study: study, studyLine: line}, nil
 }
 
 // Trials is the study's total trial count (the Progress total).
@@ -350,7 +360,7 @@ func (c *Coordinator) runChunk(ctx context.Context, slot int, cnp **conn, ck chu
 }
 
 // dial opens a connection, collects the worker's hello and sends the study
-// spec.
+// frame.
 func (c *Coordinator) dial(ctx context.Context) (*conn, error) {
 	rwc, err := c.opts.Start(ctx)
 	if err != nil {
@@ -383,8 +393,7 @@ func (c *Coordinator) dial(ctx context.Context) (*conn, error) {
 			return nil, fmt.Errorf("distrib: expected hello, got %q", fe.f.Kind)
 		}
 	}
-	spec := c.spec
-	if err := cn.s.send(Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec}); err != nil {
+	if err := cn.s.write(c.studyLine); err != nil {
 		cn.close()
 		return nil, fmt.Errorf("distrib: sending study: %w", err)
 	}

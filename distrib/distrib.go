@@ -14,9 +14,11 @@
 // goroutines via InProcess for tests and single-machine fan-out.
 //
 // Everything on the wire is versioned JSONL — see the wire format notes on
-// Frame — decoded strictly in the style of the trace and WAL formats:
-// unknown fields, trailing data, out-of-range values and covers that do
-// not partition the study are errors, never guesses.
+// Frame — decoded strictly in the style of the WAL format: unknown fields,
+// trailing data, out-of-range values and covers that do not partition the
+// study are errors, never guesses. Every frame is byte for byte what
+// encoding/json writes for it. A coordinator encodes its study frame once
+// and writes those bytes on every connection.
 package distrib
 
 import (

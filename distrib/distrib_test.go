@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -187,6 +189,74 @@ func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("run with dying workers differs from Replicate:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// TestCoordinatorWritesOneStudyLine pins the study frame's single
+// encoding: every dial, re-dials after worker deaths included, hands its
+// transport the same buffer, holding json.Marshal's bytes for the frame.
+func TestCoordinatorWritesOneStudyLine(t *testing.T) {
+	defer leakCheck(t)()
+	spec, want := testSpec(t, 90)
+	var deaths atomic.Int32
+	deaths.Store(2)
+	dying := dyingWorkerStarter(t, &deaths)
+	tap := &studyTap{}
+	start := func(ctx context.Context) (io.ReadWriteCloser, error) {
+		rwc, err := dying(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return tappedConn{rwc, tap}, nil
+	}
+	c, err := NewCoordinator(spec, Options{Workers: 2, Start: start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run differs from Replicate:\n got %+v\nwant %+v", got, want)
+	}
+	raw, err := json.Marshal(Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tap.lines) < 4 {
+		t.Fatalf("%d dials wrote a study frame, want at least 4 (2 workers, 2 deaths)", len(tap.lines))
+	}
+	for i, line := range tap.lines {
+		if !bytes.Equal(line, append(raw, '\n')) {
+			t.Fatalf("dial %d wrote\n%s\nwant json.Marshal's\n%s", i, line, raw)
+		}
+		if tap.buffers[i] != tap.buffers[0] {
+			t.Fatalf("dial %d wrote a study frame encoded anew", i)
+		}
+	}
+}
+
+// studyTap records each study frame line written on its connections, and
+// the address of the buffer that held it.
+type studyTap struct {
+	mu      sync.Mutex
+	lines   [][]byte
+	buffers []*byte
+}
+
+type tappedConn struct {
+	io.ReadWriteCloser
+	tap *studyTap
+}
+
+func (c tappedConn) Write(b []byte) (int, error) {
+	if bytes.HasPrefix(b, []byte(`{"frame":"study"`)) {
+		c.tap.mu.Lock()
+		c.tap.lines = append(c.tap.lines, append([]byte(nil), b...))
+		c.tap.buffers = append(c.tap.buffers, &b[0])
+		c.tap.mu.Unlock()
+	}
+	return c.ReadWriteCloser.Write(b)
 }
 
 // TestCoordinatorRetriesExhausted pins the loud-failure side: a chunk that

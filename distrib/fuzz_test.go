@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,9 +24,12 @@ func fuzzSeedFrames(t interface{ Fatal(...any) }) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withTasks := spec
+	withTasks.Tasks = []float64{0.5, 2.37, 2.37, 4, 0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, 1.0 / 3, 3.99}
 	frames := []Frame{
 		{Kind: FrameHello, Format: wireFormat, Version: wireVersion},
 		{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec},
+		{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &withTasks},
 		{Kind: FrameAssign, Shards: []int{0, 5, 63}},
 		{Kind: FrameProgress, Done: 3, Total: 9},
 		{Kind: FrameShard, Shard: &results[0]},
@@ -42,10 +47,31 @@ func fuzzSeedFrames(t interface{ Fatal(...any) }) [][]byte {
 	return out
 }
 
-// FuzzReadFrame pins the wire decoder's safety contract: arbitrary bytes
-// never panic — they decode or error — and every accepted frame re-encodes
-// and re-decodes to exactly itself (the canonical-form round trip a
-// coordinator and worker rely on).
+// referenceParseFrame is ParseFrame as plain encoding/json defines it: a
+// strict decode of a Frame — unknown fields refused, nothing but JSON
+// whitespace after the value — followed by the frame's validation.
+func referenceParseFrame(line []byte) (Frame, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	var f Frame
+	if err := dec.Decode(&f); err != nil {
+		return Frame{}, err
+	}
+	if len(bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n")) > 0 {
+		return Frame{}, errors.New("trailing data")
+	}
+	if err := f.validate(); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// FuzzReadFrame pins the wire decoder's contract: arbitrary bytes never
+// panic; ParseFrame accepts a line exactly when the plain encoding/json
+// reference does, with a deeply equal frame; and every accepted frame
+// re-encodes to json.Marshal's bytes, whose decoding re-encodes to the
+// same bytes and re-decodes to exactly itself (the canonical-form round
+// trip a coordinator and worker rely on).
 func FuzzReadFrame(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
@@ -54,21 +80,50 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte(`{"frame":"hello","format":"wrong","version":1}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"frame":"shard","shard":{"shard":0,"metrics":[{"n":-1}]}}`))
+	f.Add([]byte(`{"frame":"hello","format":"cyclesteal-distrib","version":1}}`))
+	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1,2,3],"TASKS":[4,null],"trials":3}}`))
+	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1,"2"],"trials":3}}`))
+	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1e400],"trials":3}}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fr, err := ParseFrame(line)
+		want, werr := referenceParseFrame(line)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseFrame error %v, reference error %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(fr, want) {
+			t.Fatalf("ParseFrame diverged from the reference:\n got %+v\nwant %+v", fr, want)
 		}
 		var buf bytes.Buffer
 		if err := EncodeFrame(&buf, fr); err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
+		raw, err := json.Marshal(fr)
+		if err != nil {
+			t.Fatalf("json.Marshal of an accepted frame: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), append(raw, '\n')) {
+			t.Fatalf("EncodeFrame wrote\n%s\njson.Marshal\n%s", buf.Bytes(), raw)
+		}
+		// An empty array the encoder omits, such as "owners":[], decodes
+		// to an empty slice and comes back nil, so the round trip is exact
+		// from the canonical form on: the re-decoded frame encodes to the
+		// same bytes and re-decodes to exactly itself.
 		back, err := ParseFrame(bytes.TrimRight(buf.Bytes(), "\n"))
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if !reflect.DeepEqual(fr, back) {
-			t.Fatalf("frame round trip diverged:\n got %+v\nwant %+v", back, fr)
+		var again bytes.Buffer
+		if err := EncodeFrame(&again, back); err != nil {
+			t.Fatalf("re-decoded frame failed to encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("frame round trip changed the bytes:\n got %s\nwant %s", again.Bytes(), buf.Bytes())
+		}
+		if back2, err := ParseFrame(bytes.TrimRight(again.Bytes(), "\n")); err != nil || !reflect.DeepEqual(back, back2) {
+			t.Fatalf("canonical frame round trip diverged (%v):\n got %+v\nwant %+v", err, back2, back)
 		}
 	})
 }
@@ -128,5 +183,70 @@ func TestFuzzSeedsAccepted(t *testing.T) {
 	}
 	if err := (fleet.ShardResult{Shard: 1}).Validate(); err != nil {
 		t.Errorf("empty-metrics shard result invalid: %v", err)
+	}
+}
+
+// trailingTails are bytes after a valid JSON object that a strict decoder
+// must refuse. A check built on encoding/json's Decoder.More let the ones
+// starting with } or ] through.
+var trailingTails = []string{"}", "]", "]]]}}}", "}}", "]}", " }", "\n]", " x", "{}", "0", ",", "\x00"}
+
+// TestStrictDecodersRefuseTrailingData pins both frame-level decoders
+// against trailing bytes, and their acceptance of trailing whitespace.
+func TestStrictDecodersRefuseTrailingData(t *testing.T) {
+	frame := `{"frame":"hello","format":"cyclesteal-distrib","version":1}`
+	shard := `{"shard":3,"metrics":[{"n":0,"mean":0,"m2":0,"min":0,"max":0}]}`
+	for _, tail := range trailingTails {
+		if _, err := ParseFrame([]byte(frame + tail)); err == nil {
+			t.Errorf("ParseFrame accepted a frame followed by %q", tail)
+		}
+		if _, err := ParseShardResult([]byte(shard + tail)); err == nil {
+			t.Errorf("ParseShardResult accepted a shard result followed by %q", tail)
+		}
+	}
+	if _, err := ParseFrame([]byte(frame + " \t\r\n")); err != nil {
+		t.Errorf("ParseFrame refused trailing whitespace: %v", err)
+	}
+	if _, err := ParseShardResult([]byte(shard + " \t\r\n")); err != nil {
+		t.Errorf("ParseShardResult refused trailing whitespace: %v", err)
+	}
+}
+
+// TestEncodeFrameMatchesJSON pins the frame encoder to json.Marshal byte
+// for byte: every seed frame, perfbench's 100,000-task study frame, and
+// study frames whose string fields json.Marshal escapes — one of them
+// spelling out the "trials" key the task array is spliced in front of.
+func TestEncodeFrameMatchesJSON(t *testing.T) {
+	var frames []Frame
+	for _, seed := range fuzzSeedFrames(t) {
+		f, err := ParseFrame(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	big := studyFrameSpec(t)
+	tricky := Spec{Stations: 2, Setup: 1.5, Trials: 4, Policy: `<guideline>&,"trials":9}}`, Tasks: []float64{1, 1, 2.5}}
+	single := Spec{Stations: 1, Setup: 1, Trials: 1, Tasks: []float64{7}}
+	for _, spec := range []*Spec{&big, &tricky, &single} {
+		frames = append(frames, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: spec})
+	}
+	for i, f := range frames {
+		var buf bytes.Buffer
+		if err := EncodeFrame(&buf, f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		raw, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), append(raw, '\n')) {
+			t.Fatalf("frame %d: EncodeFrame wrote\n%.300s\njson.Marshal\n%.300s", i, buf.Bytes(), raw)
+		}
+	}
+	// A non-finite duration fails as json.Marshal fails.
+	bad := Spec{Stations: 1, Setup: 1, Trials: 1, Tasks: []float64{1, math.NaN()}}
+	if err := EncodeFrame(&bytes.Buffer{}, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &bad}); err == nil {
+		t.Fatal("encoded a NaN duration")
 	}
 }

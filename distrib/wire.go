@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"cyclesteal/fleet"
+	"cyclesteal/internal/jsonl"
 )
 
 // The wire format, versioned like the trace and WAL formats: JSONL frames,
@@ -24,10 +26,14 @@ import (
 //	worker → coordinator   {"frame":"error","error":"..."}             (instead of shard/done)
 //
 // assign/answer rounds repeat until the coordinator closes the connection.
-// Decoding is strict: unknown fields, trailing data, unknown kinds,
-// out-of-range shard IDs and structurally invalid accumulator states are
-// errors, never guesses. A version bump is required for any change to the
-// frame shapes, the study shard count, or the trial→shard assignment rule.
+// Decoding is strict: unknown fields, any byte after a frame's object but
+// JSON whitespace, unknown kinds, out-of-range shard IDs and structurally
+// invalid accumulator states are errors, never guesses. A frame line is
+// exactly json.Marshal's bytes for its Frame and a newline; the study
+// spec's task array is written and read by internal/jsonl's float codec,
+// which matches encoding/json byte for byte and value for value. A version
+// bump is required for any change to the frame shapes, the study shard
+// count, or the trial→shard assignment rule.
 const (
 	wireFormat  = "cyclesteal-distrib"
 	wireVersion = 1
@@ -121,27 +127,35 @@ func (f Frame) validate() error {
 	return nil
 }
 
-// strictUnmarshal decodes one JSON object rejecting unknown fields and
-// trailing data — a corrupt or foreign stream fails loudly, not quietly.
-func strictUnmarshal(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after frame")
-	}
-	return nil
+// wireFrame is the shape ParseFrame decodes: a Frame whose study spec reads
+// its tasks through jsonl.Floats, which converts the numbers without
+// reflection. Each shadowing field carries the JSON name of the field it
+// hides, so the keys a frame may hold, and how they match, are Frame's.
+type wireFrame struct {
+	Frame
+	Spec *wireSpec `json:"spec,omitempty"`
+}
+
+type wireSpec struct {
+	Spec
+	Tasks jsonl.Floats `json:"tasks,omitempty"`
 }
 
 // ParseFrame decodes and validates one frame line. Any input is safe: bad
 // bytes produce an error, never a panic, and validation never allocates
-// proportionally to values named inside the frame.
+// proportionally to values named inside the frame. It accepts exactly the
+// lines a strict encoding/json decode of a Frame followed by validation
+// accepts, with the same result.
 func ParseFrame(line []byte) (Frame, error) {
-	var f Frame
-	if err := strictUnmarshal(line, &f); err != nil {
+	var w wireFrame
+	if err := jsonl.Unmarshal(line, &w); err != nil {
 		return Frame{}, fmt.Errorf("distrib: %w", err)
+	}
+	f := w.Frame
+	if w.Spec != nil {
+		spec := w.Spec.Spec
+		spec.Tasks = w.Spec.Tasks
+		f.Spec = &spec
 	}
 	if err := f.validate(); err != nil {
 		return Frame{}, err
@@ -154,7 +168,7 @@ func ParseFrame(line []byte) (Frame, error) {
 // outside the conversation (and for the fuzzers).
 func ParseShardResult(line []byte) (fleet.ShardResult, error) {
 	var r fleet.ShardResult
-	if err := strictUnmarshal(line, &r); err != nil {
+	if err := jsonl.Unmarshal(line, &r); err != nil {
 		return fleet.ShardResult{}, fmt.Errorf("distrib: %w", err)
 	}
 	if err := r.Validate(); err != nil {
@@ -168,13 +182,50 @@ func EncodeFrame(w io.Writer, f Frame) error {
 	if err := f.validate(); err != nil {
 		return err
 	}
-	raw, err := json.Marshal(f)
+	line, err := encodeFrame(f)
 	if err != nil {
 		return err
 	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
+	_, err = w.Write(line)
 	return err
+}
+
+// encodeFrame returns f's line: json.Marshal's bytes and a newline. A study
+// frame that carries nothing but its spec has its task array written by
+// jsonl.AppendFloats and spliced in where json.Marshal puts it, before the
+// spec's last field: the same bytes, without reflecting over every
+// duration. Non-finite durations take json.Marshal's path and its error.
+func encodeFrame(f Frame) ([]byte, error) {
+	var tasks []float64
+	if f.Kind == FrameStudy && f.Spec != nil && len(f.Spec.Tasks) > 0 &&
+		len(f.Shards) == 0 && f.Done == 0 && f.Total == 0 && f.Shard == nil && f.Error == "" &&
+		allFinite(f.Spec.Tasks) {
+		spec := *f.Spec
+		tasks, spec.Tasks = spec.Tasks, nil
+		f.Spec = &spec
+	}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		return nil, err
+	}
+	if tasks == nil {
+		return append(raw, '\n'), nil
+	}
+	// Nothing follows the spec, and "trials" is its last field; a quote
+	// inside a string is escaped, so these bytes occur only as that key.
+	cut := bytes.LastIndex(raw, []byte(`,"trials":`))
+	line := append(make([]byte, 0, len(raw)+len(`,"tasks":`)), raw[:cut]...)
+	line = jsonl.AppendFloats(append(line, `,"tasks":`...), tasks)
+	return append(append(line, raw[cut:]...), '\n'), nil
+}
+
+func allFinite(fs []float64) bool {
+	for _, f := range fs {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // stream frames one connection: sequential reads, mutex-serialized writes
@@ -206,4 +257,12 @@ func (s *stream) send(f Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return EncodeFrame(s.w, f)
+}
+
+// write sends one already encoded frame line.
+func (s *stream) write(line []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.w.Write(line)
+	return err
 }

@@ -2,14 +2,15 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
-	"strings"
 	"unicode/utf8"
+
+	"cyclesteal/internal/jsonl"
 )
 
 // The service write-ahead log is JSON Lines, the same shape as the trace
@@ -112,7 +113,7 @@ func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
 		b = strconv.AppendInt(append(b, `,"station":`...), int64(ev.Station), 10)
 	}
 	if ev.Checkpoint != 0 {
-		b = appendJSONFloat(append(b, `,"checkpoint":`...), ev.Checkpoint)
+		b = jsonl.AppendFloat(append(b, `,"checkpoint":`...), ev.Checkpoint)
 	}
 	if ev.Adaptive {
 		b = append(b, `,"adaptive":true`...)
@@ -122,47 +123,11 @@ func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
 }
 
 // appendWALTasks appends a submit record's task array: exactly the bytes
-// encoding/json writes for the []float64. Every duration must be finite;
-// the service validates them (grid.quantize) before they get here. A
-// duration equal to its predecessor copies the predecessor's bytes instead
-// of formatting them again, so the runs of equal durations that FixedTasks
-// and NxD job lines produce cost a copy per task.
-func appendWALTasks(dst []byte, tasks []float64) []byte {
-	if len(tasks) == 0 {
-		return append(dst, "[]"...)
-	}
-	start := len(dst) + 1 // the previous duration's bytes are dst[start:end]
-	dst = appendJSONFloat(append(dst, '['), tasks[0])
-	end := len(dst)
-	// Room for every duration as long as the first: exact for one value.
-	dst = slices.Grow(dst, (end-start+1)*(len(tasks)-1)+1)
-	for i := 1; i < len(tasks); i++ {
-		dst = append(dst, ',')
-		if math.Float64bits(tasks[i]) == math.Float64bits(tasks[i-1]) {
-			dst = append(dst, dst[start:end]...)
-			continue
-		}
-		start = len(dst)
-		dst = appendJSONFloat(dst, tasks[i])
-		end = len(dst)
-	}
-	return append(dst, ']')
-}
-
-// appendJSONFloat appends a finite f as encoding/json formats a float64:
-// the ES6 number-to-string conversion, %f from 1e-6 up to 1e21 and %e
-// beyond, with a one-digit negative exponent unpadded (1e-7, not 1e-07).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-		return dst
-	}
-	return strconv.AppendFloat(dst, f, 'f', -1, 64)
-}
+// encoding/json writes for the []float64, by jsonl.AppendFloats. Every
+// duration must be finite; the service validates them (grid.quantize)
+// before they get here. Runs of equal durations, which FixedTasks and NxD
+// job lines produce, cost a copy per task.
+func appendWALTasks(dst []byte, tasks []float64) []byte { return jsonl.AppendFloats(dst, tasks) }
 
 // appendJSONString appends s as encoding/json writes a string: quoted;
 // with ", \ and control characters escaped (\b, \f, \n, \r, \t, else
@@ -231,8 +196,10 @@ func writeWALLine(w io.Writer, v any) error {
 }
 
 // decodeWAL parses a whole log strictly: a malformed header, an unknown
-// kind, a non-finite number or a round running backwards is an error, never
-// a panic and never a silent skip.
+// field or kind, bytes after a line's object, a non-finite number or a
+// round running backwards is an error, never a panic and never a silent
+// skip. Lines decode through jsonl.Unmarshal, the strict decode the distrib
+// wire frames share.
 func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 	br := bufio.NewReader(r)
 	var hdr walHeader
@@ -240,7 +207,7 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 	if err != nil {
 		return hdr, nil, fmt.Errorf("fleet: wal: missing header: %w", err)
 	}
-	if err := strictUnmarshal(line, &hdr); err != nil {
+	if err := jsonl.Unmarshal(line, &hdr); err != nil {
 		return hdr, nil, fmt.Errorf("fleet: wal: header: %w", err)
 	}
 	if hdr.Format != walFormat {
@@ -262,7 +229,7 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 			return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n, err)
 		}
 		var rec walRecord
-		if err := strictUnmarshal(line, &rec); err != nil {
+		if err := jsonl.Unmarshal(line, &rec); err != nil {
 			return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n, err)
 		}
 		kind, ok := walKinds[rec.Kind]
@@ -304,34 +271,19 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 }
 
 // readWALLine returns the next non-blank line; io.EOF at a clean end.
-func readWALLine(br *bufio.Reader) (string, error) {
+func readWALLine(br *bufio.Reader) ([]byte, error) {
 	for {
-		line, err := br.ReadString('\n')
+		line, err := br.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			return "", err
+			return nil, err
 		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed != "" {
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			return trimmed, nil
 		}
 		if err == io.EOF {
-			return "", io.EOF
+			return nil, io.EOF
 		}
 	}
-}
-
-// strictUnmarshal decodes one JSON object rejecting unknown fields and
-// trailing data — an edited log fails loudly, not quietly.
-func strictUnmarshal(line string, v any) error {
-	dec := json.NewDecoder(strings.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after object")
-	}
-	return nil
 }
 
 // ReadWAL decodes a service write-ahead log into its event sequence,

@@ -133,3 +133,28 @@ func FuzzReadWAL(f *testing.F) {
 		}
 	})
 }
+
+// TestWALReadersRefuseTrailingData pins both log readers against bytes
+// after a line's object. A check built on encoding/json's Decoder.More let
+// a trailing } or ] through, and the line decoded as if it were clean.
+func TestWALReadersRefuseTrailingData(t *testing.T) {
+	header := `{"format":"cyclesteal-service-wal","version":1,"ticks_per_setup":100}`
+	submit := `{"round":0,"kind":"submit","tenant":"a","job_id":1,"tasks":[5,5]}`
+	cfg := faultedConfig(1, 0, nil)
+	if events, err := ReadWAL(strings.NewReader(header + "\n" + submit + " \t\r\n")); err != nil || len(events) != 1 {
+		t.Fatalf("clean log: %d events, %v", len(events), err)
+	}
+	if _, err := RecoverService(cfg, strings.NewReader(header+"\n"+submit+"\n")); err != nil {
+		t.Fatalf("clean log refused: %v", err)
+	}
+	for _, tail := range []string{"}", "]", "]}", "}}", "]]]}}}", " }", " x", "{}", "0", ","} {
+		for _, log := range []string{header + "\n" + submit + tail + "\n", header + tail + "\n" + submit + "\n"} {
+			if events, err := ReadWAL(strings.NewReader(log)); err == nil {
+				t.Errorf("ReadWAL decoded %d events from %q", len(events), log)
+			}
+			if _, err := RecoverService(cfg, strings.NewReader(log)); err == nil {
+				t.Errorf("RecoverService accepted %q", log)
+			}
+		}
+	}
+}

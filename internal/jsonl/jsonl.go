@@ -1,0 +1,238 @@
+// Package jsonl holds the JSON pieces the repository's line formats share:
+// the strict decode the service write-ahead log and the distrib wire frames
+// both apply, and a float-array codec that writes exactly encoding/json's
+// bytes and reads exactly its values, without reflection.
+//
+// encoding/json stays the definition of every format: it checks syntax,
+// matches keys and refuses unknown fields, and the tests pin each function
+// here against it byte for byte and value for value.
+package jsonl
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+)
+
+// Unmarshal decodes the one JSON value in data into v strictly: an object
+// field v has no place for is an error, and so is any byte after the value
+// other than JSON whitespace (space, tab, CR and LF). A corrupt or foreign
+// line fails loudly, not quietly.
+func Unmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	for _, c := range data[dec.InputOffset():] {
+		if !isSpace(c) {
+			return fmt.Errorf("trailing data after the JSON value")
+		}
+	}
+	return nil
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+// AppendFloats appends fs as encoding/json writes a non-nil []float64 of
+// finite values ("[]" when empty); the caller checks finiteness. A value
+// equal to its predecessor copies the predecessor's bytes instead of
+// formatting them again, so runs of equal values cost a copy each.
+func AppendFloats(dst []byte, fs []float64) []byte {
+	if len(fs) == 0 {
+		return append(dst, "[]"...)
+	}
+	start := len(dst) + 1 // the previous value's bytes are dst[start:end]
+	dst = AppendFloat(append(dst, '['), fs[0])
+	end := len(dst)
+	// Room for every value as long as the first: exact for one value.
+	dst = slices.Grow(dst, (end-start+1)*(len(fs)-1)+1)
+	for i := 1; i < len(fs); i++ {
+		dst = append(dst, ',')
+		if math.Float64bits(fs[i]) == math.Float64bits(fs[i-1]) {
+			dst = append(dst, dst[start:end]...)
+			continue
+		}
+		start = len(dst)
+		dst = AppendFloat(dst, fs[i])
+		end = len(dst)
+	}
+	return append(dst, ']')
+}
+
+// AppendFloat appends a finite f as encoding/json formats a float64: the
+// ES6 number-to-string conversion, %f from 1e-6 up to 1e21 and %e beyond,
+// with a one-digit negative exponent unpadded (1e-7, not 1e-07).
+//
+// A short decimal is written without strconv: a positive f below 1e9 that
+// IEEE division of m = round(f·10^6) by 10^6 gives back. Below 1e9, m stays
+// under 2^50, so decimals with at most six fractional digits lie more than
+// an ulp of f apart: m·10^-6 is the one such decimal that rounds to f, no
+// decimal with fewer digits does, and with its trailing zeros dropped it is
+// the shortest round-tripping form strconv prints. Everything else — zero,
+// negative values, the exponent forms, long mantissas — goes through
+// strconv.
+func AppendFloat(dst []byte, f float64) []byte {
+	if f > 0 && f < 1e9 {
+		if m := math.Round(f * 1e6); m/1e6 == f {
+			return appendMicros(dst, uint64(m))
+		}
+	}
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
+}
+
+// appendMicros appends m·10^-6 in positional notation, without trailing
+// fractional zeros.
+func appendMicros(dst []byte, m uint64) []byte {
+	dst = strconv.AppendUint(dst, m/1e6, 10)
+	frac := m % 1e6
+	if frac == 0 {
+		return dst
+	}
+	var b [7]byte // the point and six digits
+	b[0] = '.'
+	for i := 6; i > 0; i-- {
+		b[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(b)
+	for b[n-1] == '0' {
+		n--
+	}
+	return append(dst, b[:n]...)
+}
+
+// Floats is a []float64 that decodes from JSON without reflection. Its
+// UnmarshalJSON reads a value encoding/json has already checked and yields
+// exactly what decoding into a []float64 yields: nil for null, a non-nil
+// empty slice for [], 0 for a null element of a fresh slice, and an error —
+// not worded the same — for a non-array, a non-number element or a number
+// out of float64 range. Decode a field through it by giving a shadow struct
+// a Floats field of the same JSON name.
+type Floats []float64
+
+// pow10 holds the powers of ten parseNumber divides by: exact float64s.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *Floats) UnmarshalJSON(data []byte) error {
+	switch {
+	case len(data) == 0:
+		return fmt.Errorf("jsonl: empty JSON value")
+	case data[0] == 'n':
+		*f = nil
+		return nil
+	case data[0] != '[':
+		return fmt.Errorf("jsonl: cannot decode %s into a number array", kind(data[0]))
+	}
+	i := skipSpace(data, 1)
+	if i < len(data) && data[i] == ']' {
+		*f = Floats{}
+		return nil
+	}
+	// encoding/json decodes into the storage of the slice already there,
+	// and a null element leaves that storage as it was — which shows only
+	// when a key repeats. Keep it, with room for every element.
+	buf := (*f)[:cap(*f)]
+	if n := bytes.Count(data, []byte{','}) + 1; len(buf) < n {
+		buf = append(make([]float64, 0, n), buf...)[:n]
+	}
+	n := 0
+	for i < len(data) && data[i] != ']' {
+		if n == len(buf) {
+			buf = append(buf, 0)
+		}
+		switch c := data[i]; {
+		case c == 'n':
+			i += len("null")
+		case c == '-' || '0' <= c && c <= '9':
+			j := i + 1
+			for j < len(data) && isNumberByte(data[j]) {
+				j++
+			}
+			v, err := parseNumber(data[i:j])
+			if err != nil {
+				return fmt.Errorf("jsonl: element %d: %w", n, err)
+			}
+			buf[n] = v
+			i = j
+		default:
+			return fmt.Errorf("jsonl: element %d: cannot decode %s into a number", n, kind(c))
+		}
+		n++
+		if i = skipSpace(data, i); i < len(data) && data[i] == ',' {
+			i = skipSpace(data, i+1)
+		}
+	}
+	if i >= len(data) {
+		return fmt.Errorf("jsonl: unterminated number array")
+	}
+	*f = buf[:n]
+	return nil
+}
+
+// parseNumber converts one JSON number token as strconv.ParseFloat does.
+// At most 15 digits with no sign or exponent take strconv's own exact
+// path inline: the digits are an exact float64, and so is the power of ten
+// the point divides them by, so one correctly rounded IEEE division gives
+// the correctly rounded value.
+func parseNumber(tok []byte) (float64, error) {
+	var mant uint64
+	digits, frac := 0, 0
+	point := false
+	for _, c := range tok {
+		switch {
+		case '0' <= c && c <= '9':
+			if digits++; digits > 15 {
+				return strconv.ParseFloat(string(tok), 64)
+			}
+			mant = mant*10 + uint64(c-'0')
+			if point {
+				frac++
+			}
+		case c == '.':
+			point = true
+		default:
+			return strconv.ParseFloat(string(tok), 64)
+		}
+	}
+	return float64(mant) / pow10[frac], nil
+}
+
+func isNumberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'
+}
+
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && isSpace(data[i]) {
+		i++
+	}
+	return i
+}
+
+// kind names the JSON value that starts with c.
+func kind(c byte) string {
+	switch c {
+	case '"':
+		return "a string"
+	case '{':
+		return "an object"
+	case '[':
+		return "an array"
+	case 't', 'f':
+		return "a boolean"
+	default:
+		return "a number"
+	}
+}

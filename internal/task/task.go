@@ -40,7 +40,10 @@ type Bag struct {
 	// minDur is a lower bound on the smallest pending duration (0 when the
 	// bag has never held a task). Removals can only raise the true minimum,
 	// so the bound stays valid without rescanning; it lets Take reject
-	// nothing-fits periods without touching the pending list.
+	// nothing-fits periods without touching the pending list. A scan that
+	// reads to the end of the pending list tightens it: every task it left
+	// behind was longer than the residual capacity when skipped, and that
+	// capacity only shrank.
 	minDur quant.Tick
 }
 
@@ -146,6 +149,9 @@ func (b *Bag) TakeInto(dst []Task, capacity quant.Tick) []Task {
 			pending[w] = t
 			w++
 		}
+	}
+	if i == len(pending) && capacity >= b.minDur {
+		b.minDur = capacity + 1
 	}
 	if len(dst) == base {
 		return dst

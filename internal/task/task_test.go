@@ -684,3 +684,28 @@ func TestBagMatchesReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestTakeIntoTightensMinDurAfterFullScan pins the bound a scan to the end
+// of the pending list leaves behind: every task still pending is longer
+// than the residual capacity, so minDur rises to that capacity plus one,
+// and a later call with no more room returns without reading the list.
+func TestTakeIntoTightensMinDurAfterFullScan(t *testing.T) {
+	b := NewBag([]Task{{ID: 0, Duration: 3}, {ID: 1, Duration: 8}, {ID: 2, Duration: 9}})
+	if got := b.TakeInto(nil, 3); !sameTasks(got, []Task{{ID: 0, Duration: 3}}) {
+		t.Fatalf("TakeInto(3) took %v, want the 3", got)
+	}
+	if got := b.TakeInto(nil, 5); len(got) != 0 {
+		t.Fatalf("TakeInto(5) took %v, want nothing", got)
+	}
+	if b.minDur != 6 {
+		t.Fatalf("after a scan that fit nothing into 5, minDur = %d, want 6", b.minDur)
+	}
+	// A scan that takes a task and still reads to the end tightens it too.
+	b.Reset([]Task{{ID: 0, Duration: 2}, {ID: 1, Duration: 9}, {ID: 2, Duration: 8}})
+	if got := b.TakeInto(nil, 7); !sameTasks(got, []Task{{ID: 0, Duration: 2}}) {
+		t.Fatalf("TakeInto(7) took %v, want the 2", got)
+	}
+	if b.minDur != 6 {
+		t.Fatalf("after a scan that left 5 of 7 unused, minDur = %d, want 6", b.minDur)
+	}
+}
