@@ -21,10 +21,10 @@ import (
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/game"
 	"cyclesteal/internal/model"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sched"
 	"cyclesteal/internal/sim"
+	"cyclesteal/internal/station"
 	"cyclesteal/internal/tab"
 	"cyclesteal/internal/task"
 )
@@ -293,24 +293,26 @@ func BenchmarkSimulateOpportunity(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRun measures the parallel NOW cluster driver.
+// BenchmarkFleetRun measures the fleet survey on the round engine: 16
+// Office stations, each playing all 10 of its opportunities in the Private
+// layout.
 func BenchmarkFleetRun(b *testing.B) {
-	stations := make([]now.Workstation, 16)
+	stations := make([]station.Workstation, 16)
 	for i := range stations {
-		stations[i] = now.Workstation{ID: i, Owner: now.Office{MeanIdle: 20000, MaxP: 2}, Setup: 50}
+		stations[i] = station.Workstation{ID: i, Owner: station.Office{MeanIdle: 20000, MaxP: 2}, Setup: 50}
 	}
-	fleet := now.Fleet{Farm: farm.Farm{Stations: stations, OpportunitiesPerStation: 10}}
-	factory := func(ws now.Workstation, c now.Contract) (model.EpisodeScheduler, error) {
+	fleet := farm.Farm{Stations: stations, OpportunitiesPerStation: 10, Private: true}
+	factory := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 		return sched.NewAdaptiveEqualized(ws.Setup)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := fleet.Run(context.Background(), factory, int64(i), nil)
+		res, err := fleet.RunDeterministic(context.Background(), farm.Job{}, factory, int64(i), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sinkTick = res.Work
+		sinkTick = res.FluidWork
 	}
 }
 

@@ -8,10 +8,10 @@
 // time.
 //
 // With -fleet N the single station becomes a network of N workstations
-// (mixed office/laptop/overnight owners) farming one shared job on the
-// sharded task pool, driven through the public cyclesteal/fleet facade:
-// -shards picks the pool layout (0 = auto, 1 = the single shared-bag
-// baseline) and each trial replays the whole farmed job on the
+// (mixed office/laptop/overnight owners) farming one shared job across
+// work-stealing station groups, driven through the public cyclesteal/fleet
+// facade: -shards picks the group count (0 = auto, 1 = one queue every
+// station shares) and each trial replays the whole farmed job on the
 // deterministic two-level engine. Times (-c, -tasksize) are read in the
 // caller's continuous units, exactly as the facade's other consumers do.
 //
@@ -22,7 +22,7 @@
 //	cstealsim -sched equalized -tasks 500 -tasksize 8
 //	cstealsim -trials 100000 -workers 8              # large replication study
 //	cstealsim -fleet 1000 -trials 20 -workers 8      # fleet-scale farmed job
-//	cstealsim -fleet 64 -shards 1                    # contended-bag baseline
+//	cstealsim -fleet 64 -shards 1                    # one-queue baseline
 package main
 
 import (
@@ -61,7 +61,7 @@ func main() {
 		nTasks   = flag.Int("tasks", 0, "attach a bag of this many tasks (0 = fluid only; fleet mode defaults to 50 per station)")
 		taskSize = flag.Float64("tasksize", 10, "task duration (time units)")
 		fleetN   = flag.Int("fleet", 0, "farm one shared job across this many stations (0 = single-station mode)")
-		shards   = flag.Int("shards", 0, "task-bag shards in fleet mode: 0 = auto, 1 = single shared bag, n = n stripes")
+		shards   = flag.Int("shards", 0, "station groups in fleet mode: 0 = auto, 1 = one shared queue, n = n groups")
 		opps     = flag.Int("opportunities", 10, "owner contracts per station in fleet mode")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -223,7 +223,7 @@ func runFleet(stations, shards, opps int, schedName string, c, taskSize float64,
 func shardLabel(shards int) string {
 	switch {
 	case shards == 1:
-		return "1 (shared-bag baseline)"
+		return "1 (one shared queue)"
 	case shards <= 0:
 		return "auto"
 	default:

@@ -53,9 +53,9 @@ import (
 	"cyclesteal/internal/game"
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/model"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
+	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
 	"cyclesteal/internal/task"
@@ -82,7 +82,7 @@ func main() {
 		trials   = flag.Int("trials", 0, "Monte-Carlo trials per cell vs a Poisson owner (0 = exact sweep only)")
 		seed     = flag.Int64("seed", 1, "base rng seed for the Monte-Carlo trials (trial i uses seed+i)")
 		fleetN   = flag.Int("fleet", 0, "farm a shared job across this many stations per cell (needs -trials; ≤ 1 = single-station MC)")
-		shards   = flag.Int("shards", 0, "task-bag shards in fleet mode: 0 = auto, 1 = single shared bag")
+		shards   = flag.Int("shards", 0, "station groups in fleet mode: 0 = auto, 1 = one shared queue")
 		clusters = flag.Int("clusters", 0, "split the fleet-mode shards into this many equal clusters (0 or 1 = flat fleet; needs -fleet)")
 		stealLat = flag.Int64("steallatency", 0, "cross-cluster steal latency in ticks for fleet mode (needs -clusters ≥ 2; intra-cluster steals stay free)")
 		distProc = flag.Int("distribute", 0, "fan the fleet-mode Monte-Carlo out across this many local worker processes (needs -fleet and -trials; 0 = in-process)")
@@ -283,9 +283,9 @@ type fixedOwner struct {
 	p int
 }
 
-func (o fixedOwner) Sample(*rand.Rand) now.Contract { return now.Contract{U: o.u, P: o.p} }
+func (o fixedOwner) Sample(*rand.Rand) station.Contract { return station.Contract{U: o.u, P: o.p} }
 
-func (o fixedOwner) Interrupter(rng *rand.Rand, c now.Contract) sim.Interrupter {
+func (o fixedOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
 	return &adversary.Poisson{Rng: rng, Mean: float64(c.U) / 3}
 }
 
@@ -299,8 +299,8 @@ func (o fixedOwner) Name() string { return "fixed+poisson" }
 // the worker budget goes to farm.Replicate's two-level trial × station-group
 // pool, and every cell is bit-identical at any -workers by the mc and farm
 // determinism contracts. A non-flat topo splits the shards into clusters and
-// prices cross-cluster steals (-clusters / -steallatency); farm.Run's
-// validation rejects shapes the shard count cannot partition.
+// prices cross-cluster steals (-clusters / -steallatency); the farm's
+// topology validation rejects shapes the shard count cannot partition.
 func sweepFleet(points []game.SweepPoint, trials int, seed int64, workers, fleet, shards int, topo farm.Topology) ([]fleetCell, error) {
 	out := make([]fleetCell, len(points))
 	for i, pt := range points {
@@ -309,10 +309,10 @@ func sweepFleet(points []game.SweepPoint, trials int, seed int64, workers, fleet
 			return nil, err
 		}
 		s := solver.Scheduler()
-		factory := func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) { return s, nil }
-		stations := make([]now.Workstation, fleet)
+		factory := func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) { return s, nil }
+		stations := make([]station.Workstation, fleet)
 		for j := range stations {
-			stations[j] = now.Workstation{ID: j, Owner: fixedOwner{u: pt.U, p: pt.P}, Setup: pt.C}
+			stations[j] = station.Workstation{ID: j, Owner: fixedOwner{u: pt.U, p: pt.P}, Setup: pt.C}
 		}
 		perStation := int(pt.U / pt.C)
 		if perStation < 1 {

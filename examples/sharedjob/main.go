@@ -1,8 +1,9 @@
 // Sharedjob: one data-parallel computation farmed across a whole NOW — the
 // full setting of the paper's title. A genomics group has 40,000 sequence-
 // alignment tasks and no cluster budget; they steal cycles from 16 machines
-// whose owners come and go. Stations drain one shared sharded task pool
-// concurrently; killed periods return their in-flight tasks to the pool so
+// whose owners come and go. Stations drain the shared job from their
+// groups' queues in synchronized rounds, and dry groups steal at round
+// barriers; killed periods return their in-flight tasks to the queue so
 // another machine can pick them up.
 //
 // The example drives the public fleet facade end to end — caller-units

@@ -60,8 +60,8 @@ func ExampleFleet_Replicate() {
 }
 
 // Survey a fleet of custom owner temperaments under worst-case interrupts:
-// every station plays its own opportunities against a private slice of the
-// job, so even the live engine is bit-identical at any Workers setting.
+// every station plays all its opportunities against a private slice of the
+// job.
 func ExampleConfig_owners() {
 	f, err := fleet.New(fleet.Config{
 		Stations: 9,

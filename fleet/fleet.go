@@ -23,34 +23,34 @@
 // # Pools
 //
 // Config.Pool picks how stations share the job. Sharded (the default) is
-// the fleet-scale pool: tasks dealt round-robin across lock-striped queues,
-// dry stations stealing in deterministic order — use it for one shared job
-// on a big fleet. Shared is the single mutex-guarded bag baseline. Private
-// gives every station its own slice of the job and nothing is shared — the
-// fleet-survey semantics: stations play out every opportunity whether or
-// not their tasks drain, and utilization is the figure of merit.
+// the fleet-scale pool: stations grouped into Shards station groups, the
+// job dealt round-robin across the groups' queues, and groups that run dry
+// stealing at round barriers in deterministic order — use it for one
+// shared job on a big fleet. Shared is the one-group baseline: every
+// station plays against a single queue. Private gives every station its
+// own slice of the job and nothing is shared — the fleet-survey semantics:
+// stations play out every opportunity whether or not their tasks drain,
+// and utilization is the figure of merit. An empty Job runs as a survey on
+// every pool.
 //
 // # Determinism contract
 //
-// Run is the live engine: station contract streams derive deterministically
-// from (Seed, station ID), but with a Shared/Sharded pool, task assignment
-// depends on goroutine interleaving — aggregate accounting is reproducible,
-// per-station task counts are not. With a Private pool nothing is shared,
-// so the entire Result is a pure function of the Config and Job at any
-// Workers setting. RunDeterministic is the replication engine: the same
-// fleet semantics in synchronized rounds, bit-identical at any Workers.
-// Replicate stacks RunDeterministic (or, for Private pools, Run) inside the
-// Monte-Carlo engine's seed-stream contract: trial i always draws from
-// stream Seed+i, so summaries are bit-identical at any Workers and raising
-// the trial count extends a study without rebasing it.
+// Every run plays on one round engine: stations advance in synchronized
+// rounds, one opportunity each, every queue touched by one goroutine per
+// round, and station contract streams derive from (Seed, station ID). Run
+// and RunDeterministic — the same call — are therefore a pure function of
+// the Config and Job, bit-identical at any Workers setting. Replicate
+// stacks Run inside the Monte-Carlo engine's seed-stream contract: trial i
+// always draws from stream Seed+i, so summaries are bit-identical at any
+// Workers and raising the trial count extends a study without rebasing it.
 //
 // # Cancellation and observability
 //
 // Every run takes a context.Context; cancellation stops each station at
 // its next opportunity boundary (Replicate: each worker at its next trial)
-// and the run returns ctx.Err(). Config.Progress observes long runs:
-// periodic snapshots of settled completions driven from the engine's
-// in-flight ledger (Replicate: trials-completed snapshots).
+// and the run returns ctx.Err(). Config.Progress observes long runs: a
+// snapshot at every round barrier, where the counts are exact
+// (Replicate: trials-completed snapshots).
 //
 // # Open owner model
 //
@@ -98,16 +98,15 @@ import (
 type Pool int
 
 const (
-	// Sharded is the fleet-scale shared-job pool: lock-striped per-shard
-	// queues with deterministic work stealing. The default.
+	// Sharded is the fleet-scale shared-job pool: per-group queues with
+	// deterministic work stealing at round barriers. The default.
 	Sharded Pool = iota
-	// Shared is the single mutex-guarded bag baseline — simple, and fine
-	// for a dozen stations.
+	// Shared is the one-queue baseline — simple, and fine for a dozen
+	// stations.
 	Shared
-	// Private gives each station its own bag (the job dealt round-robin
+	// Private gives each station its own queue (the job dealt round-robin
 	// across stations) and shares nothing: the fleet-survey semantics, with
-	// every opportunity played out and results bit-identical at any
-	// Workers setting even under the live engine.
+	// every opportunity played out.
 	Private
 )
 
@@ -128,8 +127,8 @@ func (p Pool) String() string {
 // Progress is one observation of a run in flight, delivered to
 // Config.Progress.
 type Progress struct {
-	// Completed counts tasks whose completion has settled (the completing
-	// station's opportunity ended, so no kill can undo it).
+	// Completed counts tasks whose completing opportunity has ended, so no
+	// kill can undo it.
 	Completed int
 	// Remaining counts tasks not yet completed, in-flight work included.
 	// Completed + Remaining + Lost is the job's task count.
@@ -168,9 +167,8 @@ type Config struct {
 	Opportunities int
 	// Pool picks the task-pool layout (see the Pool constants).
 	Pool Pool
-	// Shards is the Sharded pool's stripe count, and the station-group
-	// partition of RunDeterministic: 0 means auto (64, clamped to the
-	// fleet size). Ignored by Shared and Private pools.
+	// Shards is the Sharded pool's station-group count: 0 means auto (64,
+	// clamped to the fleet size). Ignored by Shared and Private pools.
 	Shards int
 	// Clusters groups the Sharded pool's shards into a two-tier topology —
 	// a NOW of NOWs. Steals inside a cluster stay free; a station reaches
@@ -186,8 +184,8 @@ type Config struct {
 	// units (quantized to ≥ 1 tick when positive). 0 means cross steals are
 	// free like local ones; > 0 requires Clusters ≥ 2.
 	StealLatency float64
-	// Workers bounds run parallelism; 0 means GOMAXPROCS. Never affects
-	// RunDeterministic, Replicate, or Private-pool results — only
+	// Workers bounds run parallelism; 0 means GOMAXPROCS (a run then gives
+	// each worker at least 32 stations). Never affects results — only
 	// wall-clock time.
 	Workers int
 	// Seed derives every station's deterministic contract stream (and, in
@@ -224,36 +222,30 @@ type Config struct {
 	// Faults is the run's fault-injection plan: seeded station crashes,
 	// cross-cluster parcel loss, and a scheduler kill round. The zero value
 	// injects nothing and is bit-identical to a Config without the field.
-	// Active plans need the deterministic engines — RunDeterministic on a
-	// Shared or Sharded pool, or the resident Service; the live engine and
-	// Replicate reject them. See FaultPlan for the knobs.
+	// Run takes active plans on every pool, as does the resident Service;
+	// Replicate rejects them. See FaultPlan for the knobs.
 	Faults FaultPlan
 	// StationSummaries, when set, makes Replicate also summarize each
 	// station's offered lifespan across trials in
 	// Replication.StationLifespan — the per-station availability
-	// distribution operators capacity-plan against. Shared and Sharded pools
-	// only (a Private-pool survey leaves it empty).
+	// distribution operators capacity-plan against.
 	StationSummaries bool
 	// Progress, when non-nil, observes runs in flight: Run emits a snapshot
-	// every ProgressInterval of wall clock, RunDeterministic at every round
-	// barrier (a deterministic sequence — except with a Private pool or an
-	// empty Job, where RunDeterministic delegates to the live engine and so
-	// emits wall-clock snapshots), and both a final snapshot when the last
-	// station finishes. Replicate emits wall-clock snapshots of trials
-	// completed instead: Completed counts finished trials, Remaining the
-	// trials still to run, Steals is 0. The callback must be fast and must
-	// not assume a goroutine.
+	// at every round barrier — a deterministic sequence — and a final one
+	// when the last station finishes. Replicate emits wall-clock snapshots
+	// of trials completed instead: Completed counts finished trials,
+	// Remaining the trials still to run, Steals is 0. The callback must be
+	// fast and must not assume a goroutine.
 	Progress func(Progress)
-	// ProgressInterval spaces Run's snapshots; 0 means 200ms.
+	// ProgressInterval spaces Replicate's snapshots; 0 means 200ms.
 	ProgressInterval time.Duration
 	// Record, when non-nil, captures each run's availability trace: every
 	// contract the owners offer and every return they place, published to
 	// the recorder when the run completes (failed or cancelled runs publish
 	// nothing). Replaying the trace (Replay owners, same Config otherwise)
-	// reproduces the run bit-identically for the engines that are
-	// themselves deterministic — RunDeterministic, or Run with a Private
-	// pool or empty Job. A recorder holds one run's trace; give concurrent
-	// runs their own recorders. Replicate rejects a recording fleet.
+	// reproduces the run bit-identically. A recorder holds one run's trace;
+	// give concurrent runs their own recorders. Replicate rejects a
+	// recording fleet.
 	Record *trace.Recorder
 }
 
@@ -264,15 +256,15 @@ type StationCrash struct {
 	Station int
 }
 
-// FaultPlan describes the faults injected into a deterministic run or a
-// resident service session. Everything is seeded and replayable: the same
-// plan over the same Config produces bit-identical outcomes at any Workers
-// setting.
+// FaultPlan describes the faults injected into a run or a resident service
+// session. Everything is seeded and replayable: the same plan over the
+// same Config produces bit-identical outcomes at any Workers setting.
 //
 // A crash is harsher than a Service leave: a leaving station drains its
 // queued tasks back to the fleet, a crashed one loses them. Queued work
 // survives a crash only while some station of the same steal group is
-// still alive to inherit the queue; in-flight parcels addressed to a fully
+// still alive to inherit the queue — a Private-pool station's queue is its
+// own, so it always dies with it; in-flight parcels addressed to a fully
 // crashed group are destroyed on arrival. Lost tasks are counted, never
 // resurrected — only checkpointed fluid progress (Config.Checkpoint)
 // bounds what an individual kill destroys.
@@ -580,10 +572,8 @@ func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
 	fm := farm.Farm{
 		Stations:                stations,
 		OpportunitiesPerStation: f.cfg.Opportunities,
-		Workers:                 f.cfg.Workers,
 		Shards:                  f.shards(),
 		CheckpointAdaptive:      f.cfg.CheckpointAdaptive,
-		ProgressInterval:        f.cfg.ProgressInterval,
 	}
 	if f.cfg.Checkpoint > 0 {
 		fm.Checkpoint = f.g.ticks(f.cfg.Checkpoint)
@@ -604,6 +594,16 @@ func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
 	return fm
 }
 
+// batch binds the engine for one batch job: the farm, in the Private
+// layout for a Private pool or an empty job — an empty job has nothing to
+// share, so it is a pure fluid survey whatever the pool setting, every
+// station playing out all its contracts.
+func (f *Fleet) batch(stations []station.Workstation, fj farm.Job) farm.Farm {
+	fm := f.farm(stations)
+	fm.Private = f.cfg.Pool == Private || len(fj.Tasks) == 0
+	return fm
+}
+
 // stealLatencyTicks quantizes the cross-cluster latency onto the grid; a
 // zero latency stays exactly zero (a free crossing), any positive latency
 // rounds to at least one tick.
@@ -614,7 +614,7 @@ func (f *Fleet) stealLatencyTicks() quant.Tick {
 	return f.g.ticks(f.cfg.StealLatency)
 }
 
-// shards resolves the pool choice into the engine's stripe count.
+// shards resolves the pool choice into the engine's station-group count.
 func (f *Fleet) shards() int {
 	if f.cfg.Pool == Shared {
 		return 1

@@ -12,7 +12,6 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/task"
@@ -150,59 +149,38 @@ func TestRunDeterministicBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrivateRunBitIdentical pins the Private pool's live engine to the
-// equivalent internal/now fleet survey at Workers 1 vs 8.
+// TestPrivateRunBitIdentical pins the Private pool's Run to itself across
+// worker counts, to RunDeterministic, and by value to the survey pin of the
+// same Config and Job.
 func TestPrivateRunBitIdentical(t *testing.T) {
-	cfg := Config{Stations: 12, Setup: 5, Opportunities: 5, Pool: Private, Seed: 7}
-	job := facadeJob()
-
+	pin := surveyPins()[0]
 	var results []Result
 	for _, workers := range []int{1, 8} {
-		c := cfg
+		c := pin.cfg
 		c.Workers = workers
 		f, err := New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run(context.Background(), job)
+		res, err := f.Run(context.Background(), pin.job)
 		if err != nil {
 			t.Fatal(err)
+		}
+		det, err := f.RunDeterministic(context.Background(), pin.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, det) {
+			t.Fatalf("workers %d: Private Run and RunDeterministic diverge", workers)
 		}
 		results = append(results, res)
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Fatal("Private Run differs between Workers 1 and 8")
 	}
-
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if got := digest(t, results[0]); got != pin.runSHA {
+		t.Fatalf("Private Run digest %s, pinned %s", got, pin.runSHA)
 	}
-	hands := task.Deal(equivalentInternalJob(job).Tasks, 12)
-	nf := now.Fleet{Farm: farm.Farm{Stations: station.MixedFleet(12, 100), OpportunitiesPerStation: 5}}
-	raw, err := nf.Run(context.Background(), f.factory, 7, func(ws now.Workstation) *task.Bag {
-		return task.NewBag(hands[ws.ID])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := results[0].TasksCompleted, raw.Tasks; got != want {
-		t.Fatalf("facade TasksCompleted %d, internal %d", got, want)
-	}
-	if got, want := results[0].Work, float64(raw.Work)/100*5; got != want {
-		t.Fatalf("facade Work %g, internal %g", got, want)
-	}
-	if got, want := results[0].Lifespan, sumLifespan(raw); got != want {
-		t.Fatalf("facade Lifespan %g, internal %g", got, want)
-	}
-}
-
-func sumLifespan(raw now.FleetResult) float64 {
-	var u float64
-	for _, s := range raw.Stations {
-		u += float64(s.LifespanTicks) / 100 * 5
-	}
-	return u
 }
 
 // TestPrivateReplicateHonorsCheckpoint pins the Private survey path to the
@@ -321,7 +299,10 @@ func TestReplicateBitIdentical(t *testing.T) {
 	if reps[0].Trials != 10 || reps[0].Completion.N != 10 {
 		t.Fatalf("trial counts: %d, %d", reps[0].Trials, reps[0].Completion.N)
 	}
-	// Private replication fills the survey metrics instead.
+	if reps[0].Lifespan.N != 10 || reps[0].Utilization.N != 10 || reps[0].TaskWork.N != 10 {
+		t.Fatal("shared-job replication missing survey metrics")
+	}
+	// Private replication fills every metric too.
 	pc := cfg
 	pc.Pool = Private
 	pf, err := New(pc)
@@ -335,8 +316,8 @@ func TestReplicateBitIdentical(t *testing.T) {
 	if prep.Utilization.N != 5 || prep.Lifespan.N != 5 {
 		t.Fatalf("private replication missing survey metrics: %+v", prep.Utilization)
 	}
-	if prep.Completion.N != 0 || prep.Steals.N != 0 {
-		t.Fatal("private replication filled shared-job metrics")
+	if prep.Completion.N != 5 || prep.Steals.N != 5 || prep.Steals.Max != 0 {
+		t.Fatalf("private replication: completion %+v, steals %+v; want 5 trials, never a steal", prep.Completion, prep.Steals)
 	}
 	if prep.Utilization.Mean <= 0 || prep.Utilization.Mean > 1 {
 		t.Fatalf("utilization mean %g out of range", prep.Utilization.Mean)

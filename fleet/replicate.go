@@ -9,8 +9,7 @@ import (
 // Summary describes one metric's distribution across a replication study.
 // Quantiles come from the engine's bounded-error KLL-style sketch, so
 // Median/P90/P99 carry a guaranteed rank-error bound and are independent of
-// how trials were merged. A zero Summary (N == 0) means the metric is not
-// measured by the configured pool.
+// how trials were merged.
 type Summary struct {
 	N              int
 	Mean           float64
@@ -42,11 +41,8 @@ func summary(s stats.Summary, k float64) Summary {
 }
 
 // Replication summarizes a replicated study, one Summary per metric, in
-// caller time units where the metric is time-denominated. Shared and
-// Sharded pools (one shared job) fill TasksCompleted, Completion, Work,
-// Killed, Interrupts, Imbalance and Steals; a Private pool (fleet survey)
-// fills TasksCompleted, TaskWork, Work, Lifespan, Utilization, Killed and
-// Interrupts. Unmeasured metrics are zero (N == 0).
+// caller time units where the metric is time-denominated. Every pool fills
+// every metric (a Private pool never steals, so its Steals reads 0).
 type Replication struct {
 	Trials int
 	// TasksCompleted counts tasks completed fleet-wide per trial.
@@ -72,10 +68,10 @@ type Replication struct {
 	// InFlight counts tasks still crossing between clusters at trial end
 	// (Clusters ≥ 2 with StealLatency > 0 only).
 	InFlight Summary
-	// StationLifespan, filled when Config.StationSummaries is set on a
-	// Shared or Sharded pool, summarizes each station's offered lifespan
-	// across trials (caller units, indexed like the fleet's stations) — the
-	// across-trials availability distribution per owner.
+	// StationLifespan, filled when Config.StationSummaries is set,
+	// summarizes each station's offered lifespan across trials (caller
+	// units, indexed like the fleet's stations) — the across-trials
+	// availability distribution per owner.
 	StationLifespan []Summary
 }
 
@@ -83,9 +79,8 @@ type Replication struct {
 // engine and summarizes each metric across trials. Trial i derives its
 // fleet seed from the deterministic stream for Seed+i; the worker budget
 // splits between trial-level and in-trial parallelism automatically, and
-// the summaries are bit-identical at any Workers setting. Shared and
-// Sharded pools replay the job on the deterministic round engine; a
-// Private pool replays the fleet survey. Cancelling ctx stops every worker
+// the summaries are bit-identical at any Workers setting. Every trial is
+// one Run of the job on the round engine. Cancelling ctx stops every worker
 // at its next trial boundary and returns ctx.Err().
 func (f *Fleet) Replicate(ctx context.Context, job Job, trials int) (Replication, error) {
 	st, err := f.Study(job, trials)

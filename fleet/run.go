@@ -5,7 +5,6 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/quant"
-	"cyclesteal/internal/task"
 )
 
 // StationReport describes one station's contribution, in caller time units.
@@ -80,13 +79,14 @@ func (r Result) Imbalance() float64 {
 	return max / (sum / float64(len(r.Stations)))
 }
 
-// Run farms the job across the fleet at full speed — the live engine.
-// Stations simulate concurrently, drawing from the configured pool; with a
-// Shared or Sharded pool the aggregate accounting is reproducible but task
-// assignment to stations depends on scheduling (use RunDeterministic for
-// full reproducibility); with a Private pool the entire Result is
-// bit-identical at any Workers. Cancelling ctx stops every station at its
-// next opportunity boundary and returns ctx.Err().
+// Run farms the job across the fleet on the round engine: stations play
+// in synchronized rounds, one opportunity each per round, drawing from the
+// configured pool — stations grouped into Shards queues that rebalance by
+// stealing only at round barriers, or, with a Private pool or an empty
+// Job, one queue per station and every opportunity played. The result is a
+// pure function of (Config, Job): Workers changes wall-clock time only.
+// Cancelling ctx stops every station at its next opportunity boundary and
+// returns ctx.Err().
 func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 	fj, err := f.job(job)
 	if err != nil {
@@ -96,16 +96,7 @@ func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var res farm.Result
-	if f.cfg.Pool == Private || len(fj.Tasks) == 0 {
-		// An empty job is a pure fluid survey whatever the pool setting:
-		// the shared pools are exhaustible (an empty one would end the job
-		// before the first opportunity), so it runs on the inexhaustible
-		// private layout, where stations play out every contract.
-		res, err = f.farm(stations).RunPool(ctx, farm.NewPrivatePools(f.privateBags(fj)), f.factory, f.cfg.Seed)
-	} else {
-		res, err = f.farm(stations).Run(ctx, fj, f.factory, f.cfg.Seed)
-	}
+	res, err := f.batch(stations, fj).RunDeterministic(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -113,42 +104,11 @@ func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 	return f.result(res, fj.TotalWork()), nil
 }
 
-// RunDeterministic farms the job with fully reproducible semantics: the
-// result is a pure function of (Config, Job) — Workers changes wall-clock
-// time only. Shared and Sharded pools run the round-synchronized engine
-// (stations grouped into Shards queues, stealing only at round barriers);
-// a Private pool's live Run already meets the contract and is used as is.
+// RunDeterministic is Run, kept by name for callers that ask for the
+// reproducible engine explicitly: every run is bit-identical at any
+// Workers setting.
 func (f *Fleet) RunDeterministic(ctx context.Context, job Job) (Result, error) {
-	if f.cfg.Pool == Private || len(job.Tasks) == 0 {
-		return f.Run(ctx, job) // both already bit-identical at any Workers
-	}
-	fj, err := f.job(job)
-	if err != nil {
-		return Result{}, err
-	}
-	stations, recorded, err := f.runStations()
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := f.farm(stations).RunDeterministic(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
-	if err != nil {
-		return Result{}, err
-	}
-	recorded()
-	return f.result(res, fj.TotalWork()), nil
-}
-
-// privateBags deals the job round-robin into one private bag per station.
-func (f *Fleet) privateBags(fj farm.Job) []*task.Bag {
-	if len(fj.Tasks) == 0 {
-		return nil
-	}
-	hands := task.Deal(fj.Tasks, len(f.stations))
-	bags := make([]*task.Bag, len(hands))
-	for i, hand := range hands {
-		bags[i] = task.NewBag(hand)
-	}
-	return bags
+	return f.Run(ctx, job)
 }
 
 // result converts the engine's tick-grid accounting to caller units.

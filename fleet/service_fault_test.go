@@ -378,16 +378,13 @@ func TestServiceFaultValidation(t *testing.T) {
 	if _, err := New(loss); err == nil || !strings.Contains(err.Error(), "parcel loss") {
 		t.Errorf("loss without clusters: %v", err)
 	}
-	// Batch live engine refuses active plans; the deterministic engine
-	// takes them.
+	// Replicate refuses active plans; Run takes them exactly as
+	// RunDeterministic does.
 	crash := base
 	crash.Faults = FaultPlan{Crashes: []StationCrash{{Round: 1, Station: 0}}}
 	f, err := New(crash)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := f.Run(context.Background(), Job{Tasks: FixedTasks(10, 5)}); err == nil || !strings.Contains(err.Error(), "live engine") {
-		t.Errorf("live run with faults: %v", err)
 	}
 	if _, err := f.Replicate(context.Background(), Job{Tasks: FixedTasks(10, 5)}, 2); err == nil || !strings.Contains(err.Error(), "fault plans") {
 		t.Errorf("replicate with faults: %v", err)
@@ -408,6 +405,55 @@ func TestServiceFaultValidation(t *testing.T) {
 	}
 	if _, err := fk.RunDeterministic(context.Background(), Job{Tasks: FixedTasks(10, 5)}); err == nil || !strings.Contains(err.Error(), "kill") {
 		t.Errorf("batch kill round: %v", err)
+	}
+}
+
+// TestRunTakesFaultPlans pins fault injection on every pool: with a
+// scheduled crash, Run is RunDeterministic, bit for bit, work is lost, and
+// completed + left + lost is the job. Crashing every station of a shared
+// pool's steal group destroys the group's queue; a Private-pool station's
+// crash destroys its own.
+func TestRunTakesFaultPlans(t *testing.T) {
+	ctx := context.Background()
+	// More work than one opportunity can finish, so a crash after the first
+	// round has queued tasks to destroy.
+	job := Job{Tasks: FixedTasks(6000, 10)}
+	// Four groups of three: stations 0, 4 and 8 form group 0.
+	shared := serviceFleet(4)
+	shared.Faults = FaultPlan{Crashes: []StationCrash{{Round: 1, Station: 0}, {Round: 1, Station: 4}, {Round: 1, Station: 8}}}
+	private := serviceFleet(4)
+	private.Pool = Private
+	private.Faults = FaultPlan{Crashes: []StationCrash{{Round: 1, Station: 0}}}
+	for _, cfg := range []Config{shared, private} {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Run(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := f.RunDeterministic(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, det) {
+			t.Errorf("%v pool: faulted Run and RunDeterministic diverge", cfg.Pool)
+		}
+		if res.TasksLost == 0 {
+			t.Errorf("%v pool: the scheduled crash destroyed nothing", cfg.Pool)
+		}
+		if res.TasksCompleted+res.TasksLeft+res.TasksLost != len(job.Tasks) {
+			t.Errorf("%v pool: conservation broken: %d + %d + %d ≠ %d",
+				cfg.Pool, res.TasksCompleted, res.TasksLeft, res.TasksLost, len(job.Tasks))
+		}
+		if cfg.Pool == Private {
+			// Station 0's hand is every 12th task; what it had not completed
+			// before the crash died with it.
+			if want := len(job.Tasks)/12 - res.Stations[0].TasksCompleted; res.TasksLost != want {
+				t.Errorf("private pool: lost %d tasks, want station 0's remaining %d", res.TasksLost, want)
+			}
+		}
 	}
 }
 

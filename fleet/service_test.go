@@ -54,8 +54,7 @@ func TestServiceValidation(t *testing.T) {
 // TestServiceZeroChurnPinsBatch is the tentpole pin: a zero-churn,
 // zero-checkpoint service run on one job is bit-identical to the batch
 // deterministic engine on the same Config — at any Workers setting — and
-// its aggregate accounting matches the live batch engine when the job
-// completes.
+// its aggregate accounting matches batch Run when the job completes.
 func TestServiceZeroChurnPinsBatch(t *testing.T) {
 	job := serviceJob()
 	var first ServiceResult
@@ -86,15 +85,14 @@ func TestServiceZeroChurnPinsBatch(t *testing.T) {
 			t.Fatalf("workers=%d: service fleet result diverges from batch RunDeterministic:\nservice: %+v\nbatch:   %+v", workers, res.Fleet, batch)
 		}
 		if batch.TasksLeft == 0 {
-			// The job completed: the live engine's aggregate accounting must
-			// agree too (task assignment differs, totals cannot).
-			live, err := f.Run(context.Background(), job)
+			// The job completed: Run's aggregate accounting must agree too.
+			run, err := f.Run(context.Background(), job)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if live.TasksCompleted != res.Fleet.TasksCompleted || live.TaskWork != res.Fleet.TaskWork {
-				t.Fatalf("workers=%d: live batch Run disagrees on completed totals: live %d/%g, service %d/%g",
-					workers, live.TasksCompleted, live.TaskWork, res.Fleet.TasksCompleted, res.Fleet.TaskWork)
+			if run.TasksCompleted != res.Fleet.TasksCompleted || run.TaskWork != res.Fleet.TaskWork {
+				t.Fatalf("workers=%d: batch Run disagrees on completed totals: run %d/%g, service %d/%g",
+					workers, run.TasksCompleted, run.TaskWork, res.Fleet.TasksCompleted, res.Fleet.TaskWork)
 			}
 			jr, err := h.Result()
 			if err != nil || !jr.Completed {

@@ -7,10 +7,8 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
-	"cyclesteal/internal/task"
 )
 
 // StudyShards is the fixed shard count every replication study is cut into.
@@ -62,8 +60,7 @@ type AccumState struct {
 // maintains by construction — a decoder feeding wire data through here gets
 // a loud error instead of state that lies.
 func (a AccumState) Validate() error {
-	_, err := stats.AccumulatorFromState(a.internal())
-	return err
+	return a.internal().Validate()
 }
 
 func (a AccumState) internal() stats.AccumState {
@@ -137,14 +134,9 @@ type Study struct {
 	cfg      mc.Config // Progress left nil; RunShards installs per-call
 	interval time.Duration
 	factory  station.SchedulerFactory
-
-	survey   bool // private-pool fleet survey vs shared-job farm path
 	fm       farm.Farm
 	fj       farm.Job
 	statCols bool
-
-	nf       now.Fleet
-	tasksPer func(ws now.Workstation) *task.Bag
 }
 
 // Study validates the job against the fleet and cuts a trials-sized
@@ -163,37 +155,20 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 	if f.cfg.Faults.Active() {
 		return nil, fmt.Errorf("fleet: Replicate rejects fault plans: a plan names one faulted run, not a distribution — sweep seeds over RunDeterministic instead")
 	}
-	s := &Study{
+	fj, err := f.job(job)
+	if err != nil {
+		return nil, err
+	}
+	return &Study{
 		trials:   trials,
 		k:        f.g.unitsPerTick(),
 		cfg:      mc.Config{Trials: trials, Seed: f.cfg.Seed, Workers: f.cfg.Workers},
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,
-	}
-	fj, err := f.job(job)
-	if err != nil {
-		return nil, err
-	}
-	if f.cfg.Pool == Private || len(fj.Tasks) == 0 {
-		// Empty jobs replicate as pure fluid surveys (see Run): the shared
-		// pools would end each trial before its first opportunity.
-		s.survey = true
-		s.nf = now.Fleet{Farm: f.farm(f.stations)}
-		if len(fj.Tasks) > 0 {
-			// Each trial drains fresh bags; the deal itself is a pure
-			// function of (job, fleet), and ws.ID indexes it because New
-			// numbers stations 0..n−1.
-			hands := task.Deal(fj.Tasks, len(f.stations))
-			s.tasksPer = func(ws now.Workstation) *task.Bag {
-				return task.NewBag(hands[ws.ID])
-			}
-		}
-		return s, nil
-	}
-	s.fm = f.farm(f.stations)
-	s.fj = fj
-	s.statCols = f.cfg.StationSummaries
-	return s, nil
+		fm:       f.batch(f.stations, fj),
+		fj:       fj,
+		statCols: f.cfg.StationSummaries,
+	}, nil
 }
 
 // Trials is the study's total trial count.
@@ -209,9 +184,6 @@ func (s *Study) ShardTrials(shard int) int { return mc.ShardTrials(s.trials, sha
 // internal engine detail — results only round-trip between Study values
 // built from the same Config.
 func (s *Study) MetricColumns() int {
-	if s.survey {
-		return now.NumFleetMetrics
-	}
 	return s.fm.ReplicateColumns(s.statCols)
 }
 
@@ -239,13 +211,7 @@ func (s *Study) RunShards(ctx context.Context, shardIDs []int, progress func(don
 	cfg := s.cfg
 	cfg.Progress = progress
 	cfg.ProgressInterval = s.interval
-	var shards []mc.ShardAccums
-	var err error
-	if s.survey {
-		shards, err = s.nf.ReplicateShards(ctx, s.factory, cfg, s.tasksPer, shardIDs)
-	} else {
-		shards, err = s.fm.ReplicateShards(ctx, s.fj, s.factory, cfg, s.statCols, shardIDs)
-	}
+	shards, err := s.fm.ReplicateShards(ctx, s.fj, s.factory, cfg, s.statCols, shardIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -302,23 +268,14 @@ func (s *Study) Merge(results []ShardResult) (Replication, error) {
 // single-process runs, which is what pins the two bit-identical.
 func (s *Study) assemble(sums []stats.Summary) Replication {
 	k := s.k
-	if s.survey {
-		return Replication{
-			Trials:         s.trials,
-			TasksCompleted: summary(sums[now.FleetMetricTasks], 1),
-			TaskWork:       summary(sums[now.FleetMetricTaskWork], k),
-			Work:           summary(sums[now.FleetMetricWork], k),
-			Lifespan:       summary(sums[now.FleetMetricLifespan], k),
-			Utilization:    summary(sums[now.FleetMetricUtilization], 1),
-			Killed:         summary(sums[now.FleetMetricKilledTicks], k),
-			Interrupts:     summary(sums[now.FleetMetricInterrupts], 1),
-		}
-	}
 	rep := Replication{
 		Trials:         s.trials,
 		TasksCompleted: summary(sums[farm.MetricTasksCompleted], 1),
 		Completion:     summary(sums[farm.MetricCompletionFrac], 1),
+		TaskWork:       summary(sums[farm.MetricTaskWork], k),
 		Work:           summary(sums[farm.MetricFluidWork], k),
+		Lifespan:       summary(sums[farm.MetricLifespan], k),
+		Utilization:    summary(sums[farm.MetricUtilization], 1),
 		Killed:         summary(sums[farm.MetricKilledTicks], k),
 		Interrupts:     summary(sums[farm.MetricInterrupts], 1),
 		Imbalance:      summary(sums[farm.MetricImbalance], 1),

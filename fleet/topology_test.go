@@ -120,9 +120,9 @@ func TestTopologyRunDeterministicBitIdentical(t *testing.T) {
 	}
 }
 
-// Live topology Run where no station ever goes dry (stations == shards,
-// oversupplied deterministic owners): no steals, so the whole Result is
-// bit-identical at Workers 1 vs 8 even on the live engine.
+// Topology Run where no station ever goes dry (stations == shards,
+// oversupplied deterministic owners): no steals, and the whole Result is
+// bit-identical at Workers 1 vs 8.
 func TestTopologyLiveRunBitIdenticalWithoutSteals(t *testing.T) {
 	job := Job{Tasks: FixedTasks(40000, 1)}
 	run := func(workers int) Result {

@@ -7,8 +7,8 @@ import (
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/model"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/sched"
+	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
 	"cyclesteal/internal/task"
@@ -31,23 +31,23 @@ func FarmStudy(cfg Config, stations, opportunitiesPer int, jobTasks int, trials 
 		return nil, fmt.Errorf("experiments: E11 needs trials ≥ 1, got %d", trials)
 	}
 
-	fleet := now.MixedFleet(stations, c)
+	fleet := station.MixedFleet(stations, c)
 	job := farm.Job{Tasks: task.Exponential(jobTasks, float64(2*c), cfg.Seed)}
 
 	policies := []struct {
 		name    string
-		factory now.SchedulerFactory
+		factory station.SchedulerFactory
 	}{
-		{"single-period", func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) {
+		{"single-period", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
 			return sched.SinglePeriod{}, nil
 		}},
-		{"fixed-chunk 25c", func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) {
+		{"fixed-chunk 25c", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
 			return sched.FixedChunk{T: 25 * ws.Setup}, nil
 		}},
-		{"non-adaptive §3.1", func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) {
+		{"non-adaptive §3.1", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
 			return sched.NewNonAdaptive(ct.U, ct.P, ws.Setup)
 		}},
-		{"adaptive equalized", func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) {
+		{"adaptive equalized", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
 			return sched.NewAdaptiveEqualized(ws.Setup)
 		}},
 	}

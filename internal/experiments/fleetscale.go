@@ -8,8 +8,8 @@ import (
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/model"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/sched"
+	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
 	"cyclesteal/internal/task"
@@ -44,7 +44,7 @@ func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, tri
 	if len(fleets) == 0 {
 		return nil, fmt.Errorf("experiments: E12 needs at least one fleet size")
 	}
-	factory := func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) {
+	factory := func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
 		return sched.NewAdaptiveEqualized(ws.Setup)
 	}
 
@@ -60,7 +60,7 @@ func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, tri
 		// Uniform durations bounded away from zero keep Bag.Take's first-fit
 		// hunt short (its min-duration cutoff) on queues tens of thousands
 		// deep; heterogeneity comes from the 8× duration spread.
-		fleet := now.MixedFleet(n, c)
+		fleet := station.MixedFleet(n, c)
 		job := farm.Job{Tasks: task.Uniform(n*tasksPerStation, c/2, 4*c, cfg.Seed+int64(n))}
 		f := farm.Farm{Stations: fleet, OpportunitiesPerStation: opportunitiesPer}
 		start := time.Now()
@@ -87,6 +87,6 @@ func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, tri
 	}
 	t.Note("job scales with the fleet (%d tasks/station), so completion %% is comparable across rows", tasksPerStation)
 	t.Note("p99 killed/c = 99th percentile over trials of lifespan destroyed by kills, from the bounded-error quantile sketch (internal/stats.Sketch)")
-	t.Note("steals = mean cross-queue migrations per trial in the sharded bag; ms/trial = engine wall-clock, the only column allowed to vary with -workers")
+	t.Note("steals = mean cross-queue migrations per trial at round barriers; ms/trial = engine wall-clock, the only column allowed to vary with -workers")
 	return t, nil
 }

@@ -7,7 +7,6 @@ import (
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/model"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sched"
 	"cyclesteal/internal/station"
@@ -44,7 +43,7 @@ func TopologyStudy(cfg Config, fleets []int, latencies []quant.Tick, opportuniti
 	if len(fleets) == 0 || len(latencies) == 0 {
 		return nil, fmt.Errorf("experiments: E14 needs at least one fleet size and one latency")
 	}
-	factory := func(ws now.Workstation, ct now.Contract) (model.EpisodeScheduler, error) {
+	factory := func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
 		return sched.NewAdaptiveEqualized(ws.Setup)
 	}
 

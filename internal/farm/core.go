@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/quant"
@@ -14,16 +15,15 @@ import (
 	"cyclesteal/internal/task"
 )
 
-// runner is the persistent per-station state the round engines drive: the
-// workstation model, its deterministic contract stream, the reusable
-// simulator scratch, and the accumulating report. A runner outlives any one
-// call — the resident service plays the same runners round after round as
-// jobs come and go — and exactly one goroutine touches a runner at a time
-// (round barriers order the handoffs between workers).
+// runner is the persistent per-station state the Core drives: the
+// workstation model, its deterministic contract stream, and the
+// accumulating report. A runner outlives any one call — the resident
+// service plays the same runners round after round as jobs come and go —
+// and exactly one goroutine touches a runner at a time (round barriers
+// order the handoffs between workers).
 type runner struct {
 	ws   station.Workstation
 	rng  *rand.Rand
-	scr  stationScratch
 	rep  StationReport
 	err  error // sticky: an erred runner never plays again
 	left bool  // departed mid-run (service churn); its report remains
@@ -34,7 +34,7 @@ func newRunner(ws station.Workstation, seed int64) runner {
 	return runner{ws: ws, rng: station.RNG(seed, ws.ID), rep: StationReport{Station: ws.ID}}
 }
 
-// Core is the event-driven heart of the round-synchronized engines: a
+// Core is the event-driven round engine, the repo's one station loop: a
 // standing set of station runners partitioned into group queues, advanced
 // one round at a time, with joins, leaves and task arrivals applied only at
 // round barriers. RunDeterministic is a thin batch driver over it (join the
@@ -70,6 +70,10 @@ type Core struct {
 	queues  []*task.Bag
 	sources []sim.TaskSource // what runners play against: queues, or trackers
 	track   []*trackSource   // non-nil when completion tracking is on
+	scratch []stationScratch // per group: simulator buffers, warm scheduler
+
+	next atomic.Int64   // PlayRound's group-claim counter
+	wg   sync.WaitGroup // PlayRound's helper workers
 
 	flight      task.Flight
 	playedTicks quant.Tick
@@ -110,6 +114,7 @@ func (f Farm) NewCore(factory station.SchedulerFactory, seed int64, groups, capa
 		liveIn:  make([]int, groups),
 		queues:  make([]*task.Bag, groups),
 		sources: make([]sim.TaskSource, groups),
+		scratch: make([]stationScratch, groups),
 		arrived: make([]int, groups),
 	}
 	c.clusters = f.Topology.clusterCount()
@@ -123,8 +128,9 @@ func (f Farm) NewCore(factory station.SchedulerFactory, seed int64, groups, capa
 	if track {
 		c.track = make([]*trackSource, groups)
 	}
+	bags := make([]task.Bag, groups) // a zero Bag is an empty queue
 	for g := range c.queues {
-		c.queues[g] = task.NewBag(nil)
+		c.queues[g] = &bags[g]
 		if track {
 			c.track[g] = &trackSource{bag: c.queues[g]}
 			c.sources[g] = c.track[g]
@@ -367,44 +373,29 @@ func (c *Core) Result() Result {
 // its stations sequentially in slot order against its own queue, so no queue
 // is ever touched by two goroutines; at the barrier the steal clock
 // advances, matured cross-cluster parcels land, and groups that arrived dry
-// rebalance in deterministic cyclic order. workers ≤ 0 means GOMAXPROCS —
-// like everywhere else in the determinism contract it changes wall-clock
-// time only. On cancellation or a station error the barrier does not run
-// (queues keep their played state) and the error is returned; runner errors
-// join in slot order.
+// rebalance in deterministic cyclic order. workers ≤ 0 means GOMAXPROCS,
+// but no more than one worker per minStationsPerWorker live stations — like
+// everywhere else in the determinism contract the count changes wall-clock
+// time only. The calling goroutine is one of the workers, so one worker
+// plays the round inline. On cancellation or a station error the barrier
+// does not run (queues keep their played state) and the error is returned;
+// runner errors join in slot order. PlayRound must not run concurrently
+// with itself or with any other method on the same Core.
 func (c *Core) PlayRound(ctx context.Context, workers int) error {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = min(runtime.GOMAXPROCS(0), max(1, c.live/minStationsPerWorker))
 	}
-	if workers > c.groups {
-		workers = c.groups
-	}
-	n := len(c.runners)
-	gjobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	workers = min(workers, c.groups)
+	c.next.Store(0)
+	for w := 1; w < workers; w++ {
+		c.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for g := range gjobs {
-				for slot := g; slot < n; slot += c.groups {
-					if ctx.Err() != nil {
-						break // cancelled; the post-round check reports it
-					}
-					r := &c.runners[slot]
-					if r.left || r.err != nil {
-						continue
-					}
-					r.err = c.opts.playOpportunity(&r.rep, r.ws, r.rng, c.factory, c.sources[g], &r.scr)
-				}
-			}
+			defer c.wg.Done()
+			c.playGroups(ctx)
 		}()
 	}
-	for g := 0; g < c.groups; g++ {
-		gjobs <- g
-	}
-	close(gjobs)
-	wg.Wait()
+	c.playGroups(ctx)
+	c.wg.Wait()
 	// Cancellation trumps station errors: which stations got far enough to
 	// fail some other way depends on scheduling; the cancellation does not.
 	if err := ctx.Err(); err != nil {
@@ -421,6 +412,31 @@ func (c *Core) PlayRound(ctx context.Context, workers int) error {
 	return nil
 }
 
+// minStationsPerWorker sizes PlayRound's default worker count: a round of
+// fewer stations per worker costs less to play than waking a goroutine for
+// it saves. On a 2-vCPU host a 16-station survey round (about 45 µs of
+// work) played 17% slower with a second worker than inline.
+const minStationsPerWorker = 32
+
+// playGroups is one PlayRound worker: it claims groups off the round's
+// counter until none are left, playing each claimed group's live stations
+// in slot order against the group's queue and scratch.
+func (c *Core) playGroups(ctx context.Context) {
+	n := len(c.runners)
+	for g := int(c.next.Add(1) - 1); g < c.groups; g = int(c.next.Add(1) - 1) {
+		for slot := g; slot < n; slot += c.groups {
+			if ctx.Err() != nil {
+				return // cancelled; PlayRound reports it
+			}
+			r := &c.runners[slot]
+			if r.left || r.err != nil {
+				continue
+			}
+			r.err = c.opts.playOpportunity(&r.rep, r.ws, r.rng, c.factory, c.sources[g], &c.scratch[g])
+		}
+	}
+}
+
 // barrier runs the deterministic end-of-round phase: advance the steal
 // clock by the lifespan the fleet just played and land matured parcels (so
 // arrivals are stealable this barrier), then rebalance — groups that
@@ -432,8 +448,12 @@ func (c *Core) PlayRound(ctx context.Context, workers int) error {
 // victim set are fixed by a pre-pass snapshot: without it, an empty group
 // later in the pass would re-steal the tasks an earlier thief just received
 // — ping-ponging a dying job's last tasks between idle groups instead of
-// landing them on a station that works.
+// landing them on a station that works. The Private layout's queues never
+// rebalance, so its barrier does nothing.
 func (c *Core) barrier() {
+	if c.opts.Private {
+		return
+	}
 	if c.scaledLatency > 0 {
 		var total quant.Tick
 		for _, r := range c.runners {
@@ -599,13 +619,6 @@ func (c *Core) TakeCompleted(dst []task.Task) []task.Task {
 type trackSource struct {
 	bag  *task.Bag
 	done []task.Task
-}
-
-// Take implements sim.TaskSource.
-func (t *trackSource) Take(capacity quant.Tick) []task.Task {
-	got := t.bag.Take(capacity)
-	t.done = append(t.done, got...)
-	return got
 }
 
 // TakeInto implements sim.TaskSource.

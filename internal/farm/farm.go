@@ -1,71 +1,48 @@
 // Package farm implements the setting of the paper's title: *data-parallel*
 // cycle-stealing in a *network* of workstations. One job — a bag of
 // indivisible tasks — is farmed out across every opportunity the fleet's
-// owners offer, concurrently: stations draw work from the job's task pool as
-// their periods open, and killed periods return their in-flight tasks for
-// rescheduling elsewhere.
+// owners offer: stations draw work from the job's task queues as their
+// periods open, and killed periods return their in-flight tasks for
+// rescheduling.
 //
-// This is the layer a downstream user runs, and the only station-driving loop
-// in the repo: internal/station models who offers time and when they
+// This is the layer a downstream user runs, and the only station-driving
+// loop in the repo: internal/station models who offers time and when they
 // interrupt; internal/sched decides period sizing on each opportunity; this
 // package binds them to a workload and reports job-level outcomes
 // (completion fraction, work distribution across stations, lost-to-kills
-// accounting). internal/now's Fleet is a thin adapter over RunPool with
-// private per-station bags.
+// accounting). Every run — the batch RunDeterministic, the Replicate family,
+// and the fleet package's resident service — plays on the one round engine,
+// Core.
 //
-// # Task pools and the sharded bag
+// # Layouts
 //
-// Three pool implementations back a farmed run. SharedBag is the original
-// single mutex-guarded bag: simple, and fine for a dozen stations. ShardedBag
-// is the fleet-scale pool: tasks are dealt round-robin across lock-striped
-// per-shard queues, each station drains its home shard, and a dry station
-// steals — first from its hinted targets (last victim, richest shard), then
-// from the other shards in deterministic cyclic order — the work-stealing
-// idiom of Gast–Khatiri–Trystram, with killed-period tasks returned to the
-// thief's own queue. PrivatePools is the degenerate pool now.Fleet runs on:
-// one private bag per station, nothing shared. Farm.Shards selects between
-// the first two (0 = auto-sharded); BenchmarkFarmBag* quantifies the gap on
-// the contended path and BenchmarkFarmSteal* the hinted vs linear steal scan.
-//
-// # Early exit without starvation
-//
-// A station stops borrowing when the job is done — but "done" must account
-// for in-flight tasks: a station that quit the moment Remaining() read zero
-// could strand tasks another station's killed period Returns a tick later.
-// Run therefore tracks an unfinished counter (total tasks minus tasks whose
-// completion is settled at the end of the completing station's opportunity)
-// and stations only stop early when it reaches zero — i.e. when every task
-// has actually completed, never merely been taken.
+// A shared job is dealt round-robin across Shards station groups, each
+// owning one queue; groups that run dry steal at round barriers (see
+// RunDeterministic and Topology). The Private layout is the fleet survey:
+// every station owns its own queue, nothing is ever stolen, and stations
+// play out every opportunity whether or not their queues drain.
 //
 // # Determinism contract
 //
-// Run is the live engine: stations free-run on a bounded pool, so aggregate
-// accounting invariants are deterministic but task *assignment* depends on
-// scheduling interleaving. RunDeterministic is the replication engine: the
-// same fleet semantics executed in synchronized rounds — within a round each
-// queue is touched by exactly one sequential station group, and queues
-// rebalance by stealing only at round barriers, in station-group order. Every
-// station draws contracts from its own rng stream derived from (seed,
-// station ID) via station.RNG, so the entire result is a pure function of
-// (fleet, job, factory, seed, Shards): any inner worker count produces
-// bit-identical results. Replicate stacks that inside internal/mc's
-// seed-stream contract — trial-level parallelism outside, station-group
-// parallelism inside, split by mc.SplitWorkers — so fleet summaries stay
-// bit-identical at any -workers setting while fleets scale to thousands of
-// stations.
+// RunDeterministic executes the fleet in synchronized rounds — within a
+// round each queue is touched by exactly one sequential station group, and
+// queues rebalance by stealing only at round barriers, in station-group
+// order. Every station draws contracts from its own rng stream derived from
+// (seed, station ID) via station.RNG, so the entire result is a pure
+// function of (fleet, job, factory, seed, Shards, Private): any inner
+// worker count produces bit-identical results. Replicate stacks that inside
+// internal/mc's seed-stream contract — trial-level parallelism outside,
+// station-group parallelism inside, split by mc.SplitWorkers — so fleet
+// summaries stay bit-identical at any -workers setting while fleets scale
+// to thousands of stations.
 package farm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/mc"
@@ -76,82 +53,6 @@ import (
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/task"
 )
-
-// TaskPool is the job-wide task state one farmed run drains: per-station
-// task-source views over a shared underlying bag, plus the global accounting
-// the farm driver polls.
-type TaskPool interface {
-	// Station returns station i's view; its Take/Return feed the simulator.
-	Station(i int) sim.TaskSource
-	// Remaining reports the tasks still unscheduled.
-	Remaining() int
-	// RemainingWork reports the total duration still unscheduled.
-	RemainingWork() quant.Tick
-	// Steals reports cross-queue task movements (0 for an unsharded pool).
-	Steals() int
-	// Exhaustible reports whether draining the pool ends the job: when true,
-	// stations stop borrowing once every task has completed; when false
-	// (fluid-mode pools like PrivatePools) stations play out every
-	// opportunity regardless.
-	Exhaustible() bool
-}
-
-// SharedBag is a mutex-guarded task source that many concurrently simulated
-// stations can drain — the single-stripe baseline pool. It satisfies both
-// sim.TaskSource and TaskPool.
-type SharedBag struct {
-	mu  sync.Mutex
-	bag *task.Bag
-}
-
-// NewSharedBag wraps a task set in a shared source.
-func NewSharedBag(tasks []task.Task) *SharedBag {
-	return &SharedBag{bag: task.NewBag(tasks)}
-}
-
-// Take implements sim.TaskSource.
-func (s *SharedBag) Take(capacity quant.Tick) []task.Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.Take(capacity)
-}
-
-// TakeInto implements sim.TaskSource.
-func (s *SharedBag) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.TakeInto(dst, capacity)
-}
-
-// Return implements sim.TaskSource.
-func (s *SharedBag) Return(tasks []task.Task) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bag.Return(tasks)
-}
-
-// Station implements TaskPool: every station shares the one bag.
-func (s *SharedBag) Station(int) sim.TaskSource { return s }
-
-// Steals implements TaskPool: an unsharded pool never steals.
-func (s *SharedBag) Steals() int { return 0 }
-
-// Exhaustible implements TaskPool: the bag is the job.
-func (s *SharedBag) Exhaustible() bool { return true }
-
-// Remaining reports the tasks still unscheduled.
-func (s *SharedBag) Remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.Remaining()
-}
-
-// RemainingWork reports the total duration still unscheduled.
-func (s *SharedBag) RemainingWork() quant.Tick {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.RemainingWork()
-}
 
 // Job is one data-parallel computation to farm across the fleet.
 type Job struct {
@@ -182,9 +83,9 @@ type Result struct {
 	TasksLeft      int
 	FluidWork      quant.Tick
 	Interrupts     int
-	// Steals counts cross-queue task movements: non-home Takes under Run on
-	// a sharded pool, round-barrier migrations under RunDeterministic.
-	// Cross-cluster departures count when they depart.
+	// Steals counts cross-queue task movements: round-barrier migrations,
+	// and a departed station's queue dealt back to the fleet. Cross-cluster
+	// departures count when they depart.
 	Steals int
 	// InFlight counts tasks still crossing between clusters when the run
 	// ended (a Topology with CrossLatency > 0 only). They never completed,
@@ -226,26 +127,30 @@ func (r Result) Imbalance() float64 {
 	return float64(max) / mean
 }
 
-// Farm binds a fleet to a shared job.
+// Farm binds a fleet to a job.
 type Farm struct {
 	Stations []station.Workstation
 	// OpportunitiesPerStation is how many owner contracts each station works
-	// through (the job may finish earlier; stations then idle).
+	// through (a shared job may finish earlier; stations then stop
+	// borrowing).
 	OpportunitiesPerStation int
-	// Workers bounds Run's worker pool; 0 means GOMAXPROCS.
-	Workers int
-	// Shards picks the task-pool layout: 0 = auto (min(DefaultShards,
-	// len(Stations)) lock-striped queues), 1 = the single mutex-guarded
-	// SharedBag baseline, n = exactly n stripes (clamped to the fleet size).
-	// Under RunDeterministic the same number also fixes the station-group
-	// partition, so it is part of that engine's determinism key.
+	// Shards fixes the station-group partition of a shared job: 0 = auto
+	// (min(DefaultShards, len(Stations)) groups), 1 = one queue every
+	// station plays against, n = exactly n groups (clamped to the fleet
+	// size). Station i plays in group i mod groups, and each group owns one
+	// queue, so the count is part of the determinism key.
 	Shards int
 	// Topology groups the shards into clusters and prices cross-cluster
 	// steals (see Topology). The zero value is the flat fleet, bit-identical
 	// to a Farm without the field. Must satisfy
-	// Topology.Validate(ResolveShards(Shards, len(Stations))); under
-	// RunDeterministic it joins Shards in the determinism key.
+	// Topology.Validate(ResolveShards(Shards, len(Stations))); it joins
+	// Shards in the determinism key.
 	Topology Topology
+	// Private selects the fleet-survey layout: one group — and one queue —
+	// per station, the job dealt round-robin across them, queues never
+	// rebalanced, and every opportunity played even once the queues drain.
+	// Shards and Topology do not apply.
+	Private bool
 	// Checkpoint, when ≥ 1, softens the draconian contract with intra-period
 	// checkpointing at the given tick interval: a kill loses only the work
 	// since the last completed save instead of the whole period (see
@@ -276,44 +181,32 @@ type Farm struct {
 	// a graceful Leave drains it back), and cross-cluster parcel loss with
 	// round-priced timeout, capped exponential retry backoff, and
 	// degradation to intra-cluster scanning when the retry budget is spent.
-	// Only the deterministic engine takes faults — Run (the live engine) has
-	// no deterministic points to stamp them onto and rejects active plans —
-	// and a batch run rejects a KillRound (there is no log to recover a
-	// batch run from; that axis belongs to the resident service). The zero
-	// value injects nothing, bit-identical to a Farm without the field.
+	// In the Private layout a crashed station's own queue dies with it. A
+	// batch run rejects a KillRound (there is no log to recover a batch run
+	// from; that axis belongs to the resident service). The zero value
+	// injects nothing, bit-identical to a Farm without the field.
 	Faults fault.Plan
-	// Progress, when non-nil, observes a run as it happens: Run emits a
-	// snapshot every ProgressInterval of wall-clock time (driven from the
-	// unfinished ledger, so Completed counts settled completions only) and
-	// RunDeterministic emits one at every round barrier (where the counts
-	// are exact and the callback sequence is itself deterministic). Both
-	// engines emit a final snapshot after the last station finishes —
-	// including when the run is cancelled or fails, so a shutdown still
-	// observes how far the job got. The callback must not block for long —
-	// Run invokes it from the observer goroutine, RunDeterministic from the
-	// round loop — and observing never affects results.
+	// Progress, when non-nil, observes a run at every round barrier, where
+	// the counts are exact and the callback sequence is itself a pure
+	// function of the determinism key. The last snapshot reports where the
+	// run ended, including when it plays no round, is cancelled or fails,
+	// so a shutdown still observes how far the job got. The callback runs
+	// on the round loop, so it must not block for long; observing never
+	// affects results.
 	Progress func(Progress)
-	// ProgressInterval is the wall-clock spacing of Run's progress
-	// snapshots; ≤ 0 means DefaultProgressInterval. RunDeterministic
-	// ignores it (round barriers set the cadence there).
-	ProgressInterval time.Duration
 }
-
-// DefaultProgressInterval spaces Run's progress snapshots when the caller
-// sets a Progress observer without an interval.
-const DefaultProgressInterval = 200 * time.Millisecond
 
 // Progress is one observation of a farmed job in flight.
 type Progress struct {
-	// Completed counts tasks whose completion has settled (the completing
-	// station's opportunity ended — the same notion the early-exit ledger
-	// uses, so Completed never counts a take a kill could still undo).
+	// Completed counts tasks whose completing opportunity has ended, so no
+	// kill can undo it.
 	Completed int
-	// Remaining counts tasks not yet completed: unscheduled tasks plus
-	// in-flight takes. Completed + Remaining + Lost is the job's task count.
+	// Remaining counts tasks not yet completed: queued tasks plus parcels in
+	// flight between clusters. Completed + Remaining + Lost is the job's
+	// task count.
 	Remaining int
-	// Steals counts cross-queue task migrations so far (0 for unsharded
-	// pools).
+	// Steals counts cross-queue task migrations so far (0 with one group or
+	// the Private layout).
 	Steals int
 	// Lost counts tasks destroyed by injected faults so far (0 without a
 	// fault plan): crashed hosts' queues and parcels lost in transit.
@@ -325,181 +218,20 @@ func (f Farm) shardCount() int {
 	return ResolveShards(f.Shards, len(f.Stations))
 }
 
+// groupCount is the number of station groups, and queues, a run plays:
+// one per station in the Private layout, else the resolved shard count.
+func (f Farm) groupCount() int {
+	if f.Private {
+		return len(f.Stations)
+	}
+	return f.shardCount()
+}
+
 // scaledLatency converts the topology's fleet-tick CrossLatency into
 // steal-clock units (station-ticks): n stations play concurrently, so one
 // fleet-tick of wall time is ≈ n station-ticks of played lifespan.
 func (f Farm) scaledLatency() int64 {
 	return int64(f.Topology.CrossLatency) * int64(len(f.Stations))
-}
-
-// newPool builds the task pool Run drains.
-func (f Farm) newPool(job Job) TaskPool {
-	n := f.shardCount()
-	if n <= 1 {
-		return NewSharedBag(job.Tasks)
-	}
-	if f.Topology.active() {
-		return NewShardedBagTopology(job.Tasks, n, f.Topology.clusterCount(), f.scaledLatency())
-	}
-	return NewShardedBag(job.Tasks, n)
-}
-
-// flightPool is the optional TaskPool extension a latency-priced topology
-// pool implements: the farm driver advances the steal clock as stations
-// settle opportunities, and reports the tasks still in flight at the end.
-type flightPool interface {
-	Advance(d quant.Tick)
-	InFlight() int
-}
-
-// Run farms the job across the fleet at full speed. Stations simulate their
-// opportunities concurrently, drawing from the job's task pool (sharded per
-// f.Shards); scheduling policy is supplied per (station, contract).
-// Determinism: each station derives its rng from seed and its ID, so
-// contract sequences are reproducible; task *assignment* to stations depends
-// on scheduling interleaving and is intentionally not deterministic across
-// runs (the aggregate accounting invariants are, and tests check those;
-// RunDeterministic trades peak throughput for full reproducibility). When
-// several stations fail, the returned error joins every station's failure,
-// in station order. Cancelling ctx stops every station at its next
-// opportunity boundary and returns ctx.Err().
-func (f Farm) Run(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64) (Result, error) {
-	if len(f.Stations) == 0 {
-		return Result{}, fmt.Errorf("farm: empty fleet")
-	}
-	if err := f.Topology.Validate(f.shardCount()); err != nil {
-		return Result{}, err
-	}
-	return f.RunPool(ctx, f.newPool(job), factory, seed)
-}
-
-// RunPool is Run against a caller-supplied task pool — the entry point
-// now.Fleet rides with PrivatePools, and the seam for custom pool layouts.
-// The pool must be fresh: its remaining tasks are the job.
-func (f Farm) RunPool(ctx context.Context, pool TaskPool, factory station.SchedulerFactory, seed int64) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(f.Stations) == 0 {
-		return Result{}, fmt.Errorf("farm: empty fleet")
-	}
-	if f.Faults.Active() {
-		return Result{}, fmt.Errorf("farm: the live engine cannot inject faults (no deterministic points to stamp them onto); use RunDeterministic")
-	}
-	n := f.OpportunitiesPerStation
-	if n < 1 {
-		n = 1
-	}
-	workers := f.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(f.Stations) {
-		workers = len(f.Stations)
-	}
-
-	// The early-exit ledger: total tasks minus settled completions. Taking a
-	// task does not move it (the take may yet be killed and Returned); only a
-	// completed opportunity settles its stations' takes, so the counter hits
-	// zero exactly when every task has completed — stations can then stop
-	// borrowing with nothing left in flight to strand.
-	total := pool.Remaining()
-	var unfinished atomic.Int64
-	unfinished.Store(int64(total))
-	var exit *atomic.Int64
-	if pool.Exhaustible() {
-		exit = &unfinished
-	}
-
-	stopObserver := f.observe(total, &unfinished, pool)
-
-	// A latency-priced topology pool needs the steal clock driven: each
-	// settled opportunity advances it by the contract lifespan just played,
-	// landing matured cross-cluster parcels.
-	var advance func(quant.Tick)
-	fp, hasFlight := pool.(flightPool)
-	if hasFlight {
-		advance = fp.Advance
-	}
-
-	reports := make([]StationReport, len(f.Stations))
-	errs := make([]error, len(f.Stations))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				src := &settleSource{src: pool.Station(idx), unfinished: &unfinished}
-				rep, err := f.runStation(ctx, f.Stations[idx], n, factory, seed, src, exit, advance)
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				reports[idx] = rep
-			}
-		}()
-	}
-	for idx := range f.Stations {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	stopObserver()
-	// Cancellation trumps station errors: once the context fires, which
-	// stations report it (and whether any got far enough to fail some other
-	// way) depends on scheduling, so the only deterministic error is the
-	// cancellation itself.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := errors.Join(errs...); err != nil {
-		return Result{}, err
-	}
-	inflight := 0
-	if hasFlight {
-		inflight = fp.InFlight()
-	}
-	return f.assemble(reports, pool.Remaining(), pool.Steals(), inflight, 0), nil
-}
-
-// observe starts Run's wall-clock progress observer, if configured, and
-// returns the function that stops it and emits the final snapshot. The
-// observer reads only the unfinished ledger and the pool's own counters, so
-// it can never perturb results.
-func (f Farm) observe(total int, unfinished *atomic.Int64, pool TaskPool) (stop func()) {
-	if f.Progress == nil {
-		return func() {}
-	}
-	snapshot := func() Progress {
-		left := int(unfinished.Load())
-		return Progress{Completed: total - left, Remaining: left, Steals: pool.Steals()}
-	}
-	interval := f.ProgressInterval
-	if interval <= 0 {
-		interval = DefaultProgressInterval
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				f.Progress(snapshot())
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished // the observer has quit; no callback races the final one
-		f.Progress(snapshot())
-	}
 }
 
 // assemble folds station reports into the job-level result.
@@ -514,62 +246,22 @@ func (f Farm) assemble(reports []StationReport, left, steals, inflight, lost int
 	return res
 }
 
-// settleSource wraps a station's task source with the in-flight accounting
-// the early-exit ledger needs. Tasks taken but not Returned are outstanding;
-// settle, called when an opportunity ends, marks them completed (anything a
-// kill was going to Return has been Returned by then — sim.Run returns a
-// killed period's tasks before the opportunity finishes). One goroutine owns
-// each settleSource, so outstanding needs no synchronization.
-type settleSource struct {
-	src         sim.TaskSource
-	unfinished  *atomic.Int64
-	outstanding int64
-}
-
-// Take implements sim.TaskSource.
-func (s *settleSource) Take(capacity quant.Tick) []task.Task {
-	got := s.src.Take(capacity)
-	s.outstanding += int64(len(got))
-	return got
-}
-
-// TakeInto implements sim.TaskSource.
-func (s *settleSource) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	base := len(dst)
-	dst = s.src.TakeInto(dst, capacity)
-	s.outstanding += int64(len(dst) - base)
-	return dst
-}
-
-// Return implements sim.TaskSource.
-func (s *settleSource) Return(tasks []task.Task) {
-	s.src.Return(tasks)
-	s.outstanding -= int64(len(tasks))
-}
-
-// settle counts the opportunity's surviving takes as completed.
-func (s *settleSource) settle() {
-	if s.outstanding != 0 {
-		s.unfinished.Add(-s.outstanding)
-		s.outstanding = 0
-	}
-}
-
-// stationScratch is the per-station reusable state both engines thread
-// through playOpportunity: the simulator's episode/task buffers and the
-// station's warm scheduler. One station goroutine owns a scratch at a time
-// (in RunDeterministic, round barriers order the handoffs between workers),
-// so the kept scheduler is played by that station alone.
+// stationScratch is the per-group reusable state the Core threads through
+// playOpportunity: the simulator's episode/task buffers and the group's
+// warm scheduler. One goroutine plays a group per round, its stations in
+// slot order, and round barriers order the handoffs between workers, so a
+// scratch is never touched by two goroutines at once.
 type stationScratch struct {
 	bufs sim.Buffers
 	kept model.EpisodeScheduler // the last keyed scheduler the factory built; nil before the first
 	key  model.MemoKey          // kept's EpisodeMemoKey
 }
 
-// warm returns the scheduler the station plays for a contract whose factory
+// warm returns the scheduler a station plays for a contract whose factory
 // built s. When s reports the same EpisodeMemoKey as the kept instance, the
-// kept one plays instead: by the model.EpisodeMemoKeyer contract equal keys
-// emit bit-identical episodes, and the kept instance's scratch is warm where
+// kept one plays instead — whichever of the group's stations it was built
+// for: by the model.EpisodeMemoKeyer contract equal keys emit bit-identical
+// episodes across instances, and the kept instance's scratch is warm where
 // s would start cold. A new key replaces the kept instance. Unkeyed
 // schedulers pass through and leave it alone.
 func (scr *stationScratch) warm(s model.EpisodeScheduler) model.EpisodeScheduler {
@@ -588,34 +280,10 @@ func (scr *stationScratch) warm(s model.EpisodeScheduler) model.EpisodeScheduler
 	return s
 }
 
-func (f Farm) runStation(ctx context.Context, ws station.Workstation, n int, factory station.SchedulerFactory, seed int64, src *settleSource, unfinished *atomic.Int64, advance func(quant.Tick)) (StationReport, error) {
-	r := newRunner(ws, seed)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return r.rep, err // cancelled between opportunities
-		}
-		if unfinished != nil && unfinished.Load() == 0 {
-			break // every task completed; no point borrowing more time
-		}
-		before := r.rep.LifespanTicks
-		err := f.playOpportunity(&r.rep, ws, r.rng, factory, src, &r.scr)
-		src.settle()
-		if advance != nil {
-			// The opportunity is settled: its lifespan is played fleet time,
-			// so the steal clock moves and matured parcels may land.
-			advance(r.rep.LifespanTicks - before)
-		}
-		if err != nil {
-			return r.rep, err
-		}
-	}
-	return r.rep, nil
-}
-
 // playOpportunity samples one owner contract and simulates it against the
-// station's task source — the shared inner step of Run and RunDeterministic.
-// The factory builds a scheduler per contract; the station plays its warm
-// equal-keyed instance in its place (see stationScratch.warm).
+// station's task source — the Core's inner step. The factory builds a
+// scheduler per contract; the station plays the group's warm equal-keyed
+// instance in its place (see stationScratch.warm).
 func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *rand.Rand, factory station.SchedulerFactory, src sim.TaskSource, scr *stationScratch) error {
 	contract := ws.Owner.Sample(rng)
 	if contract.U < 1 {
@@ -675,11 +343,13 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 }
 
 // RunDeterministic farms the job with fully reproducible semantics at any
-// worker count — the engine Replicate runs inside the mc trial pool.
+// worker count — the batch run, and the engine Replicate runs inside the mc
+// trial pool.
 //
-// Stations are partitioned into shardCount() groups (station i in group
-// i mod groups), each group owning one local task queue dealt round-robin
-// from the job. Execution proceeds in synchronized rounds, one opportunity
+// Stations are partitioned into groups (station i in group i mod groups),
+// each group owning one local task queue dealt round-robin from the job:
+// shardCount() groups for a shared job, one per station in the Private
+// layout. Execution proceeds in synchronized rounds, one opportunity
 // per station per round: within a round, groups run concurrently but each
 // group plays its stations *sequentially* against its own queue, so no queue
 // is ever touched by two goroutines; at the round barrier, empty queues
@@ -689,18 +359,19 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 // CrossLatency > 0 steal departs into a flight ledger and lands at the first
 // barrier whose steal clock (Σ lifespans played) has reached its maturity.
 // Stations stop borrowing when a barrier finds the whole job done (in-flight
-// tasks count as not done). Killed-period tasks return to the front of the
-// running group's own queue, as in the live sharded bag. (Round barriers are
-// also why this engine needs no early-exit ledger: nothing is
-// mid-opportunity when the done-check runs.)
+// tasks count as not done); nothing is mid-opportunity when that check
+// runs. Killed-period tasks return to the front of the running group's own
+// queue. The Private layout never steals and never stops early: every
+// station plays all its opportunities against its own queue.
 //
 // Every mutation is therefore ordered by (round, group, station index) — a
-// pure function of (fleet, job, factory, seed, Shards). workers ≤ 0 means
-// GOMAXPROCS; like mc.Config.Workers it changes wall-clock time only, never
-// a bit of the result. Cancelling ctx stops every group at its next station
-// boundary and returns ctx.Err(); a Progress observer fires at each round
-// barrier, where the counts are exact and the callback sequence is itself a
-// pure function of the same key.
+// pure function of (fleet, job, factory, seed, Shards, Private). Faults
+// inject at round tops (see Farm.Faults). workers ≤ 0 lets each round pick
+// (see Core.PlayRound); like mc.Config.Workers it changes wall-clock time
+// only, never a bit of the result. Cancelling ctx stops every group at its
+// next station boundary and returns ctx.Err(); a Progress observer fires at
+// each round barrier, where the counts are exact and the callback sequence
+// is itself a pure function of the same key.
 func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64, workers int) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -713,8 +384,10 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	if rounds < 1 {
 		rounds = 1
 	}
-	groups := f.shardCount()
-	if err := f.Topology.Validate(groups); err != nil {
+	groups := f.groupCount()
+	if f.Private {
+		f.Topology = Topology{} // no queue is ever stolen from
+	} else if err := f.Topology.Validate(groups); err != nil {
 		return Result{}, err
 	}
 	if f.Faults.Active() {
@@ -726,10 +399,10 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 		}
 	}
 
-	// The batch drivers are thin shells over the event-driven Core: join the
+	// A batch run is a thin shell over the event-driven Core: join the
 	// whole fleet up front, deal the job in, play bounded rounds. No churn,
-	// no completion tracking — the Core's fast paths reduce exactly to the
-	// original round engine.
+	// no completion tracking. In the Private layout the round-robin deal
+	// gives station i the hand task.Deal would.
 	core := f.NewCore(factory, seed, groups, n, false)
 	for _, ws := range f.Stations {
 		core.Join(ws)
@@ -743,7 +416,7 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 
 	emitted := false // a round barrier has reported progress
 	for round := 0; round < rounds; round++ {
-		if core.Pending() == 0 {
+		if !f.Private && core.Pending() == 0 {
 			break // every task completed; no point borrowing more time
 		}
 		core.ApplyFaults(round)
@@ -771,9 +444,10 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	}
 
 	if f.Progress != nil && !emitted {
-		// Runs that never reach a round barrier (an already-done or empty
-		// job) still promise one final snapshot; every other run's last
-		// barrier already reported this exact state.
+		// Runs that never reach a round barrier (an empty shared job, or a
+		// fleet that crashed before the first round) still promise one
+		// final snapshot; every other run's last barrier already reported
+		// this exact state.
 		f.Progress(core.Snapshot())
 	}
 	return f.assemble(core.Reports(), core.Pending(), core.Steals(), core.InFlight(), core.TasksLost()), nil
@@ -796,6 +470,9 @@ const (
 	MetricSteals                // cross-queue task migrations per trial
 	MetricTasksInFlight         // tasks still crossing clusters at trial end
 	MetricTasksLost             // tasks destroyed by injected faults per trial
+	MetricLifespan              // lifespan offered fleet-wide, ticks
+	MetricTaskWork              // completed task duration fleet-wide, ticks
+	MetricUtilization           // fluid work / lifespan, in [0, 1] (0 for no lifespan)
 	NumMetrics
 )
 
@@ -864,9 +541,10 @@ func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.Sche
 // fillMetrics writes one trial's metric vector into out[:NumMetrics],
 // indexed by the Metric* constants.
 func fillMetrics(out []float64, res Result, job Job) {
-	var killed quant.Tick
+	var killed, lifespan quant.Tick
 	for _, s := range res.Stations {
 		killed += s.KilledTicks
+		lifespan += s.LifespanTicks
 	}
 	out[MetricTasksCompleted] = float64(res.TasksCompleted)
 	out[MetricCompletionFrac] = res.CompletionFraction(job)
@@ -877,6 +555,11 @@ func fillMetrics(out []float64, res Result, job Job) {
 	out[MetricSteals] = float64(res.Steals)
 	out[MetricTasksInFlight] = float64(res.InFlight)
 	out[MetricTasksLost] = float64(res.TasksLost)
+	out[MetricLifespan] = float64(lifespan)
+	out[MetricTaskWork] = float64(res.TaskWork)
+	if lifespan > 0 {
+		out[MetricUtilization] = float64(res.FluidWork) / float64(lifespan)
+	}
 }
 
 // ReplicateStations is Replicate widened with per-station columns: alongside

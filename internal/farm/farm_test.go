@@ -4,8 +4,6 @@ import (
 	"context"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cyclesteal/internal/mc"
@@ -29,52 +27,25 @@ func testFarm(n int, owner station.OwnerModel) Farm {
 	return Farm{Stations: stations, OpportunitiesPerStation: 10}
 }
 
-func TestSharedBagBasics(t *testing.T) {
-	s := NewSharedBag(task.Fixed(10, 5))
-	if s.Remaining() != 10 || s.RemainingWork() != 50 {
-		t.Fatalf("remaining %d/%d", s.Remaining(), s.RemainingWork())
-	}
-	got := s.Take(12)
-	if len(got) != 2 {
-		t.Fatalf("Take(12) = %v", got)
-	}
-	s.Return(got)
-	if s.Remaining() != 10 {
-		t.Errorf("after return: %d", s.Remaining())
-	}
+// privateFarm is f in the Private layout.
+func privateFarm(f Farm) Farm {
+	f.Private = true
+	return f
 }
 
-func TestSharedBagConcurrentDrainConserves(t *testing.T) {
-	const n = 500
-	s := NewSharedBag(task.Fixed(n, 3))
-	var mu sync.Mutex
-	taken := 0
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				got := s.Take(9) // up to 3 tasks
-				if len(got) == 0 {
-					return
-				}
-				mu.Lock()
-				taken += len(got)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if taken != n || s.Remaining() != 0 {
-		t.Errorf("drained %d, remaining %d; want %d/0", taken, s.Remaining(), n)
-	}
+// layouts names f in every layout a run can take: one shared queue,
+// auto-sharded groups, and the Private survey.
+func layouts(f Farm) map[string]Farm {
+	shared := f
+	shared.Shards = 1
+	return map[string]Farm{"shared": shared, "sharded": f, "private": privateFarm(f)}
 }
 
 func TestFarmCompletesSmallJob(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 20000})
+	f.Shards = 1 // every station plays against the one queue
 	job := Job{Tasks: task.Uniform(200, 5, 50, 1)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 42)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,50 +64,88 @@ func TestFarmCompletesSmallJob(t *testing.T) {
 	}
 }
 
-// Accounting invariant: completed + left == job size, and per-station reports
-// sum to the aggregate, under every worker count.
+// Accounting invariant: completed + left == job size, per-station reports
+// sum to the aggregate, and completed task work never exceeds the fluid
+// work banked, in every layout under every worker count. The fluid survey
+// (the empty job) completes nothing, plays every station's every
+// opportunity, and banks some but not all of the lifespan it is offered.
 func TestFarmConservationAcrossWorkerCounts(t *testing.T) {
 	job := Job{Tasks: task.Uniform(3000, 5, 80, 2)}
-	for _, workers := range []int{1, 2, 8} {
-		f := testFarm(8, station.Laptop{MeanIdle: 3000})
-		f.Workers = workers
-		res, err := f.Run(context.Background(), job, equalizedFactory, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
-			t.Errorf("workers=%d: %d + %d ≠ %d", workers, res.TasksCompleted, res.TasksLeft, len(job.Tasks))
-		}
-		var sumTasks int
-		var sumWork quant.Tick
-		for _, s := range res.Stations {
-			sumTasks += s.TasksCompleted
-			sumWork += s.TaskWork
-		}
-		if sumTasks != res.TasksCompleted || sumWork != res.TaskWork {
-			t.Errorf("workers=%d: station totals %d/%d vs aggregate %d/%d",
-				workers, sumTasks, sumWork, res.TasksCompleted, res.TaskWork)
-		}
-		// Task work never exceeds fluid capacity.
-		if res.TaskWork > res.FluidWork {
-			t.Errorf("workers=%d: task work %d > fluid %d", workers, res.TaskWork, res.FluidWork)
-		}
+	base := testFarm(8, station.Laptop{MeanIdle: 3000})
+	type input struct {
+		f   Farm
+		job Job
+	}
+	inputs := map[string]input{"empty job": {privateFarm(base), Job{}}}
+	for name, f := range layouts(base) {
+		inputs[name] = input{f, job}
+	}
+	for name, in := range inputs {
+		t.Run(name, func(t *testing.T) {
+			f, job := in.f, in.job
+			for _, workers := range []int{1, 2, 8} {
+				res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
+					t.Errorf("workers=%d: %d + %d ≠ %d", workers, res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+				}
+				var sumTasks int
+				var sumWork, sumFluid, lifespan quant.Tick
+				for _, s := range res.Stations {
+					sumTasks += s.TasksCompleted
+					sumWork += s.TaskWork
+					sumFluid += s.FluidWork
+					lifespan += s.LifespanTicks
+				}
+				if sumTasks != res.TasksCompleted || sumWork != res.TaskWork || sumFluid != res.FluidWork {
+					t.Errorf("workers=%d: station totals %d/%d/%d vs aggregate %d/%d/%d",
+						workers, sumTasks, sumWork, sumFluid, res.TasksCompleted, res.TaskWork, res.FluidWork)
+				}
+				// Task work never exceeds fluid capacity.
+				if res.TaskWork > res.FluidWork {
+					t.Errorf("workers=%d: task work %d > fluid %d", workers, res.TaskWork, res.FluidWork)
+				}
+				if len(job.Tasks) > 0 {
+					if res.TasksCompleted == 0 {
+						t.Errorf("workers=%d: no tasks completed fleet-wide", workers)
+					}
+					continue
+				}
+				for _, s := range res.Stations {
+					if s.Opportunities != f.OpportunitiesPerStation {
+						t.Errorf("workers=%d: station %d played %d of %d opportunities", workers, s.Station, s.Opportunities, f.OpportunitiesPerStation)
+					}
+				}
+				if res.FluidWork < 1 || res.FluidWork >= lifespan {
+					t.Errorf("workers=%d: survey banked %d work over %d lifespan, want utilization within (0, 1)", workers, res.FluidWork, lifespan)
+				}
+			}
+		})
 	}
 }
 
 func TestFarmEmptyFleet(t *testing.T) {
-	if _, err := (Farm{}).Run(context.Background(), Job{}, equalizedFactory, 1); err == nil {
-		t.Error("empty fleet accepted")
+	for name, f := range map[string]Farm{"sharded": {}, "private": {Private: true}} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := f.RunDeterministic(context.Background(), Job{}, equalizedFactory, 1, 1); err == nil {
+				t.Error("empty fleet accepted")
+			}
+		})
 	}
 }
 
 func TestFarmFactoryErrorPropagates(t *testing.T) {
-	f := testFarm(3, station.Laptop{MeanIdle: 2000})
-	_, err := f.Run(context.Background(), Job{Tasks: task.Fixed(100, 5)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
-		return nil, errBoom
-	}, 1)
-	if err == nil {
-		t.Error("factory error swallowed")
+	for name, f := range layouts(testFarm(3, station.Laptop{MeanIdle: 2000})) {
+		t.Run(name, func(t *testing.T) {
+			_, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(100, 5)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+				return nil, errBoom
+			}, 1, 0)
+			if err == nil {
+				t.Error("factory error swallowed")
+			}
+		})
 	}
 }
 
@@ -151,7 +160,7 @@ func TestFarmStopsBorrowingWhenJobDone(t *testing.T) {
 	f := testFarm(4, station.Overnight{Window: 50000})
 	f.OpportunitiesPerStation = 50
 	job := Job{Tasks: task.Fixed(5, 10)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 3)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +208,7 @@ func TestFarmMaliciousOwnersStillFinish(t *testing.T) {
 	base := station.Overnight{Window: 30000}
 	f := testFarm(5, station.Malicious{Base: base, Setup: 10})
 	job := Job{Tasks: task.Uniform(500, 5, 40, 9)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 5)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,136 +221,105 @@ func TestFarmMaliciousOwnersStillFinish(t *testing.T) {
 }
 
 func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
-	f := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
+	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
 	job := Job{Tasks: task.Exponential(400, 20, 3)}
-	run := func(workers int) []stats.Summary {
-		sums, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 6, Seed: 9, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sums
-	}
-	a, b := run(1), run(8)
-	if len(a) != NumMetrics || len(b) != NumMetrics {
-		t.Fatalf("metric counts %d/%d, want %d", len(a), len(b), NumMetrics)
-	}
-	for m := range a {
-		if a[m].Mean != b[m].Mean || a[m].Std != b[m].Std || a[m].Min != b[m].Min || a[m].Max != b[m].Max {
-			t.Errorf("metric %d differs across worker counts: %+v vs %+v", m, a[m], b[m])
-		}
+	for _, in := range []struct {
+		name string
+		f    Farm
+		job  Job
+	}{
+		{"shared job", shared, job},
+		{"private", privateFarm(shared), job},
+		{"empty job", privateFarm(shared), Job{}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			run := func(workers int) []stats.Summary {
+				sums, err := in.f.Replicate(context.Background(), in.job, equalizedFactory, mc.Config{Trials: 6, Seed: 9, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sums
+			}
+			a, b := run(1), run(8)
+			if len(a) != NumMetrics || len(b) != NumMetrics {
+				t.Fatalf("metric counts %d/%d, want %d", len(a), len(b), NumMetrics)
+			}
+			for m := range a {
+				if a[m].Mean != b[m].Mean || a[m].Std != b[m].Std || a[m].Min != b[m].Min || a[m].Max != b[m].Max {
+					t.Errorf("metric %d differs across worker counts: %+v vs %+v", m, a[m], b[m])
+				}
+			}
+		})
 	}
 }
 
 func TestReplicateMetricSanity(t *testing.T) {
 	f := testFarm(4, station.Office{MeanIdle: 400, MaxP: 2})
-	job := Job{Tasks: task.Exponential(300, 20, 7)}
-	sums, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := sums[MetricCompletionFrac]
-	if frac.Min < 0 || frac.Max > 1 {
-		t.Errorf("completion fraction outside [0,1]: %+v", frac)
-	}
-	if sums[MetricImbalance].Min < 1 {
-		t.Errorf("imbalance below 1: %+v", sums[MetricImbalance])
-	}
-	if sums[MetricTasksCompleted].Mean <= 0 {
-		t.Errorf("no tasks completed on average: %+v", sums[MetricTasksCompleted])
-	}
-	if sums[MetricTasksCompleted].N != 5 {
-		t.Errorf("trial count %d, want 5", sums[MetricTasksCompleted].N)
-	}
+	t.Run("shared job", func(t *testing.T) {
+		job := Job{Tasks: task.Exponential(300, 20, 7)}
+		sums, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 5, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac := sums[MetricCompletionFrac]
+		if frac.Min < 0 || frac.Max > 1 {
+			t.Errorf("completion fraction outside [0,1]: %+v", frac)
+		}
+		if sums[MetricImbalance].Min < 1 {
+			t.Errorf("imbalance below 1: %+v", sums[MetricImbalance])
+		}
+		if sums[MetricTasksCompleted].Mean <= 0 {
+			t.Errorf("no tasks completed on average: %+v", sums[MetricTasksCompleted])
+		}
+		if sums[MetricTasksCompleted].N != 5 {
+			t.Errorf("trial count %d, want 5", sums[MetricTasksCompleted].N)
+		}
+		util := sums[MetricUtilization]
+		if util.Min <= 0 || util.Max > 1 {
+			t.Errorf("utilization outside (0,1]: %+v", util)
+		}
+		if sums[MetricLifespan].Min <= 0 || sums[MetricTaskWork].Mean <= 0 {
+			t.Errorf("no lifespan %+v or task work %+v", sums[MetricLifespan], sums[MetricTaskWork])
+		}
+	})
+
+	// A fluid survey banks work over the lifespan it is offered, and no tasks.
+	t.Run("empty job", func(t *testing.T) {
+		survey, err := privateFarm(f).Replicate(context.Background(), Job{}, equalizedFactory, mc.Config{Trials: 5, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if util := survey[MetricUtilization]; util.Min < 0 || util.Max > 1 {
+			t.Errorf("survey utilization outside [0,1]: %+v", util)
+		}
+		if survey[MetricFluidWork].Mean <= 0 || survey[MetricLifespan].Min <= 0 {
+			t.Errorf("survey banked no work %+v over lifespan %+v", survey[MetricFluidWork], survey[MetricLifespan])
+		}
+		if survey[MetricTasksCompleted].Mean != 0 || survey[MetricTaskWork].Mean != 0 {
+			t.Errorf("fluid-only survey reported task work: %+v", survey[MetricTaskWork])
+		}
+		if survey[MetricFluidWork].N != 5 {
+			t.Errorf("trial count %d, want 5", survey[MetricFluidWork].N)
+		}
+	})
 }
 
 func TestReplicateRejectsBadConfig(t *testing.T) {
 	f := testFarm(2, station.Office{MeanIdle: 100, MaxP: 1})
 	job := Job{Tasks: task.Fixed(10, 5)}
-	if _, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 0, Seed: 1}); err == nil {
-		t.Error("trials=0 accepted")
-	}
-}
-
-// --- sharded bag ---------------------------------------------------------------
-
-func TestShardedBagDealAndCounters(t *testing.T) {
-	b := NewShardedBag(task.Fixed(10, 5), 4)
-	if b.Shards() != 4 || b.Remaining() != 10 || b.RemainingWork() != 50 {
-		t.Fatalf("shards=%d remaining=%d work=%d", b.Shards(), b.Remaining(), b.RemainingWork())
-	}
-	src := b.Station(1)
-	got := src.Take(12) // two tasks from home shard 1 (IDs 1, 5)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 5 {
-		t.Fatalf("home take: %v", got)
-	}
-	if b.Remaining() != 8 || b.RemainingWork() != 40 || b.Steals() != 0 {
-		t.Errorf("counters after home take: %d/%d/%d", b.Remaining(), b.RemainingWork(), b.Steals())
-	}
-	src.Return(got)
-	if b.Remaining() != 10 || b.RemainingWork() != 50 {
-		t.Errorf("counters after return: %d/%d", b.Remaining(), b.RemainingWork())
-	}
-}
-
-func TestShardedBagStealOrderAndHomeReturn(t *testing.T) {
-	// 3 shards; drain shard 0, then station 0 must steal from shard 1 first.
-	b := NewShardedBag(task.Fixed(9, 5), 3)
-	s0 := b.Station(0)
-	if got := s0.Take(100); len(got) != 3 {
-		t.Fatalf("draining home: %v", got)
-	}
-	stolen := s0.Take(5)
-	if len(stolen) != 1 || stolen[0].ID%3 != 1 {
-		t.Fatalf("first steal should hit shard 1, got task %v", stolen)
-	}
-	if b.Steals() != 1 {
-		t.Errorf("steals = %d", b.Steals())
-	}
-	// A kill returns the stolen task to the thief's own queue, not the victim's.
-	s0.Return(stolen)
-	back := s0.Take(5)
-	if len(back) != 1 || back[0].ID != stolen[0].ID {
-		t.Fatalf("killed task not requeued at thief's home: %v", back)
-	}
-	if b.Steals() != 1 {
-		t.Errorf("home re-take counted as a steal: %d", b.Steals())
-	}
-}
-
-func TestShardedBagConcurrentDrainConserves(t *testing.T) {
-	const n = 4000
-	b := NewShardedBag(task.Fixed(n, 3), 16)
-	var taken int64
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := b.Station(w)
-			for {
-				got := src.Take(9)
-				if len(got) == 0 {
-					return
-				}
-				atomic.AddInt64(&taken, int64(len(got)))
+	for name, f := range map[string]Farm{"sharded": f, "private": privateFarm(f)} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 0, Seed: 1}); err == nil {
+				t.Error("trials=0 accepted")
 			}
-		}(w)
-	}
-	wg.Wait()
-	if taken != n || b.Remaining() != 0 || b.RemainingWork() != 0 {
-		t.Errorf("drained %d, remaining %d/%d; want %d/0/0", taken, b.Remaining(), b.RemainingWork(), n)
-	}
-	if b.Steals() == 0 {
-		t.Error("draining 16 shards from 8 stations must have stolen")
+		})
 	}
 }
-
-// --- live Run on the sharded pool ----------------------------------------------
 
 func TestFarmRunShardedCompletesSmallJob(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 20000}) // Shards 0 = auto-sharded
 	job := Job{Tasks: task.Uniform(200, 5, 50, 1)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 42)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,13 +334,15 @@ func TestFarmShardsSelection(t *testing.T) {
 		t.Errorf("auto shards on 6 stations = %d, want 6", got)
 	}
 	f.Shards = 1
-	if _, ok := f.newPool(Job{}).(*SharedBag); !ok {
-		t.Error("Shards=1 should select the SharedBag baseline")
+	if got := f.groupCount(); got != 1 {
+		t.Errorf("Shards=1 plays %d groups, want the one shared queue", got)
 	}
 	f.Shards = 4
-	pool, ok := f.newPool(Job{}).(*ShardedBag)
-	if !ok || pool.Shards() != 4 {
-		t.Errorf("Shards=4 pool: %T", pool)
+	if got := f.groupCount(); got != 4 {
+		t.Errorf("Shards=4 plays %d groups", got)
+	}
+	if got := privateFarm(f).groupCount(); got != 6 {
+		t.Errorf("the private layout plays %d groups, want one per station", got)
 	}
 	f.Stations = f.Stations[:2]
 	f.Shards = 100
@@ -371,26 +351,33 @@ func TestFarmShardsSelection(t *testing.T) {
 	}
 }
 
-// Bugfix regression: every failing station must surface, not just the first.
+// Bugfix regression: every failing station must surface, not just the
+// first, joined in station order.
 func TestFarmRunJoinsAllErrors(t *testing.T) {
-	f := testFarm(4, station.Laptop{MeanIdle: 2000})
-	f.Workers = 2
-	// A job far larger than the fleet can finish, so no station skips its
-	// opportunities (and its factory call) just because the bag drained.
-	_, err := f.Run(context.Background(), Job{Tasks: task.Fixed(100000, 50)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
-		if ws.ID%2 == 1 {
-			return nil, errBoom
-		}
-		return sched.NewAdaptiveEqualized(ws.Setup)
-	}, 1)
-	if err == nil {
-		t.Fatal("factory errors swallowed")
-	}
-	msg := err.Error()
-	for _, want := range []string{"station 1", "station 3"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("joined error missing %q: %v", want, msg)
-		}
+	for name, f := range layouts(testFarm(4, station.Laptop{MeanIdle: 2000})) {
+		t.Run(name, func(t *testing.T) {
+			// A job far larger than the fleet can finish, so no station skips
+			// its opportunities (and its factory call) just because the queues
+			// drained.
+			_, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(100000, 50)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+				if ws.ID%2 == 1 {
+					return nil, errBoom
+				}
+				return sched.NewAdaptiveEqualized(ws.Setup)
+			}, 1, 2)
+			if err == nil {
+				t.Fatal("factory errors swallowed")
+			}
+			msg := err.Error()
+			for _, want := range []string{"station 1", "station 3"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("joined error missing %q: %v", want, msg)
+				}
+			}
+			if i, j := strings.Index(msg, "station 1"), strings.Index(msg, "station 3"); i > j {
+				t.Errorf("errors out of station order: %v", msg)
+			}
+		})
 	}
 }
 
@@ -414,18 +401,30 @@ func TestRunDeterministicBitIdenticalAcrossWorkers(t *testing.T) {
 	f := testFarm(30, station.Office{MeanIdle: 800, MaxP: 2})
 	f.OpportunitiesPerStation = 6
 	job := Job{Tasks: task.Exponential(2000, 15, 3)}
-	base, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 99, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8, 0} {
-		got, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 99, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(base, got) {
-			t.Errorf("workers=%d: result diverged from serial", workers)
-		}
+	for _, in := range []struct {
+		name string
+		f    Farm
+		job  Job
+	}{
+		{"shared job", f, job},
+		{"private", privateFarm(f), job},
+		{"empty job", privateFarm(f), Job{}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			base, err := in.f.RunDeterministic(context.Background(), in.job, equalizedFactory, 99, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4, 8, 0} {
+				got, err := in.f.RunDeterministic(context.Background(), in.job, equalizedFactory, 99, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !resultsEqual(base, got) {
+					t.Errorf("workers=%d: result diverged from serial", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -543,40 +542,53 @@ func reuseFactories() map[string]station.SchedulerFactory {
 func TestRunDeterministicReuseInvisible(t *testing.T) {
 	ctx := context.Background()
 	job := Job{Tasks: task.Exponential(1500, 15, 5)}
-	f := testFarm(24, station.Office{MeanIdle: 700, MaxP: 2})
-	f.OpportunitiesPerStation = 6
-	for name, factory := range reuseFactories() {
-		for _, workers := range []int{1, 8} {
-			want, err := f.RunDeterministic(ctx, job, factory, 42, workers)
-			if err != nil {
-				t.Fatal(err)
+	shared := testFarm(24, station.Office{MeanIdle: 700, MaxP: 2})
+	shared.OpportunitiesPerStation = 6
+	for _, in := range []struct {
+		layout string
+		f      Farm
+		job    Job
+	}{
+		{"shared job", shared, job},
+		{"private", privateFarm(shared), job},
+		{"empty job", privateFarm(shared), Job{}},
+	} {
+		t.Run(in.layout, func(t *testing.T) {
+			f, job := in.f, in.job
+			for name, factory := range reuseFactories() {
+				for _, workers := range []int{1, 8} {
+					want, err := f.RunDeterministic(ctx, job, factory, 42, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := f.RunDeterministic(ctx, job, hideKeys(factory), 42, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("%s: workers=%d: RunDeterministic without reuse diverged", name, workers)
+					}
+				}
+				cfg := mc.Config{Trials: 12, Seed: 3, Workers: 2}
+				want, err := f.Replicate(ctx, job, factory, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := f.Replicate(ctx, job, hideKeys(factory), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: Replicate without reuse diverged", name)
+				}
 			}
-			got, err := f.RunDeterministic(ctx, job, hideKeys(factory), 42, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s: workers=%d: RunDeterministic without reuse diverged", name, workers)
-			}
-		}
-		cfg := mc.Config{Trials: 12, Seed: 3, Workers: 2}
-		want, err := f.Replicate(ctx, job, factory, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.Replicate(ctx, job, hideKeys(factory), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: Replicate without reuse diverged", name)
-		}
+		})
 	}
 }
 
-// The live engine's aggregate invariants (task conservation) must hold
-// with reuse and without it; per-station assignment is free to differ (it
-// is scheduling-dependent either way).
+// Task conservation holds with reuse and without it when every station
+// plays against the one shared queue, where a group's warm scheduler is
+// handed from station to station within every round.
 func TestRunReuseConserves(t *testing.T) {
 	for _, hide := range []bool{false, true} {
 		factory := station.SchedulerFactory(equalizedFactory)
@@ -584,8 +596,9 @@ func TestRunReuseConserves(t *testing.T) {
 			factory = hideKeys(factory)
 		}
 		f := testFarm(16, station.Laptop{MeanIdle: 2000})
+		f.Shards = 1
 		job := Job{Tasks: task.Uniform(2000, 5, 60, 9)}
-		res, err := f.Run(context.Background(), job, factory, 5)
+		res, err := f.RunDeterministic(context.Background(), job, factory, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -659,57 +672,69 @@ func TestStationReusesFirstEqualKeyInstance(t *testing.T) {
 // order) and merging the partial accumulators reproduces Replicate — and
 // ReplicateStations — bit for bit.
 func TestReplicateShardsBitIdentical(t *testing.T) {
-	f := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
-	f.Stations[2].Owner = station.Laptop{MeanIdle: 300}
+	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
+	shared.Stations[2].Owner = station.Laptop{MeanIdle: 300}
 	job := Job{Tasks: task.Exponential(400, 20, 3)}
 	cfg := mc.Config{Trials: 90, Seed: 9}
-
-	want, err := f.Replicate(context.Background(), job, equalizedFactory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMetrics, wantLifespans, err := f.ReplicateStations(context.Background(), job, equalizedFactory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, parts := range []int{1, 4} {
-		for _, stationCols := range []bool{false, true} {
-			var shards []mc.ShardAccums
-			// Run the subsets in reverse to prove location/order independence.
-			for p := parts - 1; p >= 0; p-- {
-				var ids []int
-				for s := p; s < mc.Shards; s += parts {
-					ids = append(ids, s)
-				}
-				part, err := f.ReplicateShards(context.Background(), job, equalizedFactory, cfg, stationCols, ids)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shards = append(shards, part...)
-			}
-			sums, err := mc.MergeShards(f.ReplicateColumns(stationCols), shards)
+	for _, in := range []struct {
+		name string
+		f    Farm
+		job  Job
+	}{
+		{"shared job", shared, job},
+		{"private", privateFarm(shared), job},
+		{"empty job", privateFarm(shared), Job{}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			f, job := in.f, in.job
+			want, err := f.Replicate(context.Background(), job, equalizedFactory, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !stationCols {
-				for m := range want {
-					if sums[m] != want[m] {
-						t.Errorf("parts=%d metric %d diverged from Replicate:\n got %+v\nwant %+v", parts, m, sums[m], want[m])
+			wantMetrics, wantLifespans, err := f.ReplicateStations(context.Background(), job, equalizedFactory, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for _, parts := range []int{1, 4} {
+				for _, stationCols := range []bool{false, true} {
+					var shards []mc.ShardAccums
+					// Run the subsets in reverse to prove location/order independence.
+					for p := parts - 1; p >= 0; p-- {
+						var ids []int
+						for s := p; s < mc.Shards; s += parts {
+							ids = append(ids, s)
+						}
+						part, err := f.ReplicateShards(context.Background(), job, equalizedFactory, cfg, stationCols, ids)
+						if err != nil {
+							t.Fatal(err)
+						}
+						shards = append(shards, part...)
+					}
+					sums, err := mc.MergeShards(f.ReplicateColumns(stationCols), shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !stationCols {
+						for m := range want {
+							if sums[m] != want[m] {
+								t.Errorf("parts=%d metric %d diverged from Replicate:\n got %+v\nwant %+v", parts, m, sums[m], want[m])
+							}
+						}
+						continue
+					}
+					for m := range wantMetrics {
+						if sums[m] != wantMetrics[m] {
+							t.Errorf("parts=%d metric %d diverged from ReplicateStations:\n got %+v\nwant %+v", parts, m, sums[m], wantMetrics[m])
+						}
+					}
+					for s := range wantLifespans {
+						if sums[NumMetrics+s] != wantLifespans[s] {
+							t.Errorf("parts=%d station %d lifespan diverged:\n got %+v\nwant %+v", parts, s, sums[NumMetrics+s], wantLifespans[s])
+						}
 					}
 				}
-				continue
 			}
-			for m := range wantMetrics {
-				if sums[m] != wantMetrics[m] {
-					t.Errorf("parts=%d metric %d diverged from ReplicateStations:\n got %+v\nwant %+v", parts, m, sums[m], wantMetrics[m])
-				}
-			}
-			for s := range wantLifespans {
-				if sums[NumMetrics+s] != wantLifespans[s] {
-					t.Errorf("parts=%d station %d lifespan diverged:\n got %+v\nwant %+v", parts, s, sums[NumMetrics+s], wantLifespans[s])
-				}
-			}
-		}
+		})
 	}
 }

@@ -1,15 +1,12 @@
 package farm
 
-// Regression tests for the fleet-layer bugfix PR: early-exit starvation in
-// the live engine, stale-mirror phantom-empty takes in the sharded bag, and
-// the steal-target hint's victim localization.
+// Regression tests for the fleet layer: early-exit starvation on a late
+// kill, the per-station lifespan accounting, and the Private survey.
 
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"cyclesteal/internal/adversary"
 	"cyclesteal/internal/model"
@@ -50,145 +47,32 @@ func (o *lateKillOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Inte
 
 func (o *lateKillOwner) Name() string { return "latekill" }
 
-// patientOwner blocks its first contract until gate closes (so the other
-// station takes the job's task first), then offers large benign contracts.
-type patientOwner struct {
-	gate   <-chan struct{}
-	waited bool
-}
+// benignOwner offers large contracts it never interrupts.
+type benignOwner struct{}
 
-func (o *patientOwner) Sample(rng *rand.Rand) station.Contract {
-	if !o.waited {
-		<-o.gate
-		o.waited = true
-	}
-	return station.Contract{U: 5000, P: 0}
-}
+func (benignOwner) Sample(rng *rand.Rand) station.Contract { return station.Contract{U: 5000, P: 0} }
 
-func (o *patientOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
+func (benignOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
 	return adversary.None{}
 }
 
-func (o *patientOwner) Name() string { return "patient" }
+func (benignOwner) Name() string { return "benign" }
 
-// inflightProbePool wraps a pool to orchestrate the starvation interleaving:
-// station 0's first successful Take closes took; its Return then stalls
-// until station 1 has probed the (momentarily empty) pool, which is exactly
-// the window where the old engine's Remaining()==0 check made station 1
-// quit for good.
-type inflightProbePool struct {
-	inner        TaskPool
-	took         chan struct{}
-	release      chan struct{}
-	returned     chan struct{}
-	tookOnce     sync.Once
-	releaseOnce  sync.Once
-	returnedOnce sync.Once
-}
-
-func (p *inflightProbePool) Station(i int) sim.TaskSource {
-	src := p.inner.Station(i)
-	if i == 0 {
-		return &holderSource{p: p, src: src}
-	}
-	return &proberSource{p: p, src: src}
-}
-
-func (p *inflightProbePool) Remaining() int            { return p.inner.Remaining() }
-func (p *inflightProbePool) RemainingWork() quant.Tick { return p.inner.RemainingWork() }
-func (p *inflightProbePool) Steals() int               { return p.inner.Steals() }
-func (p *inflightProbePool) Exhaustible() bool         { return true }
-
-type holderSource struct {
-	p   *inflightProbePool
-	src sim.TaskSource
-}
-
-func (h *holderSource) Take(capacity quant.Tick) []task.Task {
-	got := h.src.Take(capacity)
-	if len(got) > 0 {
-		h.p.tookOnce.Do(func() { close(h.p.took) })
-	}
-	return got
-}
-
-func (h *holderSource) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	base := len(dst)
-	dst = h.src.TakeInto(dst, capacity)
-	if len(dst) > base {
-		h.p.tookOnce.Do(func() { close(h.p.took) })
-	}
-	return dst
-}
-
-func (h *holderSource) Return(tasks []task.Task) {
-	if len(tasks) > 0 {
-		select {
-		case <-h.p.release:
-		case <-time.After(2 * time.Second):
-		}
-	}
-	h.src.Return(tasks)
-	if len(tasks) > 0 {
-		h.p.returnedOnce.Do(func() { close(h.p.returned) })
-	}
-}
-
-type proberSource struct {
-	p   *inflightProbePool
-	src sim.TaskSource
-}
-
-func (s *proberSource) Take(capacity quant.Tick) []task.Task {
-	got := s.src.Take(capacity)
-	if got == nil {
-		select {
-		case <-s.p.took:
-			// The probe landed in the in-flight window: the pool reads
-			// empty while the holder's killed tasks are pending Return.
-			// (The old engine's Remaining()==0 break quit here for good.)
-			// Let the holder return them, wait for the tasks to land, and
-			// retry — so the interleaving is deterministic, not a race.
-			s.p.releaseOnce.Do(func() { close(s.p.release) })
-			select {
-			case <-s.p.returned:
-				got = s.src.Take(capacity)
-			case <-time.After(2 * time.Second):
-			}
-		default:
-		}
-	}
-	return got
-}
-
-func (s *proberSource) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	return append(dst, s.Take(capacity)...)
-}
-
-func (s *proberSource) Return(tasks []task.Task) { s.src.Return(tasks) }
-
-// Bugfix regression: a station observing an empty pool while another
-// station's in-flight tasks are about to be killed and Returned must keep
-// borrowing — the old Remaining()==0 break left TasksLeft > 0 with willing
-// stations idle. With the unfinished ledger, station 1 stays in the game,
-// picks up the late-returned task, and the job completes.
+// Bugfix regression: a task killed late in its period must not be stranded
+// by the early-exit check. The kill returns it to its group's queue before
+// the round barrier, so the done-check finds it pending, the idle group
+// steals it, station 1 completes it, and only then does the fleet stop
+// borrowing.
 func TestFarmRunNoEarlyExitStarvationOnLateKill(t *testing.T) {
-	gate := make(chan struct{})
 	stations := []station.Workstation{
 		{ID: 0, Owner: &lateKillOwner{}, Setup: 10},
-		{ID: 1, Owner: &patientOwner{gate: gate}, Setup: 10},
+		{ID: 1, Owner: benignOwner{}, Setup: 10},
 	}
-	f := Farm{Stations: stations, OpportunitiesPerStation: 300, Workers: 2}
-	pool := &inflightProbePool{
-		inner:    NewSharedBag(task.Fixed(1, 50)),
-		took:     gate,
-		release:  make(chan struct{}),
-		returned: make(chan struct{}),
-	}
+	f := Farm{Stations: stations, OpportunitiesPerStation: 300, Shards: 2}
 	singlePeriod := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 		return sched.SinglePeriod{}, nil
 	}
-	res, err := f.RunPool(context.Background(), pool, singlePeriod, 1)
+	res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(1, 50)}, singlePeriod, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,382 +93,68 @@ func TestFarmRunNoEarlyExitStarvationOnLateKill(t *testing.T) {
 	}
 }
 
-// Bugfix regression: when the size mirrors read 0 mid-scan but tasks remain
-// because a racing Return landed behind the scan, Take must re-check the
-// global counter and retry the cycle under the locks instead of yielding
-// nil. The interleaving is replayed deterministically via the epoch-taking
-// entry point: the epoch is read, the Return lands (with its mirror update
-// "unseen" by the scan, emulated by zeroing it), and the take proceeds.
-func TestShardedBagStaleMirrorRetry(t *testing.T) {
-	b := NewShardedBag(task.Fixed(4, 5), 2) // shard 0: tasks 0,2; shard 1: tasks 1,3
-	s0 := b.Station(0).(*stationView)
-	s1 := b.Station(1)
-	if got := s0.Take(100); len(got) != 2 {
-		t.Fatalf("draining home: %v", got)
-	}
-	inflight := s1.Take(100)
-	if len(inflight) != 2 {
-		t.Fatalf("draining shard 1: %v", inflight)
-	}
-	epoch := b.returns.Load() // station 0's Take begins here
-	s1.Return(inflight)       // the kill's Return lands mid-scan
-	b.shards[1].size.Store(0) // ...but the scan read the mirror before the store
-	got := s0.take(100, epoch)
-	if len(got) != 2 {
-		t.Fatalf("stale mirror starved the take despite remaining=%d: %v", b.Remaining(), got)
-	}
-	if b.Remaining() != 0 {
-		t.Errorf("remaining = %d after full drain", b.Remaining())
-	}
-}
-
-// The forced pass must re-probe the scanner's own home shard: a co-homed
-// station's killed tasks Return to the queue the scanner's fast path
-// already passed.
-func TestShardedBagForcedRetryReprobesHome(t *testing.T) {
-	b := NewShardedBag(task.Fixed(2, 5), 2) // shard 0: task 0; shard 1: task 1
-	s0 := b.Station(0).(*stationView)
-	s2 := b.Station(2) // 2 mod 2 = 0: shares station 0's home shard
-	if got := s0.Take(100); len(got) != 1 {
-		t.Fatalf("draining home: %v", got)
-	}
-	if got := b.Station(1).Take(100); len(got) != 1 {
-		t.Fatalf("draining shard 1: %v", got)
-	}
-	// Station 0's fast path (home probe + scan) has come up empty when the
-	// co-homed kill lands its task back in shard 0; the forced pass behind
-	// the epoch gate must find it there.
-	s2.Return([]task.Task{{ID: 9, Duration: 5}})
-	got := s0.retryUnderLocks(nil, 100)
-	if len(got) != 1 || got[0].ID != 9 {
-		t.Fatalf("home-shard return missed by the forced pass: %v (remaining %d)", got, b.Remaining())
-	}
-	if b.Steals() != 0 {
-		t.Errorf("home re-probe counted as a steal: %d", b.Steals())
-	}
-}
-
-// Without a Return during the scan the miss is a capacity miss, and the
-// retry gate must not pay a locked rescan for it.
-func TestShardedBagCapacityMissSkipsForcedRescan(t *testing.T) {
-	b := NewShardedBag([]task.Task{{ID: 0, Duration: 50}}, 2) // lone big task in shard 0
-	v := b.Station(1)                                         // home shard 1 is empty
-	if got := v.Take(10); got != nil {
-		t.Fatalf("undersized capacity took %v", got)
-	}
-	if b.Remaining() != 1 {
-		t.Errorf("remaining = %d, want the unfitting task intact", b.Remaining())
-	}
-	if got := v.Take(50); len(got) != 1 {
-		t.Errorf("fitting capacity should take the task: %v", got)
-	}
-}
-
-// The steal-target hint: after the first successful steal the victim is
-// cached, and the richest-shard index (maintained from the size mirrors on
-// Return) points a cold station straight at the one rich shard.
-func TestShardedBagStealHintLocalizesVictim(t *testing.T) {
-	b := NewShardedBag(nil, 8)
-	rich := b.Station(5)
-	rich.Return(task.Fixed(10, 1)) // all tasks land in shard 5
-	if got := int(b.richest[0].Load()); got != 5 {
-		t.Fatalf("richest hint = %d after Return, want 5", got)
-	}
-	v := b.Station(0)
-	for i := 0; i < 6; i++ {
-		if got := v.Take(1); len(got) != 1 {
-			t.Fatalf("take %d came up empty", i)
-		}
-	}
-	if lv := v.(*stationView).lastVictim; lv != 5 {
-		t.Errorf("last-victim cache = %d, want 5", lv)
-	}
-	if b.Steals() != 6 {
-		t.Errorf("steals = %d, want 6", b.Steals())
-	}
-	if b.Remaining() != 4 {
-		t.Errorf("remaining = %d, want 4", b.Remaining())
-	}
-}
-
-// The linearScan escape hatch must preserve behavior (it only changes the
-// scan order), and the hinted path must fall back to the cyclic scan when
-// the hints go stale.
-func TestShardedBagHintFallsBackToScan(t *testing.T) {
-	b := NewShardedBag(task.Fixed(9, 5), 3)
-	s0 := b.Station(0)
-	if got := s0.Take(100); len(got) != 3 {
-		t.Fatalf("draining home: %v", got)
-	}
-	// richest still points at a drained shard after this steal empties it.
-	for i := 0; i < 2; i++ {
-		if got := s0.Take(100); len(got) != 3 {
-			t.Fatalf("steal round %d: %v", i, got)
-		}
-	}
-	if b.Remaining() != 0 {
-		t.Errorf("remaining = %d", b.Remaining())
-	}
-	if got := s0.Take(100); got != nil {
-		t.Errorf("empty bag yielded %v", got)
-	}
-}
-
-func TestPrivatePoolsIsolation(t *testing.T) {
-	bags := []*task.Bag{task.NewBag(task.Fixed(3, 5)), nil}
-	p := NewPrivatePools(bags)
-	if p.Exhaustible() {
-		t.Error("private pools must not be exhaustible")
-	}
-	if p.Remaining() != 3 || p.RemainingWork() != 15 || p.Steals() != 0 {
-		t.Errorf("counters: %d/%d/%d", p.Remaining(), p.RemainingWork(), p.Steals())
-	}
-	if got := p.Station(1).Take(100); got != nil {
-		t.Errorf("bagless station took %v", got)
-	}
-	p.Station(1).Return(task.Fixed(1, 5)) // must not panic
-	if got := p.Station(7).Take(100); got != nil {
-		t.Errorf("out-of-range station took %v", got)
-	}
-	if got := p.Station(0).Take(100); len(got) != 3 {
-		t.Errorf("own bag take: %v", got)
-	}
-	if p.Remaining() != 0 {
-		t.Errorf("remaining = %d after drain", p.Remaining())
-	}
-}
-
-// The unified engine's lifespan accounting: the farm layer now carries the
-// per-station lifespan/idle columns now.Fleet reports.
+// The per-station lifespan accounting holds in every layout: a station
+// banks no more work, and idles no more, than the lifespan it was offered.
 func TestFarmRunAccountsLifespan(t *testing.T) {
-	f := testFarm(4, station.Office{MeanIdle: 3000, MaxP: 2})
 	job := Job{Tasks: task.Uniform(500, 5, 50, 1)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 11)
+	for name, f := range layouts(testFarm(4, station.Office{MeanIdle: 3000, MaxP: 2})) {
+		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 11, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Stations {
+			if s.Opportunities > 0 && s.LifespanTicks < 1 {
+				t.Errorf("%s: station %d played %d opportunities over %d lifespan", name, s.Station, s.Opportunities, s.LifespanTicks)
+			}
+			if s.FluidWork > s.LifespanTicks {
+				t.Errorf("%s: station %d banked %d work over %d lifespan", name, s.Station, s.FluidWork, s.LifespanTicks)
+			}
+			if s.IdleTicks > s.LifespanTicks {
+				t.Errorf("%s: station %d idled %d of %d lifespan", name, s.Station, s.IdleTicks, s.LifespanTicks)
+			}
+		}
+	}
+}
+
+// --- the Private survey -------------------------------------------------------
+
+// Private queues never pool and never end the run: even with every queue
+// drained mid-run, stations keep playing all their opportunities (fluid
+// mode keeps banking work).
+func TestFleetRunsAllOpportunitiesDespiteEmptyBags(t *testing.T) {
+	f := privateFarm(testFarm(3, station.Overnight{Window: 20000}))
+	f.OpportunitiesPerStation = 7
+	// One tiny task per station, done in its first period.
+	res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(3, 10)}, equalizedFactory, 5, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, s := range res.Stations {
-		if s.Opportunities > 0 && s.LifespanTicks < 1 {
-			t.Errorf("station %d played %d opportunities over %d lifespan", s.Station, s.Opportunities, s.LifespanTicks)
-		}
-		if s.FluidWork > s.LifespanTicks {
-			t.Errorf("station %d banked %d work over %d lifespan", s.Station, s.FluidWork, s.LifespanTicks)
-		}
-		if s.IdleTicks > s.LifespanTicks {
-			t.Errorf("station %d idled %d of %d lifespan", s.Station, s.IdleTicks, s.LifespanTicks)
-		}
-	}
-}
-
-// --- single-shot shipping: two stations racing on one bag --------------------
-
-// shipKillOwner offers one two-period contract whose second period is killed
-// at its last instant, then unusable 1-tick contracts.
-type shipKillOwner struct{ calls int }
-
-func (o *shipKillOwner) Sample(rng *rand.Rand) station.Contract {
-	o.calls++
-	if o.calls == 1 {
-		return station.Contract{U: 100, P: 1}
-	}
-	return station.Contract{U: 1, P: 0}
-}
-
-func (o *shipKillOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
-	return killAt{at: 100}
-}
-
-func (o *shipKillOwner) Name() string { return "shipkill" }
-
-// shipperSource instruments station 0: its second nonempty ship (the
-// to-be-killed period's) closes shipped and records the in-flight IDs; the
-// kill's Return then stalls until the rival has probed the bag.
-type shipperSource struct {
-	src      sim.TaskSource
-	ships    int
-	inflight []int
-	shipped  chan struct{}
-	probed   <-chan struct{}
-	returned chan struct{}
-}
-
-func (s *shipperSource) Take(capacity quant.Tick) []task.Task {
-	return s.TakeInto(nil, capacity)
-}
-
-func (s *shipperSource) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	base := len(dst)
-	dst = s.src.TakeInto(dst, capacity)
-	if len(dst) > base {
-		s.ships++
-		if s.ships == 2 {
-			for _, tk := range dst[base:] {
-				s.inflight = append(s.inflight, tk.ID)
-			}
-			close(s.shipped)
-		}
-	}
-	return dst
-}
-
-func (s *shipperSource) Return(tasks []task.Task) {
-	if len(tasks) > 0 {
-		select {
-		case <-s.probed:
-		case <-time.After(2 * time.Second):
-		}
-	}
-	s.src.Return(tasks)
-	if len(tasks) > 0 {
-		close(s.returned)
-	}
-}
-
-// rivalSource instruments station 1: once station 0 has shipped its killed
-// period, the rival's next take records what the bag would still hand out —
-// in-flight tasks must not be among it.
-type rivalSource struct {
-	src       sim.TaskSource
-	shipped   <-chan struct{}
-	probed    chan struct{}
-	returned  <-chan struct{}
-	probeOnce sync.Once
-	probeIDs  []int
-}
-
-func (r *rivalSource) Take(capacity quant.Tick) []task.Task {
-	return r.TakeInto(nil, capacity)
-}
-
-func (r *rivalSource) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	base := len(dst)
-	dst = r.src.TakeInto(dst, capacity)
-	select {
-	case <-r.shipped:
-		r.probeOnce.Do(func() {
-			for _, tk := range dst[base:] {
-				r.probeIDs = append(r.probeIDs, tk.ID)
-			}
-			close(r.probed)
-		})
-	default:
-	}
-	if len(dst) == base {
-		// Dry take after the probe: wait for the shipper's stalled Return to
-		// land and retry, so the rescue is a deterministic interleaving
-		// rather than a race against the opportunity budget.
-		select {
-		case <-r.returned:
-			dst = r.src.TakeInto(dst, capacity)
-		case <-time.After(2 * time.Second):
-		}
-	}
-	return dst
-}
-
-func (r *rivalSource) Return(tasks []task.Task) { r.src.Return(tasks) }
-
-type racingPool struct {
-	inner   TaskPool
-	shipper *shipperSource
-	rival   *rivalSource
-}
-
-func (p *racingPool) Station(i int) sim.TaskSource {
-	if i == 0 {
-		p.shipper.src = p.inner.Station(i)
-		return p.shipper
-	}
-	p.rival.src = p.inner.Station(i)
-	return p.rival
-}
-
-func (p *racingPool) Remaining() int            { return p.inner.Remaining() }
-func (p *racingPool) RemainingWork() quant.Tick { return p.inner.RemainingWork() }
-func (p *racingPool) Steals() int               { return p.inner.Steals() }
-func (p *racingPool) Exhaustible() bool         { return true }
-
-// rivalOwner waits for station 0 to ship its killed period, then offers
-// benign contracts until the job is done.
-type rivalOwner struct {
-	gate   <-chan struct{}
-	waited bool
-}
-
-func (o *rivalOwner) Sample(rng *rand.Rand) station.Contract {
-	if !o.waited {
-		select {
-		case <-o.gate:
-		case <-time.After(2 * time.Second):
-		}
-		o.waited = true
-	}
-	return station.Contract{U: 5000, P: 0}
-}
-
-func (o *rivalOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
-	return adversary.None{}
-}
-
-func (o *rivalOwner) Name() string { return "rival" }
-
-// Single-shot shipping regression: a period's tasks leave the bag when the
-// period starts, so a rival station racing on the same bag can neither drain
-// a period's in-flight tasks out from under it nor observe them while the
-// period runs; the kill then returns exactly the shipped set and the rival
-// rescues it. Before the restructure the killed period only took its tasks
-// at kill-processing time, so "in-flight tasks returned" depended on scan
-// timing rather than on what the period held.
-func TestRacingStationsCannotDrainInFlightTasks(t *testing.T) {
-	shipped := make(chan struct{})
-	probed := make(chan struct{})
-	returned := make(chan struct{})
-	shipper := &shipperSource{shipped: shipped, probed: probed, returned: returned}
-	rival := &rivalSource{shipped: shipped, probed: probed, returned: returned}
-	pool := &racingPool{inner: NewSharedBag(task.Fixed(6, 20)), shipper: shipper, rival: rival}
-
-	stations := []station.Workstation{
-		{ID: 0, Owner: &shipKillOwner{}, Setup: 10},
-		{ID: 1, Owner: &rivalOwner{gate: shipped}, Setup: 10},
-	}
-	f := Farm{Stations: stations, OpportunitiesPerStation: 300, Workers: 2}
-	factory := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
-		if ws.ID == 0 && c.U == 100 {
-			// Two periods of 50 (capacity 40 each: two 20-tick tasks per
-			// period); killAt{100} kills the second at its last instant.
-			return sched.NonAdaptiveFromPeriods(model.TickSchedule{50, 50}, c.P, 10)
-		}
-		return sched.SinglePeriod{}, nil
-	}
-	res, err := f.RunPool(context.Background(), pool, factory, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shipper.inflight) != 2 {
-		t.Fatalf("killed period shipped %v, want 2 tasks", shipper.inflight)
-	}
-	inflight := map[int]bool{}
-	for _, id := range shipper.inflight {
-		inflight[id] = true
-	}
-	for _, id := range rival.probeIDs {
-		if inflight[id] {
-			t.Errorf("rival drained in-flight task %d while its period was running", id)
-		}
 	}
 	if res.TasksLeft != 0 {
-		t.Fatalf("killed-period tasks stranded: %d left", res.TasksLeft)
+		t.Fatalf("%d tasks left", res.TasksLeft)
 	}
-	if res.TasksCompleted != 6 {
-		t.Errorf("completed %d of 6 tasks", res.TasksCompleted)
+	for _, s := range res.Stations {
+		if s.Opportunities != 7 {
+			t.Errorf("station %d played %d opportunities, want all 7", s.Station, s.Opportunities)
+		}
+		if s.TasksCompleted != 1 {
+			t.Errorf("station %d completed %d tasks, want its own one", s.Station, s.TasksCompleted)
+		}
 	}
-	if got := res.Stations[0].TasksCompleted; got != 2 {
-		t.Errorf("station 0 should bank only its first period's 2 tasks, got %d", got)
+}
+
+func TestMaliciousFleetUnderperformsBenign(t *testing.T) {
+	survey := func(owner station.OwnerModel) Result {
+		f := privateFarm(testFarm(6, owner))
+		f.OpportunitiesPerStation = 5
+		res, err := f.RunDeterministic(context.Background(), Job{}, equalizedFactory, 11, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if got := res.Stations[1].TasksCompleted; got != 4 {
-		t.Errorf("station 1 should rescue the killed pair plus the leftovers (4), got %d", got)
-	}
-	if res.Stations[0].KilledTicks != 50 {
-		t.Errorf("station 0 killed ticks = %d, want 50", res.Stations[0].KilledTicks)
+	benign := survey(station.Overnight{Window: 20000})
+	malicious := survey(station.Malicious{Base: station.Overnight{Window: 20000}, Setup: 10})
+	if malicious.FluidWork >= benign.FluidWork {
+		t.Errorf("malicious owners (%d) should cost work vs benign (%d)", malicious.FluidWork, benign.FluidWork)
 	}
 }

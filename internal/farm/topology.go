@@ -7,32 +7,31 @@ import (
 	"cyclesteal/internal/quant"
 )
 
-// Topology groups a farm's task-pool shards into clusters — the two-tier
-// NOW-of-NOWs the 1999 paper could not model. Shards are partitioned into
-// Clusters equal contiguous blocks (shard s in cluster s / (shards/Clusters));
-// a station's home shard places it in a cluster. Intra-cluster steals stay
+// Topology groups a farm's shards — its station groups, each owning one
+// queue — into clusters: the two-tier NOW-of-NOWs the 1999 paper could not
+// model. Shards are partitioned into Clusters equal contiguous blocks
+// (shard s in cluster s / (shards/Clusters)); a station's group places it
+// in a cluster. Intra-cluster steals stay
 // free, exactly as in the flat fleet; a cross-cluster steal prices the
 // network: the stolen tasks go "in flight" for CrossLatency ticks of fleet
 // time, unavailable to both thief and victim — the Gast–Khatiri–Trystram
 // (arXiv:1805.00857) cost model in which steal latency, not steal count,
 // governs makespan at scale.
 //
-// Victim selection is latency-aware: the steal hints (last victim, richest
-// shard) and the scans all live inside the thief's own cluster, and a station
-// only reaches across — paying the latency — when its cluster is collectively
-// dry. With Clusters ≤ 1 the topology is inactive and both engines are the
-// flat fleet, bit for bit. Note that Clusters > 1 changes victim *preference*
-// even at CrossLatency = 0: a thief now favors an in-cluster victim over a
-// nearer-by-index foreign one, so only the zero value is pinned to the flat
-// engine.
+// Victim selection is latency-aware: a dry group scans its own cluster
+// first, and only reaches across — paying the latency — when its cluster
+// arrived collectively dry. With Clusters ≤ 1 the topology is inactive and
+// the engine is the flat fleet, bit for bit. Note that Clusters > 1 changes
+// victim *preference* even at CrossLatency = 0: a thief now favors an
+// in-cluster victim over a nearer-by-index foreign one, so only the zero
+// value is pinned to the flat engine.
 //
 // CrossLatency is measured in ticks of fleet time — the same wall-clock the
-// makespan is measured on. Internally both engines keep a virtual steal clock
+// makespan is measured on. Internally the engine keeps a virtual steal clock
 // in station-ticks (Σ contract lifespans played fleet-wide); since n stations
 // play concurrently, one fleet-tick ≈ n station-ticks, and a parcel departs
-// with maturity CrossLatency × n clock units ahead. The live engine advances
-// the clock as each station settles an opportunity; RunDeterministic advances
-// it at every round barrier, keeping its bit-identical-at-any-worker-count
+// with maturity CrossLatency × n clock units ahead. The clock advances at
+// every round barrier, keeping the bit-identical-at-any-worker-count
 // contract intact.
 //
 // The latency is uniform across cluster pairs; a per-pair latency matrix
@@ -100,6 +99,13 @@ func DivisorList(n int) string {
 	}
 	return b.String()
 }
+
+// DefaultShards is the group count Farm uses when Shards is 0 (clamped to
+// the fleet size). 64 matches internal/mc.Shards: plenty of groups to keep
+// every worker busy on any machine the simulations run on, while keeping
+// the barrier's steal scan and the per-queue memory trivial even at fleet
+// sizes in the thousands.
+const DefaultShards = 64
 
 // ResolveShards resolves a Farm.Shards setting against a fleet size — the
 // same clamping Farm applies internally (0 = DefaultShards, capped at the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"cyclesteal/internal/quant"
@@ -57,111 +56,6 @@ func TestResolveShards(t *testing.T) {
 		if got := ResolveShards(c.shards, c.stations); got != c.want {
 			t.Errorf("ResolveShards(%d, %d) = %d, want %d", c.shards, c.stations, got, c.want)
 		}
-	}
-}
-
-// A cross-cluster steal with latency departs into the flight ledger: the
-// thief gets nothing, both sides lose access, and the tasks land at the
-// thief's home only once the steal clock reaches maturity.
-func TestShardedBagCrossLatencyDelaysDelivery(t *testing.T) {
-	b := NewShardedBagTopology(nil, 4, 2, 100)
-	b.Station(2).Return(task.Fixed(6, 5)) // all tasks in shard 2 = cluster 1
-	v := b.Station(0).(*stationView)
-
-	if got := v.Take(30); got != nil {
-		t.Fatalf("priced cross steal delivered immediately: %v", got)
-	}
-	if b.InFlight() != 6 || b.Steals() != 1 {
-		t.Fatalf("in flight %d / steals %d, want 6/1", b.InFlight(), b.Steals())
-	}
-	if b.Remaining() != 6 || b.RemainingWork() != 30 {
-		t.Fatalf("in-flight tasks left Remaining: %d/%d, want 6/30", b.Remaining(), b.RemainingWork())
-	}
-
-	b.Advance(99) // not matured yet
-	if got := v.Take(30); got != nil {
-		t.Fatalf("take before maturity got %v", got)
-	}
-	if b.Steals() != 1 {
-		t.Fatalf("a pending view departed a second parcel: steals %d", b.Steals())
-	}
-
-	b.Advance(1) // clock 100: the parcel lands at the thief's home shard
-	if b.InFlight() != 0 {
-		t.Fatalf("in flight %d after maturity, want 0", b.InFlight())
-	}
-	got := v.Take(30)
-	if len(got) != 6 {
-		t.Fatalf("take after delivery got %d tasks, want 6", len(got))
-	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining %d after drain", b.Remaining())
-	}
-}
-
-// Intra-cluster steals stay free under a priced topology.
-func TestShardedBagIntraClusterStealStaysFree(t *testing.T) {
-	b := NewShardedBagTopology(nil, 4, 2, 100)
-	b.Station(1).Return(task.Fixed(3, 5)) // shard 1: same cluster as station 0
-	got := b.Station(0).Take(30)
-	if len(got) != 3 {
-		t.Fatalf("intra-cluster steal got %d tasks, want 3", len(got))
-	}
-	if b.InFlight() != 0 {
-		t.Fatalf("free steal put tasks in flight: %d", b.InFlight())
-	}
-	if b.Steals() != 1 {
-		t.Fatalf("steals %d, want 1", b.Steals())
-	}
-}
-
-// Zero-latency clusters change victim preference, not delivery: a cross
-// steal hands the tasks straight to the thief.
-func TestShardedBagZeroLatencyCrossDelivers(t *testing.T) {
-	b := NewShardedBagTopology(nil, 4, 2, 0)
-	b.Station(3).Return(task.Fixed(4, 5))
-	got := b.Station(0).Take(30)
-	if len(got) != 4 {
-		t.Fatalf("zero-latency cross steal got %d tasks, want 4", len(got))
-	}
-	if b.InFlight() != 0 || b.Steals() != 1 {
-		t.Fatalf("in flight %d / steals %d, want 0/1", b.InFlight(), b.Steals())
-	}
-}
-
-// Concurrent stations draining a priced topology bag conserve every task:
-// nothing is lost between queues and the flight ledger at any interleaving.
-func TestShardedBagTopologyConcurrentDrainConserves(t *testing.T) {
-	const n = 480
-	b := NewShardedBagTopology(nil, 4, 2, 50)
-	b.Station(2).Return(task.Fixed(n, 3)) // all work in cluster 1
-	var mu sync.Mutex
-	taken := 0
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		v := b.Station(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				got := v.Take(9)
-				if len(got) == 0 {
-					if b.Remaining() == 0 {
-						return
-					}
-					b.Advance(10) // idle period: fleet time still passes
-					continue
-				}
-				mu.Lock()
-				taken += len(got)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if taken != n || b.Remaining() != 0 || b.InFlight() != 0 {
-		t.Errorf("drained %d, remaining %d, in flight %d; want %d/0/0",
-			taken, b.Remaining(), b.InFlight(), n)
 	}
 }
 
@@ -223,17 +117,16 @@ func TestTopologyRunDeterministicWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Live Run with a topology where no station ever goes dry (stations ==
-// shards, oversupplied homes): no steals happen, so per-station results are
-// independent and the whole Result is bit-identical at any worker count.
-func TestTopologyLiveRunNoStealBitIdentical(t *testing.T) {
+// A topology where no station ever goes dry (stations == shards,
+// oversupplied homes) never steals, and stays bit-identical at any worker
+// count.
+func TestTopologyRunNoStealBitIdentical(t *testing.T) {
 	job := Job{Tasks: task.Fixed(50000, 5)}
 	run := func(workers int) Result {
 		f := testFarm(8, station.Overnight{Window: 1000})
 		f.Shards = 8
-		f.Workers = workers
 		f.Topology = Topology{Clusters: 4, CrossLatency: 5}
-		res, err := f.Run(context.Background(), job, equalizedFactory, 11)
+		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 11, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,22 +138,21 @@ func TestTopologyLiveRunNoStealBitIdentical(t *testing.T) {
 		t.Fatalf("oversupplied homes still stole %d times", want.Steals)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("no-steal topology Run diverged between workers 1 and 8")
+		t.Error("no-steal topology run diverged between workers 1 and 8")
 	}
 }
 
-// Live Run with priced cross-cluster steals: the accounting invariants hold
-// at every worker count, the job still completes with ample lifespan, and
-// nothing stays stranded in flight.
-func TestTopologyLiveRunConservesAndCompletes(t *testing.T) {
+// Priced cross-cluster steals: the accounting invariants hold at every
+// worker count, the job still completes with ample lifespan, and nothing
+// stays stranded in flight.
+func TestTopologyRunConservesAndCompletes(t *testing.T) {
 	job := Job{Tasks: task.Uniform(600, 5, 40, 2)}
 	for _, workers := range []int{1, 8} {
 		f := testFarm(8, station.Overnight{Window: 20000})
 		f.Shards = 4
-		f.Workers = workers
 		f.OpportunitiesPerStation = 20
 		f.Topology = Topology{Clusters: 2, CrossLatency: 2}
-		res, err := f.Run(context.Background(), job, equalizedFactory, 5)
+		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,15 +165,12 @@ func TestTopologyLiveRunConservesAndCompletes(t *testing.T) {
 	}
 }
 
-// Both engines reject an invalid topology up front.
+// The engine rejects an invalid topology up front.
 func TestTopologyEngineValidation(t *testing.T) {
 	f := testFarm(16, station.Overnight{Window: 100})
 	f.Shards = 8
 	f.Topology = Topology{Clusters: 5}
 	job := Job{Tasks: task.Fixed(10, 5)}
-	if _, err := f.Run(context.Background(), job, equalizedFactory, 1); err == nil || !strings.Contains(err.Error(), "clusters") {
-		t.Errorf("Run accepted 5 clusters over 8 shards: %v", err)
-	}
 	if _, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 1, 1); err == nil || !strings.Contains(err.Error(), "clusters") {
 		t.Errorf("RunDeterministic accepted 5 clusters over 8 shards: %v", err)
 	}

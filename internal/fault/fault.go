@@ -19,10 +19,9 @@
 // the original run saw, which is what pins a recovered run bit-identical to
 // an uncrashed one.
 //
-// Faults are therefore only injectable into the deterministic engines
-// (farm RunDeterministic and the resident fleet service); the live
-// free-running engine has no deterministic points to stamp them onto, and
-// the fleet facade rejects the combination.
+// Faults inject at the round engine's deterministic points — round tops
+// and barrier steals — in every batch run (farm RunDeterministic) and in
+// the resident fleet service.
 package fault
 
 import (

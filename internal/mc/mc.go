@@ -477,8 +477,8 @@ func SplitWorkers(budget, outerCap int) (outer, inner int) {
 // returned config's Workers is the outer trial-pool budget (trial
 // parallelism is bounded by both the trial count and the engine's Shards
 // partition) and inner is the worker budget each trial's closure may spawn.
-// This is the shared prologue of farm.Replicate and now.Fleet.Replicate —
-// keeping the Shards-cap invariant in one place.
+// This is the shared prologue of the farm's Replicate family — keeping the
+// Shards-cap invariant in one place.
 func SplitConfig(cfg Config) (outerCfg Config, inner int) {
 	outerCap := cfg.Trials
 	if outerCap > Shards {

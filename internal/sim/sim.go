@@ -104,20 +104,16 @@ type Result struct {
 }
 
 // TaskSource supplies indivisible tasks to pack into periods. *task.Bag
-// implements it for single-station runs; the farm package implements it for
-// fleets — farm.SharedBag as one mutex-guarded job bag, and the per-station
-// views of farm.ShardedBag as lock-striped local queues that steal from
-// victims in deterministic order when dry. The simulator itself is
+// implements it directly; the farm engine plays each station group against
+// its own queue, wrapped in a completion tracker when the resident service
+// needs to attribute finished tasks to jobs. The simulator itself is
 // indifferent: a take that returns nothing simply packs no tasks into the
 // period, and killed periods hand their in-flight tasks back through Return.
 type TaskSource interface {
-	// Take removes and returns tasks fitting within capacity (first-fit);
-	// nil when nothing fits.
-	Take(capacity quant.Tick) []task.Task
-	// TakeInto is Take appending into the caller's buffer: taken tasks are
-	// appended to dst and the extended slice returned (dst unchanged when
-	// nothing fits). This is the call the simulator's hot loop makes — one
-	// warm buffer per station instead of a fresh slice per period.
+	// TakeInto removes tasks fitting within capacity (first-fit) and
+	// appends them to dst, returning the extended slice (dst unchanged when
+	// nothing fits). The simulator's hot loop takes into one warm buffer
+	// per station instead of a fresh slice per period.
 	TakeInto(dst []task.Task, capacity quant.Tick) []task.Task
 	// Return puts killed tasks back for rescheduling. Implementations must
 	// copy what they need: the slice is the caller's reusable shipping

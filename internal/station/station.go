@@ -5,9 +5,9 @@
 // deterministic per-station rng derivation every engine shares.
 //
 // It is the dependency floor of the fleet layer: internal/farm drives
-// stations against a shared job, internal/now composes them into fleets,
-// and both import only this package for the model — which is what lets
-// now.Fleet ride the farm engine without an import cycle.
+// stations against a job and imports only this package for the model, so
+// the experiments and CLIs that build fleets can share it without an
+// import cycle.
 package station
 
 import (
@@ -151,8 +151,7 @@ func MixedFleet(stations int, c quant.Tick) []Workstation {
 }
 
 // RNG derives station id's private contract stream from a run seed — the
-// per-station half of the determinism contract shared by farm.Run,
-// farm.RunDeterministic and now.Fleet.
+// per-station half of the determinism contract every farm run shares.
 //
 // The (seed, id) pair is folded through a splitmix64 finalizer and drives a
 // full-period 64-bit splitmix source, rather than the earlier

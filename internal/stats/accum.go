@@ -25,11 +25,20 @@ type Accumulator struct {
 // NewAccumulator returns an empty accumulator with a quantile sketch of the
 // given per-level buffer capacity; capacity ≤ 0 disables quantile tracking.
 func NewAccumulator(sketchCap int) *Accumulator {
-	a := &Accumulator{}
-	if sketchCap > 0 {
-		a.sk = NewSketch(sketchCap)
+	if sketchCap <= 0 {
+		return &Accumulator{}
 	}
-	return a
+	as := &accumSketch{sk: Sketch{k: sketchCapacity(sketchCap)}}
+	as.a.sk = &as.sk
+	return &as.a
+}
+
+// accumSketch co-allocates an accumulator with its sketch: a replication
+// study builds one accumulator per metric per shard, so one allocation
+// instead of two matters.
+type accumSketch struct {
+	a  Accumulator
+	sk Sketch
 }
 
 // Add folds one observation into the accumulator.

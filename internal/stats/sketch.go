@@ -33,7 +33,7 @@ import "sort"
 type Sketch struct {
 	k      int         // per-level buffer capacity (even, ≥ 8)
 	levels [][]float64 // levels[l] holds values of weight 2^l
-	parity []bool      // alternating selection offset per level
+	parity uint64      // bit l: level l's alternating selection offset
 	n      int64       // observations represented
 	bound  int64       // Σ 2^l over compactions performed
 }
@@ -42,11 +42,15 @@ type Sketch struct {
 // capacity. The capacity is clamped to an even value ≥ 8; larger capacities
 // buy a tighter rank-error bound at proportional memory.
 func NewSketch(capacity int) *Sketch {
+	return &Sketch{k: sketchCapacity(capacity)}
+}
+
+// sketchCapacity clamps a per-level capacity to an even value ≥ 8.
+func sketchCapacity(capacity int) int {
 	if capacity < 8 {
 		capacity = 8
 	}
-	capacity &^= 1
-	return &Sketch{k: capacity}
+	return capacity &^ 1
 }
 
 // Add offers one observation.
@@ -54,7 +58,6 @@ func (s *Sketch) Add(x float64) {
 	s.n++
 	if len(s.levels) == 0 {
 		s.levels = append(s.levels, make([]float64, 0, s.k))
-		s.parity = append(s.parity, false)
 	}
 	s.levels[0] = append(s.levels[0], x)
 	if len(s.levels[0]) >= s.k {
@@ -89,13 +92,9 @@ func (s *Sketch) compactLevel(l int) {
 	}
 	if l+1 == len(s.levels) {
 		s.levels = append(s.levels, make([]float64, 0, s.k))
-		s.parity = append(s.parity, false)
 	}
-	start := 0
-	if s.parity[l] {
-		start = 1
-	}
-	s.parity[l] = !s.parity[l]
+	start := int(s.parity >> l & 1)
+	s.parity ^= 1 << l
 	for i := start; i < len(buf); i += 2 {
 		s.levels[l+1] = append(s.levels[l+1], buf[i])
 	}
@@ -116,7 +115,6 @@ func (s *Sketch) Merge(o *Sketch) {
 	for l, vals := range o.levels {
 		if l == len(s.levels) {
 			s.levels = append(s.levels, nil)
-			s.parity = append(s.parity, false)
 		}
 		s.levels[l] = append(s.levels[l], vals...)
 	}

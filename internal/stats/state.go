@@ -34,56 +34,61 @@ type SketchState struct {
 // sketch; mutating one never perturbs the other.
 func (s *Sketch) State() SketchState {
 	st := SketchState{K: s.k, N: s.n, Bound: s.bound}
-	if len(s.parity) > 0 {
-		st.Parity = append([]bool(nil), s.parity...)
-	}
 	if len(s.levels) > 0 {
+		st.Parity = make([]bool, len(s.levels))
 		st.Levels = make([][]float64, len(s.levels))
 		for l, vals := range s.levels {
+			st.Parity[l] = s.parity>>l&1 == 1
 			st.Levels[l] = append([]float64(nil), vals...)
 		}
 	}
 	return st
 }
 
-// SketchFromState rebuilds a sketch from a snapshot, validating the
-// structural invariants the Add/Merge path maintains by construction. The
-// rebuilt sketch answers every query bit-identically to the snapshotted one
-// and keeps absorbing observations and merges.
-func SketchFromState(st SketchState) (*Sketch, error) {
+// Validate checks the structural invariants the Add/Merge path maintains
+// by construction — the sketch half of AccumState.Validate.
+func (st SketchState) Validate() error {
 	if st.K < 8 || st.K%2 != 0 {
-		return nil, fmt.Errorf("stats: sketch capacity must be even and ≥ 8, got %d", st.K)
+		return fmt.Errorf("stats: sketch capacity must be even and ≥ 8, got %d", st.K)
 	}
 	if st.N < 0 {
-		return nil, fmt.Errorf("stats: sketch observation count must be ≥ 0, got %d", st.N)
+		return fmt.Errorf("stats: sketch observation count must be ≥ 0, got %d", st.N)
 	}
 	if st.Bound < 0 {
-		return nil, fmt.Errorf("stats: sketch error bound must be ≥ 0, got %d", st.Bound)
+		return fmt.Errorf("stats: sketch error bound must be ≥ 0, got %d", st.Bound)
 	}
 	if len(st.Parity) != len(st.Levels) {
-		return nil, fmt.Errorf("stats: sketch has %d parity entries for %d levels", len(st.Parity), len(st.Levels))
+		return fmt.Errorf("stats: sketch has %d parity entries for %d levels", len(st.Parity), len(st.Levels))
 	}
 	if len(st.Levels) >= 63 {
-		return nil, fmt.Errorf("stats: sketch has %d levels; weights past 2^62 overflow", len(st.Levels))
+		return fmt.Errorf("stats: sketch has %d levels; weights past 2^62 overflow", len(st.Levels))
 	}
 	var weight int64
 	for l, vals := range st.Levels {
 		weight += int64(len(vals)) << l
 	}
 	if weight != st.N {
-		return nil, fmt.Errorf("stats: sketch levels carry weight %d for %d observations", weight, st.N)
+		return fmt.Errorf("stats: sketch levels carry weight %d for %d observations", weight, st.N)
 	}
-	s := &Sketch{k: st.K, n: st.N, bound: st.Bound}
+	return nil
+}
+
+// restore rebuilds s from a validated snapshot: it answers every query
+// bit-identically to the snapshotted sketch and keeps absorbing
+// observations and merges. Each level gets exactly the room its values
+// need: a rebuilt sketch is usually only merged from, and one that keeps
+// absorbing observations grows its levels on demand.
+func (s *Sketch) restore(st SketchState) {
+	*s = Sketch{k: st.K, n: st.N, bound: st.Bound}
 	if len(st.Levels) > 0 {
-		s.parity = append([]bool(nil), st.Parity...)
 		s.levels = make([][]float64, len(st.Levels))
 		for l, vals := range st.Levels {
-			buf := make([]float64, len(vals), max(len(vals), st.K))
-			copy(buf, vals)
-			s.levels[l] = buf
+			if st.Parity[l] {
+				s.parity |= 1 << l
+			}
+			s.levels[l] = append([]float64(nil), vals...)
 		}
 	}
-	return s, nil
 }
 
 // AccumState is the full serializable state of an Accumulator.
@@ -109,26 +114,40 @@ func (a *Accumulator) State() AccumState {
 	return st
 }
 
+// Validate checks the invariants the Add/Merge path maintains by
+// construction — the checks AccumulatorFromState makes before it rebuilds,
+// without building anything.
+func (st AccumState) Validate() error {
+	if st.N < 0 {
+		return fmt.Errorf("stats: accumulator observation count must be ≥ 0, got %d", st.N)
+	}
+	if st.N >= 1 && st.Min > st.Max {
+		return fmt.Errorf("stats: accumulator min %g exceeds max %g", st.Min, st.Max)
+	}
+	if st.Sketch == nil {
+		return nil
+	}
+	if err := st.Sketch.Validate(); err != nil {
+		return err
+	}
+	if st.Sketch.N != int64(st.N) {
+		return fmt.Errorf("stats: accumulator holds %d observations but its sketch represents %d", st.N, st.Sketch.N)
+	}
+	return nil
+}
+
 // AccumulatorFromState rebuilds an accumulator from a snapshot, validating
 // the invariants the Add/Merge path maintains by construction. The rebuilt
 // accumulator merges and summarizes bit-identically to the snapshotted one.
 func AccumulatorFromState(st AccumState) (*Accumulator, error) {
-	if st.N < 0 {
-		return nil, fmt.Errorf("stats: accumulator observation count must be ≥ 0, got %d", st.N)
+	if err := st.Validate(); err != nil {
+		return nil, err
 	}
-	if st.N >= 1 && st.Min > st.Max {
-		return nil, fmt.Errorf("stats: accumulator min %g exceeds max %g", st.Min, st.Max)
+	if st.Sketch == nil {
+		return &Accumulator{n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}, nil
 	}
-	a := &Accumulator{n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}
-	if st.Sketch != nil {
-		sk, err := SketchFromState(*st.Sketch)
-		if err != nil {
-			return nil, err
-		}
-		if sk.n != int64(st.N) {
-			return nil, fmt.Errorf("stats: accumulator holds %d observations but its sketch represents %d", st.N, sk.n)
-		}
-		a.sk = sk
-	}
-	return a, nil
+	as := &accumSketch{a: Accumulator{n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}}
+	as.sk.restore(*st.Sketch)
+	as.a.sk = &as.sk
+	return &as.a, nil
 }

@@ -8,21 +8,19 @@ package task
 // the parameter that governs makespan at scale.
 //
 // The clock is a plain monotone counter whose unit the caller chooses; the
-// farm engines advance it by played contract lifespans (station-ticks), so a
+// farm engine advances it by played contract lifespans (station-ticks), so a
 // latency of L fleet-ticks on an n-station fleet departs with
 // latency = L·n clock units. Advancing and delivering are separate steps so
-// an engine can place arrivals at the point its determinism contract allows
-// (the live engine after any settled opportunity, the round engine only at
-// round barriers).
+// the engine can place arrivals where its determinism contract allows: only
+// at round barriers.
 //
 // Flight assumes a uniform latency: parcels mature in departure order, and
 // Arrive pops matured parcels from the front only. A heterogeneous
 // per-cluster-pair latency matrix would need an ordering structure here —
 // that generalization is a recorded follow-up, not supported yet.
 //
-// Flight is not safe for concurrent use; the live sharded bag guards its
-// ledger with a mutex and mirrors NextReady into an atomic so the hot path
-// can skip the lock entirely.
+// Flight is not safe for concurrent use; the round engine touches it only
+// at barriers.
 type Flight struct {
 	clock   int64
 	parcels []parcel
@@ -40,14 +38,6 @@ type parcel struct {
 
 // Clock reports the ledger's current time.
 func (f *Flight) Clock() int64 { return f.clock }
-
-// AdvanceTo moves the clock forward to t; moving backwards is a no-op (the
-// clock is monotone, so stale advances from racing observers are harmless).
-func (f *Flight) AdvanceTo(t int64) {
-	if t > f.clock {
-		f.clock = t
-	}
-}
 
 // Advance moves the clock forward by d ≥ 0 and returns the new time.
 func (f *Flight) Advance(d int64) int64 {
@@ -69,15 +59,6 @@ func (f *Flight) Depart(tasks []Task, dest int, latency int64) {
 	}
 	f.parcels = append(f.parcels, parcel{tasks: tasks, dest: dest, readyAt: f.clock + latency})
 	f.tasks += len(tasks)
-}
-
-// NextReady reports the earliest maturity time among in-flight parcels, and
-// whether any parcel is in flight at all.
-func (f *Flight) NextReady() (int64, bool) {
-	if f.head >= len(f.parcels) {
-		return 0, false
-	}
-	return f.parcels[f.head].readyAt, true
 }
 
 // Arrive delivers every matured parcel (readyAt ≤ clock) to the caller in

@@ -10,9 +10,6 @@ func TestFlightDepartArriveOrder(t *testing.T) {
 	if f.InFlight() != 3 || f.Parcels() != 2 {
 		t.Fatalf("in flight %d tasks / %d parcels, want 3/2", f.InFlight(), f.Parcels())
 	}
-	if next, ok := f.NextReady(); !ok || next != 10 {
-		t.Fatalf("NextReady = %d,%v want 10,true", next, ok)
-	}
 	// Nothing matured yet.
 	if n := f.Arrive(func(int, []Task) { t.Error("delivered early") }); n != 0 {
 		t.Fatalf("delivered %d before maturity", n)
@@ -23,13 +20,8 @@ func TestFlightDepartArriveOrder(t *testing.T) {
 	if n := f.Arrive(deliver); n != 2 {
 		t.Fatalf("delivered %d at clock 10, want 2", n)
 	}
-	if next, ok := f.NextReady(); !ok || next != 15 {
-		t.Fatalf("NextReady = %d,%v want 15,true", next, ok)
-	}
-	f.AdvanceTo(15)
-	f.AdvanceTo(3) // monotone: no-op
-	if f.Clock() != 15 {
-		t.Fatalf("clock %d after backwards AdvanceTo, want 15", f.Clock())
+	if f.Advance(5) != 15 || f.Advance(-3) != 15 {
+		t.Fatalf("clock %d, want 15 (Advance never moves it backwards)", f.Clock())
 	}
 	if n := f.Arrive(deliver); n != 1 {
 		t.Fatalf("delivered %d at clock 15, want 1", n)
@@ -39,9 +31,6 @@ func TestFlightDepartArriveOrder(t *testing.T) {
 	}
 	if f.InFlight() != 0 || f.Parcels() != 0 {
 		t.Fatalf("ledger not empty: %d tasks / %d parcels", f.InFlight(), f.Parcels())
-	}
-	if _, ok := f.NextReady(); ok {
-		t.Fatal("NextReady true on an empty ledger")
 	}
 }
 

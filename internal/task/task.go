@@ -25,7 +25,7 @@ type Task struct {
 // Bag is an ordered multiset of pending tasks. Take removes a prefix-greedy
 // fitting set; Return puts killed tasks back at the front (they were in
 // flight and remain next in line). Bag is not safe for concurrent use; the
-// cluster driver gives each workstation its own bag or shards one.
+// farm engine gives each station group its own bag.
 //
 // Internally the pending list is buf[head:]: Take consumes by advancing
 // head, which leaves headroom that Return refills in place. The
@@ -34,9 +34,8 @@ type Task struct {
 // difference between linear and quadratic total work on fleet-scale queues
 // holding tens of thousands of tasks.
 type Bag struct {
-	buf    []Task
-	head   int
-	nextID int
+	buf  []Task
+	head int
 	// minDur is a lower bound on the smallest pending duration (0 when the
 	// bag has never held a task). Removals can only raise the true minimum,
 	// so the bound stays valid without rescanning; it lets Take reject
@@ -64,15 +63,8 @@ func (b *Bag) Reset(tasks []Task) {
 	}
 	b.buf = b.buf[:len(tasks)]
 	copy(b.buf, tasks)
-	b.head, b.nextID, b.minDur = 0, 0, 0
-	for _, t := range tasks {
-		if t.ID >= b.nextID {
-			b.nextID = t.ID + 1
-		}
-		if b.minDur == 0 || t.Duration < b.minDur {
-			b.minDur = t.Duration
-		}
-	}
+	b.head, b.minDur = 0, 0
+	b.noteAdded(tasks)
 }
 
 // pending is the live queue view.

@@ -196,13 +196,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestNewBagAssignsNextID(t *testing.T) {
-	b := NewBag([]Task{{ID: 7, Duration: 3}})
-	if b.nextID != 8 {
-		t.Errorf("nextID = %d, want 8", b.nextID)
-	}
-}
-
 // A used bag, reset, behaves exactly like a fresh NewBag of the same tasks,
 // and a warm reset reuses its storage.
 func TestResetMatchesNewBag(t *testing.T) {
@@ -213,9 +206,8 @@ func TestResetMatchesNewBag(t *testing.T) {
 	b.Steal(7)
 	b.Reset(tasks)
 	fresh := NewBag(tasks)
-	if b.head != 0 || b.nextID != fresh.nextID || b.minDur != fresh.minDur {
-		t.Fatalf("reset bag head=%d nextID=%d minDur=%d, fresh nextID=%d minDur=%d",
-			b.head, b.nextID, b.minDur, fresh.nextID, fresh.minDur)
+	if b.head != 0 || b.minDur != fresh.minDur {
+		t.Fatalf("reset bag head=%d minDur=%d, fresh minDur=%d", b.head, b.minDur, fresh.minDur)
 	}
 	for capacity := quant.Tick(1); b.Remaining() > 0; capacity += 13 {
 		got, want := b.Take(capacity), fresh.Take(capacity)
