@@ -10,7 +10,8 @@
 //	tenant spec[,spec...]
 //
 // where each spec is either NxD (N tasks of duration D time units) or a
-// bare D (one task). Blank lines and lines starting with '#' are skipped.
+// bare D (one task). Blank lines and lines starting with '#' are skipped;
+// a line may run to 1 MiB and expand to 2^20 tasks.
 // On end of input the service drains everything still queued and prints a
 // per-job summary. With -watch DIR the service additionally polls DIR for
 // job files (same line format); a fully submitted file is renamed to
@@ -276,18 +277,7 @@ func run(cfg config, r io.Reader, w, errw io.Writer) error {
 		close(watchDone)
 	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		submit(line, fmt.Sprintf("stdin:%d", lineNo))
-	}
-	if err := sc.Err(); err != nil {
+	if err := submitLines(r, "stdin", submit); err != nil {
 		cancel()
 		return err
 	}
@@ -335,7 +325,9 @@ poll:
 }
 
 // watchDir polls dir for job files: every regular file not already marked
-// .done is read line by line, submitted, and renamed to NAME.done.
+// .done is read line by line, submitted, and renamed to NAME.done. A line
+// that fails to read (one over maxJobLine) is reported and ends the file
+// early; the file is renamed all the same, so no line is submitted twice.
 func watchDir(ctx context.Context, stop <-chan struct{}, dir string, errw io.Writer, submit func(line, where string)) {
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
@@ -357,17 +349,15 @@ func watchDir(ctx context.Context, stop <-chan struct{}, dir string, errw io.Wri
 				continue
 			}
 			path := filepath.Join(dir, e.Name())
-			data, err := os.ReadFile(path)
+			f, err := os.Open(path)
 			if err != nil {
 				fmt.Fprintf(errw, "watch %s: %v\n", path, err)
 				continue
 			}
-			for i, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if line == "" || strings.HasPrefix(line, "#") {
-					continue
-				}
-				submit(line, fmt.Sprintf("%s:%d", e.Name(), i+1))
+			err = submitLines(f, e.Name(), submit)
+			f.Close()
+			if err != nil {
+				fmt.Fprintf(errw, "watch %v\n", err)
 			}
 			if err := os.Rename(path, path+".done"); err != nil {
 				fmt.Fprintf(errw, "watch %s: %v\n", path, err)
@@ -376,9 +366,33 @@ func watchDir(ctx context.Context, stop <-chan struct{}, dir string, errw io.Wri
 	}
 }
 
-// maxTasksPerSpec bounds one spec's expansion so a hostile line cannot
-// allocate without bound.
-const maxTasksPerSpec = 1 << 20
+// Job lines are bounded so a hostile line cannot allocate without bound:
+// maxJobLine bytes per line, maxTasksPerJob tasks in the job it expands to.
+const (
+	maxJobLine     = 1 << 20
+	maxTasksPerJob = 1 << 20
+)
+
+// submitLines hands every job line r holds to submit, named name:N by its
+// line number; blank lines and '#' comments are skipped. It returns the
+// reader's error, a line over maxJobLine bytes included, naming its line.
+func submitLines(r io.Reader, name string, submit func(line, where string)) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), maxJobLine)
+	n := 0
+	for sc.Scan() {
+		n++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		submit(line, fmt.Sprintf("%s:%d", name, n))
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("%s:%d: %w", name, n+1, err)
+	}
+	return nil
+}
 
 // parseJob parses one submission line: `tenant spec[,spec...]` where each
 // spec is NxD (N tasks of duration D time units) or a bare duration D.
@@ -397,8 +411,8 @@ func parseJob(line string) (tenant string, job fleet.Job, err error) {
 			}
 			d = spec[i+1:]
 		}
-		if n > maxTasksPerSpec {
-			return "", fleet.Job{}, fmt.Errorf("spec %q: task count %d over the %d bound", spec, n, maxTasksPerSpec)
+		if n > maxTasksPerJob-len(job.Tasks) {
+			return "", fleet.Job{}, fmt.Errorf("spec %q: the job's task count would pass the %d bound", spec, maxTasksPerJob)
 		}
 		dur, err := strconv.ParseFloat(d, 64)
 		if err != nil || math.IsNaN(dur) || math.IsInf(dur, 0) || dur <= 0 {

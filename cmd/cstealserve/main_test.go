@@ -39,6 +39,10 @@ func TestParseJob(t *testing.T) {
 		{"ana Inf", "", nil, false},
 		{"ana 8,", "", nil, false},
 		{"ana 9999999999x1", "", nil, false},
+		// 44 bytes that once expanded to 4,194,304 tasks: the bound is
+		// the whole line's, not each spec's.
+		{"ana 1048576x1,1048576x1,1048576x1,1048576x1", "", nil, false},
+		{"ana 1048576x1,2", "", nil, false},
 	}
 	for _, tc := range cases {
 		tenant, job, err := parseJob(tc.line)
@@ -79,10 +83,14 @@ func FuzzParseJob(f *testing.F) {
 	f.Add("x 0x0")
 	f.Add("a NaNxInf")
 	f.Add("  spaced   4x2,,")
+	f.Add("ana 1048576x1,1048576x1,1048576x1,1048576x1")
 	f.Fuzz(func(t *testing.T, line string) {
 		tenant, job, err := parseJob(line)
 		if err != nil {
 			return
+		}
+		if len(job.Tasks) > maxTasksPerJob {
+			t.Fatalf("parseJob(%q): %d tasks, over the %d bound", line, len(job.Tasks), maxTasksPerJob)
 		}
 		if strings.TrimSpace(tenant) == "" {
 			t.Fatalf("parseJob(%q): accepted empty tenant", line)
@@ -248,5 +256,47 @@ func TestRunKillRecover(t *testing.T) {
 	bad := config{stations: 16, setup: 5, seed: 7, recover: wal, wal: wal}
 	if err := run(bad, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("recovering a log into itself accepted")
+	}
+}
+
+// A job line over the 1 MiB cap is an error naming its line, on stdin and
+// in a watched file; the watched file is still renamed, so none of its
+// lines is submitted twice.
+func TestJobLinesBounded(t *testing.T) {
+	long := "ana " + strings.Repeat("1,", maxJobLine/2) + "1"
+	var out, errOut bytes.Buffer
+	err := run(config{stations: 4, setup: 5, seed: 3}, strings.NewReader("# jobs\nana 5x2\n"+long+"\n"), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "stdin:3") || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("over-long stdin line: error %v, want one naming stdin:3", err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "big.jobs"), []byte("ana 5x2\n\n"+long+"\nbo 3x2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop, done := make(chan struct{}), make(chan struct{})
+	var submitted []string
+	errOut.Reset()
+	go func() {
+		defer close(done)
+		watchDir(ctx, stop, dir, &errOut, func(line, where string) { submitted = append(submitted, where+" "+line) })
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(dir, "big.jobs.done")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the watched file was never renamed")
+		}
+	}
+	close(stop)
+	<-done
+	if !reflect.DeepEqual(submitted, []string{"big.jobs:1 ana 5x2"}) {
+		t.Errorf("submitted %q, want only the line before the over-long one", submitted)
+	}
+	if !strings.Contains(errOut.String(), "big.jobs:3") || !strings.Contains(errOut.String(), "too long") {
+		t.Errorf("over-long watched line reported as %q, want big.jobs:3", errOut.String())
 	}
 }

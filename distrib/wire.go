@@ -28,7 +28,8 @@ import (
 // assign/answer rounds repeat until the coordinator closes the connection.
 // Decoding is strict: unknown fields, any byte after a frame's object but
 // JSON whitespace, unknown kinds, out-of-range shard IDs and structurally
-// invalid accumulator states are errors, never guesses. A frame line is
+// invalid accumulator states are errors, never guesses, and so is a line
+// over jsonl.MaxLine bytes, the cap the service WAL shares. A frame line is
 // exactly json.Marshal's bytes for its Frame and a newline; the study
 // spec's task array is written and read by internal/jsonl's float codec,
 // which matches encoding/json byte for byte and value for value. A version
@@ -38,11 +39,6 @@ const (
 	wireFormat  = "cyclesteal-distrib"
 	wireVersion = 1
 )
-
-// maxFrame caps one frame line. Shard frames carry full accumulator states
-// — with station summaries a shard can run to megabytes — so the cap is
-// generous; it exists to keep a corrupt stream from buffering without end.
-const maxFrame = 1 << 28
 
 // Frame kinds.
 const (
@@ -238,7 +234,7 @@ type stream struct {
 
 func newStream(r io.Reader, w io.Writer) *stream {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxFrame)
+	sc.Buffer(make([]byte, 0, 64*1024), jsonl.MaxLine)
 	return &stream{r: sc, w: w}
 }
 

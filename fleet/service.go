@@ -8,10 +8,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"cyclesteal/internal/farm"
-	"cyclesteal/internal/fault"
 	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/task"
@@ -116,24 +116,23 @@ const (
 	EventKill
 )
 
+// eventKindNames spells every EventKind: its String, and its kind field in
+// the write-ahead log.
+var eventKindNames = [...]string{
+	EventSubmit:     "submit",
+	EventJoin:       "join",
+	EventLeave:      "leave",
+	EventCheckpoint: "checkpoint",
+	EventCrash:      "crash",
+	EventKill:       "kill",
+}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	switch k {
-	case EventSubmit:
-		return "submit"
-	case EventJoin:
-		return "join"
-	case EventLeave:
-		return "leave"
-	case EventCheckpoint:
-		return "checkpoint"
-	case EventCrash:
-		return "crash"
-	case EventKill:
-		return "kill"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
+	if k >= 0 && int(k) < len(eventKindNames) {
+		return eventKindNames[k]
 	}
+	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
 // ServiceEvent is one entry of a service run's deterministic event log:
@@ -162,7 +161,7 @@ type ServiceEvent struct {
 	// sampling, scheduled crashes, the kill record. A recovery regenerates
 	// these from the seeds instead of applying them from the log (and
 	// checks the regenerated sequence against it); a replay applies them
-	// like any other event.
+	// from the log where the original run sampled them.
 	Sampled bool
 }
 
@@ -276,13 +275,31 @@ func (h *JobHandle) Result() (JobResult, error) {
 	return h.j.result(h.s.f.g), h.j.err
 }
 
-// op is one queued mutation awaiting the next round top.
+// op is one queued mutation awaiting the next round top: the event it
+// applies, and for a submit the job Submit built.
 type op struct {
-	kind       EventKind
-	job        *svcJob // submit
-	slot       int     // leave
-	checkpoint float64 // checkpoint
-	adaptive   bool
+	ev  ServiceEvent
+	job *svcJob
+}
+
+// logCursor drives a service from a recorded event log: a whole
+// ReplayService run, or a RecoverService session until it is rebuilt. Each
+// logged event applies where the original run applied it, except that a
+// recovery regenerates the sampled ones from the seeds instead.
+type logCursor struct {
+	events []ServiceEvent // the log, less a closing kill record
+	pos    int            // the next event to reproduce
+	to     int            // the round the session reaches before it plays live
+	regen  bool           // sampled events regenerate from the seeds (a recovery)
+}
+
+// active reports whether the session is still reproducing its log at round.
+func (c *logCursor) active(round int) bool { return c.pos < len(c.events) || round < c.to }
+
+// due reports whether the next logged event applies at this round top
+// (sampled false) or at this round's sampling point (sampled true).
+func (c *logCursor) due(round int, sampled bool) bool {
+	return c.pos < len(c.events) && c.events[c.pos].Round <= round && c.events[c.pos].Sampled == sampled
 }
 
 // Service is a resident fleet: the deterministic round engine kept alive
@@ -318,7 +335,6 @@ type Service struct {
 	nextJobID   int
 	nextTaskID  int
 	nextStation int
-	alive       []bool // per-slot liveness, for churn sampling
 	queues      map[string][]*svcJob
 	tenants     []string // first-submission order, the fairness cycle
 	rrNext      int      // next tenant offset in the activation round-robin
@@ -330,26 +346,16 @@ type Service struct {
 	events      []ServiceEvent
 	joined      int
 	departed    int
+	crashed     int
 	pendingOps  []op
-	replayLog   []ServiceEvent // non-nil: drive from a log, not live ops
 	doneBuf     []task.Task
 	lostBuf     []task.Task
 
-	faults  *fault.Injector // nil: no fault plan
-	crashed int
-
 	walw    *bufio.Writer // nil: no durable log
 	walSync interface{ Sync() error }
-	walErr  error // sticky: first WAL write/flush failure or recovery divergence
+	walErr  error // sticky: first WAL write/flush failure or log divergence
 
-	// Recovery mode: replay rounds [0, recoverTo) applying the log's
-	// non-sampled events while churn/fault sampling regenerates the rest —
-	// logEvent checks every regenerated event against the log cursor, so a
-	// mismatched config or seed is detected, not silently diverged from.
-	recovering bool
-	recoverLog []ServiceEvent
-	recoverCur int
-	recoverTo  int
+	log logCursor // ReplayService, or RecoverService until rebuilt
 
 	started bool
 	exited  bool
@@ -425,9 +431,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 		s.churn = lazyrand.New(seed)
 	}
-	if plan := cfg.Fleet.Faults.internal(); plan.Active() {
-		s.faults = plan.NewInjector(cfg.Fleet.Seed ^ farm.FaultSeedSalt)
-	}
 	if cfg.WAL != nil {
 		s.walSync, _ = cfg.WAL.(interface{ Sync() error })
 		s.walw = bufio.NewWriter(cfg.WAL)
@@ -439,9 +442,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	fm := f.farm(f.stations)
 	groups := farm.ResolveShards(fm.Shards, len(fm.Stations))
 	s.core = fm.NewCore(f.factory, cfg.Fleet.Seed, groups, len(f.stations), true)
+	if plan := cfg.Fleet.Faults.internal(); plan.Active() {
+		s.core.SetFaults(plan.NewInjector(cfg.Fleet.Seed ^ farm.FaultSeedSalt))
+	}
 	for _, ws := range f.stations {
 		s.core.Join(ws)
-		s.alive = append(s.alive, true)
 	}
 	s.nextStation = len(f.stations)
 	return s, nil
@@ -450,8 +455,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // Submit admits a job for the tenant and returns its handle. Admission is
 // immediate: a tenant already holding MaxQueuedPerTenant unactivated jobs is
 // rejected here, as is an empty job, a NaN, infinite, negative or
-// grid-overflowing duration (the error names the task), or a stopped
-// service. The job itself enters the fleet at the next round top.
+// grid-overflowing duration (the error names the task), a job whose WAL
+// record could outgrow the log's 256 MiB line cap, or a stopped service.
+// The job itself enters the fleet at the next round top.
 //
 // Submit copies, validates and quantizes the durations — and, with a WAL,
 // encodes them for the log — on the caller's goroutine before it takes the
@@ -470,15 +476,13 @@ func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 	if s.exited {
 		return nil, fmt.Errorf("fleet: service has stopped")
 	}
-	if s.replayLog != nil {
-		return nil, fmt.Errorf("fleet: a replaying service takes jobs from its event log")
-	}
-	if n := s.pendingFor(tenant) + len(s.queues[tenant]); n >= s.maxQueued {
+	if n := s.pending(tenant, false) + len(s.queues[tenant]); n >= s.maxQueued {
 		return nil, fmt.Errorf("fleet: tenant %q has %d jobs queued (max %d)", tenant, n, s.maxQueued)
 	}
 	job.id = s.nextJobID
 	s.nextJobID++
-	s.pendingOps = append(s.pendingOps, op{kind: EventSubmit, job: job})
+	ev := ServiceEvent{Kind: EventSubmit, Tenant: tenant, JobID: job.id, Tasks: job.specs}
+	s.pendingOps = append(s.pendingOps, op{ev: ev, job: job})
 	s.wake()
 	return &JobHandle{ID: job.id, Tenant: tenant, s: s, j: job}, nil
 }
@@ -503,15 +507,19 @@ func (s *Service) newJob(tenant string, specs []float64) (*svcJob, error) {
 	}
 	if s.cfg.WAL != nil {
 		j.walTasks = appendWALTasks(nil, specs)
+		if n := len(j.walTasks) + 6*len(tenant) + walRecordSlack; n > walMaxLine {
+			return nil, fmt.Errorf("fleet: the job's write-ahead log record could run to %d bytes, over the %d-byte line cap", n, walMaxLine)
+		}
 	}
 	return j, nil
 }
 
-// pendingFor counts a tenant's submissions still waiting to apply.
-func (s *Service) pendingFor(tenant string) int {
+// pending counts the submissions still waiting to apply: all of them, or
+// only the tenant's.
+func (s *Service) pending(tenant string, all bool) int {
 	n := 0
 	for _, o := range s.pendingOps {
-		if o.kind == EventSubmit && o.job.tenant == tenant {
+		if o.job != nil && (all || o.job.tenant == tenant) {
 			n++
 		}
 	}
@@ -523,7 +531,7 @@ func (s *Service) pendingFor(tenant string) int {
 func (s *Service) JoinStation() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pendingOps = append(s.pendingOps, op{kind: EventJoin})
+	s.pendingOps = append(s.pendingOps, op{ev: ServiceEvent{Kind: EventJoin}})
 	s.wake()
 }
 
@@ -533,7 +541,7 @@ func (s *Service) JoinStation() {
 func (s *Service) LeaveStation(slot int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pendingOps = append(s.pendingOps, op{kind: EventLeave, slot: slot})
+	s.pendingOps = append(s.pendingOps, op{ev: ServiceEvent{Kind: EventLeave, Station: slot}})
 	s.wake()
 }
 
@@ -544,7 +552,7 @@ func (s *Service) LeaveStation(slot int) {
 func (s *Service) SetCheckpoint(interval float64, adaptive bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pendingOps = append(s.pendingOps, op{kind: EventCheckpoint, checkpoint: interval, adaptive: adaptive})
+	s.pendingOps = append(s.pendingOps, op{ev: ServiceEvent{Kind: EventCheckpoint, Checkpoint: interval, Adaptive: adaptive}})
 	s.wake()
 }
 
@@ -566,41 +574,29 @@ func (s *Service) Stats() ServiceStats {
 		Stations:     s.core.Live(),
 		Joined:       s.joined,
 		Departed:     s.departed,
-		QueuedJobs:   s.queuedTotal + s.pendingSubmits(),
+		QueuedJobs:   s.queuedTotal + s.pending("", true),
 		ActiveJobs:   len(s.active),
 		FinishedJobs: s.finished,
 		TasksPending: s.core.Pending(),
 		Steals:       s.core.Steals(),
 		Crashed:      s.crashed,
 		TasksLost:    s.core.TasksLost(),
-		Recovering:   s.recovering,
+		Recovering:   s.log.active(s.round),
 	}
-}
-
-func (s *Service) pendingSubmits() int {
-	n := 0
-	for _, o := range s.pendingOps {
-		if o.kind == EventSubmit {
-			n++
-		}
-	}
-	return n
 }
 
 // --- the round loop -----------------------------------------------------------
 
 // logEvent stamps an event into the log and the write-ahead log; tasks is a
-// submit's walTasks, nil for every other event. During recovery it also
-// checks the event against the recorded log at the cursor: regenerated
-// sampling must reproduce the original sequence exactly, so a recovery
-// under different seeds or config fails loudly instead of diverging
-// silently.
+// submit's walTasks, nil for every other event. While the session follows a
+// recorded log it also checks the event against the log at the cursor, so
+// a log that does not reproduce fails loudly instead of diverging silently.
 func (s *Service) logEvent(ev ServiceEvent, tasks []byte) {
-	if s.recovering {
-		if s.recoverCur < len(s.recoverLog) && eventsMatch(s.recoverLog[s.recoverCur], ev) {
-			s.recoverCur++
+	if c := &s.log; c.active(s.round) {
+		if c.pos < len(c.events) && eventsMatch(c.events[c.pos], ev) {
+			c.pos++
 		} else if s.walErr == nil {
-			s.walErr = fmt.Errorf("fleet: recovery diverged at round %d: regenerated %s event does not match the log (different seeds or config than the original run?)", s.round, ev.Kind)
+			s.walErr = fmt.Errorf("fleet: event log diverged at round %d: %s event does not match the log (an edited log, or different seeds or config than the original run?)", s.round, ev.Kind)
 		}
 	}
 	s.events = append(s.events, ev)
@@ -611,21 +607,12 @@ func (s *Service) logEvent(ev ServiceEvent, tasks []byte) {
 	}
 }
 
-// eventsMatch compares two events for recovery verification (Tasks by
-// value).
+// eventsMatch compares two events for log verification (Tasks by value).
 func eventsMatch(a, b ServiceEvent) bool {
-	if a.Round != b.Round || a.Kind != b.Kind || a.Tenant != b.Tenant ||
-		a.JobID != b.JobID || a.Station != b.Station ||
-		a.Checkpoint != b.Checkpoint || a.Adaptive != b.Adaptive ||
-		a.Sampled != b.Sampled || len(a.Tasks) != len(b.Tasks) {
-		return false
-	}
-	for i := range a.Tasks {
-		if a.Tasks[i] != b.Tasks[i] {
-			return false
-		}
-	}
-	return true
+	return a.Round == b.Round && a.Kind == b.Kind && a.Tenant == b.Tenant &&
+		a.JobID == b.JobID && a.Station == b.Station &&
+		a.Checkpoint == b.Checkpoint && a.Adaptive == b.Adaptive &&
+		a.Sampled == b.Sampled && slices.Equal(a.Tasks, b.Tasks)
 }
 
 // flushWAL pushes buffered log lines to the writer and syncs it — the round
@@ -645,210 +632,137 @@ func (s *Service) flushWAL() error {
 	return s.walErr
 }
 
-// applyOps applies every queued mutation at a round top, in arrival order,
-// stamping each into the event log — or, when replaying or recovering,
-// applies the log's events due at this round (recovery skips sampled ones;
-// sampling regenerates those).
+// applyOps applies the mutations due at a round top, in order, stamping
+// each into the event log: the queued ops of a live session, or the logged
+// ops of one that follows a log (new queued ops wait until it is rebuilt).
 func (s *Service) applyOps() error {
-	if s.replayLog != nil {
-		for len(s.replayLog) > 0 && s.replayLog[0].Round <= s.round {
-			if err := s.applyEvent(s.replayLog[0]); err != nil {
-				return err
-			}
-			s.replayLog = s.replayLog[1:]
-		}
-		return nil
-	}
-	if s.recovering {
-		// New live ops (pendingOps) wait until the session is rebuilt.
-		for s.recoverCur < len(s.recoverLog) && s.walErr == nil {
-			ev := s.recoverLog[s.recoverCur]
-			if ev.Round > s.round || ev.Sampled {
-				break
-			}
-			cur := s.recoverCur
-			if err := s.applyEvent(ev); err != nil {
-				return err
-			}
-			if s.recoverCur == cur {
-				return fmt.Errorf("fleet: recovery: logged %s event at round %d did not apply (corrupt or mismatched log)", ev.Kind, ev.Round)
-			}
-		}
-		return nil
+	if s.log.active(s.round) {
+		return s.applyLogged(false)
 	}
 	ops := s.pendingOps
 	s.pendingOps = nil
 	for _, o := range ops {
-		var err error
-		switch o.kind {
-		case EventSubmit:
-			s.applySubmit(o.job)
-		case EventJoin:
-			err = s.applyJoin(false)
-		case EventLeave:
-			s.applyLeave(o.slot, false)
-		case EventCheckpoint:
-			s.applyCheckpoint(o.checkpoint, o.adaptive)
-		}
-		if err != nil {
+		if err := s.applyEvent(o.ev, o.job); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyEvent replays one logged event.
-func (s *Service) applyEvent(ev ServiceEvent) error {
+// applyLogged applies the logged ops due at a round top (sampled false), or
+// the churn and crash outcomes due at a replay's sampling point. An event
+// that applies nothing, or reproduces differently, fails the session.
+func (s *Service) applyLogged(sampled bool) error {
+	for c := &s.log; c.due(s.round, sampled); {
+		ev, pos := c.events[c.pos], c.pos
+		if err := s.applyEvent(ev, nil); err != nil {
+			return err
+		}
+		if s.walErr != nil {
+			return s.walErr
+		}
+		if c.pos == pos {
+			return fmt.Errorf("fleet: logged %s event at round %d did not apply (corrupt or mismatched log)", ev.Kind, ev.Round)
+		}
+	}
+	return nil
+}
+
+// applyEvent applies one event at the current round and logs it: a queued
+// op (j is a submit's job), a logged event, a sampled churn outcome or the
+// kill. A leave or crash of a slot that is not live does nothing.
+func (s *Service) applyEvent(ev ServiceEvent, j *svcJob) error {
+	ev.Round = s.round
+	var tasks []byte
 	switch ev.Kind {
 	case EventSubmit:
-		j, err := s.newJob(ev.Tenant, ev.Tasks)
-		if err != nil {
-			return fmt.Errorf("%w (logged job %d, round %d)", err, ev.JobID, ev.Round)
+		if j == nil {
+			var err error
+			if j, err = s.newJob(ev.Tenant, ev.Tasks); err != nil {
+				return fmt.Errorf("%w (logged job %d, round %d)", err, ev.JobID, ev.Round)
+			}
+			j.id = ev.JobID
 		}
-		j.id = ev.JobID
-		if ev.JobID >= s.nextJobID {
-			s.nextJobID = ev.JobID + 1
+		j.base = s.nextTaskID
+		for i := range j.tasks {
+			j.tasks[i].ID = j.base + i
 		}
-		s.applySubmit(j)
-		return nil
+		s.nextTaskID += len(j.tasks)
+		j.submitted = s.round
+		s.totalWork += j.work
+		s.jobs = append(s.jobs, j)
+		if _, seen := s.queues[j.tenant]; !seen {
+			s.tenants = append(s.tenants, j.tenant)
+		}
+		s.queues[j.tenant] = append(s.queues[j.tenant], j)
+		s.queuedTotal++
+		tasks, j.walTasks = j.walTasks, nil
 	case EventJoin:
-		return s.applyJoin(ev.Sampled)
+		ws, err := s.f.buildStation(s.nextStation)
+		if err != nil {
+			return err
+		}
+		s.nextStation++
+		ev.Station = s.core.Join(ws)
+		s.joined++
 	case EventLeave:
-		s.applyLeave(ev.Station, ev.Sampled)
-		return nil
-	case EventCheckpoint:
-		s.applyCheckpoint(ev.Checkpoint, ev.Adaptive)
-		return nil
+		if !s.core.Leave(ev.Station) {
+			return nil
+		}
+		s.departed++
 	case EventCrash:
-		s.applyCrash(ev.Station, ev.Sampled)
-		return nil
+		// Unlike a leave, an orphaned group's queued tasks are lost.
+		if !s.core.Crash(ev.Station) {
+			return nil
+		}
+		s.crashed++
+	case EventCheckpoint:
+		var ticks quant.Tick
+		if ev.Checkpoint > 0 {
+			ticks = s.f.g.ticks(ev.Checkpoint)
+		}
+		s.core.SetCheckpoint(ticks, ev.Adaptive)
 	case EventKill:
-		// Replaying a killed session re-kills it at the same round; the
-		// replayed result matches the original, error included.
 		s.logEvent(ev, nil)
 		if err := s.flushWAL(); err != nil {
 			return err
 		}
 		return ErrSchedulerKilled
 	default:
-		return fmt.Errorf("fleet: replay: unknown event kind %d", int(ev.Kind))
+		return fmt.Errorf("fleet: unknown event kind %d", int(ev.Kind))
 	}
-}
-
-func (s *Service) applySubmit(j *svcJob) {
-	j.base = s.nextTaskID
-	for i := range j.tasks {
-		j.tasks[i].ID = j.base + i
-	}
-	s.nextTaskID += len(j.tasks)
-	j.submitted = s.round
-	s.totalWork += j.work
-	s.jobs = append(s.jobs, j)
-	if _, seen := s.queues[j.tenant]; !seen {
-		s.tenants = append(s.tenants, j.tenant)
-	}
-	s.queues[j.tenant] = append(s.queues[j.tenant], j)
-	s.queuedTotal++
-	s.logEvent(ServiceEvent{
-		Round: s.round, Kind: EventSubmit, Tenant: j.tenant, JobID: j.id, Tasks: j.specs,
-	}, j.walTasks)
-	j.walTasks = nil
-}
-
-func (s *Service) applyJoin(sampled bool) error {
-	id := s.nextStation
-	ws, err := s.f.buildStation(id)
-	if err != nil {
-		return err
-	}
-	s.nextStation++
-	slot := s.core.Join(ws)
-	s.alive = append(s.alive, true)
-	s.joined++
-	s.logEvent(ServiceEvent{Round: s.round, Kind: EventJoin, Station: slot, Sampled: sampled}, nil)
+	s.logEvent(ev, tasks)
 	return nil
 }
 
-func (s *Service) applyLeave(slot int, sampled bool) {
-	if slot < 0 || slot >= len(s.alive) || !s.alive[slot] {
-		return
+// sample runs one round's churn and crash sampling: each live slot (a
+// station's slot is its ID) leaves with LeaveProb, floored at MinStations;
+// one station joins with JoinProb, capped at MaxStations; then the fault
+// plan crashes stations. Every outcome is logged, so a replay, which
+// samples nothing, applies the logged outcomes here instead.
+func (s *Service) sample() error {
+	if !s.log.regen {
+		if err := s.applyLogged(true); err != nil {
+			return err
+		}
 	}
-	s.core.Leave(slot)
-	s.alive[slot] = false
-	s.departed++
-	s.logEvent(ServiceEvent{Round: s.round, Kind: EventLeave, Station: slot, Sampled: sampled}, nil)
-}
-
-// applyCrash fails a station hard: unlike a leave, an orphaned group's
-// queued tasks are lost, not drained. A no-op on dead or out-of-range slots.
-func (s *Service) applyCrash(slot int, sampled bool) {
-	if slot < 0 || slot >= len(s.alive) || !s.alive[slot] {
-		return
-	}
-	s.core.Crash(slot)
-	s.alive[slot] = false
-	s.crashed++
-	s.logEvent(ServiceEvent{Round: s.round, Kind: EventCrash, Station: slot, Sampled: sampled}, nil)
-}
-
-func (s *Service) applyCheckpoint(interval float64, adaptive bool) {
-	var ticks quant.Tick
-	if interval > 0 {
-		ticks = s.f.g.ticks(interval)
-	}
-	s.core.SetCheckpoint(ticks, adaptive)
-	s.logEvent(ServiceEvent{
-		Round: s.round, Kind: EventCheckpoint, Checkpoint: interval, Adaptive: adaptive,
-	}, nil)
-}
-
-// sampleChurn runs one round's churn: each live slot leaves with LeaveProb
-// (floored at MinStations), then one station joins with JoinProb (capped at
-// MaxStations). Every sampled action becomes a concrete logged event, so a
-// replay applies the outcomes without re-sampling. Never called while
-// replaying — Replay zeroes the probabilities.
-func (s *Service) sampleChurn() error {
-	if s.churn == nil {
-		return nil
-	}
-	cc := s.cfg.Churn
-	if cc.LeaveProb > 0 {
-		for slot := 0; slot < len(s.alive); slot++ {
-			if !s.alive[slot] {
-				continue
+	if cc := s.cfg.Churn; s.churn != nil {
+		for slot := 0; cc.LeaveProb > 0 && slot < s.nextStation && s.core.Live() > s.minStations; slot++ {
+			if s.core.Alive(slot) && s.churn.Float64() < cc.LeaveProb {
+				_ = s.applyEvent(ServiceEvent{Kind: EventLeave, Station: slot, Sampled: true}, nil) // a leave cannot fail
 			}
-			if s.core.Live() <= s.minStations {
-				break
-			}
-			if s.churn.Float64() < cc.LeaveProb {
-				s.applyLeave(slot, true)
+		}
+		if cc.JoinProb > 0 && s.core.Live() < s.maxStations && s.churn.Float64() < cc.JoinProb {
+			if err := s.applyEvent(ServiceEvent{Kind: EventJoin, Sampled: true}, nil); err != nil {
+				return err
 			}
 		}
 	}
-	if cc.JoinProb > 0 && s.core.Live() < s.maxStations && s.churn.Float64() < cc.JoinProb {
-		return s.applyJoin(true)
+	for _, slot := range s.core.ApplyFaults(s.round, nil) {
+		s.crashed++
+		s.logEvent(ServiceEvent{Round: s.round, Kind: EventCrash, Station: slot, Sampled: true}, nil)
 	}
 	return nil
-}
-
-// sampleFaults runs one round's fault plan after churn: scheduled crashes
-// first, then each live slot crashes with CrashProb, in slot order. Like
-// churn, every outcome is a concrete logged event — a replay applies them
-// without re-sampling, a recovery regenerates them from the seed.
-func (s *Service) sampleFaults() {
-	if s.faults == nil {
-		return
-	}
-	for _, slot := range s.faults.ScheduledCrashes(s.round) {
-		s.applyCrash(slot, true)
-	}
-	if s.faults.Plan().CrashProb > 0 {
-		for slot := 0; slot < len(s.alive); slot++ {
-			if s.alive[slot] && s.faults.SampleCrash() {
-				s.applyCrash(slot, true)
-			}
-		}
-	}
 }
 
 // activate moves queued jobs into the active set, round-robin across
@@ -889,11 +803,11 @@ func (s *Service) collect() {
 	s.collectLost()
 	s.flushWAL()
 	s.round++
-	if s.recovering && s.recoverCur < len(s.recoverLog) && s.recoverLog[s.recoverCur].Round < s.round && s.walErr == nil {
-		// A sampled event the log recorded for a finished round never
-		// regenerated: the recovery is not reproducing the original run.
-		ev := s.recoverLog[s.recoverCur]
-		s.walErr = fmt.Errorf("fleet: recovery diverged: logged %s event at round %d never regenerated (different seeds or config than the original run?)", ev.Kind, ev.Round)
+	if c := &s.log; c.pos < len(c.events) && c.events[c.pos].Round < s.round && s.walErr == nil {
+		// An event the log recorded for a finished round never reproduced:
+		// the session is not the original run.
+		ev := c.events[c.pos]
+		s.walErr = fmt.Errorf("fleet: event log diverged: logged %s event at round %d never reproduced (an edited log, or different seeds or config than the original run?)", ev.Kind, ev.Round)
 	}
 }
 
@@ -941,24 +855,18 @@ func (s *Service) collectLost() {
 // has nothing to do (idle, a dead fleet, or the MaxRounds bound) or must
 // stop (a scheduler kill, a WAL failure).
 func (s *Service) step(ctx context.Context) (done bool, err error) {
-	if s.recovering && s.recoverCur >= len(s.recoverLog) && s.round >= s.recoverTo {
-		// The session is rebuilt: back to live sampling and live ops.
-		s.recovering = false
-		s.recoverLog = nil
-	}
 	if s.walErr != nil {
 		return true, s.walErr
 	}
-	if s.faults != nil && !s.recovering && s.faults.KillsAt(s.round) {
-		// The scheduler dies at this round top: nothing of the round runs,
-		// the durable log closes with a kill record, and RecoverService can
-		// rebuild the session from it. (A recovery with the same plan must
-		// raise or clear KillRound, or it re-kills here immediately.)
-		s.logEvent(ServiceEvent{Round: s.round, Kind: EventKill, Sampled: true}, nil)
-		if err := s.flushWAL(); err != nil {
-			return true, err
+	if !s.log.active(s.round) {
+		s.log = logCursor{} // the log is spent: live ops, sampling and kills
+		if in := s.core.Faults(); in != nil && in.KillsAt(s.round) {
+			// The scheduler dies at this round top: nothing of the round
+			// runs, and the durable log closes with a kill record that
+			// RecoverService rebuilds the session from. (A recovery with
+			// the same plan must raise or clear KillRound, or it re-kills.)
+			return true, s.applyEvent(ServiceEvent{Kind: EventKill, Sampled: true}, nil)
 		}
-		return true, ErrSchedulerKilled
 	}
 	if err := s.applyOps(); err != nil {
 		return true, err
@@ -968,12 +876,12 @@ func (s *Service) step(ctx context.Context) (done bool, err error) {
 	}
 	hasWork := len(s.active) > 0 || s.queuedTotal > 0 || s.core.Pending() > 0
 	if !hasWork {
-		if len(s.replayLog) > 0 {
+		if c := &s.log; c.pos < len(c.events) && c.events[c.pos].Round > s.round {
 			// Defensive round jump for a foreign log: a live service's
 			// rounds only advance while work plays, so its own stamps never
-			// land in a gap — but an edited log can still replay; idle
+			// land in a gap — but an edited log can still be followed; idle
 			// rounds fast-forward to the next event.
-			s.round = s.replayLog[0].Round
+			s.round = c.events[c.pos].Round
 			return false, nil
 		}
 		return true, nil
@@ -985,16 +893,16 @@ func (s *Service) step(ctx context.Context) (done bool, err error) {
 	if s.cfg.MaxRounds > 0 && s.round >= s.cfg.MaxRounds {
 		return true, nil
 	}
-	if err := s.sampleChurn(); err != nil {
+	if err := s.sample(); err != nil {
 		return true, err
 	}
-	s.sampleFaults()
 	if s.core.Live() == 0 {
 		// The plan wiped out the fleet this round: whatever its queues held
-		// is already lost; settle those jobs and idle awaiting joins.
+		// is already lost; settle those jobs and idle awaiting joins — or,
+		// following a log, go on to the join it applied next.
 		s.collectLost()
 		s.flushWAL()
-		return true, s.walErr
+		return !s.log.due(s.round, false), s.walErr
 	}
 	s.activate()
 	if err := s.core.PlayRound(ctx, s.cfg.Fleet.Workers); err != nil {
@@ -1140,7 +1048,7 @@ func (s *Service) shutdownLocked(cause error) {
 		}
 	}
 	for _, o := range s.pendingOps {
-		if o.kind == EventSubmit && o.job.err == nil {
+		if o.job != nil && o.job.err == nil {
 			o.job.err = fail
 			close(o.job.done)
 		}
@@ -1171,16 +1079,47 @@ func (s *Service) resultLocked() ServiceResult {
 // their recorded rounds. The result — job outcomes, fleet accounting, even
 // the re-logged event sequence — is bit-identical to the original at any
 // Workers setting, a replayed kill re-killing the replay with
-// ErrSchedulerKilled. (The Replay type is the unrelated trace-driven owner
-// for batch runs.)
+// ErrSchedulerKilled. Like a recovery, the replay checks every event
+// against the log: an event that does not apply (a leave of a slot that
+// is not live) or does not reproduce (a join whose Station is not the slot
+// it opens) fails it with an error naming the round and the kind. (The
+// Replay type is the unrelated trace-driven owner for batch runs.)
 func ReplayService(ctx context.Context, cfg ServiceConfig, events []ServiceEvent) (ServiceResult, error) {
 	cfg.Churn.LeaveProb = 0
 	cfg.Churn.JoinProb = 0
 	cfg.Fleet.Faults = FaultPlan{}
+	if n := len(events); n > 0 && events[n-1].Kind == EventKill {
+		cfg.Fleet.Faults.KillRound = events[n-1].Round
+	}
 	s, err := NewService(cfg)
 	if err != nil {
 		return ServiceResult{}, err
 	}
-	s.replayLog = append([]ServiceEvent(nil), events...)
-	return s.Drain(ctx)
+	s.follow(events, false)
+	res, err := s.Drain(ctx)
+	if c := &s.log; err == nil && c.pos < len(c.events) {
+		err = fmt.Errorf("fleet: replay stopped at round %d, short of the logged %s event at round %d", s.round, c.events[c.pos].Kind, c.events[c.pos].Round)
+	}
+	return res, err
+}
+
+// follow points the session at a recorded log, which it reproduces up to
+// the round of its last event: a closing kill record is dropped, for the
+// fault plan to repeat or not. regen selects a recovery, which regenerates
+// the log's sampled events instead of applying them. Live submissions get
+// IDs past every logged job's.
+func (s *Service) follow(events []ServiceEvent, regen bool) {
+	to := 0
+	if n := len(events); n > 0 {
+		to = events[n-1].Round
+		if events[n-1].Kind == EventKill {
+			events = events[:n-1]
+		}
+	}
+	for _, ev := range events {
+		if ev.Kind == EventSubmit {
+			s.nextJobID = max(s.nextJobID, ev.JobID+1)
+		}
+	}
+	s.log = logCursor{events: events, to: to, regen: regen}
 }

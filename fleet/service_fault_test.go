@@ -471,3 +471,108 @@ func TestRecoverServiceGridMismatch(t *testing.T) {
 		t.Fatalf("grid mismatch error %v", err)
 	}
 }
+
+// TestServiceWipeoutReplaysAndRecovers pins a crash that empties the whole
+// fleet: the replay settles the wiped-out job where the live run did (it
+// once applied the logged crash at the round top, skipping the settlement),
+// and the rejoin queued after the wipeout applies at the same round in the
+// live run, the replay and a recovery.
+func TestServiceWipeoutReplaysAndRecovers(t *testing.T) {
+	cfg := ServiceConfig{
+		Fleet:     Config{Stations: 2, Setup: 5, Seed: 3, Faults: FaultPlan{Crashes: []StationCrash{{Round: 1, Station: 0}, {Round: 1, Station: 1}}}},
+		MaxActive: 1,
+		MaxRounds: 40,
+	}
+	play := func(s *Service) (ServiceResult, error) {
+		t.Helper()
+		for _, tenant := range []string{"ana", "bo"} {
+			if _, err := s.Submit(tenant, Job{Tasks: FixedTasks(60, 10)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Drain(context.Background()); err != nil {
+			return ServiceResult{}, err
+		}
+		s.JoinStation()
+		return s.Drain(context.Background())
+	}
+	var wal bytes.Buffer
+	live := cfg
+	live.WAL = &wal
+	s, err := NewService(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := play(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Crashed != 2 || want.Jobs[0].TasksLost == 0 || want.Joined != 1 || !want.Jobs[1].Completed {
+		t.Fatalf("scenario did not wipe out, settle and rejoin: %+v", want)
+	}
+	rep, err := ReplayService(context.Background(), cfg, want.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatalf("wipeout replay diverges:\nreplay: %+v\nlive:   %+v", rep, want)
+	}
+
+	// Killed after the rejoin, the recovery must go on past the wipeout by
+	// itself.
+	kill := want.Rounds
+	killed := cfg
+	killed.Fleet.Faults.KillRound = kill
+	var klog bytes.Buffer
+	killed.WAL = &klog
+	ks, err := NewService(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := play(ks); !errors.Is(err, ErrSchedulerKilled) {
+		t.Fatalf("kill at round %d: %v", kill, err)
+	}
+	rs, err := RecoverService(cfg, bytes.NewReader(klog.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rs.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wipeout recovery diverges:\nrecovered: %+v\nwant:      %+v", got, want)
+	}
+}
+
+// TestRecoverServiceSubmitGetsFreshID pins job IDs across a recovery: a job
+// submitted before the rebuild has replayed the logged submissions still
+// gets an ID past theirs, not a duplicate of one.
+func TestRecoverServiceSubmitGetsFreshID(t *testing.T) {
+	want, _, err := runFaulted(t, faultedConfig(1, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wal bytes.Buffer
+	if _, _, err := runFaulted(t, faultedConfig(1, want.Rounds/2, &wal)); !errors.Is(err, ErrSchedulerKilled) {
+		t.Fatal(err)
+	}
+	s, err := RecoverService(faultedConfig(1, 0, nil), bytes.NewReader(wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Submit("cy", Job{Tasks: FixedTasks(50, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.ID != len(want.Jobs) {
+		t.Fatalf("job submitted during recovery got ID %d, want %d (past the %d logged jobs)", h.ID, len(want.Jobs), len(want.Jobs))
+	}
+	res, err := s.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Jobs[:len(want.Jobs)], want.Jobs) || res.Jobs[len(want.Jobs)].ID != h.ID {
+		t.Fatalf("recovered jobs %+v, want the uninterrupted run's then job %d", res.Jobs, h.ID)
+	}
+}

@@ -471,3 +471,46 @@ func TestServiceLiveMatchesDrain(t *testing.T) {
 		t.Fatalf("paused replay diverges from live run:\nreplay: %+v\nlive:   %+v", rep, live)
 	}
 }
+
+// TestReplayRefusesEditedLogs pins replay's divergence check: an edited
+// log whose event does not apply, or does not reproduce, fails the replay
+// with an error naming the round and the kind — instead of dropping the
+// event or replaying it under another slot.
+func TestReplayRefusesEditedLogs(t *testing.T) {
+	cfg := ServiceConfig{Fleet: serviceFleet(1)}
+	s, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit("t", Job{Tasks: FixedTasks(200, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	s.JoinStation()
+	res, err := s.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Events[1]; got.Kind != EventJoin || got.Station != 12 {
+		t.Fatalf("second event %+v, want the join of slot 12", got)
+	}
+	edit := func(i int, ev ServiceEvent) []ServiceEvent {
+		evs := append([]ServiceEvent(nil), res.Events...)
+		evs[i] = ev
+		return evs
+	}
+	for _, tc := range []struct {
+		name   string
+		events []ServiceEvent
+		want   []string
+	}{
+		{"leave of a slot that never joined", edit(1, ServiceEvent{Round: 0, Kind: EventLeave, Station: 40}), []string{"round 0", "leave"}},
+		{"join of another slot", edit(1, ServiceEvent{Round: 0, Kind: EventJoin, Station: 3}), []string{"round 0", "join"}},
+	} {
+		_, err := ReplayService(context.Background(), cfg, tc.events)
+		for _, want := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: replay error %v, want one naming %q", tc.name, err, want)
+			}
+		}
+	}
+}

@@ -230,3 +230,40 @@ func TestServiceConcurrentSubmitsReplay(t *testing.T) {
 		t.Fatalf("WAL does not decode to the run's events (%v)", err)
 	}
 }
+
+// With a WAL, Submit refuses a job whose record could outgrow the log's
+// line cap, which the session's own recovery could not read back; without
+// one, the job is fine. A job under the cap logs, and recovers, as usual.
+func TestSubmitRefusesRecordsOverTheLineCap(t *testing.T) {
+	withWALMaxLine(t, 512)
+	var wal bytes.Buffer
+	s, err := NewService(ServiceConfig{Fleet: serviceFleet(1), WAL: &wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := Job{Tasks: FixedTasks(200, 12.5)} // 200 × "12.5," alone is 1,000 bytes
+	if _, err := s.Submit("ana", big); err == nil || !strings.Contains(err.Error(), "line cap") {
+		t.Fatalf("over-cap record: Submit error %v, want the line cap named", err)
+	}
+	if _, err := s.Submit("ana", Job{Tasks: FixedTasks(40, 12.5)}); err != nil {
+		t.Fatalf("a record under the cap: %v", err)
+	}
+	want, err := s.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := RecoverService(ServiceConfig{Fleet: serviceFleet(1)}, bytes.NewReader(wal.Bytes()))
+	if err != nil {
+		t.Fatalf("the session's own log does not recover: %v", err)
+	}
+	if got, err := rs.Drain(context.Background()); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovery under the lowered cap diverges (%v)", err)
+	}
+	plain, err := NewService(ServiceConfig{Fleet: serviceFleet(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Submit("ana", big); err != nil {
+		t.Fatalf("without a WAL the cap does not apply: %v", err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -25,11 +26,20 @@ import (
 //
 // Fields at their zero value are omitted. ticks_per_setup pins the grid the
 // durations were quantized on; RecoverService refuses a log whose grid
-// disagrees with the configuration it is given.
+// disagrees with the configuration it is given. A line may run to
+// jsonl.MaxLine bytes, the cap the distrib wire frames share.
 const (
 	walFormat  = "cyclesteal-service-wal"
 	walVersion = 1
 )
+
+// walMaxLine caps one WAL line, for the reader and for Submit, which
+// refuses a job whose record could outgrow it. Tests lower it.
+var walMaxLine = jsonl.MaxLine
+
+// walRecordSlack bounds a submit record's bytes beyond its task array and
+// tenant: the keys, the two integers and the newline.
+const walRecordSlack = 128
 
 // walHeader is the log's first line.
 type walHeader struct {
@@ -52,16 +62,6 @@ type walRecord struct {
 	Adaptive   bool      `json:"adaptive,omitempty"`
 }
 
-// walKinds maps the wire names back to event kinds.
-var walKinds = map[string]EventKind{
-	"submit":     EventSubmit,
-	"join":       EventJoin,
-	"leave":      EventLeave,
-	"checkpoint": EventCheckpoint,
-	"crash":      EventCrash,
-	"kill":       EventKill,
-}
-
 func writeWALHeader(w io.Writer, ticksPerSetup int) error {
 	return writeWALLine(w, walHeader{Format: walFormat, Version: walVersion, TicksPerSetup: ticksPerSetup})
 }
@@ -81,10 +81,10 @@ func writeWALEvent(w io.Writer, ev ServiceEvent) error {
 // them — a service encodes a job's durations when it is submitted, off the
 // round loop, and the record only splices them in.
 func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
-	kind := ev.Kind.String()
-	if _, ok := walKinds[kind]; !ok {
+	if ev.Kind < 0 || int(ev.Kind) >= len(eventKindNames) {
 		return fmt.Errorf("cannot encode event kind %v", ev.Kind)
 	}
+	kind := eventKindNames[ev.Kind]
 	if !finite(ev.Checkpoint) {
 		return fmt.Errorf("cannot encode checkpoint %g", ev.Checkpoint)
 	}
@@ -196,44 +196,35 @@ func writeWALLine(w io.Writer, v any) error {
 }
 
 // decodeWAL parses a whole log strictly: a malformed header, an unknown
-// field or kind, bytes after a line's object, a non-finite number or a
-// round running backwards is an error, never a panic and never a silent
-// skip. Lines decode through jsonl.Unmarshal, the strict decode the distrib
-// wire frames share.
+// field or kind, bytes after a line's object, a non-finite number, a round
+// running backwards or a line over walMaxLine bytes is an error naming its
+// line, never a panic and never a silent skip. Blank lines are skipped but
+// counted. Lines decode through jsonl.Unmarshal, the strict decode the
+// distrib wire frames share.
 func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
-	br := bufio.NewReader(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, walMaxLine)
 	var hdr walHeader
-	line, err := readWALLine(br)
-	if err != nil {
-		return hdr, nil, fmt.Errorf("fleet: wal: missing header: %w", err)
-	}
-	if err := jsonl.Unmarshal(line, &hdr); err != nil {
-		return hdr, nil, fmt.Errorf("fleet: wal: header: %w", err)
-	}
-	if hdr.Format != walFormat {
-		return hdr, nil, fmt.Errorf("fleet: wal: format %q, want %q", hdr.Format, walFormat)
-	}
-	if hdr.Version != walVersion {
-		return hdr, nil, fmt.Errorf("fleet: wal: version %d, want %d", hdr.Version, walVersion)
-	}
-	if hdr.TicksPerSetup < 1 {
-		return hdr, nil, fmt.Errorf("fleet: wal: ticks_per_setup must be ≥ 1, got %d", hdr.TicksPerSetup)
-	}
 	var events []ServiceEvent
-	for n := 2; ; n++ {
-		line, err := readWALLine(br)
-		if err == io.EOF {
-			return hdr, events, nil
+	n := 0
+	for sc.Scan() {
+		n++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
 		}
-		if err != nil {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n, err)
+		if hdr.Format == "" {
+			if err := decodeWALHeader(line, &hdr); err != nil {
+				return hdr, nil, err
+			}
+			continue
 		}
 		var rec walRecord
 		if err := jsonl.Unmarshal(line, &rec); err != nil {
 			return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n, err)
 		}
-		kind, ok := walKinds[rec.Kind]
-		if !ok {
+		kind := EventKind(slices.Index(eventKindNames[:], rec.Kind))
+		if kind < 0 {
 			return hdr, nil, fmt.Errorf("fleet: wal: line %d: unknown kind %q", n, rec.Kind)
 		}
 		if rec.Round < 0 {
@@ -268,22 +259,30 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 			Sampled:    rec.Sampled,
 		})
 	}
+	if err := sc.Err(); err != nil {
+		return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n+1, err)
+	}
+	if hdr.Format == "" {
+		return hdr, nil, fmt.Errorf("fleet: wal: missing header")
+	}
+	return hdr, events, nil
 }
 
-// readWALLine returns the next non-blank line; io.EOF at a clean end.
-func readWALLine(br *bufio.Reader) ([]byte, error) {
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			return trimmed, nil
-		}
-		if err == io.EOF {
-			return nil, io.EOF
-		}
+// decodeWALHeader parses and checks the log's first line.
+func decodeWALHeader(line []byte, hdr *walHeader) error {
+	if err := jsonl.Unmarshal(line, hdr); err != nil {
+		return fmt.Errorf("fleet: wal: header: %w", err)
 	}
+	if hdr.Format != walFormat {
+		return fmt.Errorf("fleet: wal: format %q, want %q", hdr.Format, walFormat)
+	}
+	if hdr.Version != walVersion {
+		return fmt.Errorf("fleet: wal: version %d, want %d", hdr.Version, walVersion)
+	}
+	if hdr.TicksPerSetup < 1 {
+		return fmt.Errorf("fleet: wal: ticks_per_setup must be ≥ 1, got %d", hdr.TicksPerSetup)
+	}
+	return nil
 }
 
 // ReadWAL decodes a service write-ahead log into its event sequence,
@@ -304,8 +303,10 @@ func ReadWAL(r io.Reader) ([]ServiceEvent, error) {
 // applied from the log, sampled churn and crashes regenerated from the
 // seeds and checked against it — and then continues live, bit-identically
 // to a session that was never killed. Jobs and ops that never reached the
-// dead session's log are gone: resubmit them. A fresh cfg.WAL may be set
-// (use a new file — the recovery re-logs the whole history into it).
+// dead session's log are gone: resubmit them. Ops queued before the
+// session is rebuilt wait for it, and a job submitted meanwhile gets an ID
+// past every logged job's. A fresh cfg.WAL may be set (use a new file —
+// the recovery re-logs the whole history into it).
 func RecoverService(cfg ServiceConfig, wal io.Reader) (*Service, error) {
 	hdr, events, err := decodeWAL(wal)
 	if err != nil {
@@ -318,21 +319,6 @@ func RecoverService(cfg ServiceConfig, wal io.Reader) (*Service, error) {
 	if hdr.TicksPerSetup != int(s.f.g.ticksC) {
 		return nil, fmt.Errorf("fleet: recover: log quantized at %d ticks per setup, config resolves to %d", hdr.TicksPerSetup, int(s.f.g.ticksC))
 	}
-	recoverTo := 0
-	if n := len(events); n > 0 {
-		if last := events[n-1]; last.Kind == EventKill {
-			recoverTo = last.Round
-			events = events[:n-1]
-		} else {
-			// No kill record (the log outlived a session that was never
-			// killed, or died without closing): recover everything logged.
-			recoverTo = last.Round + 1
-		}
-	}
-	if len(events) > 0 || recoverTo > 0 {
-		s.recovering = true
-		s.recoverLog = events
-		s.recoverTo = recoverTo
-	}
+	s.follow(events, true)
 	return s, nil
 }

@@ -2,10 +2,29 @@ package fleet
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// withWALMaxLine lowers the WAL line cap for one test.
+func withWALMaxLine(t *testing.T, n int) {
+	old := walMaxLine
+	walMaxLine = n
+	t.Cleanup(func() { walMaxLine = old })
+}
+
+// endlessLine reads as one line that never ends, counting what was read.
+type endlessLine struct{ read int }
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '7'
+	}
+	r.read += len(p)
+	return len(p), nil
+}
 
 // validWAL is a small well-formed log exercising every record kind.
 const validWAL = `{"format":"cyclesteal-service-wal","version":1,"ticks_per_setup":100}
@@ -51,6 +70,7 @@ func TestReadWALRejectsMalformed(t *testing.T) {
 		{"wrong version", `{"format":"cyclesteal-service-wal","version":2,"ticks_per_setup":100}` + "\n", "version"},
 		{"zero grid", `{"format":"cyclesteal-service-wal","version":1,"ticks_per_setup":0}` + "\n", "ticks_per_setup"},
 		{"event not JSON", header + "garbage\n", "line 2"},
+		{"blank lines count", header + "\n \t\n" + "garbage\n", "line 4"},
 		{"unknown kind", header + `{"round":0,"kind":"explode"}` + "\n", "unknown kind"},
 		{"unknown field", header + `{"round":0,"kind":"join","wat":true}` + "\n", "line 2"},
 		{"negative round", header + `{"round":-1,"kind":"join"}` + "\n", "negative round"},
@@ -156,5 +176,26 @@ func TestWALReadersRefuseTrailingData(t *testing.T) {
 				t.Errorf("RecoverService accepted %q", log)
 			}
 		}
+	}
+}
+
+// A line over the cap errors, naming it, as soon as the reader has buffered
+// the cap's worth of it: an endless line neither hangs the decoder nor
+// grows its buffer without bound.
+func TestReadWALBoundsLines(t *testing.T) {
+	withWALMaxLine(t, 1024)
+	header := `{"format":"cyclesteal-service-wal","version":1,"ticks_per_setup":100}` + "\n\n"
+	r := &endlessLine{}
+	_, err := ReadWAL(io.MultiReader(strings.NewReader(header), r))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("endless line: error %v, want a too-long error naming line 3", err)
+	}
+	if r.read > 2*1024 {
+		t.Fatalf("the reader buffered %d bytes of a line capped at 1024", r.read)
+	}
+	// Under the cap, a long line still decodes.
+	line := `{"round":0,"kind":"submit","tenant":"a","job_id":1,"tasks":[` + strings.Repeat("5,", 400) + "5]}"
+	if evs, err := ReadWAL(strings.NewReader(header + line + "\n")); err != nil || len(evs) != 1 || len(evs[0].Tasks) != 401 {
+		t.Fatalf("a %d-byte line under the cap: %d events, %v", len(line), len(evs), err)
 	}
 }

@@ -154,11 +154,12 @@ func (c *Core) Join(ws station.Workstation) int {
 
 // SetFaults arms the core with a fault injector — applied at a round
 // barrier, before any round the faults may touch. The core draws parcel-loss
-// samples from it at barrier departures; the driver (batch loop or resident
-// service) owns the crash and kill draws at round tops. With a loss axis in
-// the plan the barrier's cross-steal guard switches to the loss-aware
-// timeout/retry/degrade machinery; without one the guard stays byte-for-byte
-// the fault-free engine. nil disarms.
+// samples from it at barrier departures, and crash samples when the driver
+// (batch loop or resident service) calls ApplyFaults at a round top; the
+// resident service owns the kill. With a loss axis in the plan the
+// barrier's cross-steal guard switches to the loss-aware timeout/retry/
+// degrade machinery; without one the guard stays byte-for-byte the
+// fault-free engine. nil disarms.
 func (c *Core) SetFaults(in *fault.Injector) {
 	c.faults = in
 	if in == nil {
@@ -309,6 +310,11 @@ func (c *Core) Pending() int {
 // Live reports the stations currently in the fleet.
 func (c *Core) Live() int { return c.live }
 
+// Alive reports whether the given slot holds a station still in the fleet.
+func (c *Core) Alive(slot int) bool {
+	return slot >= 0 && slot < len(c.runners) && !c.runners[slot].left
+}
+
 // Total reports the tasks ever added.
 func (c *Core) Total() int { return c.total }
 
@@ -319,21 +325,23 @@ func (c *Core) Steals() int { return c.steals }
 func (c *Core) InFlight() int { return c.flight.InFlight() }
 
 // ApplyFaults applies the armed plan's round-top station crashes for the
-// given round: the explicitly scheduled ones first (in schedule order, slots
-// beyond the fleet ignored), then one Bernoulli draw per still-live slot in
-// slot order — the fixed draw order that keeps the fault stream a pure
-// function of the fleet evolution. The batch driver calls it at each round
-// top; the resident service samples crashes itself (it must log them as
-// events), so it never calls this.
-func (c *Core) ApplyFaults(round int) {
+// given round: the explicitly scheduled ones first (in schedule order, dead
+// slots and slots beyond the fleet ignored), then one Bernoulli draw per
+// still-live slot in slot order — the fixed draw order that keeps the fault
+// stream a pure function of the fleet evolution. It appends the slots it
+// crashed to crashed, in crash order, and returns the result: the resident
+// service logs each as an event, the batch driver passes nil.
+func (c *Core) ApplyFaults(round int, crashed []int) []int {
 	if c.faults == nil {
-		return
+		return crashed
 	}
 	for _, slot := range c.faults.ScheduledCrashes(round) {
-		c.Crash(slot)
+		if c.Crash(slot) {
+			crashed = append(crashed, slot)
+		}
 	}
 	if c.faults.Plan().CrashProb <= 0 {
-		return
+		return crashed
 	}
 	for slot := range c.runners {
 		r := &c.runners[slot]
@@ -342,8 +350,10 @@ func (c *Core) ApplyFaults(round int) {
 		}
 		if c.faults.SampleCrash() {
 			c.Crash(slot)
+			crashed = append(crashed, slot)
 		}
 	}
+	return crashed
 }
 
 // Snapshot reports the Core's progress counters — exact at a barrier.

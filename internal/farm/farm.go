@@ -419,7 +419,7 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 		if !f.Private && core.Pending() == 0 {
 			break // every task completed; no point borrowing more time
 		}
-		core.ApplyFaults(round)
+		core.ApplyFaults(round, nil)
 		if core.Live() == 0 {
 			break // the whole fleet crashed; nobody left to play
 		}

@@ -1,7 +1,8 @@
 // Package jsonl holds the JSON pieces the repository's line formats share:
-// the strict decode the service write-ahead log and the distrib wire frames
-// both apply, and a float-array codec that writes exactly encoding/json's
-// bytes and reads exactly its values, without reflection.
+// the line cap and the strict decode the service write-ahead log and the
+// distrib wire frames both apply, and a float-array codec that writes
+// exactly encoding/json's bytes and reads exactly its values, without
+// reflection.
 //
 // encoding/json stays the definition of every format: it checks syntax,
 // matches keys and refuses unknown fields, and the tests pin each function
@@ -16,6 +17,13 @@ import (
 	"slices"
 	"strconv"
 )
+
+// MaxLine caps one line of the repository's JSONL formats — a distrib wire
+// frame or a service WAL record — so a corrupt or hostile stream cannot
+// make a reader buffer without end. A shard frame carries full accumulator
+// states and a WAL submit record a whole job's durations, so the cap is
+// generous: 256 MiB.
+const MaxLine = 1 << 28
 
 // Unmarshal decodes the one JSON value in data into v strictly: an object
 // field v has no place for is an error, and so is any byte after the value
