@@ -18,13 +18,14 @@
 // NAME.done so it is not resubmitted.
 //
 // With -wal FILE every service event is written through a durable JSONL
-// write-ahead log (fsync'd at round barriers). A fault plan (-crash-prob,
-// -kill-round, -fault-seed) injects station crashes — queued and in-flight
-// work on a fully crashed steal group is lost, not drained — and can kill
-// the scheduler itself mid-run; a killed run exits reporting the log to
-// recover from. -recover FILE resumes a killed session from its log:
-// logged jobs are rebuilt and finished exactly as the dead session would
-// have (give -wal a fresh file — the recovery re-logs the whole history).
+// write-ahead log (fsync'd at round barriers and whenever the service goes
+// idle). A fault plan (-crash-prob, -kill-round, -fault-seed) injects
+// station crashes — queued and in-flight work on a fully crashed steal
+// group is lost, not drained — and can kill the scheduler itself mid-run;
+// a killed run exits reporting the log to recover from. -recover FILE
+// resumes a killed session from its log: logged jobs are rebuilt and
+// finished exactly as the dead session would have (give -wal a fresh file
+// — the recovery re-logs the whole history).
 //
 // Usage:
 //

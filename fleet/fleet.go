@@ -394,6 +394,22 @@ func (g grid) quantize(durations []float64) ([]task.Task, quant.Tick, error) {
 	return tasks, work, nil
 }
 
+// checkpointTicks validates a caller-unit checkpoint interval and puts it
+// on the grid, 0 staying 0 (no fixed interval). It refuses a negative, NaN
+// or infinite interval, and one whose tick count overflows a quant.Tick;
+// the error names the cause.
+func (g grid) checkpointTicks(interval float64) (quant.Tick, error) {
+	switch {
+	case !finite(interval) || interval < 0:
+		return 0, fmt.Errorf("fleet: checkpoint interval must be ≥ 0 and finite, got %g", interval)
+	case g.overflows(interval):
+		return 0, fmt.Errorf("fleet: checkpoint interval %g overflows the tick grid", interval)
+	case interval == 0:
+		return 0, nil
+	}
+	return g.ticks(interval), nil
+}
+
 // units converts ticks back to caller units.
 func (g grid) units(t quant.Tick) float64 {
 	return float64(t) / float64(g.ticksC) * g.setup
@@ -623,11 +639,11 @@ func (f *Fleet) shards() int {
 }
 
 // job validates the caller's task durations and quantizes them onto the
-// tick grid.
-func (f *Fleet) job(job Job) (farm.Job, error) {
+// tick grid, returning the job and its total work.
+func (f *Fleet) job(job Job) (farm.Job, quant.Tick, error) {
 	if len(job.Tasks) == 0 {
-		return farm.Job{}, nil
+		return farm.Job{}, 0, nil
 	}
-	tasks, _, err := f.g.quantize(job.Tasks)
-	return farm.Job{Tasks: tasks}, err
+	tasks, work, err := f.g.quantize(job.Tasks)
+	return farm.Job{Tasks: tasks}, work, err
 }

@@ -88,7 +88,7 @@ func (r Result) Imbalance() float64 {
 // Cancelling ctx stops every station at its next opportunity boundary and
 // returns ctx.Err().
 func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
-	fj, err := f.job(job)
+	fj, work, err := f.job(job)
 	if err != nil {
 		return Result{}, err
 	}
@@ -101,7 +101,7 @@ func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 		return Result{}, err
 	}
 	recorded()
-	return f.result(res, fj.TotalWork()), nil
+	return f.result(res, work), nil
 }
 
 // RunDeterministic is Run, kept by name for callers that ask for the

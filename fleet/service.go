@@ -63,11 +63,12 @@ type ServiceConfig struct {
 	// encodes its event log as JSONL — one header line naming the format
 	// and tick grid, then one line per event — flushed (and fsync'd when
 	// the writer has a Sync method, as *os.File does) at every round
-	// barrier and at a scheduler kill, whose final kill record closes the
-	// log. RecoverService rebuilds the session from such a log,
-	// bit-identical to the uninterrupted run. A write error stops the
-	// service: an event that cannot be made durable must not take effect
-	// silently. See ReadWAL for the line format.
+	// barrier, whenever the service runs out of rounds to play (a Drain
+	// returning, the live loop going to sleep), and at a scheduler kill,
+	// whose final kill record closes the log. RecoverService rebuilds the
+	// session from such a log, bit-identical to the uninterrupted run. A
+	// write error stops the service: an event that cannot be made durable
+	// must not take effect silently. See ReadWAL for the line format.
 	WAL io.Writer
 }
 
@@ -226,9 +227,9 @@ type ServiceStats struct {
 type svcJob struct {
 	id        int
 	tenant    string
-	specs     []float64 // caller-unit durations, for the event log
-	walTasks  []byte    // specs encoded for the WAL until logged; nil without one
-	tasks     []task.Task
+	specs     []float64   // caller-unit durations, for the event log; one per task
+	walTasks  []byte      // specs encoded for the WAL until logged; nil without one
+	tasks     []task.Task // quantized specs until activate deals them; nil after
 	work      quant.Tick
 	base      int // first task ID (contiguous range), set at apply
 	submitted int // round the submission applied; -1 until then
@@ -244,7 +245,7 @@ func (j *svcJob) result(g grid) JobResult {
 	return JobResult{
 		ID:             j.id,
 		Tenant:         j.tenant,
-		Tasks:          len(j.tasks),
+		Tasks:          len(j.specs),
 		TasksCompleted: j.doneTasks,
 		JobWork:        g.units(j.work),
 		TaskWork:       g.units(j.doneWork),
@@ -548,12 +549,18 @@ func (s *Service) LeaveStation(slot int) {
 // SetCheckpoint queues a checkpoint-policy change, applied at the next
 // round top: interval > 0 checkpoints every interval time units, adaptive
 // picks the interval per opportunity by Young's rule, and 0/false restores
-// the pure draconian contract.
-func (s *Service) SetCheckpoint(interval float64, adaptive bool) {
+// the pure draconian contract. An interval that is negative, NaN, infinite
+// or too large for the tick grid is refused with an error naming the
+// cause, and nothing is queued.
+func (s *Service) SetCheckpoint(interval float64, adaptive bool) error {
+	if _, err := s.f.g.checkpointTicks(interval); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pendingOps = append(s.pendingOps, op{ev: ServiceEvent{Kind: EventCheckpoint, Checkpoint: interval, Adaptive: adaptive}})
 	s.wake()
+	return nil
 }
 
 // wake nudges a sleeping live loop; never blocks.
@@ -687,7 +694,7 @@ func (s *Service) applyEvent(ev ServiceEvent, j *svcJob) error {
 		for i := range j.tasks {
 			j.tasks[i].ID = j.base + i
 		}
-		s.nextTaskID += len(j.tasks)
+		s.nextTaskID += len(j.specs)
 		j.submitted = s.round
 		s.totalWork += j.work
 		s.jobs = append(s.jobs, j)
@@ -717,9 +724,9 @@ func (s *Service) applyEvent(ev ServiceEvent, j *svcJob) error {
 		}
 		s.crashed++
 	case EventCheckpoint:
-		var ticks quant.Tick
-		if ev.Checkpoint > 0 {
-			ticks = s.f.g.ticks(ev.Checkpoint)
+		ticks, err := s.f.g.checkpointTicks(ev.Checkpoint)
+		if err != nil {
+			return fmt.Errorf("%w (logged at round %d)", err, ev.Round)
 		}
 		s.core.SetCheckpoint(ticks, ev.Adaptive)
 	case EventKill:
@@ -767,7 +774,9 @@ func (s *Service) sample() error {
 
 // activate moves queued jobs into the active set, round-robin across
 // tenants in first-submission order, until MaxActive jobs multiplex. An
-// activated job's tasks are dealt into the fleet's group queues.
+// activated job's tasks are dealt into the fleet's group queues, which copy
+// them, so the job lets go of its own: from then on it is counted by its
+// specs.
 func (s *Service) activate() {
 	for len(s.active) < s.maxActive && s.queuedTotal > 0 {
 		for i := 0; i < len(s.tenants); i++ {
@@ -781,6 +790,7 @@ func (s *Service) activate() {
 			s.queuedTotal--
 			s.rrNext = (s.rrNext + i + 1) % len(s.tenants)
 			s.core.AddTasks(j.tasks)
+			j.tasks = nil
 			s.active = append(s.active, j)
 			break
 		}
@@ -814,7 +824,7 @@ func (s *Service) collect() {
 // activeFor finds the active job owning a task ID.
 func (s *Service) activeFor(id int) *svcJob {
 	for _, j := range s.active {
-		if id >= j.base && id < j.base+len(j.tasks) {
+		if id >= j.base && id < j.base+len(j.specs) {
 			return j
 		}
 	}
@@ -834,7 +844,7 @@ func (s *Service) collectLost() {
 	}
 	kept := s.active[:0]
 	for _, j := range s.active {
-		if j.doneTasks+j.lostTasks < len(j.tasks) {
+		if j.doneTasks+j.lostTasks < len(j.specs) {
 			kept = append(kept, j)
 			continue
 		}
@@ -853,7 +863,9 @@ func (s *Service) collectLost() {
 
 // step prepares and plays one round; it reports done=true when the service
 // has nothing to do (idle, a dead fleet, or the MaxRounds bound) or must
-// stop (a scheduler kill, a WAL failure).
+// stop (a scheduler kill, a WAL failure). Before it reports nothing to do
+// it flushes the write-ahead log, so the ops a round top applied without
+// playing are durable before a Drain returns or the live loop sleeps.
 func (s *Service) step(ctx context.Context) (done bool, err error) {
 	if s.walErr != nil {
 		return true, s.walErr
@@ -884,14 +896,14 @@ func (s *Service) step(ctx context.Context) (done bool, err error) {
 			s.round = c.events[c.pos].Round
 			return false, nil
 		}
-		return true, nil
+		return true, s.flushWAL()
 	}
 	if s.core.Live() == 0 {
 		// A dead fleet plays nothing; work waits for a join.
-		return true, nil
+		return true, s.flushWAL()
 	}
 	if s.cfg.MaxRounds > 0 && s.round >= s.cfg.MaxRounds {
-		return true, nil
+		return true, s.flushWAL()
 	}
 	if err := s.sample(); err != nil {
 		return true, err

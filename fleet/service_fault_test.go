@@ -337,7 +337,8 @@ func TestServiceRecoverMismatchFailsLoudly(t *testing.T) {
 
 // TestServiceWALWriteErrorStops pins the durability contract: an event that
 // cannot be made durable stops the service instead of taking effect
-// silently.
+// silently — at a round barrier, and at an idle round top that plays no
+// round.
 func TestServiceWALWriteErrorStops(t *testing.T) {
 	cfg := churnedConfig(1)
 	w := &failAfter{} // every write fails; the first round-barrier flush hits it
@@ -351,6 +352,18 @@ func TestServiceWALWriteErrorStops(t *testing.T) {
 	}
 	if _, err := s.Drain(context.Background()); err == nil || !strings.Contains(err.Error(), "write-ahead log") {
 		t.Fatalf("Drain error %v, want a write-ahead log failure", err)
+	}
+
+	idle, err := NewService(ServiceConfig{Fleet: serviceFleet(1), WAL: &failAfter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.JoinStation()
+	if _, err := idle.Drain(context.Background()); err == nil || !strings.Contains(err.Error(), "write-ahead log") {
+		t.Fatalf("idle Drain error %v, want a write-ahead log failure", err)
+	}
+	if _, err := idle.Submit("t", Job{Tasks: FixedTasks(5, 10)}); err == nil || !strings.Contains(err.Error(), "stopped") {
+		t.Fatalf("Submit after the idle flush failed: error %v, want the stopped service's", err)
 	}
 }
 

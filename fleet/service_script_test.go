@@ -190,7 +190,9 @@ func playScript(t *testing.T, s *Service, steps []scriptStep) (ServiceResult, in
 		case EventLeave:
 			s.LeaveStation(st.slot)
 		case EventCheckpoint:
-			s.SetCheckpoint(st.checkpoint, st.adaptive)
+			if err := s.SetCheckpoint(st.checkpoint, st.adaptive); err != nil {
+				t.Fatalf("step %d: SetCheckpoint(%g): %v", i, st.checkpoint, err)
+			}
 		case drainStep:
 			if res, err := drainChecked(t, s); err != nil {
 				return res, i, err
@@ -226,19 +228,29 @@ func drainChecked(t *testing.T, s *Service) (ServiceResult, error) {
 
 // checkConserved asserts that the tasks dealt into the Core are exactly
 // those completed, those lost and those still pending there — counted both
-// by the Core and by the jobs the service attributed them to.
+// by the Core and by the jobs the service attributed them to. A job
+// counts its tasks by its durations: once dealt it holds no quantized
+// tasks, and until then it holds them all.
 func checkConserved(t *testing.T, s *Service) {
 	t.Helper()
-	dealt, done, lost := 0, 0, 0
-	for _, j := range s.jobs {
-		dealt += len(j.tasks)
-		done += j.doneTasks
-		lost += j.lostTasks
-	}
+	queued := make(map[*svcJob]bool)
 	for _, q := range s.queues {
 		for _, j := range q {
-			dealt -= len(j.tasks) // not yet activated
+			queued[j] = true
 		}
+	}
+	dealt, done, lost := 0, 0, 0
+	for _, j := range s.jobs {
+		switch {
+		case queued[j] && len(j.tasks) != len(j.specs):
+			t.Fatalf("round %d: queued job %d holds %d of its %d quantized tasks", s.round, j.id, len(j.tasks), len(j.specs))
+		case !queued[j] && j.tasks != nil:
+			t.Fatalf("round %d: job %d keeps its %d quantized tasks after they were dealt", s.round, j.id, len(j.tasks))
+		case !queued[j]:
+			dealt += len(j.specs)
+		}
+		done += j.doneTasks
+		lost += j.lostTasks
 	}
 	completed := 0
 	for _, r := range s.core.Reports() {
@@ -254,24 +266,14 @@ func checkConserved(t *testing.T, s *Service) {
 	}
 }
 
-// flushScriptWAL pushes s's buffered log lines to its WAL. A service
-// flushes at round barriers and when it stops, so the ops a final idle
-// Drain applied are still buffered when the script ends.
-func flushScriptWAL(t *testing.T, s *Service) {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushWAL(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // FuzzServiceScript drives the resident service's state machine through
 // decoded scripts. Each input runs live with a WAL and must replay from
 // its logged events reflect.DeepEqual at Workers 1 and 4; killed at the
 // scripted round and recovered, it must end in the uninterrupted result
-// and re-log the uninterrupted WAL byte for byte. Task conservation holds
-// at every round barrier, and every refused input names its cause.
+// and re-log the uninterrupted WAL byte for byte, every logged line
+// written by the time its Drain returns. Task conservation holds at every
+// round barrier, where a job holds its quantized tasks until they are dealt
+// and not after, and every refused input names its cause.
 func FuzzServiceScript(f *testing.F) {
 	// The header bytes, in decode order: stations−1, seed, shards, policy,
 	// checkpoint, save cost, restart cost, adaptive, fault seed, crash
@@ -319,7 +321,6 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
-	flushScriptWAL(t, s)
 	if evs, err := ReadWAL(bytes.NewReader(full.Bytes())); err != nil || !reflect.DeepEqual(evs, want.Events) {
 		t.Fatalf("the WAL does not decode to the run's events (%v)", err)
 	}
@@ -419,7 +420,6 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("kill at round %d: recovered run diverges from the uninterrupted one:\nrecovered: %+v\nwant:      %+v", kill, got, want)
 	}
-	flushScriptWAL(t, rs)
 	if !bytes.Equal(relogged.Bytes(), full.Bytes()) {
 		t.Fatalf("kill at round %d: the recovery re-logged %d WAL bytes, the uninterrupted run wrote %d", kill, relogged.Len(), full.Len())
 	}

@@ -151,7 +151,9 @@ func driveChurned(t *testing.T, s *Service) ServiceResult {
 	}
 	// Second phase at a later round: a policy switch to adaptive
 	// checkpointing, one departure, more work.
-	s.SetCheckpoint(0, true)
+	if err := s.SetCheckpoint(0, true); err != nil {
+		t.Fatal(err)
+	}
 	s.LeaveStation(0)
 	if _, err := s.Submit("ana", Job{Tasks: ExponentialTasks(120, 15, 5)}); err != nil {
 		t.Fatal(err)

@@ -155,7 +155,7 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 	if f.cfg.Faults.Active() {
 		return nil, fmt.Errorf("fleet: Replicate rejects fault plans: a plan names one faulted run, not a distribution — sweep seeds over RunDeterministic instead")
 	}
-	fj, err := f.job(job)
+	fj, _, err := f.job(job)
 	if err != nil {
 		return nil, err
 	}

@@ -93,6 +93,113 @@ func TestRunsRefuseBadDurations(t *testing.T) {
 	}
 }
 
+// badIntervals are checkpoint intervals no service can apply and log: a
+// negative one (once applied as 0 but logged as given, which ReadWAL then
+// refused), a NaN or infinite one (which the WAL cannot encode), and one
+// whose tick count overflows the grid (once applied as a 1-tick interval).
+var badIntervals = []struct {
+	name     string
+	interval float64
+	want     string
+}{
+	{"negative", -1, "≥ 0 and finite, got -1"},
+	{"NaN", math.NaN(), "got NaN"},
+	{"+Inf", math.Inf(1), "got +Inf"},
+	{"tick overflow", 1e300, "1e+300 overflows the tick grid"},
+}
+
+// SetCheckpoint refuses an interval the log cannot hold, naming the cause
+// and queueing nothing, so the session and its WAL go on as if it was never
+// called; a replay refuses the same interval in a caller-built event.
+func TestSetCheckpointRefusesBadIntervals(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range badIntervals {
+		var wal bytes.Buffer
+		cfg := ServiceConfig{Fleet: serviceFleet(1), WAL: &wal}
+		s, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetCheckpoint(tc.interval, false); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SetCheckpoint error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if _, err := s.Submit("ana", Job{Tasks: FixedTasks(200, 10)}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Drain(ctx)
+		if err != nil {
+			t.Fatalf("%s: Drain: %v", tc.name, err)
+		}
+		if len(res.Events) != 1 || !res.Jobs[0].Completed {
+			t.Fatalf("%s: %d events logged and job completed %v, want the submit alone, completed", tc.name, len(res.Events), res.Jobs[0].Completed)
+		}
+		if evs, err := ReadWAL(bytes.NewReader(wal.Bytes())); err != nil || !reflect.DeepEqual(evs, res.Events) {
+			t.Fatalf("%s: the WAL does not decode to the run's events (%v)", tc.name, err)
+		}
+		cfg.WAL = nil
+		logged := []ServiceEvent{{Kind: EventCheckpoint, Checkpoint: tc.interval}, res.Events[0]}
+		if _, err := ReplayService(ctx, cfg, logged); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: replay of a logged checkpoint event: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Ops that a round top applies without playing a round — a join and a
+// checkpoint change on a service with no work — are in the WAL by the time
+// a Drain returns, and before the live loop goes to sleep.
+func TestIdleOpsAreDurable(t *testing.T) {
+	queue := func(s *Service) {
+		s.JoinStation()
+		if err := s.SetCheckpoint(2, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wal bytes.Buffer
+	s, err := NewService(ServiceConfig{Fleet: serviceFleet(1), WAL: &wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue(s)
+	res, err := s.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Stations != 13 || len(res.Events) != 2 {
+		t.Fatalf("%d stations and %d events after an idle Drain, want 13 and 2", st.Stations, len(res.Events))
+	}
+	if evs, err := ReadWAL(bytes.NewReader(wal.Bytes())); err != nil || !reflect.DeepEqual(evs, res.Events) {
+		t.Fatalf("after an idle Drain the WAL holds %d bytes, which do not decode to the run's events (%v)", wal.Len(), err)
+	}
+
+	var live bytes.Buffer
+	ls, err := NewService(ServiceConfig{Fleet: serviceFleet(1), WAL: &live})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue(ls)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := ls.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The loop applies both ops at its first round top and flushes under
+	// the same hold of the service lock, so once Stats shows the join, the
+	// WAL has been written.
+	for deadline := time.Now().Add(30 * time.Second); ls.Stats().Stations != 13; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the live loop never applied the join")
+		}
+	}
+	evs, err := ReadWAL(bytes.NewReader(live.Bytes()))
+	if err != nil || len(evs) != 2 {
+		t.Fatalf("the sleeping live loop's WAL decodes to %d events (%v), want the join and the checkpoint change", len(evs), err)
+	}
+	cancel()
+	if res, _ := ls.Wait(); !reflect.DeepEqual(evs, res.Events) {
+		t.Fatalf("the sleeping live loop's WAL held %+v, the run logged %+v", evs, res.Events)
+	}
+}
+
 // runLogged drives a WAL'd session to its end: a job of distinct
 // durations, one of repeats and float edge cases, and (with a kill round
 // set) the scheduler kill.

@@ -430,13 +430,19 @@ const minStationsPerWorker = 32
 
 // playGroups is one PlayRound worker: it claims groups off the round's
 // counter until none are left, playing each claimed group's live stations
-// in slot order against the group's queue and scratch.
+// in slot order against the group's queue and scratch. Before every
+// station it polls for cancellation with a non-blocking receive on
+// ctx.Done(), which takes no lock; ctx.Err locks the context, and the
+// workers would contend on that lock once per station.
 func (c *Core) playGroups(ctx context.Context) {
 	n := len(c.runners)
+	done := ctx.Done()
 	for g := int(c.next.Add(1) - 1); g < c.groups; g = int(c.next.Add(1) - 1) {
 		for slot := g; slot < n; slot += c.groups {
-			if ctx.Err() != nil {
+			select {
+			case <-done:
 				return // cancelled; PlayRound reports it
+			default:
 			}
 			r := &c.runners[slot]
 			if r.left || r.err != nil {

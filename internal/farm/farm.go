@@ -98,9 +98,9 @@ type Result struct {
 	TasksLost int
 }
 
-// CompletionFraction is completed task work over the job's total.
-func (r Result) CompletionFraction(j Job) float64 {
-	total := j.TotalWork()
+// CompletionFraction is completed task work over the job's total work
+// (Job.TotalWork); an empty job reads 1.
+func (r Result) CompletionFraction(total quant.Tick) float64 {
 	if total == 0 {
 		return 1
 	}
@@ -499,13 +499,14 @@ func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFa
 	trial := f
 	trial.Progress = nil // per-trial round barriers are not job progress
 	cols := f.ReplicateColumns(stationCols)
+	total := job.TotalWork() // a property of the job: summed once, not per trial
 	return func(rng *rand.Rand) ([]float64, error) {
 		res, err := trial.RunDeterministic(ctx, job, factory, rng.Int63(), inner)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]float64, cols)
-		fillMetrics(out, res, job)
+		fillMetrics(out, res, total)
 		if stationCols {
 			for i, s := range res.Stations {
 				out[NumMetrics+i] = float64(s.LifespanTicks)
@@ -539,15 +540,15 @@ func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.Sche
 }
 
 // fillMetrics writes one trial's metric vector into out[:NumMetrics],
-// indexed by the Metric* constants.
-func fillMetrics(out []float64, res Result, job Job) {
+// indexed by the Metric* constants; total is the job's total work.
+func fillMetrics(out []float64, res Result, total quant.Tick) {
 	var killed, lifespan quant.Tick
 	for _, s := range res.Stations {
 		killed += s.KilledTicks
 		lifespan += s.LifespanTicks
 	}
 	out[MetricTasksCompleted] = float64(res.TasksCompleted)
-	out[MetricCompletionFrac] = res.CompletionFraction(job)
+	out[MetricCompletionFrac] = res.CompletionFraction(total)
 	out[MetricFluidWork] = float64(res.FluidWork)
 	out[MetricKilledTicks] = float64(killed)
 	out[MetricInterrupts] = float64(res.Interrupts)

@@ -56,7 +56,7 @@ func TestFarmCompletesSmallJob(t *testing.T) {
 	if res.TasksCompleted != len(job.Tasks) {
 		t.Errorf("completed %d, want %d", res.TasksCompleted, len(job.Tasks))
 	}
-	if got := res.CompletionFraction(job); got != 1 {
+	if got := res.CompletionFraction(job.TotalWork()); got != 1 {
 		t.Errorf("completion fraction %g", got)
 	}
 	if res.TaskWork != job.TotalWork() {
@@ -199,7 +199,7 @@ func TestImbalanceAndTopContributors(t *testing.T) {
 }
 
 func TestCompletionFractionEmptyJob(t *testing.T) {
-	if (Result{}).CompletionFraction(Job{}) != 1 {
+	if (Result{}).CompletionFraction(Job{}.TotalWork()) != 1 {
 		t.Error("empty job should read complete")
 	}
 }

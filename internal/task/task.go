@@ -188,26 +188,25 @@ func (b *Bag) Append(tasks []Task) {
 
 // reserve makes room for n more tasks at the back. A resident queue takes
 // from the front and is refilled at the back for as long as it lives, so
-// its storage must track what it holds, not everything it ever held: once
-// the consumed prefix is at least as long as the pending tasks, they slide
-// down over it. When the tasks still do not fit, the pending ones move to a
-// buffer with room for n more or for as many again as are pending,
-// whichever is more — exactly n for an empty bag. A slide copies no more
-// tasks than were taken since the last one, and a move at least doubles
-// the room for what is pending, so appending stays amortized O(1).
+// its storage must track what it holds, not everything it ever held. When
+// the tasks do not fit, the pending ones move to the front of a buffer
+// with room for n more or for as many again as are pending, whichever is
+// more — exactly n for an empty bag: they slide down in place when the
+// bag's own storage is that large, and move to a buffer of exactly that
+// size otherwise. Either way the free room after a copy is at least what
+// was copied, so appending stays amortized O(1).
 func (b *Bag) reserve(n int) {
 	if len(b.buf)+n <= cap(b.buf) {
 		return
 	}
 	pending := len(b.buf) - b.head
-	if b.head >= pending {
+	want := pending + max(pending, n)
+	if want <= cap(b.buf) {
 		copy(b.buf, b.buf[b.head:])
 		b.buf, b.head = b.buf[:pending], 0
-		if pending+n <= cap(b.buf) {
-			return
-		}
+		return
 	}
-	grown := make([]Task, pending, pending+max(pending, n))
+	grown := make([]Task, pending, want)
 	copy(grown, b.pending())
 	b.buf, b.head = grown, 0
 }

@@ -510,6 +510,28 @@ func TestAppendKeepsStorageBounded(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2000, cycle); allocs != 0 {
 		t.Errorf("warm take-one/append-one cycle allocates %.2f per call", allocs)
 	}
+	// A deep queue that takes 300 tasks and gets 300 back slides its 500
+	// pending ones down in its own storage: no fresh buffer per cycle once
+	// warm, and storage within twice what is pending plus what arrives.
+	b = NewBag(Fixed(800, 3))
+	batch := Fixed(300, 3)
+	buf = make([]Task, 0, len(batch))
+	cycle = func() {
+		buf = b.TakeInto(buf[:0], 900)
+		b.Append(batch)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+		if len(buf) != 300 || b.Remaining() != 800 {
+			t.Fatalf("cycle %d: took %d tasks, %d left", i, len(buf), b.Remaining())
+		}
+	}
+	if c := cap(b.buf); c > 2*500+300 {
+		t.Fatalf("steady 800-task queue cycling 300 tasks holds storage for %d", c)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm take-300/append-300 cycle allocates %.2f per call", allocs)
+	}
 }
 
 // refBag is the reference model for Bag: a plain slice in pending order,
