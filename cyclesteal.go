@@ -34,8 +34,9 @@
 //
 // All public Engine methods speak the caller's continuous time units;
 // internally everything runs on an exact integer tick grid (see
-// internal/quant). See the README for the system inventory and
-// EXPERIMENTS.md for the reproduction results.
+// internal/quant). See the README for the system inventory; `cstealtables
+// -list` names the experiments that reproduce the paper's results, and
+// `cstealtables -experiment <name>` runs one.
 package cyclesteal
 
 import (
@@ -123,11 +124,30 @@ func New(o Opportunity, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.u = quant.Tick(math.Round(o.Lifespan / o.Setup * float64(e.ticksC)))
-	if e.u < 1 {
-		e.u = 1
+	var ok bool
+	if e.u, ok = gridTicks(o.Lifespan, o.Setup, float64(e.ticksC)); !ok {
+		return nil, fmt.Errorf("cyclesteal: lifespan %w", gridError(o.Lifespan))
 	}
 	return e, nil
+}
+
+// gridTicks puts a duration of units on a grid of ticksPerSetup ticks per
+// setup cost: the nearest tick, at least 1. It reports false for a NaN,
+// infinite or negative duration and for one whose tick count overflows a
+// quant.Tick: converting such a float64 to int64 gives an
+// implementation-dependent value. Simulate converts every task through it,
+// so it stays small enough to inline.
+func gridTicks(units, setup, ticksPerSetup float64) (quant.Tick, bool) {
+	x := math.Round(units / setup * ticksPerSetup)
+	return max(quant.Tick(x), 1), units >= 0 && x < math.MaxInt64
+}
+
+// gridError gives the cause for a duration ticks refused.
+func gridError(units float64) error {
+	if !(units >= 0) || math.IsInf(units, 0) {
+		return fmt.Errorf("must be ≥ 0 and finite, got %g", units)
+	}
+	return fmt.Errorf("%g overflows the tick grid", units)
 }
 
 // Opportunity returns the opportunity the engine was built for.
@@ -186,10 +206,7 @@ func (e *Engine) EqualSplit(m int) Scheduler { return sched.EqualSplit{M: m} }
 // FixedChunk returns the Atallah-style fixed-chunk baseline; the chunk length
 // is given in the caller's time units.
 func (e *Engine) FixedChunk(units float64) Scheduler {
-	t := quant.Tick(math.Round(units / e.opp.Setup * float64(e.ticksC)))
-	if t < 1 {
-		t = 1
-	}
+	t, _ := gridTicks(units, e.opp.Setup, float64(e.ticksC))
 	return sched.FixedChunk{T: t}
 }
 

@@ -1,8 +1,10 @@
 package cyclesteal
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,6 +34,77 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Opportunity{Lifespan: 10, Interrupts: 1, Setup: 1}, WithTicksPerSetup(0)); err == nil {
 		t.Error("bad resolution accepted")
+	}
+	// A lifespan whose tick count overflows the grid is refused, not played
+	// as one tick.
+	for _, o := range []Opportunity{
+		{Lifespan: 1e300, Interrupts: 1, Setup: 1},
+		{Lifespan: 1e18, Interrupts: 1, Setup: 1},
+	} {
+		if _, err := New(o); err == nil || !strings.Contains(err.Error(), "lifespan") {
+			t.Errorf("lifespan %g at 100 ticks per setup: New = %v, want an error naming the lifespan", o.Lifespan, err)
+		}
+	}
+}
+
+// Scaling every caller-unit input by a power of two scales every caller-unit
+// output by exactly that factor and leaves every count equal: the grid
+// counts time in setup costs, so U and c scale together.
+func TestScaleUAndCTogether(t *testing.T) {
+	type outputs struct {
+		Guaranteed, Optimal float64
+		Sim                 Result
+	}
+	run := func(k float64) outputs {
+		e := engine(t, Opportunity{Lifespan: 1500 * k, Interrupts: 2, Setup: 5 * k})
+		eq, err := e.AdaptiveEqualized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outputs
+		if out.Guaranteed, err = e.GuaranteedWork(eq); err != nil {
+			t.Fatal(err)
+		}
+		if out.Optimal, err = e.OptimalWork(); err != nil {
+			t.Fatal(err)
+		}
+		durations := make([]float64, 200)
+		for i := range durations {
+			durations[i] = (2.5 + float64(i%7)) * k
+		}
+		if out.Sim, err = e.Simulate(eq, e.PoissonAdversary(500*k, 3), SimOptions{TaskDurations: durations}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	base := run(1)
+	if base.Sim.Interrupts == 0 || base.Sim.TasksCompleted == 0 {
+		t.Fatalf("degenerate base run: %+v", base.Sim)
+	}
+	for _, k := range []float64{0.25, 2, 1024} {
+		checkScaled(t, reflect.ValueOf(base), reflect.ValueOf(run(k)), k, fmt.Sprintf("k=%g", k))
+	}
+}
+
+// checkScaled fails unless every float64 in got is exactly k times the one
+// in base, and every int is equal.
+func checkScaled(t *testing.T, base, got reflect.Value, k float64, path string) {
+	t.Helper()
+	switch base.Kind() {
+	case reflect.Struct:
+		for i := 0; i < base.NumField(); i++ {
+			checkScaled(t, base.Field(i), got.Field(i), k, path+"."+base.Type().Field(i).Name)
+		}
+	case reflect.Float64:
+		if got.Float() != k*base.Float() {
+			t.Errorf("%s = %v, want exactly %g × %v", path, got.Float(), k, base.Float())
+		}
+	case reflect.Int:
+		if got.Int() != base.Int() {
+			t.Errorf("%s = %d, want %d", path, got.Int(), base.Int())
+		}
+	default:
+		t.Fatalf("%s: unexpected kind %s", path, base.Kind())
 	}
 }
 
@@ -202,6 +275,14 @@ func TestSimulateWithTasks(t *testing.T) {
 	}
 	if res.TaskWork > res.Work+1e-9 {
 		t.Errorf("task work %g exceeds fluid work %g", res.TaskWork, res.Work)
+	}
+	// A duration the grid cannot hold is refused, naming its task, not
+	// played as a 1-tick task.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -5, 1e300} {
+		durations[7] = bad
+		if _, err := e.Simulate(eq, e.GreedyAdversary(), SimOptions{TaskDurations: durations}); err == nil || !strings.Contains(err.Error(), "task 7") {
+			t.Errorf("duration %g: Simulate = %v, want an error naming task 7", bad, err)
+		}
 	}
 }
 

@@ -58,7 +58,9 @@ func (o Scripted) model(b binding) (station.OwnerModel, error) {
 		if !(u > 0) {
 			return nil, fmt.Errorf("fleet: scripted offset %d must be > 0, got %g", i, u)
 		}
-		offs[i] = b.g.ticks(u)
+		if offs[i], err = b.g.checkedTicks(u); err != nil {
+			return nil, fmt.Errorf("fleet: scripted offset %d %w", i, err)
+		}
 	}
 	return overrideModel{base: base, label: "scripted", mk: func(*rand.Rand, station.Contract) sim.Interrupter {
 		// A fresh cursor per contract over the shared, read-only offsets.
@@ -79,7 +81,7 @@ func (o Stochastic) model(b binding) (station.OwnerModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Prob < 0 || o.Prob > 1 {
+	if !(o.Prob >= 0 && o.Prob <= 1) {
 		return nil, fmt.Errorf("fleet: stochastic probability must be in [0, 1], got %g", o.Prob)
 	}
 	return overrideModel{base: base, label: "stochastic", mk: func(rng *rand.Rand, _ station.Contract) sim.Interrupter {
@@ -103,15 +105,13 @@ func (o Poisson) model(b binding) (station.OwnerModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !finite(o.Mean) || o.Mean < 0 {
-		return nil, fmt.Errorf("fleet: poisson mean must be ≥ 0 and finite, got %g", o.Mean)
+	t, err := b.g.checkedTicks(o.Mean)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: poisson mean %w", err)
 	}
 	meanTicks := 0.0
 	if o.Mean > 0 {
-		if b.g.overflows(o.Mean) {
-			return nil, fmt.Errorf("fleet: poisson mean %g overflows the tick grid", o.Mean)
-		}
-		meanTicks = float64(b.g.ticks(o.Mean))
+		meanTicks = float64(t)
 	}
 	return overrideModel{base: base, label: "poisson", mk: func(rng *rand.Rand, c station.Contract) sim.Interrupter {
 		mean := meanTicks

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"cyclesteal/internal/adversary"
@@ -122,10 +121,7 @@ func (ci *customInterrupter) NextInterrupt(p int, L quant.Tick, episode model.Ti
 	if !ok {
 		return 0, false
 	}
-	t := quant.Tick(math.Round(at / ci.g.setup * float64(ci.g.ticksC)))
-	if t < 1 {
-		t = 1
-	}
+	t := ci.g.ticks(at)
 	if t > L {
 		t = L
 	}

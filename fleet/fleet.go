@@ -354,60 +354,58 @@ type grid struct {
 // ticks quantizes a caller-units duration onto the grid (≥ 1, matching the
 // root Engine's rounding).
 func (g grid) ticks(units float64) quant.Tick {
-	t := quant.Tick(math.Round(units / g.setup * float64(g.ticksC)))
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return max(quant.Tick(math.Round(units/g.setup*float64(g.ticksC))), 1)
 }
 
-// overflows reports whether a duration's tick count is too large for a
-// quant.Tick. Check it before ticks: converting an out-of-range float64 to
-// int64 gives an implementation-dependent value (on amd64 one below 1,
-// which ticks would round up to a single tick).
-func (g grid) overflows(units float64) bool {
-	return math.Round(units/g.setup*float64(g.ticksC)) >= math.MaxInt64
+// checkedTicks is ticks for a value from outside the program. It refuses a
+// NaN, infinite or negative value, and one whose tick count overflows a
+// quant.Tick: converting such a float64 to int64 gives an
+// implementation-dependent value (on amd64 one below 1, which ticks would
+// round up to a single tick). The error gives the cause; the caller names
+// the field, so a name is formatted only on refusal.
+func (g grid) checkedTicks(units float64) (quant.Tick, error) {
+	if !finite(units) || units < 0 {
+		return 0, fmt.Errorf("must be ≥ 0 and finite, got %g", units)
+	}
+	if math.Round(units/g.setup*float64(g.ticksC)) >= math.MaxInt64 {
+		return 0, fmt.Errorf("%g overflows the tick grid", units)
+	}
+	return g.ticks(units), nil
 }
 
 // quantize validates caller-unit task durations and puts them on the grid,
 // task i with ID i, returning the tasks and their total ticks. It refuses
-// NaN, ±Inf and negative durations, and durations whose tick count — or
-// the job's total — overflows a quant.Tick; the error names the task.
-// Every job enters through it: batch runs, studies, and service submits,
-// replays and recoveries.
+// what checkedTicks refuses, and a job whose total overflows a quant.Tick;
+// the error names the task. Every job enters through it: batch runs,
+// studies, and service submits, replays and recoveries.
 func (g grid) quantize(durations []float64) ([]task.Task, quant.Tick, error) {
 	tasks := make([]task.Task, len(durations))
 	var work quant.Tick
 	for i, d := range durations {
-		if !finite(d) || d < 0 {
-			return nil, 0, fmt.Errorf("fleet: task %d duration must be ≥ 0 and finite, got %g", i, d)
+		t, err := g.checkedTicks(d)
+		if err != nil {
+			return nil, 0, fmt.Errorf("fleet: task %d duration %w", i, err)
 		}
-		if g.overflows(d) {
-			return nil, 0, fmt.Errorf("fleet: task %d duration %g overflows the tick grid", i, d)
-		}
-		tasks[i] = task.Task{ID: i, Duration: g.ticks(d)}
-		if work > math.MaxInt64-tasks[i].Duration {
+		tasks[i] = task.Task{ID: i, Duration: t}
+		if work > math.MaxInt64-t {
 			return nil, 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
 		}
-		work += tasks[i].Duration
+		work += t
 	}
 	return tasks, work, nil
 }
 
 // checkpointTicks validates a caller-unit checkpoint interval and puts it
-// on the grid, 0 staying 0 (no fixed interval). It refuses a negative, NaN
-// or infinite interval, and one whose tick count overflows a quant.Tick;
-// the error names the cause.
+// on the grid, 0 staying 0 (no fixed interval).
 func (g grid) checkpointTicks(interval float64) (quant.Tick, error) {
-	switch {
-	case !finite(interval) || interval < 0:
-		return 0, fmt.Errorf("fleet: checkpoint interval must be ≥ 0 and finite, got %g", interval)
-	case g.overflows(interval):
-		return 0, fmt.Errorf("fleet: checkpoint interval %g overflows the tick grid", interval)
-	case interval == 0:
+	t, err := g.checkedTicks(interval)
+	if err != nil {
+		return 0, fmt.Errorf("fleet: checkpoint interval %w", err)
+	}
+	if interval == 0 {
 		return 0, nil
 	}
-	return g.ticks(interval), nil
+	return t, nil
 }
 
 // units converts ticks back to caller units.
@@ -437,9 +435,17 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Stations < 1 {
 		return nil, fmt.Errorf("fleet: need ≥ 1 station, got %d", cfg.Stations)
 	}
-	if !(cfg.Setup > 0) {
-		return nil, fmt.Errorf("fleet: setup cost must be > 0, got %g", cfg.Setup)
+	if !(cfg.Setup > 0) || !finite(cfg.Setup) {
+		return nil, fmt.Errorf("fleet: setup cost must be > 0 and finite, got %g", cfg.Setup)
 	}
+	if cfg.TicksPerSetup < 0 {
+		return nil, fmt.Errorf("fleet: ticks per setup must be ≥ 0, got %d", cfg.TicksPerSetup)
+	}
+	ticksC := cfg.TicksPerSetup
+	if ticksC == 0 {
+		ticksC = 100
+	}
+	g := grid{setup: cfg.Setup, ticksC: quant.Tick(ticksC)}
 	if cfg.Interrupts < 0 {
 		return nil, fmt.Errorf("fleet: interrupt allowance must be ≥ 0, got %d", cfg.Interrupts)
 	}
@@ -452,8 +458,17 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Clusters < 0 {
 		return nil, fmt.Errorf("fleet: clusters must be ≥ 0, got %d", cfg.Clusters)
 	}
-	if math.IsNaN(cfg.StealLatency) || math.IsInf(cfg.StealLatency, 0) || cfg.StealLatency < 0 {
-		return nil, fmt.Errorf("fleet: steal latency must be ≥ 0 and finite, got %g", cfg.StealLatency)
+	if _, err := g.checkedTicks(cfg.StealLatency); err != nil {
+		return nil, fmt.Errorf("fleet: steal latency %w", err)
+	}
+	if _, err := g.checkpointTicks(cfg.Checkpoint); err != nil {
+		return nil, err
+	}
+	if _, err := g.checkedTicks(cfg.CheckpointSaveCost); err != nil {
+		return nil, fmt.Errorf("fleet: checkpoint save cost %w", err)
+	}
+	if _, err := g.checkedTicks(cfg.CheckpointRestartCost); err != nil {
+		return nil, fmt.Errorf("fleet: checkpoint restart cost %w", err)
 	}
 	if cfg.StealLatency > 0 && cfg.Clusters < 2 {
 		return nil, fmt.Errorf("fleet: steal latency %g needs ≥ 2 clusters to cross, got %d", cfg.StealLatency, cfg.Clusters)
@@ -471,18 +486,6 @@ func New(cfg Config) (*Fleet, error) {
 				cfg.Clusters, shards, farm.DivisorList(shards))
 		}
 	}
-	if cfg.TicksPerSetup < 0 {
-		return nil, fmt.Errorf("fleet: ticks per setup must be ≥ 0, got %d", cfg.TicksPerSetup)
-	}
-	if math.IsNaN(cfg.Checkpoint) || math.IsInf(cfg.Checkpoint, 0) || cfg.Checkpoint < 0 {
-		return nil, fmt.Errorf("fleet: checkpoint interval must be ≥ 0 and finite, got %g", cfg.Checkpoint)
-	}
-	if math.IsNaN(cfg.CheckpointSaveCost) || math.IsInf(cfg.CheckpointSaveCost, 0) || cfg.CheckpointSaveCost < 0 {
-		return nil, fmt.Errorf("fleet: checkpoint save cost must be ≥ 0 and finite, got %g", cfg.CheckpointSaveCost)
-	}
-	if math.IsNaN(cfg.CheckpointRestartCost) || math.IsInf(cfg.CheckpointRestartCost, 0) || cfg.CheckpointRestartCost < 0 {
-		return nil, fmt.Errorf("fleet: checkpoint restart cost must be ≥ 0 and finite, got %g", cfg.CheckpointRestartCost)
-	}
 	if err := cfg.Faults.internal().Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -495,12 +498,6 @@ func New(cfg Config) (*Fleet, error) {
 	default:
 		return nil, fmt.Errorf("fleet: unknown pool %d", int(cfg.Pool))
 	}
-	ticksC := cfg.TicksPerSetup
-	if ticksC == 0 {
-		ticksC = 100
-	}
-	g := grid{setup: cfg.Setup, ticksC: quant.Tick(ticksC)}
-
 	owners := cfg.Owners
 	if len(owners) == 0 {
 		// The standard heterogeneous NOW of the experiments: offices,

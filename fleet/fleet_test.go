@@ -3,10 +3,12 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,8 +42,95 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: New accepted %+v", tc.name, tc.cfg)
 		}
 	}
+	// Caller-unit values the tick grid cannot hold: each error names its
+	// field.
+	inf, nan := math.Inf(1), math.NaN()
+	grid := []struct {
+		field string
+		cfg   Config
+	}{
+		{"setup cost", Config{Stations: 4, Setup: inf}},
+		{"checkpoint interval", Config{Stations: 4, Setup: 5, Checkpoint: 1e300}},
+		{"checkpoint save cost", Config{Stations: 4, Setup: 5, CheckpointSaveCost: 1e300}},
+		{"checkpoint restart cost", Config{Stations: 4, Setup: 5, CheckpointRestartCost: 1e300}},
+		{"steal latency", Config{Stations: 4, Setup: 5, Clusters: 2, StealLatency: 1e300}},
+		{"office duration", Config{Stations: 4, Setup: 5, Owners: []Owner{Office{MeanIdle: nan}}}},
+		{"office duration", Config{Stations: 4, Setup: 5, Owners: []Owner{Office{MeanIdle: inf}}}},
+		{"laptop duration", Config{Stations: 4, Setup: 5, Owners: []Owner{Laptop{MeanIdle: 1e300}}}},
+		{"fixed duration", Config{Stations: 4, Setup: 5, Owners: []Owner{Fixed{Lifespan: nan}}}},
+		{"overnight duration", Config{Stations: 4, Setup: 5, Owners: []Owner{Overnight{Window: inf}}}},
+		{"scripted offset 1", Config{Stations: 4, Setup: 5, Owners: []Owner{Scripted{Base: Office{}, Offsets: []float64{3, inf}}}}},
+		{"scripted offset 0", Config{Stations: 4, Setup: 5, Owners: []Owner{Scripted{Base: Office{}, Offsets: []float64{1e300}}}}},
+		{"fixedchunk Chunk", Config{Stations: 4, Setup: 5, Policy: Policy{Name: "fixedchunk", Chunk: inf}}},
+		{"fixedchunk Chunk", Config{Stations: 4, Setup: 5, Policy: Policy{Name: "fixedchunk", Chunk: 1e300}}},
+		{"stochastic probability", Config{Stations: 4, Setup: 5, Owners: []Owner{Stochastic{Base: Office{}, Prob: nan}}}},
+	}
+	for _, tc := range grid {
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: New = %v, want an error naming the field", tc.field, err)
+		}
+	}
 	if _, err := New(Config{Stations: 1, Setup: 0.5}); err != nil {
 		t.Fatalf("minimal config rejected: %v", err)
+	}
+}
+
+// Scaling every caller-unit input of a run by a power of two — the setup
+// cost, the checkpoint interval, the steal latency and the task durations —
+// scales every caller-unit output by exactly that factor and leaves every
+// count equal: the grid counts time in setup costs.
+func TestRunScaleSetupAndDurationsTogether(t *testing.T) {
+	run := func(k float64) Result {
+		f, err := New(Config{Stations: 8, Setup: 5 * k, Checkpoint: 40 * k, StealLatency: 3 * k, Clusters: 2, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := ExponentialTasks(600, 12, 3)
+		for i := range tasks {
+			tasks[i] *= k
+		}
+		res, err := f.Run(context.Background(), Job{Tasks: tasks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := run(1)
+	if base.Steals == 0 || base.Interrupts == 0 || base.TasksCompleted == 0 {
+		t.Fatalf("degenerate base run: %d steals, %d interrupts, %d tasks completed", base.Steals, base.Interrupts, base.TasksCompleted)
+	}
+	for _, k := range []float64{0.25, 2, 1024} {
+		checkScaled(t, reflect.ValueOf(base), reflect.ValueOf(run(k)), k, fmt.Sprintf("k=%g", k))
+	}
+}
+
+// checkScaled fails unless every float64 in got is exactly k times the one
+// in base, and every int is equal.
+func checkScaled(t *testing.T, base, got reflect.Value, k float64, path string) {
+	t.Helper()
+	switch base.Kind() {
+	case reflect.Struct:
+		for i := 0; i < base.NumField(); i++ {
+			checkScaled(t, base.Field(i), got.Field(i), k, path+"."+base.Type().Field(i).Name)
+		}
+	case reflect.Slice:
+		if got.Len() != base.Len() {
+			t.Fatalf("%s has %d entries, want %d", path, got.Len(), base.Len())
+		}
+		for i := 0; i < base.Len(); i++ {
+			checkScaled(t, base.Index(i), got.Index(i), k, fmt.Sprintf("%s[%d]", path, i))
+		}
+	case reflect.Float64:
+		if got.Float() != k*base.Float() {
+			t.Errorf("%s = %v, want exactly %g × %v", path, got.Float(), k, base.Float())
+		}
+	case reflect.Int:
+		if got.Int() != base.Int() {
+			t.Errorf("%s = %d, want %d", path, got.Int(), base.Int())
+		}
+	default:
+		t.Fatalf("%s: unexpected kind %s", path, base.Kind())
 	}
 }
 

@@ -187,13 +187,14 @@ func baseModel(wrapper string, base Owner, b binding) (station.OwnerModel, error
 // meanTicks quantizes an owner duration parameter: explicit caller units,
 // or the standard multiple of the setup cost when zero.
 func meanTicks(owner string, units float64, setups quant.Tick, g grid) (quant.Tick, error) {
-	if units < 0 {
-		return 0, fmt.Errorf("fleet: %s duration must be ≥ 0, got %g", owner, units)
+	t, err := g.checkedTicks(units)
+	if err != nil {
+		return 0, fmt.Errorf("fleet: %s duration %w", owner, err)
 	}
 	if units == 0 {
 		return setups * g.ticksC, nil
 	}
-	return g.ticks(units), nil
+	return t, nil
 }
 
 // statefulOwner reports whether the temperament (or any base under its

@@ -74,7 +74,10 @@ func (p Policy) factory(g grid) (station.SchedulerFactory, error) {
 		if !(p.Chunk > 0) {
 			return nil, fmt.Errorf("fleet: fixedchunk policy needs Chunk > 0, got %g", p.Chunk)
 		}
-		t := g.ticks(p.Chunk)
+		t, err := g.checkedTicks(p.Chunk)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: fixedchunk Chunk %w", err)
+		}
 		return func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 			return sched.FixedChunk{T: t}, nil
 		}, nil

@@ -106,9 +106,6 @@ func (s *Scripted) NextInterrupt(p int, L quant.Tick, ep model.TickSchedule) (qu
 // Name labels the strategy in experiment tables.
 func (s *Scripted) Name() string { return "scripted" }
 
-// Reset rewinds the script for reuse across runs.
-func (s *Scripted) Reset() { s.next = 0 }
-
 // Random interrupts each episode with probability Prob, at an offset chosen
 // uniformly from the episode. A memoryless, non-malicious owner.
 type Random struct {

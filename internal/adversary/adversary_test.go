@@ -71,10 +71,6 @@ func TestScripted(t *testing.T) {
 	if _, ok := s.NextInterrupt(1, 1000, episode); ok {
 		t.Error("script exhausted but still interrupting")
 	}
-	s.Reset()
-	if at, ok := s.NextInterrupt(1, 1000, episode); !ok || at != 50 {
-		t.Errorf("after Reset: want 50, got (%d, %v)", at, ok)
-	}
 	if _, ok := (&Scripted{Offsets: []quant.Tick{5}}).NextInterrupt(0, 10, episode); ok {
 		t.Error("interrupted with no budget")
 	}

@@ -37,40 +37,6 @@ func ExpectedWork(s model.TickSchedule, c quant.Tick, lambda float64) float64 {
 	return sum
 }
 
-// OptimalFixedPeriod returns the period length t* maximizing the steady-state
-// expected yield rate of an infinite fixed-period schedule,
-// f(t) = e^{−λt}(t−c), by ternary search. For λc ≪ 1, t* ≈ c + √(c/λ)·…;
-// the numeric optimum is exact for the model above.
-func OptimalFixedPeriod(c quant.Tick, lambda float64) quant.Tick {
-	if lambda <= 0 {
-		return math.MaxInt64 // no interrupts: one giant period
-	}
-	yield := func(t float64) float64 {
-		if t <= float64(c) {
-			return 0
-		}
-		// Per-period discounted gain normalized by expected period "slot":
-		// the first-order optimality of the infinite product Π e^{−λt}
-		// reduces to maximizing e^{−λt}(t−c) per unit time ≈ (t−c)e^{−λt}/t.
-		return (t - float64(c)) * math.Exp(-lambda*t) / t
-	}
-	lo, hi := float64(c), float64(c)+20/lambda+10*float64(c)
-	for i := 0; i < 200; i++ {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		if yield(m1) < yield(m2) {
-			lo = m1
-		} else {
-			hi = m2
-		}
-	}
-	t := quant.Tick(math.Round((lo + hi) / 2))
-	if t <= c {
-		t = c + 1
-	}
-	return t
-}
-
 // Solver computes the exact optimal expected work E*(L) for every residual
 // lifespan L ≤ U by dynamic programming on the tick grid:
 //

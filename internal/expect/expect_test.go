@@ -34,22 +34,6 @@ func TestExpectedWorkZeroLambda(t *testing.T) {
 	}
 }
 
-func TestOptimalFixedPeriodBehaviour(t *testing.T) {
-	c := quant.Tick(10)
-	// More interrupt pressure ⇒ shorter periods.
-	tLow := OptimalFixedPeriod(c, 0.0001)
-	tHigh := OptimalFixedPeriod(c, 0.01)
-	if tHigh >= tLow {
-		t.Errorf("period should shrink with λ: λ=1e-4 → %d, λ=1e-2 → %d", tLow, tHigh)
-	}
-	if tHigh <= c {
-		t.Errorf("optimal period %d must exceed c", tHigh)
-	}
-	if OptimalFixedPeriod(c, 0) != math.MaxInt64 {
-		t.Error("λ=0 should yield the unbounded period")
-	}
-}
-
 func TestSolveExpectedValidation(t *testing.T) {
 	if _, err := SolveExpected(-1, 10, 0.01); err == nil {
 		t.Error("U<0 accepted")

@@ -1,8 +1,9 @@
 // Package experiments regenerates every evaluation artifact of the paper —
 // Table 1, Table 2, and the quantitative claims of §3.1, §5.1–5.2 and
 // Prop. 4.1 — plus the repo's ablations (E9) and extensions. Each returns a
-// tab.Table; cmd/cstealtables prints them and bench_test.go wraps them as
-// benchmarks. EXPERIMENTS.md records paper-vs-measured for each.
+// tab.Table; cmd/cstealtables prints them (`cstealtables -list` names them,
+// `cstealtables -experiment <name>` runs one) and bench_test.go wraps them as
+// benchmarks.
 package experiments
 
 import (
@@ -32,9 +33,6 @@ type Config struct {
 	// row group (E14) per entry, in the given order.
 	Fleets []int
 }
-
-// DefaultConfig returns the configuration used throughout EXPERIMENTS.md.
-func DefaultConfig() Config { return Config{C: 100, Seed: 1} }
 
 func (c Config) normalize() Config {
 	if c.C < 1 {

@@ -219,7 +219,7 @@ func TestParallelSpeedupFloor(t *testing.T) {
 		t.Skip("single-core machine cannot exhibit a parallel speedup")
 	}
 
-	cfg := DefaultConfig()
+	cfg := Config{C: 100, Seed: 1}
 	c := cfg.C
 	U := 300 * c
 	eq, err := sched.NewAdaptiveEqualized(c)
@@ -291,7 +291,7 @@ func TestMonteCarloTrialAllocationFree(t *testing.T) {
 // it exactly.
 func e8BenchShape(b *testing.B, scratch bool) {
 	b.Helper()
-	cfg := DefaultConfig()
+	cfg := Config{C: 100, Seed: 1}
 	c := cfg.C
 	U := 150 * c
 	eq, err := sched.NewAdaptiveEqualized(c)

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/mc"
@@ -528,10 +527,11 @@ func (f Farm) ReplicateColumns(stationCols bool) int {
 
 // ReplicateShards runs just the named mc shards of the replication study and
 // returns their partial accumulators — the farm-level face of the
-// distributed replication contract: the same trial closure Replicate (or,
-// with stationCols, ReplicateStations) drives, over exactly the trials those
-// shards own, so a complete cover merged by mc.MergeShards reproduces the
-// single-process summaries bit for bit wherever each subset ran.
+// distributed replication contract: the same trial closure Replicate drives
+// (with stationCols, widened by one played-lifespan column per station),
+// over exactly the trials those shards own, so a complete cover merged by
+// mc.MergeShards reproduces the single-process summaries bit for bit
+// wherever each subset ran.
 func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config, stationCols bool, shardIDs []int) ([]mc.ShardAccums, error) {
 	cfg, inner := mc.SplitConfig(cfg)
 	fn := f.trialVec(ctx, job, factory, inner, stationCols)
@@ -561,36 +561,4 @@ func fillMetrics(out []float64, res Result, total quant.Tick) {
 	if lifespan > 0 {
 		out[MetricUtilization] = float64(res.FluidWork) / float64(lifespan)
 	}
-}
-
-// ReplicateStations is Replicate widened with per-station columns: alongside
-// the job-level metric summaries it returns one summary per station of that
-// station's played lifespan per trial (ticks, indexed like f.Stations) — the
-// across-trials distribution of how much time each owner actually donated.
-// Same replication engine, same seed-stream contract, one extra column per
-// station; bit-identical at any worker budget.
-func (f Farm) ReplicateStations(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config) (metrics, lifespans []stats.Summary, err error) {
-	cfg, inner := mc.SplitConfig(cfg)
-	sums, err := mc.RunVec(ctx, cfg, f.ReplicateColumns(true), f.trialVec(ctx, job, factory, inner, true))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sums[:NumMetrics], sums[NumMetrics:], nil
-}
-
-// TopContributors returns the station IDs sorted by completed task work,
-// descending — the fleet-utilization view operators ask for.
-func (r Result) TopContributors() []int {
-	ids := make([]int, len(r.Stations))
-	for i := range r.Stations {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return r.Stations[ids[a]].TaskWork > r.Stations[ids[b]].TaskWork
-	})
-	out := make([]int, len(ids))
-	for i, idx := range ids {
-		out[i] = r.Stations[idx].Station
-	}
-	return out
 }

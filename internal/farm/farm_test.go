@@ -176,7 +176,7 @@ func TestFarmStopsBorrowingWhenJobDone(t *testing.T) {
 	}
 }
 
-func TestImbalanceAndTopContributors(t *testing.T) {
+func TestImbalance(t *testing.T) {
 	r := Result{Stations: []StationReport{
 		{Station: 0, TaskWork: 100},
 		{Station: 1, TaskWork: 300},
@@ -184,10 +184,6 @@ func TestImbalanceAndTopContributors(t *testing.T) {
 	}}
 	if got := r.Imbalance(); got != 1.5 {
 		t.Errorf("imbalance = %g, want 1.5 (300 / mean 200)", got)
-	}
-	top := r.TopContributors()
-	if len(top) != 3 || top[0] != 1 || top[1] != 2 || top[2] != 0 {
-		t.Errorf("top contributors = %v", top)
 	}
 	if (Result{}).Imbalance() != 1 {
 		t.Error("empty imbalance should be 1")
@@ -669,8 +665,9 @@ func TestStationReusesFirstEqualKeyInstance(t *testing.T) {
 
 // TestReplicateShardsBitIdentical pins the distribution contract at the farm
 // layer: running the study's mc shards in disjoint subsets (any grouping, any
-// order) and merging the partial accumulators reproduces Replicate — and
-// ReplicateStations — bit for bit.
+// order) and merging the partial accumulators reproduces Replicate — and,
+// with per-station columns, one whole mc.RunVec of the same trials — bit for
+// bit.
 func TestReplicateShardsBitIdentical(t *testing.T) {
 	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
 	shared.Stations[2].Owner = station.Laptop{MeanIdle: 300}
@@ -691,10 +688,12 @@ func TestReplicateShardsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMetrics, wantLifespans, err := f.ReplicateStations(context.Background(), job, equalizedFactory, cfg)
+			outer, inner := mc.SplitConfig(cfg)
+			wantStations, err := mc.RunVec(context.Background(), outer, f.ReplicateColumns(true), f.trialVec(context.Background(), job, equalizedFactory, inner, true))
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantMetrics, wantLifespans := wantStations[:NumMetrics], wantStations[NumMetrics:]
 
 			for _, parts := range []int{1, 4} {
 				for _, stationCols := range []bool{false, true} {
@@ -725,7 +724,7 @@ func TestReplicateShardsBitIdentical(t *testing.T) {
 					}
 					for m := range wantMetrics {
 						if sums[m] != wantMetrics[m] {
-							t.Errorf("parts=%d metric %d diverged from ReplicateStations:\n got %+v\nwant %+v", parts, m, sums[m], wantMetrics[m])
+							t.Errorf("parts=%d metric %d diverged from RunVec:\n got %+v\nwant %+v", parts, m, sums[m], wantMetrics[m])
 						}
 					}
 					for s := range wantLifespans {

@@ -434,15 +434,6 @@ func MergeShards(metrics int, shards []ShardAccums) ([]stats.Summary, error) {
 	return out, nil
 }
 
-// RunSerial is the reference implementation: the same seed-stream contract
-// executed on one goroutine with the same shard partition. It exists for
-// differential tests and as the baseline the BenchmarkMC* speedup numbers
-// are measured against.
-func RunSerial(ctx context.Context, cfg Config, fn RunFunc) (stats.Summary, error) {
-	cfg.Workers = 1
-	return Run(ctx, cfg, fn)
-}
-
 // SplitWorkers divides a worker budget between two levels of parallelism:
 // an outer pool of at most outerCap concurrent tasks (e.g. trials) and an
 // inner pool each task may spawn (e.g. stations within a trial). The outer

@@ -1,7 +1,7 @@
 // Package model defines the formal objects of Rosenberg's guaranteed-output
-// cycle-stealing model (IPPS 1999, §2): opportunities, episode-schedules in
-// both the continuous and the tick domain, work accounting under positive
-// subtraction, and the scheduler interfaces the rest of the system builds on.
+// cycle-stealing model (IPPS 1999, §2): opportunities, episode-schedules on
+// the tick grid, work accounting under positive subtraction, and the
+// scheduler interfaces the rest of the system builds on.
 //
 // Vocabulary (paper §2):
 //
@@ -47,148 +47,8 @@ func (o Opportunity) Validate() error {
 	return nil
 }
 
-// Ratio returns U/c, the natural size parameter of the model: every bound in
-// the paper is a function of U/c and p once times are measured in units of c.
-func (o Opportunity) Ratio() float64 { return o.Lifespan / o.Setup }
-
-// ZeroWorkRegime reports whether the opportunity is so short that the
-// adversary can kill every productive period: Prop. 4.1(c) shows the
-// guaranteed output is 0 whenever U ≤ (p+1)c.
-func (o Opportunity) ZeroWorkRegime() bool {
-	return o.Lifespan <= float64(o.Interrupts+1)*o.Setup
-}
-
-// String implements fmt.Stringer.
-func (o Opportunity) String() string {
-	return fmt.Sprintf("opportunity(U=%g, p=%d, c=%g)", o.Lifespan, o.Interrupts, o.Setup)
-}
-
 // ErrEmptySchedule is returned when an episode-schedule has no periods.
 var ErrEmptySchedule = errors.New("model: episode-schedule has no periods")
-
-// Schedule is an episode-schedule in continuous time: the ordered period
-// lengths t_1, …, t_m chosen for one episode. Period k occupies
-// [T_{k-1}, T_k) with T_k = t_1 + … + t_k.
-type Schedule []float64
-
-// Total returns T_m = Σ t_i, the lifespan the schedule consumes.
-func (s Schedule) Total() float64 {
-	var sum float64
-	for _, t := range s {
-		sum += t
-	}
-	return sum
-}
-
-// PrefixSums returns the period boundaries T_0 = 0, T_1, …, T_m
-// (length m+1).
-func (s Schedule) PrefixSums() []float64 {
-	sums := make([]float64, len(s)+1)
-	for i, t := range s {
-		sums[i+1] = sums[i] + t
-	}
-	return sums
-}
-
-// Validate checks that the schedule is a legal partition of a lifespan of
-// length total: every period strictly positive and finite, and Σ t_i within
-// tol of total.
-func (s Schedule) Validate(total, tol float64) error {
-	if len(s) == 0 {
-		return ErrEmptySchedule
-	}
-	for i, t := range s {
-		if math.IsNaN(t) || math.IsInf(t, 0) || t <= 0 {
-			return fmt.Errorf("model: period %d has illegal length %v", i+1, t)
-		}
-	}
-	if got := s.Total(); !quant.ApproxEqual(got, total, tol) {
-		return fmt.Errorf("model: schedule totals %v, want %v (tol %v)", got, total, tol)
-	}
-	return nil
-}
-
-// UninterruptedWork returns the work banked if no interrupt occurs: the
-// episode runs to completion and every period k contributes t_k ⊖ c.
-func (s Schedule) UninterruptedWork(c float64) float64 {
-	var w float64
-	for _, t := range s {
-		w += quant.PosSubF(t, c)
-	}
-	return w
-}
-
-// WorkBeforePeriod returns the work banked by periods 1..k-1, i.e. the
-// episode's output if the adversary interrupts during period k (paper §2.2).
-// k is 1-based; k = 1 yields 0.
-func (s Schedule) WorkBeforePeriod(k int, c float64) float64 {
-	if k < 1 {
-		return 0
-	}
-	var w float64
-	for i := 0; i < k-1 && i < len(s); i++ {
-		w += quant.PosSubF(s[i], c)
-	}
-	return w
-}
-
-// IsProductive reports whether every nonterminal period strictly exceeds c
-// (paper Thm 4.1's "productive" normal form). The final period is exempt.
-func (s Schedule) IsProductive(c float64) bool {
-	for i := 0; i < len(s)-1; i++ {
-		if s[i] <= c {
-			return false
-		}
-	}
-	return true
-}
-
-// IsFullyProductive reports whether every period, including the last,
-// strictly exceeds c (paper §4.1's stronger normal form).
-func (s Schedule) IsFullyProductive(c float64) bool {
-	for _, t := range s {
-		if t <= c {
-			return false
-		}
-	}
-	return true
-}
-
-// MakeProductive applies the transformation of Theorem 4.1: any nonterminal
-// period of length ≤ c is merged with its successor, repeatedly, until the
-// schedule is productive. The result consumes the same lifespan and (Theorem
-// 4.1) guarantees at least as much work against every adversary.
-func (s Schedule) MakeProductive(c float64) Schedule {
-	out := make(Schedule, 0, len(s))
-	carry := 0.0
-	for i, t := range s {
-		t += carry
-		carry = 0
-		if t <= c && i < len(s)-1 {
-			// Nonproductive nonterminal period: fold into the successor.
-			carry = t
-			continue
-		}
-		out = append(out, t)
-	}
-	if carry > 0 {
-		// Everything folded into a trailing remnant; merge it with the last
-		// emitted period, or emit it alone if nothing was emitted.
-		if len(out) > 0 {
-			out[len(out)-1] += carry
-		} else {
-			out = append(out, carry)
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy of the schedule.
-func (s Schedule) Clone() Schedule {
-	out := make(Schedule, len(s))
-	copy(out, s)
-	return out
-}
 
 // TickSchedule is an episode-schedule on the integer tick grid. The exact
 // game solver and the simulator operate in this domain so that worst-case
@@ -252,67 +112,11 @@ func (s TickSchedule) Validate(total quant.Tick) error {
 	return nil
 }
 
-// Units converts the tick schedule back to continuous time.
-func (s TickSchedule) Units(q quant.Quantum) Schedule {
-	out := make(Schedule, len(s))
-	for i, t := range s {
-		out[i] = q.ToUnits(t)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (s TickSchedule) Clone() TickSchedule {
 	out := make(TickSchedule, len(s))
 	copy(out, s)
 	return out
-}
-
-// Quantize converts a continuous schedule to the tick grid so that the tick
-// periods are each ≥ 1 and sum exactly to total. Rounding residue is absorbed
-// by the longest period, which perturbs any single period by at most m ticks
-// — an O(resolution) perturbation of the work functional.
-func Quantize(s Schedule, q quant.Quantum, total quant.Tick) (TickSchedule, error) {
-	out, err := AppendQuantize(nil, s, q, total)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AppendQuantize is Quantize writing into the caller's buffer: the quantized
-// periods are appended to dst and the extended slice returned, so a hot loop
-// (the simulator quantizes one episode per interrupt) reuses one allocation
-// instead of paying a fresh TickSchedule per episode. On error dst is
-// returned truncated to its original length.
-func AppendQuantize(dst TickSchedule, s Schedule, q quant.Quantum, total quant.Tick) (TickSchedule, error) {
-	if len(s) == 0 {
-		return dst, ErrEmptySchedule
-	}
-	if total < quant.Tick(len(s)) {
-		return dst, fmt.Errorf("model: cannot fit %d periods into %d ticks", len(s), total)
-	}
-	base := len(dst)
-	var sum quant.Tick
-	longest := base
-	for _, t := range s {
-		ticks := q.ToTicks(t)
-		if ticks < 1 {
-			ticks = 1
-		}
-		dst = append(dst, ticks)
-		sum += ticks
-		if dst[len(dst)-1] > dst[longest] {
-			longest = len(dst) - 1
-		}
-	}
-	diff := total - sum
-	if dst[longest]+diff < 1 {
-		// Residue would annihilate the longest period; spread it instead.
-		return dst[:base], fmt.Errorf("model: quantization residue %d exceeds schedule capacity", diff)
-	}
-	dst[longest] += diff
-	return dst, nil
 }
 
 // EpisodeScheduler is the adaptive-scheduling interface of §2.2: given the

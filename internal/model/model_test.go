@@ -2,9 +2,7 @@ package model
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"cyclesteal/internal/quant"
 )
@@ -28,158 +26,6 @@ func TestOpportunityValidate(t *testing.T) {
 		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: invalid opportunity %v accepted", i, o)
 		}
-	}
-}
-
-func TestOpportunityRatio(t *testing.T) {
-	o := Opportunity{Lifespan: 1000, Interrupts: 1, Setup: 4}
-	if got := o.Ratio(); got != 250 {
-		t.Errorf("Ratio = %g, want 250", got)
-	}
-}
-
-func TestZeroWorkRegime(t *testing.T) {
-	// Prop 4.1(c): zero-work iff U ≤ (p+1)c.
-	cases := []struct {
-		o    Opportunity
-		want bool
-	}{
-		{Opportunity{Lifespan: 3, Interrupts: 2, Setup: 1}, true},
-		{Opportunity{Lifespan: 3.01, Interrupts: 2, Setup: 1}, false},
-		{Opportunity{Lifespan: 1, Interrupts: 0, Setup: 1}, true},
-		{Opportunity{Lifespan: 100, Interrupts: 0, Setup: 1}, false},
-	}
-	for _, c := range cases {
-		if got := c.o.ZeroWorkRegime(); got != c.want {
-			t.Errorf("%v ZeroWorkRegime = %v, want %v", c.o, got, c.want)
-		}
-	}
-}
-
-func TestScheduleTotalAndPrefix(t *testing.T) {
-	s := Schedule{3, 4, 5}
-	if got := s.Total(); got != 12 {
-		t.Errorf("Total = %g, want 12", got)
-	}
-	want := []float64{0, 3, 7, 12}
-	got := s.PrefixSums()
-	if len(got) != len(want) {
-		t.Fatalf("PrefixSums length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("PrefixSums[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestScheduleValidate(t *testing.T) {
-	if err := (Schedule{}).Validate(0, 0.1); err == nil {
-		t.Error("empty schedule accepted")
-	}
-	if err := (Schedule{1, 2, 3}).Validate(6, 1e-9); err != nil {
-		t.Errorf("valid schedule rejected: %v", err)
-	}
-	if err := (Schedule{1, -2, 3}).Validate(2, 1e-9); err == nil {
-		t.Error("negative period accepted")
-	}
-	if err := (Schedule{1, 2, 3}).Validate(7, 1e-9); err == nil {
-		t.Error("wrong total accepted")
-	}
-	if err := (Schedule{1, math.NaN()}).Validate(1, 1e-9); err == nil {
-		t.Error("NaN period accepted")
-	}
-}
-
-func TestUninterruptedWork(t *testing.T) {
-	s := Schedule{3, 0.5, 2}
-	// c = 1: (3−1) + 0 + (2−1) = 3
-	if got := s.UninterruptedWork(1); got != 3 {
-		t.Errorf("UninterruptedWork = %g, want 3", got)
-	}
-}
-
-func TestWorkBeforePeriod(t *testing.T) {
-	s := Schedule{3, 2, 5}
-	c := 1.0
-	cases := []struct {
-		k    int
-		want float64
-	}{
-		{0, 0}, {1, 0}, {2, 2}, {3, 3}, {4, 7}, {9, 7},
-	}
-	for _, cse := range cases {
-		if got := s.WorkBeforePeriod(cse.k, c); got != cse.want {
-			t.Errorf("WorkBeforePeriod(%d) = %g, want %g", cse.k, got, cse.want)
-		}
-	}
-}
-
-func TestIsProductive(t *testing.T) {
-	c := 1.0
-	if !(Schedule{2, 3, 0.5}).IsProductive(c) {
-		t.Error("terminal short period should not break productivity")
-	}
-	if (Schedule{0.5, 3}).IsProductive(c) {
-		t.Error("nonterminal short period should break productivity")
-	}
-	if !(Schedule{2, 3}).IsFullyProductive(c) {
-		t.Error("all-long schedule should be fully productive")
-	}
-	if (Schedule{2, 1}).IsFullyProductive(c) {
-		t.Error("terminal period == c should break full productivity")
-	}
-}
-
-func TestMakeProductive(t *testing.T) {
-	c := 1.0
-	s := Schedule{0.5, 0.3, 4, 0.2, 0.9, 3, 0.4}
-	p := s.MakeProductive(c)
-	if !p.IsProductive(c) {
-		t.Fatalf("MakeProductive result %v not productive", p)
-	}
-	if !quant.ApproxEqual(p.Total(), s.Total(), 1e-9) {
-		t.Errorf("MakeProductive changed total: %g → %g", s.Total(), p.Total())
-	}
-}
-
-func TestMakeProductiveAllShort(t *testing.T) {
-	c := 10.0
-	s := Schedule{1, 1, 1}
-	p := s.MakeProductive(c)
-	if len(p) != 1 || !quant.ApproxEqual(p[0], 3, 1e-9) {
-		t.Errorf("all-short schedule should collapse to one period, got %v", p)
-	}
-}
-
-// Theorem 4.1 (work-dominance half, uninterrupted case): merging
-// nonproductive periods never decreases the uninterrupted work.
-func TestMakeProductiveNeverLosesWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 500; trial++ {
-		c := 0.5 + rng.Float64()*2
-		n := 1 + rng.Intn(12)
-		s := make(Schedule, n)
-		for i := range s {
-			s[i] = 0.1 + rng.Float64()*3*c
-		}
-		p := s.MakeProductive(c)
-		if p.UninterruptedWork(c) < s.UninterruptedWork(c)-1e-9 {
-			t.Fatalf("trial %d: productive transform lost work: %v (%.4f) → %v (%.4f)",
-				trial, s, s.UninterruptedWork(c), p, p.UninterruptedWork(c))
-		}
-		if !quant.ApproxEqual(p.Total(), s.Total(), 1e-6) {
-			t.Fatalf("trial %d: total changed %g → %g", trial, s.Total(), p.Total())
-		}
-	}
-}
-
-func TestScheduleClone(t *testing.T) {
-	s := Schedule{1, 2}
-	cl := s.Clone()
-	cl[0] = 99
-	if s[0] != 1 {
-		t.Error("Clone aliases the original")
 	}
 }
 
@@ -215,80 +61,6 @@ func TestTickScheduleBasics(t *testing.T) {
 	}
 }
 
-func TestTickScheduleUnits(t *testing.T) {
-	q := quant.MustQuantum(100)
-	s := TickSchedule{150, 250}
-	u := s.Units(q)
-	if u[0] != 1.5 || u[1] != 2.5 {
-		t.Errorf("Units = %v, want [1.5 2.5]", u)
-	}
-}
-
-func TestQuantizeExactSum(t *testing.T) {
-	q := quant.MustQuantum(100)
-	s := Schedule{1.514, 2.718, 3.141}
-	total := quant.Tick(800) // deliberately off from the rounded sum
-	ts, err := Quantize(s, q, total)
-	if err != nil {
-		t.Fatalf("Quantize: %v", err)
-	}
-	if got := ts.Total(); got != total {
-		t.Errorf("quantized total %d, want %d", got, total)
-	}
-	if len(ts) != len(s) {
-		t.Errorf("period count changed: %d → %d", len(s), len(ts))
-	}
-	for i, tk := range ts {
-		if tk < 1 {
-			t.Errorf("period %d = %d < 1", i, tk)
-		}
-	}
-}
-
-func TestQuantizeErrors(t *testing.T) {
-	q := quant.MustQuantum(100)
-	if _, err := Quantize(Schedule{}, q, 100); err == nil {
-		t.Error("empty schedule accepted")
-	}
-	if _, err := Quantize(Schedule{1, 1, 1}, q, 2); err == nil {
-		t.Error("total smaller than period count accepted")
-	}
-}
-
-func TestQuantizeProperty(t *testing.T) {
-	q := quant.MustQuantum(50)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		s := make(Schedule, n)
-		var sum float64
-		for i := range s {
-			s[i] = 0.05 + rng.Float64()*5
-			sum += s[i]
-		}
-		total := q.ToTicks(sum)
-		if total < quant.Tick(n) {
-			return true // rejected by construction guard; not this test's target
-		}
-		ts, err := Quantize(s, q, total)
-		if err != nil {
-			return false
-		}
-		if ts.Total() != total {
-			return false
-		}
-		for _, tk := range ts {
-			if tk < 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEpisodeFuncAndNameOf(t *testing.T) {
 	f := EpisodeFunc(func(p int, L quant.Tick) TickSchedule { return TickSchedule{L} })
 	if got := f.Episode(1, 42); len(got) != 1 || got[0] != 42 {
@@ -307,64 +79,6 @@ type namedScheduler struct{}
 
 func (namedScheduler) Episode(p int, L quant.Tick) TickSchedule { return TickSchedule{L} }
 func (namedScheduler) Name() string                             { return "named" }
-
-func TestOpportunityString(t *testing.T) {
-	if s := (Opportunity{Lifespan: 1, Interrupts: 2, Setup: 3}).String(); s == "" {
-		t.Error("empty String()")
-	}
-}
-
-// AppendQuantize must agree with Quantize bit for bit and leave the prefix of
-// the destination buffer untouched — the contract the simulator's reusable
-// episode buffer rides on.
-func TestAppendQuantizeMatchesQuantize(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	unit := quant.MustQuantum(1)
-	for trial := 0; trial < 300; trial++ {
-		m := 1 + rng.Intn(12)
-		s := make(Schedule, m)
-		var total quant.Tick
-		for i := range s {
-			s[i] = rng.Float64()*40 + 0.3
-		}
-		total = quant.Tick(s.Total()) + quant.Tick(rng.Intn(5)) + quant.Tick(m)
-		want, wantErr := Quantize(s, unit, total)
-		prefix := TickSchedule{11, 22, 33}
-		dst := append(TickSchedule{}, prefix...)
-		got, gotErr := AppendQuantize(dst, s, unit, total)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
-		}
-		if len(got) < len(prefix) || got[0] != 11 || got[1] != 22 || got[2] != 33 {
-			t.Fatalf("trial %d: prefix clobbered: %v", trial, got)
-		}
-		if wantErr != nil {
-			if len(got) != len(prefix) {
-				t.Fatalf("trial %d: error path appended periods: %v", trial, got)
-			}
-			continue
-		}
-		tail := got[len(prefix):]
-		if len(tail) != len(want) {
-			t.Fatalf("trial %d: appended %d periods, want %d", trial, len(tail), len(want))
-		}
-		for i := range want {
-			if tail[i] != want[i] {
-				t.Fatalf("trial %d: period %d = %d, want %d", trial, i, tail[i], want[i])
-			}
-		}
-	}
-}
-
-func TestAppendQuantizeErrors(t *testing.T) {
-	unit := quant.MustQuantum(1)
-	if _, err := AppendQuantize(nil, nil, unit, 10); err == nil {
-		t.Error("empty schedule accepted")
-	}
-	if _, err := AppendQuantize(nil, Schedule{1, 1, 1}, unit, 2); err == nil {
-		t.Error("underfull total accepted")
-	}
-}
 
 // appenderScheduler counts AppendEpisode calls so the helper's dispatch is
 // observable.

@@ -1,18 +1,15 @@
 // Package quant provides the time substrate shared by every layer of the
-// cycle-stealing reproduction: conversion between the continuous time domain
-// of the paper's closed forms (float64 "time units") and the integer tick
-// grid on which the game solver computes exact minimax values, plus the
-// paper's positive-subtraction operator.
+// cycle-stealing reproduction: the integer tick grid on which the game
+// solver computes exact minimax values, and the paper's positive-subtraction
+// operator.
 //
 // The paper's schedules have irrational period lengths (e.g. √(cU/p), (3/2)c)
-// while exact worst-case evaluation needs a discrete state space. A Quantum
-// fixes the exchange rate: one tick equals 1/Quantum.PerUnit time units.
+// while exact worst-case evaluation needs a discrete state space. Every
+// layer counts time in ticks, with c ticks per setup cost: the paper's
+// bounds are functions of U/c and p, so that is the natural unit.
 package quant
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Tick is a point or duration on the discrete time grid used by the exact
 // game solver and the simulator. All tick arithmetic is exact.
@@ -29,91 +26,9 @@ func PosSub(x, y Tick) Tick {
 	return x - y
 }
 
-// PosSubF is positive subtraction on the continuous domain.
-func PosSubF(x, y float64) float64 {
-	if x <= y {
-		return 0
-	}
-	return x - y
-}
-
-// Quantum defines the resolution of the tick grid: PerUnit ticks represent
-// one time unit of the continuous model. The zero value is unusable; use
-// NewQuantum or DefaultQuantum.
-type Quantum struct {
-	perUnit float64
-}
-
-// DefaultPerUnit is the default grid resolution. With c typically set to one
-// time unit, the default places 100 ticks inside one setup cost, which keeps
-// quantization error well below the low-order terms the paper reasons about.
-const DefaultPerUnit = 100
-
-// NewQuantum returns a Quantum with the given ticks-per-unit resolution.
-func NewQuantum(perUnit float64) (Quantum, error) {
-	if perUnit <= 0 || math.IsInf(perUnit, 0) || math.IsNaN(perUnit) {
-		return Quantum{}, fmt.Errorf("quant: ticks per unit must be positive and finite, got %v", perUnit)
-	}
-	return Quantum{perUnit: perUnit}, nil
-}
-
-// MustQuantum is NewQuantum for static resolutions; it panics on bad input.
-func MustQuantum(perUnit float64) Quantum {
-	q, err := NewQuantum(perUnit)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
-// DefaultQuantum returns the default grid resolution.
-func DefaultQuantum() Quantum { return Quantum{perUnit: DefaultPerUnit} }
-
-// PerUnit reports the number of ticks per continuous time unit.
-func (q Quantum) PerUnit() float64 { return q.perUnit }
-
-// IsZero reports whether q is the unusable zero value.
-func (q Quantum) IsZero() bool { return q.perUnit == 0 }
-
-// ToTicks converts a continuous duration to ticks, rounding to nearest.
-func (q Quantum) ToTicks(units float64) Tick {
-	return Tick(math.Round(units * q.perUnit))
-}
-
-// ToTicksFloor converts a continuous duration to ticks, rounding down. Used
-// when a quantity must never exceed its continuous counterpart (e.g. when
-// packing periods into a lifespan).
-func (q Quantum) ToTicksFloor(units float64) Tick {
-	return Tick(math.Floor(units * q.perUnit))
-}
-
-// ToUnits converts ticks back to continuous time units.
-func (q Quantum) ToUnits(t Tick) float64 {
-	return float64(t) / q.perUnit
-}
-
-// Resolution returns the duration of a single tick in time units.
-func (q Quantum) Resolution() float64 { return 1 / q.perUnit }
-
-// String implements fmt.Stringer.
-func (q Quantum) String() string {
-	return fmt.Sprintf("quantum(%g ticks/unit)", q.perUnit)
-}
-
 // ApproxEqual reports whether a and b differ by at most tol. It tolerates the
 // accumulation of rounding error when cross-checking closed forms against the
 // tick grid.
 func ApproxEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
-}
-
-// RelClose reports whether a and b agree to within relative tolerance rel,
-// with an absolute floor abs for values near zero.
-func RelClose(a, b, rel, abs float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= abs {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= rel*scale
 }

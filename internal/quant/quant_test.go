@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -26,22 +25,6 @@ func TestPosSub(t *testing.T) {
 	}
 }
 
-func TestPosSubF(t *testing.T) {
-	cases := []struct {
-		x, y, want float64
-	}{
-		{0, 0, 0},
-		{5.5, 3.25, 2.25},
-		{3, 5, 0},
-		{5, 5, 0},
-	}
-	for _, c := range cases {
-		if got := PosSubF(c.x, c.y); got != c.want {
-			t.Errorf("PosSubF(%g, %g) = %g, want %g", c.x, c.y, got, c.want)
-		}
-	}
-}
-
 // clampTick maps arbitrary quick-generated ticks into the documented domain
 // (quantities bounded by a lifespan, far below int64 overflow).
 func clampTick(x Tick) Tick { return x % (1 << 40) }
@@ -49,10 +32,6 @@ func clampTick(x Tick) Tick { return x % (1 << 40) }
 func TestPosSubNeverNegative(t *testing.T) {
 	f := func(x, y Tick) bool { return PosSub(clampTick(x), clampTick(y)) >= 0 }
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	g := func(x, y float64) bool { return PosSubF(x, y) >= 0 }
-	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -71,121 +50,11 @@ func TestPosSubIdentity(t *testing.T) {
 	}
 }
 
-func TestNewQuantum(t *testing.T) {
-	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := NewQuantum(bad); err == nil {
-			t.Errorf("NewQuantum(%v): want error", bad)
-		}
-	}
-	q, err := NewQuantum(250)
-	if err != nil {
-		t.Fatalf("NewQuantum(250): %v", err)
-	}
-	if q.PerUnit() != 250 {
-		t.Errorf("PerUnit = %g, want 250", q.PerUnit())
-	}
-	if q.IsZero() {
-		t.Error("valid quantum reported IsZero")
-	}
-	var zero Quantum
-	if !zero.IsZero() {
-		t.Error("zero quantum not reported IsZero")
-	}
-}
-
-func TestMustQuantumPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustQuantum(-1) did not panic")
-		}
-	}()
-	MustQuantum(-1)
-}
-
-func TestDefaultQuantum(t *testing.T) {
-	q := DefaultQuantum()
-	if q.PerUnit() != DefaultPerUnit {
-		t.Errorf("default PerUnit = %g, want %d", q.PerUnit(), DefaultPerUnit)
-	}
-}
-
-func TestTickConversionRoundTrip(t *testing.T) {
-	q := MustQuantum(100)
-	for _, units := range []float64{0, 1, 2.5, 0.01, 1234.56} {
-		ticks := q.ToTicks(units)
-		back := q.ToUnits(ticks)
-		if math.Abs(back-units) > q.Resolution()/2+1e-12 {
-			t.Errorf("round trip %g → %d → %g exceeds half a tick", units, ticks, back)
-		}
-	}
-}
-
-func TestToTicksRounding(t *testing.T) {
-	q := MustQuantum(10)
-	cases := []struct {
-		units float64
-		want  Tick
-	}{
-		{0.04, 0},
-		{0.05, 1}, // round half away from zero
-		{0.14, 1},
-		{1.0, 10},
-		{2.55, 26},
-	}
-	for _, c := range cases {
-		if got := q.ToTicks(c.units); got != c.want {
-			t.Errorf("ToTicks(%g) = %d, want %d", c.units, got, c.want)
-		}
-	}
-	if got := q.ToTicksFloor(0.99); got != 9 {
-		t.Errorf("ToTicksFloor(0.99) = %d, want 9", got)
-	}
-	if got := q.ToTicksFloor(1.0); got != 10 {
-		t.Errorf("ToTicksFloor(1.0) = %d, want 10", got)
-	}
-}
-
-func TestResolution(t *testing.T) {
-	q := MustQuantum(200)
-	if got := q.Resolution(); got != 0.005 {
-		t.Errorf("Resolution = %g, want 0.005", got)
-	}
-}
-
-func TestQuantumString(t *testing.T) {
-	if s := MustQuantum(100).String(); s == "" {
-		t.Error("empty String()")
-	}
-}
-
 func TestApproxEqual(t *testing.T) {
 	if !ApproxEqual(1.0, 1.05, 0.1) {
 		t.Error("1.0 ≈ 1.05 within 0.1 should hold")
 	}
 	if ApproxEqual(1.0, 1.2, 0.1) {
 		t.Error("1.0 ≈ 1.2 within 0.1 should fail")
-	}
-}
-
-func TestRelClose(t *testing.T) {
-	if !RelClose(100, 101, 0.02, 0) {
-		t.Error("100 vs 101 at 2%: want close")
-	}
-	if RelClose(100, 110, 0.02, 0) {
-		t.Error("100 vs 110 at 2%: want far")
-	}
-	if !RelClose(1e-9, 0, 0.01, 1e-6) {
-		t.Error("abs floor should absorb tiny values")
-	}
-}
-
-func TestToTicksFloorNeverExceeds(t *testing.T) {
-	q := MustQuantum(100)
-	f := func(raw uint32) bool {
-		units := float64(raw) / 1000
-		return q.ToUnits(q.ToTicksFloor(units)) <= units+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

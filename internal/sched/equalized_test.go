@@ -14,7 +14,7 @@ func TestEqualizedPeriodsSumToL(t *testing.T) {
 	c := 1.0
 	for p := 1; p <= 8; p++ {
 		for _, L := range []float64{10, 100, 5000, 100000} {
-			periods := EqualizedPeriodsUnits(p, L, c)
+			periods := appendEqualizedUnits(nil, p, L, c)
 			var sum float64
 			for _, tk := range periods {
 				sum += tk
@@ -33,7 +33,7 @@ func TestEqualizedFirstPeriodMatchesAlpha(t *testing.T) {
 	c := 1.0
 	L := 100000.0
 	for p := 1; p <= 6; p++ {
-		periods := EqualizedPeriodsUnits(p, L, c)
+		periods := appendEqualizedUnits(nil, p, L, c)
 		want := theory.EqualizedAlpha(p) * math.Sqrt(2*c*L)
 		if math.Abs(periods[0]-want) > 0.01*want {
 			t.Errorf("p=%d: t_1 = %g, want α_p√(2cL) = %g", p, periods[0], want)
@@ -46,7 +46,7 @@ func TestEqualizedLengthMatchesKp(t *testing.T) {
 	c := 1.0
 	L := 50000.0
 	for p := 1; p <= 5; p++ {
-		m := len(EqualizedPeriodsUnits(p, L, c))
+		m := len(appendEqualizedUnits(nil, p, L, c))
 		want := theory.EqualizedM(L, p, c)
 		if math.Abs(float64(m-want)) > 0.1*float64(want)+10 {
 			t.Errorf("p=%d: m = %d, want ≈ %d", p, m, want)
@@ -57,7 +57,7 @@ func TestEqualizedLengthMatchesKp(t *testing.T) {
 func TestEqualizedP1MatchesOptimalLadder(t *testing.T) {
 	// At p = 1 the equalization schedule is §5.2's ladder: steps of ≈ c.
 	c := 1.0
-	periods := EqualizedPeriodsUnits(1, 20000, c)
+	periods := appendEqualizedUnits(nil, 1, 20000, c)
 	for i := 0; i+1 < len(periods)-3; i++ { // skip the handover tail
 		step := periods[i] - periods[i+1]
 		if step < 0.5*c || step > 1.5*c {
@@ -67,10 +67,10 @@ func TestEqualizedP1MatchesOptimalLadder(t *testing.T) {
 }
 
 func TestEqualizedZeroWorkRegime(t *testing.T) {
-	if p := EqualizedPeriodsUnits(3, 3.5, 1); len(p) != 1 {
+	if p := appendEqualizedUnits(nil, 3, 3.5, 1); len(p) != 1 {
 		t.Errorf("zero-work regime should be a single period, got %v", p)
 	}
-	if p := EqualizedPeriodsUnits(0, 100, 1); len(p) != 1 {
+	if p := appendEqualizedUnits(nil, 0, 100, 1); len(p) != 1 {
 		t.Errorf("p=0 should be a single period, got %v", p)
 	}
 }

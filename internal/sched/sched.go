@@ -72,22 +72,32 @@ func appendEqualSplit(dst model.TickSchedule, L quant.Tick, k int) model.TickSch
 	return dst
 }
 
-// quantizeExact converts a continuous schedule (expressed in tick units) to
-// an exact partition of L ticks. Rounding residue lands on the first
-// (longest) period; degenerate inputs fall back to a single period.
-func quantizeExact(periods []float64, L quant.Tick) model.TickSchedule {
-	return appendQuantizeExact(nil, periods, L)
-}
-
-// appendQuantizeExact is quantizeExact into the caller's buffer — the
-// zero-alloc tail of every AppendEpisode below.
+// appendQuantizeExact appends a continuous schedule, expressed in tick
+// units, to dst as an exact partition of L ticks — the zero-alloc tail of
+// every AppendEpisode below. Each period rounds to the nearest tick, at
+// least 1, and the rounding residue lands on the longest period (the first
+// of equals), which perturbs any one period by at most m ticks. With no
+// periods, fewer than one tick per period, or a residue that would wipe out
+// the longest period, it appends the single period L.
 func appendQuantizeExact(dst model.TickSchedule, periods []float64, L quant.Tick) model.TickSchedule {
-	unit := quant.MustQuantum(1)
-	out, err := model.AppendQuantize(dst, model.Schedule(periods), unit, L)
-	if err != nil {
+	if len(periods) == 0 || L < quant.Tick(len(periods)) {
 		return append(dst, L)
 	}
-	return out
+	base, longest := len(dst), len(dst)
+	residue := L
+	for _, t := range periods {
+		ticks := max(quant.Tick(math.Round(t)), 1)
+		dst = append(dst, ticks)
+		residue -= ticks
+		if ticks > dst[longest] {
+			longest = len(dst) - 1
+		}
+	}
+	if dst[longest]+residue < 1 {
+		return append(dst[:base], L)
+	}
+	dst[longest] += residue
+	return dst
 }
 
 // --- §3.1: non-adaptive guideline -------------------------------------------
@@ -247,14 +257,8 @@ type GuidelineConfig struct {
 	DumpResidue bool
 }
 
-// GuidelinePeriodsUnits builds S_a^(p)[L] in continuous time (tick units);
-// exported for display in Table-2-style experiment rows.
-func GuidelinePeriodsUnits(p int, L, c float64) []float64 {
-	return GuidelinePeriodsUnitsCfg(p, L, c, GuidelineConfig{})
-}
-
-// GuidelinePeriodsUnitsCfg is GuidelinePeriodsUnits under an explicit
-// configuration.
+// GuidelinePeriodsUnitsCfg builds S_a^(p)[L] in continuous time (tick units)
+// under an explicit configuration.
 func GuidelinePeriodsUnitsCfg(p int, L, c float64, cfg GuidelineConfig) []float64 {
 	return appendGuidelineUnits(nil, p, L, c, cfg)
 }
@@ -347,7 +351,7 @@ func (s GuidelineVariant) Episode(p int, L quant.Tick) model.TickSchedule {
 	if p <= 0 {
 		return model.TickSchedule{L}
 	}
-	return quantizeExact(GuidelinePeriodsUnitsCfg(p, float64(L), float64(s.C), s.Cfg), L)
+	return appendQuantizeExact(nil, GuidelinePeriodsUnitsCfg(p, float64(L), float64(s.C), s.Cfg), L)
 }
 
 // Name implements model.Namer.
@@ -410,14 +414,8 @@ func NewAdaptiveEqualized(c quant.Tick) (*AdaptiveEqualized, error) {
 	return &AdaptiveEqualized{C: c}, nil
 }
 
-// EqualizedPeriodsUnits builds the equalization episode in continuous time
-// (tick units); exported for experiment tables.
-func EqualizedPeriodsUnits(p int, L, c float64) []float64 {
-	return appendEqualizedUnits(nil, p, L, c)
-}
-
-// appendEqualizedUnits builds the equalization episode into the caller's
-// buffer.
+// appendEqualizedUnits builds the equalization episode in continuous time
+// (tick units) into the caller's buffer.
 func appendEqualizedUnits(buf []float64, p int, L, c float64) []float64 {
 	if p <= 0 || L <= float64(p+1)*c {
 		return append(buf, L)
@@ -501,14 +499,9 @@ func NewOptimalP1(c quant.Tick) (*OptimalP1, error) {
 	return &OptimalP1{C: c}, nil
 }
 
-// OptimalP1PeriodsUnits builds S_opt^(1)[U] in continuous time; exported for
-// Table 2 experiment rows. It returns a single period when U ≤ 2c (the
+// appendOptimalP1Units builds the §5.2 ladder S_opt^(1)[U] in continuous
+// time into the caller's buffer. It appends a single period when U ≤ 2c (the
 // zero-work regime for p = 1).
-func OptimalP1PeriodsUnits(U, c float64) []float64 {
-	return appendOptimalP1Units(nil, U, c)
-}
-
-// appendOptimalP1Units builds the §5.2 ladder into the caller's buffer.
 func appendOptimalP1Units(buf []float64, U, c float64) []float64 {
 	if U <= 2*c {
 		return append(buf, U)

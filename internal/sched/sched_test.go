@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,7 +172,7 @@ func TestGuidelinePeriodsStructure(t *testing.T) {
 	c := 1.0
 	for p := 1; p <= 6; p++ {
 		U := 20000.0
-		periods := GuidelinePeriodsUnits(p, U, c)
+		periods := GuidelinePeriodsUnitsCfg(p, U, c, GuidelineConfig{})
 		var sum float64
 		for _, tk := range periods {
 			sum += tk
@@ -207,7 +208,7 @@ func TestGuidelineRampStepMatchesDelta(t *testing.T) {
 	// so start checking from the second).
 	c := 1.0
 	for p := 1; p <= 4; p++ {
-		periods := GuidelinePeriodsUnits(p, 50000, c)
+		periods := GuidelinePeriodsUnitsCfg(p, 50000, c, GuidelineConfig{})
 		ellp := theory.GuidelineTailCount(p)
 		m := len(periods)
 		delta := theory.GuidelineRampStep(p, c)
@@ -227,7 +228,7 @@ func TestGuidelineP1MatchesTable2Shape(t *testing.T) {
 	// do not sum exactly to U either); allow a constant-width band.
 	c := 1.0
 	for _, U := range []float64{1000, 5000, 20000} {
-		periods := GuidelinePeriodsUnits(1, U, c)
+		periods := GuidelinePeriodsUnitsCfg(1, U, c, GuidelineConfig{})
 		m := len(periods)
 		want := theory.GuidelineM(U, 1, c)
 		if m < want-5 || m > want+5 {
@@ -240,7 +241,7 @@ func TestGuidelineP1MatchesTable2Shape(t *testing.T) {
 }
 
 func TestGuidelineZeroWorkRegimeFallsBack(t *testing.T) {
-	periods := GuidelinePeriodsUnits(3, 3.5, 1) // U ≤ (p+1)c
+	periods := GuidelinePeriodsUnitsCfg(3, 3.5, 1, GuidelineConfig{}) // U ≤ (p+1)c
 	if len(periods) != 1 {
 		t.Errorf("zero-work regime should yield a single period, got %v", periods)
 	}
@@ -250,7 +251,7 @@ func TestGuidelineSmallUFallback(t *testing.T) {
 	// Above the zero-work threshold but below the canonical shape.
 	p, c := 2, 1.0
 	U := 4.0 // (p+1)c = 3 < U < base ≈ 5.5
-	periods := GuidelinePeriodsUnits(p, U, c)
+	periods := GuidelinePeriodsUnitsCfg(p, U, c, GuidelineConfig{})
 	var sum float64
 	for _, tk := range periods {
 		sum += tk
@@ -296,7 +297,7 @@ func TestAdaptiveGuidelineEpisodeContract(t *testing.T) {
 func TestOptimalP1PeriodsUnitsStructure(t *testing.T) {
 	c := 1.0
 	for _, U := range []float64{10, 100, 1000, 33333} {
-		periods := OptimalP1PeriodsUnits(U, c)
+		periods := appendOptimalP1Units(nil, U, c)
 		var sum float64
 		for _, tk := range periods {
 			sum += tk
@@ -315,7 +316,7 @@ func TestOptimalP1PeriodsUnitsStructure(t *testing.T) {
 			}
 		}
 	}
-	if periods := OptimalP1PeriodsUnits(1.5, 1); len(periods) != 1 {
+	if periods := appendOptimalP1Units(nil, 1.5, 1); len(periods) != 1 {
 		t.Errorf("zero-work regime should be one period, got %v", periods)
 	}
 }
@@ -382,8 +383,134 @@ func TestSchedulerNames(t *testing.T) {
 
 func TestQuantizeExactFallback(t *testing.T) {
 	// Degenerate float schedules must still return a legal partition.
-	ts := quantizeExact([]float64{0.0001, 0.0001}, 1)
+	ts := appendQuantizeExact(nil, []float64{0.0001, 0.0001}, 1)
 	if ts.Total() != 1 {
 		t.Errorf("fallback total = %d, want 1", ts.Total())
+	}
+}
+
+// referenceQuantize is appendQuantizeExact as it was built on the float
+// schedule layer: quantize at one tick per unit (ToTicks is
+// math.Round(t·perUnit)), report a failure as an error, and let the caller
+// fall back to the single period L.
+func referenceQuantize(dst model.TickSchedule, s []float64, L quant.Tick) model.TickSchedule {
+	const perUnit = 1.0
+	quantize := func(dst model.TickSchedule) (model.TickSchedule, error) {
+		if len(s) == 0 {
+			return dst, model.ErrEmptySchedule
+		}
+		if L < quant.Tick(len(s)) {
+			return dst, fmt.Errorf("cannot fit %d periods into %d ticks", len(s), L)
+		}
+		base := len(dst)
+		var sum quant.Tick
+		longest := base
+		for _, t := range s {
+			ticks := quant.Tick(math.Round(t * perUnit))
+			if ticks < 1 {
+				ticks = 1
+			}
+			dst = append(dst, ticks)
+			sum += ticks
+			if dst[len(dst)-1] > dst[longest] {
+				longest = len(dst) - 1
+			}
+		}
+		diff := L - sum
+		if dst[longest]+diff < 1 {
+			return dst[:base], fmt.Errorf("quantization residue %d exceeds schedule capacity", diff)
+		}
+		dst[longest] += diff
+		return dst, nil
+	}
+	out, err := quantize(dst)
+	if err != nil {
+		return append(dst, L)
+	}
+	return out
+}
+
+// appendQuantizeExact matches the reference bit for bit on any input, NaN,
+// ±Inf, negative and huge periods and L ≤ 0 included, and leaves the
+// destination prefix untouched. On inputs in the model's domain the result
+// partitions L exactly into periods of at least one tick, one per input
+// period, and it falls back to the single period L exactly when there are no
+// periods, L is below the period count, or the residue would wipe out the
+// longest period.
+func TestAppendQuantizeExactMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3.5, -0.4, 0, 0.49, 0.5, 1.5, 2.5, 1e300, -1e300, 9.3e18}
+	prefix := model.TickSchedule{11, 22, 33}
+	for trial := 0; trial < 20000; trial++ {
+		m := rng.Intn(13)
+		s := make([]float64, m)
+		sane := true
+		for i := range s {
+			if rng.Intn(8) == 0 {
+				s[i] = odd[rng.Intn(len(odd))]
+				sane = false
+			} else {
+				s[i] = rng.Float64()*40 + 0.3
+			}
+		}
+		var L quant.Tick
+		switch rng.Intn(4) {
+		case 0:
+			L = quant.Tick(rng.Intn(2*m+3)) - 2 // around the period count, ≤ 0 included
+		default:
+			var sum float64
+			for _, t := range s {
+				sum += t
+			}
+			L = quant.Tick(sum) + quant.Tick(rng.Intn(11)) - 5
+		}
+		want := referenceQuantize(append(model.TickSchedule{}, prefix...), s, L)
+		got := appendQuantizeExact(append(model.TickSchedule{}, prefix...), s, L)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %v, L=%d: got %v, want %v", trial, s, L, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: %v, L=%d: got %v, want %v", trial, s, L, got, want)
+			}
+		}
+		if got[0] != 11 || got[1] != 22 || got[2] != 33 {
+			t.Fatalf("trial %d: prefix clobbered: %v", trial, got)
+		}
+		if !sane {
+			continue
+		}
+		var sum, longest quant.Tick
+		for _, x := range s {
+			tk := max(quant.Tick(math.Round(x)), 1)
+			sum += tk
+			longest = max(longest, tk)
+		}
+		tail := got[len(prefix):]
+		if m == 0 || L < quant.Tick(m) || longest+L-sum < 1 {
+			if len(tail) != 1 || tail[0] != L {
+				t.Fatalf("trial %d: %v, L=%d: got %v, want the fallback [%d]", trial, s, L, tail, L)
+			}
+			continue
+		}
+		if len(tail) != m {
+			t.Fatalf("trial %d: %d periods from %d", trial, len(tail), m)
+		}
+		if err := tail.Validate(L); err != nil {
+			t.Fatalf("trial %d: %v, L=%d: %v", trial, s, L, err)
+		}
+	}
+	for _, c := range []struct {
+		s []float64
+		L quant.Tick
+	}{
+		{nil, 10},               // no periods
+		{[]float64{1, 1, 1}, 2}, // fewer ticks than periods
+		{[]float64{5, 5, 1}, 3}, // residue −8 wipes out a 5-tick period
+	} {
+		got := appendQuantizeExact(append(model.TickSchedule{}, prefix...), c.s, c.L)
+		if len(got) != len(prefix)+1 || got[len(prefix)] != c.L {
+			t.Errorf("%v into %d ticks: got %v, want the prefix and the single period %d", c.s, c.L, got, c.L)
+		}
 	}
 }

@@ -387,14 +387,3 @@ func validateEpisode(s model.EpisodeScheduler, ep model.TickSchedule, p int, L q
 	}
 	return total, nil
 }
-
-// GuaranteedReplay runs the schedule against a recorded best-response
-// adversary and returns the fluid work — a convenience for verifying that a
-// minimax evaluation is achieved by an actual execution.
-func GuaranteedReplay(s model.EpisodeScheduler, adv Interrupter, opp Opportunity) (quant.Tick, error) {
-	res, err := Run(s, adv, opp, Config{})
-	if err != nil {
-		return 0, err
-	}
-	return res.Work, nil
-}

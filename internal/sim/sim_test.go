@@ -181,11 +181,11 @@ func TestBestResponseReplayMatchesEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := GuaranteedReplay(s, br, Opportunity{U: U, P: P, C: c})
+			res, err := Run(s, br, Opportunity{U: U, P: P, C: c}, Config{})
 			if err != nil {
 				t.Fatalf("%s: %v", model.NameOf(s), err)
 			}
-			if got != want {
+			if got := res.Work; got != want {
 				t.Errorf("P=%d %s: replay %d ≠ evaluator %d", P, model.NameOf(s), got, want)
 			}
 		}

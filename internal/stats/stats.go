@@ -128,18 +128,3 @@ func LogLogSlope(x, y []float64) (slope, r2 float64) {
 	s, _, r := OLS(lx, ly)
 	return s, r
 }
-
-// RatioSeries returns element-wise a[i]/b[i], skipping pairs with b[i] = 0.
-func RatioSeries(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if b[i] != 0 {
-			out = append(out, a[i]/b[i])
-		}
-	}
-	return out
-}

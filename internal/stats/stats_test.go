@@ -129,13 +129,3 @@ func TestLogLogSlopeSkipsNonPositive(t *testing.T) {
 		t.Errorf("slope = %g, want 1 after skipping the negative point", slope)
 	}
 }
-
-func TestRatioSeries(t *testing.T) {
-	got := RatioSeries([]float64{4, 9, 5}, []float64{2, 3, 0})
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("RatioSeries = %v", got)
-	}
-	if got := RatioSeries([]float64{1, 2, 3}, []float64{1}); len(got) != 1 {
-		t.Errorf("length mismatch handling: %v", got)
-	}
-}

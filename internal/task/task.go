@@ -22,14 +22,14 @@ type Task struct {
 	Duration quant.Tick
 }
 
-// Bag is an ordered multiset of pending tasks. Take removes a prefix-greedy
-// fitting set; Return puts killed tasks back at the front (they were in
+// Bag is an ordered multiset of pending tasks. TakeInto removes a
+// prefix-greedy fitting set; Return puts killed tasks back at the front (they were in
 // flight and remain next in line). Bag is not safe for concurrent use; the
 // farm engine gives each station group its own bag.
 //
-// Internally the pending list is buf[head:]: Take consumes by advancing
+// Internally the pending list is buf[head:]: TakeInto consumes by advancing
 // head, which leaves headroom that Return refills in place. The
-// kill-and-reschedule cycle of the simulator (Take a period's tasks, Return
+// kill-and-reschedule cycle of the simulator (take a period's tasks, Return
 // them on interrupt) therefore costs O(tasks moved), not O(queue) — the
 // difference between linear and quadratic total work on fleet-scale queues
 // holding tens of thousands of tasks.
@@ -38,7 +38,7 @@ type Bag struct {
 	head int
 	// minDur is a lower bound on the smallest pending duration (0 when the
 	// bag has never held a task). Removals can only raise the true minimum,
-	// so the bound stays valid without rescanning; it lets Take reject
+	// so the bound stays valid without rescanning; it lets TakeInto reject
 	// nothing-fits periods without touching the pending list. A scan that
 	// reads to the end of the pending list tightens it: every task it left
 	// behind was longer than the residual capacity when skipped, and that
@@ -91,24 +91,11 @@ func (b *Bag) RemainingWork() quant.Tick {
 	return sum
 }
 
-// Take removes and returns a set of tasks that fits within capacity, scanning
-// the bag in order and skipping tasks that do not fit (first-fit). The
-// returned tasks' durations sum to at most capacity. Nothing fitting returns
-// nil. Callers that can reuse a buffer should prefer TakeInto — Take pays a
-// fresh slice per call.
-func (b *Bag) Take(capacity quant.Tick) []Task {
-	got := b.TakeInto(nil, capacity)
-	if len(got) == 0 {
-		return nil
-	}
-	return got
-}
-
-// TakeInto is Take appending into the caller's buffer: taken tasks land in
-// dst and the extended slice is returned, with dst returned unchanged when
-// nothing fits. One warm buffer makes the simulator's per-period task
-// shipping allocation-free — the intermediate slice Take materializes per
-// call is the single largest allocation source on the farm hot path.
+// TakeInto removes a set of tasks that fits within capacity and appends it
+// to dst, scanning the bag in order and skipping tasks that do not fit
+// (first-fit). The taken tasks' durations sum to at most capacity, and dst
+// comes back unchanged when nothing fits. One warm buffer makes the
+// simulator's per-period task shipping allocation-free.
 //
 // The scan stops as soon as the residual capacity can fit nothing more
 // (durations are ≥ 1), so the common period — a handful of tasks off the
@@ -159,7 +146,7 @@ func (b *Bag) TakeInto(dst []Task, capacity quant.Tick) []Task {
 
 // Return puts tasks back at the front of the bag, preserving their order —
 // used when an interrupt kills the period that was running them. When the
-// tasks fit in the headroom an earlier Take vacated (the overwhelmingly
+// tasks fit in the headroom an earlier TakeInto vacated (the overwhelmingly
 // common case: a kill returns what was just taken), they are copied back in
 // place with no allocation.
 func (b *Bag) Return(tasks []Task) {
@@ -332,28 +319,6 @@ func Uniform(n int, lo, hi quant.Tick, seed int64) []Task {
 	out := make([]Task, n)
 	for i := range out {
 		out[i] = Task{ID: i, Duration: lo + quant.Tick(rng.Int63n(int64(hi-lo+1)))}
-	}
-	return out
-}
-
-// Bimodal returns n tasks that are `small` with probability 1−fracLarge and
-// `large` otherwise — render-farm style workloads (cheap frames, expensive
-// hero frames).
-func Bimodal(n int, small, large quant.Tick, fracLarge float64, seed int64) []Task {
-	if small < 1 {
-		small = 1
-	}
-	if large < small {
-		large = small
-	}
-	rng := lazyrand.New(seed)
-	out := make([]Task, n)
-	for i := range out {
-		d := small
-		if rng.Float64() < fracLarge {
-			d = large
-		}
-		out[i] = Task{ID: i, Duration: d}
 	}
 	return out
 }

@@ -20,7 +20,7 @@ func TestNewBagAndRemaining(t *testing.T) {
 
 func TestTakeRespectsCapacity(t *testing.T) {
 	b := NewBag(Fixed(10, 7))
-	got := b.Take(20) // fits 2 tasks of 7 (14), third would exceed
+	got := b.TakeInto(nil, 20) // fits 2 tasks of 7 (14), third would exceed
 	if len(got) != 2 || Durations(got) != 14 {
 		t.Errorf("Take(20) = %v (total %d), want 2 tasks totalling 14", got, Durations(got))
 	}
@@ -31,7 +31,7 @@ func TestTakeRespectsCapacity(t *testing.T) {
 
 func TestTakeFirstFitSkipsOversized(t *testing.T) {
 	b := NewBag([]Task{{ID: 0, Duration: 50}, {ID: 1, Duration: 5}, {ID: 2, Duration: 5}})
-	got := b.Take(12)
+	got := b.TakeInto(nil, 12)
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Errorf("Take(12) = %v, want tasks 1 and 2", got)
 	}
@@ -42,26 +42,26 @@ func TestTakeFirstFitSkipsOversized(t *testing.T) {
 
 func TestTakeEdgeCases(t *testing.T) {
 	b := NewBag(Fixed(3, 10))
-	if got := b.Take(0); got != nil {
+	if got := b.TakeInto(nil, 0); got != nil {
 		t.Errorf("Take(0) = %v, want nil", got)
 	}
-	if got := b.Take(5); got != nil {
+	if got := b.TakeInto(nil, 5); got != nil {
 		t.Errorf("Take(5) with all tasks of 10 = %v, want nil", got)
 	}
 	empty := NewBag(nil)
-	if got := empty.Take(100); got != nil {
+	if got := empty.TakeInto(nil, 100); got != nil {
 		t.Errorf("Take from empty bag = %v, want nil", got)
 	}
 }
 
 func TestReturnPutsTasksAtFront(t *testing.T) {
 	b := NewBag([]Task{{ID: 0, Duration: 5}, {ID: 1, Duration: 5}})
-	taken := b.Take(5)
+	taken := b.TakeInto(nil, 5)
 	if len(taken) != 1 || taken[0].ID != 0 {
 		t.Fatalf("Take = %v", taken)
 	}
 	b.Return(taken)
-	again := b.Take(5)
+	again := b.TakeInto(nil, 5)
 	if len(again) != 1 || again[0].ID != 0 {
 		t.Errorf("returned task should be next in line, got %v", again)
 	}
@@ -80,7 +80,7 @@ func TestTakeReturnConservesWork(t *testing.T) {
 		var inFlight []Task
 		for i := 0; i < 10; i++ {
 			cap := quant.Tick(1 + rng.Int63n(100))
-			got := b.Take(cap)
+			got := b.TakeInto(nil, cap)
 			if Durations(got) > cap {
 				return false
 			}
@@ -143,29 +143,6 @@ func TestUniformGenerator(t *testing.T) {
 	}
 }
 
-func TestBimodalGenerator(t *testing.T) {
-	tasks := Bimodal(500, 5, 100, 0.2, 7)
-	if err := Validate(tasks); err != nil {
-		t.Fatal(err)
-	}
-	large := 0
-	for _, tk := range tasks {
-		switch tk.Duration {
-		case 5:
-		case 100:
-			large++
-		default:
-			t.Fatalf("unexpected duration %d", tk.Duration)
-		}
-	}
-	if large < 50 || large > 150 {
-		t.Errorf("large fraction %d/500, want ≈ 100", large)
-	}
-	if Bimodal(1, 0, 0, 0, 1)[0].Duration != 1 {
-		t.Error("degenerate bounds should clamp")
-	}
-}
-
 func TestExponentialGenerator(t *testing.T) {
 	tasks := Exponential(1000, 20, 3)
 	if err := Validate(tasks); err != nil {
@@ -201,7 +178,7 @@ func TestValidate(t *testing.T) {
 func TestResetMatchesNewBag(t *testing.T) {
 	tasks := Uniform(200, 3, 40, 1)
 	b := NewBag(Exponential(300, 9, 2))
-	b.Take(100)
+	b.TakeInto(nil, 100)
 	b.Return([]Task{{ID: 1000, Duration: 1}})
 	b.Steal(7)
 	b.Reset(tasks)
@@ -210,7 +187,7 @@ func TestResetMatchesNewBag(t *testing.T) {
 		t.Fatalf("reset bag head=%d minDur=%d, fresh minDur=%d", b.head, b.minDur, fresh.minDur)
 	}
 	for capacity := quant.Tick(1); b.Remaining() > 0; capacity += 13 {
-		got, want := b.Take(capacity), fresh.Take(capacity)
+		got, want := b.TakeInto(nil, capacity), fresh.TakeInto(nil, capacity)
 		if len(got) != len(want) {
 			t.Fatalf("Take(%d) after Reset = %v, fresh bag %v", capacity, got, want)
 		}
@@ -227,7 +204,7 @@ func TestResetMatchesNewBag(t *testing.T) {
 		t.Errorf("warm Reset allocates %.1f per call", allocs)
 	}
 	b.Reset(nil)
-	if b.Remaining() != 0 || b.Take(100) != nil {
+	if b.Remaining() != 0 || b.TakeInto(nil, 100) != nil {
 		t.Errorf("Reset(nil) left %d tasks", b.Remaining())
 	}
 }
@@ -285,14 +262,14 @@ func TestBagStealAndAppend(t *testing.T) {
 	}
 	// Returned (killed) tasks still jump the queue ahead of appended ones.
 	b.Return([]Task{{ID: 99, Duration: 1}})
-	front := b.Take(1)
+	front := b.TakeInto(nil, 1)
 	if len(front) != 1 || front[0].ID != 99 {
 		t.Errorf("killed task not at the front: %v", front)
 	}
 }
 
-// TakeInto must agree with Take exactly (same tasks, same bag mutation) —
-// it is the same scan, minus the per-call slice.
+// TakeInto into a reused buffer must agree exactly with TakeInto into a
+// fresh one (same tasks, same bag mutation).
 func TestTakeIntoMatchesTake(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
@@ -302,10 +279,10 @@ func TestTakeIntoMatchesTake(t *testing.T) {
 		buf := make([]Task, 0, 8)
 		for step := 0; step < 30; step++ {
 			cap := quant.Tick(rng.Int63n(60))
-			want := a.Take(cap)
+			want := a.TakeInto(nil, cap)
 			buf = b.TakeInto(buf[:0], cap)
 			if len(want) != len(buf) {
-				t.Fatalf("trial %d step %d: Take got %d tasks, TakeInto %d", trial, step, len(want), len(buf))
+				t.Fatalf("trial %d step %d: fresh buffer took %d tasks, reused buffer %d", trial, step, len(want), len(buf))
 			}
 			for i := range want {
 				if want[i] != buf[i] {
@@ -351,30 +328,20 @@ func TestTakeIntoPreservesPrefixAndReusesBuffer(t *testing.T) {
 	}
 }
 
-// benchBagTake measures the kill/reschedule cycle (take a period's worth,
-// return it) that dominates the simulator's contended path.
-func benchBagTake(b *testing.B, into bool) {
+// BenchmarkBagTakeInto measures the kill/reschedule cycle (take a period's
+// worth into a reused buffer, return it) that dominates the simulator's
+// contended path.
+func BenchmarkBagTakeInto(b *testing.B) {
 	tasks := Uniform(5000, 5, 50, 1)
 	bag := NewBag(tasks)
 	var buf []Task
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if into {
-			buf = bag.TakeInto(buf[:0], 200)
-			bag.Return(buf)
-		} else {
-			got := bag.Take(200)
-			bag.Return(got)
-		}
+		buf = bag.TakeInto(buf[:0], 200)
+		bag.Return(buf)
 	}
 }
-
-// BenchmarkBagTake is the allocating baseline: one fresh slice per period.
-func BenchmarkBagTake(b *testing.B) { benchBagTake(b, false) }
-
-// BenchmarkBagTakeInto is the buffer-reusing fast path the simulator rides.
-func BenchmarkBagTakeInto(b *testing.B) { benchBagTake(b, true) }
 
 func TestCompletedPrefix(t *testing.T) {
 	tasks := []Task{{ID: 0, Duration: 15}, {ID: 1, Duration: 20}, {ID: 2, Duration: 30}}
@@ -408,7 +375,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		for i := range bags {
 			bags[i] = NewBag(Uniform(r.Intn(30), 1, 40, seed+int64(i)))
 			for step := r.Intn(6); step > 0; step-- {
-				got := bags[i].Take(quant.Tick(r.Intn(90)))
+				got := bags[i].TakeInto(nil, quant.Tick(r.Intn(90)))
 				if r.Intn(3) == 0 {
 					bags[i].Return(got)
 				}
@@ -448,7 +415,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 				t.Fatalf("trial %d bag %d: %d tasks/%d work, want %d/%d", trial, i, g.Remaining(), g.RemainingWork(), w.Remaining(), w.RemainingWork())
 			}
 			for capacity := quant.Tick(1); w.Remaining() > 0; capacity += 7 {
-				if gt, wt := g.Take(capacity), w.Take(capacity); !equalTasks(gt, wt) {
+				if gt, wt := g.TakeInto(nil, capacity), w.TakeInto(nil, capacity); !equalTasks(gt, wt) {
 					t.Fatalf("trial %d bag %d: Take(%d) = %v, want %v", trial, i, capacity, gt, wt)
 				}
 			}
@@ -611,7 +578,7 @@ func TestBagMatchesReferenceModel(t *testing.T) {
 				op = "Take"
 				var got []Task
 				if k == 0 {
-					got = b.Take(capacity)
+					got = b.TakeInto(nil, capacity)
 					if got != nil && len(got) == 0 {
 						t.Fatalf("seed %d step %d: Take returned an empty non-nil slice", seed, step)
 					}

@@ -1,12 +1,11 @@
 package cyclesteal
 
 import (
-	"math"
+	"fmt"
 	"sync"
 
 	"cyclesteal/internal/adversary"
 	"cyclesteal/internal/lazyrand"
-	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/task"
 )
@@ -57,9 +56,9 @@ func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, 
 	if len(opts.TaskDurations) > 0 {
 		tasks := scratch.tasks[:0]
 		for i, d := range opts.TaskDurations {
-			ticks := quant.Tick(math.Round(d / e.opp.Setup * float64(e.ticksC)))
-			if ticks < 1 {
-				ticks = 1
+			ticks, ok := gridTicks(d, e.opp.Setup, float64(e.ticksC))
+			if !ok {
+				return Result{}, fmt.Errorf("cyclesteal: task %d duration %w", i, gridError(d))
 			}
 			tasks = append(tasks, task.Task{ID: i, Duration: ticks})
 		}
@@ -121,9 +120,6 @@ func (e *Engine) RandomAdversary(prob float64, seed int64) Adversary {
 // PeriodicAdversary returns an owner on a fixed routine, reclaiming the
 // machine every `every` time units.
 func (e *Engine) PeriodicAdversary(every float64) Adversary {
-	t := quant.Tick(math.Round(every / e.opp.Setup * float64(e.ticksC)))
-	if t < 1 {
-		t = 1
-	}
+	t, _ := gridTicks(every, e.opp.Setup, float64(e.ticksC))
 	return adversary.Periodic{U: e.u, Every: t}
 }

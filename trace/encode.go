@@ -2,12 +2,16 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"cyclesteal/internal/jsonl"
 )
 
 // csvMagic is the first field of a CSV trace's header record.
@@ -15,6 +19,39 @@ const csvMagic = "cyclesteal-trace"
 
 // jsonFormat is the "format" value of a JSONL trace's header line.
 const jsonFormat = "cyclesteal-trace"
+
+// maxLine caps the bytes of one line of a trace, its line ending aside, in
+// either encoding, so a corrupt or hostile file cannot make a reader buffer
+// without end: jsonl.MaxLine, the cap the service WAL and the distrib wire
+// frames share.
+var maxLine = jsonl.MaxLine
+
+// scanLines reads r one line at a time, calling fn with the 1-based line
+// number and the line without its line ending, and skipping blank lines. A
+// line over maxLine is an error naming it; the scanner holds at most a full
+// line and its "\r\n".
+func scanLines(r io.Reader, fn func(n int, line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine+len("\r\n"))
+	n := 0
+	for sc.Scan() {
+		n++
+		line := sc.Bytes()
+		if len(line) > maxLine {
+			return fmt.Errorf("trace: line %d: %w", n, bufio.ErrTooLong)
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if err := fn(n, line); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("trace: line %d: %w", n+1, err)
+	}
+	return nil
+}
 
 // maxInterruptsPerRow bounds the ';'-separated interrupt list a single CSV
 // field may carry, so a malformed row cannot make the parser build an
@@ -58,59 +95,81 @@ func WriteCSV(w io.Writer, t *Trace) error {
 	return cw.Error()
 }
 
-// ReadCSV decodes a trace written by WriteCSV. Malformed input returns an
-// error; it never panics.
+// ReadCSV decodes a trace written by WriteCSV, one record per line: a
+// record may not span lines, and a line over the cap is an error naming its
+// row. Blank lines, and whitespace before the header, are skipped.
+// Malformed input returns an error; it never panics.
 func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
+	var src bytes.Reader
+	cr := csv.NewReader(&src)
 	cr.FieldsPerRecord = -1 // the header records have their own widths
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading csv: %w", err)
-	}
-	if len(records) < 2 {
-		return nil, fmt.Errorf("trace: csv too short: need the magic and column headers")
-	}
-	head := records[0]
-	if len(head) != 3 || head[0] != csvMagic {
-		return nil, fmt.Errorf("trace: not a %s csv file", csvMagic)
-	}
-	version, err := strconv.Atoi(head[1])
-	if err != nil || version != FormatVersion {
-		return nil, fmt.Errorf("trace: unsupported format version %q (want %d)", head[1], FormatVersion)
-	}
-	ticks, err := strconv.Atoi(head[2])
-	if err != nil {
-		return nil, fmt.Errorf("trace: header ticks per setup: %w", err)
-	}
-	t := &Trace{TicksPerSetup: ticks}
-	for i, rec := range records[2:] { // records[1] is the column-name row
-		row := i + 3 // 1-based line number for error messages
+	var t *Trace
+	rows := 0
+	err := scanLines(r, func(row int, line []byte) error {
+		if rows == 0 {
+			line = bytes.TrimLeft(line, " \t\r") // whitespace before the header, as Read skips it
+		}
+		src.Reset(line)
+		rec, err := cr.Read()
+		if err != nil {
+			var perr *csv.ParseError
+			if errors.As(err, &perr) { // its line counts records, not lines
+				return fmt.Errorf("trace: row %d, column %d: %w", row, perr.Column, perr.Err)
+			}
+			return fmt.Errorf("trace: row %d: %w", row, err)
+		}
+		rows++
+		switch rows {
+		case 1:
+			if len(rec) != 3 || rec[0] != csvMagic {
+				return fmt.Errorf("trace: not a %s csv file", csvMagic)
+			}
+			version, err := strconv.Atoi(rec[1])
+			if err != nil || version != FormatVersion {
+				return fmt.Errorf("trace: unsupported format version %q (want %d)", rec[1], FormatVersion)
+			}
+			ticks, err := strconv.Atoi(rec[2])
+			if err != nil {
+				return fmt.Errorf("trace: header ticks per setup: %w", err)
+			}
+			t = &Trace{TicksPerSetup: ticks}
+			return nil
+		case 2:
+			return nil // the column-name row
+		}
 		if len(rec) != 4 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want 4", row, len(rec))
+			return fmt.Errorf("trace: row %d has %d fields, want 4", row, len(rec))
 		}
 		o := Opportunity{}
 		if o.Station, err = strconv.Atoi(rec[0]); err != nil {
-			return nil, fmt.Errorf("trace: row %d station: %w", row, err)
+			return fmt.Errorf("trace: row %d station: %w", row, err)
 		}
 		if o.Lifespan, err = strconv.ParseInt(rec[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: row %d lifespan: %w", row, err)
+			return fmt.Errorf("trace: row %d lifespan: %w", row, err)
 		}
 		if o.Allowance, err = strconv.Atoi(rec[2]); err != nil {
-			return nil, fmt.Errorf("trace: row %d allowance: %w", row, err)
+			return fmt.Errorf("trace: row %d allowance: %w", row, err)
 		}
 		if rec[3] != "" {
 			parts := strings.Split(rec[3], ";")
 			if len(parts) > maxInterruptsPerRow {
-				return nil, fmt.Errorf("trace: row %d has %d interrupts", row, len(parts))
+				return fmt.Errorf("trace: row %d has %d interrupts", row, len(parts))
 			}
 			o.Interrupts = make([]int64, len(parts))
 			for j, part := range parts {
 				if o.Interrupts[j], err = strconv.ParseInt(part, 10, 64); err != nil {
-					return nil, fmt.Errorf("trace: row %d interrupt %d: %w", row, j+1, err)
+					return fmt.Errorf("trace: row %d interrupt %d: %w", row, j+1, err)
 				}
 			}
 		}
 		t.Opportunities = append(t.Opportunities, o)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rows < 2 {
+		return nil, fmt.Errorf("trace: csv too short: need the magic and column headers")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -154,32 +213,42 @@ func WriteJSONL(w io.Writer, t *Trace) error {
 	return nil
 }
 
-// ReadJSONL decodes a trace written by WriteJSONL. Malformed input returns
-// an error; it never panics.
+// ReadJSONL decodes a trace written by WriteJSONL: one JSON object per
+// line, decoded strictly by jsonl.Unmarshal, so an unknown field, a second
+// value on a line or an object split across lines is an error naming its
+// line, as is a line over the cap. Blank lines are skipped. Malformed input
+// returns an error; it never panics.
 func ReadJSONL(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(r)
-	var head jsonHeader
-	if err := dec.Decode(&head); err != nil {
-		return nil, fmt.Errorf("trace: reading jsonl header: %w", err)
-	}
-	if head.Format != jsonFormat {
-		return nil, fmt.Errorf("trace: not a %s jsonl file", jsonFormat)
-	}
-	if head.Version != FormatVersion {
-		return nil, fmt.Errorf("trace: unsupported format version %d (want %d)", head.Version, FormatVersion)
-	}
-	t := &Trace{TicksPerSetup: head.TicksPerSetup}
-	for line := 2; ; line++ {
-		var o jsonOpportunity
-		if err := dec.Decode(&o); err != nil {
-			if err == io.EOF {
-				break
+	var t *Trace
+	err := scanLines(r, func(n int, line []byte) error {
+		if t == nil {
+			var head jsonHeader
+			if err := jsonl.Unmarshal(line, &head); err != nil {
+				return fmt.Errorf("trace: jsonl line %d: header: %w", n, err)
 			}
-			return nil, fmt.Errorf("trace: jsonl line %d: %w", line, err)
+			if head.Format != jsonFormat {
+				return fmt.Errorf("trace: not a %s jsonl file", jsonFormat)
+			}
+			if head.Version != FormatVersion {
+				return fmt.Errorf("trace: unsupported format version %d (want %d)", head.Version, FormatVersion)
+			}
+			t = &Trace{TicksPerSetup: head.TicksPerSetup}
+			return nil
+		}
+		var o jsonOpportunity
+		if err := jsonl.Unmarshal(line, &o); err != nil {
+			return fmt.Errorf("trace: jsonl line %d: %w", n, err)
 		}
 		t.Opportunities = append(t.Opportunities, Opportunity{
 			Station: o.Station, Lifespan: o.Lifespan, Allowance: o.Allowance, Interrupts: o.Interrupts,
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if t == nil {
+		return nil, fmt.Errorf("trace: jsonl has no header line")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -188,19 +257,22 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 }
 
 // Read decodes a trace in either encoding, sniffing the first non-space
-// byte: '{' means JSONL, anything else CSV.
+// byte: '{' means JSONL, anything else CSV. The sniff only peeks, so the
+// chosen reader sees, and bounds, every line.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	for {
-		b, err := br.Peek(1)
+	for i := 0; ; i++ {
+		b, err := br.Peek(i + 1)
+		if errors.Is(err, bufio.ErrBufferFull) {
+			return ReadCSV(br) // a sniff window of whitespace
+		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: empty input")
 		}
-		if b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r' {
-			br.ReadByte()
+		switch b[i] {
+		case ' ', '\t', '\n', '\r':
 			continue
-		}
-		if b[0] == '{' {
+		case '{':
 			return ReadJSONL(br)
 		}
 		return ReadCSV(br)

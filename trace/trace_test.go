@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,6 +118,72 @@ func TestReadAutoDetect(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// endlessLine reads as one line that never ends, counting what was read.
+type endlessLine struct{ read int }
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '7'
+	}
+	r.read += len(p)
+	return len(p), nil
+}
+
+// A line of exactly the cap is read and one byte more is an error naming
+// the line, in both encodings and through Read; an endless line is refused
+// once the reader holds a cap's worth of it.
+func TestReadersBoundLines(t *testing.T) {
+	const limit = 80
+	withMaxLine(t, limit)
+	// The last line of each trace is n bytes long: the CSV row pads its
+	// lifespan with leading zeros, the JSONL object trails spaces.
+	csvHead := "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n"
+	csvTrace := func(n int) string {
+		return csvHead + "0," + strings.Repeat("0", n-len("0,100,1,")) + "100,1,\n"
+	}
+	jsonlHead := `{"format":"cyclesteal-trace","version":1,"ticks_per_setup":100}` + "\n"
+	jsonlTrace := func(n int) string {
+		obj := `{"station":0,"lifespan":100,"allowance":1}`
+		return jsonlHead + obj + strings.Repeat(" ", n-len(obj)) + "\n"
+	}
+	for _, c := range []struct {
+		name  string
+		trace func(int) string
+		read  func(io.Reader) (*Trace, error)
+		line  string
+	}{
+		{"ReadCSV", csvTrace, ReadCSV, "line 3"},
+		{"ReadJSONL", jsonlTrace, ReadJSONL, "line 2"},
+		{"Read csv", csvTrace, Read, "line 3"},
+		{"Read jsonl", jsonlTrace, Read, "line 2"},
+	} {
+		if tr, err := c.read(strings.NewReader(c.trace(limit))); err != nil || len(tr.Opportunities) != 1 || tr.Opportunities[0].Lifespan != 100 {
+			t.Errorf("%s: a line of exactly the cap: %v", c.name, err)
+		}
+		_, err := c.read(strings.NewReader(c.trace(limit + 1)))
+		if err == nil || !strings.Contains(err.Error(), c.line) || !strings.Contains(err.Error(), "too long") {
+			t.Errorf("%s: a line one byte over the cap: error %v, want a too-long error naming %s", c.name, err, c.line)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		head string
+		read func(io.Reader) (*Trace, error)
+	}{
+		{"ReadCSV", csvHead, ReadCSV},
+		{"ReadJSONL", jsonlHead, ReadJSONL},
+	} {
+		r := &endlessLine{}
+		_, err := c.read(io.MultiReader(strings.NewReader(c.head), r))
+		if err == nil || !strings.Contains(err.Error(), "too long") {
+			t.Errorf("%s: endless line: error %v, want a too-long error", c.name, err)
+		}
+		if r.read > 2*limit {
+			t.Errorf("%s: read %d bytes of a line capped at %d", c.name, r.read, limit)
+		}
 	}
 }
 
