@@ -150,6 +150,29 @@ func gridError(units float64) error {
 	return fmt.Errorf("%g overflows the tick grid", units)
 }
 
+// refusal is what a constructor returns for a value it refuses, so that
+// its signature can stay errorless: a Scheduler with no periods and an
+// Adversary who never interrupts, carrying the error that GuaranteedWork,
+// WorstCase and Simulate return when handed it.
+type refusal struct{ err error }
+
+// Episode implements Scheduler: a refused schedule has no periods.
+func (refusal) Episode(int, quant.Tick) model.TickSchedule { return nil }
+
+// NextInterrupt implements Adversary: a refused owner never interrupts.
+func (refusal) NextInterrupt(int, quant.Tick, model.TickSchedule) (quant.Tick, bool) {
+	return 0, false
+}
+
+// refused returns the error a refused constructor value carries, nil for
+// any other value.
+func refused(v any) error {
+	if r, ok := v.(refusal); ok {
+		return r.err
+	}
+	return nil
+}
+
 // Opportunity returns the opportunity the engine was built for.
 func (e *Engine) Opportunity() Opportunity { return e.opp }
 
@@ -204,9 +227,14 @@ func (e *Engine) SinglePeriod() Scheduler { return sched.SinglePeriod{} }
 func (e *Engine) EqualSplit(m int) Scheduler { return sched.EqualSplit{M: m} }
 
 // FixedChunk returns the Atallah-style fixed-chunk baseline; the chunk length
-// is given in the caller's time units.
+// is given in the caller's time units. A NaN, infinite or negative length,
+// or one the tick grid cannot hold, gives a schedule that GuaranteedWork,
+// WorstCase and Simulate refuse with an error naming the value.
 func (e *Engine) FixedChunk(units float64) Scheduler {
-	t, _ := gridTicks(units, e.opp.Setup, float64(e.ticksC))
+	t, ok := gridTicks(units, e.opp.Setup, float64(e.ticksC))
+	if !ok {
+		return refusal{fmt.Errorf("cyclesteal: FixedChunk length %w", gridError(units))}
+	}
 	return sched.FixedChunk{T: t}
 }
 
@@ -216,6 +244,9 @@ func (e *Engine) FixedChunk(units float64) Scheduler {
 // it banks against the worst adversary allowed by the contract, in the
 // caller's time units.
 func (e *Engine) GuaranteedWork(s Scheduler) (float64, error) {
+	if err := refused(s); err != nil {
+		return 0, err
+	}
 	w, err := game.Evaluate(s, e.p, e.u, e.ticksC)
 	if err != nil {
 		return 0, err
@@ -260,6 +291,9 @@ func (e *Engine) Episode(s Scheduler) []float64 {
 // WorstCase returns the guaranteed work of a schedule together with the
 // minimax adversary achieving it, for replay in Simulate.
 func (e *Engine) WorstCase(s Scheduler) (float64, Adversary, error) {
+	if err := refused(s); err != nil {
+		return 0, nil, err
+	}
 	w, br, err := game.EvaluateWithStrategy(s, e.p, e.u, e.ticksC)
 	if err != nil {
 		return 0, nil, err

@@ -47,6 +47,55 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// A constructor value the engine cannot play is refused where it is used:
+// GuaranteedWork, WorstCase and Simulate return an error naming the
+// constructor and the value, where they once played a chunk or interval
+// the grid cannot hold as 1 tick, a NaN Poisson mean as an owner who never
+// returns and a NaN probability as one who always interrupts. The edge
+// values each constructor takes still play.
+func TestConstructorsRefuseBadValues(t *testing.T) {
+	e := engine(t, Opportunity{Lifespan: 100, Interrupts: 1, Setup: 1})
+	eq, err := e.AdaptiveEqualized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	gridBad := []float64{nan, inf, -inf, -5, 1e300}
+	check := func(name string, v float64, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), fmt.Sprintf("%g", v)) {
+			t.Errorf("%s(%g): error %v, want one naming %s and the value", name, v, err, name)
+		}
+	}
+	for _, v := range gridBad {
+		s := e.FixedChunk(v)
+		_, err := e.GuaranteedWork(s)
+		check("FixedChunk", v, err)
+		_, _, err = e.WorstCase(s)
+		check("FixedChunk", v, err)
+		_, err = e.Simulate(s, e.NoAdversary(), SimOptions{})
+		check("FixedChunk", v, err)
+		_, err = e.Simulate(eq, e.PeriodicAdversary(v), SimOptions{})
+		check("PeriodicAdversary", v, err)
+	}
+	for _, v := range []float64{nan, -inf, -5} {
+		_, err := e.Simulate(eq, e.PoissonAdversary(v, 1), SimOptions{})
+		check("PoissonAdversary", v, err)
+	}
+	for _, v := range []float64{nan, inf, -inf, -0.5, 1.5} {
+		_, err := e.Simulate(eq, e.RandomAdversary(v, 1), SimOptions{})
+		check("RandomAdversary", v, err)
+	}
+	for _, adv := range []Adversary{
+		e.PeriodicAdversary(0), e.PoissonAdversary(0, 1), e.PoissonAdversary(inf, 1),
+		e.RandomAdversary(0, 1), e.RandomAdversary(1, 1),
+	} {
+		if _, err := e.Simulate(e.FixedChunk(0), adv, SimOptions{}); err != nil {
+			t.Errorf("%T at an edge value: %v", adv, err)
+		}
+	}
+}
+
 // Scaling every caller-unit input by a power of two scales every caller-unit
 // output by exactly that factor and leaves every count equal: the grid
 // counts time in setup costs, so U and c scale together.

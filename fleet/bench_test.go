@@ -144,6 +144,45 @@ func BenchmarkFleetServiceWAL(b *testing.B) {
 	}
 }
 
+// e12Tasks is E12's job at setup cost 1: n task durations uniform on the
+// grid over [c/2, 4c], drawn from a fixed seed.
+func e12Tasks(n int) []float64 {
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]float64, n)
+	for i := range tasks {
+		tasks[i] = float64(50+rng.Intn(351)) / 100
+	}
+	return tasks
+}
+
+// BenchmarkFleetRunJob prices a batch run's intake: fleet.Run of a
+// 100,000-task E12 job on 1,000 stations of E12's mixed fleet (Office,
+// Laptop, Overnight owners), one opportunity each, so converting the job
+// and dealing it into the group queues weigh as much as the one round
+// played. The quantized job is 1.6 MB, so a change that copies it once
+// more fails the gate's B/op threshold. Workers 1 keeps allocs/op
+// independent of the host's CPU count; seeds vary per iteration so
+// nothing memoizes.
+func BenchmarkFleetRunJob(b *testing.B) {
+	const stations, tasks = 1000, 100000
+	job := fleet.Job{Tasks: e12Tasks(tasks)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := fleet.New(fleet.Config{Stations: stations, Setup: 1, Opportunities: 1, Workers: 1, Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := f.Run(context.Background(), job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TasksCompleted == 0 || res.TasksCompleted+res.TasksLeft != tasks {
+			b.Fatalf("run completed %d and left %d of %d tasks", res.TasksCompleted, res.TasksLeft, tasks)
+		}
+	}
+}
+
 // BenchmarkFleetReplicateGuideline prices a replication study under the
 // adaptive guideline, the policy every other farm and fleet benchmark
 // leaves out: E12's mixed fleet (Office, Laptop, Overnight owners) at bench
@@ -153,12 +192,7 @@ func BenchmarkFleetServiceWAL(b *testing.B) {
 // nothing memoizes.
 func BenchmarkFleetReplicateGuideline(b *testing.B) {
 	const stations, tasksPer = 200, 20
-	rng := rand.New(rand.NewSource(1))
-	tasks := make([]float64, stations*tasksPer)
-	for i := range tasks {
-		tasks[i] = float64(50+rng.Intn(351)) / 100
-	}
-	job := fleet.Job{Tasks: tasks}
+	job := fleet.Job{Tasks: e12Tasks(stations * tasksPer)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -374,25 +374,54 @@ func (g grid) checkedTicks(units float64) (quant.Tick, error) {
 }
 
 // quantize validates caller-unit task durations and puts them on the grid,
-// task i with ID i, returning the tasks and their total ticks. It refuses
-// what checkedTicks refuses, and a job whose total overflows a quant.Tick;
-// the error names the task. Every job enters through it: batch runs,
-// studies, and service submits, replays and recoveries.
-func (g grid) quantize(durations []float64) ([]task.Task, quant.Tick, error) {
-	tasks := make([]task.Task, len(durations))
+// dealt round-robin into hands as it goes: task i, with ID i, lands at
+// hands[i mod G].Tasks[i div G] for G = len(hands) — the partition
+// task.Deal makes — and each hand's MinDur becomes the smallest duration it
+// got. Each hand's Tasks must come sized to exactly its share. It returns
+// the job's total ticks. It refuses what checkedTicks refuses, and a job
+// whose total overflows a quant.Tick; the error names the task. Every job
+// enters through it: a batch run dealt over its groups (dealtJob), and
+// studies and service submits, replays and recoveries as one flat hand
+// (quantizeFlat).
+func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, error) {
+	ticksC := float64(g.ticksC)
 	var work quant.Tick
+	h, row := 0, 0
 	for i, d := range durations {
-		t, err := g.checkedTicks(d)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fleet: task %d duration %w", i, err)
+		// ticks and checkedTicks' test in one rounding: checkedTicks runs
+		// only on a refusal, to name its cause.
+		x := math.Round(d / g.setup * ticksC)
+		if !(d >= 0 && x < math.MaxInt64) {
+			_, err := g.checkedTicks(d)
+			return 0, fmt.Errorf("fleet: task %d duration %w", i, err)
 		}
-		tasks[i] = task.Task{ID: i, Duration: t}
+		t := max(quant.Tick(x), 1)
+		hand := &hands[h]
+		hand.Tasks[row] = task.Task{ID: i, Duration: t}
+		if hand.MinDur == 0 || t < hand.MinDur {
+			hand.MinDur = t
+		}
 		if work > math.MaxInt64-t {
-			return nil, 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
+			return 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
 		}
 		work += t
+		if h++; h == len(hands) {
+			h, row = 0, row+1
+		}
 	}
-	return tasks, work, nil
+	return work, nil
+}
+
+// quantizeFlat is quantize into one hand: the job as one task list, task i
+// at index i — the form a study replays and a service keeps until it deals
+// the job.
+func (g grid) quantizeFlat(durations []float64) ([]task.Task, quant.Tick, error) {
+	hand := []task.Hand{{Tasks: make([]task.Task, len(durations))}}
+	work, err := g.quantize(hand, durations)
+	if err != nil {
+		return nil, 0, err
+	}
+	return hand[0].Tasks, work, nil
 }
 
 // checkpointTicks validates a caller-unit checkpoint interval and puts it
@@ -607,13 +636,13 @@ func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
 	return fm
 }
 
-// batch binds the engine for one batch job: the farm, in the Private
-// layout for a Private pool or an empty job — an empty job has nothing to
-// share, so it is a pure fluid survey whatever the pool setting, every
-// station playing out all its contracts.
-func (f *Fleet) batch(stations []station.Workstation, fj farm.Job) farm.Farm {
+// batch binds the engine for one batch job of n tasks: the farm, in the
+// Private layout for a Private pool or an empty job — an empty job has
+// nothing to share, so it is a pure fluid survey whatever the pool setting,
+// every station playing out all its contracts.
+func (f *Fleet) batch(stations []station.Workstation, n int) farm.Farm {
 	fm := f.farm(stations)
-	fm.Private = f.cfg.Pool == Private || len(fj.Tasks) == 0
+	fm.Private = f.cfg.Pool == Private || n == 0
 	return fm
 }
 
@@ -635,12 +664,27 @@ func (f *Fleet) shards() int {
 	return f.cfg.Shards
 }
 
-// job validates the caller's task durations and quantizes them onto the
-// tick grid, returning the job and its total work.
-func (f *Fleet) job(job Job) (farm.Job, quant.Tick, error) {
-	if len(job.Tasks) == 0 {
+// dealtJob validates the caller's task durations and quantizes them
+// straight into a run's group queues, returning the job and its total
+// work: hand g of groups gets tasks g, g+groups, g+2·groups, …, the deal
+// farm.Core.AddTasks would make of the flat list, and the run takes the
+// hands as its queues' storage. An empty job stays empty.
+func (f *Fleet) dealtJob(durations []float64, groups int) (farm.Job, quant.Tick, error) {
+	if len(durations) == 0 {
 		return farm.Job{}, 0, nil
 	}
-	tasks, work, err := f.g.quantize(job.Tasks)
-	return farm.Job{Tasks: tasks}, work, err
+	hands := make([]task.Hand, groups)
+	per, extra := len(durations)/groups, len(durations)%groups
+	for g := range hands {
+		n := per
+		if g < extra {
+			n++
+		}
+		hands[g].Tasks = make([]task.Task, n)
+	}
+	work, err := f.g.quantize(hands, durations)
+	if err != nil {
+		return farm.Job{}, 0, err
+	}
+	return farm.Job{Dealt: hands}, work, nil
 }

@@ -184,6 +184,75 @@ func equivalentInternalJob(j Job) farm.Job {
 	return farm.Job{Tasks: tasks}
 }
 
+// A batch run's intake quantizes the job straight into its group queues:
+// hand g of G holds exactly what task.Deal puts in hand g of the flat
+// quantize, sized to fit, with its smallest duration, and the totals
+// agree. The flat quantize itself puts task i at index i with ID i and
+// ticks' rounding. The grid here makes half-tick durations exact, so ties
+// round as ticks rounds them too. Hand counts run from one to more than
+// the tasks.
+func TestQuantizeDealtMatchesDeal(t *testing.T) {
+	f := &Fleet{g: grid{setup: 2, ticksC: 8}} // a tick is 1/4 unit
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 7, 1000} {
+		durations := make([]float64, n)
+		for i := range durations {
+			if i%3 == 0 {
+				durations[i] = (float64(rng.Intn(40)) + 0.5) / 4 // k + ½ ticks
+			} else {
+				durations[i] = rng.ExpFloat64() * 3
+			}
+		}
+		flat, total, err := f.g.quantizeFlat(durations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum quant.Tick
+		for i, d := range durations {
+			if want := (task.Task{ID: i, Duration: f.g.ticks(d)}); flat[i] != want {
+				t.Fatalf("n=%d: flat task %d = %+v, want %+v", n, i, flat[i], want)
+			}
+			sum += flat[i].Duration
+		}
+		if total != sum {
+			t.Fatalf("n=%d: flat total %d, tasks sum to %d", n, total, sum)
+		}
+		for _, groups := range []int{1, 3, 64, n + 5} {
+			fj, work, err := f.dealtJob(durations, groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				if fj.Dealt != nil || fj.Tasks != nil || work != 0 {
+					t.Fatalf("empty job dealt over %d groups: %+v, total %d", groups, fj, work)
+				}
+				continue
+			}
+			if work != total || fj.Tasks != nil || len(fj.Dealt) != groups {
+				t.Fatalf("n=%d over %d groups: total %d (flat %d), %d plain tasks, %d hands", n, groups, work, total, len(fj.Tasks), len(fj.Dealt))
+			}
+			for g, want := range task.Deal(flat, groups) {
+				h := fj.Dealt[g]
+				if !reflect.DeepEqual(h.Tasks, want) {
+					t.Fatalf("n=%d over %d groups: hand %d = %v, task.Deal gives %v", n, groups, g, h.Tasks, want)
+				}
+				if cap(h.Tasks) != len(h.Tasks) {
+					t.Errorf("n=%d over %d groups: hand %d has cap %d for %d tasks", n, groups, g, cap(h.Tasks), len(h.Tasks))
+				}
+				var low quant.Tick
+				for _, tk := range want {
+					if low == 0 || tk.Duration < low {
+						low = tk.Duration
+					}
+				}
+				if h.MinDur != low {
+					t.Errorf("n=%d over %d groups: hand %d MinDur %d, want %d", n, groups, g, h.MinDur, low)
+				}
+			}
+		}
+	}
+}
+
 // TestRunDeterministicBitIdentical pins the facade's deterministic engine
 // to (a) itself across worker counts and (b) the equivalent raw
 // internal/farm call: the public wrapper adds units conversion, nothing

@@ -87,8 +87,13 @@ func (r Result) Imbalance() float64 {
 // pure function of (Config, Job): Workers changes wall-clock time only.
 // Cancelling ctx stops every station at its next opportunity boundary and
 // returns ctx.Err().
+//
+// Each duration is converted once, straight into the queue and slot the
+// round-robin deal gives it, and the queues take those hands as storage:
+// the run holds no flat copy of the job.
 func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
-	fj, work, err := f.job(job)
+	fm := f.batch(f.stations, len(job.Tasks))
+	fj, work, err := f.dealtJob(job.Tasks, fm.Groups())
 	if err != nil {
 		return Result{}, err
 	}
@@ -96,7 +101,8 @@ func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := f.batch(stations, fj).RunDeterministic(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
+	fm.Stations = stations
+	res, err := fm.RunDeterministic(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
 	if err != nil {
 		return Result{}, err
 	}

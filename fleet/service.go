@@ -493,7 +493,7 @@ func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 // the WAL when the service has one. It touches no service state, so Submit
 // runs it before taking the lock.
 func (s *Service) newJob(tenant string, specs []float64) (*svcJob, error) {
-	tasks, work, err := s.f.g.quantize(specs)
+	tasks, work, err := s.f.g.quantizeFlat(specs)
 	if err != nil {
 		return nil, err
 	}

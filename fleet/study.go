@@ -155,7 +155,7 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 	if f.cfg.Faults.Active() {
 		return nil, fmt.Errorf("fleet: Replicate rejects fault plans: a plan names one faulted run, not a distribution — sweep seeds over RunDeterministic instead")
 	}
-	fj, _, err := f.job(job)
+	tasks, _, err := f.g.quantizeFlat(job.Tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +165,8 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		cfg:      mc.Config{Trials: trials, Seed: f.cfg.Seed, Workers: f.cfg.Workers},
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,
-		fm:       f.batch(f.stations, fj),
-		fj:       fj,
+		fm:       f.batch(f.stations, len(tasks)),
+		fj:       farm.Job{Tasks: tasks},
 		statCols: f.cfg.StationSummaries,
 	}, nil
 }

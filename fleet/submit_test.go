@@ -71,10 +71,12 @@ func TestSubmitRefusesBadDurations(t *testing.T) {
 }
 
 // The batch paths share Submit's check: Run, RunDeterministic and Study
-// (behind Replicate and the distrib coordinator) refuse the same jobs.
+// (behind Replicate and the distrib coordinator) refuse the same jobs, on
+// every pool — Run quantizes into one hand per group, so Shared (one hand),
+// Sharded and Private (one per station) each take their own path there.
 func TestRunsRefuseBadDurations(t *testing.T) {
 	ctx := context.Background()
-	for _, pool := range []Pool{Sharded, Private} {
+	for _, pool := range []Pool{Sharded, Shared, Private} {
 		f, err := New(Config{Stations: 4, Setup: 5, Opportunities: 4, Pool: pool})
 		if err != nil {
 			t.Fatal(err)

@@ -281,11 +281,24 @@ func (c *Core) AddTasks(tasks []task.Task) {
 	}
 	c.total += len(tasks)
 	if c.live == 0 || c.live == len(c.runners) {
-		// Fast path (and the batch engines' only path): no group is dead.
+		// Fast path: no group is dead — every batch run of a plain job,
+		// and a service whose fleet has lost no group.
 		task.DealInto(c.queues, tasks)
 		return
 	}
 	task.DealInto(c.liveQueues(), tasks) // some station is live, so some group is
+}
+
+// AddDealt is AddTasks for a job already dealt over every group: hands[g]
+// holds exactly the tasks AddTasks would deal queue g, with their smallest
+// duration. Each queue takes its hand as storage, with no copy, and ends
+// up as AddTasks would leave it. Call it once, on a Core whose queues are
+// all empty and whose groups are all live: the batch run's intake.
+func (c *Core) AddDealt(hands []task.Hand) {
+	for g, h := range hands {
+		c.queues[g].Adopt(h)
+		c.total += len(h.Tasks)
+	}
 }
 
 // SetCheckpoint changes the checkpoint policy for every subsequent

@@ -53,12 +53,21 @@ import (
 	"cyclesteal/internal/task"
 )
 
-// Job is one data-parallel computation to farm across the fleet.
+// Job is one data-parallel computation to farm across the fleet: a plain
+// task list, which a run deals round-robin over its group queues, or the
+// same partition already made.
 type Job struct {
 	Tasks []task.Task
+	// Dealt, when non-nil, is the job already dealt over the run's Groups()
+	// queues: hand g holds the tasks task.Deal(tasks, Groups()) puts in hand
+	// g, with their smallest duration. RunDeterministic takes each hand as
+	// its queue's storage, with no copy, so a dealt job is consumed by the
+	// one run it is passed to; Replicate and ReplicateShards refuse it.
+	// Tasks is then ignored.
+	Dealt []task.Hand
 }
 
-// TotalWork returns the job's total task time.
+// TotalWork returns the total task time of the job's plain task list.
 func (j Job) TotalWork() quant.Tick { return task.Durations(j.Tasks) }
 
 // StationReport describes one station's contribution to the job.
@@ -217,9 +226,10 @@ func (f Farm) shardCount() int {
 	return ResolveShards(f.Shards, len(f.Stations))
 }
 
-// groupCount is the number of station groups, and queues, a run plays:
-// one per station in the Private layout, else the resolved shard count.
-func (f Farm) groupCount() int {
+// Groups is the number of station groups, and queues, a run plays: one
+// per station in the Private layout, else the resolved shard count. A job
+// dealt for the run has this many hands.
+func (f Farm) Groups() int {
 	if f.Private {
 		return len(f.Stations)
 	}
@@ -371,6 +381,11 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 // next station boundary and returns ctx.Err(); a Progress observer fires at
 // each round barrier, where the counts are exact and the callback sequence
 // is itself a pure function of the same key.
+//
+// A dealt job (Job.Dealt) must have one hand per group. It enters without
+// a copy: each group's queue takes its hand as storage, so the run
+// consumes the job. Its queues start exactly as the plain job's deal would
+// leave them, so the result is the same.
 func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64, workers int) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -383,7 +398,10 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	if rounds < 1 {
 		rounds = 1
 	}
-	groups := f.groupCount()
+	groups := f.Groups()
+	if job.Dealt != nil && len(job.Dealt) != groups {
+		return Result{}, fmt.Errorf("farm: job dealt over %d hands, but the run plays %d groups", len(job.Dealt), groups)
+	}
 	if f.Private {
 		f.Topology = Topology{} // no queue is ever stolen from
 	} else if err := f.Topology.Validate(groups); err != nil {
@@ -399,14 +417,18 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	}
 
 	// A batch run is a thin shell over the event-driven Core: join the
-	// whole fleet up front, deal the job in, play bounded rounds. No churn,
-	// no completion tracking. In the Private layout the round-robin deal
-	// gives station i the hand task.Deal would.
+	// whole fleet up front, deal the job in (or take its hands), play
+	// bounded rounds. No churn, no completion tracking. In the Private
+	// layout the round-robin deal gives station i the hand task.Deal would.
 	core := f.NewCore(factory, seed, groups, n, false)
 	for _, ws := range f.Stations {
 		core.Join(ws)
 	}
-	core.AddTasks(job.Tasks)
+	if job.Dealt != nil {
+		core.AddDealt(job.Dealt)
+	} else {
+		core.AddTasks(job.Tasks)
+	}
 	if f.Faults.Active() {
 		// The plan's own seed wins; a zero-seed plan derives its draw stream
 		// from the run seed, so replication stays replayable per trial.
@@ -484,8 +506,12 @@ const (
 // fleet exploits the machine even at low trial counts. Trial i derives its
 // farm seed from the engine's deterministic stream for cfg.Seed+i, both
 // levels are free of result-affecting scheduling, and the summaries are
-// therefore bit-identical at any worker budget.
+// therefore bit-identical at any worker budget. It refuses a dealt job:
+// the first trial would consume it.
 func (f Farm) Replicate(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config) ([]stats.Summary, error) {
+	if err := replayable(job); err != nil {
+		return nil, err
+	}
 	cfg, inner := mc.SplitConfig(cfg)
 	return mc.RunVec(ctx, cfg, NumMetrics, f.trialVec(ctx, job, factory, inner, false))
 }
@@ -531,12 +557,24 @@ func (f Farm) ReplicateColumns(stationCols bool) int {
 // (with stationCols, widened by one played-lifespan column per station),
 // over exactly the trials those shards own, so a complete cover merged by
 // mc.MergeShards reproduces the single-process summaries bit for bit
-// wherever each subset ran.
+// wherever each subset ran. Like Replicate it refuses a dealt job.
 func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config, stationCols bool, shardIDs []int) ([]mc.ShardAccums, error) {
+	if err := replayable(job); err != nil {
+		return nil, err
+	}
 	cfg, inner := mc.SplitConfig(cfg)
 	fn := f.trialVec(ctx, job, factory, inner, stationCols)
 	return mc.RunVecShards(ctx, cfg, f.ReplicateColumns(stationCols), nil,
 		func(rng *rand.Rand, _ any) ([]float64, error) { return fn(rng) }, shardIDs)
+}
+
+// replayable refuses a job no replication can replay: a dealt one, which
+// its first trial would consume.
+func replayable(job Job) error {
+	if job.Dealt != nil {
+		return fmt.Errorf("farm: a dealt job is consumed by its one run; replicate its plain task list")
+	}
+	return nil
 }
 
 // fillMetrics writes one trial's metric vector into out[:NumMetrics],

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -330,14 +331,14 @@ func TestFarmShardsSelection(t *testing.T) {
 		t.Errorf("auto shards on 6 stations = %d, want 6", got)
 	}
 	f.Shards = 1
-	if got := f.groupCount(); got != 1 {
+	if got := f.Groups(); got != 1 {
 		t.Errorf("Shards=1 plays %d groups, want the one shared queue", got)
 	}
 	f.Shards = 4
-	if got := f.groupCount(); got != 4 {
+	if got := f.Groups(); got != 4 {
 		t.Errorf("Shards=4 plays %d groups", got)
 	}
-	if got := privateFarm(f).groupCount(); got != 6 {
+	if got := privateFarm(f).Groups(); got != 6 {
 		t.Errorf("the private layout plays %d groups, want one per station", got)
 	}
 	f.Stations = f.Stations[:2]
@@ -421,6 +422,71 @@ func TestRunDeterministicBitIdenticalAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// dealt is job dealt over f's groups the way a batch intake deals it:
+// task.Deal's hands, each with its smallest duration.
+func dealt(f Farm, job Job) Job {
+	hands := task.Deal(job.Tasks, f.Groups())
+	out := Job{Dealt: make([]task.Hand, len(hands))}
+	for g, h := range hands {
+		out.Dealt[g].Tasks = h
+		for _, t := range h {
+			if out.Dealt[g].MinDur == 0 || t.Duration < out.Dealt[g].MinDur {
+				out.Dealt[g].MinDur = t.Duration
+			}
+		}
+	}
+	return out
+}
+
+// A job dealt over the run's groups plays bit-identically to the plain job
+// in every layout, clustered and priced crossings included.
+func TestRunDeterministicDealtMatchesPlain(t *testing.T) {
+	base := testFarm(12, station.Office{MeanIdle: 800, MaxP: 2})
+	base.OpportunitiesPerStation = 6
+	clustered := base
+	clustered.Shards = 6
+	clustered.Topology = Topology{Clusters: 3, CrossLatency: 40}
+	farms := layouts(base)
+	farms["clustered"] = clustered
+	job := Job{Tasks: task.Exponential(1500, 15, 4)}
+	for name, f := range farms {
+		t.Run(name, func(t *testing.T) {
+			want, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.RunDeterministic(context.Background(), dealt(f, job), equalizedFactory, 7, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(got, want) || got.InFlight != want.InFlight || got.TasksLost != want.TasksLost {
+				t.Errorf("dealt job played %+v, plain job %+v", got, want)
+			}
+		})
+	}
+}
+
+// A dealt job must have one hand per group, and no replication takes one:
+// its first trial would consume it.
+func TestDealtJobRefusals(t *testing.T) {
+	f := testFarm(6, station.Overnight{Window: 1000})
+	f.Shards = 3
+	job := Job{Tasks: task.Fixed(30, 5)}
+	for _, groups := range []int{2, 4} {
+		_, err := f.RunDeterministic(context.Background(), dealt(Farm{Stations: f.Stations, Shards: groups}, job), equalizedFactory, 1, 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d hands", groups)) || !strings.Contains(err.Error(), "3 groups") {
+			t.Errorf("a job dealt over %d hands on 3 groups: error %v, want one naming both counts", groups, err)
+		}
+	}
+	cfg := mc.Config{Trials: 2, Seed: 1}
+	if _, err := f.Replicate(context.Background(), dealt(f, job), equalizedFactory, cfg); err == nil || !strings.Contains(err.Error(), "dealt") {
+		t.Errorf("Replicate of a dealt job: error %v, want a refusal", err)
+	}
+	if _, err := f.ReplicateShards(context.Background(), dealt(f, job), equalizedFactory, cfg, false, []int{0}); err == nil || !strings.Contains(err.Error(), "dealt") {
+		t.Errorf("ReplicateShards of a dealt job: error %v, want a refusal", err)
 	}
 }
 

@@ -67,6 +67,22 @@ func (b *Bag) Reset(tasks []Task) {
 	b.noteAdded(tasks)
 }
 
+// Hand is one queue's share of a dealt job: its tasks in deal order, and
+// the smallest of their durations (0 for an empty hand).
+type Hand struct {
+	Tasks  []Task
+	MinDur quant.Tick
+}
+
+// Adopt empties the bag and takes h.Tasks as its storage, without a copy:
+// the bag then holds exactly what NewBag(h.Tasks) would, and the caller
+// must not touch h.Tasks again. h.MinDur must be the smallest duration in
+// h.Tasks, as DealInto notes it for a fresh bag: TakeInto stops scanning
+// once the residual capacity is below it.
+func (b *Bag) Adopt(h Hand) {
+	b.buf, b.head, b.minDur = h.Tasks, 0, h.MinDur
+}
+
 // pending is the live queue view.
 func (b *Bag) pending() []Task { return b.buf[b.head:] }
 
@@ -219,8 +235,10 @@ func (b *Bag) Steal(n int) []Task {
 // deterministic partition every farm layout starts from. Task i lands in
 // hand i mod n, so the split is a pure function of (tasks, n): independent
 // of worker scheduling, and every hand sees a representative duration mix
-// even when the set is sorted. To fill existing bags, DealInto makes the
-// same partition without the hands.
+// even when the set is sorted. The library never builds these hands from a
+// task list: DealInto makes the same partition into existing bags, and a
+// batch run's intake quantizes a job straight into it (see Bag.Adopt). Deal
+// is the reference both are tested against.
 func Deal(tasks []Task, n int) [][]Task {
 	if n < 1 {
 		n = 1
@@ -240,7 +258,9 @@ func Deal(tasks []Task, n int) [][]Task {
 // bags[i mod len(bags)], the partition Deal makes, and each bag ends up
 // exactly as if Append had added its hand. Unlike Deal it builds no
 // intermediate hands: it makes one pass over the tasks, and each bag grows
-// at most once. bags must not be empty.
+// at most once. Every plain task list enters the farm's queues through it:
+// a study trial's job, a service arrival, a departed group's drained
+// queue. bags must not be empty.
 func DealInto(bags []*Bag, tasks []Task) {
 	if len(tasks) == 0 {
 		return

@@ -540,13 +540,26 @@ func sameTasks(a, b []Task) bool {
 	return true
 }
 
+// hand is tasks as a batch run's queue adopts its dealt hand: no headroom
+// (cap == len), and the exact minimum.
+func hand(tasks []Task) Hand {
+	h := Hand{Tasks: tasks[:len(tasks):len(tasks)]}
+	for _, t := range tasks {
+		if h.MinDur == 0 || t.Duration < h.MinDur {
+			h.MinDur = t.Duration
+		}
+	}
+	return h
+}
+
 // TestBagMatchesReferenceModel drives random sequences of every Bag
-// operation — Take, TakeInto, Return, Append, Steal, Reset and DealInto —
-// against refBag, and checks after each step that both took the same tasks
-// in the same order and hold the same pending queue, Remaining and
-// RemainingWork. It also checks the one piece of hidden state: minDur must
-// never exceed the true pending minimum, or TakeInto would stop scanning
-// while a task still fits.
+// operation — Take, TakeInto, Return, Append, Steal, Reset, Adopt and
+// DealInto — against refBag, starting from a copied or an adopted task
+// list, and checks after each step that both took the same tasks in the
+// same order and hold the same pending queue, Remaining and RemainingWork.
+// It also checks the one piece of hidden state: minDur must never exceed
+// the true pending minimum, or TakeInto would stop scanning while a task
+// still fits.
 func TestBagMatchesReferenceModel(t *testing.T) {
 	const nbags = 3
 	for seed := int64(1); seed <= 40; seed++ {
@@ -564,8 +577,13 @@ func TestBagMatchesReferenceModel(t *testing.T) {
 		refs := make([]*refBag, nbags)
 		for i := range bags {
 			init := fresh(rng.Intn(12))
-			bags[i] = NewBag(init)
 			refs[i] = &refBag{tasks: append([]Task(nil), init...)}
+			if rng.Intn(2) == 0 {
+				bags[i] = NewBag(init)
+			} else {
+				bags[i] = new(Bag)
+				bags[i].Adopt(hand(init))
+			}
 		}
 		var held [nbags][]Task // taken and not yet returned, per bag
 		for step := 0; step < 400; step++ {
@@ -630,8 +648,13 @@ func TestBagMatchesReferenceModel(t *testing.T) {
 			case 5:
 				op = "Reset"
 				init := fresh(rng.Intn(15))
-				b.Reset(init)
 				m.tasks = append([]Task(nil), init...)
+				if rng.Intn(2) == 0 {
+					b.Reset(init)
+				} else {
+					op = "Adopt"
+					b.Adopt(hand(init))
+				}
 				held[i] = nil
 			default:
 				op = "DealInto"

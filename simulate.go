@@ -47,8 +47,15 @@ var simPool = sync.Pool{New: func() any { return new(simScratch) }}
 
 // Simulate plays one opportunity of this engine's shape with the given
 // schedule and adversary. Each call borrows pooled scratch, so concurrent
-// calls are safe and repeated calls allocate nothing once warm.
+// calls are safe and repeated calls allocate nothing once warm. A schedule
+// or adversary a constructor refused is refused here, with its cause.
 func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, error) {
+	if err := refused(s); err != nil {
+		return Result{}, err
+	}
+	if err := refused(adv); err != nil {
+		return Result{}, err
+	}
 	scratch := simPool.Get().(*simScratch)
 	defer simPool.Put(scratch)
 	cfg := sim.Config{Buffers: &scratch.bufs}
@@ -103,8 +110,13 @@ func (e *Engine) GreedyAdversary() Adversary {
 }
 
 // PoissonAdversary returns an owner who comes back after an exponentially
-// distributed absence with the given mean (caller's time units).
+// distributed absence with the given mean (caller's time units). An owner
+// with a mean of 0 or +Inf never interrupts; a NaN or negative mean gives
+// an owner Simulate refuses.
 func (e *Engine) PoissonAdversary(meanReturn float64, seed int64) Adversary {
+	if !(meanReturn >= 0) {
+		return refusal{fmt.Errorf("cyclesteal: PoissonAdversary mean must be ≥ 0, got %g", meanReturn)}
+	}
 	return &adversary.Poisson{
 		Rng:  lazyrand.New(seed),
 		Mean: meanReturn / e.opp.Setup * float64(e.ticksC),
@@ -112,14 +124,22 @@ func (e *Engine) PoissonAdversary(meanReturn float64, seed int64) Adversary {
 }
 
 // RandomAdversary returns an owner who interrupts each episode with the
-// given probability at a uniform moment.
+// given probability at a uniform moment. A probability outside [0, 1], NaN
+// included, gives an owner Simulate refuses.
 func (e *Engine) RandomAdversary(prob float64, seed int64) Adversary {
+	if !(prob >= 0 && prob <= 1) {
+		return refusal{fmt.Errorf("cyclesteal: RandomAdversary probability must be in [0, 1], got %g", prob)}
+	}
 	return &adversary.Random{Rng: lazyrand.New(seed), Prob: prob}
 }
 
 // PeriodicAdversary returns an owner on a fixed routine, reclaiming the
-// machine every `every` time units.
+// machine every `every` time units. A NaN, infinite or negative interval,
+// or one the tick grid cannot hold, gives an owner Simulate refuses.
 func (e *Engine) PeriodicAdversary(every float64) Adversary {
-	t, _ := gridTicks(every, e.opp.Setup, float64(e.ticksC))
+	t, ok := gridTicks(every, e.opp.Setup, float64(e.ticksC))
+	if !ok {
+		return refusal{fmt.Errorf("cyclesteal: PeriodicAdversary interval %w", gridError(every))}
+	}
 	return adversary.Periodic{U: e.u, Every: t}
 }

@@ -151,10 +151,12 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			return fmt.Errorf("trace: row %d allowance: %w", row, err)
 		}
 		if rec[3] != "" {
-			parts := strings.Split(rec[3], ";")
-			if len(parts) > maxInterruptsPerRow {
-				return fmt.Errorf("trace: row %d has %d interrupts", row, len(parts))
+			// Counted before splitting: Split of an over-long list would
+			// build the absurd slice the bound is there to refuse.
+			if n := strings.Count(rec[3], ";") + 1; n > maxInterruptsPerRow {
+				return fmt.Errorf("trace: row %d has %d interrupts", row, n)
 			}
+			parts := strings.Split(rec[3], ";")
 			o.Interrupts = make([]int64, len(parts))
 			for j, part := range parts {
 				if o.Interrupts[j], err = strconv.ParseInt(part, 10, 64); err != nil {

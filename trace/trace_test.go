@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -184,6 +186,22 @@ func TestReadersBoundLines(t *testing.T) {
 		if r.read > 2*limit {
 			t.Errorf("%s: read %d bytes of a line capped at %d", c.name, r.read, limit)
 		}
+	}
+
+	// A row within the line cap but over maxInterruptsPerRow is refused
+	// before its interrupt list is split: the read allocates a small
+	// multiple of the input, not a string header per interrupt.
+	in := csvHead + "0,100,1," + strings.Repeat(";", maxInterruptsPerRow) + "\n"
+	withMaxLine(t, len(in))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCSV(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("has %d interrupts", maxInterruptsPerRow+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a row of %d interrupts: error %v, want one saying it %s", maxInterruptsPerRow+1, err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16*uint64(len(in)) {
+		t.Errorf("refusing a %d-byte row of too many interrupts allocated %d bytes, want < 16× the input", len(in), alloc)
 	}
 }
 
