@@ -159,6 +159,25 @@ func TestCompareAllocsGateIsExact(t *testing.T) {
 	}
 }
 
+// A benchmark that starts goroutines may not repeat its allocation count
+// (2841–2856 allocs/op over eight runs of one commit), so the allocs gate
+// judges the new min against the baseline's max: a new min inside the
+// baseline's own spread passes, one above it fails.
+func TestCompareAllocsGateSpreadBaseline(t *testing.T) {
+	spread := benchMem("BenchmarkA", 100, 1000, 2841)
+	spread.AllocsOp.Max = 2856
+	old := &Document{Benchmarks: []Benchmark{spread}}
+	inside := &Document{Benchmarks: []Benchmark{benchMem("BenchmarkA", 100, 1000, 2850)}}
+	if _, regressions := compare(old, inside, gates{ns: 15, b: 15}); len(regressions) != 0 {
+		t.Errorf("new min inside the baseline spread flagged: %v", regressions)
+	}
+	above := &Document{Benchmarks: []Benchmark{benchMem("BenchmarkA", 100, 1000, 2857)}}
+	_, regressions := compare(old, above, gates{ns: 15, b: 15})
+	if len(regressions) != 1 || regressions[0] != "BenchmarkA (allocs/op)" {
+		t.Errorf("regressions = %v, want the allocs gate to fire above the baseline max", regressions)
+	}
+}
+
 func TestCompareBPerOpGate(t *testing.T) {
 	old := &Document{Benchmarks: []Benchmark{benchMem("BenchmarkA", 100, 1000, 10)}}
 	over := &Document{Benchmarks: []Benchmark{benchMem("BenchmarkA", 100, 1160, 10)}}

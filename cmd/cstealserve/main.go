@@ -31,7 +31,7 @@
 //
 //	echo "ana 500x8" | cstealserve -stations 32
 //	cstealserve -stations 64 -churn-leave 0.02 -churn-join 0.05 < jobs.txt
-//	cstealserve -checkpoint 10 -owners poisson-fixed -policy single < jobs.txt
+//	cstealserve -checkpoint 10 -owners malicious-fixed -policy single < jobs.txt
 //	cstealserve -watch /var/spool/jobs -stats 2s < /dev/null
 //	cstealserve -wal run.wal -crash-prob 0.01 -kill-round 40 < jobs.txt
 //	cstealserve -recover run.wal -wal run2.wal < /dev/null

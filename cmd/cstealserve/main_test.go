@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
 	"path/filepath"
@@ -205,6 +207,31 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	err = run(config{stations: 4, setup: 5, churnLeave: 1.5}, strings.NewReader(""), &out, &errOut)
 	if err == nil {
 		t.Fatal("leave probability 1.5 accepted")
+	}
+}
+
+// Every -owners value the package comment's usage lines show must resolve:
+// an example the command refuses teaches a label it does not accept.
+func TestUsageOwnersResolve(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		fields := strings.Fields(line)
+		for i := 0; i+1 < len(fields); i++ {
+			if fields[i] != "-owners" {
+				continue
+			}
+			found++
+			if _, err := (config{stations: 4, setup: 5, owners: fields[i+1]}).serviceConfig(); err != nil {
+				t.Errorf("usage line %q: %v", strings.TrimSpace(line), err)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no -owners example in the package comment")
 	}
 }
 

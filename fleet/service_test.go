@@ -7,11 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"cyclesteal/internal/farm"
-	"cyclesteal/internal/model"
-	"cyclesteal/internal/quant"
-	"cyclesteal/internal/station"
 )
 
 // serviceFleet is the standing fleet the service tests run on: small enough
@@ -133,12 +128,6 @@ func runChurned(t *testing.T, cfg ServiceConfig) ServiceResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return driveChurned(t, s)
-}
-
-// driveChurned plays runChurned's scenario on a paused service.
-func driveChurned(t *testing.T, s *Service) ServiceResult {
-	t.Helper()
 	if _, err := s.Submit("ana", Job{Tasks: ExponentialTasks(150, 12, 3)}); err != nil {
 		t.Fatal(err)
 	}
@@ -200,50 +189,6 @@ func TestServiceReplayBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rep, res1) {
 			t.Fatalf("replay at workers=%d diverges from the recorded run:\nreplay: %+v\nlive:   %+v", workers, rep, res1)
-		}
-	}
-}
-
-// unkeyed hides a scheduler's EpisodeMemoKey, so a station never reuses
-// its instances: every contract plays the factory's fresh scheduler.
-type unkeyed struct{ model.EpisodeScheduler }
-
-// AppendEpisode keeps the wrapped scheduler's append path.
-func (u unkeyed) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) model.TickSchedule {
-	return model.AppendEpisode(u.EpisodeScheduler, dst, p, L)
-}
-
-// TestServiceReuseInvisible pins warm-scheduler reuse as invisible in a
-// churned service run, where joins and leaves build and retire stations
-// mid-run: the result is reflect.DeepEqual whether stations replay their
-// kept scheduler or play every contract's fresh one.
-func TestServiceReuseInvisible(t *testing.T) {
-	for _, policy := range []string{"equalized", "guideline", "nonadaptive"} {
-		cfg := churnedConfig(2)
-		cfg.Fleet.Policy = Policy{Name: policy}
-		want := runChurned(t, cfg)
-
-		s, err := NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rebuild the paused service's engine as NewService does, over a
-		// factory whose schedulers hide their keys.
-		factory := s.f.factory
-		hidden := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
-			sc, err := factory(ws, c)
-			if err != nil {
-				return nil, err
-			}
-			return unkeyed{sc}, nil
-		}
-		fm := s.f.farm(s.f.stations)
-		s.core = fm.NewCore(hidden, cfg.Fleet.Seed, farm.ResolveShards(fm.Shards, len(fm.Stations)), len(s.f.stations), true)
-		for _, ws := range s.f.stations {
-			s.core.Join(ws)
-		}
-		if got := driveChurned(t, s); !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: churned service run without reuse diverged", policy)
 		}
 	}
 }

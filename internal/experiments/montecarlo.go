@@ -99,34 +99,23 @@ func GuaranteedVsExpected(cfg Config, U quant.Tick, p int, trials int) (*tab.Tab
 	return t, nil
 }
 
-// trialScratch is the per-worker reusable state an E8-style replication
-// threads through its trials: the simulator's episode/task buffers plus an
-// episode memo bound to the study's scheduler. With it warm, the opportunity
-// itself allocates nothing (see TestMonteCarloTrialAllocationFree and
+// newTrialScratch is the mc.NewState hook monteCarlo installs: one worker's
+// simulator episode/task buffers. With them warm, the opportunity itself
+// allocates nothing (see TestMonteCarloTrialAllocationFree and
 // BenchmarkMCE8Trial*) — each trial pays only for its interrupter, since the
 // rng is its worker's reseeded source.
-type trialScratch struct {
-	bufs sim.Buffers
-	memo *sched.Memo
-}
-
-// newTrialScratch is the mc.NewState hook monteCarlo installs.
-func newTrialScratch() any {
-	return &trialScratch{memo: sched.NewMemo(0)}
-}
+func newTrialScratch() any { return new(sim.Buffers) }
 
 // monteCarlo replicates one (scheduler, owner) pairing on the mc engine:
 // each trial builds a fresh interrupter from its private seed stream and
-// plays one opportunity against its worker's warm scratch. The scratch is
-// pure scratch — memoized episodes are exactly what the scheduler would
-// emit, and the buffers only change where allocations happen — so the
-// summaries are bit-identical with or without it.
+// plays one opportunity against its worker's warm buffers. The buffers only
+// change where allocations happen, so the summaries are bit-identical with
+// or without them.
 func monteCarlo(s model.EpisodeScheduler, U quant.Tick, p int, c quant.Tick, trials int,
 	mk func(*rand.Rand) sim.Interrupter, seed int64, workers int) (stats.Summary, error) {
 	return mc.RunState(context.Background(), mc.Config{Trials: trials, Seed: seed, Workers: workers}, newTrialScratch,
 		func(rng *rand.Rand, state any) (float64, error) {
-			scr := state.(*trialScratch)
-			res, err := sim.Run(scr.memo.Bind(s), mk(rng), sim.Opportunity{U: U, P: p, C: c}, sim.Config{Buffers: &scr.bufs})
+			res, err := sim.Run(s, mk(rng), sim.Opportunity{U: U, P: p, C: c}, sim.Config{Buffers: state.(*sim.Buffers)})
 			if err != nil {
 				return 0, err
 			}

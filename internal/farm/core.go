@@ -70,7 +70,10 @@ type Core struct {
 	queues  []*task.Bag
 	sources []sim.TaskSource // what runners play against: queues, or trackers
 	track   []*trackSource   // non-nil when completion tracking is on
-	scratch []stationScratch // per group: simulator buffers, warm scheduler
+	// scratch holds each group's simulator buffers. One goroutine plays a
+	// group per round, its stations in slot order, and round barriers order
+	// the handoffs between workers, so no two goroutines touch one at once.
+	scratch []sim.Buffers
 
 	next atomic.Int64   // PlayRound's group-claim counter
 	wg   sync.WaitGroup // PlayRound's helper workers
@@ -114,7 +117,7 @@ func (f Farm) NewCore(factory station.SchedulerFactory, seed int64, groups, capa
 		liveIn:  make([]int, groups),
 		queues:  make([]*task.Bag, groups),
 		sources: make([]sim.TaskSource, groups),
-		scratch: make([]stationScratch, groups),
+		scratch: make([]sim.Buffers, groups),
 		arrived: make([]int, groups),
 	}
 	c.clusters = f.Topology.clusterCount()

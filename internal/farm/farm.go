@@ -45,7 +45,6 @@ import (
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/mc"
-	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/station"
@@ -255,45 +254,11 @@ func (f Farm) assemble(reports []StationReport, left, steals, inflight, lost int
 	return res
 }
 
-// stationScratch is the per-group reusable state the Core threads through
-// playOpportunity: the simulator's episode/task buffers and the group's
-// warm scheduler. One goroutine plays a group per round, its stations in
-// slot order, and round barriers order the handoffs between workers, so a
-// scratch is never touched by two goroutines at once.
-type stationScratch struct {
-	bufs sim.Buffers
-	kept model.EpisodeScheduler // the last keyed scheduler the factory built; nil before the first
-	key  model.MemoKey          // kept's EpisodeMemoKey
-}
-
-// warm returns the scheduler a station plays for a contract whose factory
-// built s. When s reports the same EpisodeMemoKey as the kept instance, the
-// kept one plays instead — whichever of the group's stations it was built
-// for: by the model.EpisodeMemoKeyer contract equal keys emit bit-identical
-// episodes across instances, and the kept instance's scratch is warm where
-// s would start cold. A new key replaces the kept instance. Unkeyed
-// schedulers pass through and leave it alone.
-func (scr *stationScratch) warm(s model.EpisodeScheduler) model.EpisodeScheduler {
-	mk, ok := s.(model.EpisodeMemoKeyer)
-	if !ok {
-		return s
-	}
-	k, ok := mk.EpisodeMemoKey()
-	if !ok {
-		return s
-	}
-	if scr.kept != nil && k == scr.key {
-		return scr.kept
-	}
-	scr.kept, scr.key = s, k
-	return s
-}
-
 // playOpportunity samples one owner contract and simulates it against the
-// station's task source — the Core's inner step. The factory builds a
-// scheduler per contract; the station plays the group's warm equal-keyed
-// instance in its place (see stationScratch.warm).
-func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *rand.Rand, factory station.SchedulerFactory, src sim.TaskSource, scr *stationScratch) error {
+// station's task source — the Core's inner step. The factory builds the
+// scheduler the station plays for that contract; bufs is the group's
+// simulator scratch.
+func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *rand.Rand, factory station.SchedulerFactory, src sim.TaskSource, bufs *sim.Buffers) error {
 	contract := ws.Owner.Sample(rng)
 	if contract.U < 1 {
 		return nil
@@ -302,7 +267,6 @@ func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *r
 	if err != nil {
 		return fmt.Errorf("farm: station %d: %w", ws.ID, err)
 	}
-	s = scr.warm(s)
 	adv := ws.Owner.Interrupter(rng, contract)
 	ck := f.Checkpoint
 	if f.CheckpointAdaptive {
@@ -314,7 +278,7 @@ func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *r
 	}
 	r, err := sim.Run(s, adv, sim.Opportunity{U: contract.U, P: contract.P, C: ws.Setup}, sim.Config{
 		Bag:               src,
-		Buffers:           &scr.bufs,
+		Buffers:           bufs,
 		Checkpoint:        ck,
 		CheckpointSave:    f.CheckpointSaveCost,
 		CheckpointRestart: f.CheckpointRestartCost,

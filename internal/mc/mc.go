@@ -41,10 +41,10 @@
 // Closures run concurrently: a closure may freely use its private *rand.Rand
 // during the call, and anything it creates, but shared inputs (schedulers,
 // solvers) must be treated as read-only. Closures that want reusable
-// per-goroutine scratch (simulator buffers, episode memos) use the per-worker
-// state hook (RunState/RunVecState): the engine builds one state value per
-// worker goroutine and hands it to every trial that worker runs, so trials
-// can ride the allocation-free opportunity path without any synchronization.
+// per-goroutine scratch (simulator buffers) use the per-worker state hook
+// (RunState/RunVecState): the engine builds one state value per worker
+// goroutine and hands it to every trial that worker runs, so trials can ride
+// the allocation-free opportunity path without any synchronization.
 //
 // # Cancellation
 //
@@ -165,10 +165,10 @@ type VecStateFunc func(rng *rand.Rand, state any) ([]float64, error)
 // the value is then passed to every trial that worker runs (its shards are
 // processed in increasing trial order within each shard). Because the state
 // never leaves its goroutine it needs no synchronization — this is the hook
-// that lets replication studies thread a warm sim.Buffers/sched.Memo pair
-// through their trials and ride the allocation-free opportunity path. State
-// must never influence results (scratch only): the seed-stream contract pins
-// the summaries regardless of how trials are grouped onto workers.
+// that lets replication studies thread warm sim.Buffers through their trials
+// and ride the allocation-free opportunity path. State must never influence
+// results (scratch only): the seed-stream contract pins the summaries
+// regardless of how trials are grouped onto workers.
 type NewState func() any
 
 // Run replicates a single-metric trial and returns its summary.

@@ -164,29 +164,6 @@ func AppendEpisode(s EpisodeScheduler, dst TickSchedule, p int, L quant.Tick) Ti
 	return append(dst, s.Episode(p, L)...)
 }
 
-// MemoKey identifies a scheduler's episode function for cross-instance
-// caching. It is a plain comparable struct — built and compared without
-// allocating, since the farm engine derives one per opportunity. Kind names
-// the scheduler family (a string constant); the numeric fields carry
-// whatever parameters the family's episodes depend on, zero when unused.
-type MemoKey struct {
-	Kind string     // scheduler family
-	C    quant.Tick // setup cost
-	M    int        // period-count / chunk-size parameter
-}
-
-// EpisodeMemoKeyer is implemented by schedulers whose Episode is a pure
-// function of (p, L) and the reported key: two scheduler instances returning
-// equal keys (with ok true) emit bit-identical episodes for every (p, L), so
-// one instance may stand in for another — the property the farm engine
-// relies on to replay a station's warm scheduler while factories hand it a
-// fresh one per contract, and sched.Memo to keep a (p, L)-keyed episode
-// cache across instances. Schedulers whose episodes depend on state the key
-// cannot capture must return ok false.
-type EpisodeMemoKeyer interface {
-	EpisodeMemoKey() (key MemoKey, ok bool)
-}
-
 // Namer is implemented by schedulers that can report a human-readable name
 // for experiment tables.
 type Namer interface {

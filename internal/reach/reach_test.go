@@ -64,9 +64,6 @@ var allowlist = []allowed{
 	{"internal/game.Solver.U", observer, "internal/game.TestSolverAccessors"},
 	{"internal/model.TickSchedule.Validate", oracle, "internal/model.TestTickScheduleBasics"},
 	{"internal/quant.ApproxEqual", helper, "internal/quant.TestApproxEqual"},
-	{"internal/sched.Memo.Hits", observer, "internal/sched.TestMemoHitReturnsIdenticalEpisode"},
-	{"internal/sched.Memo.Len", observer, "internal/sched.TestMemoBoundedEviction"},
-	{"internal/sched.Memo.Misses", observer, "internal/sched.TestMemoHitReturnsIdenticalEpisode"},
 	{"internal/sched.NonAdaptive.M", observer, "internal/sched.TestNonAdaptiveMMatchesGuideline"},
 	{"internal/stats.Accumulator.Mean", observer, "internal/stats.TestAccumulatorMatchesSummarize"},
 	{"internal/stats.Accumulator.Quantile", observer, "internal/stats.TestAccumulatorMergedQuantilesBounded"},

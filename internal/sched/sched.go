@@ -10,40 +10,28 @@
 // residual lifespan (the shortfall is idle time, which banks nothing); the
 // paper-faithful constructors undershoot only where the paper itself does
 // (non-adaptive tails after a mid-period interrupt).
+//
+// A scheduler keeps no state between episodes: each episode is a function of
+// (p, L) and the scheduler's parameters alone, so any number of goroutines
+// may share one instance.
 package sched
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/theory"
 )
 
-// floatScratch is the reusable continuous-time period buffer the adaptive
-// schedulers build episodes in. Schedulers are routinely shared across
-// goroutines (E8 hands one instance to every mc trial worker), so the buffer
-// is handed out by atomic swap: the steady single-goroutine state reuses one
-// warm buffer with zero allocations, while concurrent callers that find the
-// pad empty just work on a private buffer — never on shared memory.
-type floatScratch struct {
-	pad atomic.Pointer[[]float64]
-}
-
-// take checks out the warm buffer (or a fresh one), truncated to length 0.
-func (f *floatScratch) take() *[]float64 {
-	bp := f.pad.Swap(nil)
-	if bp == nil {
-		bp = new([]float64)
-	}
-	*bp = (*bp)[:0]
-	return bp
-}
-
-// put checks the buffer back in for the next episode.
-func (f *floatScratch) put(bp *[]float64) { f.pad.Store(bp) }
+// episodeCap is the number of continuous-time periods an adaptive episode
+// builds in a stack array. It holds the episodes the benchmark's contracts
+// reach: at p = 2 up to U/c = 2000 (the guideline's 119 periods), beyond
+// which an office owner's exponential lifespan (mean 250 setups) runs with
+// probability about e⁻⁸. A longer episode spills to the heap through append
+// and stays exact.
+const episodeCap = 128
 
 // equalSplit partitions L ticks into k periods whose lengths differ by at
 // most one tick (first L mod k periods get the extra tick). k is clamped to
@@ -204,13 +192,6 @@ func (s *NonAdaptive) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick)
 	return append(dst, s.periods[lo:]...)
 }
 
-// NonAdaptive deliberately implements no EpisodeMemoKey: its key would have
-// to embed U, which fleet factories sample fresh per contract — every
-// opportunity would bring a new key, so neither a farm station's kept
-// instance nor a sched.Memo cache would ever be reused. There is also
-// nothing to win: AppendEpisode is already a zero-alloc tail copy, exactly
-// the work a cache hit would do.
-
 // Name implements model.Namer.
 func (s *NonAdaptive) Name() string { return fmt.Sprintf("nonadaptive(m=%d)", len(s.periods)) }
 
@@ -227,10 +208,6 @@ func (s *NonAdaptive) Name() string { return fmt.Sprintf("nonadaptive(m=%d)", le
 // vary the ramp step and tail count around it.
 type AdaptiveGuideline struct {
 	C quant.Tick
-	// scratch holds the continuous-time periods between AppendEpisode calls
-	// so the steady state allocates nothing; safe to share across goroutines
-	// (see floatScratch).
-	scratch floatScratch
 }
 
 // NewAdaptiveGuideline returns the Σ_a scheduler for setup cost c ticks.
@@ -265,8 +242,8 @@ func GuidelinePeriodsUnitsCfg(p int, L, c float64, cfg GuidelineConfig) []float6
 
 // appendGuidelineUnits builds S_a^(p)[L] into the caller's buffer: the ramp
 // is appended ascending, residue-adjusted, then reversed in place (longest
-// first), so the whole episode costs zero allocations once the buffer has
-// warmed up.
+// first), so the whole episode costs zero allocations when the buffer has
+// room.
 func appendGuidelineUnits(buf []float64, p int, L, c float64, cfg GuidelineConfig) []float64 {
 	if p <= 0 || L <= float64(p+1)*c {
 		return append(buf, L)
@@ -373,17 +350,8 @@ func (s *AdaptiveGuideline) AppendEpisode(dst model.TickSchedule, p int, L quant
 	if p <= 0 {
 		return append(dst, L)
 	}
-	bp := s.scratch.take()
-	*bp = appendGuidelineUnits(*bp, p, float64(L), float64(s.C), GuidelineConfig{})
-	dst = appendQuantizeExact(dst, *bp, L)
-	s.scratch.put(bp)
-	return dst
-}
-
-// EpisodeMemoKey implements model.EpisodeMemoKeyer: episodes are a pure
-// function of (p, L) once c is fixed.
-func (s *AdaptiveGuideline) EpisodeMemoKey() (model.MemoKey, bool) {
-	return model.MemoKey{Kind: "adaptive-guideline", C: s.C}, true
+	var buf [episodeCap]float64
+	return appendQuantizeExact(dst, appendGuidelineUnits(buf[:0], p, float64(L), float64(s.C), GuidelineConfig{}), L)
 }
 
 // Name implements model.Namer.
@@ -401,9 +369,6 @@ func (s *AdaptiveGuideline) Name() string { return "adaptive-guideline" }
 // additive terms — the property Theorem 5.1 claims for Σ_a.
 type AdaptiveEqualized struct {
 	C quant.Tick
-	// scratch holds the continuous-time periods between AppendEpisode calls;
-	// safe to share across goroutines (see floatScratch).
-	scratch floatScratch
 }
 
 // NewAdaptiveEqualized returns the equalization scheduler for setup cost c.
@@ -461,17 +426,8 @@ func (s *AdaptiveEqualized) AppendEpisode(dst model.TickSchedule, p int, L quant
 	if p <= 0 {
 		return append(dst, L)
 	}
-	bp := s.scratch.take()
-	*bp = appendEqualizedUnits(*bp, p, float64(L), float64(s.C))
-	dst = appendQuantizeExact(dst, *bp, L)
-	s.scratch.put(bp)
-	return dst
-}
-
-// EpisodeMemoKey implements model.EpisodeMemoKeyer: episodes are a pure
-// function of (p, L) once c is fixed.
-func (s *AdaptiveEqualized) EpisodeMemoKey() (model.MemoKey, bool) {
-	return model.MemoKey{Kind: "adaptive-equalized", C: s.C}, true
+	var buf [episodeCap]float64
+	return appendQuantizeExact(dst, appendEqualizedUnits(buf[:0], p, float64(L), float64(s.C)), L)
 }
 
 // Name implements model.Namer.
@@ -486,9 +442,6 @@ func (s *AdaptiveEqualized) Name() string { return "adaptive-equalized" }
 // period.
 type OptimalP1 struct {
 	C quant.Tick
-	// scratch holds the continuous-time ladder between AppendEpisode calls;
-	// safe to share across goroutines (see floatScratch).
-	scratch floatScratch
 }
 
 // NewOptimalP1 returns the S_opt^(1) scheduler for setup cost c ticks.
@@ -553,17 +506,8 @@ func (s *OptimalP1) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) m
 	if p <= 0 {
 		return append(dst, L)
 	}
-	bp := s.scratch.take()
-	*bp = appendOptimalP1Units(*bp, float64(L), float64(s.C))
-	dst = appendQuantizeExact(dst, *bp, L)
-	s.scratch.put(bp)
-	return dst
-}
-
-// EpisodeMemoKey implements model.EpisodeMemoKeyer: episodes are a pure
-// function of (p, L) once c is fixed.
-func (s *OptimalP1) EpisodeMemoKey() (model.MemoKey, bool) {
-	return model.MemoKey{Kind: "optimal-p1", C: s.C}, true
+	var buf [episodeCap]float64
+	return appendQuantizeExact(dst, appendOptimalP1Units(buf[:0], float64(L), float64(s.C)), L)
 }
 
 // Name implements model.Namer.
@@ -591,11 +535,6 @@ func (SinglePeriod) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) m
 	return append(dst, L)
 }
 
-// EpisodeMemoKey implements model.EpisodeMemoKeyer.
-func (SinglePeriod) EpisodeMemoKey() (model.MemoKey, bool) {
-	return model.MemoKey{Kind: "single-period"}, true
-}
-
 // Name implements model.Namer.
 func (SinglePeriod) Name() string { return "single-period" }
 
@@ -619,11 +558,6 @@ func (s EqualSplit) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) m
 		return dst
 	}
 	return appendEqualSplit(dst, L, s.M)
-}
-
-// EpisodeMemoKey implements model.EpisodeMemoKeyer.
-func (s EqualSplit) EpisodeMemoKey() (model.MemoKey, bool) {
-	return model.MemoKey{Kind: "equal-split", M: s.M}, true
 }
 
 // Name implements model.Namer.
@@ -659,11 +593,6 @@ func (s FixedChunk) AppendEpisode(dst model.TickSchedule, p int, L quant.Tick) m
 		dst = append(dst, rem)
 	}
 	return dst
-}
-
-// EpisodeMemoKey implements model.EpisodeMemoKeyer.
-func (s FixedChunk) EpisodeMemoKey() (model.MemoKey, bool) {
-	return model.MemoKey{Kind: "fixed-chunk", M: int(s.T)}, true
 }
 
 // Name implements model.Namer.

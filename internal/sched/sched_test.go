@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cyclesteal/internal/model"
@@ -512,5 +513,135 @@ func TestAppendQuantizeExactMatchesReference(t *testing.T) {
 		if len(got) != len(prefix)+1 || got[len(prefix)] != c.L {
 			t.Errorf("%v into %d ticks: got %v, want the prefix and the single period %d", c.s, c.L, got, c.L)
 		}
+	}
+}
+
+// Every scheduler's AppendEpisode must emit exactly its Episode — the append
+// paths are the hot-loop implementations, and any drift would silently change
+// simulation results fleet-wide. Lifespans up to 10⁶ ticks give the adaptive
+// schedulers episodes longer than episodeCap, which spill to the heap.
+func TestAppendEpisodeMatchesEpisode(t *testing.T) {
+	c := quant.Tick(10)
+	ag, _ := NewAdaptiveGuideline(c)
+	eq, _ := NewAdaptiveEqualized(c)
+	op, _ := NewOptimalP1(c)
+	na, _ := NewNonAdaptive(5000, 2, c)
+	nf, _ := NonAdaptiveFromPeriods(model.TickSchedule{700, 800, 3500}, 2, c)
+	schedulers := []model.EpisodeScheduler{
+		ag, eq, op, na, nf,
+		SinglePeriod{},
+		EqualSplit{M: 7},
+		FixedChunk{T: 250},
+		GuidelineVariant{C: c, Cfg: GuidelineConfig{DumpResidue: true}, Variant: "dump"},
+	}
+	rng := rand.New(rand.NewSource(3))
+	spilled := map[string]bool{} // by scheduler name
+	for _, maxL := range []int64{5000, 1_000_000} {
+		for _, s := range schedulers {
+			for trial := 0; trial < 200; trial++ {
+				p := rng.Intn(4)
+				L := quant.Tick(1 + rng.Int63n(maxL))
+				want := s.Episode(p, L)
+				if len(want) > episodeCap {
+					spilled[model.NameOf(s)] = true
+				}
+				prefix := model.TickSchedule{1, 2}
+				got := model.AppendEpisode(s, append(model.TickSchedule{}, prefix...), p, L)
+				if len(got) < 2 || got[0] != 1 || got[1] != 2 {
+					t.Fatalf("%s: prefix clobbered: %v", model.NameOf(s), got)
+				}
+				tail := got[2:]
+				if len(tail) != len(want) {
+					t.Fatalf("%s (p=%d L=%d): append emitted %d periods, Episode %d",
+						model.NameOf(s), p, L, len(tail), len(want))
+				}
+				for i := range want {
+					if tail[i] != want[i] {
+						t.Fatalf("%s (p=%d L=%d): period %d = %d, want %d",
+							model.NameOf(s), p, L, i, tail[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	for _, s := range []model.EpisodeScheduler{ag, eq, op} {
+		if !spilled[model.NameOf(s)] {
+			t.Errorf("%s: no episode longer than %d periods; the spill path went untested", model.NameOf(s), episodeCap)
+		}
+	}
+}
+
+// A never-used adaptive scheduler appends an episode that fits episodeCap
+// into a warm destination with zero allocations: the periods are built on
+// the stack, so an instance has nothing to warm.
+func TestAppendEpisodeZeroAllocFreshInstance(t *testing.T) {
+	const c, p, L = quant.Tick(10), 2, quant.Tick(4321)
+	builders := map[string]func() model.EpisodeAppender{
+		"equalized":  func() model.EpisodeAppender { s, _ := NewAdaptiveEqualized(c); return s },
+		"guideline":  func() model.EpisodeAppender { s, _ := NewAdaptiveGuideline(c); return s },
+		"optimal-p1": func() model.EpisodeAppender { s, _ := NewOptimalP1(c); return s },
+	}
+	for name, build := range builders {
+		if n := len(build().(model.EpisodeScheduler).Episode(p, L)); n > episodeCap {
+			t.Fatalf("%s: episode has %d periods, more than episodeCap", name, n)
+		}
+		const runs = 50
+		fresh := make([]model.EpisodeAppender, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range fresh {
+			fresh[i] = build()
+		}
+		dst := make(model.TickSchedule, 0, episodeCap)
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			dst = fresh[next].AppendEpisode(dst[:0], p, L)
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a fresh instance's AppendEpisode allocates %.1f times per episode", name, allocs)
+		}
+	}
+}
+
+// Schedulers are routinely shared across goroutines (E8 hands one instance
+// to every mc trial worker), so episodes must be race-free: each call builds
+// its periods in its own stack frame. Run under -race in CI.
+func TestSharedSchedulerConcurrentEpisodes(t *testing.T) {
+	c := quant.Tick(10)
+	eq, _ := NewAdaptiveEqualized(c)
+	ag, _ := NewAdaptiveGuideline(c)
+	op, _ := NewOptimalP1(c)
+	want := map[string]model.TickSchedule{}
+	schedulers := map[string]model.EpisodeScheduler{"equalized": eq, "guideline": ag, "optimalp1": op}
+	for name, s := range schedulers {
+		want[name] = s.Episode(2, 4321)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make(model.TickSchedule, 0, 256)
+			for i := 0; i < 200; i++ {
+				for name, s := range schedulers {
+					buf = model.AppendEpisode(s, buf[:0], 2, 4321)
+					if len(buf) != len(want[name]) {
+						errs <- name
+						return
+					}
+					for j := range buf {
+						if buf[j] != want[name][j] {
+							errs <- name
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for name := range errs {
+		t.Errorf("%s: concurrent episode diverged from serial", name)
 	}
 }
