@@ -7,9 +7,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cyclesteal/fleet"
+	"cyclesteal/internal/jsonl"
 )
 
 // fuzzSeedFrames produces one of every frame kind, with realistic
@@ -84,6 +86,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1,2,3],"TASKS":[4,null],"trials":3}}`))
 	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1,"2"],"trials":3}}`))
 	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1e400],"trials":3}}`))
+	for _, c := range studyLineCases {
+		f.Add([]byte(c.line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fr, err := ParseFrame(line)
 		want, werr := referenceParseFrame(line)
@@ -249,4 +254,164 @@ func TestEncodeFrameMatchesJSON(t *testing.T) {
 	if err := EncodeFrame(&bytes.Buffer{}, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &bad}); err == nil {
 		t.Fatal("encoded a NaN duration")
 	}
+}
+
+// studyHead opens a study line up to the inside of its spec.
+const studyHead = `{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{`
+
+// studyLineCases are study lines at the edges of ParseFrame's one-pass
+// path, each with whether that path takes it (fast): a declined line must
+// fall back to the strict decode of the whole line, and both paths must
+// agree with encoding/json.
+var studyLineCases = []struct {
+	name string
+	line string
+	fast bool
+}{
+	{"plain", studyHead + `"stations":2,"setup":1,"tasks":[1,2.5,0.125],"trials":3}}`, true},
+	{"tasks key in a string only", studyHead + `"stations":2,"setup":1,"policy":"x\"tasks\":[1]","trials":3}}`, false},
+	{"tasks key in a string, then the key", studyHead + `"stations":2,"setup":1,"policy":"\"tasks\":[9]","tasks":[1,2],"trials":3}}`, true},
+	{"tasks string value only", studyHead + `"stations":2,"setup":1,"policy":"tasks","trials":3}}`, false},
+	{"tasks string value, then the key", studyHead + `"stations":2,"setup":1,"policy":"tasks","tasks":[4],"trials":3}}`, true},
+	{"escaped backslash before the key", studyHead + `"stations":2,"setup":1,"policy":"a\\","tasks":[1],"trials":3}}`, true},
+	{"second key TASKS 0", studyHead + `"stations":2,"setup":1,"tasks":[1,2],"TASKS":0,"trials":3}}`, false},
+	{"second key TASKS null", studyHead + `"stations":2,"setup":1,"tasks":[1,2],"TASKS":null,"trials":3}}`, false},
+	{"second key TASKS array", studyHead + `"stations":2,"setup":1,"tasks":[1,2],"TASKS":[3],"trials":3}}`, false},
+	{"escaped second key", studyHead + `"stations":2,"setup":1,"t\u0061sks":[9],"tasks":[1],"trials":3}}`, false},
+	{"escaped key only", studyHead + `"stations":2,"setup":1,"t\u0061sks":[9],"trials":3}}`, false},
+	{"folded second key", studyHead + `"stations":2,"setup":1,"tasks":[1],"taſks":[2],"trials":3}}`, false},
+	{"tasks in an owner", studyHead + `"stations":2,"setup":1,"owners":[{"kind":"office","tasks":[1]}],"tasks":[1,2],"trials":3}}`, false},
+	{"tasks at the frame's top", `{"frame":"study","tasks":[1],"format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"trials":3}}`, false},
+	{"two specs, tasks in the first", studyHead + `"stations":2,"setup":1,"tasks":[1,2],"trials":3},"spec":{"stations":3,"setup":1,"trials":4}}`, true},
+	{"two specs, tasks in both", studyHead + `"stations":2,"setup":1,"tasks":[1,2],"trials":3},"spec":{"stations":3,"setup":1,"tasks":[5],"trials":4}}`, false},
+	{"two specs, the second null", studyHead + `"stations":2,"setup":1,"tasks":[1,2],"trials":3},"spec":null}`, false},
+	{"null element", studyHead + `"stations":2,"setup":1,"tasks":[1,null],"trials":3}}`, false},
+	{"nested element", studyHead + `"stations":2,"setup":1,"tasks":[1,[2]],"trials":3}}`, false},
+	{"string element", studyHead + `"stations":2,"setup":1,"tasks":[1,"2"],"trials":3}}`, false},
+	{"out of range", studyHead + `"stations":2,"setup":1,"tasks":[1e400],"trials":3}}`, false},
+	{"underflow", studyHead + `"stations":2,"setup":1,"tasks":[1e-400,-0,5e-324],"trials":3}}`, true},
+	{"leading zero", studyHead + `"stations":2,"setup":1,"tasks":[01],"trials":3}}`, false},
+	{"bare minus", studyHead + `"stations":2,"setup":1,"tasks":[-],"trials":3}}`, false},
+	{"bare point", studyHead + `"stations":2,"setup":1,"tasks":[1.],"trials":3}}`, false},
+	{"leading point", studyHead + `"stations":2,"setup":1,"tasks":[.5],"trials":3}}`, false},
+	{"bare exponent", studyHead + `"stations":2,"setup":1,"tasks":[1e],"trials":3}}`, false},
+	{"plus sign", studyHead + `"stations":2,"setup":1,"tasks":[+1],"trials":3}}`, false},
+	{"exponent forms", studyHead + `"stations":2,"setup":1,"tasks":[1E+2,2.5e-3,-0.0,12345678901234567890],"trials":3}}`, true},
+	{"trailing comma", studyHead + `"stations":2,"setup":1,"tasks":[1,],"trials":3}}`, false},
+	{"missing comma", studyHead + `"stations":2,"setup":1,"tasks":[1 2],"trials":3}}`, false},
+	{"CR and tab whitespace", studyHead + `"stations":2,"setup":1,"tasks":` + "\r\t[ 1,\t2\r, 3\n]\t" + `,"trials":3}}`, true},
+	{"empty array", studyHead + `"stations":2,"setup":1,"tasks":[],"trials":3}}`, true},
+	{"unterminated array", studyHead + `"stations":2,"setup":1,"tasks":[1,2`, false},
+	{"trailing bytes", studyHead + `"stations":2,"setup":1,"tasks":[1],"trials":3}}x`, false},
+	{"number glued after the array", studyHead + `"stations":2,"setup":1,"tasks":[1].5,"trials":3}}`, false},
+	{"exponent glued after the array", studyHead + `"stations":2,"setup":1,"tasks":[1]e5,"trials":3}}`, false},
+	{"object value", studyHead + `"stations":2,"setup":1,"tasks":{"a":1},"trials":3}}`, false},
+	{"invalid spec", studyHead + `"stations":0,"setup":1,"tasks":[1],"trials":3}}`, true},
+}
+
+// parseMatchesReference fails t unless ParseFrame and the encoding/json
+// reference agree on line: both refuse it, or both accept it with deeply
+// equal frames.
+func parseMatchesReference(t *testing.T, line []byte) {
+	t.Helper()
+	got, err := ParseFrame(line)
+	want, werr := referenceParseFrame(line)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("ParseFrame error %v, reference error %v", err, werr)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseFrame diverged from the reference:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestStudyLineOnePass pins the one-pass study decode at its edges: every
+// case parses exactly as encoding/json does, and the one-pass path takes
+// exactly the cases it should, giving ParseFrame's frame.
+func TestStudyLineOnePass(t *testing.T) {
+	for _, c := range studyLineCases {
+		t.Run(c.name, func(t *testing.T) {
+			line := []byte(c.line)
+			parseMatchesReference(t, line)
+			f, ok := parseStudyLine(line)
+			if ok != c.fast {
+				t.Fatalf("one-pass path took the line: %v, want %v", ok, c.fast)
+			}
+			if want, err := referenceParseFrame(line); ok && err == nil && !reflect.DeepEqual(f, want) {
+				t.Fatalf("one-pass path gave\n%+v\nwant %+v", f, want)
+			}
+		})
+	}
+}
+
+// Every study line EncodeFrame writes with a task array takes the one-pass
+// path, so a silent fallback cannot hide behind an equal result.
+func TestEncodedStudyLinesTakeOnePass(t *testing.T) {
+	big := studyFrameSpec(t)
+	tricky := Spec{Stations: 2, Setup: 1.5, Trials: 4, Policy: `"tasks":[1],"trials":9}}`, Tasks: []float64{1, 1, 2.5}}
+	withTasks := Spec{Stations: 3, Setup: 5, Trials: 70, Owners: []OwnerSpec{{Kind: "office", Param: 300}},
+		Tasks: []float64{0.5, 2.37, 4, 0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, 1.0 / 3}}
+	for i, spec := range []*Spec{&big, &tricky, &withTasks} {
+		var buf bytes.Buffer
+		if err := EncodeFrame(&buf, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		f, ok := parseStudyLine(line)
+		if !ok {
+			t.Fatalf("spec %d: the encoded study line fell back to the whole-line decode", i)
+		}
+		if !reflect.DeepEqual(f.Spec, spec) {
+			t.Fatalf("spec %d: one-pass decode gave %+v, want %+v", i, f.Spec, spec)
+		}
+	}
+}
+
+// FuzzStudyFrame builds study lines from fuzzed pieces — the spec's fields
+// before the task key, the key's spelling, the array's text and what
+// follows it — and pins ParseFrame to the encoding/json reference on each.
+// It also pins jsonl.Numbers to encoding/json: an array it accepts decodes
+// to the same values with no null element, and an array of numbers
+// encoding/json decodes with no null element is one it accepts, whole.
+func FuzzStudyFrame(f *testing.F) {
+	f.Add(`"stations":2,"setup":1,`, "tasks", "[1,2.5,0.125]", `,"trials":3}}`)
+	f.Add(`"stations":2,"setup":1,"policy":"tasks",`, "tasks", "[ 1 ,\t2\r]", `,"TASKS":null,"trials":3}}`)
+	f.Add(`"stations":2,"setup":1,"owners":[{"kind":"office"}],`, "TASKS", "[1e400]", `,"trials":3}}`)
+	f.Add(`"stations":2,"setup":1,`, "tasks", "[-0.0,1E+2,5e-324,01]", `,"trials":3},"spec":{"trials":4}}`)
+	f.Add(`"stations":2,"setup":1,`, "tasks", "[]", `.5,"trials":3}}`)
+	for _, c := range studyLineCases {
+		if i := strings.Index(c.line, `"tasks":`); i >= 0 && strings.HasPrefix(c.line, studyHead) {
+			f.Add(c.line[len(studyHead):i], "tasks", c.line[i+len(`"tasks":`):], "")
+		}
+	}
+	f.Fuzz(func(t *testing.T, prefix, key, array, suffix string) {
+		parseMatchesReference(t, []byte(studyHead+prefix+`"`+key+`":`+array+suffix))
+
+		data := []byte(array)
+		fs, n, err := jsonl.Numbers(data)
+		if err == nil {
+			var ptrs []*float64
+			if err := json.Unmarshal(data[:n], &ptrs); err != nil {
+				t.Fatalf("Numbers accepted %q, which encoding/json refuses: %v", data[:n], err)
+			}
+			if fs == nil || len(fs) != len(ptrs) {
+				t.Fatalf("Numbers read %d values (nil %v) from %q, encoding/json %d", len(fs), fs == nil, data[:n], len(ptrs))
+			}
+			for i, p := range ptrs {
+				if p == nil || math.Float64bits(*p) != math.Float64bits(fs[i]) {
+					t.Fatalf("Numbers read element %d of %q as %v, encoding/json as %v", i, data[:n], fs[i], p)
+				}
+			}
+		}
+		var ptrs []*float64
+		if len(data) > 0 && data[0] == '[' && json.Unmarshal(data, &ptrs) == nil {
+			for _, p := range ptrs {
+				if p == nil {
+					return // a null element, which Numbers refuses
+				}
+			}
+			if want := len(bytes.TrimRight(data, " \t\r\n")); err != nil || n != want {
+				t.Fatalf("Numbers(%q) = %d bytes, error %v; encoding/json reads an array of %d bytes", data, n, err, want)
+			}
+		}
+	})
 }

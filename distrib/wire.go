@@ -31,10 +31,11 @@ import (
 // invalid accumulator states are errors, never guesses, and so is a line
 // over jsonl.MaxLine bytes, the cap the service WAL shares. A frame line is
 // exactly json.Marshal's bytes for its Frame and a newline; the study
-// spec's task array is written and read by internal/jsonl's float codec,
-// which matches encoding/json byte for byte and value for value. A version
-// bump is required for any change to the frame shapes, the study shard
-// count, or the trial→shard assignment rule.
+// spec's task array is written by internal/jsonl's float codec and read by
+// its strict number-array parser (see ParseFrame), which match
+// encoding/json byte for byte and value for value. A version bump is
+// required for any change to the frame shapes, the study shard count, or
+// the trial→shard assignment rule.
 const (
 	wireFormat  = "cyclesteal-distrib"
 	wireVersion = 1
@@ -123,18 +124,31 @@ func (f Frame) validate() error {
 	return nil
 }
 
-// wireFrame is the shape ParseFrame decodes: a Frame whose study spec reads
-// its tasks through jsonl.Floats, which converts the numbers without
-// reflection. Each shadowing field carries the JSON name of the field it
-// hides, so the keys a frame may hold, and how they match, are Frame's.
-type wireFrame struct {
+// wireFrame is the shape ParseFrame decodes: a Frame whose study spec
+// reads its tasks through T — jsonl.Floats, which converts the numbers
+// without reflection, or a placeholder counter once the one-pass path has
+// cut the array out. Each shadowing field carries the JSON name of the
+// field it hides, so the keys a frame may hold, and how they match, are
+// Frame's.
+type wireFrame[T any] struct {
 	Frame
-	Spec *wireSpec `json:"spec,omitempty"`
+	Spec *wireSpec[T] `json:"spec,omitempty"`
 }
 
-type wireSpec struct {
+type wireSpec[T any] struct {
 	Spec
-	Tasks jsonl.Floats `json:"tasks,omitempty"`
+	Tasks T `json:"tasks,omitempty"`
+}
+
+// frame is the decoded Frame, its spec (if any) carrying tasks.
+func (w *wireFrame[T]) frame(tasks []float64) Frame {
+	f := w.Frame
+	if w.Spec != nil {
+		spec := w.Spec.Spec
+		spec.Tasks = tasks
+		f.Spec = &spec
+	}
+	return f
 }
 
 // ParseFrame decodes and validates one frame line. Any input is safe: bad
@@ -142,22 +156,106 @@ type wireSpec struct {
 // proportionally to values named inside the frame. It accepts exactly the
 // lines a strict encoding/json decode of a Frame followed by validation
 // accepts, with the same result.
+//
+// A study line's task array, most of its bytes, does not pass through
+// encoding/json: it is parsed by jsonl.Numbers and the rest of the line
+// decoded without it (see parseStudyLine). A line that path declines, and
+// every other frame, takes the strict decode of the whole line.
 func ParseFrame(line []byte) (Frame, error) {
-	var w wireFrame
-	if err := jsonl.Unmarshal(line, &w); err != nil {
-		return Frame{}, fmt.Errorf("distrib: %w", err)
-	}
-	f := w.Frame
-	if w.Spec != nil {
-		spec := w.Spec.Spec
-		spec.Tasks = w.Spec.Tasks
-		f.Spec = &spec
+	f, ok := parseStudyLine(line)
+	if !ok {
+		var w wireFrame[jsonl.Floats]
+		if err := jsonl.Unmarshal(line, &w); err != nil {
+			return Frame{}, fmt.Errorf("distrib: %w", err)
+		}
+		var tasks []float64
+		if w.Spec != nil {
+			tasks = w.Spec.Tasks
+		}
+		f = w.frame(tasks)
 	}
 	if err := f.validate(); err != nil {
 		return Frame{}, err
 	}
 	return f, nil
 }
+
+// parseStudyLine decodes a line whose spec carries its task array without
+// passing the array through encoding/json: it cuts out the value of the
+// first "tasks" key outside a string, parses it with jsonl.Numbers, and
+// strictly decodes the rest of the line with a one-byte placeholder where
+// the array was. It declines
+// (ok false) unless that value is a strict number array, the rest decodes,
+// and the spec's tasks field took exactly one value, the placeholder. No
+// struct under Frame has a map or interface field and unknown fields are
+// refused, so in a line whose rest decodes, a "tasks" key outside strings
+// is the spec's tasks field or fails the decode; the field's count catches
+// a second key that folds to "tasks", and the placeholder check a number
+// the cut glued onto a neighbouring byte.
+func parseStudyLine(line []byte) (f Frame, ok bool) {
+	start := tasksValue(line)
+	if start < 0 || line[start] != '[' {
+		return Frame{}, false
+	}
+	tasks, n, err := jsonl.Numbers(line[start:])
+	if err != nil {
+		return Frame{}, false
+	}
+	rest := make([]byte, 0, len(line)-n+1)
+	rest = append(append(append(rest, line[:start]...), placeholder), line[start+n:]...)
+	var w wireFrame[placeholderCount]
+	if jsonl.Unmarshal(rest, &w) != nil || w.Spec == nil || w.Spec.Tasks != (placeholderCount{values: 1, placeholder: true}) {
+		return Frame{}, false
+	}
+	return w.frame(tasks), true
+}
+
+// placeholder stands in for a cut task array: a one-byte JSON value.
+const placeholder = '0'
+
+// placeholderCount counts the values a decode writes into the spec's tasks
+// field, and notes whether the last one was the placeholder.
+type placeholderCount struct {
+	values      int
+	placeholder bool
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (c *placeholderCount) UnmarshalJSON(data []byte) error {
+	c.values++
+	c.placeholder = len(data) == 1 && data[0] == placeholder
+	return nil
+}
+
+// tasksValue returns the index of the value of the first "tasks" key
+// outside a string in line, past the colon and any whitespace, or −1 when
+// there is none. It tracks strings as JSON does: a quote outside a string
+// opens one, a backslash escapes the next byte, and a quote closes it.
+func tasksValue(line []byte) int {
+	const key = `"tasks"`
+	for i := 0; i < len(line); i++ {
+		if line[i] != '"' {
+			continue
+		}
+		if bytes.HasPrefix(line[i:], []byte(key)) {
+			if rest := bytes.TrimLeft(line[i+len(key):], jsonSpace); len(rest) > 0 && rest[0] == ':' {
+				if rest = bytes.TrimLeft(rest[1:], jsonSpace); len(rest) > 0 {
+					return len(line) - len(rest)
+				}
+				return -1
+			}
+		}
+		for i++; i < len(line) && line[i] != '"'; i++ {
+			if line[i] == '\\' {
+				i++
+			}
+		}
+	}
+	return -1
+}
+
+// jsonSpace is the JSON whitespace a token may be padded with.
+const jsonSpace = " \t\r\n"
 
 // ParseShardResult decodes and validates one shard-result object — the
 // payload of a shard frame, exposed for tools that store shard states

@@ -380,8 +380,8 @@ func (g grid) checkedTicks(units float64) (quant.Tick, error) {
 // got. Each hand's Tasks must come sized to exactly its share. It returns
 // the job's total ticks. It refuses what checkedTicks refuses, and a job
 // whose total overflows a quant.Tick; the error names the task. Every job
-// enters through it: a batch run dealt over its groups (dealtJob), and
-// studies and service submits, replays and recoveries as one flat hand
+// enters through it: a batch run or a study dealt over its groups
+// (dealtJob), and service submits, replays and recoveries as one flat hand
 // (quantizeFlat).
 func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, error) {
 	ticksC := float64(g.ticksC)
@@ -413,8 +413,7 @@ func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, erro
 }
 
 // quantizeFlat is quantize into one hand: the job as one task list, task i
-// at index i — the form a study replays and a service keeps until it deals
-// the job.
+// at index i — the form a service keeps until it deals the job.
 func (g grid) quantizeFlat(durations []float64) ([]task.Task, quant.Tick, error) {
 	hand := []task.Hand{{Tasks: make([]task.Task, len(durations))}}
 	work, err := g.quantize(hand, durations)
@@ -667,8 +666,9 @@ func (f *Fleet) shards() int {
 // dealtJob validates the caller's task durations and quantizes them
 // straight into a run's group queues, returning the job and its total
 // work: hand g of groups gets tasks g, g+groups, g+2·groups, …, the deal
-// farm.Core.AddTasks would make of the flat list, and the run takes the
-// hands as its queues' storage. An empty job stays empty.
+// farm.Core.AddTasks would make of the flat list. A run takes the hands as
+// its queues' storage; a study's trials each copy them. An empty job stays
+// empty.
 func (f *Fleet) dealtJob(durations []float64, groups int) (farm.Job, quant.Tick, error) {
 	if len(durations) == 0 {
 		return farm.Job{}, 0, nil

@@ -142,6 +142,10 @@ type Study struct {
 // Study validates the job against the fleet and cuts a trials-sized
 // replication into shards. It applies Replicate's rules: trials ≥ 1, no
 // trace recording, no trace-replay owners, no active fault plans.
+//
+// The job is quantized once, straight into the hands of its group queues,
+// as Run deals it. Every trial copies those hands into queue storage its
+// worker keeps; no trial quantizes or deals the job again.
 func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("fleet: trials must be ≥ 1, got %d", trials)
@@ -155,7 +159,8 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 	if f.cfg.Faults.Active() {
 		return nil, fmt.Errorf("fleet: Replicate rejects fault plans: a plan names one faulted run, not a distribution — sweep seeds over RunDeterministic instead")
 	}
-	tasks, _, err := f.g.quantizeFlat(job.Tasks)
+	fm := f.batch(f.stations, len(job.Tasks))
+	fj, _, err := f.dealtJob(job.Tasks, fm.Groups())
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +170,8 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		cfg:      mc.Config{Trials: trials, Seed: f.cfg.Seed, Workers: f.cfg.Workers},
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,
-		fm:       f.batch(f.stations, len(tasks)),
-		fj:       farm.Job{Tasks: tasks},
+		fm:       fm,
+		fj:       fj,
 		statCols: f.cfg.StationSummaries,
 	}, nil
 }

@@ -79,7 +79,7 @@ func BenchmarkFarmReplicateTwoLevel(b *testing.B) {
 
 // BenchmarkFarmCoreAddTasks prices a job's arrival in the round engine:
 // dealing 100,000 tasks round-robin into a fresh 64-group Core's queues —
-// what every Study trial and every activated service job pays once.
+// what every activated service job pays once.
 func BenchmarkFarmCoreAddTasks(b *testing.B) {
 	tasks := task.Uniform(100000, 5, 50, 1)
 	f := benchFleet(64)

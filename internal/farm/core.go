@@ -295,8 +295,10 @@ func (c *Core) AddTasks(tasks []task.Task) {
 // AddDealt is AddTasks for a job already dealt over every group: hands[g]
 // holds exactly the tasks AddTasks would deal queue g, with their smallest
 // duration. Each queue takes its hand as storage, with no copy, and ends
-// up as AddTasks would leave it. Call it once, on a Core whose queues are
-// all empty and whose groups are all live: the batch run's intake.
+// up as AddTasks would leave it; tasks added later fill the hand's spare
+// capacity before the queue grows. Call it once, on a Core whose queues
+// are all empty and whose groups are all live: the intake of a batch run
+// and of every replication trial.
 func (c *Core) AddDealt(hands []task.Hand) {
 	for g, h := range hands {
 		c.queues[g].Adopt(h)

@@ -54,20 +54,30 @@ import (
 
 // Job is one data-parallel computation to farm across the fleet: a plain
 // task list, which a run deals round-robin over its group queues, or the
-// same partition already made.
+// same partition already made. A job may carry both: a run deals the list
+// onto the backs of the dealt queues. That is how a replication trial
+// deals a plain list into queue storage its worker keeps.
 type Job struct {
 	Tasks []task.Task
 	// Dealt, when non-nil, is the job already dealt over the run's Groups()
 	// queues: hand g holds the tasks task.Deal(tasks, Groups()) puts in hand
 	// g, with their smallest duration. RunDeterministic takes each hand as
 	// its queue's storage, with no copy, so a dealt job is consumed by the
-	// one run it is passed to; Replicate and ReplicateShards refuse it.
-	// Tasks is then ignored.
+	// one run it is passed to. Replicate and ReplicateShards take it as a
+	// read-only template: each trial copies its hands into storage the
+	// trial's mc worker keeps, and no trial writes to the template.
 	Dealt []task.Hand
 }
 
-// TotalWork returns the total task time of the job's plain task list.
-func (j Job) TotalWork() quant.Tick { return task.Durations(j.Tasks) }
+// TotalWork returns the total task time of the job: its dealt hands and
+// its plain task list.
+func (j Job) TotalWork() quant.Tick {
+	work := task.Durations(j.Tasks)
+	for _, h := range j.Dealt {
+		work += task.Durations(h.Tasks)
+	}
+	return work
+}
 
 // StationReport describes one station's contribution to the job.
 type StationReport struct {
@@ -349,7 +359,9 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 // A dealt job (Job.Dealt) must have one hand per group. It enters without
 // a copy: each group's queue takes its hand as storage, so the run
 // consumes the job. Its queues start exactly as the plain job's deal would
-// leave them, so the result is the same.
+// leave them, so the result is the same. The job's plain task list is then
+// dealt round-robin onto the queues' backs, into the hands' spare capacity
+// where it fits.
 func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64, workers int) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -362,10 +374,10 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	if rounds < 1 {
 		rounds = 1
 	}
-	groups := f.Groups()
-	if job.Dealt != nil && len(job.Dealt) != groups {
-		return Result{}, fmt.Errorf("farm: job dealt over %d hands, but the run plays %d groups", len(job.Dealt), groups)
+	if err := f.checkHands(job); err != nil {
+		return Result{}, err
 	}
+	groups := f.Groups()
 	if f.Private {
 		f.Topology = Topology{} // no queue is ever stolen from
 	} else if err := f.Topology.Validate(groups); err != nil {
@@ -381,18 +393,18 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	}
 
 	// A batch run is a thin shell over the event-driven Core: join the
-	// whole fleet up front, deal the job in (or take its hands), play
-	// bounded rounds. No churn, no completion tracking. In the Private
-	// layout the round-robin deal gives station i the hand task.Deal would.
+	// whole fleet up front, take the job's hands and deal its plain list
+	// in, play bounded rounds. No churn, no completion tracking. In the
+	// Private layout the round-robin deal gives station i the hand
+	// task.Deal would.
 	core := f.NewCore(factory, seed, groups, n, false)
 	for _, ws := range f.Stations {
 		core.Join(ws)
 	}
 	if job.Dealt != nil {
 		core.AddDealt(job.Dealt)
-	} else {
-		core.AddTasks(job.Tasks)
 	}
+	core.AddTasks(job.Tasks)
 	if f.Faults.Active() {
 		// The plan's own seed wins; a zero-seed plan derives its draw stream
 		// from the run seed, so replication stays replayable per trial.
@@ -470,27 +482,54 @@ const (
 // fleet exploits the machine even at low trial counts. Trial i derives its
 // farm seed from the engine's deterministic stream for cfg.Seed+i, both
 // levels are free of result-affecting scheduling, and the summaries are
-// therefore bit-identical at any worker budget. It refuses a dealt job:
-// the first trial would consume it.
+// therefore bit-identical at any worker budget.
+//
+// A dealt job is a read-only template: every trial copies its hands into
+// the group hands its mc worker keeps, and plays them. A plain job is dealt
+// straight into those hands. Either way a trial's queues reuse its worker's
+// storage, and the summaries are those of the plain job. A dealt job must
+// have one hand per group.
 func (f Farm) Replicate(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config) ([]stats.Summary, error) {
-	if err := replayable(job); err != nil {
+	if err := f.checkHands(job); err != nil {
 		return nil, err
 	}
 	cfg, inner := mc.SplitConfig(cfg)
-	return mc.RunVec(ctx, cfg, NumMetrics, f.trialVec(ctx, job, factory, inner, false))
+	newState, fn := f.trialVec(ctx, job, factory, inner, false)
+	return mc.RunVecState(ctx, cfg, NumMetrics, newState, fn)
+}
+
+// checkHands refuses a dealt job that does not have one hand per group.
+func (f Farm) checkHands(job Job) error {
+	if groups := f.Groups(); job.Dealt != nil && len(job.Dealt) != groups {
+		return fmt.Errorf("farm: job dealt over %d hands, but the run plays %d groups", len(job.Dealt), groups)
+	}
+	return nil
 }
 
 // trialVec builds the one replication trial closure every farm study —
 // whole-run, per-station, or shard-subset — executes, so the distributed
 // and single-process paths cannot drift apart. stationCols widens the
 // metric vector with one played-lifespan column per station.
-func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFactory, inner int, stationCols bool) mc.VecFunc {
+//
+// It also returns the mc state hook that gives each worker one set of
+// group hands, sized to the job once: a trial refills them (see refill) and
+// plays them as its queues, so no trial allocates or scatters its queues.
+// An empty job keeps no hands: each trial plays it as it is.
+func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFactory, inner int, stationCols bool) (mc.NewState, mc.VecStateFunc) {
 	trial := f
 	trial.Progress = nil // per-trial round barriers are not job progress
 	cols := f.ReplicateColumns(stationCols)
 	total := job.TotalWork() // a property of the job: summed once, not per trial
-	return func(rng *rand.Rand) ([]float64, error) {
-		res, err := trial.RunDeterministic(ctx, job, factory, rng.Int63(), inner)
+	var newState mc.NewState
+	if len(job.Tasks) > 0 || job.Dealt != nil {
+		newState = func() any { return job.hands(f.Groups()) }
+	}
+	return newState, func(rng *rand.Rand, state any) ([]float64, error) {
+		run := job
+		if hands, ok := state.([]task.Hand); ok {
+			run = job.refill(hands)
+		}
+		res, err := trial.RunDeterministic(ctx, run, factory, rng.Int63(), inner)
 		if err != nil {
 			return nil, err
 		}
@@ -503,6 +542,44 @@ func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFa
 		}
 		return out, nil
 	}
+}
+
+// hands allocates the group hands one replication worker keeps for the
+// job: empty, each with room for exactly what a trial puts in it — its
+// dealt hand and its round-robin share of the plain list. The hands share
+// one backing array, and each is capped at its own room, so a queue that
+// outgrows its hand during a trial moves to new storage instead of writing
+// into its neighbour's.
+func (j Job) hands(groups int) []task.Hand {
+	size := len(j.Tasks)
+	for _, h := range j.Dealt {
+		size += len(h.Tasks)
+	}
+	storage := make([]task.Task, size)
+	hands := make([]task.Hand, groups)
+	for g := range hands {
+		n := (len(j.Tasks) - g + groups - 1) / groups // tasks g, g+groups, …
+		if j.Dealt != nil {
+			n += len(j.Dealt[g].Tasks)
+		}
+		hands[g].Tasks, storage = storage[:0:n], storage[n:]
+	}
+	return hands
+}
+
+// refill loads one trial's job into a worker's hands: a copy of each dealt
+// hand (the template is only read), with the plain list left for the run to
+// deal onto them. Each hand restarts from its own storage, whatever the
+// previous trial's queue did with it.
+func (j Job) refill(hands []task.Hand) Job {
+	for g := range hands {
+		h := task.Hand{Tasks: hands[g].Tasks[:0]}
+		if j.Dealt != nil {
+			h.Tasks, h.MinDur = append(h.Tasks, j.Dealt[g].Tasks...), j.Dealt[g].MinDur
+		}
+		hands[g] = h
+	}
+	return Job{Tasks: j.Tasks, Dealt: hands}
 }
 
 // ReplicateColumns is the metric-vector width of a replication trial: the
@@ -521,24 +598,15 @@ func (f Farm) ReplicateColumns(stationCols bool) int {
 // (with stationCols, widened by one played-lifespan column per station),
 // over exactly the trials those shards own, so a complete cover merged by
 // mc.MergeShards reproduces the single-process summaries bit for bit
-// wherever each subset ran. Like Replicate it refuses a dealt job.
+// wherever each subset ran. Like Replicate it takes a dealt job as a
+// read-only template, and refuses one without a hand per group.
 func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config, stationCols bool, shardIDs []int) ([]mc.ShardAccums, error) {
-	if err := replayable(job); err != nil {
+	if err := f.checkHands(job); err != nil {
 		return nil, err
 	}
 	cfg, inner := mc.SplitConfig(cfg)
-	fn := f.trialVec(ctx, job, factory, inner, stationCols)
-	return mc.RunVecShards(ctx, cfg, f.ReplicateColumns(stationCols), nil,
-		func(rng *rand.Rand, _ any) ([]float64, error) { return fn(rng) }, shardIDs)
-}
-
-// replayable refuses a job no replication can replay: a dealt one, which
-// its first trial would consume.
-func replayable(job Job) error {
-	if job.Dealt != nil {
-		return fmt.Errorf("farm: a dealt job is consumed by its one run; replicate its plain task list")
-	}
-	return nil
+	newState, fn := f.trialVec(ctx, job, factory, inner, stationCols)
+	return mc.RunVecShards(ctx, cfg, f.ReplicateColumns(stationCols), newState, fn, shardIDs)
 }
 
 // fillMetrics writes one trial's metric vector into out[:NumMetrics],

@@ -3,6 +3,8 @@ package farm
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -468,24 +470,102 @@ func TestRunDeterministicDealtMatchesPlain(t *testing.T) {
 	}
 }
 
-// A dealt job must have one hand per group, and no replication takes one:
-// its first trial would consume it.
+// A dealt job must have one hand per group: every entry point refuses one
+// that has another count, up front, naming both counts.
 func TestDealtJobRefusals(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 1000})
 	f.Shards = 3
 	job := Job{Tasks: task.Fixed(30, 5)}
+	cfg := mc.Config{Trials: 2, Seed: 1}
 	for _, groups := range []int{2, 4} {
-		_, err := f.RunDeterministic(context.Background(), dealt(Farm{Stations: f.Stations, Shards: groups}, job), equalizedFactory, 1, 1)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d hands", groups)) || !strings.Contains(err.Error(), "3 groups") {
-			t.Errorf("a job dealt over %d hands on 3 groups: error %v, want one naming both counts", groups, err)
+		bad := dealt(Farm{Stations: f.Stations, Shards: groups}, job)
+		_, runErr := f.RunDeterministic(context.Background(), bad, equalizedFactory, 1, 1)
+		_, repErr := f.Replicate(context.Background(), bad, equalizedFactory, cfg)
+		_, shardErr := f.ReplicateShards(context.Background(), bad, equalizedFactory, cfg, false, []int{0})
+		for name, err := range map[string]error{"RunDeterministic": runErr, "Replicate": repErr, "ReplicateShards": shardErr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d hands", groups)) || !strings.Contains(err.Error(), "3 groups") {
+				t.Errorf("%s of a job dealt over %d hands on 3 groups: error %v, want one naming both counts", name, groups, err)
+			}
 		}
 	}
-	cfg := mc.Config{Trials: 2, Seed: 1}
-	if _, err := f.Replicate(context.Background(), dealt(f, job), equalizedFactory, cfg); err == nil || !strings.Contains(err.Error(), "dealt") {
-		t.Errorf("Replicate of a dealt job: error %v, want a refusal", err)
-	}
-	if _, err := f.ReplicateShards(context.Background(), dealt(f, job), equalizedFactory, cfg, false, []int{0}); err == nil || !strings.Contains(err.Error(), "dealt") {
-		t.Errorf("ReplicateShards of a dealt job: error %v, want a refusal", err)
+}
+
+// Replication takes a dealt job as a read-only template, and replays a
+// plain one, on queue storage each mc worker keeps: in every layout, at any
+// worker budget, replicating either gives exactly what playing each trial
+// on fresh queues gives, whole or by shards, and leaves the template's
+// hands as they were. A dealt job's total work is its plain list's.
+func TestReplicateDealtMatchesPlain(t *testing.T) {
+	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
+	shared.Stations[2].Owner = station.Laptop{MeanIdle: 300}
+	// Group 1's station never plays, so group 0 runs dry and steals tasks
+	// group 1 has not touched: they sit right after group 0's hand in its
+	// worker's storage.
+	idle := testFarm(5, station.Overnight{Window: 2000})
+	idle.Stations[1].Owner = station.Overnight{Window: 1}
+	job := Job{Tasks: task.Exponential(400, 20, 3)}
+	for _, in := range []struct {
+		name string
+		f    Farm
+		job  Job
+	}{
+		{"shared job", shared, job},
+		{"idle neighbour", idle, job},
+		{"private", privateFarm(shared), job},
+		{"empty job", privateFarm(shared), Job{}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			f, plain := in.f, in.job
+			tmpl := dealt(f, plain)
+			before := dealt(f, plain) // an independent copy of the template
+			if got, want := tmpl.TotalWork(), plain.TotalWork(); got != want {
+				t.Errorf("dealt job's total work %d, plain list's %d", got, want)
+			}
+			for _, workers := range []int{1, 8} {
+				cfg := mc.Config{Trials: 40, Seed: 9, Workers: workers}
+				outer, inner := mc.SplitConfig(cfg)
+				// Each trial on fresh queues: the plain job, dealt by the run.
+				want, err := mc.RunVec(context.Background(), outer, NumMetrics, func(rng *rand.Rand) ([]float64, error) {
+					res, err := f.RunDeterministic(context.Background(), plain, equalizedFactory, rng.Int63(), inner)
+					if err != nil {
+						return nil, err
+					}
+					out := make([]float64, NumMetrics)
+					fillMetrics(out, res, plain.TotalWork())
+					return out, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if in.name == "idle neighbour" && want[MetricSteals].Min == 0 {
+					t.Fatalf("workers=%d: a trial made no steal; the case tests nothing", workers)
+				}
+				for _, j := range []Job{plain, tmpl} {
+					got, err := f.Replicate(context.Background(), j, equalizedFactory, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("workers=%d: Replicate of the job dealt=%v\n got %+v\nwant %+v", workers, j.Dealt != nil, got, want)
+					}
+				}
+				ids := []int{0, 3, 5, 6}
+				wantShards, err := f.ReplicateShards(context.Background(), plain, equalizedFactory, cfg, true, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotShards, err := f.ReplicateShards(context.Background(), tmpl, equalizedFactory, cfg, true, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotShards, wantShards) {
+					t.Errorf("workers=%d: ReplicateShards of the dealt job diverged from the plain list's", workers)
+				}
+			}
+			if !reflect.DeepEqual(tmpl, before) {
+				t.Error("replication wrote to the dealt template")
+			}
+		})
 	}
 }
 
@@ -605,7 +685,8 @@ func TestReplicateShardsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			outer, inner := mc.SplitConfig(cfg)
-			wantStations, err := mc.RunVec(context.Background(), outer, f.ReplicateColumns(true), f.trialVec(context.Background(), job, equalizedFactory, inner, true))
+			newState, trial := f.trialVec(context.Background(), job, equalizedFactory, inner, true)
+			wantStations, err := mc.RunVecState(context.Background(), outer, f.ReplicateColumns(true), newState, trial)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,9 +4,11 @@
 // exactly encoding/json's bytes and reads exactly its values, without
 // reflection.
 //
-// encoding/json stays the definition of every format: it checks syntax,
-// matches keys and refuses unknown fields, and the tests pin each function
-// here against it byte for byte and value for value.
+// encoding/json stays the definition of every format: it matches keys and
+// refuses unknown fields, and it checks the syntax of everything but the
+// arrays Numbers reads, which checks a number array's syntax itself. The
+// tests pin each function here against encoding/json byte for byte and
+// value for value.
 package jsonl
 
 import (
@@ -151,11 +153,117 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 	}
 	// encoding/json decodes into the storage of the slice already there,
 	// and a null element leaves that storage as it was — which shows only
-	// when a key repeats. Keep it, with room for every element.
+	// when a key repeats. Keep it, with room for every element: data has
+	// passed encoding/json's syntax check, so each comma separates two.
 	buf := (*f)[:cap(*f)]
 	if n := bytes.Count(data, []byte{','}) + 1; len(buf) < n {
 		buf = append(make([]float64, 0, n), buf...)[:n]
 	}
+	fs, err := readElements(buf, data)
+	if err != nil {
+		return err
+	}
+	*f = fs
+	return nil
+}
+
+// Numbers reads the JSON array of numbers data starts with and returns its
+// values and its length in bytes; what follows the array is not read. It
+// is strict: it accepts JSON-grammar numbers separated by commas, with
+// JSON whitespace between tokens, and refuses a null or nested element, a
+// number outside float64's range and any other byte. An accepted array
+// yields exactly what encoding/json decodes into a []float64, a non-nil
+// empty slice for [] included. It checks the whole array before it
+// allocates, so a long run of commas costs no memory.
+func Numbers(data []byte) ([]float64, int, error) {
+	n, end, err := scanNumbers(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	fs, err := readElements(make([]float64, n), data[:end])
+	if err != nil {
+		return nil, 0, err
+	}
+	return fs, end, nil
+}
+
+// scanNumbers checks that data starts with a JSON array of JSON-grammar
+// numbers and returns how many it holds and the index just past it.
+func scanNumbers(data []byte) (n, end int, err error) {
+	if len(data) == 0 || data[0] != '[' {
+		return 0, 0, fmt.Errorf("jsonl: not a JSON array")
+	}
+	i := skipSpace(data, 1)
+	if i < len(data) && data[i] == ']' {
+		return 0, i + 1, nil
+	}
+	for {
+		j := numberEnd(data, i)
+		if j < 0 {
+			return 0, 0, fmt.Errorf("jsonl: element %d is not a JSON number", n)
+		}
+		n++
+		if i = skipSpace(data, j); i == len(data) {
+			return 0, 0, fmt.Errorf("jsonl: unterminated number array")
+		}
+		switch data[i] {
+		case ']':
+			return n, i + 1, nil
+		case ',':
+			i = skipSpace(data, i+1)
+		default:
+			return 0, 0, fmt.Errorf("jsonl: element %d is not followed by a comma or the array's end", n-1)
+		}
+	}
+}
+
+// numberEnd returns the index just past the JSON number at data[i], or −1
+// when none starts there: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
+func numberEnd(data []byte, i int) int {
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && '1' <= data[i] && data[i] <= '9':
+		i = digitsEnd(data, i)
+	default:
+		return -1
+	}
+	if i < len(data) && data[i] == '.' {
+		if i = digitsEnd(data, i+1); data[i-1] == '.' {
+			return -1
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		j := digitsEnd(data, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+// digitsEnd returns the index of the first non-digit at or after data[i].
+func digitsEnd(data []byte, i int) int {
+	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// readElements converts the elements of data, a well-formed JSON array,
+// into buf, growing it as needed, and returns buf cut to the element count.
+// A null element leaves its slot of buf as it was; a non-number element is
+// an error. It is the element loop Floats.UnmarshalJSON and Numbers share.
+func readElements(buf []float64, data []byte) ([]float64, error) {
+	i := skipSpace(data, 1)
 	n := 0
 	for i < len(data) && data[i] != ']' {
 		if n == len(buf) {
@@ -165,18 +273,14 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 		case c == 'n':
 			i += len("null")
 		case c == '-' || '0' <= c && c <= '9':
-			j := i + 1
-			for j < len(data) && isNumberByte(data[j]) {
-				j++
-			}
-			v, err := parseNumber(data[i:j])
+			v, j, err := parseNumber(data, i)
 			if err != nil {
-				return fmt.Errorf("jsonl: element %d: %w", n, err)
+				return nil, fmt.Errorf("jsonl: element %d: %w", n, err)
 			}
 			buf[n] = v
 			i = j
 		default:
-			return fmt.Errorf("jsonl: element %d: cannot decode %s into a number", n, kind(c))
+			return nil, fmt.Errorf("jsonl: element %d: cannot decode %s into a number", n, kind(c))
 		}
 		n++
 		if i = skipSpace(data, i); i < len(data) && data[i] == ',' {
@@ -184,42 +288,45 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 		}
 	}
 	if i >= len(data) {
-		return fmt.Errorf("jsonl: unterminated number array")
+		return nil, fmt.Errorf("jsonl: unterminated number array")
 	}
-	*f = buf[:n]
-	return nil
+	return buf[:n], nil
 }
 
-// parseNumber converts one JSON number token as strconv.ParseFloat does.
-// At most 15 digits with no sign or exponent take strconv's own exact
-// path inline: the digits are an exact float64, and so is the power of ten
-// the point divides them by, so one correctly rounded IEEE division gives
-// the correctly rounded value.
-func parseNumber(tok []byte) (float64, error) {
+// parseNumber converts the JSON number token at data[i], which runs to the
+// first byte no number holds, as strconv.ParseFloat does, and returns the
+// index just past it. At most 15 digits with no sign or exponent take
+// strconv's own exact path inline: the digits are an exact float64, and so
+// is the power of ten the point divides them by, so one correctly rounded
+// IEEE division gives the correctly rounded value.
+func parseNumber(data []byte, i int) (float64, int, error) {
 	var mant uint64
 	digits, frac := 0, 0
-	point := false
-	for _, c := range tok {
-		switch {
-		case '0' <= c && c <= '9':
+	point, inline := false, true
+	j := i
+	for ; j < len(data); j++ {
+		c := data[j]
+		if '0' <= c && c <= '9' {
 			if digits++; digits > 15 {
-				return strconv.ParseFloat(string(tok), 64)
+				inline = false
 			}
 			mant = mant*10 + uint64(c-'0')
 			if point {
 				frac++
 			}
-		case c == '.':
+		} else if c == '.' {
 			point = true
-		default:
-			return strconv.ParseFloat(string(tok), 64)
+		} else if c == '-' || c == '+' || c == 'e' || c == 'E' {
+			inline = false
+		} else {
+			break
 		}
 	}
-	return float64(mant) / pow10[frac], nil
-}
-
-func isNumberByte(c byte) bool {
-	return '0' <= c && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'
+	if !inline {
+		v, err := strconv.ParseFloat(string(data[i:j]), 64)
+		return v, j, err
+	}
+	return float64(mant) / pow10[frac], j, nil
 }
 
 func skipSpace(data []byte, i int) int {

@@ -40,11 +40,12 @@
 //
 // Closures run concurrently: a closure may freely use its private *rand.Rand
 // during the call, and anything it creates, but shared inputs (schedulers,
-// solvers) must be treated as read-only. Closures that want reusable
-// per-goroutine scratch (simulator buffers) use the per-worker state hook
-// (RunState/RunVecState): the engine builds one state value per worker
-// goroutine and hands it to every trial that worker runs, so trials can ride
-// the allocation-free opportunity path without any synchronization.
+// solvers, a farm study's dealt job) must be treated as read-only. Closures
+// that want reusable per-goroutine scratch (simulator buffers, queue
+// storage) use the per-worker state hook (RunState/RunVecState): the
+// engine builds one state value per worker goroutine and hands it to every
+// trial that worker runs, so trials can reuse it without any
+// synchronization.
 //
 // # Cancellation
 //
@@ -165,10 +166,11 @@ type VecStateFunc func(rng *rand.Rand, state any) ([]float64, error)
 // the value is then passed to every trial that worker runs (its shards are
 // processed in increasing trial order within each shard). Because the state
 // never leaves its goroutine it needs no synchronization — this is the hook
-// that lets replication studies thread warm sim.Buffers through their trials
-// and ride the allocation-free opportunity path. State must never influence
-// results (scratch only): the seed-stream contract pins the summaries
-// regardless of how trials are grouped onto workers.
+// that lets replication studies thread warm scratch through their trials:
+// sim.Buffers for the allocation-free opportunity path, and a farm study's
+// group-queue storage, which every trial refills and plays. State must
+// never influence results (scratch only): the seed-stream contract pins
+// the summaries regardless of how trials are grouped onto workers.
 type NewState func() any
 
 // Run replicates a single-metric trial and returns its summary.

@@ -237,8 +237,8 @@ func (b *Bag) Steal(n int) []Task {
 // of worker scheduling, and every hand sees a representative duration mix
 // even when the set is sorted. The library never builds these hands from a
 // task list: DealInto makes the same partition into existing bags, and a
-// batch run's intake quantizes a job straight into it (see Bag.Adopt). Deal
-// is the reference both are tested against.
+// batch run's or a study's intake quantizes a job straight into it (see
+// Bag.Adopt). Deal is the reference both are tested against.
 func Deal(tasks []Task, n int) [][]Task {
 	if n < 1 {
 		n = 1
@@ -258,9 +258,10 @@ func Deal(tasks []Task, n int) [][]Task {
 // bags[i mod len(bags)], the partition Deal makes, and each bag ends up
 // exactly as if Append had added its hand. Unlike Deal it builds no
 // intermediate hands: it makes one pass over the tasks, and each bag grows
-// at most once. Every plain task list enters the farm's queues through it:
-// a study trial's job, a service arrival, a departed group's drained
-// queue. bags must not be empty.
+// at most once, not at all when its storage has room. Every plain task
+// list enters the farm's queues through it: a plain job's run or
+// replication trial, a service arrival, a departed group's drained queue.
+// bags must not be empty.
 func DealInto(bags []*Bag, tasks []Task) {
 	if len(tasks) == 0 {
 		return
