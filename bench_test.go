@@ -14,6 +14,7 @@ package cyclesteal
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cyclesteal/internal/adversary"
@@ -342,7 +343,9 @@ func BenchmarkGuaranteedWorkFacade(b *testing.B) {
 // BenchmarkEngineSimulate measures the public Engine.Simulate path: one
 // opportunity at p = 2, U/c = 750 over 750 task durations, against one
 // Poisson owner built outside the loop. After the warm-up call the engine
-// runs on pooled scratch, so it reports 0 allocs/op.
+// runs on pooled scratch, so it reports 0 allocs/op, and every op takes
+// the one list as the scratch converted it: a Monte-Carlo run's case.
+// BenchmarkEngineSimulateFreshList prices an op that converts its list.
 func BenchmarkEngineSimulate(b *testing.B) {
 	e, eq, opts, mean := engineSimulateShape(b)
 	adv := e.PoissonAdversary(mean, 1)
@@ -379,19 +382,44 @@ func BenchmarkEngineSimulateSeeded(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSimulateFreshList is BenchmarkEngineSimulate with a new
+// task list on every op: it alternates two lists of the same shape, the
+// second the first rotated by one task, so every op converts its list to
+// ticks. It reports 0 allocs/op once warm.
+func BenchmarkEngineSimulateFreshList(b *testing.B) {
+	e, eq, opts, mean := engineSimulateShape(b)
+	d := opts.TaskDurations
+	lists := [2]SimOptions{opts, {TaskDurations: append(slices.Clone(d[1:]), d[0])}}
+	adv := e.PoissonAdversary(mean, 1)
+	for _, o := range lists {
+		if _, err := e.Simulate(eq, adv, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Simulate(eq, adv, lists[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTick = quant.Tick(res.Episodes)
+	}
+}
+
 // engineSimulateShape builds the Engine.Simulate benchmarks' inputs: an
 // engine at p = 2, U/c = 750, its equalized schedule, 750 task durations in
 // [c/2, 4c], and the Poisson owner's mean absence, U/3.
-func engineSimulateShape(b *testing.B) (*Engine, Scheduler, SimOptions, float64) {
-	b.Helper()
+func engineSimulateShape(tb testing.TB) (*Engine, Scheduler, SimOptions, float64) {
+	tb.Helper()
 	const ratio, setup = 750, 5.0
 	e, err := New(Opportunity{Lifespan: ratio * setup, Interrupts: 2, Setup: setup})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eq, err := e.AdaptiveEqualized()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	opts := SimOptions{TaskDurations: make([]float64, ratio)}

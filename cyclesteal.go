@@ -135,8 +135,10 @@ func New(o Opportunity, opts ...Option) (*Engine, error) {
 // setup cost: the nearest tick, at least 1. It reports false for a NaN,
 // infinite or negative duration and for one whose tick count overflows a
 // quant.Tick: converting such a float64 to int64 gives an
-// implementation-dependent value. Simulate converts every task through it,
-// so it stays small enough to inline.
+// implementation-dependent value. Simulate converts every task of a new
+// list through it, so it stays small enough to inline; a list equal to the
+// last one converted on a call's pooled scratch is not converted again,
+// and a caller may change its list between calls.
 func gridTicks(units, setup, ticksPerSetup float64) (quant.Tick, bool) {
 	x := math.Round(units / setup * ticksPerSetup)
 	return max(quant.Tick(x), 1), units >= 0 && x < math.MaxInt64

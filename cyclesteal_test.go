@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -442,14 +443,43 @@ func TestEnginePinnedValues(t *testing.T) {
 			}
 		}
 	}
+
+	// The task-bag simulation at U/c = 750: BenchmarkEngineSimulate's 750
+	// durations under the equalized schedule, 200 Poisson owners at seeds
+	// 0–199, summed over the trials (task work in ticks).
+	e, eq, opts, mean := engineSimulateShape(t)
+	_, c := e.Ticks()
+	type bagSums struct{ completed, remaining, episodes, interrupts, taskTicks int }
+	var sum bagSums
+	for seed := int64(0); seed < 200; seed++ {
+		res, err := e.Simulate(eq, e.PoissonAdversary(mean, seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.completed += res.TasksCompleted
+		sum.remaining += res.TasksRemaining
+		sum.episodes += res.Episodes
+		sum.interrupts += res.Interrupts
+		sum.taskTicks += int(math.Round(res.TaskWork / e.Opportunity().Setup * float64(c)))
+	}
+	if want := (bagSums{62175, 87825, 547, 347, 14090675}); sum != want {
+		t.Errorf("task-bag runs: sums %+v, pinned %+v", sum, want)
+	}
 }
 
 // Goroutines released together on one fresh Engine (so they also race to
-// build its solver) must each get exactly what a serial caller gets. Every
-// goroutine simulates its own task count, so scratch leaking between pooled
-// Simulate calls would show as a wrong result.
+// build its solver) must each get exactly what a serial caller gets. The
+// odd goroutines share one task list and the even ones each simulate their
+// own task count, so a pooled scratch passes between goroutines both with
+// the list it converted last and with another: scratch leaking between
+// Simulate calls, or a converted list played where the bag writes it,
+// would show as a wrong result.
 func TestEngineConcurrentUse(t *testing.T) {
 	opp := Opportunity{Lifespan: 2000, Interrupts: 2, Setup: 5}
+	sharedTasks := make([]float64, 150)
+	for i := range sharedTasks {
+		sharedTasks[i] = float64(1 + (i*5)%13)
+	}
 	type outcome struct {
 		optimal, floor float64
 		sims           []Result
@@ -467,9 +497,12 @@ func TestEngineConcurrentUse(t *testing.T) {
 		if o.floor, err = e.GuaranteedWork(eq); err != nil {
 			return o, err
 		}
-		durations := make([]float64, 40+60*g)
-		for i := range durations {
-			durations[i] = float64(1 + (i*7+g)%12)
+		durations := sharedTasks
+		if g%2 == 0 {
+			durations = make([]float64, 40+60*g)
+			for i := range durations {
+				durations[i] = float64(1 + (i*7+g)%12)
+			}
 		}
 		for k := 0; k < 4; k++ {
 			res, err := e.Simulate(eq, e.PoissonAdversary(700, int64(10*g+k)), SimOptions{TaskDurations: durations})
@@ -541,33 +574,42 @@ func TestPoissonHugeMeanSimulatesLikeNoAdversary(t *testing.T) {
 }
 
 // Simulate on pooled scratch must match a run on fresh buffers and a fresh
-// bag, call after call, as the task count grows, shrinks and drops to none.
+// bag, call after call: as the task count grows, shrinks and drops to none;
+// as one list repeats, changes in place, shrinks and regrows in place; after
+// a refused list; and as Engines on three grids take turns with one list.
+// On one goroutine consecutive calls mostly borrow the same scratch, so a
+// converted list kept too long, or played where the bag can write it,
+// shows as a wrong result.
 func TestSimulatePooledMatchesFreshRun(t *testing.T) {
 	e := engine(t, Opportunity{Lifespan: 3000, Interrupts: 2, Setup: 5})
-	eq, err := e.AdaptiveEqualized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	U, c := e.Ticks()
-	for k, n := range []int{300, 40, 0, 500, 7} {
-		durations := make([]float64, n)
-		tasks := make([]task.Task, n)
-		for i := range tasks {
-			ticks := quant.Tick(50 + (37*i+11*k)%351)
-			durations[i] = e.Units(ticks)
-			tasks[i] = task.Task{ID: i, Duration: ticks}
-		}
-		seed := int64(k + 1)
-		got, err := e.Simulate(eq, e.PoissonAdversary(1000, seed), SimOptions{TaskDurations: durations})
+	seed := int64(0)
+	check := func(e *Engine, durations []float64, what string) {
+		t.Helper()
+		eq, err := e.AdaptiveEqualized()
 		if err != nil {
 			t.Fatal(err)
 		}
+		seed++
+		got, err := e.Simulate(eq, e.PoissonAdversary(1000, seed), SimOptions{TaskDurations: durations})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		U, c := e.Ticks()
+		tasks := make([]task.Task, len(durations))
+		for i, d := range durations {
+			ticks, ok := gridTicks(d, e.Opportunity().Setup, float64(c))
+			if !ok {
+				t.Fatalf("%s: task %d duration %g is off the grid", what, i, d)
+			}
+			tasks[i] = task.Task{ID: i, Duration: ticks}
+		}
 		var cfg sim.Config
 		bag := task.NewBag(tasks)
-		if n > 0 {
+		if len(tasks) > 0 {
 			cfg.Bag = bag
 		}
-		res, err := sim.Run(eq, e.PoissonAdversary(1000, seed), sim.Opportunity{U: U, P: 2, C: c}, cfg)
+		opp := sim.Opportunity{U: U, P: e.Opportunity().Interrupts, C: c}
+		res, err := sim.Run(eq, e.PoissonAdversary(1000, seed), opp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +625,65 @@ func TestSimulatePooledMatchesFreshRun(t *testing.T) {
 			IdleTime:       e.Units(res.IdleTicks),
 		}
 		if got != want {
-			t.Errorf("%d tasks: pooled %+v, fresh %+v", n, got, want)
+			t.Errorf("%s, %d tasks: pooled %+v, fresh %+v", what, len(durations), got, want)
+		}
+	}
+	refuse := func(durations []float64, want string) {
+		t.Helper()
+		eq, err := e.AdaptiveEqualized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			if _, err := e.Simulate(eq, e.NoAdversary(), SimOptions{TaskDurations: durations}); err == nil || err.Error() != want {
+				t.Errorf("refused list, call %d: Simulate = %v, want %q", k, err, want)
+			}
+		}
+	}
+	list := func(n, k int) []float64 {
+		durations := make([]float64, n)
+		for i := range durations {
+			durations[i] = e.Units(quant.Tick(50 + (37*i+11*k)%351))
+		}
+		return durations
+	}
+
+	for k, n := range []int{300, 40, 0, 500, 7} {
+		durations := list(n, k)
+		for call := 1; call <= 3; call++ {
+			check(e, durations, fmt.Sprintf("list %d, call %d", k, call))
+		}
+	}
+
+	durations := list(500, 9)
+	check(e, durations, "before the changes in place")
+	durations[7] = 11.5
+	check(e, durations, "one duration changed in place")
+	durations[123] = 0.4 // below every other duration: the shortest drops
+	check(e, durations, "shortest duration dropped in place")
+	durations = durations[:200]
+	check(e, durations, "shortened in place")
+	for i := 200; i < 500; i++ {
+		durations = append(durations, e.Units(quant.Tick(60+(13*i)%200)))
+	}
+	check(e, durations, "regrown in place with a new tail")
+
+	bad := slices.Clone(durations)
+	bad[0], bad[300] = 2.25, math.NaN()
+	refuse(bad, "cyclesteal: task 300 duration must be ≥ 0 and finite, got NaN")
+	check(e, durations, "the list converted before a refusal")
+	bad[300] = 1e300
+	refuse(bad, "cyclesteal: task 300 duration 1e+300 overflows the tick grid")
+	check(e, durations, "the list converted before an overflow")
+
+	engines := []*Engine{
+		e,
+		engine(t, Opportunity{Lifespan: 1800, Interrupts: 2, Setup: 3}),
+		engine(t, Opportunity{Lifespan: 3000, Interrupts: 2, Setup: 5}, WithTicksPerSetup(37)),
+	}
+	for round := 0; round < 3; round++ {
+		for i, e := range engines {
+			check(e, durations, fmt.Sprintf("round %d, engine %d", round, i))
 		}
 	}
 }

@@ -46,25 +46,12 @@ type Bag struct {
 	minDur quant.Tick
 }
 
-// NewBag builds a bag from explicit tasks.
+// NewBag builds a bag from a copy of explicit tasks.
 func NewBag(tasks []Task) *Bag {
-	b := &Bag{}
-	b.Reset(tasks)
-	return b
-}
-
-// Reset empties the bag and refills it with a copy of tasks, reusing the
-// bag's storage when it is large enough: a bag reset per opportunity
-// allocates nothing once warm. The result is indistinguishable from
-// NewBag(tasks).
-func (b *Bag) Reset(tasks []Task) {
-	if cap(b.buf) < len(tasks) {
-		b.buf = make([]Task, len(tasks))
-	}
-	b.buf = b.buf[:len(tasks)]
+	b := &Bag{buf: make([]Task, len(tasks))}
 	copy(b.buf, tasks)
-	b.head, b.minDur = 0, 0
 	b.noteAdded(tasks)
+	return b
 }
 
 // Hand is one queue's share of a dealt job: its tasks in deal order, and

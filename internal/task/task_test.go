@@ -173,42 +173,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// A used bag, reset, behaves exactly like a fresh NewBag of the same tasks,
-// and a warm reset reuses its storage.
-func TestResetMatchesNewBag(t *testing.T) {
-	tasks := Uniform(200, 3, 40, 1)
-	b := NewBag(Exponential(300, 9, 2))
-	b.TakeInto(nil, 100)
-	b.Return([]Task{{ID: 1000, Duration: 1}})
-	b.Steal(7)
-	b.Reset(tasks)
-	fresh := NewBag(tasks)
-	if b.head != 0 || b.minDur != fresh.minDur {
-		t.Fatalf("reset bag head=%d minDur=%d, fresh minDur=%d", b.head, b.minDur, fresh.minDur)
-	}
-	for capacity := quant.Tick(1); b.Remaining() > 0; capacity += 13 {
-		got, want := b.TakeInto(nil, capacity), fresh.TakeInto(nil, capacity)
-		if len(got) != len(want) {
-			t.Fatalf("Take(%d) after Reset = %v, fresh bag %v", capacity, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Take(%d) after Reset = %v, fresh bag %v", capacity, got, want)
-			}
-		}
-	}
-	if fresh.Remaining() != 0 {
-		t.Errorf("fresh bag kept %d tasks the reset bag did not", fresh.Remaining())
-	}
-	if allocs := testing.AllocsPerRun(20, func() { b.Reset(tasks) }); allocs != 0 {
-		t.Errorf("warm Reset allocates %.1f per call", allocs)
-	}
-	b.Reset(nil)
-	if b.Remaining() != 0 || b.TakeInto(nil, 100) != nil {
-		t.Errorf("Reset(nil) left %d tasks", b.Remaining())
-	}
-}
-
 func TestDurations(t *testing.T) {
 	if Durations(nil) != 0 {
 		t.Error("Durations(nil) != 0")
@@ -553,10 +517,11 @@ func hand(tasks []Task) Hand {
 }
 
 // TestBagMatchesReferenceModel drives random sequences of every Bag
-// operation — Take, TakeInto, Return, Append, Steal, Reset, Adopt and
-// DealInto — against refBag, starting from a copied or an adopted task
-// list, and checks after each step that both took the same tasks in the
-// same order and hold the same pending queue, Remaining and RemainingWork.
+// operation — Take, TakeInto, Return, Append, Steal, Adopt and DealInto —
+// against refBag, starting from a copied or an adopted task list and now
+// and then replacing a bag with a fresh NewBag. After each step it checks
+// that both took the same tasks in the same order and hold the same
+// pending queue, Remaining and RemainingWork.
 // It also checks the one piece of hidden state: minDur must never exceed
 // the true pending minimum, or TakeInto would stop scanning while a task
 // still fits.
@@ -646,11 +611,11 @@ func TestBagMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Steal(%d) = %v, model %v", seed, step, n, got, want)
 				}
 			case 5:
-				op = "Reset"
+				op = "NewBag"
 				init := fresh(rng.Intn(15))
 				m.tasks = append([]Task(nil), init...)
 				if rng.Intn(2) == 0 {
-					b.Reset(init)
+					bags[i] = NewBag(init)
 				} else {
 					op = "Adopt"
 					b.Adopt(hand(init))
@@ -705,7 +670,7 @@ func TestTakeIntoTightensMinDurAfterFullScan(t *testing.T) {
 		t.Fatalf("after a scan that fit nothing into 5, minDur = %d, want 6", b.minDur)
 	}
 	// A scan that takes a task and still reads to the end tightens it too.
-	b.Reset([]Task{{ID: 0, Duration: 2}, {ID: 1, Duration: 9}, {ID: 2, Duration: 8}})
+	b = NewBag([]Task{{ID: 0, Duration: 2}, {ID: 1, Duration: 9}, {ID: 2, Duration: 8}})
 	if got := b.TakeInto(nil, 7); !sameTasks(got, []Task{{ID: 0, Duration: 2}}) {
 		t.Fatalf("TakeInto(7) took %v, want the 2", got)
 	}

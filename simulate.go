@@ -2,10 +2,12 @@ package cyclesteal
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cyclesteal/internal/adversary"
 	"cyclesteal/internal/lazyrand"
+	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/task"
 )
@@ -27,28 +29,71 @@ type Result struct {
 type SimOptions struct {
 	// TaskDurations, when non-empty, attaches a bag of indivisible
 	// data-parallel tasks (durations in the caller's time units); completed
-	// work is then also reported task-granular.
+	// work is then also reported task-granular. Simulate keeps no
+	// reference to the list, so a caller may change it between calls; a
+	// list equal to the last one converted on the call's pooled scratch is
+	// not converted to ticks again.
 	TaskDurations []float64
 }
 
 // simScratch is the reusable state of one Simulate call: the simulator's
-// episode and shipping buffers, the tick-converted tasks, and the bag they
-// refill.
+// episode and shipping buffers, the last task list converted on it, and
+// the bag a call plays.
 type simScratch struct {
-	bufs  sim.Buffers
+	bufs sim.Buffers
+	// durations, setup and ticksC key hand: the last task list converted
+	// on this scratch, as tasks on that grid. The key is the list's
+	// content, never its slice, since a caller may change a list between
+	// calls, and Engines on other grids share the pool. An empty
+	// durations is no key.
+	durations []float64
+	setup     float64
+	ticksC    quant.Tick
+	hand      task.Hand
+	// tasks is the bag's storage, a fresh copy of hand each call: the bag
+	// compacts and returns tasks in place, and hand must stay intact.
 	tasks []task.Task
 	bag   task.Bag
 }
 
 // simPool lends each Simulate call its scratch, so repeated simulations —
 // Monte-Carlo trials above all, from one goroutine or many — allocate
-// nothing once warm.
+// nothing once warm, and a run of trials over one task list converts it
+// once per scratch.
 var simPool = sync.Pool{New: func() any { return new(simScratch) }}
+
+// intake returns durations as tasks on the grid of setup and ticksC, with
+// their smallest duration. It converts them only when they differ from the
+// list it converted last; the hand it returns is the scratch's own, to be
+// copied, not played.
+func (s *simScratch) intake(durations []float64, setup float64, ticksC quant.Tick) (task.Hand, error) {
+	if setup == s.setup && ticksC == s.ticksC && slices.Equal(durations, s.durations) {
+		return s.hand, nil
+	}
+	s.durations = s.durations[:0] // a refused list leaves no key behind
+	h := task.Hand{Tasks: s.hand.Tasks[:0]}
+	for i, d := range durations {
+		ticks, ok := gridTicks(d, setup, float64(ticksC))
+		if !ok {
+			return task.Hand{}, fmt.Errorf("cyclesteal: task %d duration %w", i, gridError(d))
+		}
+		h.Tasks = append(h.Tasks, task.Task{ID: i, Duration: ticks})
+		if h.MinDur == 0 || ticks < h.MinDur {
+			h.MinDur = ticks
+		}
+	}
+	s.hand = h
+	s.durations = append(s.durations, durations...)
+	s.setup, s.ticksC = setup, ticksC
+	return h, nil
+}
 
 // Simulate plays one opportunity of this engine's shape with the given
 // schedule and adversary. Each call borrows pooled scratch, so concurrent
-// calls are safe and repeated calls allocate nothing once warm. A schedule
-// or adversary a constructor refused is refused here, with its cause.
+// calls are safe and repeated calls allocate nothing once warm; a task
+// list equal to the last one converted on that scratch is taken as it was
+// converted, not converted again. A schedule or adversary a constructor
+// refused is refused here, with its cause.
 func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, error) {
 	if err := refused(s); err != nil {
 		return Result{}, err
@@ -61,17 +106,13 @@ func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, 
 	cfg := sim.Config{Buffers: &scratch.bufs}
 	var bag *task.Bag
 	if len(opts.TaskDurations) > 0 {
-		tasks := scratch.tasks[:0]
-		for i, d := range opts.TaskDurations {
-			ticks, ok := gridTicks(d, e.opp.Setup, float64(e.ticksC))
-			if !ok {
-				return Result{}, fmt.Errorf("cyclesteal: task %d duration %w", i, gridError(d))
-			}
-			tasks = append(tasks, task.Task{ID: i, Duration: ticks})
+		h, err := scratch.intake(opts.TaskDurations, e.opp.Setup, e.ticksC)
+		if err != nil {
+			return Result{}, err
 		}
-		scratch.tasks = tasks
+		scratch.tasks = append(scratch.tasks[:0], h.Tasks...)
 		bag = &scratch.bag
-		bag.Reset(tasks)
+		bag.Adopt(task.Hand{Tasks: scratch.tasks, MinDur: h.MinDur})
 		cfg.Bag = bag
 	}
 	res, err := sim.Run(s, adv, sim.Opportunity{U: e.u, P: e.p, C: e.ticksC}, cfg)
