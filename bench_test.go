@@ -182,8 +182,9 @@ func BenchmarkMCGuaranteedVsExpected10kParallel8(b *testing.B) { benchE8Workers(
 
 var sinkTick quant.Tick
 
-// BenchmarkSolveFast measures the hinted crossing-point solver, O(pU) on
-// this instance (the crossing moves at most a tick per lifespan tick).
+// BenchmarkSolveFast measures the crossing-point solver: one forward pass
+// per value row whose crossing pointer never moves back, O(pU) on every
+// instance, into one int32 slab.
 func BenchmarkSolveFast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -223,8 +223,11 @@ func TestCoordinatorWritesOneStudyLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tap.lines) < 4 {
-		t.Fatalf("%d dials wrote a study frame, want at least 4 (2 workers, 2 deaths)", len(tap.lines))
+	// The first two dials die, so the study needs at least one healthy
+	// re-dial. One is enough: a slot's healthy re-dial can finish every
+	// re-dealt chunk before the other slot dials again.
+	if len(tap.lines) < 3 {
+		t.Fatalf("%d dials wrote a study frame, want at least 3 (2 dials that die, then a healthy re-dial)", len(tap.lines))
 	}
 	for i, line := range tap.lines {
 		if !bytes.Equal(line, append(raw, '\n')) {

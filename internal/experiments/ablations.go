@@ -99,7 +99,7 @@ func AblationSolver(cfg Config, Us []quant.Tick) (*tab.Table, error) {
 	cfg = cfg.normalize()
 	c := quant.Tick(10) // small c keeps the reference solver feasible
 	t := tab.New(
-		"E9c: fast (hinted crossing, O(pU)) vs reference (O(pU²)) solver",
+		"E9c: fast (forward crossing pointer, O(pU)) vs reference (O(pU²)) solver",
 		"U ticks", "fast ms", "reference ms", "tables equal",
 	)
 	for _, U := range Us {
@@ -128,7 +128,7 @@ func AblationSolver(cfg Config, Us []quant.Tick) (*tab.Table, error) {
 		}
 		t.Row(U, fastMs, refMs, equal)
 	}
-	t.Note("the fast solver exploits that complete(t) is nondecreasing (V is 1-Lipschitz) and interrupt(t) nonincreasing: search for the crossing from the crossing at L−1, galloping then bisecting")
+	t.Note("the fast solver exploits that complete(t) is nondecreasing (V is 1-Lipschitz) and interrupt(t) nonincreasing: the crossing's residual never moves back as L grows, so one forward pointer per row finds every cell's crossing")
 	return t, nil
 }
 

@@ -7,41 +7,42 @@ import (
 	"cyclesteal/internal/quant"
 )
 
-// stateKey packs (p, L) for memoization. Lifespans are far below 2^48.
-type stateKey struct {
-	p int
-	l quant.Tick
-}
-
-// episodeChoice records the adversary's minimizing move in one state: whether
-// to interrupt and, if so, at the end of which elapsed offset within the
-// episode.
-type episodeChoice struct {
-	interrupt bool
-	at        quant.Tick // episode-relative elapsed time T_k of the interrupt
-}
-
 // BestResponse is the adversary strategy extracted by EvaluateWithStrategy:
 // for each reachable game state it knows the minimizing move against the
 // scheduler it was computed for. It implements the simulator's Interrupter
 // contract (see internal/sim); replaying it in the simulator reproduces the
 // guaranteed-work value exactly.
 type BestResponse struct {
-	choices map[stateKey]episodeChoice
+	// p is the interrupt bound the strategy was computed for.
+	p int
+	// at[d][L] is the episode-relative elapsed time T_k at whose end the
+	// owner interrupts in state (p−d, L), or 0 to let the episode run out
+	// (every period is at least one tick, so an interrupt is never at 0).
+	// It holds the levels the evaluation reached, indexed by depth d.
+	at []map[quant.Tick]quant.Tick
 }
 
 // NextInterrupt returns the episode-relative time at which the owner
 // interrupts in state (p, L), or ok = false to let the episode run out.
+// States the strategy does not cover, p outside [0, P] included, let it
+// run out.
 func (b *BestResponse) NextInterrupt(p int, L quant.Tick, _ model.TickSchedule) (quant.Tick, bool) {
-	ch, ok := b.choices[stateKey{p, L}]
-	if !ok || !ch.interrupt {
+	if p < 0 || p > b.p || b.p-p >= len(b.at) {
 		return 0, false
 	}
-	return ch.at, true
+	at := b.at[b.p-p][L]
+	return at, at > 0
 }
 
-// States returns the number of game states the strategy covers.
-func (b *BestResponse) States() int { return len(b.choices) }
+// States returns the number of game states the strategy covers, over every
+// interrupt level.
+func (b *BestResponse) States() int {
+	n := 0
+	for _, level := range b.at {
+		n += len(level)
+	}
+	return n
+}
 
 // schedulerError is the panic payload used to surface contract violations
 // from deep inside the memoized recursion.
@@ -65,98 +66,146 @@ func EvaluateWithStrategy(sch model.EpisodeScheduler, P int, U, c quant.Tick) (q
 	return evaluate(sch, P, U, c, true)
 }
 
+// levels is the evaluators' working state, one level per interrupt level the
+// recursion reaches, indexed by depth d = P − p. The recursion steps down one
+// level at a time, so a level is appended when first reached: memory follows
+// the states reached, not P, which no caller caps. A state at depth d
+// recurses only into deeper levels, so the recursion holds at most one live
+// episode per level and level d's buffer stays intact while its own state's
+// loop runs.
+type levels struct {
+	sch    model.EpisodeScheduler
+	record bool
+	depth  []level
+}
+
+// level is one interrupt level p's working state.
+type level struct {
+	memo map[quant.Tick]quant.Tick // V_sch(p, ·) by residual lifespan (Go's 64-bit map fast path)
+	at   map[quant.Tick]quant.Tick // the adversary's choices, when recording
+	buf  model.TickSchedule        // the episode buffer every state of the level reuses
+}
+
+// reach returns level d, appending it when the recursion first reaches it,
+// one below the deepest level so far.
+func (ls *levels) reach(d int) level {
+	if d == len(ls.depth) {
+		l := level{memo: make(map[quant.Tick]quant.Tick)}
+		if ls.record {
+			l.at = make(map[quant.Tick]quant.Tick)
+		}
+		ls.depth = append(ls.depth, l)
+	}
+	return ls.depth[d]
+}
+
+// episode fetches the scheduler's episode for state (p, L) into the buffer of
+// depth d and validates it: periods ≥ 1 tick, total at most the residual
+// lifespan (shortfall is idle time).
+func (ls *levels) episode(d, p int, L quant.Tick) model.TickSchedule {
+	ep := model.AppendEpisode(ls.sch, ls.depth[d].buf[:0], p, L)
+	ls.depth[d].buf = ep
+	var total quant.Tick
+	for i, t := range ep {
+		if t < 1 {
+			panic(schedulerError{fmt.Errorf("game: scheduler %s emitted period %d of %d ticks at (p=%d, L=%d)", model.NameOf(ls.sch), i+1, t, p, L)})
+		}
+		total += t
+	}
+	if total > L {
+		panic(schedulerError{fmt.Errorf("game: scheduler %s overcommitted %d ticks into residual %d at p=%d", model.NameOf(ls.sch), total, L, p)})
+	}
+	return ep
+}
+
+// recoverSchedulerError turns a schedulerError panic into *err and re-panics
+// anything else.
+func recoverSchedulerError(err *error) {
+	if r := recover(); r != nil {
+		se, ok := r.(schedulerError)
+		if !ok {
+			panic(r)
+		}
+		*err = se.err
+	}
+}
+
 func evaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick, record bool) (work quant.Tick, br *BestResponse, err error) {
 	if c < 1 || U < 0 || P < 0 {
 		return 0, nil, fmt.Errorf("game: bad evaluation parameters P=%d U=%d c=%d", P, U, c)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			se, ok := r.(schedulerError)
-			if !ok {
-				panic(r)
-			}
-			work, br, err = 0, nil, se.err
-		}
-	}()
-	memo := make(map[stateKey]quant.Tick)
-	var choices map[stateKey]episodeChoice
-	if record {
-		choices = make(map[stateKey]episodeChoice)
-	}
+	defer recoverSchedulerError(&err)
+	ls := &levels{sch: sch, record: record}
 
-	var eval func(p int, L quant.Tick) quant.Tick
-	eval = func(p int, L quant.Tick) quant.Tick {
+	// eval returns the value of state (P−d, L).
+	var eval func(d int, L quant.Tick) quant.Tick
+	eval = func(d int, L quant.Tick) quant.Tick {
 		if L <= c {
 			return 0 // no period fitting in L can bank anything
 		}
-		key := stateKey{p, L}
-		if v, ok := memo[key]; ok {
+		l := ls.reach(d)
+		if v, ok := l.memo[L]; ok {
 			return v
 		}
-		ep := fetchEpisode(sch, p, L)
+		p := P - d
+		ep := ls.episode(d, p, L)
 		best := ep.UninterruptedWork(c)
-		choice := episodeChoice{}
+		var at quant.Tick
 		if p > 0 {
 			var banked, elapsed quant.Tick
 			for _, t := range ep {
 				elapsed += t
 				// Interrupt at the last instant of this period: the work in
 				// progress dies, periods 1..k-1 stay banked, residual L−T_k.
-				cand := banked + eval(p-1, L-elapsed)
-				if cand < best {
-					best = cand
-					choice = episodeChoice{interrupt: true, at: elapsed}
+				if cand := banked + eval(d+1, L-elapsed); cand < best {
+					best, at = cand, elapsed
 				}
 				banked += quant.PosSub(t, c)
 			}
 		}
-		memo[key] = best
+		l.memo[L] = best
 		if record {
-			choices[key] = choice
+			l.at[L] = at
 		}
 		return best
 	}
 
-	total := eval(P, U)
+	work = eval(0, U)
 	if record {
-		br = &BestResponse{choices: choices}
+		br = &BestResponse{p: P, at: make([]map[quant.Tick]quant.Tick, len(ls.depth))}
+		for d, l := range ls.depth {
+			br.at[d] = l.at
+		}
 	}
-	return total, br, nil
+	return work, br, nil
 }
 
 // EvaluateExhaustive returns the guaranteed output of sch against an
 // adversary allowed to interrupt at *every* tick of the lifespan, not only at
 // last instants of periods. Observation (a) asserts the two coincide; tests
-// verify that on the paper's schedulers. Runtime is O(states × U); use small
-// lifespans.
+// verify that on the paper's schedulers. It memoizes per interrupt level as
+// Evaluate does. Runtime is O(states × U); use small lifespans.
 func EvaluateExhaustive(sch model.EpisodeScheduler, P int, U, c quant.Tick) (work quant.Tick, err error) {
 	if c < 1 || U < 0 || P < 0 {
 		return 0, fmt.Errorf("game: bad evaluation parameters P=%d U=%d c=%d", P, U, c)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			se, ok := r.(schedulerError)
-			if !ok {
-				panic(r)
-			}
-			work, err = 0, se.err
-		}
-	}()
-	memo := make(map[stateKey]quant.Tick)
+	defer recoverSchedulerError(&err)
+	ls := &levels{sch: sch}
 
-	var eval func(p int, L quant.Tick) quant.Tick
-	eval = func(p int, L quant.Tick) quant.Tick {
+	// eval returns the value of state (P−d, L).
+	var eval func(d int, L quant.Tick) quant.Tick
+	eval = func(d int, L quant.Tick) quant.Tick {
 		if L <= c {
 			return 0
 		}
-		key := stateKey{p, L}
-		if v, ok := memo[key]; ok {
+		l := ls.reach(d)
+		if v, ok := l.memo[L]; ok {
 			return v
 		}
-		// Mark the state before recursing: an adversary interrupting at
-		// elapsed time 0 revisits lifespan L with p−1, which is finite
-		// because p strictly decreases.
-		ep := fetchEpisode(sch, p, L)
+		// An adversary interrupting at elapsed time 0 revisits lifespan L
+		// one level deeper, which is finite because p strictly decreases.
+		p := P - d
+		ep := ls.episode(d, p, L)
 		best := ep.UninterruptedWork(c)
 		if p > 0 {
 			var banked, start quant.Tick
@@ -165,42 +214,19 @@ func EvaluateExhaustive(sch model.EpisodeScheduler, P int, U, c quant.Tick) (wor
 				// residual L−τ. The worst τ within the period is its last
 				// tick offset, but we scan all placements on the grid.
 				for tau := start; tau < start+t; tau++ {
-					cand := banked + eval(p-1, L-tau)
-					if cand < best {
-						best = cand
-					}
+					best = min(best, banked+eval(d+1, L-tau))
 				}
 				// The continuum's last-instant limit τ → T_k is represented
 				// on the grid by residual exactly L−T_k.
-				cand := banked + eval(p-1, L-start-t)
-				if cand < best {
-					best = cand
-				}
+				best = min(best, banked+eval(d+1, L-start-t))
 				start += t
 				banked += quant.PosSub(t, c)
 			}
 			// Interrupts during trailing idle time are dominated: the full
 			// episode work is already banked, so the value can only rise.
 		}
-		memo[key] = best
+		l.memo[L] = best
 		return best
 	}
-	return eval(P, U), nil
-}
-
-// fetchEpisode obtains and validates an episode from the scheduler: periods
-// ≥ 1 tick, total at most the residual lifespan (shortfall is idle time).
-func fetchEpisode(sch model.EpisodeScheduler, p int, L quant.Tick) model.TickSchedule {
-	ep := sch.Episode(p, L)
-	var total quant.Tick
-	for i, t := range ep {
-		if t < 1 {
-			panic(schedulerError{fmt.Errorf("game: scheduler %s emitted period %d of %d ticks at (p=%d, L=%d)", model.NameOf(sch), i+1, t, p, L)})
-		}
-		total += t
-	}
-	if total > L {
-		panic(schedulerError{fmt.Errorf("game: scheduler %s overcommitted %d ticks into residual %d at p=%d", model.NameOf(sch), total, L, p)})
-	}
-	return ep
+	return eval(0, U), nil
 }

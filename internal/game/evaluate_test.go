@@ -1,12 +1,16 @@
 package game
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sched"
+	"cyclesteal/internal/sim"
 	"cyclesteal/internal/theory"
 )
 
@@ -382,6 +386,305 @@ func TestBestResponseReplayReproducesValue(t *testing.T) {
 		}
 		if work != want {
 			t.Errorf("P=%d: replay banked %d, evaluator said %d", P, work, want)
+		}
+	}
+}
+
+// --- reference evaluator -------------------------------------------------------
+
+// stateKey packs (p, L) for the reference evaluator's memo.
+type stateKey struct {
+	p int
+	l quant.Tick
+}
+
+// refChoice is the reference evaluator's record of the adversary's
+// minimizing move in one state.
+type refChoice struct {
+	interrupt bool
+	at        quant.Tick
+}
+
+// refEpisode fetches and validates an episode as the evaluator did before it
+// memoized per level: a fresh Episode call per state, checked with the
+// library's error texts.
+func refEpisode(sch model.EpisodeScheduler, p int, L quant.Tick) model.TickSchedule {
+	ep := sch.Episode(p, L)
+	var total quant.Tick
+	for i, t := range ep {
+		if t < 1 {
+			panic(schedulerError{fmt.Errorf("game: scheduler %s emitted period %d of %d ticks at (p=%d, L=%d)", model.NameOf(sch), i+1, t, p, L)})
+		}
+		total += t
+	}
+	if total > L {
+		panic(schedulerError{fmt.Errorf("game: scheduler %s overcommitted %d ticks into residual %d at p=%d", model.NameOf(sch), total, L, p)})
+	}
+	return ep
+}
+
+// refEvaluate is the evaluator as it stood before it memoized per level: one
+// map keyed by (p, L), a fresh episode per state. It is the reference the
+// differential tests hold Evaluate, EvaluateWithStrategy and
+// EvaluateExhaustive (exhaustive = true) to.
+func refEvaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick, exhaustive bool) (work quant.Tick, choices map[stateKey]refChoice, err error) {
+	if c < 1 || U < 0 || P < 0 {
+		return 0, nil, fmt.Errorf("game: bad evaluation parameters P=%d U=%d c=%d", P, U, c)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(schedulerError)
+			if !ok {
+				panic(r)
+			}
+			work, choices, err = 0, nil, se.err
+		}
+	}()
+	memo := make(map[stateKey]quant.Tick)
+	choices = make(map[stateKey]refChoice)
+	var eval func(p int, L quant.Tick) quant.Tick
+	eval = func(p int, L quant.Tick) quant.Tick {
+		if L <= c {
+			return 0
+		}
+		key := stateKey{p, L}
+		if v, ok := memo[key]; ok {
+			return v
+		}
+		ep := refEpisode(sch, p, L)
+		best := ep.UninterruptedWork(c)
+		choice := refChoice{}
+		if p > 0 {
+			var banked, elapsed quant.Tick
+			for _, t := range ep {
+				if exhaustive {
+					for tau := elapsed; tau < elapsed+t; tau++ {
+						if cand := banked + eval(p-1, L-tau); cand < best {
+							best = cand
+						}
+					}
+				}
+				elapsed += t
+				if cand := banked + eval(p-1, L-elapsed); cand < best {
+					best = cand
+					choice = refChoice{interrupt: true, at: elapsed}
+				}
+				banked += quant.PosSub(t, c)
+			}
+		}
+		memo[key] = best
+		choices[key] = choice
+		return best
+	}
+	return eval(P, U), choices, nil
+}
+
+// diffSchedulers returns every scheduler the differential tests cover, each
+// built for (P, U, c).
+func diffSchedulers(t *testing.T, P int, U, c quant.Tick) []model.EpisodeScheduler {
+	t.Helper()
+	eq, err := sched.NewAdaptiveEqualized(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := sched.NewAdaptiveGuideline(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op1, err := sched.NewOptimalP1(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Solve(P, U, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []model.EpisodeScheduler{
+		eq, ag, op1,
+		sched.SinglePeriod{},
+		sched.EqualSplit{M: 5},
+		sched.FixedChunk{T: max(2*c+1, U/64)},
+		s.Scheduler(),
+		// Overcommits at lifespans in (c, 3c). From a longer lifespan it
+		// opens with up to 20 periods of c+1 ticks, so an interrupt can leave
+		// such a residual and the error surfaces from inside the recursion.
+		model.EpisodeFunc(func(p int, L quant.Tick) model.TickSchedule {
+			switch {
+			case L <= c:
+				return model.TickSchedule{L}
+			case L < 3*c:
+				return model.TickSchedule{L, 1}
+			}
+			var ep model.TickSchedule
+			rest := L
+			for len(ep) < 20 && rest > c+1 {
+				ep = append(ep, c+1)
+				rest -= c + 1
+			}
+			return append(ep, rest)
+		}),
+	}
+	if U >= 1 {
+		na, err := sched.NewNonAdaptive(U, P, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, na)
+	}
+	return out
+}
+
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+// The per-level evaluator must reproduce the reference map evaluator on
+// every scheduler: the value, every recorded choice and the state count,
+// the floor its best response replays through the simulator, and the error
+// text of a scheduler that breaks its contract.
+func TestEvaluateMatchesReference(t *testing.T) {
+	var failed, replayed int
+	for _, c := range []quant.Tick{1, 7, 50} {
+		for _, U := range []quant.Tick{0, 1, c, c + 1, 2*c + 3, 97, 1000, 5000} {
+			for P := 0; P <= 3; P++ {
+				for _, sc := range diffSchedulers(t, P, U, c) {
+					name := fmt.Sprintf("%s P=%d U=%d c=%d", model.NameOf(sc), P, U, c)
+					want, ref, refErr := refEvaluate(sc, P, U, c, false)
+					got, err := Evaluate(sc, P, U, c)
+					if !sameErr(err, refErr) || got != want {
+						t.Fatalf("%s: Evaluate = %d, %v; reference %d, %v", name, got, err, want, refErr)
+					}
+					got, br, err := EvaluateWithStrategy(sc, P, U, c)
+					if !sameErr(err, refErr) || got != want {
+						t.Fatalf("%s: EvaluateWithStrategy = %d, %v; reference %d, %v", name, got, err, want, refErr)
+					}
+					if err != nil {
+						if br != nil {
+							t.Fatalf("%s: a failed evaluation returned a strategy", name)
+						}
+						failed++
+						continue
+					}
+					if br.States() != len(ref) {
+						t.Fatalf("%s: strategy covers %d states, reference %d", name, br.States(), len(ref))
+					}
+					for key, ch := range ref {
+						at, ok := br.NextInterrupt(key.p, key.l, nil)
+						if ok != ch.interrupt || (ok && at != ch.at) {
+							t.Fatalf("%s: state (%d, %d) plays (%d, %v), reference (%d, %v)", name, key.p, key.l, at, ok, ch.at, ch.interrupt)
+						}
+					}
+					if U < 1 {
+						continue
+					}
+					res, err := sim.Run(sc, br, sim.Opportunity{U: U, P: P, C: c}, sim.Config{})
+					if err != nil {
+						t.Fatalf("%s: replay: %v", name, err)
+					}
+					if res.Work != want {
+						t.Fatalf("%s: replayed best response banked %d, reference value %d", name, res.Work, want)
+					}
+					replayed++
+				}
+			}
+		}
+	}
+	if failed == 0 || replayed == 0 {
+		t.Fatalf("grid ran %d failing and %d replayed evaluations; want some of each", failed, replayed)
+	}
+}
+
+// EvaluateExhaustive on the per-level memo must equal the reference's
+// every-tick adversary, value and error text alike.
+func TestEvaluateExhaustiveMatchesReference(t *testing.T) {
+	for _, c := range []quant.Tick{1, 7, 50} {
+		for _, U := range []quant.Tick{0, 1, c + 1, 2*c + 3, 97, 300} {
+			for P := 0; P <= 3; P++ {
+				for _, sc := range diffSchedulers(t, P, U, c) {
+					want, _, refErr := refEvaluate(sc, P, U, c, true)
+					got, err := EvaluateExhaustive(sc, P, U, c)
+					if !sameErr(err, refErr) || got != want {
+						t.Fatalf("%s P=%d U=%d c=%d: EvaluateExhaustive = %d, %v; reference %d, %v",
+							model.NameOf(sc), P, U, c, got, err, want, refErr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A best response knows only the levels it was computed for: a state
+// outside [0, P] lets the episode run out, as a state it never reached does.
+func TestBestResponseOutsideLevels(t *testing.T) {
+	const P, U, c = 2, 1000, 10
+	ag, err := sched.NewAdaptiveGuideline(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, br, err := EvaluateWithStrategy(ag, P, U, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := br.NextInterrupt(P, U, nil); !ok {
+		t.Fatal("the root state does not interrupt against the adaptive guideline")
+	}
+	for _, p := range []int{-1, P + 1} {
+		if at, ok := br.NextInterrupt(p, U, nil); ok {
+			t.Errorf("NextInterrupt(%d, %d) = %d, true; want false outside [0, %d]", p, U, at, P)
+		}
+	}
+	if at, ok := br.NextInterrupt(P, U+1, nil); ok {
+		t.Errorf("NextInterrupt at an unreached lifespan = %d, true; want false", at)
+	}
+}
+
+// Memory follows the states the evaluation reaches, not the interrupt bound,
+// which no caller caps: a last-instant interrupt uses up at least one tick
+// and nothing is memoized at L ≤ c, so at most U − c levels are reached
+// however large P is. Working state sized by P would take terabytes here.
+// AdaptiveEqualized is left out: at p = MaxInt its p+1 wraps and it walks
+// an α recursion of p steps.
+func TestEvaluateHugeInterruptBound(t *testing.T) {
+	const U, c = 1000, 10
+	ag, err := sched.NewAdaptiveGuideline(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op1, err := sched.NewOptimalP1(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds := []model.EpisodeScheduler{ag, op1, sched.SinglePeriod{}, sched.EqualSplit{M: 5}, sched.FixedChunk{T: 2*c + 1}}
+	for _, P := range []int{1 << 20, 1 << 40, math.MaxInt} {
+		for _, sc := range scheds {
+			name := fmt.Sprintf("%s P=%d", model.NameOf(sc), P)
+			want, ref, refErr := refEvaluate(sc, P, U, c, false)
+			if refErr != nil {
+				t.Fatalf("%s: reference: %v", name, refErr)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := Evaluate(sc, P, U, c)
+			gotS, br, errS := EvaluateWithStrategy(sc, P, U, c)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Fatalf("%s: evaluating allocated %d bytes, want at most 1 MiB", name, alloc)
+			}
+			if err != nil || errS != nil || got != want || gotS != want {
+				t.Fatalf("%s: Evaluate = %d, %v; EvaluateWithStrategy = %d, %v; reference %d", name, got, err, gotS, errS, want)
+			}
+			if br.States() != len(ref) {
+				t.Fatalf("%s: strategy covers %d states, reference %d", name, br.States(), len(ref))
+			}
+			for key, ch := range ref {
+				at, ok := br.NextInterrupt(key.p, key.l, nil)
+				if ok != ch.interrupt || (ok && at != ch.at) {
+					t.Fatalf("%s: state (%d, %d) plays (%d, %v), reference (%d, %v)", name, key.p, key.l, at, ok, ch.at, ch.interrupt)
+				}
+			}
 		}
 	}
 }

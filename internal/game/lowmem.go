@@ -3,33 +3,30 @@ package game
 import "cyclesteal/internal/quant"
 
 // SolveValueRow computes the top value row V(P, ·) using rolling storage —
-// two rows of U+1 ticks instead of P+1 — for large-lifespan value queries
-// where schedule extraction is not needed. The recursion only ever consults
-// the previous interrupt level in full and the current level at smaller
-// lifespans, so two rows suffice.
+// two int32 rows of U+1 cells instead of P+1 — for large-lifespan value
+// queries where schedule extraction is not needed. The recursion only ever
+// consults the previous interrupt level in full and the current level at
+// smaller lifespans, so two rows suffice.
 //
-// It runs the same hinted crossing search as Solve, in the same time.
+// It fills each row with the same forward pass as Solve, in the same time,
+// and widens the top row to ticks once.
 //
 // The returned slice r satisfies r[L] == Solve(P, U, c).Value(P, L).
 func SolveValueRow(P int, U, c quant.Tick) ([]quant.Tick, error) {
 	if err := validate(P, U, c); err != nil {
 		return nil, err
 	}
-	prev := make([]quant.Tick, U+1)
-	for L := quant.Tick(0); L <= U; L++ {
-		prev[L] = quant.PosSub(L, c)
-	}
-	if P == 0 {
-		return prev, nil
-	}
-	cur := make([]quant.Tick, U+1)
+	w := int(U) + 1
+	rows := make([]int32, 2*w)
+	prev, cur := rows[:w:w], rows[w:]
+	fillBase(prev, c)
 	for q := 1; q <= P; q++ {
-		cur[0] = 0
-		var x quant.Tick // the crossing at L−1 seeds the search at L
-		for L := quant.Tick(1); L <= U; L++ {
-			cur[L], _, x = solveCell(cur, prev, L, c, x)
-		}
+		fillRow(cur, prev, c)
 		prev, cur = cur, prev
 	}
-	return prev, nil
+	out := make([]quant.Tick, w)
+	for L, v := range prev {
+		out[L] = quant.Tick(v)
+	}
+	return out, nil
 }

@@ -6,6 +6,15 @@ import (
 	"cyclesteal/internal/quant"
 )
 
+// newTables allocates P+1 zeroed rows of U+1 ticks.
+func newTables(P int, U quant.Tick) [][]quant.Tick {
+	v := make([][]quant.Tick, P+1)
+	for i := range v {
+		v[i] = make([]quant.Tick, U+1)
+	}
+	return v
+}
+
 // bisectTables builds the value tables with a full bisection for the
 // crossing at every cell, the search the solver ran before it took hints,
 // and records each cell's maximizing first period (L where no period can
@@ -45,52 +54,69 @@ func bisectTables(P int, U, c quant.Tick) (v, first [][]quant.Tick) {
 	return v, first
 }
 
-// The hinted search must find exactly what a full bisection finds at every
-// cell, whichever entry point reaches it: Solve's tables, SolveValueRow's
-// rolling rows, and the first periods OptimalEpisode strings together.
+// The forward fill and the hinted search must find exactly what a full
+// bisection finds at every cell, whichever entry point reaches it: Solve's
+// tables, SolveValueRow's rolling rows, and the first periods OptimalEpisode
+// strings together. The second shape is the scale the opportunity workload
+// solves, with episodes checked at a sample of lifespans.
 func TestHintedSearchMatchesBisection(t *testing.T) {
-	const P, U = 5, 20000
-	for _, c := range []quant.Tick{1, 2, 7, 100} {
-		want, first := bisectTables(P, U, c)
-		s, err := Solve(P, U, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q <= P; q++ {
-			for L := quant.Tick(0); L <= U; L++ {
-				if got := s.Value(q, L); got != want[q][L] {
-					t.Fatalf("c=%d: Solve V(%d,%d) = %d, bisection %d", c, q, L, got, want[q][L])
-				}
-			}
-		}
-		for p := 0; p <= P; p++ {
-			row, err := SolveValueRow(p, U, c)
+	shapes := []struct {
+		P      int
+		U      quant.Tick
+		cs     []quant.Tick
+		minP   int        // episodes are checked at p = minP..P
+		stride quant.Tick // and at L = U, U−stride, … down to 1
+	}{
+		{P: 5, U: 20000, cs: []quant.Tick{1, 2, 7, 100}, minP: 0, stride: 1},
+		{P: 2, U: 100000, cs: []quant.Tick{100}, minP: 1, stride: 997},
+		// Setup costs at and past the lifespan, one far past what an int32
+		// cell holds: every productive period is out of reach.
+		{P: 3, U: 60, cs: []quant.Tick{59, 60, 61, 1 << 40}, minP: 0, stride: 1},
+	}
+	for _, sh := range shapes {
+		P, U := sh.P, sh.U
+		for _, c := range sh.cs {
+			want, first := bisectTables(P, U, c)
+			s, err := Solve(P, U, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for L, got := range row {
-				if got != want[p][L] {
-					t.Fatalf("c=%d: SolveValueRow(%d)[%d] = %d, bisection %d", c, p, L, got, want[p][L])
+			for q := 0; q <= P; q++ {
+				for L := quant.Tick(0); L <= U; L++ {
+					if got := s.Value(q, L); got != want[q][L] {
+						t.Fatalf("U=%d c=%d: Solve V(%d,%d) = %d, bisection %d", U, c, q, L, got, want[q][L])
+					}
 				}
 			}
-		}
-		for p := 0; p <= P; p++ {
-			for L := quant.Tick(1); L <= U; L++ {
-				ep := s.OptimalEpisode(p, L)
-				rest := L
-				for i, got := range ep {
-					exp := first[p][rest]
-					if p == 0 || want[p][rest] == 0 {
-						exp = rest // the terminal lump
-					}
-					if got != exp || (exp == rest && i != len(ep)-1) {
-						t.Fatalf("c=%d: OptimalEpisode(%d,%d) period %d = %d at residual %d, bisection %d (episode of %d)",
-							c, p, L, i, got, rest, exp, len(ep))
-					}
-					rest -= got
+			for p := 0; p <= P; p++ {
+				row, err := SolveValueRow(p, U, c)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if rest != 0 {
-					t.Fatalf("c=%d: OptimalEpisode(%d,%d) leaves %d ticks unscheduled", c, p, L, rest)
+				for L, got := range row {
+					if got != want[p][L] {
+						t.Fatalf("U=%d c=%d: SolveValueRow(%d)[%d] = %d, bisection %d", U, c, p, L, got, want[p][L])
+					}
+				}
+			}
+			for p := sh.minP; p <= P; p++ {
+				for L := U; L >= 1; L -= sh.stride {
+					ep := s.OptimalEpisode(p, L)
+					rest := L
+					for i, got := range ep {
+						exp := first[p][rest]
+						if p == 0 || want[p][rest] == 0 {
+							exp = rest // the terminal lump
+						}
+						if got != exp || (exp == rest && i != len(ep)-1) {
+							t.Fatalf("U=%d c=%d: OptimalEpisode(%d,%d) period %d = %d at residual %d, bisection %d (episode of %d)",
+								U, c, p, L, i, got, rest, exp, len(ep))
+						}
+						rest -= got
+					}
+					if rest != 0 {
+						t.Fatalf("U=%d c=%d: OptimalEpisode(%d,%d) leaves %d ticks unscheduled", U, c, p, L, rest)
+					}
 				}
 			}
 		}

@@ -26,17 +26,25 @@
 //
 // The max over t need not scan [1..L]: the first branch is nondecreasing in
 // t and the second nonincreasing, so the optimum sits where they cross, and
-// whether a given t lies past the crossing is a monotone predicate. One
-// search finds that crossing for every caller: it starts from a hint — the
-// crossing of the neighbouring lifespan L−1 when a table is filled, the
-// previous period's when an optimal episode is extracted — gallops outward
-// in steps of 1, 2, 4, … ticks until it brackets the crossing, then bisects
-// the bracket. Monotonicity makes the answer independent of the hint, so the
-// tables and episodes are exactly those of a full bisection per cell; the
-// hint only sets the cost, O(1 + log |crossing − hint|) probes. The crossing
-// moves by at most one tick per tick of lifespan in every instance measured
-// (p ≤ 5, U up to 100,000 ticks, c from 1 to 100 ticks), so a table costs
-// O(P·U) probes instead of the O(P·U·log U) of bisecting every cell afresh.
+// whether a given t lies past the crossing is a monotone predicate. The
+// package searches that one predicate two ways:
+//
+//   - Filling a row (Solve, SolveValueRow). Write the crossing by its
+//     residual s = L − t. Both rows are nondecreasing and 1-Lipschitz in L,
+//     so g(s) = s + V(p−1, s) − V(p, s) steps by 0, 1 or 2 and never falls,
+//     and t crosses exactly when g(s) ≤ L − c. The largest residual that
+//     crosses therefore never moves back as L grows: one pointer walks
+//     forward through the row, and a row of U cells costs at most U pointer
+//     steps, the table O(P·U), with no search per cell.
+//   - Extracting an optimal episode (OptimalEpisode), whose consecutive
+//     cells lie a whole period apart. There a forward pointer would walk
+//     about √(2cL) ticks per period, so the search instead probes a hint —
+//     the previous period's crossing — gallops outward in steps of 1, 2,
+//     4, … ticks until it brackets the crossing, then bisects the bracket,
+//     at O(1 + log |crossing − hint|) probes.
+//
+// Monotonicity makes both answers exactly those of a full bisection per
+// cell; TestHintedSearchMatchesBisection pins every entry point against one.
 package game
 
 import (
@@ -46,39 +54,36 @@ import (
 	"cyclesteal/internal/quant"
 )
 
-// maxTableEntries caps solver memory (entries are 8 bytes each).
+// maxTableEntries caps solver memory (entries are 4 bytes each).
 const maxTableEntries = 1 << 28
+
+// The tables hold int32 values. validate keeps every lifespan below
+// maxTableEntries, V(q, L) ≤ L, and the largest sum a row fill forms,
+// g(s) = s + V(q−1, s) − V(q, s), is at most 2U; this line stops compiling
+// if maxTableEntries ever outgrows what those sums hold.
+const _ = uint32(1<<31 - 1 - 2*maxTableEntries)
 
 // Solver holds the exact value tables V(q, L) for q = 0..P, L = 0..U.
 type Solver struct {
 	c quant.Tick
 	p int
 	u quant.Tick
-	v [][]quant.Tick // v[q][L]
+	v []int32 // V(q, L) at v[q·(U+1) + L], all rows in one slab
 }
 
 // Solve computes the value tables with the crossing-point method. P is the
 // interrupt bound, U the lifespan and c the setup cost, all in ticks.
 //
-// Each row V(q, ·) is filled in increasing L, and the search for the
-// crossing at L starts from the crossing found at L−1 (see the package doc).
-// Where the crossing moves by a tick or less per tick of L, as in every
-// instance measured, a cell costs a constant number of probes and the whole
-// table O(P·U) time; the worst case is O(P·U·log U), the cost of bisecting
-// every cell. Memory is (P+1)·(U+1) ticks.
+// Each row V(q, ·) is filled in increasing L by one forward pass whose
+// crossing pointer never moves back (see the package doc), so the table
+// takes O(P·U) time. Memory is one slab of (P+1)·(U+1) int32 values.
 func Solve(P int, U, c quant.Tick) (*Solver, error) {
-	if err := validate(P, U, c); err != nil {
+	s, err := newSolver(P, U, c)
+	if err != nil {
 		return nil, err
 	}
-	s := &Solver{c: c, p: P, u: U, v: newTables(P, U)}
-	for L := quant.Tick(0); L <= U; L++ {
-		s.v[0][L] = quant.PosSub(L, c)
-	}
 	for q := 1; q <= P; q++ {
-		var x quant.Tick // the crossing at L−1 seeds the search at L
-		for L := quant.Tick(1); L <= U; L++ {
-			s.v[q][L], _, x = solveCell(s.v[q], s.v[q-1], L, c, x)
-		}
+		fillRow(s.row(q), s.row(q-1), c)
 	}
 	return s, nil
 }
@@ -87,25 +92,20 @@ func Solve(P int, U, c quant.Tick) (*Solver, error) {
 // period length — O(P·U²). It exists to cross-check the fast solver and for
 // the E9 ablation; use only for small U.
 func SolveReference(P int, U, c quant.Tick) (*Solver, error) {
-	if err := validate(P, U, c); err != nil {
+	s, err := newSolver(P, U, c)
+	if err != nil {
 		return nil, err
 	}
-	s := &Solver{c: c, p: P, u: U, v: newTables(P, U)}
-	for L := quant.Tick(0); L <= U; L++ {
-		s.v[0][L] = quant.PosSub(L, c)
-	}
 	for q := 1; q <= P; q++ {
+		cur, prev := s.row(q), s.row(q-1)
 		for L := quant.Tick(1); L <= U; L++ {
 			var best quant.Tick
 			for t := quant.Tick(1); t <= L; t++ {
-				complete := quant.PosSub(t, s.c) + s.v[q][L-t]
-				interrupt := s.v[q-1][L-t]
-				cand := min(complete, interrupt)
-				if cand > best {
-					best = cand
-				}
+				complete := quant.PosSub(t, c) + quant.Tick(cur[L-t])
+				interrupt := quant.Tick(prev[L-t])
+				best = max(best, min(complete, interrupt))
 			}
-			s.v[q][L] = best
+			cur[L] = int32(best)
 		}
 	}
 	return s, nil
@@ -120,24 +120,68 @@ func validate(P int, U, c quant.Tick) error {
 	case c < 1:
 		return fmt.Errorf("game: setup cost must be ≥ 1 tick, got %d", c)
 	}
-	if entries := (int64(P) + 1) * (int64(U) + 1); entries > maxTableEntries {
-		return fmt.Errorf("game: value table would need %d entries (max %d); coarsen the quantum", entries, maxTableEntries)
+	// Each factor is bounded first so that the product cannot wrap.
+	if int64(P) >= maxTableEntries || U >= maxTableEntries || (int64(P)+1)*(U+1) > maxTableEntries {
+		return fmt.Errorf("game: value table for P=%d, U=%d would need more than %d entries; coarsen the quantum", P, U, maxTableEntries)
 	}
 	return nil
 }
 
-func newTables(P int, U quant.Tick) [][]quant.Tick {
-	v := make([][]quant.Tick, P+1)
-	for i := range v {
-		v[i] = make([]quant.Tick, U+1)
+// newSolver validates the shape, allocates the slab and fills V(0, ·).
+func newSolver(P int, U, c quant.Tick) (*Solver, error) {
+	if err := validate(P, U, c); err != nil {
+		return nil, err
 	}
-	return v
+	s := &Solver{c: c, p: P, u: U, v: make([]int32, (P+1)*int(U+1))}
+	fillBase(s.row(0), c)
+	return s, nil
+}
+
+// row returns V(q, ·) as a slice of the slab.
+func (s *Solver) row(q int) []int32 {
+	w := int(s.u) + 1
+	return s.v[q*w : (q+1)*w : (q+1)*w]
+}
+
+// fillBase fills row with V(0, L) = L ⊖ c.
+func fillBase(row []int32, c quant.Tick) {
+	for L := range row {
+		row[L] = int32(quant.PosSub(quant.Tick(L), c))
+	}
+}
+
+// fillRow fills cur = V(q, ·) from prev = V(q−1, ·), both of U+1 cells, in
+// one forward pass. Period t of cell (q, L) crosses — its completing branch
+// (t−c) + V(q, L−t) reaches its interrupted branch V(q−1, L−t) — exactly
+// when its residual s = L−t has g(s) = s + V(q−1, s) − V(q, s) ≤ L−c. Since
+// g never falls (package doc), the largest crossing residual r, over the
+// productive periods t ≥ c+1 (s ≤ L−c−1), never moves back as L grows, and
+// g(0) = 0 starts it at 0. The cell's maximizing period is the crossing
+// x = L−r, or x−1 when x > c+1 and that is strictly better: solveCell's
+// decision, reached without a search. Cells L ≤ c bank nothing and stay 0.
+func fillRow(cur, prev []int32, c quant.Tick) {
+	U := len(cur) - 1
+	k := int(min(c, quant.Tick(U)))
+	clear(cur[:k+1])
+	r := 0
+	for L := k + 1; L <= U; L++ {
+		lim := L - k // the crossing test is g(s) ≤ L−c, over s ≤ L−c−1
+		for r+1 < lim && r+1+int(prev[r+1]-cur[r+1]) <= lim {
+			r++
+		}
+		gain := int32(lim - r) // x − c
+		v := min(gain+cur[r], prev[r])
+		if r+1 < lim {
+			v = max(v, min(gain-1+cur[r+1], prev[r+1]))
+		}
+		cur[L] = v
+	}
 }
 
 // solveCell solves cell (q, L) of the recursion from two rows: cur = V(q, ·),
-// filled below L, and prev = V(q−1, ·). It returns the value V(q, L), the
-// maximizing first period t*, and the crossing x the search settled on, which
-// seeds the search at the next cell.
+// filled below L, and prev = V(q−1, ·). It returns the maximizing first
+// period t* and the crossing x the search settled on, which seeds the search
+// at the next cell.
 //
 // Restricting to t ≥ c+1 is lossless: a period of length ≤ c banks nothing
 // and merely shrinks the residual, which cannot raise either branch (V is
@@ -154,11 +198,11 @@ func newTables(P int, U quant.Tick) [][]quant.Tick {
 // from it in steps of 1, 2, 4, … ticks until it brackets x, then bisects the
 // bracket. The answer does not depend on hint; the cost does, at
 // O(1 + log |x − hint|) probes.
-func solveCell(cur, prev []quant.Tick, L, c, hint quant.Tick) (v, t, x quant.Tick) {
+func solveCell(cur, prev []int32, L, c, hint quant.Tick) (t, x quant.Tick) {
 	tmin := c + 1
 	if tmin > L {
 		// Only the single exhausting period is available; it banks nothing.
-		return 0, L, tmin
+		return L, tmin
 	}
 	// Invariant: crosses(lo) is false or lo = tmin−1; crosses(hi) is true.
 	var lo, hi quant.Tick
@@ -199,19 +243,17 @@ func solveCell(cur, prev []quant.Tick, L, c, hint quant.Tick) (v, t, x quant.Tic
 		}
 	}
 	x = hi
-	v, t = min(x-c+cur[L-x], prev[L-x]), x
-	if x > tmin {
-		if cand := min(x-1-c+cur[L-x+1], prev[L-x+1]); cand > v {
-			v, t = cand, x-1
-		}
+	v := min(x-c+quant.Tick(cur[L-x]), quant.Tick(prev[L-x]))
+	if x > tmin && min(x-1-c+quant.Tick(cur[L-x+1]), quant.Tick(prev[L-x+1])) > v {
+		return x - 1, x
 	}
-	return v, t, x
+	return x, x
 }
 
 // crosses reports complete(t) ≥ interrupt(t) for first period t of cell
 // (q, L), with cur and prev as in solveCell.
-func crosses(cur, prev []quant.Tick, L, c, t quant.Tick) bool {
-	return t-c+cur[L-t] >= prev[L-t]
+func crosses(cur, prev []int32, L, c, t quant.Tick) bool {
+	return t-c+quant.Tick(cur[L-t]) >= quant.Tick(prev[L-t])
 }
 
 // C returns the setup cost in ticks.
@@ -230,7 +272,7 @@ func (s *Solver) Value(p int, L quant.Tick) quant.Tick {
 	if p < 0 || p > s.p || L < 0 || L > s.u {
 		panic(fmt.Sprintf("game: Value(%d, %d) outside solved range p≤%d L≤%d", p, L, s.p, s.u))
 	}
-	return s.v[p][L]
+	return quant.Tick(s.row(p)[L])
 }
 
 // OptimalEpisode extracts an optimal episode-schedule S_opt^(p)[L]: the
@@ -245,21 +287,22 @@ func (s *Solver) OptimalEpisode(p int, L quant.Tick) model.TickSchedule {
 	if L < 1 {
 		return nil
 	}
-	if p <= 0 {
-		return model.TickSchedule{L}
-	}
 	if p > s.p {
 		p = s.p
 	}
+	if p <= 0 {
+		return model.TickSchedule{L}
+	}
+	cur, prev := s.row(p), s.row(p-1)
 	var out model.TickSchedule
 	var x quant.Tick // the last period's crossing seeds the next search
 	for L > 0 {
-		if s.v[p][L] == 0 {
+		if cur[L] == 0 {
 			out = append(out, L)
 			break
 		}
 		var t quant.Tick
-		_, t, x = solveCell(s.v[p], s.v[p-1], L, s.c, x)
+		t, x = solveCell(cur, prev, L, s.c, x)
 		out = append(out, t)
 		L -= t
 	}

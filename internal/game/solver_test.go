@@ -22,6 +22,18 @@ func TestSolveValidation(t *testing.T) {
 	if _, err := Solve(1<<20, 1<<20, 10); err == nil {
 		t.Error("oversized table accepted")
 	}
+	// (P+1)(U+1) wraps to 0 in 64 bits at both shapes.
+	for _, sh := range []struct {
+		P int
+		U quant.Tick
+	}{{math.MaxInt, 1}, {3, 1<<62 - 1}} {
+		if _, err := Solve(sh.P, sh.U, 10); err == nil {
+			t.Errorf("P=%d U=%d: table whose size wraps accepted", sh.P, sh.U)
+		}
+		if _, err := SolveValueRow(sh.P, sh.U, 10); err == nil {
+			t.Errorf("P=%d U=%d: SolveValueRow accepted a table whose size wraps", sh.P, sh.U)
+		}
+	}
 }
 
 func TestSolverAccessors(t *testing.T) {
@@ -226,6 +238,28 @@ func TestOptimalEpisodeSumsWithinL(t *testing.T) {
 	}
 	if ep := s.OptimalEpisode(1, 0); ep != nil {
 		t.Errorf("L=0 should yield nil, got %v", ep)
+	}
+}
+
+// An interrupt bound above the solved one is clamped to it, down to a
+// solver of P = 0, whose optimal episode is one exhausting period.
+func TestOptimalEpisodeClampsInterruptBound(t *testing.T) {
+	s, err := Solve(0, 100, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 1, 3} {
+		if ep := s.OptimalEpisode(p, 100); len(ep) != 1 || ep[0] != 100 {
+			t.Errorf("P=0 solver: OptimalEpisode(%d, 100) = %v, want [100]", p, ep)
+		}
+	}
+	s, err = Solve(1, 1000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := s.OptimalEpisode(3, 1000), s.OptimalEpisode(1, 1000)
+	if len(got) != len(want) || got.Total() != want.Total() {
+		t.Errorf("P=1 solver: OptimalEpisode(3, 1000) = %v, want the p=1 episode %v", got, want)
 	}
 }
 
