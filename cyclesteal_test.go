@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
@@ -359,6 +360,31 @@ func TestPredictions(t *testing.T) {
 	tiny := engine(t, Opportunity{Lifespan: 1.5, Interrupts: 2, Setup: 1})
 	if !tiny.Predict().ZeroWork {
 		t.Error("U ≤ (p+1)c not flagged zero-work")
+	}
+}
+
+// At Interrupts = math.MaxInt, where p+1 wraps negative, the engine
+// evaluates the equalized schedule's floor of 0 at once; with the wrapped
+// bound its first episode walked an α recursion of p steps.
+func TestEngineAtMaxInterrupts(t *testing.T) {
+	e := engine(t, Opportunity{Lifespan: 3600, Interrupts: math.MaxInt, Setup: 5})
+	eq, err := e.AdaptiveEqualized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w float64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w, err = e.GuaranteedWork(eq)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("GuaranteedWork of the equalized schedule at p = MaxInt had not returned after 10s")
+	}
+	if err != nil || w != 0 {
+		t.Errorf("GuaranteedWork at p = MaxInt = %g, %v; want 0", w, err)
 	}
 }
 

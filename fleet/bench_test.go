@@ -3,7 +3,6 @@ package fleet_test
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 
 	"cyclesteal/fleet"
@@ -144,17 +143,6 @@ func BenchmarkFleetServiceWAL(b *testing.B) {
 	}
 }
 
-// e12Tasks is E12's job at setup cost 1: n task durations uniform on the
-// grid over [c/2, 4c], drawn from a fixed seed.
-func e12Tasks(n int) []float64 {
-	rng := rand.New(rand.NewSource(1))
-	tasks := make([]float64, n)
-	for i := range tasks {
-		tasks[i] = float64(50+rng.Intn(351)) / 100
-	}
-	return tasks
-}
-
 // BenchmarkFleetRunJob prices a batch run's intake: fleet.Run of a
 // 100,000-task E12 job on 1,000 stations of E12's mixed fleet (Office,
 // Laptop, Overnight owners), one opportunity each, so converting the job
@@ -165,7 +153,7 @@ func e12Tasks(n int) []float64 {
 // nothing memoizes.
 func BenchmarkFleetRunJob(b *testing.B) {
 	const stations, tasks = 1000, 100000
-	job := fleet.Job{Tasks: e12Tasks(tasks)}
+	job := fleet.Job{Tasks: fleet.E12Tasks(tasks)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -192,7 +180,7 @@ func BenchmarkFleetRunJob(b *testing.B) {
 // nothing memoizes.
 func BenchmarkFleetReplicateGuideline(b *testing.B) {
 	const stations, tasksPer = 200, 20
-	job := fleet.Job{Tasks: e12Tasks(stations * tasksPer)}
+	job := fleet.Job{Tasks: fleet.E12Tasks(stations * tasksPer)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

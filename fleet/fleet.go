@@ -83,6 +83,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"cyclesteal/internal/farm"
@@ -185,8 +187,9 @@ type Config struct {
 	// free like local ones; > 0 requires Clusters ≥ 2.
 	StealLatency float64
 	// Workers bounds run parallelism; 0 means GOMAXPROCS (a run then gives
-	// each worker at least 32 stations). Never affects results — only
-	// wall-clock time.
+	// each worker at least 32 stations). A large job's intake also runs on
+	// the workers, each converting and dealing at least 65,536 tasks. Never
+	// affects results or errors — only wall-clock time.
 	Workers int
 	// Seed derives every station's deterministic contract stream (and, in
 	// Replicate, the per-trial seed streams).
@@ -377,23 +380,40 @@ func (g grid) checkedTicks(units float64) (quant.Tick, error) {
 // dealt round-robin into hands as it goes: task i, with ID i, lands at
 // hands[i mod G].Tasks[i div G] for G = len(hands) — the partition
 // task.Deal makes — and each hand's MinDur becomes the smallest duration it
-// got. Each hand's Tasks must come sized to exactly its share. It returns
-// the job's total ticks. It refuses what checkedTicks refuses, and a job
-// whose total overflows a quant.Tick; the error names the task. Every job
-// enters through it: a batch run or a study dealt over its groups
-// (dealtJob), and service submits, replays and recoveries as one flat hand
-// (quantizeFlat).
+// got. Each hand's Tasks must come sized to exactly its share, and its
+// MinDur 0. It returns the job's total ticks. It refuses what checkedTicks
+// refuses, and a job whose total overflows a quant.Tick; the error names
+// the first such task. Every job enters through its loop (quantizeRange):
+// a batch run or a study dealt over its groups (dealtJob), and service
+// submits, replays and recoveries as one flat hand (quantizeFlat).
 func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, error) {
+	work, stop := g.quantizeRange(hands, 0, len(hands), durations)
+	if stop < 0 {
+		return work, nil
+	}
+	// checkedTicks runs only on a refusal, to name its cause; a task it
+	// accepts stopped the loop by overflowing the total.
+	if _, err := g.checkedTicks(durations[stop]); err != nil {
+		return 0, fmt.Errorf("fleet: task %d duration %w", stop, err)
+	}
+	return 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", stop)
+}
+
+// quantizeRange is quantize's loop over the hands [lo, hi), lo < hi: it
+// visits their tasks in task order, a row of len(hands) tasks at a time, and
+// returns their total ticks and −1, or the index of the first task that
+// checkedTicks refuses or whose ticks overflow the range's total.
+func (g grid) quantizeRange(hands []task.Hand, lo, hi int, durations []float64) (quant.Tick, int) {
 	ticksC := float64(g.ticksC)
 	var work quant.Tick
-	h, row := 0, 0
-	for i, d := range durations {
-		// ticks and checkedTicks' test in one rounding: checkedTicks runs
-		// only on a refusal, to name its cause.
+	skip := len(hands) - (hi - lo) // the other hands' tasks in each row
+	h, row := lo, 0
+	for i := lo; i < len(durations); i++ {
+		// ticks and checkedTicks' test in one rounding.
+		d := durations[i]
 		x := math.Round(d / g.setup * ticksC)
 		if !(d >= 0 && x < math.MaxInt64) {
-			_, err := g.checkedTicks(d)
-			return 0, fmt.Errorf("fleet: task %d duration %w", i, err)
+			return 0, i
 		}
 		t := max(quant.Tick(x), 1)
 		hand := &hands[h]
@@ -402,14 +422,14 @@ func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, erro
 			hand.MinDur = t
 		}
 		if work > math.MaxInt64-t {
-			return 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
+			return 0, i
 		}
 		work += t
-		if h++; h == len(hands) {
-			h, row = 0, row+1
+		if h++; h == hi {
+			h, row, i = lo, row+1, i+skip
 		}
 	}
-	return work, nil
+	return work, -1
 }
 
 // quantizeFlat is quantize into one hand: the job as one task list, task i
@@ -669,22 +689,100 @@ func (f *Fleet) shards() int {
 // farm.Core.AddTasks would make of the flat list. A run takes the hands as
 // its queues' storage; a study's trials each copy them. An empty job stays
 // empty.
+//
+// A large job is quantized on the run's workers (intakeWorkers), each
+// sizing and filling its own range of hands. Every task gets quantize's
+// ticks in quantize's slot, so the hands, the total and every error are
+// the same at any Workers.
 func (f *Fleet) dealtJob(durations []float64, groups int) (farm.Job, quant.Tick, error) {
-	if len(durations) == 0 {
+	n := len(durations)
+	if n == 0 {
 		return farm.Job{}, 0, nil
 	}
 	hands := make([]task.Hand, groups)
-	per, extra := len(durations)/groups, len(durations)%groups
-	for g := range hands {
-		n := per
-		if g < extra {
-			n++
-		}
-		hands[g].Tasks = make([]task.Task, n)
-	}
-	work, err := f.g.quantize(hands, durations)
-	if err != nil {
+	work, ok := f.g.quantizeSplit(hands, durations, f.intakeWorkers(n, groups))
+	if !ok {
+		// A worker met a refused task or an overflowing sum, or the partial
+		// totals overflow once added; every task is at least one tick, so
+		// the whole job's sum overflows too. quantize over the same hands
+		// stops at the first bad task in task order and names it, as a
+		// serial intake does.
+		_, err := f.g.quantize(hands, durations)
 		return farm.Job{}, 0, err
 	}
 	return farm.Job{Dealt: hands}, work, nil
+}
+
+// minIntakeTasksPerWorker sizes dealtJob's split: each worker gets at
+// least this many tasks. A split pays only where a core would otherwise
+// idle. On a 2-vCPU host, one 1,000,000-task intake over 64 hands took
+// 15.4–18.3 ms serial and 8.1–9.0 ms split in two; but two 100,000-task
+// intakes at once, as a study cell's two in-process workers run them, took
+// 2.3–3.0 ms serial against 2.5–3.2 ms split (3 runs each). This bound keeps
+// such cells serial and splits a job in two from 131,072 tasks.
+const minIntakeTasksPerWorker = 1 << 16
+
+// intakeWorkers is how many goroutines dealtJob quantizes n tasks over
+// groups hands on: Workers, or GOMAXPROCS when Workers ≤ 0, but at most one
+// per hand and one per minIntakeTasksPerWorker tasks, and at least one.
+func (f *Fleet) intakeWorkers(n, groups int) int {
+	w := f.cfg.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(min(w, groups, n/minIntakeTasksPerWorker), 1)
+}
+
+// quantizeSplit sizes the hands and runs quantize's loop on w ≤ len(hands)
+// goroutines, the caller one of them: worker k sizes and fills the k-th of
+// w contiguous ranges of hands (fillRange), so each hand and its MinDur
+// belong to one worker; the partial totals add up after the join. At w = 1
+// the caller fills every hand, and nothing but the hands is allocated. It
+// returns the job's total ticks, or false, the hands sized but not all
+// filled, when a worker stopped at a bad task or the partial totals
+// overflow once added.
+func (g grid) quantizeSplit(hands []task.Hand, durations []float64, w int) (quant.Tick, bool) {
+	G := len(hands)
+	if w == 1 {
+		work, stop := g.fillRange(hands, 0, G, durations)
+		return work, stop < 0
+	}
+	type part struct {
+		work quant.Tick
+		stop int
+	}
+	parts := make([]part, w)
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			parts[k].work, parts[k].stop = g.fillRange(hands, k*G/w, (k+1)*G/w, durations)
+		}()
+	}
+	parts[0].work, parts[0].stop = g.fillRange(hands, 0, G/w, durations)
+	wg.Wait()
+	var work quant.Tick
+	for _, p := range parts {
+		if p.stop >= 0 || work > math.MaxInt64-p.work {
+			return 0, false
+		}
+		work += p.work
+	}
+	return work, true
+}
+
+// fillRange gives hands[lo:hi] the storage of a round-robin deal of the
+// job over all len(hands) hands, hand h holding tasks h, h+G, h+2·G, …, and
+// fills them (quantizeRange).
+func (g grid) fillRange(hands []task.Hand, lo, hi int, durations []float64) (quant.Tick, int) {
+	per, extra := len(durations)/len(hands), len(durations)%len(hands)
+	for h := lo; h < hi; h++ {
+		m := per
+		if h < extra {
+			m++
+		}
+		hands[h].Tasks = make([]task.Task, m)
+	}
+	return g.quantizeRange(hands, lo, hi, durations)
 }

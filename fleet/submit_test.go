@@ -15,18 +15,18 @@ import (
 // badDurations are jobs no run can hold: the log cannot encode a non-finite
 // duration, and the tick grid cannot represent a negative one or one whose
 // tick count — alone or summed over the job — overflows. want names the
-// offending task.
+// offending task and the cause.
 var badDurations = []struct {
 	name  string
 	tasks []float64
 	want  string
 }{
-	{"NaN", []float64{3, math.NaN()}, "task 1"},
-	{"+Inf", []float64{math.Inf(1)}, "task 0"},
-	{"-Inf", []float64{2, 2, math.Inf(-1)}, "task 2"},
-	{"negative", []float64{4, -1}, "task 1"},
-	{"tick overflow", []float64{1e300}, "task 0"},
-	{"job total overflow", []float64{1, 3e17, 3e17}, "task 2"},
+	{"NaN", []float64{3, math.NaN()}, "task 1 duration must be ≥ 0 and finite, got NaN"},
+	{"+Inf", []float64{math.Inf(1)}, "task 0 duration must be ≥ 0 and finite, got +Inf"},
+	{"-Inf", []float64{2, 2, math.Inf(-1)}, "task 2 duration must be ≥ 0 and finite, got -Inf"},
+	{"negative", []float64{4, -1}, "task 1 duration must be ≥ 0 and finite, got -1"},
+	{"tick overflow", []float64{1e300}, "task 0 duration 1e+300 overflows the tick grid"},
+	{"job total overflow", []float64{1, 3e17, 3e17}, "task 2: the job's total duration overflows the tick grid"},
 }
 
 // A job with a duration the log cannot hold is refused at Submit, naming

@@ -443,7 +443,8 @@ func (c *Core) PlayRound(ctx context.Context, workers int) error {
 // minStationsPerWorker sizes PlayRound's default worker count: a round of
 // fewer stations per worker costs less to play than waking a goroutine for
 // it saves. On a 2-vCPU host a 16-station survey round (about 45 µs of
-// work) played 17% slower with a second worker than inline.
+// work) played 17% slower with a second worker than inline. fleet's
+// minIntakeTasksPerWorker sizes a job's intake split the same way.
 const minStationsPerWorker = 32
 
 // playGroups is one PlayRound worker: it claims groups off the round's

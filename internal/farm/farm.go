@@ -318,7 +318,7 @@ func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *r
 // Clamped to ≥ 1 so an adaptive run always checkpoints — the caller asked
 // for bounded loss.
 func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
-	k := quant.Tick(math.Round(math.Sqrt(2 * float64(s) * float64(contract.U) / float64(contract.P+1))))
+	k := quant.Tick(math.Round(math.Sqrt(2 * float64(s) * float64(contract.U) / (float64(contract.P) + 1))))
 	if k < 1 {
 		k = 1
 	}

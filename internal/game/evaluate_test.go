@@ -645,11 +645,13 @@ func TestBestResponseOutsideLevels(t *testing.T) {
 // which no caller caps: a last-instant interrupt uses up at least one tick
 // and nothing is memoized at L ≤ c, so at most U − c levels are reached
 // however large P is. Working state sized by P would take terabytes here.
-// AdaptiveEqualized is left out: at p = MaxInt its p+1 wraps and it walks
-// an α recursion of p steps.
 func TestEvaluateHugeInterruptBound(t *testing.T) {
 	const U, c = 1000, 10
 	ag, err := sched.NewAdaptiveGuideline(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := sched.NewAdaptiveEqualized(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +659,7 @@ func TestEvaluateHugeInterruptBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds := []model.EpisodeScheduler{ag, op1, sched.SinglePeriod{}, sched.EqualSplit{M: 5}, sched.FixedChunk{T: 2*c + 1}}
+	scheds := []model.EpisodeScheduler{ag, eq, op1, sched.SinglePeriod{}, sched.EqualSplit{M: 5}, sched.FixedChunk{T: 2*c + 1}}
 	for _, P := range []int{1 << 20, 1 << 40, math.MaxInt} {
 		for _, sc := range scheds {
 			name := fmt.Sprintf("%s P=%d", model.NameOf(sc), P)

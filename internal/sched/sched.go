@@ -245,7 +245,7 @@ func GuidelinePeriodsUnitsCfg(p int, L, c float64, cfg GuidelineConfig) []float6
 // first), so the whole episode costs zero allocations when the buffer has
 // room.
 func appendGuidelineUnits(buf []float64, p int, L, c float64, cfg GuidelineConfig) []float64 {
-	if p <= 0 || L <= float64(p+1)*c {
+	if p <= 0 || L <= (float64(p)+1)*c {
 		return append(buf, L)
 	}
 	ellp := (2*p + 2) / 3 // ⌈2p/3⌉
@@ -382,7 +382,7 @@ func NewAdaptiveEqualized(c quant.Tick) (*AdaptiveEqualized, error) {
 // appendEqualizedUnits builds the equalization episode in continuous time
 // (tick units) into the caller's buffer.
 func appendEqualizedUnits(buf []float64, p int, L, c float64) []float64 {
-	if p <= 0 || L <= float64(p+1)*c {
+	if p <= 0 || L <= (float64(p)+1)*c {
 		return append(buf, L)
 	}
 	alpha := theory.EqualizedAlpha(p)

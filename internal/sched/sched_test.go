@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
@@ -245,6 +246,47 @@ func TestGuidelineZeroWorkRegimeFallsBack(t *testing.T) {
 	periods := GuidelinePeriodsUnitsCfg(3, 3.5, 1, GuidelineConfig{}) // U ≤ (p+1)c
 	if len(periods) != 1 {
 		t.Errorf("zero-work regime should yield a single period, got %v", periods)
+	}
+}
+
+// An interrupt bound is never capped, so p can be math.MaxInt, where p+1
+// wraps negative. Both adaptive schedulers still find L ≤ (p+1)c there and
+// return the single period [L] at once: with the wrapped bound the
+// equalized one walked an α recursion of p steps and the guideline one
+// built a ramp of 66 periods.
+func TestAdaptiveEpisodeAtMaxInterrupts(t *testing.T) {
+	ag, err := NewAdaptiveGuideline(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := NewAdaptiveEqualized(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []model.EpisodeScheduler{ag, eq} {
+		for _, p := range []int{1 << 40, math.MaxInt - 1, math.MaxInt} {
+			var got model.TickSchedule
+			within(t, 5*time.Second, fmt.Sprintf("%s at p=%d", model.NameOf(s), p), func() { got = s.Episode(p, 1000) })
+			if len(got) != 1 || got[0] != 1000 {
+				t.Errorf("%s at p=%d, L=1000: episode %v, want [1000]", model.NameOf(s), p, got)
+			}
+		}
+	}
+}
+
+// within fails the test unless f returns within d. f runs on another
+// goroutine, so it must not call t.Fatal.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s had not returned after %v", what, d)
 	}
 }
 

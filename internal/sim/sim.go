@@ -131,6 +131,14 @@ type Buffers struct {
 	tasks   []task.Task
 }
 
+// ReserveTasks grows the shipping buffer to hold n tasks, so that no
+// period shipping at most n tasks grows it.
+func (b *Buffers) ReserveTasks(n int) {
+	if cap(b.tasks) < n {
+		b.tasks = make([]task.Task, 0, n)
+	}
+}
+
 // Config controls optional simulator features.
 type Config struct {
 	// RecordPeriods turns on the per-period audit log.
@@ -314,6 +322,11 @@ func Run(s model.EpisodeScheduler, adv Interrupter, opp Opportunity, cfg Config)
 			}
 			if cfg.RecordPeriods {
 				res.Periods = append(res.Periods, rec)
+			} else if rec.Outcome == Killed {
+				// Every later period is unreached: it takes no tasks, banks
+				// nothing and leaves restartDue alone, so only the audit
+				// log needs it.
+				break
 			}
 			elapsed = end
 		}

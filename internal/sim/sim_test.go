@@ -119,6 +119,156 @@ func TestRunUnreachedPeriods(t *testing.T) {
 	}
 }
 
+// With RecordPeriods off, Run leaves an episode at the period a kill ends.
+// The result equals the recording run's in everything but the log, and so
+// does the bag it leaves; the log still lists every period of every
+// episode, each unreached one after its episode's kill. The grid covers the
+// library schedulers; Poisson, random and scripted interrupters, one
+// scripted run interrupting in trailing idle time; runs with and without a
+// bag; and fixed checkpoints with save and restart costs.
+func TestRecordPeriodsChangesOnlyTheLog(t *testing.T) {
+	c := quant.Tick(10)
+	ag, err := sched.NewAdaptiveGuideline(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := sched.NewAdaptiveEqualized(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := sched.NewOptimalP1(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := sched.NonAdaptiveFromPeriods(model.TickSchedule{400, 400, 200}, 2, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupters := []func(seed int64, U quant.Tick, P int) Interrupter{
+		func(seed int64, U quant.Tick, P int) Interrupter {
+			return &adversary.Poisson{Rng: rand.New(rand.NewSource(seed)), Mean: float64(U) / float64(P+1)}
+		},
+		func(seed int64, U quant.Tick, P int) Interrupter {
+			return &adversary.Random{Rng: rand.New(rand.NewSource(seed)), Prob: 0.8}
+		},
+		func(seed int64, U quant.Tick, P int) Interrupter {
+			rng := rand.New(rand.NewSource(seed))
+			offsets := make([]quant.Tick, P)
+			for i := range offsets {
+				offsets[i] = 1 + rng.Int63n(U)
+			}
+			return &adversary.Scripted{Offsets: offsets}
+		},
+	}
+	type shape struct {
+		s      model.EpisodeScheduler
+		adv    func() Interrupter
+		opp    Opportunity
+		cfg    Config
+		tasks  []task.Task
+		idleAt bool // an interrupt falls in trailing idle time
+	}
+	// TestInterruptInTrailingIdle's run: the second interrupt, at 700,
+	// falls after the 600-tick tail of the first episode's kill.
+	shapes := []shape{{
+		s:      tail,
+		adv:    func() Interrupter { return &adversary.Scripted{Offsets: []quant.Tick{100, 700}} },
+		opp:    Opportunity{U: 1000, P: 2, C: c},
+		tasks:  task.Uniform(80, 5, 60, 1),
+		idleAt: true,
+	}}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 420; trial++ {
+		opp := Opportunity{U: quant.Tick(50 + rng.Int63n(6000)), P: rng.Intn(5), C: c}
+		na, err := sched.NewNonAdaptive(opp.U, opp.P, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedulers := []model.EpisodeScheduler{ag, eq, p1, na, sched.SinglePeriod{}, sched.EqualSplit{M: 7}, sched.FixedChunk{T: 3 * c}}
+		sh := shape{s: schedulers[trial%len(schedulers)], opp: opp}
+		mk, seed := interrupters[trial/len(schedulers)%len(interrupters)], rng.Int63()
+		sh.adv = func() Interrupter { return mk(seed, opp.U, opp.P) }
+		if rng.Intn(2) == 0 {
+			sh.tasks = task.Uniform(150, 1, 80, seed)
+		}
+		if rng.Intn(2) == 0 {
+			sh.cfg.Checkpoint = 1 + rng.Int63n(60)
+			sh.cfg.CheckpointSave = rng.Int63n(15)
+			sh.cfg.CheckpointRestart = rng.Int63n(15)
+		}
+		shapes = append(shapes, sh)
+	}
+	var killed, unreached, idle int
+	for i, sh := range shapes {
+		run := func(record bool) (Result, []task.Task) {
+			cfg := sh.cfg
+			cfg.RecordPeriods = record
+			var bag *task.Bag
+			if sh.tasks != nil {
+				bag = task.NewBag(sh.tasks)
+				cfg.Bag = bag
+			}
+			res, err := Run(sh.s, sh.adv(), sh.opp, cfg)
+			if err != nil {
+				t.Fatalf("shape %d (%s, %+v): %v", i, model.NameOf(sh.s), sh.opp, err)
+			}
+			if bag == nil {
+				return res, nil
+			}
+			return res, bag.Steal(bag.Remaining())
+		}
+		logged, loggedLeft := run(true)
+		plain, plainLeft := run(false)
+		if plain.Periods != nil {
+			t.Fatalf("shape %d: a run without RecordPeriods logged %d periods", i, len(plain.Periods))
+		}
+		log := logged.Periods
+		logged.Periods = nil
+		if !reflect.DeepEqual(plain, logged) || !reflect.DeepEqual(plainLeft, loggedLeft) {
+			t.Fatalf("shape %d (%s, %+v, %+v): without the log\n%+v, %d tasks left\nwith it\n%+v, %d tasks left",
+				i, model.NameOf(sh.s), sh.opp, sh.cfg, plain, len(plainLeft), logged, len(loggedLeft))
+		}
+		// The log holds every episode's whole schedule, as the scheduler
+		// gives it at that episode's start, and a period is unreached
+		// exactly when its episode's kill came earlier.
+		at, kills := 0, 0
+		for e := 0; e < logged.Episodes; e++ {
+			if at >= len(log) {
+				t.Fatalf("shape %d: the log ends before episode %d", i, e)
+			}
+			ep := model.AppendEpisode(sh.s, nil, sh.opp.P-e, sh.opp.U-log[at].Start)
+			dead := false
+			for j, length := range ep {
+				if at+j >= len(log) {
+					t.Fatalf("shape %d: the log ends inside episode %d", i, e)
+				}
+				r := log[at+j]
+				if r.Episode != e || r.Index != j || r.Length != length || (r.Outcome == Unreached) != dead {
+					t.Fatalf("shape %d: episode %d period %d logged as %+v, scheduled %d ticks, after a kill: %v", i, e, j, r, length, dead)
+				}
+				switch r.Outcome {
+				case Killed:
+					dead = true
+					kills++
+				case Unreached:
+					unreached++
+				}
+			}
+			at += len(ep)
+		}
+		if at != len(log) {
+			t.Fatalf("shape %d: %d log rows past the last episode's schedule", i, len(log)-at)
+		}
+		if sh.idleAt {
+			idle = plain.Interrupts - kills
+		}
+		killed += kills
+	}
+	if killed == 0 || unreached == 0 || idle != 1 {
+		t.Fatalf("the grid killed %d periods and left %d unreached, and its trailing-idle run interrupted idle time %d times, want 1", killed, unreached, idle)
+	}
+}
+
 // Conservation: every tick of lifespan is banked as work, spent on setup,
 // destroyed by a kill, or idled away.
 func TestLifespanConservation(t *testing.T) {

@@ -13,7 +13,7 @@ import "math"
 // guarantee positive work when U ≤ (p+1)c, because the adversary can kill
 // every productive period.
 func ZeroWorkThreshold(p int, c float64) float64 {
-	return float64(p+1) * c
+	return (float64(p) + 1) * c
 }
 
 // W0 is Prop. 4.1(d): with no interrupts left the unique optimal schedule is

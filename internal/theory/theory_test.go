@@ -11,6 +11,12 @@ func TestZeroWorkThreshold(t *testing.T) {
 	if got := ZeroWorkThreshold(3, 2); got != 8 {
 		t.Errorf("ZeroWorkThreshold(3, 2) = %g, want 8", got)
 	}
+	// At p = MaxInt, p+1 wraps negative; the threshold must not, or
+	// Predictions.ZeroWork reads false for an opportunity the adversary
+	// can always empty.
+	if got, want := ZeroWorkThreshold(math.MaxInt, 10), 10*(float64(math.MaxInt)+1); got != want {
+		t.Errorf("ZeroWorkThreshold(MaxInt, 10) = %g, want %g", got, want)
+	}
 }
 
 func TestW0(t *testing.T) {

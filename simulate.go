@@ -111,6 +111,10 @@ func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, 
 			return Result{}, err
 		}
 		scratch.tasks = append(scratch.tasks[:0], h.Tasks...)
+		// A period ships at most what fits in the lifespan past its setup,
+		// so the shipping buffer grows here, before the run, and never
+		// inside it, whatever the owner does.
+		scratch.bufs.ReserveTasks(min(len(h.Tasks), int((e.u-e.ticksC)/h.MinDur)))
 		bag = &scratch.bag
 		bag.Adopt(task.Hand{Tasks: scratch.tasks, MinDur: h.MinDur})
 		cfg.Bag = bag
