@@ -65,10 +65,14 @@ type ServiceConfig struct {
 	// the writer has a Sync method, as *os.File does) at every round
 	// barrier, whenever the service runs out of rounds to play (a Drain
 	// returning, the live loop going to sleep), and at a scheduler kill,
-	// whose final kill record closes the log. RecoverService rebuilds the
-	// session from such a log, bit-identical to the uninterrupted run. A
-	// write error stops the service: an event that cannot be made durable
-	// must not take effect silently. See ReadWAL for the line format.
+	// whose final kill record closes the log. The round barrier makes the
+	// round durable before it settles any job, so a job's Done closes only
+	// once the records of its finishing round are synced. RecoverService
+	// rebuilds the session from such a log, bit-identical to the
+	// uninterrupted run. A write or sync error stops the service, and no
+	// job of the round it failed in settles: an event that cannot be made
+	// durable must not take effect silently. See ReadWAL for the line
+	// format.
 	WAL io.Writer
 }
 
@@ -622,8 +626,10 @@ func eventsMatch(a, b ServiceEvent) bool {
 		a.Sampled == b.Sampled && slices.Equal(a.Tasks, b.Tasks)
 }
 
-// flushWAL pushes buffered log lines to the writer and syncs it — the round
-// barrier's durability point. Reports the sticky WAL error, if any.
+// flushWAL pushes buffered log lines to the writer and syncs it: at every
+// round barrier (the durability point, before any job of the round
+// settles), at an idle round top, at the kill and at shutdown. Reports the
+// sticky WAL error, if any.
 func (s *Service) flushWAL() error {
 	if s.walw == nil {
 		return s.walErr
@@ -798,10 +804,13 @@ func (s *Service) activate() {
 }
 
 // collect attributes the round's completed and lost tasks back to their
-// jobs, settles jobs with every task accounted for, flushes the write-ahead
-// log (the round barrier is the durability point), and advances the round
-// counter. Jobs own contiguous task-ID ranges, so attribution is a range
-// lookup over the active set.
+// jobs, flushes and syncs the write-ahead log (the round barrier is the
+// durability point), settles jobs with every task accounted for, and
+// advances the round counter. A live round writes every record at its top
+// and collect writes none, so a job's Done closes only once every record
+// of its finishing round is durable. When the log fails, no job settles;
+// the service stops with the error. Jobs own contiguous task-ID ranges, so
+// attribution is a range lookup over the active set.
 func (s *Service) collect() {
 	s.doneBuf = s.core.TakeCompleted(s.doneBuf[:0])
 	for _, t := range s.doneBuf {
@@ -811,7 +820,9 @@ func (s *Service) collect() {
 		}
 	}
 	s.collectLost()
-	s.flushWAL()
+	if s.flushWAL() == nil {
+		s.settle()
+	}
 	s.round++
 	if c := &s.log; c.pos < len(c.events) && c.events[c.pos].Round < s.round && s.walErr == nil {
 		// An event the log recorded for a finished round never reproduced:
@@ -831,8 +842,7 @@ func (s *Service) activeFor(id int) *svcJob {
 	return nil
 }
 
-// collectLost attributes fault-destroyed tasks to their jobs and settles
-// jobs whose every task is accounted for — completed, or lost for good.
+// collectLost attributes fault-destroyed tasks to their jobs.
 func (s *Service) collectLost() {
 	// Unconditional: a replayed crash destroys tasks even when the replaying
 	// session itself carries no fault plan.
@@ -842,6 +852,12 @@ func (s *Service) collectLost() {
 			j.lostTasks++
 		}
 	}
+}
+
+// settle retires the active jobs whose every task is accounted for —
+// completed, or lost for good — and closes their Done. Call it once the
+// records of the round are durable.
+func (s *Service) settle() {
 	kept := s.active[:0]
 	for _, j := range s.active {
 		if j.doneTasks+j.lostTasks < len(j.specs) {
@@ -865,7 +881,9 @@ func (s *Service) collectLost() {
 // has nothing to do (idle, a dead fleet, or the MaxRounds bound) or must
 // stop (a scheduler kill, a WAL failure). Before it reports nothing to do
 // it flushes the write-ahead log, so the ops a round top applied without
-// playing are durable before a Drain returns or the live loop sleeps.
+// playing are durable before a Drain returns or the live loop sleeps. A
+// round it plays, or one that wipes out the fleet, is made durable before
+// any of its jobs settles.
 func (s *Service) step(ctx context.Context) (done bool, err error) {
 	if s.walErr != nil {
 		return true, s.walErr
@@ -910,10 +928,13 @@ func (s *Service) step(ctx context.Context) (done bool, err error) {
 	}
 	if s.core.Live() == 0 {
 		// The plan wiped out the fleet this round: whatever its queues held
-		// is already lost; settle those jobs and idle awaiting joins — or,
-		// following a log, go on to the join it applied next.
+		// is already lost; make the round durable, settle those jobs and
+		// idle awaiting joins — or, following a log, go on to the join it
+		// applied next.
 		s.collectLost()
-		s.flushWAL()
+		if s.flushWAL() == nil {
+			s.settle()
+		}
 		return !s.log.due(s.round, false), s.walErr
 	}
 	s.activate()

@@ -267,7 +267,8 @@ func checkConserved(t *testing.T, s *Service) {
 }
 
 // FuzzServiceScript drives the resident service's state machine through
-// decoded scripts. Each input runs live with a WAL and must replay from
+// decoded scripts. Each input runs live with a WAL that has a Sync, so
+// every round barrier syncs before it settles jobs, and must replay from
 // its logged events reflect.DeepEqual at Workers 1 and 4; killed at the
 // scripted round and recovered, it must end in the uninterrupted result
 // and re-log the uninterrupted WAL byte for byte, every logged line
@@ -304,9 +305,12 @@ func FuzzServiceScript(f *testing.F) {
 
 func checkServiceScript(t *testing.T, sc serviceScript) {
 	ctx := context.Background()
-	var full bytes.Buffer
+	// Every log has a Sync, so each round barrier syncs; checkQuiet holds
+	// the log to one Sync at a time, no Write during one, and everything
+	// written durable once the service returns.
+	full := &syncLog{}
 	cfg := sc.cfg
-	cfg.WAL = &full
+	cfg.WAL = full
 	s, err := NewService(cfg)
 	if sc.refuse != "" {
 		if err == nil || !strings.Contains(err.Error(), sc.refuse) {
@@ -321,6 +325,7 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
+	full.checkQuiet(t)
 	if evs, err := ReadWAL(bytes.NewReader(full.Bytes())); err != nil || !reflect.DeepEqual(evs, want.Events) {
 		t.Fatalf("the WAL does not decode to the run's events (%v)", err)
 	}
@@ -354,8 +359,8 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	kill := 1 + sc.kill%want.Rounds
 	kc := sc.cfg
 	kc.Fleet.Faults.KillRound = kill
-	var killedLog bytes.Buffer
-	kc.WAL = &killedLog
+	killedLog := &syncLog{}
+	kc.WAL = killedLog
 	ks, err := NewService(kc)
 	if err != nil {
 		t.Fatal(err)
@@ -364,6 +369,7 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	if !errors.Is(err, ErrSchedulerKilled) {
 		t.Fatalf("kill at round %d of %d: run ended with %v", kill, want.Rounds, err)
 	}
+	killedLog.checkQuiet(t)
 
 	// A killed log whose first sampled outcome was edited does not
 	// recover: the regenerated outcome differs from the logged one.
@@ -396,8 +402,8 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	}
 
 	rc := sc.cfg
-	var relogged bytes.Buffer
-	rc.WAL = &relogged
+	relogged := &syncLog{}
+	rc.WAL = relogged
 	rs, err := RecoverService(rc, bytes.NewReader(killedLog.Bytes()))
 	if err != nil {
 		t.Fatalf("kill at round %d: RecoverService: %v", kill, err)
@@ -420,7 +426,8 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("kill at round %d: recovered run diverges from the uninterrupted one:\nrecovered: %+v\nwant:      %+v", kill, got, want)
 	}
+	relogged.checkQuiet(t)
 	if !bytes.Equal(relogged.Bytes(), full.Bytes()) {
-		t.Fatalf("kill at round %d: the recovery re-logged %d WAL bytes, the uninterrupted run wrote %d", kill, relogged.Len(), full.Len())
+		t.Fatalf("kill at round %d: the recovery re-logged %d WAL bytes, the uninterrupted run wrote %d", kill, len(relogged.Bytes()), len(full.Bytes()))
 	}
 }

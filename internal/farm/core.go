@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -75,8 +76,9 @@ type Core struct {
 	// the handoffs between workers, so no two goroutines touch one at once.
 	scratch []sim.Buffers
 
-	next atomic.Int64   // PlayRound's group-claim counter
-	wg   sync.WaitGroup // PlayRound's helper workers
+	next   atomic.Int64   // PlayRound's group-claim counter
+	stride int            // claim k plays group k·stride mod groups (claimStride)
+	wg     sync.WaitGroup // PlayRound's helper workers
 
 	flight      task.Flight
 	playedTicks quant.Tick
@@ -118,6 +120,7 @@ func (f Farm) NewCore(factory station.SchedulerFactory, seed int64, groups, capa
 		queues:  make([]*task.Bag, groups),
 		sources: make([]sim.TaskSource, groups),
 		scratch: make([]sim.Buffers, groups),
+		stride:  claimStride(groups),
 		arrived: make([]int, groups),
 	}
 	c.clusters = f.Topology.clusterCount()
@@ -399,7 +402,9 @@ func (c *Core) Result() Result {
 // PlayRound plays one opportunity per live station and runs the round
 // barrier. Groups run concurrently on the worker pool, but each group plays
 // its stations sequentially in slot order against its own queue, so no queue
-// is ever touched by two goroutines; at the barrier the steal clock
+// is ever touched by two goroutines. Workers claim groups in a strided
+// order, never two neighbours at once, so they do not share the cache lines
+// of adjacent groups' state (see playGroups). At the barrier the steal clock
 // advances, matured cross-cluster parcels land, and groups that arrived dry
 // rebalance in deterministic cyclic order. workers ≤ 0 means GOMAXPROCS,
 // but no more than one worker per minStationsPerWorker live stations — like
@@ -449,14 +454,22 @@ const minStationsPerWorker = 32
 
 // playGroups is one PlayRound worker: it claims groups off the round's
 // counter until none are left, playing each claimed group's live stations
-// in slot order against the group's queue and scratch. Before every
-// station it polls for cancellation with a non-blocking receive on
-// ctx.Done(), which takes no lock; ctx.Err locks the context, and the
-// workers would contend on that lock once per station.
+// in slot order against the group's queue and scratch. Claim k plays group
+// k·stride mod groups, not group k: the hot state of neighbouring groups
+// (their queues, scratch, trackers, the runners of adjacent slots and
+// their rng streams) sits side by side in memory, so workers playing
+// groups g and g+1 at once would bounce cache lines between cores on every
+// take. The stride spreads concurrent claims about 0.38·groups apart
+// (claimStride). Groups are independent within a round, so the order
+// changes wall-clock time only. Before every station it polls for
+// cancellation with a non-blocking receive on ctx.Done(), which takes no
+// lock; ctx.Err locks the context, and the workers would contend on that
+// lock once per station.
 func (c *Core) playGroups(ctx context.Context) {
 	n := len(c.runners)
 	done := ctx.Done()
-	for g := int(c.next.Add(1) - 1); g < c.groups; g = int(c.next.Add(1) - 1) {
+	for k := int(c.next.Add(1) - 1); k < c.groups; k = int(c.next.Add(1) - 1) {
+		g := k * c.stride % c.groups
 		for slot := g; slot < n; slot += c.groups {
 			select {
 			case <-done:
@@ -470,6 +483,42 @@ func (c *Core) playGroups(ctx context.Context) {
 			r.err = c.opts.playOpportunity(&r.rep, r.ws, r.rng, c.factory, c.sources[g], &c.scratch[g])
 		}
 	}
+}
+
+// claimStride is the step of playGroups' claim order: the integer nearest
+// groups·(√5−1)/2 that is coprime to groups, or 1 for two groups or fewer.
+// Being coprime makes k ↦ k·stride mod groups a permutation of the groups;
+// being near the golden section puts consecutive claims about 0.38·groups
+// apart around the circle, and keeps the claims of a few workers at once
+// spread out (the three-gap property of golden-ratio rotations).
+func claimStride(groups int) int {
+	if groups <= 2 {
+		return 1
+	}
+	x := float64(groups) * (math.Sqrt(5) - 1) / 2
+	lo := int(x) // ≥ 1 here
+	near, far := lo, lo+1
+	if x-float64(lo) > 0.5 {
+		near, far = far, near
+	}
+	// Candidates in order of distance from x: near, far, then outward in
+	// steps of one on both sides. 1 is coprime to every count, so the walk
+	// ends.
+	for d := 0; ; d++ {
+		for _, s := range [2]int{near + d*(near-far), far + d*(far-near)} {
+			if s >= 1 && s < groups && gcd(s, groups) == 1 {
+				return s
+			}
+		}
+	}
+}
+
+// gcd is the greatest common divisor of two positive integers.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // barrier runs the deterministic end-of-round phase: advance the steal

@@ -54,7 +54,9 @@ type schedulerError struct{ err error }
 // of periods (Observation (a)), of the work the schedule banks.
 //
 // It returns an error if the scheduler violates its contract (a period < 1
-// tick, or an episode exceeding the residual lifespan).
+// tick, or an episode exceeding the residual lifespan) at any state the
+// adversary can reach, including a residual L ≤ c, where no period banks
+// anything but the simulator still plays the episode.
 func Evaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick) (quant.Tick, error) {
 	w, _, err := evaluate(sch, P, U, c, false)
 	return w, err
@@ -86,9 +88,9 @@ type level struct {
 	buf  model.TickSchedule        // the episode buffer every state of the level reuses
 }
 
-// reach returns level d, appending it when the recursion first reaches it,
-// one below the deepest level so far.
-func (ls *levels) reach(d int) level {
+// reach returns level d's memo, appending the level when the recursion
+// first reaches it, one below the deepest level so far.
+func (ls *levels) reach(d int) map[quant.Tick]quant.Tick {
 	if d == len(ls.depth) {
 		l := level{memo: make(map[quant.Tick]quant.Tick)}
 		if ls.record {
@@ -96,7 +98,26 @@ func (ls *levels) reach(d int) level {
 		}
 		ls.depth = append(ls.depth, l)
 	}
-	return ls.depth[d]
+	return ls.depth[d].memo
+}
+
+// leaf checks the episode the scheduler emits at a state (P−d, L) with
+// L ≤ c, once per level and residual. No period fitting in L banks
+// anything, so the state is worth 0 whatever the episode, and no adversary
+// choice is recorded for it; but the simulator plays that episode and
+// refuses it when it breaks the contract, so the evaluator checks it too.
+// The level's memo marks a checked leaf with its value, 0. L = 0 has no
+// episode.
+func (ls *levels) leaf(d, p int, L quant.Tick) {
+	if L < 1 {
+		return
+	}
+	memo := ls.reach(d)
+	if _, ok := memo[L]; ok {
+		return
+	}
+	memo[L] = 0
+	ls.episode(d, p, L)
 }
 
 // episode fetches the scheduler's episode for state (p, L) into the buffer of
@@ -141,10 +162,11 @@ func evaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick, record bool) (
 	var eval func(d int, L quant.Tick) quant.Tick
 	eval = func(d int, L quant.Tick) quant.Tick {
 		if L <= c {
+			ls.leaf(d, P-d, L)
 			return 0 // no period fitting in L can bank anything
 		}
-		l := ls.reach(d)
-		if v, ok := l.memo[L]; ok {
+		memo := ls.reach(d)
+		if v, ok := memo[L]; ok {
 			return v
 		}
 		p := P - d
@@ -163,9 +185,9 @@ func evaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick, record bool) (
 				banked += quant.PosSub(t, c)
 			}
 		}
-		l.memo[L] = best
+		memo[L] = best
 		if record {
-			l.at[L] = at
+			ls.depth[d].at[L] = at
 		}
 		return best
 	}
@@ -196,10 +218,11 @@ func EvaluateExhaustive(sch model.EpisodeScheduler, P int, U, c quant.Tick) (wor
 	var eval func(d int, L quant.Tick) quant.Tick
 	eval = func(d int, L quant.Tick) quant.Tick {
 		if L <= c {
+			ls.leaf(d, P-d, L)
 			return 0
 		}
-		l := ls.reach(d)
-		if v, ok := l.memo[L]; ok {
+		memo := ls.reach(d)
+		if v, ok := memo[L]; ok {
 			return v
 		}
 		// An adversary interrupting at elapsed time 0 revisits lifespan L
@@ -225,7 +248,7 @@ func EvaluateExhaustive(sch model.EpisodeScheduler, P int, U, c quant.Tick) (wor
 			// Interrupts during trailing idle time are dominated: the full
 			// episode work is already banked, so the value can only rise.
 		}
-		l.memo[L] = best
+		memo[L] = best
 		return best
 	}
 	return eval(0, U), nil

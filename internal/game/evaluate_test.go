@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cyclesteal/internal/model"
@@ -76,6 +77,68 @@ func TestEvaluateOvercommittingSchedulerErrors(t *testing.T) {
 	if _, err := Evaluate(zero, 1, 100, 10); err == nil {
 		t.Error("zero-length period accepted")
 	}
+}
+
+// A scheduler that breaks its contract only at residuals L ≤ c, which are
+// worth 0, still fails every evaluator, as the simulator refuses to play
+// it: with no interrupt budget at a lifespan of one setup, and at a leaf
+// that only an interrupt reaches, with a setup of 2 ticks and of 600.
+func TestEvaluateChecksLeaves(t *testing.T) {
+	// leafBad returns {L, 1} at every L ≤ c, which overcommits; from a
+	// longer lifespan its episode {L−r, r} is sound, and an interrupt at
+	// the end of the first period leaves the residual r.
+	leafBad := func(c, r quant.Tick) model.EpisodeScheduler {
+		return model.EpisodeFunc(func(p int, L quant.Tick) model.TickSchedule {
+			if L <= c {
+				return model.TickSchedule{L, 1}
+			}
+			return model.TickSchedule{L - r, r}
+		})
+	}
+	firstPeriodEnd := interruptAt(func(ep model.TickSchedule) quant.Tick { return ep[0] })
+	for _, tc := range []struct {
+		P       int
+		U, c, r quant.Tick
+		at      sim.Interrupter // reaches the bad leaf in the simulator
+	}{
+		{P: 0, U: 1, c: 1, r: 1, at: interruptAt(nil)},
+		{P: 1, U: 10, c: 2, r: 1, at: firstPeriodEnd},
+		{P: 1, U: 1500, c: 600, r: 550, at: firstPeriodEnd},
+	} {
+		name := fmt.Sprintf("P=%d U=%d c=%d r=%d", tc.P, tc.U, tc.c, tc.r)
+		sch := leafBad(tc.c, tc.r)
+		if w, err := Evaluate(sch, tc.P, tc.U, tc.c); err == nil || !strings.Contains(err.Error(), "overcommitted") {
+			t.Errorf("%s: Evaluate = %d, %v; want an overcommit error", name, w, err)
+		}
+		if w, _, err := EvaluateWithStrategy(sch, tc.P, tc.U, tc.c); err == nil || !strings.Contains(err.Error(), "overcommitted") {
+			t.Errorf("%s: EvaluateWithStrategy = %d, %v; want an overcommit error", name, w, err)
+		}
+		if w, err := EvaluateExhaustive(sch, tc.P, tc.U, tc.c); err == nil || !strings.Contains(err.Error(), "overcommitted") {
+			t.Errorf("%s: EvaluateExhaustive = %d, %v; want an overcommit error", name, w, err)
+		}
+		if _, _, err := refEvaluate(sch, tc.P, tc.U, tc.c, false); err == nil {
+			t.Errorf("%s: the reference evaluator accepts the scheduler", name)
+		}
+		if _, err := sim.Run(sch, tc.at, sim.Opportunity{U: tc.U, P: tc.P, C: tc.c}, sim.Config{}); err == nil || !strings.Contains(err.Error(), "overcommitted") {
+			t.Errorf("%s: sim.Run error %v, want an overcommit error", name, err)
+		}
+		// With a budget, the bad leaf is reached only through an
+		// interrupt: played out, the opportunity keeps the contract.
+		if _, err := sim.Run(sch, interruptAt(nil), sim.Opportunity{U: tc.U, P: tc.P, C: tc.c}, sim.Config{}); tc.P > 0 && err != nil {
+			t.Errorf("%s: uninterrupted play: %v", name, err)
+		}
+	}
+}
+
+// interruptAt is an interrupter that kills each episode at the offset
+// at(ep), or never when at is nil.
+type interruptAt func(ep model.TickSchedule) quant.Tick
+
+func (f interruptAt) NextInterrupt(p int, L quant.Tick, ep model.TickSchedule) (quant.Tick, bool) {
+	if f == nil || p == 0 {
+		return 0, false
+	}
+	return f(ep), true
 }
 
 // No scheduler can beat the game value (optimality of the DP).
@@ -426,7 +489,9 @@ func refEpisode(sch model.EpisodeScheduler, p int, L quant.Tick) model.TickSched
 // refEvaluate is the evaluator as it stood before it memoized per level: one
 // map keyed by (p, L), a fresh episode per state. It is the reference the
 // differential tests hold Evaluate, EvaluateWithStrategy and
-// EvaluateExhaustive (exhaustive = true) to.
+// EvaluateExhaustive (exhaustive = true) to. Like them it checks the
+// episode at every reached residual 1 ≤ L ≤ c, which is worth 0; it
+// fetches that episode on every visit, where they check it once.
 func refEvaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick, exhaustive bool) (work quant.Tick, choices map[stateKey]refChoice, err error) {
 	if c < 1 || U < 0 || P < 0 {
 		return 0, nil, fmt.Errorf("game: bad evaluation parameters P=%d U=%d c=%d", P, U, c)
@@ -445,6 +510,9 @@ func refEvaluate(sch model.EpisodeScheduler, P int, U, c quant.Tick, exhaustive 
 	var eval func(p int, L quant.Tick) quant.Tick
 	eval = func(p int, L quant.Tick) quant.Tick {
 		if L <= c {
+			if L >= 1 {
+				refEpisode(sch, p, L) // worth 0, but the episode must keep the contract
+			}
 			return 0
 		}
 		key := stateKey{p, L}
@@ -505,6 +573,19 @@ func diffSchedulers(t *testing.T, P int, U, c quant.Tick) []model.EpisodeSchedul
 		sched.EqualSplit{M: 5},
 		sched.FixedChunk{T: max(2*c+1, U/64)},
 		s.Scheduler(),
+		// Overcommits only at the residual c, which is worth 0 and is
+		// reached only through an interrupt, from the second period on.
+		model.EpisodeFunc(func(p int, L quant.Tick) model.TickSchedule {
+			switch {
+			case L == c:
+				return model.TickSchedule{L, 1}
+			case L <= c:
+				return model.TickSchedule{L}
+			case L > 2*c+1:
+				return model.TickSchedule{c + 1, L - 2*c - 1, c}
+			}
+			return model.TickSchedule{L}
+		}),
 		// Overcommits at lifespans in (c, 3c). From a longer lifespan it
 		// opens with up to 20 periods of c+1 ticks, so an interrupt can leave
 		// such a residual and the error surfaces from inside the recursion.

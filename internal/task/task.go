@@ -244,33 +244,39 @@ func Deal(tasks []Task, n int) [][]Task {
 // DealInto deals tasks round-robin onto the backs of bags: task i goes to
 // bags[i mod len(bags)], the partition Deal makes, and each bag ends up
 // exactly as if Append had added its hand. Unlike Deal it builds no
-// intermediate hands: it makes one pass over the tasks, and each bag grows
-// at most once, not at all when its storage has room. Every plain task
-// list enters the farm's queues through it: a plain job's run or
-// replication trial, a service arrival, a departed group's drained queue.
-// bags must not be empty.
+// intermediate hands. It fills one bag at a time: the bag grows at most
+// once (not at all when its storage has room), takes tasks i, i+len(bags),
+// … in one strided pass, folds their durations into its minimum in a local
+// and sets its length and minimum once. Interleaving the bags task by task
+// would write every bag's header once per task. Every plain task list
+// enters the farm's queues through it: a plain job's run or replication
+// trial, a service arrival, a departed group's drained queue. bags must
+// not be empty.
 func DealInto(bags []*Bag, tasks []Task) {
 	if len(tasks) == 0 {
 		return
 	}
 	per, extra := len(tasks)/len(bags), len(tasks)%len(bags)
 	for i, b := range bags {
+		n := per
 		if i < extra {
-			b.reserve(per + 1)
-		} else {
-			b.reserve(per)
+			n++
 		}
-	}
-	i := 0
-	for _, t := range tasks {
-		b := bags[i]
-		b.buf = append(b.buf, t)
-		if b.minDur == 0 || t.Duration < b.minDur {
-			b.minDur = t.Duration
+		if n == 0 {
+			return // bags past the first len(tasks) get nothing
 		}
-		if i++; i == len(bags) {
-			i = 0
+		b.reserve(n)
+		at := len(b.buf)
+		hand := b.buf[at : at+n]
+		minDur := b.minDur
+		for k, j := 0, i; k < n; k, j = k+1, j+len(bags) {
+			t := tasks[j]
+			hand[k] = t
+			if minDur == 0 || t.Duration < minDur {
+				minDur = t.Duration
+			}
 		}
+		b.buf, b.minDur = b.buf[:at+n], minDur
 	}
 }
 

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -307,6 +308,26 @@ func BenchmarkBagTakeInto(b *testing.B) {
 	}
 }
 
+// BenchmarkDealInto deals a 20,000-task arrival onto 64 group queues whose
+// storage already has room, as a resident service's activation of a job
+// does.
+func BenchmarkDealInto(b *testing.B) {
+	tasks := Uniform(20000, 1, 50, 1)
+	bags := make([]*Bag, 64)
+	for i := range bags {
+		bags[i] = &Bag{}
+	}
+	DealInto(bags, tasks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bag := range bags {
+			bag.buf, bag.head, bag.minDur = bag.buf[:0], 0, 0
+		}
+		DealInto(bags, tasks)
+	}
+}
+
 func TestCompletedPrefix(t *testing.T) {
 	tasks := []Task{{ID: 0, Duration: 15}, {ID: 1, Duration: 20}, {ID: 2, Duration: 30}}
 	cases := []struct {
@@ -348,6 +369,39 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		}
 		return bags
 	}
+	// check deals tasks into got and, by Deal and Append, into want, which
+	// must hold equal bags; and into three fresh bags, each sized once.
+	check := func(label string, want, got []*Bag, tasks []Task) {
+		t.Helper()
+		for i, hand := range Deal(tasks, len(want)) {
+			want[i].Append(hand)
+		}
+		DealInto(got, tasks)
+		fresh := []*Bag{NewBag(nil), NewBag(nil), NewBag(nil)}
+		DealInto(fresh, tasks)
+		for i, b := range fresh {
+			if cap(b.buf) != len(b.buf) {
+				t.Fatalf("%s: empty bag %d grew to %d for its %d tasks; DealInto sizes each bag once", label, i, cap(b.buf), len(b.buf))
+			}
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if !equalTasks(g.pending(), w.pending()) || g.minDur != w.minDur {
+				t.Fatalf("%s bag %d: DealInto left %v (min %d), Deal+Append %v (min %d)", label, i, g.pending(), g.minDur, w.pending(), w.minDur)
+			}
+			if g.Remaining() != w.Remaining() || g.RemainingWork() != w.RemainingWork() {
+				t.Fatalf("%s bag %d: %d tasks/%d work, want %d/%d", label, i, g.Remaining(), g.RemainingWork(), w.Remaining(), w.RemainingWork())
+			}
+			for capacity := quant.Tick(1); w.Remaining() > 0; capacity += 7 {
+				if gt, wt := g.TakeInto(nil, capacity), w.TakeInto(nil, capacity); !equalTasks(gt, wt) {
+					t.Fatalf("%s bag %d: Take(%d) = %v, want %v", label, i, capacity, gt, wt)
+				}
+			}
+			if g.Remaining() != 0 {
+				t.Fatalf("%s bag %d: %d tasks left over", label, i, g.Remaining())
+			}
+		}
+	}
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(9)
 		n := rng.Intn(40)
@@ -357,34 +411,47 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		case 2:
 			n = 0
 		}
-		tasks := Uniform(n, 1, 50, int64(trial))
-		want, got := used(k, int64(trial)), used(k, int64(trial))
-		for i, hand := range Deal(tasks, k) {
-			want[i].Append(hand)
-		}
-		DealInto(got, tasks)
-		fresh := []*Bag{NewBag(nil), NewBag(nil), NewBag(nil)}
-		DealInto(fresh, tasks)
-		for i, b := range fresh {
-			if cap(b.buf) != len(b.buf) {
-				t.Fatalf("trial %d: empty bag %d grew to %d for its %d tasks; DealInto sizes each bag once", trial, i, cap(b.buf), len(b.buf))
-			}
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if !equalTasks(g.pending(), w.pending()) || g.minDur != w.minDur {
-				t.Fatalf("trial %d bag %d: DealInto left %v (min %d), Deal+Append %v (min %d)", trial, i, g.pending(), g.minDur, w.pending(), w.minDur)
-			}
-			if g.Remaining() != w.Remaining() || g.RemainingWork() != w.RemainingWork() {
-				t.Fatalf("trial %d bag %d: %d tasks/%d work, want %d/%d", trial, i, g.Remaining(), g.RemainingWork(), w.Remaining(), w.RemainingWork())
-			}
-			for capacity := quant.Tick(1); w.Remaining() > 0; capacity += 7 {
-				if gt, wt := g.TakeInto(nil, capacity), w.TakeInto(nil, capacity); !equalTasks(gt, wt) {
-					t.Fatalf("trial %d bag %d: Take(%d) = %v, want %v", trial, i, capacity, gt, wt)
+		check(fmt.Sprintf("trial %d", trial), used(k, int64(trial)), used(k, int64(trial)), Uniform(n, 1, 50, int64(trial)))
+	}
+
+	// Explicit shapes. Task counts: fewer than the bags, one per bag, and
+	// one short of or past whole rows. Bags: ones whose pending list starts
+	// past the front of their storage (head > 0), full ones that must grow,
+	// and ones with room to spare.
+	shapes := map[string]func(k int, seed int64) []*Bag{
+		"head": func(k int, seed int64) []*Bag {
+			bags := make([]*Bag, k)
+			for i := range bags {
+				bags[i] = NewBag(Uniform(12, 1, 40, seed+int64(i)))
+				bags[i].TakeInto(nil, 100)
+				if bags[i].head == 0 {
+					t.Fatalf("bag %d took nothing; the head > 0 shape needs a taken prefix", i)
 				}
 			}
-			if g.Remaining() != 0 {
-				t.Fatalf("trial %d bag %d: %d tasks left over", trial, i, g.Remaining())
+			return bags
+		},
+		"full": func(k int, seed int64) []*Bag {
+			bags := make([]*Bag, k)
+			for i := range bags {
+				bags[i] = NewBag(Uniform(i%3, 1, 40, seed+int64(i))) // cap == len: a deal must grow it
+			}
+			return bags
+		},
+		"roomy": func(k int, seed int64) []*Bag {
+			bags := make([]*Bag, k)
+			for i := range bags {
+				bags[i] = &Bag{buf: make([]Task, 0, 64)}
+				bags[i].Append(Uniform(3, 20, 40, seed+int64(i)))
+			}
+			return bags
+		},
+	}
+	for name, build := range shapes {
+		for k := 1; k <= 9; k++ {
+			for _, n := range []int{k - 1, k, k + 1, 2*k - 1, 2 * k, 2*k + 1, 5*k - 1, 5*k + 1} {
+				seed := int64(100*k + n)
+				label := fmt.Sprintf("%s bags, %d of them, %d tasks", name, k, n)
+				check(label, build(k, seed), build(k, seed), Uniform(n, 1, 50, seed))
 			}
 		}
 	}
