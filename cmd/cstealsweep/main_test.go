@@ -32,19 +32,20 @@ func TestDistribCellSpec(t *testing.T) {
 		Shards:       4,
 		Clusters:     2,
 		StealLatency: 50,
-		Tasks:        spec.Tasks, // checked structurally below
+		Ticks:        spec.Ticks, // checked structurally below
 		Trials:       40,
 	}
 	if !reflect.DeepEqual(spec, want) {
 		t.Errorf("cell spec mismatch:\n got %+v\nwant %+v", spec, want)
 	}
-	// The job is the fleet mode's: U/c size-c tasks per station.
-	if len(spec.Tasks) != 6*12 {
-		t.Errorf("got %d tasks, want %d (fleet × U/c)", len(spec.Tasks), 6*12)
+	// The job is the fleet mode's: U/c size-c tasks per station, each
+	// the setup cost 100, one tick a caller unit.
+	if len(spec.Ticks) != 6*12 {
+		t.Errorf("got %d tasks, want %d (fleet × U/c)", len(spec.Ticks), 6*12)
 	}
-	for i, d := range spec.Tasks {
+	for i, d := range spec.Ticks {
 		if d != 100 {
-			t.Fatalf("task %d duration %g, want the setup cost 100", i, d)
+			t.Fatalf("task %d is %d ticks, want the setup cost 100", i, d)
 		}
 	}
 	// The spec must survive its own wire validation and build a study —
@@ -68,8 +69,8 @@ func TestDistribCellSpecShortLifespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Tasks) != 3 {
-		t.Errorf("got %d tasks, want 3 (one per station floor)", len(spec.Tasks))
+	if len(spec.Ticks) != 3 {
+		t.Errorf("got %d tasks, want 3 (one per station floor)", len(spec.Ticks))
 	}
 }
 

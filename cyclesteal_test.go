@@ -388,6 +388,22 @@ func TestEngineAtMaxInterrupts(t *testing.T) {
 	}
 }
 
+// Predict answers at any interrupt bound: at p = MaxInt it returns within a
+// second, and the paper's Prop. 4.1(c) says no work is guaranteed.
+func TestPredictAtMaxInterrupts(t *testing.T) {
+	e := engine(t, Opportunity{Lifespan: 3600, Interrupts: math.MaxInt, Setup: 5})
+	done := make(chan Predictions, 1)
+	go func() { done <- e.Predict() }()
+	select {
+	case pr := <-done:
+		if !pr.ZeroWork || pr.AdaptiveWork != 0 || pr.NonAdaptiveWork != 0 || !(pr.DeficitRatio >= 1) {
+			t.Errorf("Predict at p = MaxInt = %+v, want zero work and a deficit ratio ≥ 1", pr)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Predict at p = MaxInt had not returned after 1s")
+	}
+}
+
 func TestFixedChunkAndEqualSplit(t *testing.T) {
 	e := engine(t, Opportunity{Lifespan: 100, Interrupts: 1, Setup: 1})
 	fc := e.FixedChunk(10)

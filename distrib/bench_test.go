@@ -13,8 +13,11 @@ import (
 // benchStudy builds one study and its full shard cover once per benchmark.
 func benchStudy(b *testing.B) (*fleet.Study, []fleet.ShardResult) {
 	b.Helper()
-	spec := Spec{Stations: 4, Setup: 5, Opportunities: 2, Seed: 3, Trials: 128,
-		Tasks: fleet.FixedTasks(60, 12)}
+	cfg := fleet.Config{Stations: 4, Setup: 5, Opportunities: 2, Seed: 3}
+	spec, err := NewSpec(cfg, fleet.Job{Tasks: fleet.FixedTasks(60, 12)}, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
 	study, err := spec.Study()
 	if err != nil {
 		b.Fatal(err)
@@ -73,8 +76,10 @@ func studyFrameSpec(tb testing.TB) Spec {
 }
 
 // BenchmarkDistribStudyFrame measures the study frame's codec, the fixed
-// cost every connection pays before its first trial: encoding the frame
-// (once per coordinator) and parsing it (once per worker).
+// cost every connection pays before its first trial: encoding the frame,
+// its 100,000 ticks written without reflection (once per coordinator), and
+// parsing it, the ticks read by the strict integer reader (once per
+// worker).
 func BenchmarkDistribStudyFrame(b *testing.B) {
 	spec := studyFrameSpec(b)
 	f := Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec}

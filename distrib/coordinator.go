@@ -51,18 +51,29 @@ type Options struct {
 // Coordinator deals a study's shards to workers and merges their results.
 // Build one with NewCoordinator; Run may be called once.
 type Coordinator struct {
-	opts  Options
-	study *fleet.Study
+	opts Options
+	// merger is the study with no job: Merge reads only the fleet, the
+	// trial count and the metric columns, and the workers deal the job.
+	merger *fleet.Study
 	// studyLine is the encoded study frame. Every dial writes these same
 	// bytes, re-dials included.
 	studyLine []byte
 }
 
-// NewCoordinator validates the spec — including everything fleet.New and
-// fleet.Fleet.Study enforce, so a bad study fails here, before any worker
-// spawns — encodes its study frame once, and prepares a coordinator.
+// NewCoordinator validates the spec — its ticks and everything fleet.New
+// and fleet.Fleet.StudyTicks enforce, so a bad study fails here, before
+// any worker spawns — encodes its study frame once, and prepares a
+// coordinator that keeps no copy of the job.
 func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
-	study, err := spec.Study()
+	frame := Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec}
+	if err := frame.validate(); err != nil {
+		return nil, err
+	}
+	f, err := spec.buildFleet()
+	if err != nil {
+		return nil, err
+	}
+	merger, err := f.StudyTicks(nil, spec.Trials)
 	if err != nil {
 		return nil, err
 	}
@@ -84,19 +95,15 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
 	}
-	frame := Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec}
-	if err := frame.validate(); err != nil {
-		return nil, err
-	}
 	line, err := encodeFrame(frame)
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{opts: opts, study: study, studyLine: line}, nil
+	return &Coordinator{opts: opts, merger: merger, studyLine: line}, nil
 }
 
 // Trials is the study's total trial count (the Progress total).
-func (c *Coordinator) Trials() int { return c.study.Trials() }
+func (c *Coordinator) Trials() int { return c.merger.Trials() }
 
 // chunk is one assignment: a fixed slice of the shard space. Chunks are
 // cut once and keep their identity across re-deals, so retry counts stick
@@ -198,10 +205,10 @@ func (c *Coordinator) Run(ctx context.Context) (fleet.Replication, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	chunks := cutChunks(c.study.AllShards(), c.opts.ChunkShards)
+	chunks := cutChunks(c.merger.AllShards(), c.opts.ChunkShards)
 	st := &runState{
-		total:      c.study.Trials(),
-		trialsOf:   c.study.ShardTrials,
+		total:      c.merger.Trials(),
+		trialsOf:   c.merger.ShardTrials,
 		live:       make(map[int]int),
 		retries:    make([]int, len(chunks)),
 		maxRetries: c.opts.MaxRetries,
@@ -237,7 +244,7 @@ func (c *Coordinator) Run(ctx context.Context) (fleet.Replication, error) {
 	if ctx.Err() != nil {
 		return fleet.Replication{}, ctx.Err()
 	}
-	return c.study.Merge(results)
+	return c.merger.Merge(results)
 }
 
 // runSlot is one worker slot's loop: keep a connection alive, deal chunks

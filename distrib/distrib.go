@@ -17,12 +17,16 @@
 // Frame — decoded strictly in the style of the WAL format: unknown fields,
 // trailing data, out-of-range values and covers that do not partition the
 // study are errors, never guesses. Every frame is byte for byte what
-// encoding/json writes for it. A coordinator encodes its study frame once
-// and writes those bytes on every connection.
+// encoding/json writes for it. The job crosses once, as integer ticks on
+// the grid the spec names: NewSpec quantizes it, the coordinator encodes
+// its study frame once and writes those bytes on every connection, keeping
+// no copy of the job, and each worker deals the ticks straight into its
+// study's hands.
 package distrib
 
 import (
 	"fmt"
+	"math"
 
 	"cyclesteal/fleet"
 )
@@ -127,14 +131,15 @@ func OwnerSpecFor(o fleet.Owner) (OwnerSpec, error) {
 }
 
 // Spec is the complete wire description of a replication study: the fleet
-// configuration in the caller's continuous units, the job, and the trial
-// count. Two processes building fleets from the same Spec produce
-// interchangeable studies — that is the bit-identity contract distribution
-// rests on. Per-process knobs that never affect results (worker pools,
-// progress observers) deliberately do not travel.
+// configuration in the caller's continuous units, the job on its tick
+// grid, and the trial count. Two processes building fleets from the same
+// Spec produce interchangeable studies — that is the bit-identity contract
+// distribution rests on. Per-process knobs that never affect results
+// (worker pools, progress observers) deliberately do not travel.
 type Spec struct {
 	// Stations, Setup, Interrupts, Opportunities, Seed and TicksPerSetup
-	// mirror the fleet.Config fields of the same names.
+	// mirror the fleet.Config fields of the same names. NewSpec resolves
+	// TicksPerSetup, so the spec names the grid its Ticks are on.
 	Stations      int     `json:"stations"`
 	Setup         float64 `json:"setup"`
 	Interrupts    int     `json:"interrupts,omitempty"`
@@ -164,24 +169,32 @@ type Spec struct {
 	// StationSummaries asks for per-station lifespan summaries (widening
 	// every shard's metric vector, so it must agree fleet-wide).
 	StationSummaries bool `json:"station_summaries,omitempty"`
-	// Tasks are the job's task durations in caller units; empty replicates
-	// a pure fluid survey.
-	Tasks []float64 `json:"tasks,omitempty"`
+	// Ticks is the job on the tick grid, Setup/TicksPerSetup caller units
+	// a tick: task i's duration, at least 1 (fleet.Fleet.JobTicks). Empty
+	// replicates a pure fluid survey.
+	Ticks []int64 `json:"tasks,omitempty"`
 	// Trials is the study size. Required ≥ 1.
 	Trials int `json:"trials"`
 }
 
 // NewSpec captures a fleet configuration, job and trial count as a wire
 // spec, or reports why the configuration cannot travel (code-carrying
-// owners, fault plans, recorders — anything that is not pure named data).
+// owners, fault plans, recorders — anything that is not pure named data)
+// or does not build a fleet. The job is quantized once, here, with
+// fleet.New's and the intake's refusals.
 func NewSpec(cfg fleet.Config, job fleet.Job, trials int) (Spec, error) {
+	if cfg.Record != nil {
+		return Spec{}, fmt.Errorf("distrib: a recording fleet cannot travel (and Replicate rejects it)")
+	}
+	if cfg.Faults.Active() {
+		return Spec{}, fmt.Errorf("distrib: a fault plan cannot travel (and Replicate rejects it)")
+	}
 	s := Spec{
 		Stations:              cfg.Stations,
 		Setup:                 cfg.Setup,
 		Interrupts:            cfg.Interrupts,
 		Opportunities:         cfg.Opportunities,
 		Seed:                  cfg.Seed,
-		TicksPerSetup:         cfg.TicksPerSetup,
 		Policy:                cfg.Policy.Name,
 		PolicyChunk:           cfg.Policy.Chunk,
 		Pool:                  cfg.Pool.String(),
@@ -193,14 +206,7 @@ func NewSpec(cfg fleet.Config, job fleet.Job, trials int) (Spec, error) {
 		CheckpointSaveCost:    cfg.CheckpointSaveCost,
 		CheckpointRestartCost: cfg.CheckpointRestartCost,
 		StationSummaries:      cfg.StationSummaries,
-		Tasks:                 job.Tasks,
 		Trials:                trials,
-	}
-	if cfg.Record != nil {
-		return Spec{}, fmt.Errorf("distrib: a recording fleet cannot travel (and Replicate rejects it)")
-	}
-	if cfg.Faults.Active() {
-		return Spec{}, fmt.Errorf("distrib: a fault plan cannot travel (and Replicate rejects it)")
 	}
 	for _, o := range cfg.Owners {
 		os, err := OwnerSpecFor(o)
@@ -209,6 +215,14 @@ func NewSpec(cfg fleet.Config, job fleet.Job, trials int) (Spec, error) {
 		}
 		s.Owners = append(s.Owners, os)
 	}
+	f, err := fleet.New(cfg)
+	if err != nil {
+		return Spec{}, err
+	}
+	if s.Ticks, err = f.JobTicks(job); err != nil {
+		return Spec{}, err
+	}
+	s.TicksPerSetup = f.Ticks()
 	return s, nil
 }
 
@@ -251,20 +265,24 @@ func (s Spec) config() (fleet.Config, error) {
 	return cfg, nil
 }
 
-// Study builds the spec's fleet and cuts its study — the call both the
-// coordinator (to merge) and every worker (to run shards) make, so the two
-// sides cannot disagree about what the study is. All fleet.New and
-// fleet.Fleet.Study validation applies.
+// Study builds the spec's fleet and deals its ticks into a study — the
+// call every worker makes to run shards. All fleet.New and
+// fleet.Fleet.StudyTicks validation applies.
 func (s Spec) Study() (*fleet.Study, error) {
+	f, err := s.buildFleet()
+	if err != nil {
+		return nil, err
+	}
+	return f.StudyTicks(s.Ticks, s.Trials)
+}
+
+// buildFleet builds the fleet the spec describes.
+func (s Spec) buildFleet() (*fleet.Fleet, error) {
 	cfg, err := s.config()
 	if err != nil {
 		return nil, err
 	}
-	f, err := fleet.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f.Study(fleet.Job{Tasks: s.Tasks}, s.Trials)
+	return fleet.New(cfg)
 }
 
 // maxStations bounds the fleet size a wire spec may name. The cap exists
@@ -273,10 +291,11 @@ func (s Spec) Study() (*fleet.Study, error) {
 const maxStations = 1 << 20
 
 // Validate cheaply checks the wire-level invariants: field ranges, known
-// owner and pool names. It never allocates proportionally to the spec's
-// sizes — that is what lets decoders validate untrusted input safely. The
-// full semantic validation (grid quantization, topology coherence) happens
-// in Study, which every consumer calls before running anything.
+// owner and pool names, and ticks of at least 1 whose sum fits the grid.
+// It never allocates proportionally to the spec's sizes — that is what
+// lets decoders validate untrusted input safely. The full semantic
+// validation (topology coherence) happens in fleet.New, which every
+// consumer calls before running anything.
 func (s Spec) Validate() error {
 	if s.Stations < 1 || s.Stations > maxStations {
 		return fmt.Errorf("distrib: stations must be in [1, %d], got %d", maxStations, s.Stations)
@@ -299,6 +318,16 @@ func (s Spec) Validate() error {
 		if _, err := os.Owner(); err != nil {
 			return fmt.Errorf("distrib: owner %d: %w", i, err)
 		}
+	}
+	var work int64
+	for i, t := range s.Ticks {
+		if t < 1 {
+			return fmt.Errorf("distrib: task %d duration must be ≥ 1 tick, got %d", i, t)
+		}
+		if work > math.MaxInt64-t {
+			return fmt.Errorf("distrib: task %d: the job's total duration overflows the tick grid", i)
+		}
+		work += t
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"cyclesteal/fleet"
-	"cyclesteal/internal/jsonl"
 )
 
 // fuzzSeedFrames produces one of every frame kind, with realistic
@@ -27,7 +26,7 @@ func fuzzSeedFrames(t interface{ Fatal(...any) }) [][]byte {
 		t.Fatal(err)
 	}
 	withTasks := spec
-	withTasks.Tasks = []float64{0.5, 2.37, 2.37, 4, 0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, 1.0 / 3, 3.99}
+	withTasks.Ticks = []int64{50, 237, 237, 400, 1, 1, 12345678901234567, 33, 399}
 	frames := []Frame{
 		{Kind: FrameHello, Format: wireFormat, Version: wireVersion},
 		{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &spec},
@@ -68,6 +67,15 @@ func referenceParseFrame(line []byte) (Frame, error) {
 	return f, nil
 }
 
+// version1Lines are frames of the first wire version, whose study spec
+// carried its job as caller-unit floats: ParseFrame refuses each, naming
+// both versions.
+var version1Lines = []string{
+	`{"frame":"hello","format":"cyclesteal-distrib","version":1}`,
+	`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[0.5,2.37],"trials":3}}`,
+	`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[12,12],"trials":3}}`,
+}
+
 // FuzzReadFrame pins the wire decoder's contract: arbitrary bytes never
 // panic; ParseFrame accepts a line exactly when the plain encoding/json
 // reference does, with a deeply equal frame; and every accepted frame
@@ -79,13 +87,16 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte(`{"frame":"assign","shards":[64]}`))
-	f.Add([]byte(`{"frame":"hello","format":"wrong","version":1}`))
+	f.Add([]byte(`{"frame":"hello","format":"wrong","version":2}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"frame":"shard","shard":{"shard":0,"metrics":[{"n":-1}]}}`))
-	f.Add([]byte(`{"frame":"hello","format":"cyclesteal-distrib","version":1}}`))
-	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1,2,3],"TASKS":[4,null],"trials":3}}`))
-	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1,"2"],"trials":3}}`))
-	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{"stations":2,"setup":1,"tasks":[1e400],"trials":3}}`))
+	f.Add([]byte(`{"frame":"hello","format":"cyclesteal-distrib","version":2}}`))
+	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":2,"spec":{"stations":2,"setup":1,"tasks":[1,2,3],"TASKS":[4,null],"trials":3}}`))
+	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":2,"spec":{"stations":2,"setup":1,"tasks":[1,"2"],"trials":3}}`))
+	f.Add([]byte(`{"frame":"study","format":"cyclesteal-distrib","version":2,"spec":{"stations":2,"setup":1,"tasks":[1e400],"trials":3}}`))
+	for _, line := range version1Lines {
+		f.Add([]byte(line))
+	}
 	for _, c := range studyLineCases {
 		f.Add([]byte(c.line))
 	}
@@ -199,7 +210,7 @@ var trailingTails = []string{"}", "]", "]]]}}}", "}}", "]}", " }", "\n]", " x", 
 // TestStrictDecodersRefuseTrailingData pins both frame-level decoders
 // against trailing bytes, and their acceptance of trailing whitespace.
 func TestStrictDecodersRefuseTrailingData(t *testing.T) {
-	frame := `{"frame":"hello","format":"cyclesteal-distrib","version":1}`
+	frame := `{"frame":"hello","format":"cyclesteal-distrib","version":2}`
 	shard := `{"shard":3,"metrics":[{"n":0,"mean":0,"m2":0,"min":0,"max":0}]}`
 	for _, tail := range trailingTails {
 		if _, err := ParseFrame([]byte(frame + tail)); err == nil {
@@ -220,7 +231,7 @@ func TestStrictDecodersRefuseTrailingData(t *testing.T) {
 // TestEncodeFrameMatchesJSON pins the frame encoder to json.Marshal byte
 // for byte: every seed frame, perfbench's 100,000-task study frame, and
 // study frames whose string fields json.Marshal escapes — one of them
-// spelling out the "trials" key the task array is spliced in front of.
+// spelling out the "trials" key the tick array is spliced in front of.
 func TestEncodeFrameMatchesJSON(t *testing.T) {
 	var frames []Frame
 	for _, seed := range fuzzSeedFrames(t) {
@@ -231,8 +242,8 @@ func TestEncodeFrameMatchesJSON(t *testing.T) {
 		frames = append(frames, f)
 	}
 	big := studyFrameSpec(t)
-	tricky := Spec{Stations: 2, Setup: 1.5, Trials: 4, Policy: `<guideline>&,"trials":9}}`, Tasks: []float64{1, 1, 2.5}}
-	single := Spec{Stations: 1, Setup: 1, Trials: 1, Tasks: []float64{7}}
+	tricky := Spec{Stations: 2, Setup: 1.5, Trials: 4, Policy: `<guideline>&,"trials":9}}`, Ticks: []int64{100, 100, 250}}
+	single := Spec{Stations: 1, Setup: 1, Trials: 1, Ticks: []int64{math.MaxInt64}}
 	for _, spec := range []*Spec{&big, &tricky, &single} {
 		frames = append(frames, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: spec})
 	}
@@ -249,15 +260,17 @@ func TestEncodeFrameMatchesJSON(t *testing.T) {
 			t.Fatalf("frame %d: EncodeFrame wrote\n%.300s\njson.Marshal\n%.300s", i, buf.Bytes(), raw)
 		}
 	}
-	// A non-finite duration fails as json.Marshal fails.
-	bad := Spec{Stations: 1, Setup: 1, Trials: 1, Tasks: []float64{1, math.NaN()}}
-	if err := EncodeFrame(&bytes.Buffer{}, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &bad}); err == nil {
-		t.Fatal("encoded a NaN duration")
+	// A tick below 1, and ticks whose total overflows, are refused.
+	for _, ticks := range [][]int64{{1, 0}, {5, -3}, {math.MaxInt64, 1}} {
+		bad := Spec{Stations: 1, Setup: 1, Trials: 1, Ticks: ticks}
+		if err := EncodeFrame(&bytes.Buffer{}, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: &bad}); err == nil {
+			t.Fatalf("encoded the ticks %v", ticks)
+		}
 	}
 }
 
 // studyHead opens a study line up to the inside of its spec.
-const studyHead = `{"frame":"study","format":"cyclesteal-distrib","version":1,"spec":{`
+const studyHead = `{"frame":"study","format":"cyclesteal-distrib","version":2,"spec":{`
 
 // studyLineCases are study lines at the edges of ParseFrame's one-pass
 // path, each with whether that path takes it (fast): a declined line must
@@ -268,7 +281,7 @@ var studyLineCases = []struct {
 	line string
 	fast bool
 }{
-	{"plain", studyHead + `"stations":2,"setup":1,"tasks":[1,2.5,0.125],"trials":3}}`, true},
+	{"plain", studyHead + `"stations":2,"setup":1,"tasks":[1,25,125],"trials":3}}`, true},
 	{"tasks key in a string only", studyHead + `"stations":2,"setup":1,"policy":"x\"tasks\":[1]","trials":3}}`, false},
 	{"tasks key in a string, then the key", studyHead + `"stations":2,"setup":1,"policy":"\"tasks\":[9]","tasks":[1,2],"trials":3}}`, true},
 	{"tasks string value only", studyHead + `"stations":2,"setup":1,"policy":"tasks","trials":3}}`, false},
@@ -288,15 +301,19 @@ var studyLineCases = []struct {
 	{"null element", studyHead + `"stations":2,"setup":1,"tasks":[1,null],"trials":3}}`, false},
 	{"nested element", studyHead + `"stations":2,"setup":1,"tasks":[1,[2]],"trials":3}}`, false},
 	{"string element", studyHead + `"stations":2,"setup":1,"tasks":[1,"2"],"trials":3}}`, false},
-	{"out of range", studyHead + `"stations":2,"setup":1,"tasks":[1e400],"trials":3}}`, false},
-	{"underflow", studyHead + `"stations":2,"setup":1,"tasks":[1e-400,-0,5e-324],"trials":3}}`, true},
+	{"out of range", studyHead + `"stations":2,"setup":1,"tasks":[9223372036854775808],"trials":3}}`, false},
+	{"largest tick", studyHead + `"stations":2,"setup":1,"tasks":[9223372036854775807],"trials":3}}`, true},
+	{"total overflows", studyHead + `"stations":2,"setup":1,"tasks":[9223372036854775807,1],"trials":3}}`, true},
+	{"underflow", studyHead + `"stations":2,"setup":1,"tasks":[3,0,-2],"trials":3}}`, false},
+	{"zero", studyHead + `"stations":2,"setup":1,"tasks":[0],"trials":3}}`, false},
+	{"fraction", studyHead + `"stations":2,"setup":1,"tasks":[1.5],"trials":3}}`, false},
 	{"leading zero", studyHead + `"stations":2,"setup":1,"tasks":[01],"trials":3}}`, false},
 	{"bare minus", studyHead + `"stations":2,"setup":1,"tasks":[-],"trials":3}}`, false},
 	{"bare point", studyHead + `"stations":2,"setup":1,"tasks":[1.],"trials":3}}`, false},
 	{"leading point", studyHead + `"stations":2,"setup":1,"tasks":[.5],"trials":3}}`, false},
 	{"bare exponent", studyHead + `"stations":2,"setup":1,"tasks":[1e],"trials":3}}`, false},
 	{"plus sign", studyHead + `"stations":2,"setup":1,"tasks":[+1],"trials":3}}`, false},
-	{"exponent forms", studyHead + `"stations":2,"setup":1,"tasks":[1E+2,2.5e-3,-0.0,12345678901234567890],"trials":3}}`, true},
+	{"exponent forms", studyHead + `"stations":2,"setup":1,"tasks":[100,1e2,1E+2],"trials":3}}`, false},
 	{"trailing comma", studyHead + `"stations":2,"setup":1,"tasks":[1,],"trials":3}}`, false},
 	{"missing comma", studyHead + `"stations":2,"setup":1,"tasks":[1 2],"trials":3}}`, false},
 	{"CR and tab whitespace", studyHead + `"stations":2,"setup":1,"tasks":` + "\r\t[ 1,\t2\r, 3\n]\t" + `,"trials":3}}`, true},
@@ -343,13 +360,13 @@ func TestStudyLineOnePass(t *testing.T) {
 	}
 }
 
-// Every study line EncodeFrame writes with a task array takes the one-pass
+// Every study line EncodeFrame writes with a tick array takes the one-pass
 // path, so a silent fallback cannot hide behind an equal result.
 func TestEncodedStudyLinesTakeOnePass(t *testing.T) {
 	big := studyFrameSpec(t)
-	tricky := Spec{Stations: 2, Setup: 1.5, Trials: 4, Policy: `"tasks":[1],"trials":9}}`, Tasks: []float64{1, 1, 2.5}}
+	tricky := Spec{Stations: 2, Setup: 1.5, Trials: 4, Policy: `"tasks":[1],"trials":9}}`, Ticks: []int64{100, 100, 250}}
 	withTasks := Spec{Stations: 3, Setup: 5, Trials: 70, Owners: []OwnerSpec{{Kind: "office", Param: 300}},
-		Tasks: []float64{0.5, 2.37, 4, 0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, 1.0 / 3}}
+		Ticks: []int64{50, 237, 400, 1, 9, 12345678901234567, 1 << 40}}
 	for i, spec := range []*Spec{&big, &tricky, &withTasks} {
 		var buf bytes.Buffer
 		if err := EncodeFrame(&buf, Frame{Kind: FrameStudy, Format: wireFormat, Version: wireVersion, Spec: spec}); err != nil {
@@ -369,14 +386,15 @@ func TestEncodedStudyLinesTakeOnePass(t *testing.T) {
 // FuzzStudyFrame builds study lines from fuzzed pieces — the spec's fields
 // before the task key, the key's spelling, the array's text and what
 // follows it — and pins ParseFrame to the encoding/json reference on each.
-// It also pins jsonl.Numbers to encoding/json: an array it accepts decodes
-// to the same values with no null element, and an array of numbers
-// encoding/json decodes with no null element is one it accepts, whole.
+// It also pins readTicks to encoding/json: an array it takes decodes to the
+// same values, each at least 1, and an array of integers encoding/json
+// decodes into an []int64 with no null element and none below 1 is one it
+// takes, whole.
 func FuzzStudyFrame(f *testing.F) {
-	f.Add(`"stations":2,"setup":1,`, "tasks", "[1,2.5,0.125]", `,"trials":3}}`)
+	f.Add(`"stations":2,"setup":1,`, "tasks", "[1,25,125]", `,"trials":3}}`)
 	f.Add(`"stations":2,"setup":1,"policy":"tasks",`, "tasks", "[ 1 ,\t2\r]", `,"TASKS":null,"trials":3}}`)
-	f.Add(`"stations":2,"setup":1,"owners":[{"kind":"office"}],`, "TASKS", "[1e400]", `,"trials":3}}`)
-	f.Add(`"stations":2,"setup":1,`, "tasks", "[-0.0,1E+2,5e-324,01]", `,"trials":3},"spec":{"trials":4}}`)
+	f.Add(`"stations":2,"setup":1,"owners":[{"kind":"office"}],`, "TASKS", "[9223372036854775808]", `,"trials":3}}`)
+	f.Add(`"stations":2,"setup":1,`, "tasks", "[0,1E+2,01,-5,2.5]", `,"trials":3},"spec":{"trials":4}}`)
 	f.Add(`"stations":2,"setup":1,`, "tasks", "[]", `.5,"trials":3}}`)
 	for _, c := range studyLineCases {
 		if i := strings.Index(c.line, `"tasks":`); i >= 0 && strings.HasPrefix(c.line, studyHead) {
@@ -387,30 +405,30 @@ func FuzzStudyFrame(f *testing.F) {
 		parseMatchesReference(t, []byte(studyHead+prefix+`"`+key+`":`+array+suffix))
 
 		data := []byte(array)
-		fs, n, err := jsonl.Numbers(data)
-		if err == nil {
-			var ptrs []*float64
+		ticks, n, ok := readTicks(data)
+		if ok {
+			var ptrs []*int64
 			if err := json.Unmarshal(data[:n], &ptrs); err != nil {
-				t.Fatalf("Numbers accepted %q, which encoding/json refuses: %v", data[:n], err)
+				t.Fatalf("readTicks took %q, which encoding/json refuses: %v", data[:n], err)
 			}
-			if fs == nil || len(fs) != len(ptrs) {
-				t.Fatalf("Numbers read %d values (nil %v) from %q, encoding/json %d", len(fs), fs == nil, data[:n], len(ptrs))
+			if ticks == nil || len(ticks) != len(ptrs) {
+				t.Fatalf("readTicks read %d values (nil %v) from %q, encoding/json %d", len(ticks), ticks == nil, data[:n], len(ptrs))
 			}
 			for i, p := range ptrs {
-				if p == nil || math.Float64bits(*p) != math.Float64bits(fs[i]) {
-					t.Fatalf("Numbers read element %d of %q as %v, encoding/json as %v", i, data[:n], fs[i], p)
+				if p == nil || *p != ticks[i] || ticks[i] < 1 {
+					t.Fatalf("readTicks read element %d of %q as %d, encoding/json as %v", i, data[:n], ticks[i], p)
 				}
 			}
 		}
-		var ptrs []*float64
+		var ptrs []*int64
 		if len(data) > 0 && data[0] == '[' && json.Unmarshal(data, &ptrs) == nil {
 			for _, p := range ptrs {
-				if p == nil {
-					return // a null element, which Numbers refuses
+				if p == nil || *p < 1 {
+					return // a null element or a tick below 1, which readTicks refuses
 				}
 			}
-			if want := len(bytes.TrimRight(data, " \t\r\n")); err != nil || n != want {
-				t.Fatalf("Numbers(%q) = %d bytes, error %v; encoding/json reads an array of %d bytes", data, n, err, want)
+			if want := len(bytes.TrimRight(data, " \t\r\n")); !ok || n != want {
+				t.Fatalf("readTicks(%q) = %d bytes, ok %v; encoding/json reads an array of %d bytes", data, n, ok, want)
 			}
 		}
 	})

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"strconv"
 	"sync"
 
 	"cyclesteal/fleet"
@@ -17,8 +17,8 @@ import (
 // one JSON object per line, every object carrying its kind in "frame".
 // The conversation on one connection is
 //
-//	worker → coordinator   {"frame":"hello","format":"cyclesteal-distrib","version":1}
-//	coordinator → worker   {"frame":"study","format":...,"version":1,"spec":{...}}
+//	worker → coordinator   {"frame":"hello","format":"cyclesteal-distrib","version":2}
+//	coordinator → worker   {"frame":"study","format":...,"version":2,"spec":{...,"tasks":[237,50,...],"trials":16}}
 //	coordinator → worker   {"frame":"assign","shards":[0,7,...]}
 //	worker → coordinator   {"frame":"progress","done":12,"total":40}   (repeated)
 //	worker → coordinator   {"frame":"shard","shard":{"shard":0,"metrics":[...]}} (one per shard)
@@ -30,15 +30,16 @@ import (
 // JSON whitespace, unknown kinds, out-of-range shard IDs and structurally
 // invalid accumulator states are errors, never guesses, and so is a line
 // over jsonl.MaxLine bytes, the cap the service WAL shares. A frame line is
-// exactly json.Marshal's bytes for its Frame and a newline; the study
-// spec's task array is written by internal/jsonl's float codec and read by
-// its strict number-array parser (see ParseFrame), which match
-// encoding/json byte for byte and value for value. A version bump is
-// required for any change to the frame shapes, the study shard count, or
-// the trial→shard assignment rule.
+// exactly json.Marshal's bytes for its Frame and a newline. The study
+// spec's job crosses once, as integer ticks on the grid the spec names
+// (version 1 carried caller-unit floats); the coordinator writes the tick
+// array without reflection, and a worker reads it with one strict integer
+// reader (see ParseFrame). A version bump is required for any change to
+// the frame shapes, the study shard count, or the trial→shard assignment
+// rule; a frame of another version is refused with an error naming both.
 const (
 	wireFormat  = "cyclesteal-distrib"
-	wireVersion = 1
+	wireVersion = 2
 )
 
 // Frame kinds.
@@ -83,7 +84,7 @@ func (f Frame) validate() error {
 			return fmt.Errorf("distrib: format %q, want %q", f.Format, wireFormat)
 		}
 		if f.Version != wireVersion {
-			return fmt.Errorf("distrib: version %d, want %d", f.Version, wireVersion)
+			return versionError(f.Version)
 		}
 		if f.Kind == FrameStudy {
 			if f.Spec == nil {
@@ -124,31 +125,37 @@ func (f Frame) validate() error {
 	return nil
 }
 
-// wireFrame is the shape ParseFrame decodes: a Frame whose study spec
-// reads its tasks through T — jsonl.Floats, which converts the numbers
-// without reflection, or a placeholder counter once the one-pass path has
-// cut the array out. Each shadowing field carries the JSON name of the
-// field it hides, so the keys a frame may hold, and how they match, are
-// Frame's.
-type wireFrame[T any] struct {
-	Frame
-	Spec *wireSpec[T] `json:"spec,omitempty"`
+// versionError refuses a frame of another wire version.
+func versionError(v int) error {
+	return fmt.Errorf("distrib: wire version %d, but this build speaks version %d", v, wireVersion)
 }
 
-type wireSpec[T any] struct {
-	Spec
-	Tasks T `json:"tasks,omitempty"`
-}
-
-// frame is the decoded Frame, its spec (if any) carrying tasks.
-func (w *wireFrame[T]) frame(tasks []float64) Frame {
-	f := w.Frame
-	if w.Spec != nil {
-		spec := w.Spec.Spec
-		spec.Tasks = tasks
-		f.Spec = &spec
+// versionMismatch explains a line the strict decode refused by its version,
+// when it names this protocol at another: a version-1 study frame fails on
+// its float tasks. It returns nil for any other line.
+func versionMismatch(line []byte) error {
+	var head struct {
+		Format  string `json:"format"`
+		Version int    `json:"version"`
 	}
-	return f
+	if json.Unmarshal(line, &head) != nil || head.Format != wireFormat || head.Version == wireVersion {
+		return nil
+	}
+	return versionError(head.Version)
+}
+
+// wireFrame is the shape the one-pass study decode reads the rest of a
+// study line into: a Frame whose spec's task array is a placeholder
+// counter. Each shadowing field carries the JSON name of the field it
+// hides, so the keys a frame may hold, and how they match, are Frame's.
+type wireFrame struct {
+	Frame
+	Spec *wireSpec `json:"spec,omitempty"`
+}
+
+type wireSpec struct {
+	Spec
+	Ticks placeholderCount `json:"tasks,omitempty"`
 }
 
 // ParseFrame decodes and validates one frame line. Any input is safe: bad
@@ -157,22 +164,19 @@ func (w *wireFrame[T]) frame(tasks []float64) Frame {
 // lines a strict encoding/json decode of a Frame followed by validation
 // accepts, with the same result.
 //
-// A study line's task array, most of its bytes, does not pass through
-// encoding/json: it is parsed by jsonl.Numbers and the rest of the line
-// decoded without it (see parseStudyLine). A line that path declines, and
-// every other frame, takes the strict decode of the whole line.
+// A study line's tick array, most of its bytes, does not pass through
+// encoding/json: it is read by readTicks and the rest of the line decoded
+// without it (see parseStudyLine). A line that path declines, and every
+// other frame, takes the strict decode of the whole line.
 func ParseFrame(line []byte) (Frame, error) {
 	f, ok := parseStudyLine(line)
 	if !ok {
-		var w wireFrame[jsonl.Floats]
-		if err := jsonl.Unmarshal(line, &w); err != nil {
+		if err := jsonl.Unmarshal(line, &f); err != nil {
+			if verr := versionMismatch(line); verr != nil {
+				return Frame{}, verr
+			}
 			return Frame{}, fmt.Errorf("distrib: %w", err)
 		}
-		var tasks []float64
-		if w.Spec != nil {
-			tasks = w.Spec.Tasks
-		}
-		f = w.frame(tasks)
 	}
 	if err := f.validate(); err != nil {
 		return Frame{}, err
@@ -180,34 +184,96 @@ func ParseFrame(line []byte) (Frame, error) {
 	return f, nil
 }
 
-// parseStudyLine decodes a line whose spec carries its task array without
+// parseStudyLine decodes a line whose spec carries its tick array without
 // passing the array through encoding/json: it cuts out the value of the
-// first "tasks" key outside a string, parses it with jsonl.Numbers, and
+// first "tasks" key outside a string, reads it with readTicks, and
 // strictly decodes the rest of the line with a one-byte placeholder where
-// the array was. It declines
-// (ok false) unless that value is a strict number array, the rest decodes,
-// and the spec's tasks field took exactly one value, the placeholder. No
-// struct under Frame has a map or interface field and unknown fields are
-// refused, so in a line whose rest decodes, a "tasks" key outside strings
-// is the spec's tasks field or fails the decode; the field's count catches
-// a second key that folds to "tasks", and the placeholder check a number
-// the cut glued onto a neighbouring byte.
+// the array was. It declines (ok false) unless that value is a tick array
+// readTicks takes, the rest decodes, and the spec's task field took exactly
+// one value, the placeholder. No struct under Frame has a map or interface
+// field and unknown fields are refused, so in a line whose rest decodes, a
+// "tasks" key outside strings is the spec's task field or fails the
+// decode; the field's count catches a second key that folds to "tasks",
+// and the placeholder check a number the cut glued onto a neighbouring
+// byte.
 func parseStudyLine(line []byte) (f Frame, ok bool) {
 	start := tasksValue(line)
-	if start < 0 || line[start] != '[' {
+	if start < 0 {
 		return Frame{}, false
 	}
-	tasks, n, err := jsonl.Numbers(line[start:])
-	if err != nil {
+	ticks, n, ok := readTicks(line[start:])
+	if !ok {
 		return Frame{}, false
 	}
 	rest := make([]byte, 0, len(line)-n+1)
 	rest = append(append(append(rest, line[:start]...), placeholder), line[start+n:]...)
-	var w wireFrame[placeholderCount]
-	if jsonl.Unmarshal(rest, &w) != nil || w.Spec == nil || w.Spec.Tasks != (placeholderCount{values: 1, placeholder: true}) {
+	var w wireFrame
+	if jsonl.Unmarshal(rest, &w) != nil || w.Spec == nil || w.Spec.Ticks != (placeholderCount{values: 1, placeholder: true}) {
 		return Frame{}, false
 	}
-	return w.frame(tasks), true
+	f = w.Frame
+	spec := w.Spec.Spec
+	spec.Ticks = ticks
+	f.Spec = &spec
+	return f, true
+}
+
+// readTicks reads the JSON array of ticks data starts with, within
+// jsonl.MaxLine bytes, and returns its values and its length in bytes. It
+// takes only integers from 1 to math.MaxInt64 as JSON writes them, comma
+// separated and padded with JSON whitespace, and declines (ok false)
+// anything else; what it takes, encoding/json decodes into an []int64 to
+// the same values. It sizes the result by the commas before the first ']',
+// declining a count the array's bytes cannot hold, so it allocates once,
+// at most four bytes per byte of the array.
+func readTicks(data []byte) (ticks []int64, n int, ok bool) {
+	data = data[:min(len(data), jsonl.MaxLine)]
+	end := bytes.IndexByte(data, ']')
+	if end < 0 || data[0] != '[' {
+		return nil, 0, false
+	}
+	elems := data[1:end]
+	commas := bytes.Count(elems, []byte{','})
+	if 2*commas > len(elems) {
+		return nil, 0, false
+	}
+	ticks = make([]int64, 0, commas+1)
+	for i := skipSpace(elems, 0); i < len(elems); {
+		j, v := i, int64(0)
+		for ; j < len(elems) && elems[j]-'0' <= 9; j++ {
+			v = v*10 + int64(elems[j]-'0')
+		}
+		// No digit, a leading zero or the tick 0, or past math.MaxInt64.
+		if j == i || elems[i] == '0' || j-i > len(maxTick) || j-i == len(maxTick) && string(elems[i:j]) > maxTick {
+			return nil, 0, false
+		}
+		ticks = append(ticks, v)
+		if j+1 < len(elems) && elems[j] == ',' && elems[j+1]-'1' <= 8 {
+			i = j + 1 // the common case: a comma and the next tick
+			continue
+		}
+		if i = skipSpace(elems, j); i < len(elems) && elems[i] != ',' {
+			return nil, 0, false
+		} else if i < len(elems) {
+			if i = skipSpace(elems, i+1); i == len(elems) {
+				return nil, 0, false // a trailing comma
+			}
+		}
+	}
+	return ticks, end + 1, true
+}
+
+// maxTick is math.MaxInt64 as JSON writes it: a tick of 19 digits reads
+// within int64 when it is no greater, compared as a string.
+const maxTick = "9223372036854775807"
+
+// skipSpace returns the index of the first byte at or after b[i] that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
 }
 
 // placeholder stands in for a cut task array: a one-byte JSON value.
@@ -238,9 +304,9 @@ func tasksValue(line []byte) int {
 			continue
 		}
 		if bytes.HasPrefix(line[i:], []byte(key)) {
-			if rest := bytes.TrimLeft(line[i+len(key):], jsonSpace); len(rest) > 0 && rest[0] == ':' {
-				if rest = bytes.TrimLeft(rest[1:], jsonSpace); len(rest) > 0 {
-					return len(line) - len(rest)
+			if j := skipSpace(line, i+len(key)); j < len(line) && line[j] == ':' {
+				if j = skipSpace(line, j+1); j < len(line) {
+					return j
 				}
 				return -1
 			}
@@ -253,9 +319,6 @@ func tasksValue(line []byte) int {
 	}
 	return -1
 }
-
-// jsonSpace is the JSON whitespace a token may be padded with.
-const jsonSpace = " \t\r\n"
 
 // ParseShardResult decodes and validates one shard-result object — the
 // payload of a shard frame, exposed for tools that store shard states
@@ -285,41 +348,35 @@ func EncodeFrame(w io.Writer, f Frame) error {
 }
 
 // encodeFrame returns f's line: json.Marshal's bytes and a newline. A study
-// frame that carries nothing but its spec has its task array written by
-// jsonl.AppendFloats and spliced in where json.Marshal puts it, before the
-// spec's last field: the same bytes, without reflecting over every
-// duration. Non-finite durations take json.Marshal's path and its error.
+// frame that carries nothing but its spec has its tick array written by
+// strconv.AppendInt and spliced in where json.Marshal puts it, before the
+// spec's last field: the same bytes, without reflecting over every task.
 func encodeFrame(f Frame) ([]byte, error) {
-	var tasks []float64
-	if f.Kind == FrameStudy && f.Spec != nil && len(f.Spec.Tasks) > 0 &&
-		len(f.Shards) == 0 && f.Done == 0 && f.Total == 0 && f.Shard == nil && f.Error == "" &&
-		allFinite(f.Spec.Tasks) {
+	var ticks []int64
+	if f.Kind == FrameStudy && f.Spec != nil && len(f.Spec.Ticks) > 0 &&
+		len(f.Shards) == 0 && f.Done == 0 && f.Total == 0 && f.Shard == nil && f.Error == "" {
 		spec := *f.Spec
-		tasks, spec.Tasks = spec.Tasks, nil
+		ticks, spec.Ticks = spec.Ticks, nil
 		f.Spec = &spec
 	}
 	raw, err := json.Marshal(f)
 	if err != nil {
 		return nil, err
 	}
-	if tasks == nil {
+	if ticks == nil {
 		return append(raw, '\n'), nil
 	}
 	// Nothing follows the spec, and "trials" is its last field; a quote
 	// inside a string is escaped, so these bytes occur only as that key.
+	// The line has room for every tick as wide as the first.
 	cut := bytes.LastIndex(raw, []byte(`,"trials":`))
-	line := append(make([]byte, 0, len(raw)+len(`,"tasks":`)), raw[:cut]...)
-	line = jsonl.AppendFloats(append(line, `,"tasks":`...), tasks)
-	return append(append(line, raw[cut:]...), '\n'), nil
-}
-
-func allFinite(fs []float64) bool {
-	for _, f := range fs {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
+	line := make([]byte, 0, len(raw)+len(`,"tasks":[]`)+len(ticks)*(1+len(strconv.FormatInt(ticks[0], 10))))
+	line = append(append(line, raw[:cut]...), `,"tasks":`...)
+	sep := byte('[')
+	for _, t := range ticks {
+		line, sep = strconv.AppendInt(append(line, sep), t, 10), ','
 	}
-	return true
+	return append(append(append(line, ']'), raw[cut:]...), '\n'), nil
 }
 
 // stream frames one connection: sequential reads, mutex-serialized writes

@@ -772,11 +772,17 @@ func (g grid) quantizeSplit(hands []task.Hand, durations []float64, w int) (quan
 	return work, true
 }
 
-// fillRange gives hands[lo:hi] the storage of a round-robin deal of the
-// job over all len(hands) hands, hand h holding tasks h, h+G, h+2·G, …, and
-// fills them (quantizeRange).
+// fillRange sizes hands[lo:hi] for the job (sizeHands) and fills them
+// (quantizeRange).
 func (g grid) fillRange(hands []task.Hand, lo, hi int, durations []float64) (quant.Tick, int) {
-	per, extra := len(durations)/len(hands), len(durations)%len(hands)
+	sizeHands(hands, lo, hi, len(durations))
+	return g.quantizeRange(hands, lo, hi, durations)
+}
+
+// sizeHands gives hands[lo:hi] the storage of a round-robin deal of n
+// tasks over all len(hands) hands, hand h holding tasks h, h+G, h+2·G, ….
+func sizeHands(hands []task.Hand, lo, hi, n int) {
+	per, extra := n/len(hands), n%len(hands)
 	for h := lo; h < hi; h++ {
 		m := per
 		if h < extra {
@@ -784,5 +790,50 @@ func (g grid) fillRange(hands []task.Hand, lo, hi int, durations []float64) (qua
 		}
 		hands[h].Tasks = make([]task.Task, m)
 	}
-	return g.quantizeRange(hands, lo, hi, durations)
+}
+
+// JobTicks quantizes the job onto the fleet's grid (Ticks per Setup) by
+// Run's intake: task i's duration in ticks, at least 1 each, nil for an
+// empty job. It refuses what Run refuses, in the same words. StudyTicks
+// takes the result.
+func (f *Fleet) JobTicks(job Job) ([]int64, error) {
+	if len(job.Tasks) == 0 {
+		return nil, nil
+	}
+	tasks, _, err := f.g.quantizeFlat(job.Tasks)
+	if err != nil {
+		return nil, err
+	}
+	ticks := make([]int64, len(tasks))
+	for i, t := range tasks {
+		ticks[i] = t.Duration
+	}
+	return ticks, nil
+}
+
+// dealTicks deals a job on the grid into hands as quantize deals one in
+// caller units, and refuses a tick below 1 or a total that overflows,
+// naming the first such task.
+func dealTicks(hands []task.Hand, ticks []int64) error {
+	sizeHands(hands, 0, len(hands), len(ticks))
+	var work quant.Tick
+	h, row := 0, 0
+	for i, t := range ticks {
+		if t < 1 {
+			return fmt.Errorf("fleet: task %d duration must be ≥ 1 tick, got %d", i, t)
+		}
+		if work > math.MaxInt64-t {
+			return fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
+		}
+		work += t
+		hand := &hands[h]
+		hand.Tasks[row] = task.Task{ID: i, Duration: t}
+		if hand.MinDur == 0 || t < hand.MinDur {
+			hand.MinDur = t
+		}
+		if h++; h == len(hands) {
+			h, row = 0, row+1
+		}
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
+	"cyclesteal/internal/task"
 )
 
 // StudyShards is the fixed shard count every replication study is cut into.
@@ -147,23 +148,56 @@ type Study struct {
 // as Run deals it. Every trial copies those hands into queue storage its
 // worker keeps; no trial quantizes or deals the job again.
 func (f *Fleet) Study(job Job, trials int) (*Study, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("fleet: trials must be ≥ 1, got %d", trials)
-	}
-	if f.cfg.Record != nil {
-		return nil, fmt.Errorf("fleet: Replicate cannot record a trace: trials would overwrite one another — record a single Run or RunDeterministic instead")
-	}
-	if f.stateful {
-		return nil, fmt.Errorf("fleet: Replicate cannot drive trace-replay owners: a recorded trace names one run, not a distribution — use Run or RunDeterministic")
-	}
-	if f.cfg.Faults.Active() {
-		return nil, fmt.Errorf("fleet: Replicate rejects fault plans: a plan names one faulted run, not a distribution — sweep seeds over RunDeterministic instead")
+	if err := f.checkStudy(trials); err != nil {
+		return nil, err
 	}
 	fm := f.batch(f.stations, len(job.Tasks))
 	fj, _, err := f.dealtJob(job.Tasks, fm.Groups())
 	if err != nil {
 		return nil, err
 	}
+	return f.newStudy(trials, fm, fj), nil
+}
+
+// StudyTicks is Study for a job already on the fleet's grid, as JobTicks
+// gives it: the ticks are dealt straight into the group hands Study would
+// build from the caller-unit job, with no second quantization, so the two
+// studies are interchangeable. It refuses a tick below 1 and a job whose
+// total overflows the grid, naming the task.
+func (f *Fleet) StudyTicks(ticks []int64, trials int) (*Study, error) {
+	if err := f.checkStudy(trials); err != nil {
+		return nil, err
+	}
+	fm := f.batch(f.stations, len(ticks))
+	var fj farm.Job
+	if len(ticks) > 0 {
+		fj.Dealt = make([]task.Hand, fm.Groups())
+		if err := dealTicks(fj.Dealt, ticks); err != nil {
+			return nil, err
+		}
+	}
+	return f.newStudy(trials, fm, fj), nil
+}
+
+// checkStudy applies Replicate's rules to the fleet and the trial count.
+func (f *Fleet) checkStudy(trials int) error {
+	if trials < 1 {
+		return fmt.Errorf("fleet: trials must be ≥ 1, got %d", trials)
+	}
+	if f.cfg.Record != nil {
+		return fmt.Errorf("fleet: Replicate cannot record a trace: trials would overwrite one another — record a single Run or RunDeterministic instead")
+	}
+	if f.stateful {
+		return fmt.Errorf("fleet: Replicate cannot drive trace-replay owners: a recorded trace names one run, not a distribution — use Run or RunDeterministic")
+	}
+	if f.cfg.Faults.Active() {
+		return fmt.Errorf("fleet: Replicate rejects fault plans: a plan names one faulted run, not a distribution — sweep seeds over RunDeterministic instead")
+	}
+	return nil
+}
+
+// newStudy binds a study of trials over the job fj, dealt for fm.
+func (f *Fleet) newStudy(trials int, fm farm.Farm, fj farm.Job) *Study {
 	return &Study{
 		trials:   trials,
 		k:        f.g.unitsPerTick(),
@@ -173,7 +207,7 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		fm:       fm,
 		fj:       fj,
 		statCols: f.cfg.StationSummaries,
-	}, nil
+	}
 }
 
 // Trials is the study's total trial count.

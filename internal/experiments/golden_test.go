@@ -11,11 +11,11 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // goldenIDs are the game-layer tables pinned by value. Each renders at
-// cstealtables' defaults in well under a second and prints no wall-clock
-// column, so its text output is a pure function of the code.
+// cstealtables' defaults in about a second at most and prints no
+// wall-clock column, so its text output is a pure function of the code.
 var goldenIDs = []string{
 	"table1", "table2", "nonadaptive", "optgap", "prop41",
-	"ablation-quantum", "ablation-guideline",
+	"ablation-quantum", "ablation-guideline", "structure",
 }
 
 // TestGoldenTables renders each pinned table exactly as `cstealtables

@@ -3,17 +3,15 @@ package jsonl
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 )
 
 // The reference for everything here is encoding/json itself: json.Marshal
-// of a float64 or []float64 for the encoders, json.Unmarshal into a
-// []float64 for Floats.
+// of a float64 or []float64 for the encoders, and its Decoder for the
+// strict decode.
 
 // edgeFloats are the values where encoding/json's float formatting changes
 // shape — signed zero, the %f/%e cutoffs at 1e-6 and 1e21, the smallest
@@ -95,138 +93,14 @@ func TestAppendFloatsMatchesJSON(t *testing.T) {
 	}
 }
 
-// decodeBoth decodes data into a []float64 and into a Floats, each
-// starting from a copy of start with start's capacity and spare storage.
-func decodeBoth(data []byte, start []float64) (want []float64, werr error, got Floats, gerr error) {
-	if start != nil {
-		want = append(make([]float64, 0, cap(start)), start[:cap(start)]...)[:len(start)]
-		got = append(make(Floats, 0, cap(start)), start[:cap(start)]...)[:len(start)]
-	}
-	werr = json.Unmarshal(data, &want)
-	gerr = json.Unmarshal(data, &got)
-	return
-}
-
-// sameFloats reports whether a and b are equal bit for bit, nil-ness
-// included.
-func sameFloats(a, b []float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkFloats asserts the Floats contract on one JSON value: an error
-// exactly when encoding/json errs, and otherwise the same slice.
-func checkFloats(t *testing.T, data []byte, start []float64) {
-	t.Helper()
-	want, werr, got, gerr := decodeBoth(data, start)
-	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("%s (into %v): encoding/json error %v, Floats error %v", data, start, werr, gerr)
-	}
-	if werr == nil && !sameFloats(want, []float64(got)) {
-		t.Fatalf("%s (into %v): encoding/json %#v, Floats %#v", data, start, want, []float64(got))
-	}
-}
-
-func TestFloatsMatchesJSON(t *testing.T) {
-	cases := []string{
-		`null`, `[]`, " [ \t\r\n] ", `[1,2,3]`, " [ 1 ,\t2\r\n, 3 ] ", `[null]`, `[1,null,2]`, `[null,null]`,
-		`[0]`, `[-0]`, `[0.0]`, `[-0.0]`, `[2.37,0.5,4]`, `[1e5,1E-5,2.5e+3,-7e-1]`, `[0.000001]`, `[1e-7]`,
-		`[123456789012345]`, `[1234567890123456]`, `[0.12345678901234]`, `[0.000000000000001]`,
-		`[123456789012345678901234567890]`, `[0.123456789012345678901234567890]`, `[1.7976931348623157e308]`,
-		`[5e-324]`, `[1e-400]`, `[1e400]`, `[-1e400]`, `[1,1e400,2]`, `[1e999999999999999999999]`,
-		`["1"]`, `[1,"a"]`, `[[1]]`, `[[]]`, `[{}]`, `[true]`, `[false,1]`, `[1,[2,[3]]]`, `[1,{"a":[2,"]"]}]`,
-		`"x"`, `"[1,2]"`, `{}`, `{"a":1}`, `5`, `-0`, `true`, `false`,
-	}
-	starts := [][]float64{nil, {}, {9, 8}, append(make([]float64, 0, 5), 9, 8, 7, 6, 5)[:2]}
-	for _, c := range cases {
-		for _, start := range starts {
-			checkFloats(t, []byte(c), start)
-		}
-	}
-	// Random arrays: whitespace, null elements, signs, exponents, long and
-	// short mantissas, and now and then an element that is no number.
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20000; i++ {
-		data := randomArray(rng)
-		checkFloats(t, data, nil)
-		checkFloats(t, data, starts[3])
-	}
-}
-
-// randomArray writes a JSON array of random number tokens and nulls.
-func randomArray(rng *rand.Rand) []byte {
-	ws := []string{"", "", "", " ", "\t", "\r\n", "  \n "}
-	var b strings.Builder
-	b.WriteString(ws[rng.Intn(len(ws))] + "[")
-	for n := rng.Intn(12); n > 0; n-- {
-		b.WriteString(ws[rng.Intn(len(ws))])
-		b.WriteString(randomToken(rng))
-		b.WriteString(ws[rng.Intn(len(ws))])
-		if n > 1 {
-			b.WriteString(",")
-		}
-	}
-	b.WriteString("]" + ws[rng.Intn(len(ws))])
-	return []byte(b.String())
-}
-
-func randomToken(rng *rand.Rand) string {
-	digits := func(n int) string {
-		var s []byte
-		for i := 0; i < n; i++ {
-			s = append(s, byte('0'+rng.Intn(10)))
-		}
-		return string(s)
-	}
-	switch rng.Intn(10) {
-	case 0:
-		return "null"
-	case 1:
-		return []string{`"s"`, `true`, `[1]`, `{}`}[rng.Intn(4)]
-	case 2:
-		return fmt.Sprint(float64(50+rng.Intn(351)) / 100)
-	}
-	var s string
-	if rng.Intn(4) == 0 {
-		s = "-"
-	}
-	if rng.Intn(3) == 0 {
-		s += "0"
-	} else {
-		s += fmt.Sprint(1+rng.Intn(9)) + digits(rng.Intn(20))
-	}
-	if rng.Intn(2) == 0 {
-		s += "." + digits(1+rng.Intn(30))
-	}
-	if rng.Intn(5) == 0 {
-		s += []string{"e", "E", "e+", "e-", "E-"}[rng.Intn(5)] + fmt.Sprint(rng.Intn(400))
-	}
-	return s
-}
-
-// FuzzFloats is the differential fuzz target for the codec: any valid JSON
-// value decodes through Floats exactly as into a []float64, error for
-// error — into a fresh slice and into one with spare storage — and any
-// float64 bit pattern formats byte for byte as json.Marshal writes it.
+// FuzzFloats is the differential fuzz target for the encoder: any float64
+// bit pattern formats byte for byte as json.Marshal writes it, alone and in
+// an array with a repeat.
 func FuzzFloats(f *testing.F) {
-	f.Add([]byte(`[2.37,0.5,null,4]`), math.Float64bits(2.37))
-	f.Add([]byte(`null`), math.Float64bits(math.Copysign(0, -1)))
-	f.Add([]byte(` [ ] `), math.Float64bits(1e21))
-	f.Add([]byte(`[-0,1e-7,123456789012345678901234567890,1e400]`), math.Float64bits(5e-324))
-	f.Add([]byte(`[1,"2"]`), math.Float64bits(1.0/3))
-	f.Add([]byte(`{"a":[1]}`), math.Float64bits(999999999.999999))
-	f.Fuzz(func(t *testing.T, data []byte, bits uint64) {
-		if json.Valid(data) {
-			checkFloats(t, data, nil)
-			checkFloats(t, data, append(make([]float64, 0, 4), 9, 8, 7, 6)[:1])
-		}
+	for _, v := range []float64{2.37, math.Copysign(0, -1), 1e21, 5e-324, 1.0 / 3, 999999999.999999} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return
@@ -268,35 +142,5 @@ func TestUnmarshalStrict(t *testing.T) {
 	}
 	if err := Unmarshal(nil, &v); err == nil {
 		t.Error("empty input accepted")
-	}
-}
-
-// TestFloatsShadowField pins the way the wire decoders use Floats: a
-// shadow struct's Floats field hides the []float64 field of the same JSON
-// name, and the decode matches decoding the plain struct.
-func TestFloatsShadowField(t *testing.T) {
-	type plain struct {
-		N     int       `json:"n"`
-		Tasks []float64 `json:"tasks,omitempty"`
-	}
-	type shadow struct {
-		plain
-		Tasks Floats `json:"tasks,omitempty"`
-	}
-	for _, line := range []string{
-		`{"n":1}`, `{"n":1,"tasks":[1.5,2]}`, `{"tasks":null,"n":2}`, `{"TASKS":[3]}`,
-		`{"tasks":[1,2,3],"tasks":[4]}`, `{"tasks":[1,2,3],"tasks":[4],"tasks":[5,null,null]}`,
-		`{"tasks":[1],"x":1}`, `{"tasks":"no"}`, `{"tasks":[1]}}`,
-	} {
-		var p plain
-		var s shadow
-		perr, serr := Unmarshal([]byte(line), &p), Unmarshal([]byte(line), &s)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("%s: plain error %v, shadow error %v", line, perr, serr)
-		}
-		s.plain.Tasks = s.Tasks
-		if perr == nil && !reflect.DeepEqual(p, s.plain) {
-			t.Fatalf("%s: plain %+v, shadow %+v", line, p, s.plain)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package theory
 import (
 	"math"
 	"testing"
+	"time"
 
 	"cyclesteal/internal/quant"
 )
@@ -123,5 +124,77 @@ func TestEqualizedM(t *testing.T) {
 	// Grows with p like K_p.
 	if EqualizedM(5000, 4, 1) <= EqualizedM(5000, 1, 1) {
 		t.Error("m should grow with p")
+	}
+}
+
+// kLoop is the recursion as OptimalDeficitCoefficient runs it up to
+// deficitLoopMax.
+func kLoop(p int) float64 {
+	K := 0.0
+	for i := 1; i <= p; i++ {
+		K += (math.Sqrt(K*K+4) - K) / 2
+	}
+	return K
+}
+
+// K_p past the recursion's range: the expansion agrees with a 200-bit
+// math/big run of the recursion (the pinned values) to within 4e-15, the
+// loop stays bit for bit up to its bound, and the two meet at the bound
+// without a seam: K still rises there by α_{p+1}.
+func TestKpLargeP(t *testing.T) {
+	pins := []struct {
+		p   int
+		k   float64
+		tol float64
+	}{
+		{1 << 16, 362.0294053252249, 1e-13}, // the loop's last p
+		{1 << 18, 724.07223200164901, 4e-15},
+		{1 << 20, 1448.1518925872028, 4e-15},
+		{1 << 22, 2896.3078584389814, 4e-15},
+	}
+	for _, pin := range pins {
+		if got := OptimalDeficitCoefficient(pin.p); math.Abs(got-pin.k)/pin.k > pin.tol {
+			t.Errorf("K(%d) = %.17g, the 200-bit recursion gives %.17g", pin.p, got, pin.k)
+		}
+	}
+	for _, p := range []int{0, 1, 2, 3, 100, 4097, deficitLoopMax} {
+		if got, want := OptimalDeficitCoefficient(p), kLoop(p); got != want {
+			t.Errorf("K(%d) = %.17g, the loop gives %.17g", p, got, want)
+		}
+	}
+	p := deficitLoopMax
+	lo, hi := OptimalDeficitCoefficient(p), OptimalDeficitCoefficient(p+1)
+	if step := hi - lo; !(step > 0) || math.Abs(step-EqualizedAlpha(p+1)) > 1e-9 {
+		t.Errorf("K(%d) − K(%d) = %g, want α = %g", p+1, p, step, EqualizedAlpha(p+1))
+	}
+	// α_p·K_p = 1 holds past the bound too.
+	for _, p := range []int{deficitLoopMax + 2, 1 << 40} {
+		if got := EqualizedAlpha(p) * OptimalDeficitCoefficient(p); !quant.ApproxEqual(got, 1, 1e-12) {
+			t.Errorf("p=%d: α_p·K_p = %.15f, want 1", p, got)
+		}
+	}
+}
+
+// The coefficients cost the same at any p: each answers at math.MaxInt
+// within a second, and K_p stays near its √(2p) asymptote.
+func TestKpBoundedTime(t *testing.T) {
+	done := make(chan [3]float64, 1)
+	go func() {
+		done <- [3]float64{OptimalDeficitCoefficient(math.MaxInt), EqualizedAlpha(math.MaxInt), float64(EqualizedM(3600, math.MaxInt, 5))}
+	}()
+	select {
+	case got := <-done:
+		k := got[0]
+		if r := k * k / (2 * float64(math.MaxInt)); !(r > 0.999 && r <= 1) {
+			t.Errorf("K(MaxInt)²/(2p) = %g, want just below 1", r)
+		}
+		if a := got[1]; !(a > 0) || math.Abs(a*k-1) > 1e-9 {
+			t.Errorf("α(MaxInt) = %g, want 1/K = %g", a, 1/k)
+		}
+		if m := got[2]; !(m > 0) {
+			t.Errorf("EqualizedM at MaxInt = %g", m)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the deficit coefficients at p = MaxInt took more than a second")
 	}
 }
