@@ -284,6 +284,20 @@ func TestRunKillRecover(t *testing.T) {
 	if err := run(bad, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("recovering a log into itself accepted")
 	}
+
+	// A log of the retired version 1 is refused, naming both versions.
+	log, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join(dir, "v1.wal")
+	if err := os.WriteFile(v1, bytes.Replace(log, []byte(`"version":2`), []byte(`"version":1`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(config{stations: 16, setup: 5, seed: 7, recover: v1}, strings.NewReader(""), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("-recover of a version-1 log: error %v, want one naming versions 1 and 2", err)
+	}
 }
 
 // A job line over the 1 MiB cap is an error naming its line, on stdin and

@@ -404,6 +404,35 @@ func TestPredictAtMaxInterrupts(t *testing.T) {
 	}
 }
 
+// OptimalWork answers 0 past the zero-work threshold at any interrupt
+// bound, within a deadline: at Lifespan 100 and Setup 1 the game table
+// stops at its zero row (p = ⌈U/c⌉ = 100), however large p is.
+func TestOptimalWorkPastZeroWork(t *testing.T) {
+	for _, p := range []int{99, 100, 1000, 100000, 1 << 30, math.MaxInt} {
+		e := engine(t, Opportunity{Lifespan: 100, Interrupts: p, Setup: 1})
+		type answer struct {
+			w   float64
+			err error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			w, err := e.OptimalWork()
+			done <- answer{w, err}
+		}()
+		select {
+		case a := <-done:
+			if a.w != 0 || a.err != nil {
+				t.Errorf("OptimalWork at p = %d = %g, %v; want 0, nil", p, a.w, a.err)
+			}
+			if !e.Predict().ZeroWork {
+				t.Errorf("Predict at p = %d does not report zero work", p)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("OptimalWork at p = %d had not returned after 1s", p)
+		}
+	}
+}
+
 func TestFixedChunkAndEqualSplit(t *testing.T) {
 	e := engine(t, Opportunity{Lifespan: 100, Interrupts: 1, Setup: 1})
 	fc := e.FixedChunk(10)

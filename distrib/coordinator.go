@@ -17,20 +17,14 @@ import (
 type Starter func(ctx context.Context) (io.ReadWriteCloser, error)
 
 // Options tunes a Coordinator. None of the knobs affect the merged
-// numbers — a study is bit-identical at any worker count, chunking, retry
-// history or arrival order; these only shape wall-clock time and fault
-// tolerance.
+// numbers — a study is bit-identical at any worker count, retry history or
+// arrival order; these only shape wall-clock time and fault tolerance.
 type Options struct {
 	// Workers is the number of concurrent worker connections. 0 means 1.
 	Workers int
 	// Start opens worker connections. nil means InProcess(): worker
 	// goroutines in this process, the zero-dependency default.
 	Start Starter
-	// ChunkShards is how many shards ride in one assignment. Smaller
-	// chunks re-deal less work when a worker dies; larger ones amortize
-	// handshakes. 0 means an even split that deals every worker about four
-	// assignments.
-	ChunkShards int
 	// MaxRetries is how many times one chunk may be re-dealt after
 	// failures before the study fails loudly. 0 means 2.
 	MaxRetries int
@@ -77,7 +71,7 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers < 0 || opts.ChunkShards < 0 || opts.MaxRetries < 0 || opts.WorkerTimeout < 0 {
+	if opts.Workers < 0 || opts.MaxRetries < 0 || opts.WorkerTimeout < 0 {
 		return nil, fmt.Errorf("distrib: negative option")
 	}
 	if opts.Workers == 0 {
@@ -85,12 +79,6 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 	}
 	if opts.Start == nil {
 		opts.Start = InProcess()
-	}
-	if opts.ChunkShards == 0 {
-		opts.ChunkShards = max(1, fleet.StudyShards/(4*opts.Workers))
-	}
-	if opts.ChunkShards > fleet.StudyShards {
-		opts.ChunkShards = fleet.StudyShards
 	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
@@ -205,7 +193,10 @@ func (c *Coordinator) Run(ctx context.Context) (fleet.Replication, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	chunks := cutChunks(c.merger.AllShards(), c.opts.ChunkShards)
+	// An even split that deals every worker about four assignments: a dead
+	// worker re-deals a quarter of its share, and each handshake carries
+	// several shards.
+	chunks := cutChunks(c.merger.AllShards(), max(1, fleet.StudyShards/(4*c.opts.Workers)))
 	st := &runState{
 		total:      c.merger.Trials(),
 		trialsOf:   c.merger.ShardTrials,

@@ -47,9 +47,31 @@ func runWithin(t *testing.T, c *Coordinator, d time.Duration) error {
 	}
 }
 
-// Every way a worker can fail its handshake fails the study with an error
-// naming the cause, after the retry budget: each chunk is dealt MaxRetries+1
-// times, every deal dials afresh, and no goroutine outlives Run.
+// assigned scripts a worker that says hello, reads the study and its
+// assignment, and then hands the assigned shards to misbehave.
+func assigned(misbehave func(s *stream, shards []int)) func(s *stream) {
+	return func(s *stream) {
+		if s.send(Frame{Kind: FrameHello, Format: wireFormat, Version: wireVersion}) != nil {
+			return
+		}
+		if f, err := s.recv(); err != nil || f.Kind != FrameStudy {
+			return
+		}
+		if a, err := s.recv(); err == nil && a.Kind == FrameAssign {
+			misbehave(s, a.Shards)
+		}
+	}
+}
+
+// sendShard sends an empty (valid) result for shard id.
+func sendShard(s *stream, id int) {
+	s.send(Frame{Kind: FrameShard, Shard: &fleet.ShardResult{Shard: id}})
+}
+
+// Every way a worker can fail its handshake, or the assignment it took,
+// fails the study with an error naming the cause, after the retry budget:
+// each chunk is dealt MaxRetries+1 times, every deal dials afresh, and no
+// goroutine outlives Run.
 func TestDialRefusesBadHandshakes(t *testing.T) {
 	spec, _ := testSpec(t, 40)
 	hangUp := func(*stream) {}
@@ -73,6 +95,28 @@ func TestDialRefusesBadHandshakes(t *testing.T) {
 				}
 			}
 		}, 20 * time.Millisecond, []string{"worker never said hello"}},
+		{"a shard it was not assigned", assigned(func(s *stream, shards []int) {
+			for id := 0; ; id++ {
+				if !slices.Contains(shards, id) {
+					sendShard(s, id)
+					return
+				}
+			}
+		}), 0, []string{"worker returned unassigned shard"}},
+		{"an assigned shard twice", assigned(func(s *stream, shards []int) {
+			sendShard(s, shards[0])
+			sendShard(s, shards[0])
+		}), 0, []string{"worker returned shard 0 twice"}},
+		{"done after fewer shards than assigned", assigned(func(s *stream, shards []int) {
+			sendShard(s, shards[0])
+			s.send(Frame{Kind: FrameDone, Shards: shards})
+		}), 0, []string{"worker acknowledged 16 shards but sent 1"}},
+		{"an error frame", assigned(func(s *stream, _ []int) {
+			s.send(Frame{Kind: FrameError, Error: "disk full"})
+		}), 0, []string{"worker failed: disk full"}},
+		{"a frame of another kind", assigned(func(s *stream, shards []int) {
+			s.send(Frame{Kind: FrameAssign, Shards: shards})
+		}), 0, []string{`unexpected "assign" frame mid-assignment`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

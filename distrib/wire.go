@@ -33,10 +33,11 @@ import (
 // exactly json.Marshal's bytes for its Frame and a newline. The study
 // spec's job crosses once, as integer ticks on the grid the spec names
 // (version 1 carried caller-unit floats); the coordinator writes the tick
-// array without reflection, and a worker reads it with one strict integer
-// reader (see ParseFrame). A version bump is required for any change to
-// the frame shapes, the study shard count, or the trial→shard assignment
-// rule; a frame of another version is refused with an error naming both.
+// array with jsonl.AppendInt64s, as the service WAL writes its jobs, and a
+// worker reads it with one strict integer reader (see ParseFrame). A
+// version bump is required for any change to the frame shapes, the study
+// shard count, or the trial→shard assignment rule; a frame of another
+// version is refused with an error naming both.
 const (
 	wireFormat  = "cyclesteal-distrib"
 	wireVersion = 2
@@ -349,8 +350,9 @@ func EncodeFrame(w io.Writer, f Frame) error {
 
 // encodeFrame returns f's line: json.Marshal's bytes and a newline. A study
 // frame that carries nothing but its spec has its tick array written by
-// strconv.AppendInt and spliced in where json.Marshal puts it, before the
-// spec's last field: the same bytes, without reflecting over every task.
+// jsonl.AppendInt64s, the encoder the service WAL shares, and spliced in
+// where json.Marshal puts it, before the spec's last field: the same bytes,
+// without reflecting over every task.
 func encodeFrame(f Frame) ([]byte, error) {
 	var ticks []int64
 	if f.Kind == FrameStudy && f.Spec != nil && len(f.Spec.Ticks) > 0 &&
@@ -370,13 +372,9 @@ func encodeFrame(f Frame) ([]byte, error) {
 	// inside a string is escaped, so these bytes occur only as that key.
 	// The line has room for every tick as wide as the first.
 	cut := bytes.LastIndex(raw, []byte(`,"trials":`))
-	line := make([]byte, 0, len(raw)+len(`,"tasks":[]`)+len(ticks)*(1+len(strconv.FormatInt(ticks[0], 10))))
-	line = append(append(line, raw[:cut]...), `,"tasks":`...)
-	sep := byte('[')
-	for _, t := range ticks {
-		line, sep = strconv.AppendInt(append(line, sep), t, 10), ','
-	}
-	return append(append(append(line, ']'), raw[cut:]...), '\n'), nil
+	line := make([]byte, 0, len(raw)+len(`,"tasks":[]`)+len(ticks)*(1+len(strconv.FormatInt(ticks[0], 10)))+1)
+	line = jsonl.AppendInt64s(append(append(line, raw[:cut]...), `,"tasks":`...), ticks)
+	return append(append(line, raw[cut:]...), '\n'), nil
 }
 
 // stream frames one connection: sequential reads, mutex-serialized writes

@@ -285,6 +285,6 @@ func ExampleRecoverService() {
 	fmt.Printf("recovered: %s finished %d/%d tasks (%d lost to the crash) in %d rounds\n",
 		j.Tenant, j.TasksCompleted, j.Tasks, j.TasksLost, res.Rounds)
 	// Output:
-	// scheduler killed; 18327 bytes of log survive
+	// scheduler killed; 24327 bytes of log survive
 	// recovered: ana finished 4721/6000 tasks (1279 lost to the crash) in 7 rounds
 }

@@ -376,6 +376,9 @@ func (g grid) checkedTicks(units float64) (quant.Tick, error) {
 	return g.ticks(units), nil
 }
 
+// finite reports whether f is neither NaN nor ±Inf.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // quantize validates caller-unit task durations and puts them on the grid,
 // dealt round-robin into hands as it goes: task i, with ID i, lands at
 // hands[i mod G].Tasks[i div G] for G = len(hands) — the partition
@@ -384,8 +387,10 @@ func (g grid) checkedTicks(units float64) (quant.Tick, error) {
 // MinDur 0. It returns the job's total ticks. It refuses what checkedTicks
 // refuses, and a job whose total overflows a quant.Tick; the error names
 // the first such task. Every job enters through its loop (quantizeRange):
-// a batch run or a study dealt over its groups (dealtJob), and service
-// submits, replays and recoveries as one flat hand (quantizeFlat).
+// a batch run or a study dealt over its groups (dealtJob), and a service
+// submit or JobTicks as one flat hand (quantizeFlat). A job already on the
+// grid — a study spec's or a logged submit's ticks — is dealt by dealTicks
+// instead.
 func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, error) {
 	work, stop := g.quantizeRange(hands, 0, len(hands), durations)
 	if stop < 0 {
@@ -804,26 +809,32 @@ func (f *Fleet) JobTicks(job Job) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return taskTicks(tasks), nil
+}
+
+// taskTicks lists the durations of a job's tasks in task order: the job on
+// the grid, as JobTicks gives it.
+func taskTicks(tasks []task.Task) []int64 {
 	ticks := make([]int64, len(tasks))
 	for i, t := range tasks {
 		ticks[i] = t.Duration
 	}
-	return ticks, nil
+	return ticks
 }
 
 // dealTicks deals a job on the grid into hands as quantize deals one in
-// caller units, and refuses a tick below 1 or a total that overflows,
-// naming the first such task.
-func dealTicks(hands []task.Hand, ticks []int64) error {
+// caller units and returns its total ticks. It refuses a tick below 1 or a
+// total that overflows, naming the first such task.
+func dealTicks(hands []task.Hand, ticks []int64) (quant.Tick, error) {
 	sizeHands(hands, 0, len(hands), len(ticks))
 	var work quant.Tick
 	h, row := 0, 0
 	for i, t := range ticks {
 		if t < 1 {
-			return fmt.Errorf("fleet: task %d duration must be ≥ 1 tick, got %d", i, t)
+			return 0, fmt.Errorf("fleet: task %d duration must be ≥ 1 tick, got %d", i, t)
 		}
 		if work > math.MaxInt64-t {
-			return fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
+			return 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
 		}
 		work += t
 		hand := &hands[h]
@@ -835,5 +846,5 @@ func dealTicks(hands []task.Hand, ticks []int64) error {
 			h, row = 0, row+1
 		}
 	}
-	return nil
+	return work, nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"cyclesteal/internal/farm"
+	"cyclesteal/internal/jsonl"
 	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/task"
@@ -71,8 +72,9 @@ type ServiceConfig struct {
 	// rebuilds the session from such a log, bit-identical to the
 	// uninterrupted run. A write or sync error stops the service, and no
 	// job of the round it failed in settles: an event that cannot be made
-	// durable must not take effect silently. See ReadWAL for the line
-	// format.
+	// durable must not take effect silently. A submit record logs its job
+	// as the grid ticks the service plays, and the header names that grid
+	// (see ServiceEvent); see ReadWAL for the line format.
 	WAL io.Writer
 }
 
@@ -144,18 +146,22 @@ func (k EventKind) String() string {
 // everything that happened to the fleet beyond playing rounds, stamped with
 // the round at which it applied. The log is the run's replay key — Replay
 // applies the same events at the same rounds and the seed-stream contract
-// does the rest, bit-identically at any Workers setting.
+// does the rest, bit-identically at any Workers setting. Its durations are
+// on the configuration's tick grid, Setup/Fleet.Ticks() caller units per
+// tick; Fleet.Units converts them.
 type ServiceEvent struct {
 	// Round is the round the event applied at (events apply at round tops,
 	// before any station plays).
 	Round int
 	Kind  EventKind
-	// Tenant, JobID and Tasks describe a Submit: the submitting tenant, the
-	// job's service-wide ID, and its task durations in caller units — the
-	// log is self-contained, a replay rebuilds the job from it.
+	// Tenant, JobID and Ticks describe a Submit: the submitting tenant, the
+	// job's service-wide ID, and its task durations as the service plays
+	// them — task i's duration in ticks, each ≥ 1. The log is
+	// self-contained: a replay deals the job from these ticks, with no
+	// second quantization.
 	Tenant string
 	JobID  int
-	Tasks  []float64
+	Ticks  []int64
 	// Station is the slot a Join opened or a Leave vacated.
 	Station int
 	// Checkpoint and Adaptive carry a checkpoint-policy change (Checkpoint
@@ -231,9 +237,9 @@ type ServiceStats struct {
 type svcJob struct {
 	id        int
 	tenant    string
-	specs     []float64   // caller-unit durations, for the event log; one per task
-	walTasks  []byte      // specs encoded for the WAL until logged; nil without one
-	tasks     []task.Task // quantized specs until activate deals them; nil after
+	size      int         // the job's task count
+	walTasks  []byte      // its ticks encoded for the WAL until logged; nil without one
+	tasks     []task.Task // the job on the grid until activate deals it; nil after
 	work      quant.Tick
 	base      int // first task ID (contiguous range), set at apply
 	submitted int // round the submission applied; -1 until then
@@ -249,7 +255,7 @@ func (j *svcJob) result(g grid) JobResult {
 	return JobResult{
 		ID:             j.id,
 		Tenant:         j.tenant,
-		Tasks:          len(j.specs),
+		Tasks:          j.size,
 		TasksCompleted: j.doneTasks,
 		JobWork:        g.units(j.work),
 		TaskWork:       g.units(j.doneWork),
@@ -464,15 +470,23 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // record could outgrow the log's 256 MiB line cap, or a stopped service.
 // The job itself enters the fleet at the next round top.
 //
-// Submit copies, validates and quantizes the durations — and, with a WAL,
-// encodes them for the log — on the caller's goroutine before it takes the
-// service lock: O(job) work the caller pays and the round loop never does.
-// The job's WAL record is still exactly what encoding/json writes for it.
+// Submit validates and quantizes the durations once — and, with a WAL,
+// encodes the ticks for the log — on the caller's goroutine before it takes
+// the service lock: O(job) work the caller pays and the round loop never
+// does. It keeps no copy of the caller's durations: the job keeps its
+// tasks on the grid until they are dealt, and its submit event their
+// ticks. The job's WAL record is still exactly what encoding/json writes
+// for it.
 func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 	if len(j.Tasks) == 0 {
 		return nil, fmt.Errorf("fleet: a service job needs ≥ 1 task")
 	}
-	job, err := s.newJob(tenant, append([]float64(nil), j.Tasks...))
+	tasks, work, err := s.f.g.quantizeFlat(j.Tasks)
+	if err != nil {
+		return nil, err
+	}
+	ticks := taskTicks(tasks)
+	job, err := s.newJob(tenant, ticks, tasks, work)
 	if err != nil {
 		return nil, err
 	}
@@ -486,24 +500,20 @@ func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 	}
 	job.id = s.nextJobID
 	s.nextJobID++
-	ev := ServiceEvent{Kind: EventSubmit, Tenant: tenant, JobID: job.id, Tasks: job.specs}
+	ev := ServiceEvent{Kind: EventSubmit, Tenant: tenant, JobID: job.id, Ticks: ticks}
 	s.pendingOps = append(s.pendingOps, op{ev: ev, job: job})
 	s.wake()
 	return &JobHandle{ID: job.id, Tenant: tenant, s: s, j: job}, nil
 }
 
-// newJob builds a job from its caller-unit durations, which it keeps:
-// validated and quantized (task IDs are assigned at apply), and encoded for
-// the WAL when the service has one. It touches no service state, so Submit
-// runs it before taking the lock.
-func (s *Service) newJob(tenant string, specs []float64) (*svcJob, error) {
-	tasks, work, err := s.f.g.quantizeFlat(specs)
-	if err != nil {
-		return nil, err
-	}
+// newJob builds a job from its ticks, the tasks they make in one hand (task
+// i at index i; task IDs are assigned at apply) and their total, encoding
+// the ticks for the WAL when the service has one. It touches no service
+// state, so Submit runs it before taking the lock.
+func (s *Service) newJob(tenant string, ticks []int64, tasks []task.Task, work quant.Tick) (*svcJob, error) {
 	j := &svcJob{
 		tenant:    tenant,
-		specs:     specs,
+		size:      len(tasks),
 		tasks:     tasks,
 		work:      work,
 		submitted: -1,
@@ -511,7 +521,7 @@ func (s *Service) newJob(tenant string, specs []float64) (*svcJob, error) {
 		done:      make(chan struct{}),
 	}
 	if s.cfg.WAL != nil {
-		j.walTasks = appendWALTasks(nil, specs)
+		j.walTasks = jsonl.AppendInt64s(nil, ticks)
 		if n := len(j.walTasks) + 6*len(tenant) + walRecordSlack; n > walMaxLine {
 			return nil, fmt.Errorf("fleet: the job's write-ahead log record could run to %d bytes, over the %d-byte line cap", n, walMaxLine)
 		}
@@ -618,12 +628,12 @@ func (s *Service) logEvent(ev ServiceEvent, tasks []byte) {
 	}
 }
 
-// eventsMatch compares two events for log verification (Tasks by value).
+// eventsMatch compares two events for log verification (Ticks by value).
 func eventsMatch(a, b ServiceEvent) bool {
 	return a.Round == b.Round && a.Kind == b.Kind && a.Tenant == b.Tenant &&
 		a.JobID == b.JobID && a.Station == b.Station &&
 		a.Checkpoint == b.Checkpoint && a.Adaptive == b.Adaptive &&
-		a.Sampled == b.Sampled && slices.Equal(a.Tasks, b.Tasks)
+		a.Sampled == b.Sampled && slices.Equal(a.Ticks, b.Ticks)
 }
 
 // flushWAL pushes buffered log lines to the writer and syncs it: at every
@@ -690,8 +700,14 @@ func (s *Service) applyEvent(ev ServiceEvent, j *svcJob) error {
 	switch ev.Kind {
 	case EventSubmit:
 		if j == nil {
-			var err error
-			if j, err = s.newJob(ev.Tenant, ev.Tasks); err != nil {
+			// A logged job: its ticks dealt straight into one hand, with no
+			// second quantization.
+			hand := []task.Hand{{}}
+			work, err := dealTicks(hand, ev.Ticks)
+			if err == nil {
+				j, err = s.newJob(ev.Tenant, ev.Ticks, hand[0].Tasks, work)
+			}
+			if err != nil {
 				return fmt.Errorf("%w (logged job %d, round %d)", err, ev.JobID, ev.Round)
 			}
 			j.id = ev.JobID
@@ -700,7 +716,7 @@ func (s *Service) applyEvent(ev ServiceEvent, j *svcJob) error {
 		for i := range j.tasks {
 			j.tasks[i].ID = j.base + i
 		}
-		s.nextTaskID += len(j.specs)
+		s.nextTaskID += j.size
 		j.submitted = s.round
 		s.totalWork += j.work
 		s.jobs = append(s.jobs, j)
@@ -782,7 +798,7 @@ func (s *Service) sample() error {
 // tenants in first-submission order, until MaxActive jobs multiplex. An
 // activated job's tasks are dealt into the fleet's group queues, which copy
 // them, so the job lets go of its own: from then on it is counted by its
-// specs.
+// size.
 func (s *Service) activate() {
 	for len(s.active) < s.maxActive && s.queuedTotal > 0 {
 		for i := 0; i < len(s.tenants); i++ {
@@ -835,7 +851,7 @@ func (s *Service) collect() {
 // activeFor finds the active job owning a task ID.
 func (s *Service) activeFor(id int) *svcJob {
 	for _, j := range s.active {
-		if id >= j.base && id < j.base+len(j.specs) {
+		if id >= j.base && id < j.base+j.size {
 			return j
 		}
 	}
@@ -860,7 +876,7 @@ func (s *Service) collectLost() {
 func (s *Service) settle() {
 	kept := s.active[:0]
 	for _, j := range s.active {
-		if j.doneTasks+j.lostTasks < len(j.specs) {
+		if j.doneTasks+j.lostTasks < j.size {
 			kept = append(kept, j)
 			continue
 		}
@@ -1109,7 +1125,9 @@ func (s *Service) resultLocked() ServiceResult {
 // ReplayService re-runs a recorded service run from its event log: the
 // same configuration, churn and fault sampling disabled, and the log's
 // submits, joins, leaves, checkpoint changes, crashes and kill applied at
-// their recorded rounds. The result — job outcomes, fleet accounting, even
+// their recorded rounds. A submit's Ticks are read on cfg's grid and dealt
+// as they are; a tick below 1 or a job whose total overflows the grid fails
+// the replay, naming the task and the logged job. The result — job outcomes, fleet accounting, even
 // the re-logged event sequence — is bit-identical to the original at any
 // Workers setting, a replayed kill re-killing the replay with
 // ErrSchedulerKilled. Like a recovery, the replay checks every event

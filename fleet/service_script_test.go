@@ -229,8 +229,8 @@ func drainChecked(t *testing.T, s *Service) (ServiceResult, error) {
 // checkConserved asserts that the tasks dealt into the Core are exactly
 // those completed, those lost and those still pending there — counted both
 // by the Core and by the jobs the service attributed them to. A job
-// counts its tasks by its durations: once dealt it holds no quantized
-// tasks, and until then it holds them all.
+// counts its tasks by its size: once dealt it holds no quantized tasks,
+// and until then it holds them all.
 func checkConserved(t *testing.T, s *Service) {
 	t.Helper()
 	queued := make(map[*svcJob]bool)
@@ -242,12 +242,12 @@ func checkConserved(t *testing.T, s *Service) {
 	dealt, done, lost := 0, 0, 0
 	for _, j := range s.jobs {
 		switch {
-		case queued[j] && len(j.tasks) != len(j.specs):
-			t.Fatalf("round %d: queued job %d holds %d of its %d quantized tasks", s.round, j.id, len(j.tasks), len(j.specs))
+		case queued[j] && len(j.tasks) != j.size:
+			t.Fatalf("round %d: queued job %d holds %d of its %d quantized tasks", s.round, j.id, len(j.tasks), j.size)
 		case !queued[j] && j.tasks != nil:
 			t.Fatalf("round %d: job %d keeps its %d quantized tasks after they were dealt", s.round, j.id, len(j.tasks))
 		case !queued[j]:
-			dealt += len(j.specs)
+			dealt += j.size
 		}
 		done += j.doneTasks
 		lost += j.lostTasks
@@ -384,7 +384,7 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 			t.Fatal(err)
 		}
 		for _, ev := range logged {
-			if err := writeWALEvent(&edited, ev); err != nil {
+			if err := writeEvent(&edited, ev); err != nil {
 				t.Fatal(err)
 			}
 		}

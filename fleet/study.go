@@ -172,7 +172,7 @@ func (f *Fleet) StudyTicks(ticks []int64, trials int) (*Study, error) {
 	var fj farm.Job
 	if len(ticks) > 0 {
 		fj.Dealt = make([]task.Hand, fm.Groups())
-		if err := dealTicks(fj.Dealt, ticks); err != nil {
+		if _, err := dealTicks(fj.Dealt, ticks); err != nil {
 			return nil, err
 		}
 	}

@@ -6,16 +6,17 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// badDurations are jobs no run can hold: the log cannot encode a non-finite
-// duration, and the tick grid cannot represent a negative one or one whose
-// tick count — alone or summed over the job — overflows. want names the
-// offending task and the cause.
+// badDurations are jobs no run can hold: the tick grid cannot represent a
+// non-finite or negative duration, or one whose tick count — alone or
+// summed over the job — overflows. want names the offending task and the
+// cause.
 var badDurations = []struct {
 	name  string
 	tasks []float64
@@ -29,7 +30,7 @@ var badDurations = []struct {
 	{"job total overflow", []float64{1, 3e17, 3e17}, "task 2: the job's total duration overflows the tick grid"},
 }
 
-// A job with a duration the log cannot hold is refused at Submit, naming
+// A job with a duration the grid cannot hold is refused at Submit, naming
 // the task, instead of stopping the whole WAL'd service at the next round
 // top and failing every other tenant's job with it; a valid job submitted
 // alongside still completes and the log stays readable.
@@ -67,6 +68,75 @@ func TestSubmitRefusesBadDurations(t *testing.T) {
 		if j.walTasks != nil {
 			t.Errorf("job %d keeps its %d encoded WAL bytes after they were logged", j.id, len(j.walTasks))
 		}
+	}
+}
+
+// Submit quantizes a job once and keeps no copy of the caller's durations:
+// its submit event holds the ticks JobTicks gives, and the caller may
+// overwrite its slice at once.
+func TestSubmitLogsTicks(t *testing.T) {
+	f, err := New(serviceFleet(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{Tasks: ExponentialTasks(300, 12, 5)}
+	want, err := f.JobTicks(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewService(ServiceConfig{Fleet: serviceFleet(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit("ana", job); err != nil {
+		t.Fatal(err)
+	}
+	for i := range job.Tasks {
+		job.Tasks[i] = math.NaN()
+	}
+	res, err := s.Drain(context.Background())
+	if err != nil || !res.Jobs[0].Completed {
+		t.Fatalf("Drain: %v, completed %v", err, res.Jobs[0].Completed)
+	}
+	if got := res.Events[0].Ticks; !slices.Equal(got, want) {
+		t.Fatalf("the submit event logged %d ticks %v…, JobTicks gives %v…", len(got), got[:3], want[:3])
+	}
+}
+
+// A logged submit is dealt from its ticks as they are: a replay refuses a
+// tick below 1 or a job whose total overflows the grid, naming the task and
+// the logged job, and so does a recovery of a log that holds such a job.
+func TestReplayRefusesBadTicks(t *testing.T) {
+	ctx := context.Background()
+	cfg := ServiceConfig{Fleet: serviceFleet(1)}
+	cases := []struct {
+		name  string
+		ticks []int64
+		want  string
+	}{
+		{"zero tick", []int64{500, 0}, "task 1 duration must be ≥ 1 tick, got 0 (logged job 3, round 0)"},
+		{"negative tick", []int64{-5}, "task 0 duration must be ≥ 1 tick, got -5 (logged job 3, round 0)"},
+		{"total overflow", []int64{1, math.MaxInt64, 1}, "task 1: the job's total duration overflows the tick grid (logged job 3, round 0)"},
+	}
+	for _, tc := range cases {
+		ev := ServiceEvent{Kind: EventSubmit, Tenant: "ana", JobID: 3, Ticks: tc.ticks}
+		if _, err := ReplayService(ctx, cfg, []ServiceEvent{ev}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: replay error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	var log bytes.Buffer
+	if err := writeWALHeader(&log, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeEvent(&log, ServiceEvent{Kind: EventSubmit, Tenant: "ana", JobID: 3, Ticks: cases[2].ticks}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := RecoverService(cfg, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Drain(ctx); err == nil || !strings.Contains(err.Error(), cases[2].want) {
+		t.Errorf("recovery of an overflowing job: error %v, want one naming %q", err, cases[2].want)
 	}
 }
 
@@ -224,8 +294,9 @@ func runLogged(t *testing.T, kill int, wal *bytes.Buffer) (ServiceResult, error)
 }
 
 // A session's WAL holds exactly json.Marshal's record for every event, and
-// the WAL a recovery re-logs is byte-identical to the one the uninterrupted
-// session wrote — recovered submits go through the same encoder.
+// the WAL a recovery re-logs, at Workers 1 or 8, is byte-identical to the
+// one the uninterrupted session wrote — recovered submits go through the
+// same encoder.
 func TestServiceWALRecoversByteIdentical(t *testing.T) {
 	var full bytes.Buffer
 	want, err := runLogged(t, 0, &full)
@@ -251,16 +322,18 @@ func TestServiceWALRecoversByteIdentical(t *testing.T) {
 			}
 			log = killed.Bytes()
 		}
-		var relogged bytes.Buffer
-		s, err := RecoverService(faultedConfig(1, 0, &relogged), bytes.NewReader(log))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Drain(context.Background()); err != nil {
-			t.Fatalf("kill %d: recovered Drain: %v", kill, err)
-		}
-		if !bytes.Equal(relogged.Bytes(), full.Bytes()) {
-			t.Fatalf("kill %d: the recovery's WAL (%d bytes) differs from the uninterrupted session's (%d bytes)", kill, relogged.Len(), full.Len())
+		for _, workers := range []int{1, 8} {
+			var relogged bytes.Buffer
+			s, err := RecoverService(faultedConfig(workers, 0, &relogged), bytes.NewReader(log))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Drain(context.Background()); err != nil {
+				t.Fatalf("kill %d, workers %d: recovered Drain: %v", kill, workers, err)
+			}
+			if !bytes.Equal(relogged.Bytes(), full.Bytes()) {
+				t.Fatalf("kill %d, workers %d: the recovery's WAL (%d bytes) differs from the uninterrupted session's (%d bytes)", kill, workers, relogged.Len(), full.Len())
+			}
 		}
 	}
 }
@@ -350,7 +423,7 @@ func TestSubmitRefusesRecordsOverTheLineCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := Job{Tasks: FixedTasks(200, 12.5)} // 200 × "12.5," alone is 1,000 bytes
+	big := Job{Tasks: FixedTasks(200, 12.5)} // 200 × "250," alone is 800 bytes
 	if _, err := s.Submit("ana", big); err == nil || !strings.Contains(err.Error(), "line cap") {
 		t.Fatalf("over-cap record: Submit error %v, want the line cap named", err)
 	}

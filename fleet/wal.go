@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -19,18 +18,21 @@ import (
 // one object per ServiceEvent in log order. A session killed by its fault
 // plan closes the log with a final {"kind":"kill"} record.
 //
-//	{"format":"cyclesteal-service-wal","version":1,"ticks_per_setup":100}
-//	{"round":0,"kind":"submit","tenant":"acme","tasks":[12,12,12]}
+//	{"format":"cyclesteal-service-wal","version":2,"ticks_per_setup":100}
+//	{"round":0,"kind":"submit","tenant":"acme","tasks":[240,240,240]}
 //	{"round":3,"kind":"leave","sampled":true,"station":2}
 //	{"round":7,"kind":"kill","sampled":true}
 //
-// Fields at their zero value are omitted. ticks_per_setup pins the grid the
-// durations were quantized on; RecoverService refuses a log whose grid
-// disagrees with the configuration it is given. A line may run to
-// jsonl.MaxLine bytes, the cap the distrib wire frames share.
+// Fields at their zero value are omitted. A submit record carries its job
+// as the grid ticks the service plays, under the key "tasks": task i's
+// duration in ticks of Setup/ticks_per_setup, each ≥ 1. ticks_per_setup
+// names that grid; RecoverService refuses a log whose grid disagrees with
+// the configuration it is given. Version 1 logged caller-unit durations; a
+// log of another version is refused with an error naming both. A line may
+// run to jsonl.MaxLine bytes, the cap the distrib wire frames share.
 const (
 	walFormat  = "cyclesteal-service-wal"
-	walVersion = 1
+	walVersion = 2
 )
 
 // walMaxLine caps one WAL line, for the reader and for Submit, which
@@ -51,42 +53,37 @@ type walHeader struct {
 // walRecord is one event line. Kind travels as the event kind's name, so
 // the log reads without this package's enum values at hand.
 type walRecord struct {
-	Round      int       `json:"round"`
-	Kind       string    `json:"kind"`
-	Sampled    bool      `json:"sampled,omitempty"`
-	Tenant     string    `json:"tenant,omitempty"`
-	JobID      int       `json:"job_id,omitempty"`
-	Tasks      []float64 `json:"tasks,omitempty"`
-	Station    int       `json:"station,omitempty"`
-	Checkpoint float64   `json:"checkpoint,omitempty"`
-	Adaptive   bool      `json:"adaptive,omitempty"`
+	Round      int     `json:"round"`
+	Kind       string  `json:"kind"`
+	Sampled    bool    `json:"sampled,omitempty"`
+	Tenant     string  `json:"tenant,omitempty"`
+	JobID      int     `json:"job_id,omitempty"`
+	Ticks      []int64 `json:"tasks,omitempty"`
+	Station    int     `json:"station,omitempty"`
+	Checkpoint float64 `json:"checkpoint,omitempty"`
+	Adaptive   bool    `json:"adaptive,omitempty"`
 }
 
 func writeWALHeader(w io.Writer, ticksPerSetup int) error {
 	return writeWALLine(w, walHeader{Format: walFormat, Version: walVersion, TicksPerSetup: ticksPerSetup})
 }
 
-// writeWALEvent writes ev's line, encoding its tasks.
-func writeWALEvent(w io.Writer, ev ServiceEvent) error {
-	for i, d := range ev.Tasks {
-		if !finite(d) {
-			return fmt.Errorf("cannot encode task %d duration %g", i, d)
-		}
-	}
-	return writeWALRecord(w, ev, appendWALTasks(nil, ev.Tasks))
-}
-
 // writeWALRecord writes ev's line: exactly the bytes json.Marshal writes for
-// its walRecord, then a newline. tasks is ev.Tasks as appendWALTasks encodes
-// them — a service encodes a job's durations when it is submitted, off the
-// round loop, and the record only splices them in.
+// its walRecord, then a newline. tasks is ev.Ticks as jsonl.AppendInt64s
+// encodes them — a service encodes a job's ticks when it is submitted, off
+// the round loop, and the record only splices them in. The rare checkpoint
+// interval goes through encoding/json, which refuses a NaN or infinite one.
 func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
 	if ev.Kind < 0 || int(ev.Kind) >= len(eventKindNames) {
 		return fmt.Errorf("cannot encode event kind %v", ev.Kind)
 	}
 	kind := eventKindNames[ev.Kind]
-	if !finite(ev.Checkpoint) {
-		return fmt.Errorf("cannot encode checkpoint %g", ev.Checkpoint)
+	var checkpoint []byte
+	if ev.Checkpoint != 0 {
+		var err error
+		if checkpoint, err = json.Marshal(ev.Checkpoint); err != nil {
+			return fmt.Errorf("cannot encode checkpoint: %w", err)
+		}
 	}
 	b := make([]byte, 0, 64)
 	b = strconv.AppendInt(append(b, `{"round":`...), int64(ev.Round), 10)
@@ -100,7 +97,7 @@ func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
 	if ev.JobID != 0 {
 		b = strconv.AppendInt(append(b, `,"job_id":`...), int64(ev.JobID), 10)
 	}
-	if len(ev.Tasks) > 0 {
+	if len(ev.Ticks) > 0 {
 		if _, err := w.Write(append(b, `,"tasks":`...)); err != nil {
 			return err
 		}
@@ -112,8 +109,8 @@ func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
 	if ev.Station != 0 {
 		b = strconv.AppendInt(append(b, `,"station":`...), int64(ev.Station), 10)
 	}
-	if ev.Checkpoint != 0 {
-		b = jsonl.AppendFloat(append(b, `,"checkpoint":`...), ev.Checkpoint)
+	if checkpoint != nil {
+		b = append(append(b, `,"checkpoint":`...), checkpoint...)
 	}
 	if ev.Adaptive {
 		b = append(b, `,"adaptive":true`...)
@@ -121,13 +118,6 @@ func writeWALRecord(w io.Writer, ev ServiceEvent, tasks []byte) error {
 	_, err := w.Write(append(b, "}\n"...))
 	return err
 }
-
-// appendWALTasks appends a submit record's task array: exactly the bytes
-// encoding/json writes for the []float64, by jsonl.AppendFloats. Every
-// duration must be finite; the service validates them (grid.quantize)
-// before they get here. Runs of equal durations, which FixedTasks and NxD
-// job lines produce, cost a copy per task.
-func appendWALTasks(dst []byte, tasks []float64) []byte { return jsonl.AppendFloats(dst, tasks) }
 
 // appendJSONString appends s as encoding/json writes a string: quoted;
 // with ", \ and control characters escaped (\b, \f, \n, \r, \t, else
@@ -182,9 +172,6 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// finite reports whether f is neither NaN nor ±Inf.
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
 func writeWALLine(w io.Writer, v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {
@@ -196,11 +183,11 @@ func writeWALLine(w io.Writer, v any) error {
 }
 
 // decodeWAL parses a whole log strictly: a malformed header, an unknown
-// field or kind, bytes after a line's object, a non-finite number, a round
-// running backwards or a line over walMaxLine bytes is an error naming its
-// line, never a panic and never a silent skip. Blank lines are skipped but
-// counted. Lines decode through jsonl.Unmarshal, the strict decode the
-// distrib wire frames share.
+// field or kind, bytes after a line's object, a tick below 1, a negative
+// checkpoint, a round running backwards or a line over walMaxLine bytes is
+// an error naming its line, never a panic and never a silent skip. Blank
+// lines are skipped but counted. Lines decode through jsonl.Unmarshal, the
+// strict decode the distrib wire frames share.
 func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, walMaxLine)
@@ -236,23 +223,23 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 		if len(events) > 0 && events[len(events)-1].Kind == EventKill {
 			return hdr, nil, fmt.Errorf("fleet: wal: line %d: events after the kill record", n)
 		}
-		if math.IsNaN(rec.Checkpoint) || math.IsInf(rec.Checkpoint, 0) || rec.Checkpoint < 0 {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: checkpoint must be ≥ 0 and finite, got %g", n, rec.Checkpoint)
+		if rec.Checkpoint < 0 { // encoding/json reads no NaN or infinity
+			return hdr, nil, fmt.Errorf("fleet: wal: line %d: checkpoint must be ≥ 0, got %g", n, rec.Checkpoint)
 		}
-		for i, d := range rec.Tasks {
-			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-				return hdr, nil, fmt.Errorf("fleet: wal: line %d: task %d duration must be ≥ 0 and finite, got %g", n, i, d)
+		for i, t := range rec.Ticks {
+			if t < 1 {
+				return hdr, nil, fmt.Errorf("fleet: wal: line %d: task %d duration must be ≥ 1 tick, got %d", n, i, t)
 			}
 		}
-		if len(rec.Tasks) == 0 {
-			rec.Tasks = nil // "tasks":[] and an absent field read the same
+		if len(rec.Ticks) == 0 {
+			rec.Ticks = nil // "tasks":[] and an absent field read the same
 		}
 		events = append(events, ServiceEvent{
 			Round:      rec.Round,
 			Kind:       kind,
 			Tenant:     rec.Tenant,
 			JobID:      rec.JobID,
-			Tasks:      rec.Tasks,
+			Ticks:      rec.Ticks,
 			Station:    rec.Station,
 			Checkpoint: rec.Checkpoint,
 			Adaptive:   rec.Adaptive,
@@ -277,7 +264,7 @@ func decodeWALHeader(line []byte, hdr *walHeader) error {
 		return fmt.Errorf("fleet: wal: format %q, want %q", hdr.Format, walFormat)
 	}
 	if hdr.Version != walVersion {
-		return fmt.Errorf("fleet: wal: version %d, want %d", hdr.Version, walVersion)
+		return fmt.Errorf("fleet: wal: log version %d, but this build reads version %d", hdr.Version, walVersion)
 	}
 	if hdr.TicksPerSetup < 1 {
 		return fmt.Errorf("fleet: wal: ticks_per_setup must be ≥ 1, got %d", hdr.TicksPerSetup)
@@ -287,8 +274,11 @@ func decodeWALHeader(line []byte, hdr *walHeader) error {
 
 // ReadWAL decodes a service write-ahead log into its event sequence,
 // validating the header and every line strictly; the trace-format analogue
-// for service sessions. Feed the events to ReplayService, or hand the raw
-// log to RecoverService to resume the session instead.
+// for service sessions. A submit's Ticks are on the grid the log's header
+// names, which is the writing service's (Fleet.Units converts them to
+// caller units). Feed the events to ReplayService under the same
+// configuration, or hand the raw log to RecoverService to resume the
+// session instead.
 func ReadWAL(r io.Reader) ([]ServiceEvent, error) {
 	_, events, err := decodeWAL(r)
 	return events, err

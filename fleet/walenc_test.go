@@ -7,7 +7,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"cyclesteal/internal/jsonl"
 )
 
 // marshalWALRecord is the reference encoding of an event line: its
@@ -21,7 +24,7 @@ func marshalWALRecord(t testing.TB, ev ServiceEvent) []byte {
 		Sampled:    ev.Sampled,
 		Tenant:     ev.Tenant,
 		JobID:      ev.JobID,
-		Tasks:      ev.Tasks,
+		Ticks:      ev.Ticks,
 		Station:    ev.Station,
 		Checkpoint: ev.Checkpoint,
 		Adaptive:   ev.Adaptive,
@@ -32,9 +35,13 @@ func marshalWALRecord(t testing.TB, ev ServiceEvent) []byte {
 	return append(line, '\n')
 }
 
-// walEdgeFloats are the values where encoding/json's float formatting
-// changes shape: signed zero, the %f/%e cutoffs at 1e-6 and 1e21, the
-// smallest subnormal and the largest finite value.
+// walEdgeTicks are ticks at the digit-count edges, the int64 extremes and
+// the durations the benchmark and tests quantize to.
+var walEdgeTicks = []int64{1, 9, 10, 99, 100, 240, 500, 999, 1000, 1 << 31, 1e18, math.MaxInt64 - 1, math.MaxInt64}
+
+// walEdgeFloats are the checkpoint intervals where encoding/json's float
+// formatting changes shape: signed zero, the %f/%e cutoffs at 1e-6 and
+// 1e21, the smallest subnormal and the largest finite value.
 var walEdgeFloats = []float64{
 	0, math.Copysign(0, -1), 1e-7, 1e-6, 9.999999999999999e-7, 1e21, 9.999999999999999e20,
 	5e-324, math.MaxFloat64, 0.1, 1.0 / 3, 12.5, 5, 123456789.125, 1e-300, 2.5e-9,
@@ -59,10 +66,18 @@ func randomWALFloat(rng *rand.Rand) float64 {
 	}
 }
 
+// randomWALTick draws a tick of any digit count, often an edge value.
+func randomWALTick(rng *rand.Rand) int64 {
+	if rng.Intn(4) == 0 {
+		return walEdgeTicks[rng.Intn(len(walEdgeTicks))]
+	}
+	return 1 + rng.Int63n(math.MaxInt64)>>uint(rng.Intn(63))
+}
+
 // TestWALRecordMatchesJSON is the differential pin for the WAL encoder:
-// every event line, and in particular every submit's task array, comes out
+// every event line, and in particular every submit's tick array, comes out
 // exactly as json.Marshal of its walRecord — for random events of every
-// kind and the float, tenant and ID edge cases.
+// kind and the tick, checkpoint, tenant and ID edge cases.
 func TestWALRecordMatchesJSON(t *testing.T) {
 	tenants := []string{"", "acme", `qu"ote`, `back\slash`, "<b>&amp;</b>", "line sep ", "bad\xff\xfeutf8", "tab\tnew\nline\x00", "ünïcödé"}
 	kinds := []EventKind{EventSubmit, EventJoin, EventLeave, EventCheckpoint, EventCrash, EventKill}
@@ -70,29 +85,26 @@ func TestWALRecordMatchesJSON(t *testing.T) {
 		t.Helper()
 		want := marshalWALRecord(t, ev)
 		var got bytes.Buffer
-		if err := writeWALRecord(&got, ev, appendWALTasks(nil, ev.Tasks)); err != nil {
+		if err := writeEvent(&got, ev); err != nil {
 			t.Fatalf("encoding %+v: %v", ev, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("event %+v encodes as\n%s\nwant\n%s", ev, got.Bytes(), want)
 		}
-		got.Reset()
-		if err := writeWALEvent(&got, ev); err != nil || !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("writeWALEvent(%+v) = %s (%v), want %s", ev, got.Bytes(), err, want)
-		}
 	}
 
-	// Edge cases: each edge float alone, as a run of repeats, and next to
-	// its negation; every tenant; job ID 0.
+	// Edge cases: each edge tick alone, as a run of repeats, and next to
+	// its neighbours; each edge checkpoint; every tenant; job ID 0.
+	for _, d := range walEdgeTicks {
+		check(ServiceEvent{Kind: EventSubmit, Tenant: "acme", Ticks: []int64{d}})
+		check(ServiceEvent{Round: 3, Kind: EventSubmit, JobID: 7, Ticks: []int64{d, d, d, d - 1, d - 1, d}})
+	}
 	for _, f := range walEdgeFloats {
-		check(ServiceEvent{Kind: EventSubmit, Tenant: "acme", Tasks: []float64{f}})
-		check(ServiceEvent{Round: 3, Kind: EventSubmit, JobID: 7, Tasks: []float64{f, f, f, -f, -f, f}})
 		check(ServiceEvent{Round: 1, Kind: EventCheckpoint, Checkpoint: f, Adaptive: true})
 	}
-	check(ServiceEvent{Kind: EventSubmit, Tasks: []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), math.Copysign(0, -1)}})
-	check(ServiceEvent{Kind: EventSubmit, Tasks: walEdgeFloats})
+	check(ServiceEvent{Kind: EventSubmit, Ticks: walEdgeTicks})
 	for _, tenant := range tenants {
-		check(ServiceEvent{Round: 2, Kind: EventSubmit, Tenant: tenant, JobID: 0, Tasks: []float64{5, 5}})
+		check(ServiceEvent{Round: 2, Kind: EventSubmit, Tenant: tenant, JobID: 0, Ticks: []int64{500, 500}})
 	}
 	check(ServiceEvent{Kind: EventSubmit, Tenant: "acme"}) // a logged submit with no tasks
 
@@ -116,9 +128,9 @@ func TestWALRecordMatchesJSON(t *testing.T) {
 			}
 			ev.JobID = rng.Intn(3) * rng.Intn(1<<20)
 			for n := rng.Intn(40); n > 0; n-- {
-				d := randomWALFloat(rng)
+				d := randomWALTick(rng)
 				for run := 1 + rng.Intn(4); run > 0 && n > 0; run-- {
-					ev.Tasks = append(ev.Tasks, d)
+					ev.Ticks = append(ev.Ticks, d)
 					n--
 				}
 			}
@@ -140,76 +152,79 @@ func randomTenant(rng *rand.Rand) string {
 	return string(b)
 }
 
-// A duration or checkpoint encoding/json refuses is refused here too: the
-// log never holds a line it could not read back.
+// A checkpoint encoding/json refuses is refused here too: the log never
+// holds a line it could not read back.
 func TestWALEncoderRefusesNonFinite(t *testing.T) {
 	for _, ev := range []ServiceEvent{
-		{Kind: EventSubmit, Tasks: []float64{1, math.NaN()}},
-		{Kind: EventSubmit, Tasks: []float64{math.Inf(1)}},
 		{Kind: EventCheckpoint, Checkpoint: math.NaN()},
+		{Kind: EventCheckpoint, Checkpoint: math.Inf(1)},
 		{Kind: EventCheckpoint, Checkpoint: math.Inf(-1)},
+		{Kind: EventSubmit, Ticks: []int64{5, 5}, Checkpoint: math.NaN()},
 	} {
-		if err := writeWALEvent(io.Discard, ev); err == nil {
-			t.Errorf("encoded %+v", ev)
+		var line bytes.Buffer
+		if err := writeEvent(&line, ev); err == nil || line.Len() != 0 {
+			t.Errorf("encoded %+v as %q (%v)", ev, line.Bytes(), err)
 		}
 	}
 }
 
-// walTasksFromBytes turns fuzz bytes into a finite duration slice with
-// runs of repeats. Each step reads a control byte: an odd one repeats the
-// last duration 1 to 8 times, an even one takes the next 8 bytes as a
-// float64 (non-finite values are dropped).
-func walTasksFromBytes(data []byte) []float64 {
-	tasks := []float64{}
+// walTicksFromBytes turns fuzz bytes into a tick slice with runs of
+// repeats. Each step reads a control byte: an odd one repeats the last
+// tick 1 to 8 times, an even one takes the next 8 bytes as an int64.
+func walTicksFromBytes(data []byte) []int64 {
+	ticks := []int64{}
 	for len(data) > 0 {
 		c := data[0]
 		data = data[1:]
-		if c&1 == 1 && len(tasks) > 0 {
+		if c&1 == 1 && len(ticks) > 0 {
 			for n := int(c>>1)%8 + 1; n > 0; n-- {
-				tasks = append(tasks, tasks[len(tasks)-1])
+				ticks = append(ticks, ticks[len(ticks)-1])
 			}
 			continue
 		}
 		if len(data) < 8 {
 			break
 		}
-		if d := math.Float64frombits(binary.LittleEndian.Uint64(data)); finite(d) {
-			tasks = append(tasks, d)
-		}
+		ticks = append(ticks, int64(binary.LittleEndian.Uint64(data)))
 		data = data[8:]
 	}
-	return tasks
+	return ticks
 }
 
-// FuzzWALTasks is the differential fuzz target for the task-array encoder:
-// for any finite durations, with or without repeats, its bytes are
-// json.Marshal's — and so is the whole submit record, with the fuzz bytes
-// as its tenant.
+// FuzzWALTasks is the differential fuzz target for the tick-array encoder
+// the WAL and the distrib study frame share (jsonl.AppendInt64s): for any
+// ticks, with or without repeats, its bytes are json.Marshal's and
+// encoding/json decodes them into an []int64 to the same values — and the
+// whole submit record is json.Marshal's, with the fuzz bytes as its tenant.
 func FuzzWALTasks(f *testing.F) {
-	seed := func(vals ...float64) []byte {
+	seed := func(vals ...int64) []byte {
 		var b []byte
 		for _, v := range vals {
 			b = append(b, 0)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 			b = append(b, 7) // repeat it 4 times
 		}
 		return b
 	}
 	f.Add([]byte{})
-	f.Add(seed(5))
-	f.Add(seed(walEdgeFloats...))
-	f.Add(seed(0, math.Copysign(0, -1), -1e-7, -1e21))
+	f.Add(seed(500))
+	f.Add(seed(walEdgeTicks...))
+	f.Add(seed(0, -1, math.MinInt64, 99, 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tasks := walTasksFromBytes(data)
-		want, err := json.Marshal(tasks)
+		ticks := walTicksFromBytes(data)
+		want, err := json.Marshal(ticks)
 		if err != nil {
-			t.Fatalf("json.Marshal(%v): %v", tasks, err)
+			t.Fatalf("json.Marshal(%v): %v", ticks, err)
 		}
-		got := appendWALTasks(nil, tasks)
+		got := jsonl.AppendInt64s(nil, ticks)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("appendWALTasks(%v) = %s, json.Marshal %s", tasks, got, want)
+			t.Fatalf("AppendInt64s(%v) = %s, json.Marshal %s", ticks, got, want)
 		}
-		ev := ServiceEvent{Round: len(data), Kind: EventSubmit, Tenant: string(data), JobID: len(tasks), Tasks: tasks}
+		var back []int64
+		if err := json.Unmarshal(got, &back); err != nil || !slices.Equal(back, ticks) {
+			t.Fatalf("AppendInt64s(%v) = %s decodes to %v (%v)", ticks, got, back, err)
+		}
+		ev := ServiceEvent{Round: len(data), Kind: EventSubmit, Tenant: string(data), JobID: len(ticks), Ticks: ticks}
 		var line bytes.Buffer
 		if err := writeWALRecord(&line, ev, got); err != nil {
 			t.Fatal(err)
@@ -221,14 +236,18 @@ func FuzzWALTasks(f *testing.F) {
 }
 
 // BenchmarkFleetWALSubmit prices what a WAL'd Submit adds per job: encoding
-// one 20,000-task submit event from an NxD job line ("20000x5") into its
-// log record.
+// one 20,000-task submit event from an NxD job line ("20000x5" at Setup 1,
+// 500 ticks a task) into its log record.
 func BenchmarkFleetWALSubmit(b *testing.B) {
-	ev := ServiceEvent{Round: 137, Kind: EventSubmit, Tenant: "tenant-1", JobID: 42, Tasks: FixedTasks(20000, 5)}
+	ticks := make([]int64, 20000)
+	for i := range ticks {
+		ticks[i] = 500
+	}
+	ev := ServiceEvent{Round: 137, Kind: EventSubmit, Tenant: "tenant-1", JobID: 42, Ticks: ticks}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeWALRecord(io.Discard, ev, appendWALTasks(nil, ev.Tasks)); err != nil {
+		if err := writeWALRecord(io.Discard, ev, jsonl.AppendInt64s(nil, ev.Ticks)); err != nil {
 			b.Fatal(err)
 		}
 	}

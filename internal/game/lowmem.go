@@ -9,18 +9,20 @@ import "cyclesteal/internal/quant"
 // smaller lifespans, so two rows suffice.
 //
 // It fills each row with the same forward pass as Solve, in the same time,
-// and widens the top row to ticks once.
+// and widens the top row to ticks once. Like Solve it stops at row
+// min(P, ⌈U/c⌉), past which every row is the same zero row (package doc).
 //
 // The returned slice r satisfies r[L] == Solve(P, U, c).Value(P, L).
 func SolveValueRow(P int, U, c quant.Tick) ([]quant.Tick, error) {
-	if err := validate(P, U, c); err != nil {
+	last, err := validate(P, U, c, false)
+	if err != nil {
 		return nil, err
 	}
 	w := int(U) + 1
 	rows := make([]int32, 2*w)
 	prev, cur := rows[:w:w], rows[w:]
 	fillBase(prev, c)
-	for q := 1; q <= P; q++ {
+	for q := 1; q <= last; q++ {
 		fillRow(cur, prev, c)
 		prev, cur = cur, prev
 	}

@@ -45,6 +45,14 @@
 //
 // Monotonicity makes both answers exactly those of a full bisection per
 // cell; TestHintedSearchMatchesBisection pins every entry point against one.
+//
+// No table needs more than ⌈U/c⌉+1 rows, whatever P. On the tick grid
+// V(q, L) = 0 for L ≤ (q+1)c (Prop. 4.1(c); by induction on q, then on L),
+// so row ⌈U/c⌉−1 is zero on all of [0, U]; and V is nonincreasing in q, so
+// every later row is that same zero row. Solve and SolveValueRow therefore
+// fill rows 0..min(P, ⌈U/c⌉) only, and a table reads any q past its last
+// stored row from that row: past the paper's zero-work threshold an
+// interrupt bound costs nothing, however large.
 package game
 
 import (
@@ -65,10 +73,11 @@ const _ = uint32(1<<31 - 1 - 2*maxTableEntries)
 
 // Solver holds the exact value tables V(q, L) for q = 0..P, L = 0..U.
 type Solver struct {
-	c quant.Tick
-	p int
-	u quant.Tick
-	v []int32 // V(q, L) at v[q·(U+1) + L], all rows in one slab
+	c    quant.Tick
+	p    int
+	u    quant.Tick
+	last int     // the last stored row; every row past it equals it
+	v    []int32 // V(q, L) at v[q·(U+1) + L] for q ≤ last, in one slab
 }
 
 // Solve computes the value tables with the crossing-point method. P is the
@@ -76,27 +85,29 @@ type Solver struct {
 //
 // Each row V(q, ·) is filled in increasing L by one forward pass whose
 // crossing pointer never moves back (see the package doc), so the table
-// takes O(P·U) time. Memory is one slab of (P+1)·(U+1) int32 values.
+// takes O(R·U) time for R = min(P, ⌈U/c⌉) + 1 rows, the only rows it
+// stores: memory is one slab of R·(U+1) int32 values, at any P.
 func Solve(P int, U, c quant.Tick) (*Solver, error) {
-	s, err := newSolver(P, U, c)
+	s, err := newSolver(P, U, c, false)
 	if err != nil {
 		return nil, err
 	}
-	for q := 1; q <= P; q++ {
+	for q := 1; q <= s.last; q++ {
 		fillRow(s.row(q), s.row(q-1), c)
 	}
 	return s, nil
 }
 
 // SolveReference computes the same tables by brute force over every first
-// period length — O(P·U²). It exists to cross-check the fast solver and for
-// the E9 ablation; use only for small U.
+// period length — O(P·U²) — storing all P+1 rows, with no zero-row bound
+// to lean on. It exists to cross-check the fast solver and for the E9
+// ablation; use only for small U and P.
 func SolveReference(P int, U, c quant.Tick) (*Solver, error) {
-	s, err := newSolver(P, U, c)
+	s, err := newSolver(P, U, c, true)
 	if err != nil {
 		return nil, err
 	}
-	for q := 1; q <= P; q++ {
+	for q := 1; q <= s.last; q++ {
 		cur, prev := s.row(q), s.row(q-1)
 		for L := quant.Tick(1); L <= U; L++ {
 			var best quant.Tick
@@ -111,34 +122,44 @@ func SolveReference(P int, U, c quant.Tick) (*Solver, error) {
 	return s, nil
 }
 
-func validate(P int, U, c quant.Tick) error {
+// validate checks the shape and returns the last row a table over it
+// stores: min(P, ⌈U/c⌉), or P for a full table. Only the stored rows count
+// toward maxTableEntries.
+func validate(P int, U, c quant.Tick, full bool) (last int, err error) {
 	switch {
 	case P < 0:
-		return fmt.Errorf("game: interrupt bound must be ≥ 0, got %d", P)
+		return 0, fmt.Errorf("game: interrupt bound must be ≥ 0, got %d", P)
 	case U < 0:
-		return fmt.Errorf("game: lifespan must be ≥ 0, got %d", U)
+		return 0, fmt.Errorf("game: lifespan must be ≥ 0, got %d", U)
 	case c < 1:
-		return fmt.Errorf("game: setup cost must be ≥ 1 tick, got %d", c)
+		return 0, fmt.Errorf("game: setup cost must be ≥ 1 tick, got %d", c)
+	}
+	last = P
+	if !full && U < maxTableEntries {
+		last = int(min(int64(P), (U+c-1)/c))
 	}
 	// Each factor is bounded first so that the product cannot wrap.
-	if int64(P) >= maxTableEntries || U >= maxTableEntries || (int64(P)+1)*(U+1) > maxTableEntries {
-		return fmt.Errorf("game: value table for P=%d, U=%d would need more than %d entries; coarsen the quantum", P, U, maxTableEntries)
+	if int64(last) >= maxTableEntries || U >= maxTableEntries || (int64(last)+1)*(U+1) > maxTableEntries {
+		return 0, fmt.Errorf("game: value table for P=%d, U=%d would need more than %d entries; coarsen the quantum", P, U, maxTableEntries)
 	}
-	return nil
+	return last, nil
 }
 
-// newSolver validates the shape, allocates the slab and fills V(0, ·).
-func newSolver(P int, U, c quant.Tick) (*Solver, error) {
-	if err := validate(P, U, c); err != nil {
+// newSolver validates the shape, allocates the slab of stored rows (all
+// P+1 when full) and fills V(0, ·).
+func newSolver(P int, U, c quant.Tick, full bool) (*Solver, error) {
+	last, err := validate(P, U, c, full)
+	if err != nil {
 		return nil, err
 	}
-	s := &Solver{c: c, p: P, u: U, v: make([]int32, (P+1)*int(U+1))}
+	s := &Solver{c: c, p: P, u: U, last: last, v: make([]int32, (last+1)*int(U+1))}
 	fillBase(s.row(0), c)
 	return s, nil
 }
 
-// row returns V(q, ·) as a slice of the slab.
+// row returns V(q, ·) as a slice of the slab: the stored row min(q, last).
 func (s *Solver) row(q int) []int32 {
+	q = min(q, s.last)
 	w := int(s.u) + 1
 	return s.v[q*w : (q+1)*w : (q+1)*w]
 }

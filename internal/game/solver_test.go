@@ -3,6 +3,7 @@ package game
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cyclesteal/internal/quant"
@@ -22,16 +23,80 @@ func TestSolveValidation(t *testing.T) {
 	if _, err := Solve(1<<20, 1<<20, 10); err == nil {
 		t.Error("oversized table accepted")
 	}
-	// (P+1)(U+1) wraps to 0 in 64 bits at both shapes.
+	// (P+1)(U+1) wraps to 0 in 64 bits at both shapes. A full table refuses
+	// both; the fast solvers refuse the lifespan past the cap, and at
+	// P = MaxInt, U = 1 store two rows, the second already zero.
 	for _, sh := range []struct {
 		P int
 		U quant.Tick
-	}{{math.MaxInt, 1}, {3, 1<<62 - 1}} {
+	}{{math.MaxInt, 1}, {3, 1<<62 - 1}, {math.MaxInt, 1<<62 - 1}} {
+		if _, err := SolveReference(sh.P, sh.U, 10); err == nil {
+			t.Errorf("P=%d U=%d: SolveReference accepted a table whose size wraps", sh.P, sh.U)
+		}
+		if sh.U == 1 {
+			continue
+		}
 		if _, err := Solve(sh.P, sh.U, 10); err == nil {
 			t.Errorf("P=%d U=%d: table whose size wraps accepted", sh.P, sh.U)
 		}
 		if _, err := SolveValueRow(sh.P, sh.U, 10); err == nil {
 			t.Errorf("P=%d U=%d: SolveValueRow accepted a table whose size wraps", sh.P, sh.U)
+		}
+	}
+	s, err := Solve(math.MaxInt, 1, 10)
+	if err != nil || len(s.v) != 2*2 || s.Value(math.MaxInt, 1) != 0 {
+		t.Errorf("Solve(MaxInt, 1, 10): %v, storing %d cells", err, len(s.v))
+	}
+	if row, err := SolveValueRow(math.MaxInt, 1, 10); err != nil || row[1] != 0 {
+		t.Errorf("SolveValueRow(MaxInt, 1, 10) = %v, %v; want zero work", row, err)
+	}
+}
+
+// A table stores rows 0..min(P, ⌈U/c⌉) and reads every later row from its
+// last: V(q, L) = 0 for L ≤ (q+1)c and V is nonincreasing in q, so row
+// ⌈U/c⌉−1 is already zero on [0, U]. Value, OptimalEpisode and
+// SolveValueRow match a full SolveReference table cell for cell, at
+// interrupt bounds on both sides of ⌈U/c⌉ and lifespans on and off a
+// multiple of c.
+func TestZeroRowBoundMatchesFullTable(t *testing.T) {
+	for _, sh := range []struct {
+		U, c quant.Tick
+	}{{60, 7}, {63, 7}, {64, 7}, {20, 1}, {45, 11}, {0, 3}, {2, 5}} {
+		k := int((sh.U + sh.c - 1) / sh.c) // ⌈U/c⌉
+		for _, P := range []int{0, 1, k - 2, k - 1, k, k + 1, k + 2, 2*k + 5} {
+			if P < 0 {
+				continue
+			}
+			fast, err := Solve(P, sh.U, sh.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := SolveReference(P, sh.U, sh.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, want := len(fast.v)/int(sh.U+1), min(P, k)+1; rows != want {
+				t.Errorf("U=%d c=%d P=%d: %d rows stored, want min(P, ⌈U/c⌉)+1 = %d", sh.U, sh.c, P, rows, want)
+			}
+			row, err := SolveValueRow(P, sh.U, sh.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p <= P; p++ {
+				for L := quant.Tick(0); L <= sh.U; L++ {
+					if got, want := fast.Value(p, L), ref.Value(p, L); got != want {
+						t.Fatalf("U=%d c=%d P=%d: V(%d,%d) = %d, full table %d", sh.U, sh.c, P, p, L, got, want)
+					}
+					if got, want := fast.OptimalEpisode(p, L), ref.OptimalEpisode(p, L); !slices.Equal(got, want) {
+						t.Fatalf("U=%d c=%d P=%d: episode(%d,%d) = %v, full table %v", sh.U, sh.c, P, p, L, got, want)
+					}
+				}
+			}
+			for L, v := range row {
+				if want := ref.Value(P, quant.Tick(L)); v != want {
+					t.Fatalf("U=%d c=%d P=%d: SolveValueRow[%d] = %d, full table %d", sh.U, sh.c, P, L, v, want)
+				}
+			}
 		}
 	}
 }

@@ -54,7 +54,6 @@ type allowed struct {
 // allowlist is every name in scope that no library code reaches. A new
 // entry needs a kind and a test that uses it; anything else goes.
 var allowlist = []allowed{
-	{"fleet.writeWALEvent", helper, "fleet.TestWALRoundTrip"},
 	{"internal/expect.ExpectedWork", oracle, "internal/expect.TestSolverDominatesFixedSchedules"},
 	{"internal/expect.Solver.Value", observer, "internal/expect.TestSolverMonotoneInL"},
 	{"internal/farm.Core.Total", observer, "internal/farm.TestCrossStealLossTimeoutRetryDegrade"},
