@@ -41,7 +41,6 @@ package cyclesteal
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"cyclesteal/internal/game"
@@ -85,10 +84,10 @@ type Adversary = sim.Interrupter
 // goroutines too; a stochastic adversary carries its own random source and
 // belongs to one goroutine.
 type Engine struct {
-	opp    Opportunity
-	ticksC quant.Tick // grid resolution: ticks per setup cost
-	u      quant.Tick
-	p      int
+	opp Opportunity
+	g   quant.Grid // the opportunity's setup cost, g.TicksPerSetup ticks each
+	u   quant.Tick
+	p   int
 
 	solveOnce sync.Once
 	solver    *game.Solver // built by the first ensureSolver, with solveErr
@@ -107,7 +106,7 @@ func WithTicksPerSetup(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("cyclesteal: ticks per setup must be ≥ 1, got %d", n)
 		}
-		e.ticksC = quant.Tick(n)
+		e.g.TicksPerSetup = quant.Tick(n)
 		return nil
 	}
 }
@@ -118,38 +117,17 @@ func New(o Opportunity, opts ...Option) (*Engine, error) {
 	if err := mo.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{opp: o, ticksC: 100, p: o.Interrupts}
+	e := &Engine{opp: o, g: quant.Grid{Setup: o.Setup, TicksPerSetup: quant.DefaultTicksPerSetup}, p: o.Interrupts}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
 		}
 	}
-	var ok bool
-	if e.u, ok = gridTicks(o.Lifespan, o.Setup, float64(e.ticksC)); !ok {
-		return nil, fmt.Errorf("cyclesteal: lifespan %w", gridError(o.Lifespan))
+	var err error
+	if e.u, err = e.g.Ticks(o.Lifespan); err != nil {
+		return nil, fmt.Errorf("cyclesteal: lifespan %w", err)
 	}
 	return e, nil
-}
-
-// gridTicks puts a duration of units on a grid of ticksPerSetup ticks per
-// setup cost: the nearest tick, at least 1. It reports false for a NaN,
-// infinite or negative duration and for one whose tick count overflows a
-// quant.Tick: converting such a float64 to int64 gives an
-// implementation-dependent value. Simulate converts every task of a new
-// list through it, so it stays small enough to inline; a list equal to the
-// last one converted on a call's pooled scratch is not converted again,
-// and a caller may change its list between calls.
-func gridTicks(units, setup, ticksPerSetup float64) (quant.Tick, bool) {
-	x := math.Round(units / setup * ticksPerSetup)
-	return max(quant.Tick(x), 1), units >= 0 && x < math.MaxInt64
-}
-
-// gridError gives the cause for a duration ticks refused.
-func gridError(units float64) error {
-	if !(units >= 0) || math.IsInf(units, 0) {
-		return fmt.Errorf("must be ≥ 0 and finite, got %g", units)
-	}
-	return fmt.Errorf("%g overflows the tick grid", units)
 }
 
 // refusal is what a constructor returns for a value it refuses, so that
@@ -179,38 +157,36 @@ func refused(v any) error {
 func (e *Engine) Opportunity() Opportunity { return e.opp }
 
 // Ticks reports the internal grid: lifespan and setup cost in ticks.
-func (e *Engine) Ticks() (U, c quant.Tick) { return e.u, e.ticksC }
+func (e *Engine) Ticks() (U, c quant.Tick) { return e.u, e.g.TicksPerSetup }
 
 // Units converts ticks back to the caller's time units.
-func (e *Engine) Units(t quant.Tick) float64 {
-	return float64(t) / float64(e.ticksC) * e.opp.Setup
-}
+func (e *Engine) Units(t quant.Tick) float64 { return e.g.Units(t) }
 
 // --- schedule constructors ----------------------------------------------------
 
 // NonAdaptive returns the §3.1 guideline: m = ⌊√(pU/c)⌋ equal periods, tail
 // semantics on interrupts, one long period after the last interrupt.
 func (e *Engine) NonAdaptive() (Scheduler, error) {
-	return sched.NewNonAdaptive(e.u, e.p, e.ticksC)
+	return sched.NewNonAdaptive(e.u, e.p, e.g.TicksPerSetup)
 }
 
 // AdaptiveGuideline returns the §3.2 printed guideline Σ_a. The scanned
 // paper's adjustment-period constant is damaged; sched.AdaptiveGuideline
 // documents the (p+½)c reading used here.
 func (e *Engine) AdaptiveGuideline() (Scheduler, error) {
-	return sched.NewAdaptiveGuideline(e.ticksC)
+	return sched.NewAdaptiveGuideline(e.g.TicksPerSetup)
 }
 
 // AdaptiveEqualized returns the schedule obtained by carrying out Theorem
 // 4.3's equalization program exactly — optimal to within low-order additive
 // terms at every p, and the scheduler most callers want.
 func (e *Engine) AdaptiveEqualized() (Scheduler, error) {
-	return sched.NewAdaptiveEqualized(e.ticksC)
+	return sched.NewAdaptiveEqualized(e.g.TicksPerSetup)
 }
 
 // OptimalP1 returns the closed-form optimal schedule for p = 1 (§5.2).
 func (e *Engine) OptimalP1() (Scheduler, error) {
-	return sched.NewOptimalP1(e.ticksC)
+	return sched.NewOptimalP1(e.g.TicksPerSetup)
 }
 
 // Optimal returns the exactly optimal adaptive scheduler, backed by the game
@@ -233,9 +209,9 @@ func (e *Engine) EqualSplit(m int) Scheduler { return sched.EqualSplit{M: m} }
 // or one the tick grid cannot hold, gives a schedule that GuaranteedWork,
 // WorstCase and Simulate refuse with an error naming the value.
 func (e *Engine) FixedChunk(units float64) Scheduler {
-	t, ok := gridTicks(units, e.opp.Setup, float64(e.ticksC))
-	if !ok {
-		return refusal{fmt.Errorf("cyclesteal: FixedChunk length %w", gridError(units))}
+	t, err := e.g.Ticks(units)
+	if err != nil {
+		return refusal{fmt.Errorf("cyclesteal: FixedChunk length %w", err)}
 	}
 	return sched.FixedChunk{T: t}
 }
@@ -249,7 +225,7 @@ func (e *Engine) GuaranteedWork(s Scheduler) (float64, error) {
 	if err := refused(s); err != nil {
 		return 0, err
 	}
-	w, err := game.Evaluate(s, e.p, e.u, e.ticksC)
+	w, err := game.Evaluate(s, e.p, e.u, e.g.TicksPerSetup)
 	if err != nil {
 		return 0, err
 	}
@@ -296,7 +272,7 @@ func (e *Engine) WorstCase(s Scheduler) (float64, Adversary, error) {
 	if err := refused(s); err != nil {
 		return 0, nil, err
 	}
-	w, br, err := game.EvaluateWithStrategy(s, e.p, e.u, e.ticksC)
+	w, br, err := game.EvaluateWithStrategy(s, e.p, e.u, e.g.TicksPerSetup)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -308,7 +284,7 @@ func (e *Engine) WorstCase(s Scheduler) (float64, Adversary, error) {
 // every later call.
 func (e *Engine) ensureSolver() error {
 	e.solveOnce.Do(func() {
-		s, err := game.Solve(e.p, e.u, e.ticksC)
+		s, err := game.Solve(e.p, e.u, e.g.TicksPerSetup)
 		if err != nil {
 			e.solveErr = fmt.Errorf("cyclesteal: solving the game (consider a coarser WithTicksPerSetup): %w", err)
 			return
@@ -324,7 +300,11 @@ func (e *Engine) ensureSolver() error {
 // caller's time units.
 type Predictions struct {
 	// ZeroWork reports whether U ≤ (p+1)c — no schedule can guarantee
-	// anything (Prop. 4.1(c)).
+	// anything (Prop. 4.1(c)). That is the paper's continuum threshold. On
+	// the tick grid OptimalWork stays 0 up to U = (p+1)c + p ticks, so
+	// ZeroWork implies an OptimalWork of 0 but not the converse: at Setup
+	// 1, p = 99 and 100 ticks per setup, Lifespan 100.5 reports ZeroWork
+	// false and OptimalWork 0, and Lifespan 101 OptimalWork 0.01.
 	ZeroWork bool
 	// NonAdaptiveWork is the §3.1 guideline's guaranteed output,
 	// (m−p)(U/m − c).

@@ -433,6 +433,42 @@ func TestOptimalWorkPastZeroWork(t *testing.T) {
 	}
 }
 
+// Predict's ZeroWork is the paper's continuum threshold U ≤ (p+1)c, and on
+// the tick grid OptimalWork stays 0 up to (p+1)c + p ticks: at Setup 1,
+// p = 99 and the default grid the two agree at Lifespan 100 and 101 and
+// part between them. ZeroWork implies an OptimalWork of 0, and OptimalWork
+// is 0 exactly when U in ticks is at most (p+1)c + p.
+func TestZeroWorkOnTheGrid(t *testing.T) {
+	const p = 99
+	for _, c := range []struct {
+		lifespan float64
+		zeroWork bool
+		optimal  float64
+	}{
+		{100, true, 0},
+		{100.5, false, 0},
+		{100.99, false, 0},
+		{101, false, 0.01},
+	} {
+		e := engine(t, Opportunity{Lifespan: c.lifespan, Interrupts: p, Setup: 1})
+		w, err := e.OptimalWork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero := e.Predict().ZeroWork
+		if zero != c.zeroWork || w != c.optimal {
+			t.Errorf("lifespan %g: ZeroWork %v, OptimalWork %g; want %v, %g", c.lifespan, zero, w, c.zeroWork, c.optimal)
+		}
+		if zero && w != 0 {
+			t.Errorf("lifespan %g: ZeroWork, but OptimalWork is %g", c.lifespan, w)
+		}
+		U, ticksC := e.Ticks()
+		if threshold := (p+1)*ticksC + p; (w == 0) != (U <= threshold) {
+			t.Errorf("lifespan %g: OptimalWork %g at %d ticks, grid threshold %d", c.lifespan, w, U, threshold)
+		}
+	}
+}
+
 func TestFixedChunkAndEqualSplit(t *testing.T) {
 	e := engine(t, Opportunity{Lifespan: 100, Interrupts: 1, Setup: 1})
 	fc := e.FixedChunk(10)
@@ -647,7 +683,8 @@ func TestPoissonHugeMeanSimulatesLikeNoAdversary(t *testing.T) {
 // Simulate on pooled scratch must match a run on fresh buffers and a fresh
 // bag, call after call: as the task count grows, shrinks and drops to none;
 // as one list repeats, changes in place, shrinks and regrows in place; after
-// a refused list; and as Engines on three grids take turns with one list.
+// a refused list, or one whose total overflows the grid; and as Engines on
+// three grids take turns with one list.
 // On one goroutine consecutive calls mostly borrow the same scratch, so a
 // converted list kept too long, or played where the bag can write it,
 // shows as a wrong result.
@@ -668,7 +705,7 @@ func TestSimulatePooledMatchesFreshRun(t *testing.T) {
 		U, c := e.Ticks()
 		tasks := make([]task.Task, len(durations))
 		for i, d := range durations {
-			ticks, ok := gridTicks(d, e.Opportunity().Setup, float64(c))
+			ticks, ok := quant.GridTicks(d, e.Opportunity().Setup, float64(c))
 			if !ok {
 				t.Fatalf("%s: task %d duration %g is off the grid", what, i, d)
 			}
@@ -746,6 +783,8 @@ func TestSimulatePooledMatchesFreshRun(t *testing.T) {
 	bad[300] = 1e300
 	refuse(bad, "cyclesteal: task 300 duration 1e+300 overflows the tick grid")
 	check(e, durations, "the list converted before an overflow")
+	refuse([]float64{1, 3e17, 3e17}, "cyclesteal: task 2: the job's total duration overflows the tick grid")
+	check(e, durations, "the list converted before an overflowing total")
 
 	engines := []*Engine{
 		e,

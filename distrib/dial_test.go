@@ -88,6 +88,9 @@ func TestDialRefusesBadHandshakes(t *testing.T) {
 			s.send(Frame{Kind: FrameProgress, Done: 1, Total: 2})
 		}, 0, []string{`expected hello, got "progress"`}},
 		{"a worker that exits before its hello", hangUp, 0, []string{"worker exited before hello"}},
+		{"a worker that hangs up after its hello", func(s *stream) {
+			s.send(Frame{Kind: FrameHello, Format: wireFormat, Version: wireVersion})
+		}, 0, []string{"sending study"}},
 		{"a silent worker", func(s *stream) {
 			for {
 				if _, err := s.recv(); err != nil {

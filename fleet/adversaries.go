@@ -58,7 +58,7 @@ func (o Scripted) model(b binding) (station.OwnerModel, error) {
 		if !(u > 0) {
 			return nil, fmt.Errorf("fleet: scripted offset %d must be > 0, got %g", i, u)
 		}
-		if offs[i], err = b.g.checkedTicks(u); err != nil {
+		if offs[i], err = b.g.Ticks(u); err != nil {
 			return nil, fmt.Errorf("fleet: scripted offset %d %w", i, err)
 		}
 	}
@@ -105,7 +105,7 @@ func (o Poisson) model(b binding) (station.OwnerModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := b.g.checkedTicks(o.Mean)
+	t, err := b.g.Ticks(o.Mean)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: poisson mean %w", err)
 	}
@@ -141,7 +141,7 @@ func (o SampledWorst) model(b binding) (station.OwnerModel, error) {
 	if o.Candidates < 0 {
 		return nil, fmt.Errorf("fleet: sampled-worst candidates must be ≥ 0, got %d", o.Candidates)
 	}
-	setup := b.g.ticksC
+	setup := b.g.TicksPerSetup
 	return overrideModel{base: base, label: "sampled-worst", mk: func(rng *rand.Rand, _ station.Contract) sim.Interrupter {
 		return &adversary.SampledWorst{Rng: rng, C: setup, K: o.Candidates}
 	}}, nil

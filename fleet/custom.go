@@ -18,7 +18,8 @@ type Contract struct {
 	// Lifespan is the lent stretch in caller time units. A sampled contract
 	// with Lifespan ≤ 0 is skipped: the station offers nothing this
 	// opportunity (how an availability process says "the machine stayed
-	// busy").
+	// busy"). So is one whose Lifespan is NaN or +Inf, or too long for the
+	// fleet's tick grid to hold.
 	Lifespan float64
 	// Interrupts is the allowance p — how many times the owner may return
 	// during the stretch. Must be ≥ 0; each return kills the period in
@@ -33,7 +34,10 @@ type Contract struct {
 // "return after at time units of this episode". An at beyond the episode's
 // total falls into trailing idle time — it kills nothing but still consumes
 // allowance and lifespan; at is clamped into (0, residual] on the way into
-// the engine, so an implementation cannot corrupt a run by overshooting.
+// the engine, so an implementation cannot corrupt a run by overshooting: an
+// at past the residual, +Inf and any at too large for the fleet's tick grid
+// included, lands at the residual, and a NaN or negative at lands at the
+// first tick.
 type Interrupter interface {
 	NextInterrupt(allowance int, residual float64, episode []float64) (at float64, ok bool)
 }
@@ -78,22 +82,23 @@ func (co CustomOwner) name() string {
 // customModel adapts a CustomOwner onto the internal tick grid.
 type customModel struct {
 	co CustomOwner
-	g  grid
+	g  quant.Grid
 }
 
 func (m customModel) Sample(rng *rand.Rand) station.Contract {
 	c := m.co.Sample(rng)
-	if !(c.Lifespan > 0) || c.Interrupts < 0 {
+	u, fits := quant.GridTicks(c.Lifespan, m.g.Setup, float64(m.g.TicksPerSetup))
+	if !(c.Lifespan > 0) || !fits || c.Interrupts < 0 {
 		return station.Contract{} // U = 0: the engines skip the opportunity
 	}
-	return station.Contract{U: m.g.ticks(c.Lifespan), P: c.Interrupts}
+	return station.Contract{U: u, P: c.Interrupts}
 }
 
 func (m customModel) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
 	if m.co.Interrupter == nil {
 		return adversary.None{}
 	}
-	inner := m.co.Interrupter(rng, Contract{Lifespan: m.g.units(c.U), Interrupts: c.P})
+	inner := m.co.Interrupter(rng, Contract{Lifespan: m.g.Units(c.U), Interrupts: c.P})
 	if inner == nil {
 		return adversary.None{}
 	}
@@ -108,21 +113,24 @@ func (m customModel) Name() string { return m.co.name() }
 // units and the answer back, clamping it into the engine's contract.
 type customInterrupter struct {
 	inner Interrupter
-	g     grid
+	g     quant.Grid
 	ep    []float64 // reusable conversion buffer
 }
 
 func (ci *customInterrupter) NextInterrupt(p int, L quant.Tick, episode model.TickSchedule) (quant.Tick, bool) {
 	ci.ep = ci.ep[:0]
 	for _, t := range episode {
-		ci.ep = append(ci.ep, ci.g.units(t))
+		ci.ep = append(ci.ep, ci.g.Units(t))
 	}
-	at, ok := ci.inner.NextInterrupt(p, ci.g.units(L), ci.ep)
+	at, ok := ci.inner.NextInterrupt(p, ci.g.Units(L), ci.ep)
 	if !ok {
 		return 0, false
 	}
-	t := ci.g.ticks(at)
-	if t > L {
+	t, fits := quant.GridTicks(at, ci.g.Setup, float64(ci.g.TicksPerSetup))
+	switch {
+	case !(at >= 0): // NaN or negative: the first tick
+		t = 1
+	case !fits || t > L: // past the grid or the residual: the residual
 		t = L
 	}
 	return t, true

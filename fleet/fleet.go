@@ -346,112 +346,26 @@ func ExponentialTasks(n int, mean float64, seed int64) []float64 {
 	return out
 }
 
-// grid is the quantization the facade shares with the root Engine: one
-// setup cost c is ticksC integer ticks, so a duration of u caller units is
-// u/setup·ticksC ticks.
-type grid struct {
-	setup  float64
-	ticksC quant.Tick
-}
-
-// ticks quantizes a caller-units duration onto the grid (≥ 1, matching the
-// root Engine's rounding).
-func (g grid) ticks(units float64) quant.Tick {
-	return max(quant.Tick(math.Round(units/g.setup*float64(g.ticksC))), 1)
-}
-
-// checkedTicks is ticks for a value from outside the program. It refuses a
-// NaN, infinite or negative value, and one whose tick count overflows a
-// quant.Tick: converting such a float64 to int64 gives an
-// implementation-dependent value (on amd64 one below 1, which ticks would
-// round up to a single tick). The error gives the cause; the caller names
-// the field, so a name is formatted only on refusal.
-func (g grid) checkedTicks(units float64) (quant.Tick, error) {
-	if !finite(units) || units < 0 {
-		return 0, fmt.Errorf("must be ≥ 0 and finite, got %g", units)
-	}
-	if math.Round(units/g.setup*float64(g.ticksC)) >= math.MaxInt64 {
-		return 0, fmt.Errorf("%g overflows the tick grid", units)
-	}
-	return g.ticks(units), nil
-}
-
 // finite reports whether f is neither NaN nor ±Inf.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// quantize validates caller-unit task durations and puts them on the grid,
-// dealt round-robin into hands as it goes: task i, with ID i, lands at
-// hands[i mod G].Tasks[i div G] for G = len(hands) — the partition
-// task.Deal makes — and each hand's MinDur becomes the smallest duration it
-// got. Each hand's Tasks must come sized to exactly its share, and its
-// MinDur 0. It returns the job's total ticks. It refuses what checkedTicks
-// refuses, and a job whose total overflows a quant.Tick; the error names
-// the first such task. Every job enters through its loop (quantizeRange):
-// a batch run or a study dealt over its groups (dealtJob), and a service
-// submit or JobTicks as one flat hand (quantizeFlat). A job already on the
-// grid — a study spec's or a logged submit's ticks — is dealt by dealTicks
-// instead.
-func (g grid) quantize(hands []task.Hand, durations []float64) (quant.Tick, error) {
-	work, stop := g.quantizeRange(hands, 0, len(hands), durations)
-	if stop < 0 {
-		return work, nil
-	}
-	// checkedTicks runs only on a refusal, to name its cause; a task it
-	// accepts stopped the loop by overflowing the total.
-	if _, err := g.checkedTicks(durations[stop]); err != nil {
-		return 0, fmt.Errorf("fleet: task %d duration %w", stop, err)
-	}
-	return 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", stop)
-}
-
-// quantizeRange is quantize's loop over the hands [lo, hi), lo < hi: it
-// visits their tasks in task order, a row of len(hands) tasks at a time, and
-// returns their total ticks and −1, or the index of the first task that
-// checkedTicks refuses or whose ticks overflow the range's total.
-func (g grid) quantizeRange(hands []task.Hand, lo, hi int, durations []float64) (quant.Tick, int) {
-	ticksC := float64(g.ticksC)
-	var work quant.Tick
-	skip := len(hands) - (hi - lo) // the other hands' tasks in each row
-	h, row := lo, 0
-	for i := lo; i < len(durations); i++ {
-		// ticks and checkedTicks' test in one rounding.
-		d := durations[i]
-		x := math.Round(d / g.setup * ticksC)
-		if !(d >= 0 && x < math.MaxInt64) {
-			return 0, i
-		}
-		t := max(quant.Tick(x), 1)
-		hand := &hands[h]
-		hand.Tasks[row] = task.Task{ID: i, Duration: t}
-		if hand.MinDur == 0 || t < hand.MinDur {
-			hand.MinDur = t
-		}
-		if work > math.MaxInt64-t {
-			return 0, i
-		}
-		work += t
-		if h++; h == hi {
-			h, row, i = lo, row+1, i+skip
-		}
-	}
-	return work, -1
-}
-
-// quantizeFlat is quantize into one hand: the job as one task list, task i
-// at index i — the form a service keeps until it deals the job.
-func (g grid) quantizeFlat(durations []float64) ([]task.Task, quant.Tick, error) {
+// quantizeFlat is task.Quantize into one hand: the job as one task list,
+// task i at index i — the form a service keeps until it deals the job, and
+// JobTicks gives. A job already on the grid — a study spec's or a logged
+// submit's ticks — is dealt by dealTicks instead.
+func quantizeFlat(g quant.Grid, durations []float64) ([]task.Task, quant.Tick, error) {
 	hand := []task.Hand{{Tasks: make([]task.Task, len(durations))}}
-	work, err := g.quantize(hand, durations)
+	work, err := task.Quantize(hand, durations, g)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("fleet: %w", err)
 	}
 	return hand[0].Tasks, work, nil
 }
 
 // checkpointTicks validates a caller-unit checkpoint interval and puts it
 // on the grid, 0 staying 0 (no fixed interval).
-func (g grid) checkpointTicks(interval float64) (quant.Tick, error) {
-	t, err := g.checkedTicks(interval)
+func checkpointTicks(g quant.Grid, interval float64) (quant.Tick, error) {
+	t, err := g.Ticks(interval)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: checkpoint interval %w", err)
 	}
@@ -461,14 +375,6 @@ func (g grid) checkpointTicks(interval float64) (quant.Tick, error) {
 	return t, nil
 }
 
-// units converts ticks back to caller units.
-func (g grid) units(t quant.Tick) float64 {
-	return float64(t) / float64(g.ticksC) * g.setup
-}
-
-// unitsPerTick is the linear scale factor between the grids.
-func (g grid) unitsPerTick() float64 { return g.setup / float64(g.ticksC) }
-
 // Fleet binds a Config to the tick grid and drives the internal engines.
 // Build one with New; a Fleet is immutable and safe for concurrent runs
 // (stateful owners — trace Replay — get fresh per-run models, and a
@@ -476,7 +382,7 @@ func (g grid) unitsPerTick() float64 { return g.setup / float64(g.ticksC) }
 // only the one Recorder is last-run-wins across concurrent recorded runs).
 type Fleet struct {
 	cfg      Config
-	g        grid
+	g        quant.Grid
 	owners   []Owner // resolved temperament cycle (never empty)
 	stateful bool    // some owner carries per-run state; rebuild models per run
 	stations []station.Workstation
@@ -494,11 +400,10 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.TicksPerSetup < 0 {
 		return nil, fmt.Errorf("fleet: ticks per setup must be ≥ 0, got %d", cfg.TicksPerSetup)
 	}
-	ticksC := cfg.TicksPerSetup
-	if ticksC == 0 {
-		ticksC = 100
+	g := quant.Grid{Setup: cfg.Setup, TicksPerSetup: quant.DefaultTicksPerSetup}
+	if cfg.TicksPerSetup > 0 {
+		g.TicksPerSetup = quant.Tick(cfg.TicksPerSetup)
 	}
-	g := grid{setup: cfg.Setup, ticksC: quant.Tick(ticksC)}
 	if cfg.Interrupts < 0 {
 		return nil, fmt.Errorf("fleet: interrupt allowance must be ≥ 0, got %d", cfg.Interrupts)
 	}
@@ -511,16 +416,16 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Clusters < 0 {
 		return nil, fmt.Errorf("fleet: clusters must be ≥ 0, got %d", cfg.Clusters)
 	}
-	if _, err := g.checkedTicks(cfg.StealLatency); err != nil {
+	if _, err := g.Ticks(cfg.StealLatency); err != nil {
 		return nil, fmt.Errorf("fleet: steal latency %w", err)
 	}
-	if _, err := g.checkpointTicks(cfg.Checkpoint); err != nil {
+	if _, err := checkpointTicks(g, cfg.Checkpoint); err != nil {
 		return nil, err
 	}
-	if _, err := g.checkedTicks(cfg.CheckpointSaveCost); err != nil {
+	if _, err := g.Ticks(cfg.CheckpointSaveCost); err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint save cost %w", err)
 	}
-	if _, err := g.checkedTicks(cfg.CheckpointRestartCost); err != nil {
+	if _, err := g.Ticks(cfg.CheckpointRestartCost); err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint restart cost %w", err)
 	}
 	if cfg.StealLatency > 0 && cfg.Clusters < 2 {
@@ -601,7 +506,7 @@ func (f *Fleet) buildStation(i int) (station.Workstation, error) {
 	if err != nil {
 		return station.Workstation{}, fmt.Errorf("fleet: station %d: %w", i, err)
 	}
-	return station.Workstation{ID: i, Owner: om, Setup: f.g.ticksC}, nil
+	return station.Workstation{ID: i, Owner: om, Setup: f.g.TicksPerSetup}, nil
 }
 
 // runStations prepares the engine-facing station set for one run — fresh
@@ -627,11 +532,11 @@ func (f *Fleet) runStations() ([]station.Workstation, func(), error) {
 func (f *Fleet) Config() Config { return f.cfg }
 
 // Ticks reports the internal grid: ticks per setup cost.
-func (f *Fleet) Ticks() int { return int(f.g.ticksC) }
+func (f *Fleet) Ticks() int { return int(f.g.TicksPerSetup) }
 
 // Units converts a tick count back to the caller's time units — useful for
 // interpreting tick-grained diagnostics.
-func (f *Fleet) Units(ticks int) float64 { return f.g.units(quant.Tick(ticks)) }
+func (f *Fleet) Units(ticks int) float64 { return f.g.Units(quant.Tick(ticks)) }
 
 // farm binds one run's station set onto the shared internal engine.
 func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
@@ -639,20 +544,14 @@ func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
 		Stations:                stations,
 		OpportunitiesPerStation: f.cfg.Opportunities,
 		Shards:                  f.shards(),
+		Checkpoint:              f.configTicks(f.cfg.Checkpoint),
 		CheckpointAdaptive:      f.cfg.CheckpointAdaptive,
-	}
-	if f.cfg.Checkpoint > 0 {
-		fm.Checkpoint = f.g.ticks(f.cfg.Checkpoint)
-	}
-	if f.cfg.CheckpointSaveCost > 0 {
-		fm.CheckpointSaveCost = f.g.ticks(f.cfg.CheckpointSaveCost)
-	}
-	if f.cfg.CheckpointRestartCost > 0 {
-		fm.CheckpointRestartCost = f.g.ticks(f.cfg.CheckpointRestartCost)
+		CheckpointSaveCost:      f.configTicks(f.cfg.CheckpointSaveCost),
+		CheckpointRestartCost:   f.configTicks(f.cfg.CheckpointRestartCost),
 	}
 	fm.Faults = f.cfg.Faults.internal()
 	if f.cfg.Clusters > 1 {
-		fm.Topology = farm.Topology{Clusters: f.cfg.Clusters, CrossLatency: f.stealLatencyTicks()}
+		fm.Topology = farm.Topology{Clusters: f.cfg.Clusters, CrossLatency: f.configTicks(f.cfg.StealLatency)}
 	}
 	if cb := f.cfg.Progress; cb != nil {
 		fm.Progress = func(p farm.Progress) { cb(Progress(p)) }
@@ -670,14 +569,14 @@ func (f *Fleet) batch(stations []station.Workstation, n int) farm.Farm {
 	return fm
 }
 
-// stealLatencyTicks quantizes the cross-cluster latency onto the grid; a
-// zero latency stays exactly zero (a free crossing), any positive latency
-// rounds to at least one tick.
-func (f *Fleet) stealLatencyTicks() quant.Tick {
-	if f.cfg.StealLatency <= 0 {
+// configTicks puts a duration of the Config on the grid: 0 stays exactly 0 (a
+// free crossing, no checkpoint), any other rounds to at least one tick.
+func (f *Fleet) configTicks(units float64) quant.Tick {
+	if units == 0 {
 		return 0
 	}
-	return f.g.ticks(f.cfg.StealLatency)
+	t, _ := f.g.Ticks(units) // New refused every duration Ticks refuses
+	return t
 }
 
 // shards resolves the pool choice into the engine's station-group count.
@@ -696,24 +595,24 @@ func (f *Fleet) shards() int {
 // empty.
 //
 // A large job is quantized on the run's workers (intakeWorkers), each
-// sizing and filling its own range of hands. Every task gets quantize's
-// ticks in quantize's slot, so the hands, the total and every error are
-// the same at any Workers.
+// sizing and filling its own range of hands. Every task gets
+// task.Quantize's ticks in task.Quantize's slot, so the hands, the total
+// and every error are the same at any Workers.
 func (f *Fleet) dealtJob(durations []float64, groups int) (farm.Job, quant.Tick, error) {
 	n := len(durations)
 	if n == 0 {
 		return farm.Job{}, 0, nil
 	}
 	hands := make([]task.Hand, groups)
-	work, ok := f.g.quantizeSplit(hands, durations, f.intakeWorkers(n, groups))
+	work, ok := quantizeSplit(f.g, hands, durations, f.intakeWorkers(n, groups))
 	if !ok {
 		// A worker met a refused task or an overflowing sum, or the partial
 		// totals overflow once added; every task is at least one tick, so
-		// the whole job's sum overflows too. quantize over the same hands
-		// stops at the first bad task in task order and names it, as a
-		// serial intake does.
-		_, err := f.g.quantize(hands, durations)
-		return farm.Job{}, 0, err
+		// the whole job's sum overflows too. task.Quantize over the same
+		// hands stops at the first bad task in task order and names it, as
+		// a serial intake does.
+		_, err := task.Quantize(hands, durations, f.g)
+		return farm.Job{}, 0, fmt.Errorf("fleet: %w", err)
 	}
 	return farm.Job{Dealt: hands}, work, nil
 }
@@ -738,7 +637,7 @@ func (f *Fleet) intakeWorkers(n, groups int) int {
 	return max(min(w, groups, n/minIntakeTasksPerWorker), 1)
 }
 
-// quantizeSplit sizes the hands and runs quantize's loop on w ≤ len(hands)
+// quantizeSplit sizes the hands and runs task.QuantizeRange on w ≤ len(hands)
 // goroutines, the caller one of them: worker k sizes and fills the k-th of
 // w contiguous ranges of hands (fillRange), so each hand and its MinDur
 // belong to one worker; the partial totals add up after the join. At w = 1
@@ -746,10 +645,10 @@ func (f *Fleet) intakeWorkers(n, groups int) int {
 // returns the job's total ticks, or false, the hands sized but not all
 // filled, when a worker stopped at a bad task or the partial totals
 // overflow once added.
-func (g grid) quantizeSplit(hands []task.Hand, durations []float64, w int) (quant.Tick, bool) {
+func quantizeSplit(g quant.Grid, hands []task.Hand, durations []float64, w int) (quant.Tick, bool) {
 	G := len(hands)
 	if w == 1 {
-		work, stop := g.fillRange(hands, 0, G, durations)
+		work, stop := fillRange(g, hands, 0, G, durations)
 		return work, stop < 0
 	}
 	type part struct {
@@ -762,10 +661,10 @@ func (g grid) quantizeSplit(hands []task.Hand, durations []float64, w int) (quan
 	for k := 1; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			parts[k].work, parts[k].stop = g.fillRange(hands, k*G/w, (k+1)*G/w, durations)
+			parts[k].work, parts[k].stop = fillRange(g, hands, k*G/w, (k+1)*G/w, durations)
 		}()
 	}
-	parts[0].work, parts[0].stop = g.fillRange(hands, 0, G/w, durations)
+	parts[0].work, parts[0].stop = fillRange(g, hands, 0, G/w, durations)
 	wg.Wait()
 	var work quant.Tick
 	for _, p := range parts {
@@ -778,10 +677,10 @@ func (g grid) quantizeSplit(hands []task.Hand, durations []float64, w int) (quan
 }
 
 // fillRange sizes hands[lo:hi] for the job (sizeHands) and fills them
-// (quantizeRange).
-func (g grid) fillRange(hands []task.Hand, lo, hi int, durations []float64) (quant.Tick, int) {
+// (task.QuantizeRange).
+func fillRange(g quant.Grid, hands []task.Hand, lo, hi int, durations []float64) (quant.Tick, int) {
 	sizeHands(hands, lo, hi, len(durations))
-	return g.quantizeRange(hands, lo, hi, durations)
+	return task.QuantizeRange(hands, lo, hi, durations, g)
 }
 
 // sizeHands gives hands[lo:hi] the storage of a round-robin deal of n
@@ -805,7 +704,7 @@ func (f *Fleet) JobTicks(job Job) ([]int64, error) {
 	if len(job.Tasks) == 0 {
 		return nil, nil
 	}
-	tasks, _, err := f.g.quantizeFlat(job.Tasks)
+	tasks, _, err := quantizeFlat(f.g, job.Tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -822,8 +721,8 @@ func taskTicks(tasks []task.Task) []int64 {
 	return ticks
 }
 
-// dealTicks deals a job on the grid into hands as quantize deals one in
-// caller units and returns its total ticks. It refuses a tick below 1 or a
+// dealTicks deals a job on the grid into hands as task.Quantize deals one
+// in caller units and returns its total ticks. It refuses a tick below 1 or a
 // total that overflows, naming the first such task.
 func dealTicks(hands []task.Hand, ticks []int64) (quant.Tick, error) {
 	sizeHands(hands, 0, len(hands), len(ticks))

@@ -186,13 +186,13 @@ func equivalentInternalJob(j Job) farm.Job {
 
 // A batch run's intake quantizes the job straight into its group queues:
 // hand g of G holds exactly what task.Deal puts in hand g of the flat
-// quantize, sized to fit, with its smallest duration, and the totals
-// agree. The flat quantize itself puts task i at index i with ID i and
-// ticks' rounding. The grid here makes half-tick durations exact, so ties
-// round as ticks rounds them too. Hand counts run from one to more than
-// the tasks.
+// intake, sized to fit, with its smallest duration, and the totals agree.
+// The flat intake itself puts task i at index i with ID i and Grid.Ticks'
+// rounding. The grid here makes half-tick durations exact, so ties round
+// as Grid.Ticks rounds them too. Hand counts run from one to more than the
+// tasks.
 func TestQuantizeDealtMatchesDeal(t *testing.T) {
-	f := &Fleet{g: grid{setup: 2, ticksC: 8}} // a tick is 1/4 unit
+	f := &Fleet{g: quant.Grid{Setup: 2, TicksPerSetup: 8}} // a tick is 1/4 unit
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 7, 1000} {
 		durations := make([]float64, n)
@@ -203,13 +203,17 @@ func TestQuantizeDealtMatchesDeal(t *testing.T) {
 				durations[i] = rng.ExpFloat64() * 3
 			}
 		}
-		flat, total, err := f.g.quantizeFlat(durations)
+		flat, total, err := quantizeFlat(f.g, durations)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sum quant.Tick
 		for i, d := range durations {
-			if want := (task.Task{ID: i, Duration: f.g.ticks(d)}); flat[i] != want {
+			ticks, err := f.g.Ticks(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (task.Task{ID: i, Duration: ticks}); flat[i] != want {
 				t.Fatalf("n=%d: flat task %d = %+v, want %+v", n, i, flat[i], want)
 			}
 			sum += flat[i].Duration

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"cyclesteal/internal/quant"
 )
 
 // e12Tasks is E12's job at setup cost 1: n task durations uniform on the
@@ -49,7 +51,7 @@ func intakeDurations(n int) []float64 {
 // worker's hands are all empty. The serial intake is pinned to task.Deal
 // by TestQuantizeDealtMatchesDeal.
 func TestSplitIntakeMatchesSerial(t *testing.T) {
-	g := grid{setup: 1, ticksC: 100}
+	g := quant.Grid{Setup: 1, TicksPerSetup: 100}
 	serial := &Fleet{cfg: Config{Workers: 1}, g: g}
 	for _, n := range []int{intakeSplit - 1, intakeSplit, intakeSplit + 37, 1000003} {
 		durations := intakeDurations(n)
@@ -95,7 +97,7 @@ func TestSplitIntakeMatchesSerial(t *testing.T) {
 // range, and one that overflows only once the workers' partial totals
 // are added.
 func TestSplitIntakeErrorParity(t *testing.T) {
-	g := grid{setup: 1, ticksC: 100}
+	g := quant.Grid{Setup: 1, TicksPerSetup: 100}
 	serial := &Fleet{cfg: Config{Workers: 1}, g: g}
 	const n = intakeSplit + 37
 	base := intakeDurations(n)
@@ -160,7 +162,7 @@ func BenchmarkFleetDealtJob(b *testing.B) {
 	durations := e12Tasks(1000000)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			f := &Fleet{cfg: Config{Workers: workers}, g: grid{setup: 1, ticksC: 100}}
+			f := &Fleet{cfg: Config{Workers: workers}, g: quant.Grid{Setup: 1, TicksPerSetup: 100}}
 			if _, _, err := f.dealtJob(durations, 64); err != nil {
 				b.Fatal(err)
 			}

@@ -34,7 +34,7 @@ type Owner interface {
 // binding is everything an owner temperament may need to quantize itself
 // onto one station of a fleet.
 type binding struct {
-	g        grid
+	g        quant.Grid
 	defaultP int                      // Config.Interrupts, the fleet-wide default allowance
 	station  int                      // station index the model will serve
 	factory  station.SchedulerFactory // the fleet's compiled policy
@@ -43,7 +43,7 @@ type binding struct {
 // workstation is the station the binding describes, as the scheduler factory
 // expects it.
 func (b binding) workstation() station.Workstation {
-	return station.Workstation{ID: b.station, Setup: b.g.ticksC}
+	return station.Workstation{ID: b.station, Setup: b.g.TicksPerSetup}
 }
 
 // Office models a nine-to-five owner: moderately long idle stretches
@@ -173,7 +173,7 @@ func (m Malicious) model(b binding) (station.OwnerModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return station.Malicious{Base: base, Setup: b.g.ticksC}, nil
+	return station.Malicious{Base: base, Setup: b.g.TicksPerSetup}, nil
 }
 
 // baseModel resolves a wrapper's base temperament.
@@ -186,13 +186,13 @@ func baseModel(wrapper string, base Owner, b binding) (station.OwnerModel, error
 
 // meanTicks quantizes an owner duration parameter: explicit caller units,
 // or the standard multiple of the setup cost when zero.
-func meanTicks(owner string, units float64, setups quant.Tick, g grid) (quant.Tick, error) {
-	t, err := g.checkedTicks(units)
+func meanTicks(owner string, units float64, setups quant.Tick, g quant.Grid) (quant.Tick, error) {
+	t, err := g.Ticks(units)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: %s duration %w", owner, err)
 	}
 	if units == 0 {
-		return setups * g.ticksC, nil
+		return setups * g.TicksPerSetup, nil
 	}
 	return t, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cyclesteal/internal/game"
+	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sched"
 	"cyclesteal/trace"
 )
@@ -212,35 +213,56 @@ func TestCustomInterrupterDrives(t *testing.T) {
 	}
 }
 
+// A custom owner's contracts alternate between skipped and lent, and its
+// interrupter overshoots and ignores its spent allowance. Every skipped
+// lifespan — 0, one the grid cannot hold, +Inf, NaN — skips alike, and
+// every overshoot — past the residual, past the grid, +Inf — lands at the
+// residual alike, on any CPU.
 func TestCustomOwnerSkipsAndClamps(t *testing.T) {
-	calls := 0
-	cfg := surveyConfig()
-	cfg.Stations = 1
-	cfg.Owners = []Owner{CustomOwner{
-		Sample: func(*rand.Rand) Contract {
-			calls++
-			if calls%2 == 1 {
-				return Contract{Lifespan: 0, Interrupts: 1} // machine stayed busy
-			}
-			return Contract{Lifespan: 80, Interrupts: 1}
-		},
-		Interrupter: func(*rand.Rand, Contract) Interrupter {
-			return overshootInterrupter{} // returns far beyond the lifespan
-		},
-	}}
-	res := mustRun(t, cfg, Job{})
+	run := func(skipped, overshoot float64) Result {
+		t.Helper()
+		calls := 0
+		cfg := surveyConfig()
+		cfg.Stations = 1
+		cfg.Owners = []Owner{CustomOwner{
+			Sample: func(*rand.Rand) Contract {
+				calls++
+				if calls%2 == 1 {
+					return Contract{Lifespan: skipped, Interrupts: 1} // machine stayed busy
+				}
+				return Contract{Lifespan: 80, Interrupts: 1}
+			},
+			Interrupter: func(*rand.Rand, Contract) Interrupter {
+				return overshootInterrupter(overshoot)
+			},
+		}}
+		return mustRun(t, cfg, Job{})
+	}
+	res := run(0, 1e12)
 	if got := res.Stations[0].Opportunities; got != 2 {
 		t.Errorf("skipped contracts miscounted: %d opportunities, want 2", got)
 	}
 	if res.Interrupts != 2 {
 		t.Errorf("clamped interrupts lost: %d, want 2", res.Interrupts)
 	}
+	for _, overshoot := range []float64{1e18, 1e300, math.Inf(1)} {
+		if got := run(0, overshoot); !reflect.DeepEqual(got, res) {
+			t.Errorf("overshoot %g: %+v, want the overshoot 1e12 run %+v", overshoot, got, res)
+		}
+	}
+	for _, skipped := range []float64{1e18, math.Inf(1), math.NaN()} {
+		if got := run(skipped, 1e12); !reflect.DeepEqual(got, res) {
+			t.Errorf("lifespan %g: %+v, want the skipped run %+v", skipped, got, res)
+		}
+	}
 }
 
-type overshootInterrupter struct{}
+// overshootInterrupter fires at its own value whatever its allowance: at
+// least the residual lifespan, so the engine clamps it there on the way in.
+type overshootInterrupter float64
 
-func (overshootInterrupter) NextInterrupt(int, float64, []float64) (float64, bool) {
-	return 1e12, true // clamped to the residual lifespan on the way in
+func (o overshootInterrupter) NextInterrupt(int, float64, []float64) (float64, bool) {
+	return float64(o), true
 }
 
 func TestCustomOwnerNeedsSample(t *testing.T) {
@@ -268,16 +290,20 @@ func TestAdversaryOrdering(t *testing.T) {
 	}
 
 	// The minimax owner's realized work IS the schedule's guaranteed work.
-	g := grid{setup: 5, ticksC: 10}
-	sch, err := sched.NewAdaptiveEqualized(g.ticksC)
+	g := quant.Grid{Setup: 5, TicksPerSetup: 10}
+	sch, err := sched.NewAdaptiveEqualized(g.TicksPerSetup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor, err := game.Evaluate(sch, 2, g.ticks(20), g.ticksC)
+	u, err := g.Ticks(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := g.units(floor); minimax != want {
+	floor, err := game.Evaluate(sch, 2, u, g.TicksPerSetup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := g.Units(floor); minimax != want {
 		t.Errorf("minimax owner banked %g, guaranteed work is %g", minimax, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cyclesteal/internal/model"
+	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sched"
 	"cyclesteal/internal/station"
 )
@@ -52,7 +53,7 @@ func PolicyByName(name string) (Policy, error) {
 // factory compiles the policy into the per-(station, contract) scheduler
 // constructor the engines drive. Validation happens here, at New time, so a
 // bad policy fails fast instead of per opportunity.
-func (p Policy) factory(g grid) (station.SchedulerFactory, error) {
+func (p Policy) factory(g quant.Grid) (station.SchedulerFactory, error) {
 	switch p.Name {
 	case "", "equalized":
 		return func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
@@ -74,7 +75,7 @@ func (p Policy) factory(g grid) (station.SchedulerFactory, error) {
 		if !(p.Chunk > 0) {
 			return nil, fmt.Errorf("fleet: fixedchunk policy needs Chunk > 0, got %g", p.Chunk)
 		}
-		t, err := g.checkedTicks(p.Chunk)
+		t, err := g.Ticks(p.Chunk)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: fixedchunk Chunk %w", err)
 		}

@@ -36,8 +36,8 @@ func (r Replay) model(b binding) (station.OwnerModel, error) {
 	if r.Trace == nil {
 		return nil, fmt.Errorf("fleet: replay owner needs a trace")
 	}
-	if got := r.Trace.TicksPerSetup; got != int(b.g.ticksC) {
-		return nil, fmt.Errorf("fleet: replay trace was recorded at %d ticks per setup, fleet runs at %d — set Config.TicksPerSetup to match", got, int(b.g.ticksC))
+	if got := r.Trace.TicksPerSetup; got != int(b.g.TicksPerSetup) {
+		return nil, fmt.Errorf("fleet: replay trace was recorded at %d ticks per setup, fleet runs at %d — set Config.TicksPerSetup to match", got, int(b.g.TicksPerSetup))
 	}
 	opps, err := r.Trace.Station(b.station)
 	if err != nil {
@@ -146,7 +146,7 @@ func (ri *recordingInterrupter) NextInterrupt(p int, L quant.Tick, ep model.Tick
 // returns the publish hook the run calls on success: sinks are assembled in
 // station order (within a station, play order) into the trace that
 // reproduces the run.
-func recordingStations(sts []station.Workstation, g grid, rec *trace.Recorder) func() {
+func recordingStations(sts []station.Workstation, g quant.Grid, rec *trace.Recorder) func() {
 	sinks := make([]*recordSink, len(sts))
 	for i := range sts {
 		sinks[i] = &recordSink{station: i}
@@ -157,6 +157,6 @@ func recordingStations(sts []station.Workstation, g grid, rec *trace.Recorder) f
 		for _, s := range sinks {
 			opps = append(opps, s.opps...)
 		}
-		rec.Publish(trace.New(int(g.ticksC), opps))
+		rec.Publish(trace.New(int(g.TicksPerSetup), opps))
 	}
 }

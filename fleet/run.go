@@ -125,9 +125,9 @@ func (f *Fleet) result(res farm.Result, totalWork quant.Tick) Result {
 		Stations:       make([]StationReport, len(res.Stations)),
 		TasksCompleted: res.TasksCompleted,
 		TasksLeft:      res.TasksLeft,
-		TaskWork:       f.g.units(res.TaskWork),
-		JobWork:        f.g.units(totalWork),
-		Work:           f.g.units(res.FluidWork),
+		TaskWork:       f.g.Units(res.TaskWork),
+		JobWork:        f.g.Units(totalWork),
+		Work:           f.g.Units(res.FluidWork),
 		Interrupts:     res.Interrupts,
 		Steals:         res.Steals,
 		InFlight:       res.InFlight,
@@ -137,13 +137,13 @@ func (f *Fleet) result(res farm.Result, totalWork quant.Tick) Result {
 		out.Stations[i] = StationReport{
 			Station:        rep.Station,
 			Opportunities:  rep.Opportunities,
-			Lifespan:       f.g.units(rep.LifespanTicks),
-			Work:           f.g.units(rep.FluidWork),
-			TaskWork:       f.g.units(rep.TaskWork),
+			Lifespan:       f.g.Units(rep.LifespanTicks),
+			Work:           f.g.Units(rep.FluidWork),
+			TaskWork:       f.g.Units(rep.TaskWork),
 			TasksCompleted: rep.TasksCompleted,
 			Interrupts:     rep.Interrupts,
-			Idle:           f.g.units(rep.IdleTicks),
-			Killed:         f.g.units(rep.KilledTicks),
+			Idle:           f.g.Units(rep.IdleTicks),
+			Killed:         f.g.Units(rep.KilledTicks),
 		}
 		out.Lifespan += out.Stations[i].Lifespan
 	}

@@ -251,14 +251,14 @@ type svcJob struct {
 	done      chan struct{}
 }
 
-func (j *svcJob) result(g grid) JobResult {
+func (j *svcJob) result(g quant.Grid) JobResult {
 	return JobResult{
 		ID:             j.id,
 		Tenant:         j.tenant,
 		Tasks:          j.size,
 		TasksCompleted: j.doneTasks,
-		JobWork:        g.units(j.work),
-		TaskWork:       g.units(j.doneWork),
+		JobWork:        g.Units(j.work),
+		TaskWork:       g.Units(j.doneWork),
 		TasksLost:      j.lostTasks,
 		Completed:      j.finished >= 0,
 		SubmittedRound: j.submitted,
@@ -445,7 +445,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.WAL != nil {
 		s.walSync, _ = cfg.WAL.(interface{ Sync() error })
 		s.walw = bufio.NewWriter(cfg.WAL)
-		if err := writeWALHeader(s.walw, int(f.g.ticksC)); err != nil {
+		if err := writeWALHeader(s.walw, int(f.g.TicksPerSetup)); err != nil {
 			return nil, fmt.Errorf("fleet: write-ahead log: %w", err)
 		}
 	}
@@ -481,7 +481,7 @@ func (s *Service) Submit(tenant string, j Job) (*JobHandle, error) {
 	if len(j.Tasks) == 0 {
 		return nil, fmt.Errorf("fleet: a service job needs ≥ 1 task")
 	}
-	tasks, work, err := s.f.g.quantizeFlat(j.Tasks)
+	tasks, work, err := quantizeFlat(s.f.g, j.Tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -567,7 +567,7 @@ func (s *Service) LeaveStation(slot int) {
 // or too large for the tick grid is refused with an error naming the
 // cause, and nothing is queued.
 func (s *Service) SetCheckpoint(interval float64, adaptive bool) error {
-	if _, err := s.f.g.checkpointTicks(interval); err != nil {
+	if _, err := checkpointTicks(s.f.g, interval); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -746,7 +746,7 @@ func (s *Service) applyEvent(ev ServiceEvent, j *svcJob) error {
 		}
 		s.crashed++
 	case EventCheckpoint:
-		ticks, err := s.f.g.checkpointTicks(ev.Checkpoint)
+		ticks, err := checkpointTicks(s.f.g, ev.Checkpoint)
 		if err != nil {
 			return fmt.Errorf("%w (logged at round %d)", err, ev.Round)
 		}

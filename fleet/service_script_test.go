@@ -380,7 +380,7 @@ func checkServiceScript(t *testing.T, sc serviceScript) {
 	if i := slices.IndexFunc(logged, func(ev ServiceEvent) bool { return ev.Sampled && ev.Kind != EventKill }); i >= 0 {
 		logged[i].Station++
 		var edited bytes.Buffer
-		if err := writeWALHeader(&edited, int(ks.f.g.ticksC)); err != nil {
+		if err := writeWALHeader(&edited, int(ks.f.g.TicksPerSetup)); err != nil {
 			t.Fatal(err)
 		}
 		for _, ev := range logged {

@@ -200,7 +200,7 @@ func (f *Fleet) checkStudy(trials int) error {
 func (f *Fleet) newStudy(trials int, fm farm.Farm, fj farm.Job) *Study {
 	return &Study{
 		trials:   trials,
-		k:        f.g.unitsPerTick(),
+		k:        f.g.Setup / float64(f.g.TicksPerSetup),
 		cfg:      mc.Config{Trials: trials, Seed: f.cfg.Seed, Workers: f.cfg.Workers},
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,

@@ -37,7 +37,7 @@ func TestStudyTicksMatchesStudy(t *testing.T) {
 			if len(ticks) != n || (n == 0) != (ticks == nil) {
 				t.Fatalf("%s, %d tasks: %d ticks (nil %v)", name, n, len(ticks), ticks == nil)
 			}
-			flat, _, err := f.g.quantizeFlat(job.Tasks)
+			flat, _, err := quantizeFlat(f.g, job.Tasks)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -207,13 +207,13 @@ func TestStealLatencyQuantization(t *testing.T) {
 		}
 		return f
 	}
-	if got := mk(0).stealLatencyTicks(); got != 0 {
+	if got := mk(0).farm(nil).Topology.CrossLatency; got != 0 {
 		t.Errorf("zero latency quantized to %d ticks", got)
 	}
-	if got := mk(0.0001).stealLatencyTicks(); got != 1 {
+	if got := mk(0.0001).farm(nil).Topology.CrossLatency; got != 1 {
 		t.Errorf("tiny latency quantized to %d ticks, want 1", got)
 	}
-	if got := mk(2).stealLatencyTicks(); got != quant.Tick(40) {
+	if got := mk(2).farm(nil).Topology.CrossLatency; got != quant.Tick(40) {
 		t.Errorf("latency 2 units quantized to %d ticks, want 40", got)
 	}
 }

@@ -306,8 +306,8 @@ func RecoverService(cfg ServiceConfig, wal io.Reader) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.TicksPerSetup != int(s.f.g.ticksC) {
-		return nil, fmt.Errorf("fleet: recover: log quantized at %d ticks per setup, config resolves to %d", hdr.TicksPerSetup, int(s.f.g.ticksC))
+	if hdr.TicksPerSetup != int(s.f.g.TicksPerSetup) {
+		return nil, fmt.Errorf("fleet: recover: log quantized at %d ticks per setup, config resolves to %d", hdr.TicksPerSetup, int(s.f.g.TicksPerSetup))
 	}
 	s.follow(events, true)
 	return s, nil

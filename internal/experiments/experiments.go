@@ -36,7 +36,7 @@ type Config struct {
 
 func (c Config) normalize() Config {
 	if c.C < 1 {
-		c.C = 100
+		c.C = quant.DefaultTicksPerSetup
 	}
 	return c
 }

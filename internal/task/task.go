@@ -10,6 +10,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 
 	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
@@ -223,9 +224,9 @@ func (b *Bag) Steal(n int) []Task {
 // hand i mod n, so the split is a pure function of (tasks, n): independent
 // of worker scheduling, and every hand sees a representative duration mix
 // even when the set is sorted. The library never builds these hands from a
-// task list: DealInto makes the same partition into existing bags, and a
-// batch run's or a study's intake quantizes a job straight into it (see
-// Bag.Adopt). Deal is the reference both are tested against.
+// task list: DealInto makes the same partition into existing bags, and
+// Quantize puts a job in caller units straight into it (see Bag.Adopt).
+// Deal is the reference both are tested against.
 func Deal(tasks []Task, n int) [][]Task {
 	if n < 1 {
 		n = 1
@@ -239,6 +240,59 @@ func Deal(tasks []Task, n int) [][]Task {
 		hands[i%n] = append(hands[i%n], t)
 	}
 	return hands
+}
+
+// Quantize puts a job's durations, in caller units, on the grid g and deals
+// them round-robin into hands as it goes: task i, with ID i, lands at
+// hands[i mod G].Tasks[i div G] for G = len(hands), the partition Deal
+// makes, and each hand's MinDur becomes the smallest duration it got. Each
+// hand's Tasks must come sized to exactly its share, and its MinDur 0. It
+// returns the job's total ticks. It refuses what g.Ticks refuses, and a job
+// whose total overflows a quant.Tick; the error names the first such task,
+// for the caller to prefix with its package. Every job in caller units
+// enters the tick grid through its loop, QuantizeRange.
+func Quantize(hands []Hand, durations []float64, g quant.Grid) (quant.Tick, error) {
+	work, stop := QuantizeRange(hands, 0, len(hands), durations, g)
+	if stop < 0 {
+		return work, nil
+	}
+	// Ticks runs only on a refusal, to name its cause; a task it accepts
+	// stopped the loop by overflowing the total.
+	if _, err := g.Ticks(durations[stop]); err != nil {
+		return 0, fmt.Errorf("task %d duration %w", stop, err)
+	}
+	return 0, fmt.Errorf("task %d: the job's total duration overflows the tick grid", stop)
+}
+
+// QuantizeRange is Quantize's loop over the hands [lo, hi), lo < hi: it
+// visits their tasks in task order, a row of len(hands) tasks at a time, and
+// returns their total ticks and −1, or the index of the first task that
+// g.Ticks refuses or whose ticks overflow the range's total.
+func QuantizeRange(hands []Hand, lo, hi int, durations []float64, g quant.Grid) (quant.Tick, int) {
+	// The rule as GridTicks of three floats: no method of g inlines here.
+	setup, perSetup := g.Setup, float64(g.TicksPerSetup)
+	var work quant.Tick
+	skip := len(hands) - (hi - lo) // the other hands' tasks in each row
+	h, row := lo, 0
+	for i := lo; i < len(durations); i++ {
+		t, ok := quant.GridTicks(durations[i], setup, perSetup)
+		if !ok {
+			return 0, i
+		}
+		hand := &hands[h]
+		hand.Tasks[row] = Task{ID: i, Duration: t}
+		if hand.MinDur == 0 || t < hand.MinDur {
+			hand.MinDur = t
+		}
+		if work > math.MaxInt64-t {
+			return 0, i
+		}
+		work += t
+		if h++; h == hi {
+			h, row, i = lo, row+1, i+skip
+		}
+	}
+	return work, -1
 }
 
 // DealInto deals tasks round-robin onto the backs of bags: task i goes to

@@ -29,10 +29,12 @@ type Result struct {
 type SimOptions struct {
 	// TaskDurations, when non-empty, attaches a bag of indivisible
 	// data-parallel tasks (durations in the caller's time units); completed
-	// work is then also reported task-granular. Simulate keeps no
-	// reference to the list, so a caller may change it between calls; a
-	// list equal to the last one converted on the call's pooled scratch is
-	// not converted to ticks again.
+	// work is then also reported task-granular. Simulate refuses, naming
+	// the first such task, a duration that is NaN, infinite or negative or
+	// that the tick grid cannot hold, and a list whose total the grid
+	// cannot hold. It keeps no reference to the list, so a caller may
+	// change it between calls; a list equal to the last one converted on
+	// the call's pooled scratch is not converted to ticks again.
 	TaskDurations []float64
 }
 
@@ -41,15 +43,15 @@ type SimOptions struct {
 // the bag a call plays.
 type simScratch struct {
 	bufs sim.Buffers
-	// durations, setup and ticksC key hand: the last task list converted
-	// on this scratch, as tasks on that grid. The key is the list's
-	// content, never its slice, since a caller may change a list between
-	// calls, and Engines on other grids share the pool. An empty
-	// durations is no key.
+	// durations and grid key hand: the last task list converted on this
+	// scratch, as one hand of tasks on that grid, held in an array so that
+	// task.Quantize fills it without allocating a slice of hands. The key
+	// is the list's content, never its slice, since a caller may change a
+	// list between calls, and Engines on other grids share the pool. An
+	// empty durations is no key.
 	durations []float64
-	setup     float64
-	ticksC    quant.Tick
-	hand      task.Hand
+	grid      quant.Grid
+	hand      [1]task.Hand
 	// tasks is the bag's storage, a fresh copy of hand each call: the bag
 	// compacts and returns tasks in place, and hand must stay intact.
 	tasks []task.Task
@@ -62,30 +64,23 @@ type simScratch struct {
 // once per scratch.
 var simPool = sync.Pool{New: func() any { return new(simScratch) }}
 
-// intake returns durations as tasks on the grid of setup and ticksC, with
-// their smallest duration. It converts them only when they differ from the
-// list it converted last; the hand it returns is the scratch's own, to be
-// copied, not played.
-func (s *simScratch) intake(durations []float64, setup float64, ticksC quant.Tick) (task.Hand, error) {
-	if setup == s.setup && ticksC == s.ticksC && slices.Equal(durations, s.durations) {
-		return s.hand, nil
+// intake returns durations as tasks on grid g, with their smallest
+// duration. It converts them, by task.Quantize, only when they differ from
+// the list it converted last; the hand it returns is the scratch's own, to
+// be copied, not played.
+func (s *simScratch) intake(durations []float64, g quant.Grid) (task.Hand, error) {
+	if g == s.grid && slices.Equal(durations, s.durations) {
+		return s.hand[0], nil
 	}
 	s.durations = s.durations[:0] // a refused list leaves no key behind
-	h := task.Hand{Tasks: s.hand.Tasks[:0]}
-	for i, d := range durations {
-		ticks, ok := gridTicks(d, setup, float64(ticksC))
-		if !ok {
-			return task.Hand{}, fmt.Errorf("cyclesteal: task %d duration %w", i, gridError(d))
-		}
-		h.Tasks = append(h.Tasks, task.Task{ID: i, Duration: ticks})
-		if h.MinDur == 0 || ticks < h.MinDur {
-			h.MinDur = ticks
-		}
+	n := len(durations)
+	s.hand[0] = task.Hand{Tasks: slices.Grow(s.hand[0].Tasks[:0], n)[:n]}
+	if _, err := task.Quantize(s.hand[:], durations, g); err != nil {
+		return task.Hand{}, fmt.Errorf("cyclesteal: %w", err)
 	}
-	s.hand = h
 	s.durations = append(s.durations, durations...)
-	s.setup, s.ticksC = setup, ticksC
-	return h, nil
+	s.grid = g
+	return s.hand[0], nil
 }
 
 // Simulate plays one opportunity of this engine's shape with the given
@@ -106,7 +101,7 @@ func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, 
 	cfg := sim.Config{Buffers: &scratch.bufs}
 	var bag *task.Bag
 	if len(opts.TaskDurations) > 0 {
-		h, err := scratch.intake(opts.TaskDurations, e.opp.Setup, e.ticksC)
+		h, err := scratch.intake(opts.TaskDurations, e.g)
 		if err != nil {
 			return Result{}, err
 		}
@@ -114,12 +109,12 @@ func (e *Engine) Simulate(s Scheduler, adv Adversary, opts SimOptions) (Result, 
 		// A period ships at most what fits in the lifespan past its setup,
 		// so the shipping buffer grows here, before the run, and never
 		// inside it, whatever the owner does.
-		scratch.bufs.ReserveTasks(min(len(h.Tasks), int((e.u-e.ticksC)/h.MinDur)))
+		scratch.bufs.ReserveTasks(min(len(h.Tasks), int((e.u-e.g.TicksPerSetup)/h.MinDur)))
 		bag = &scratch.bag
 		bag.Adopt(task.Hand{Tasks: scratch.tasks, MinDur: h.MinDur})
 		cfg.Bag = bag
 	}
-	res, err := sim.Run(s, adv, sim.Opportunity{U: e.u, P: e.p, C: e.ticksC}, cfg)
+	res, err := sim.Run(s, adv, sim.Opportunity{U: e.u, P: e.p, C: e.g.TicksPerSetup}, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -151,7 +146,7 @@ func (e *Engine) LastPeriodAdversary() Adversary { return adversary.LastPeriod{}
 // GreedyAdversary returns the equalization-damage heuristic owner (exactly
 // optimal at p = 1 against single-long-period continuations).
 func (e *Engine) GreedyAdversary() Adversary {
-	return adversary.GreedyEqualization{C: e.ticksC}
+	return adversary.GreedyEqualization{C: e.g.TicksPerSetup}
 }
 
 // PoissonAdversary returns an owner who comes back after an exponentially
@@ -164,7 +159,7 @@ func (e *Engine) PoissonAdversary(meanReturn float64, seed int64) Adversary {
 	}
 	return &adversary.Poisson{
 		Rng:  lazyrand.New(seed),
-		Mean: meanReturn / e.opp.Setup * float64(e.ticksC),
+		Mean: meanReturn / e.opp.Setup * float64(e.g.TicksPerSetup),
 	}
 }
 
@@ -182,9 +177,9 @@ func (e *Engine) RandomAdversary(prob float64, seed int64) Adversary {
 // machine every `every` time units. A NaN, infinite or negative interval,
 // or one the tick grid cannot hold, gives an owner Simulate refuses.
 func (e *Engine) PeriodicAdversary(every float64) Adversary {
-	t, ok := gridTicks(every, e.opp.Setup, float64(e.ticksC))
-	if !ok {
-		return refusal{fmt.Errorf("cyclesteal: PeriodicAdversary interval %w", gridError(every))}
+	t, err := e.g.Ticks(every)
+	if err != nil {
+		return refusal{fmt.Errorf("cyclesteal: PeriodicAdversary interval %w", err)}
 	}
 	return adversary.Periodic{U: e.u, Every: t}
 }
