@@ -281,7 +281,11 @@ func BenchmarkSimulateOpportunity(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	tasks := task.Uniform(2000, 10, 200, 1)
+	draw := rand.New(rand.NewSource(1))
+	tasks := make([]task.Task, 2000)
+	for i := range tasks {
+		tasks[i] = task.Task{ID: i, Duration: 10 + draw.Int63n(191)} // uniform in [10, 200]
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

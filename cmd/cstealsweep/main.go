@@ -10,19 +10,22 @@
 // any -workers setting.
 //
 // With -fleet N > 1 (and -trials > 0) the Monte-Carlo view scales out: each
-// cell farms one shared data-parallel job across N identical stations
-// offering the cell's (U, p) contract under Poisson owners, on the
-// deterministic two-level farm engine with the bag sharding picked by
-// -shards — answering "what does this per-opportunity guarantee compose to
-// at fleet size N?" per cell. -clusters/-steallatency split those shards
-// into a two-tier topology with latency-priced cross-cluster steals.
+// cell farms one shared data-parallel job across N identical stations on
+// the public fleet engine — answering "what does this per-opportunity
+// guarantee compose to at fleet size N?" per cell. Each station offers the
+// cell's fixed (U, p) contract under the Poisson temperament (fleet.Poisson
+// over fleet.Fixed, mean return U/3) and schedules with the equalized
+// policy, not the cell's solved optimal schedule; the grid is one tick per
+// caller unit, so the Poisson mean is rounded to the tick. -shards picks the
+// bag sharding, and -clusters/-steallatency split those shards into a
+// two-tier topology with latency-priced cross-cluster steals. A p = 0 cell
+// is refused: the fleet's fixed owner reads a zero interrupt allowance as
+// the standard one.
 //
-// With -distribute N (and -fleet, -trials) the fleet-mode study fans out
-// across N local worker processes: the cell's contract is restated as a
-// public fleet spec (Poisson temperament inside a fixed (U, p) contract,
-// the equalization policy in place of the solved optimal schedule) and a
-// distrib.Coordinator deals the study's shards to re-execed copies of this
-// binary — bit-identical to running the same spec in one process, at any N.
+// -distribute N says only where the fleet columns are computed: 0 in this
+// process on -workers workers, N > 0 across N local worker processes, to
+// which a distrib.Coordinator deals each cell's study shards (re-execed
+// copies of this binary). Every -distribute prints the same table.
 //
 // Usage:
 //
@@ -49,16 +52,12 @@ import (
 	"cyclesteal/distrib"
 	"cyclesteal/fleet"
 	"cyclesteal/internal/adversary"
-	"cyclesteal/internal/farm"
 	"cyclesteal/internal/game"
 	"cyclesteal/internal/mc"
-	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
-	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
-	"cyclesteal/internal/task"
 	"cyclesteal/internal/theory"
 )
 
@@ -120,7 +119,7 @@ func main() {
 	results := game.Sweep(points, *workers)
 
 	var mcSums []stats.Summary
-	var fleetCells []fleetCell
+	var fleetCells []fleet.Replication
 	if *trials > 0 {
 		var err error
 		mcSums, err = sweepMonteCarlo(points, *trials, *seed, *workers)
@@ -128,12 +127,19 @@ func main() {
 			fatal(err)
 		}
 		if *fleetN > 1 {
-			if *distProc > 0 {
-				fleetCells, err = sweepFleetDistributed(points, *trials, *seed, *fleetN, *shards, *clusters, quant.Tick(*stealLat), *distProc)
-			} else {
-				topo := farm.Topology{Clusters: *clusters, CrossLatency: quant.Tick(*stealLat)}
-				fleetCells, err = sweepFleet(points, *trials, *seed, *workers, *fleetN, *shards, topo)
+			sw := fleetSweep{
+				trials: *trials, seed: *seed,
+				stations: *fleetN, shards: *shards, clusters: *clusters, stealLatency: quant.Tick(*stealLat),
+				workers: *workers, procs: *distProc,
 			}
+			if sw.procs > 0 {
+				exe, err := os.Executable()
+				if err != nil {
+					fatal(fmt.Errorf("locating the worker binary: %w", err))
+				}
+				sw.start = distrib.ExecStarter(func() *exec.Cmd { return exec.Command(exe, "-distrib-worker") })
+			}
+			fleetCells, err = sw.run(points)
 			if err != nil {
 				fatal(err)
 			}
@@ -171,10 +177,10 @@ func main() {
 			row = append(row, sum.Mean/cf, stats.TCritical95(sum.N-1)*sum.SE/cf)
 		}
 		if fleetCells != nil {
-			fc := fleetCells[i]
-			row = append(row, 100*fc.completion.Mean, fc.imbalance.Mean, fc.steals.Mean)
+			rep := fleetCells[i]
+			row = append(row, 100*rep.Completion.Mean, rep.Imbalance.Mean, rep.Steals.Mean)
 			if *clusters > 1 {
-				row = append(row, fc.inflight.Mean)
+				row = append(row, rep.InFlight.Mean)
 			}
 		}
 		t.Row(row...)
@@ -184,10 +190,8 @@ func main() {
 		t.Note("E[W] = optimal schedule vs Poisson owner (mean return U/3), %d trials on the internal/mc engine", *trials)
 	}
 	if fleetCells != nil {
-		t.Note("fleet columns: %d identical stations farm one shared job (a full U/c size-c tasks per station) on the two-level farm engine; completion ≈ the fleet-achievable fraction of the contract, with max/mean balance and cross-queue steals, means over %d trials", *fleetN, *trials)
-		if *distProc > 0 {
-			t.Note("fleet columns computed distributed across %d worker processes on the public fleet engine: stations schedule with the adaptive equalization policy (not the cell's solved optimal schedule) under a Poisson temperament inside the fixed (U, p) contract — bit-identical to the same spec in one process", *distProc)
-		}
+		t.Note("fleet columns: %d identical stations farm one shared job (a full U/c size-c tasks per station) on the public fleet engine; completion ≈ the fleet-achievable fraction of the contract, with max/mean balance and cross-queue steals, means over %d trials", *fleetN, *trials)
+		t.Note("fleet stations schedule with the equalized policy (not the cell's solved optimal schedule) under the Poisson temperament inside the fixed (U, p) contract, its mean return U/3 rounded to the tick; the same at any -distribute, each of which refuses p = 0 cells (the fixed owner reads a zero allowance as the standard one)")
 		if *clusters > 1 {
 			t.Note("topology: %d clusters over the shards, cross-cluster steals priced at %d ticks; with one opportunity per station a priced parcel caught at the final barrier never lands — the in-flight column is that loss", *clusters, *stealLat)
 		}
@@ -268,170 +272,118 @@ func sweepMonteCarlo(points []game.SweepPoint, trials int, seed int64, workers i
 	return sums, nil
 }
 
-// fleetCell is one sweep cell's fleet-composition view.
-type fleetCell struct {
-	completion stats.Summary
-	imbalance  stats.Summary
-	steals     stats.Summary
-	inflight   stats.Summary
+// fleetSweep is the -fleet study: each cell's fleet, its trials, and where
+// they run.
+type fleetSweep struct {
+	trials                     int
+	seed                       int64
+	stations, shards, clusters int
+	stealLatency               quant.Tick
+	workers                    int             // in-process worker budget (-workers)
+	procs                      int             // worker processes (-distribute); 0 runs in process
+	start                      distrib.Starter // opens a worker when procs > 0
 }
 
-// fixedOwner offers the sweep cell's exact contract every time and plays the
-// E8 Poisson temperament (mean return U/3) inside it.
-type fixedOwner struct {
-	u quant.Tick
-	p int
-}
-
-func (o fixedOwner) Sample(*rand.Rand) station.Contract { return station.Contract{U: o.u, P: o.p} }
-
-func (o fixedOwner) Interrupter(rng *rand.Rand, c station.Contract) sim.Interrupter {
-	return &adversary.Poisson{Rng: rng, Mean: float64(c.U) / 3}
-}
-
-func (o fixedOwner) Name() string { return "fixed+poisson" }
-
-// sweepFleet farms each cell's contract across fleet identical stations: the
-// cell's exactly optimal schedule (shared read-only across stations) works a
-// job of U/c size-c tasks per station — a full lifespan's worth, more than
-// any visit can yield, so the completion column reads as the fleet-level
-// achievable fraction of the cell's (U, p) contract. Cells run sequentially;
-// the worker budget goes to farm.Replicate's two-level trial × station-group
-// pool, and every cell is bit-identical at any -workers by the mc and farm
-// determinism contracts. A non-flat topo splits the shards into clusters and
-// prices cross-cluster steals (-clusters / -steallatency); the farm's
-// topology validation rejects shapes the shard count cannot partition.
-func sweepFleet(points []game.SweepPoint, trials int, seed int64, workers, fleet, shards int, topo farm.Topology) ([]fleetCell, error) {
-	out := make([]fleetCell, len(points))
-	for i, pt := range points {
-		solver, err := game.Solve(pt.P, pt.U, pt.C)
-		if err != nil {
-			return nil, err
-		}
-		s := solver.Scheduler()
-		factory := func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) { return s, nil }
-		stations := make([]station.Workstation, fleet)
-		for j := range stations {
-			stations[j] = station.Workstation{ID: j, Owner: fixedOwner{u: pt.U, p: pt.P}, Setup: pt.C}
-		}
-		perStation := int(pt.U / pt.C)
-		if perStation < 1 {
-			perStation = 1
-		}
-		job := farm.Job{Tasks: task.Fixed(fleet*perStation, pt.C)}
-		f := farm.Farm{Stations: stations, OpportunitiesPerStation: 1, Shards: shards, Topology: topo}
-		sums, err := f.Replicate(context.Background(), job, factory, mc.Config{Trials: trials, Seed: seed + int64(i)<<32, Workers: workers})
-		if err != nil {
-			return nil, fmt.Errorf("cell (U=%d p=%d) fleet: %w", pt.U, pt.P, err)
-		}
-		out[i] = fleetCell{
-			completion: sums[farm.MetricCompletionFrac],
-			imbalance:  sums[farm.MetricImbalance],
-			steals:     sums[farm.MetricSteals],
-			inflight:   sums[farm.MetricTasksInFlight],
-		}
-	}
-	return out, nil
-}
-
-// distribCellSpec restates one sweep cell as a wire spec for the public
-// fleet engine: fleetN stations whose owners play the E8 Poisson
-// temperament (mean return U/3) inside a fixed (U, p) contract, Setup = c
-// in caller units with TicksPerSetup = c so one caller unit is exactly one
-// tick — the sweep's own grid. The job is the fleet mode's usual full
-// lifespan of size-c tasks per station. What cannot travel is the cell's
-// solved optimal schedule (a value table, not named data), so distributed
-// cells schedule with the named default — the adaptive equalization
-// policy; the fleet columns shift meaning accordingly. A p = 0 cell is
-// rejected: the wire owner grammar cannot express a zero interrupt
-// allowance (0 means "the standard default" there).
-func distribCellSpec(pt game.SweepPoint, trials int, seed int64, cell, fleetN, shards, clusters int, stealLat quant.Tick) (distrib.Spec, error) {
+// cell states one sweep cell as a study of the public fleet engine: the
+// sweep's stations, whose owners play the E8 Poisson temperament (mean
+// return U/3) inside a fixed (U, p) contract, Setup = c in caller units
+// with TicksPerSetup = c so one caller unit is exactly one tick — the
+// sweep's own grid. The job is a full lifespan of size-c tasks per
+// station, so the completion column reads as the fleet-level achievable
+// fraction of the contract. What cannot be stated is the cell's solved
+// optimal schedule (a value table, not named data), so stations schedule
+// with the named default, the equalized policy. A p = 0 cell is refused:
+// the fixed owner reads a zero allowance as the standard one.
+func (sw fleetSweep) cell(pt game.SweepPoint, cell int) (fleet.Config, fleet.Job, error) {
 	if pt.P < 1 {
-		return distrib.Spec{}, fmt.Errorf("cell (U=%d p=%d): -distribute cannot express a zero interrupt allowance (drop p=0 from -ps)", pt.U, pt.P)
+		return fleet.Config{}, fleet.Job{}, fmt.Errorf("-fleet cannot express a zero interrupt allowance: the fleet's fixed owner reads 0 as the standard allowance (drop p=0 from -ps)")
 	}
 	cfg := fleet.Config{
-		Stations:      fleetN,
+		Stations:      sw.stations,
 		Setup:         float64(pt.C),
 		TicksPerSetup: int(pt.C),
 		Opportunities: 1,
-		Seed:          seed + int64(cell)<<32,
+		Seed:          sw.seed + int64(cell)<<32,
 		Owners: []fleet.Owner{fleet.Poisson{
 			Base: fleet.Fixed{Lifespan: float64(pt.U), Interrupts: pt.P},
 			Mean: float64(pt.U) / 3,
 		}},
-		Shards:       shards,
-		Clusters:     clusters,
-		StealLatency: float64(stealLat),
+		Shards:       sw.shards,
+		Clusters:     sw.clusters,
+		StealLatency: float64(sw.stealLatency),
+		Workers:      sw.workers,
 	}
-	perStation := int(pt.U / pt.C)
-	if perStation < 1 {
-		perStation = 1
-	}
-	job := fleet.Job{Tasks: fleet.FixedTasks(fleetN*perStation, float64(pt.C))}
-	return distrib.NewSpec(cfg, job, trials)
+	perStation := max(int(pt.U/pt.C), 1)
+	return cfg, fleet.Job{Tasks: fleet.FixedTasks(sw.stations*perStation, float64(pt.C))}, nil
 }
 
-// sweepFleetDistributed is sweepFleet's multi-process sibling: each cell's
-// study fans out across procs re-execed copies of this binary (the hidden
-// -distrib-worker mode) through a distrib.Coordinator, with study-level
-// trial progress relayed to stderr. Cells run sequentially; within a cell
-// the merged numbers are bit-identical at any procs by the distrib
-// contract.
-func sweepFleetDistributed(points []game.SweepPoint, trials int, seed int64, fleetN, shards, clusters int, stealLat quant.Tick, procs int) ([]fleetCell, error) {
-	exe, err := os.Executable()
+// spec is the cell as the wire spec a distrib.Coordinator deals.
+func (sw fleetSweep) spec(pt game.SweepPoint, cell int) (distrib.Spec, error) {
+	cfg, job, err := sw.cell(pt, cell)
 	if err != nil {
-		return nil, fmt.Errorf("locating the worker binary: %w", err)
+		return distrib.Spec{}, err
 	}
-	start := distrib.ExecStarter(func() *exec.Cmd { return exec.Command(exe, "-distrib-worker") })
-	out := make([]fleetCell, len(points))
+	return distrib.NewSpec(cfg, job, sw.trials)
+}
+
+// run replicates every cell's study, cell by cell: fleet.Replicate on
+// sw.workers in process, or, with procs > 0, a distrib.Coordinator over
+// that many workers sw.start opens, relaying trial progress to stderr.
+// Either way a cell's summaries are bit-identical, by the mc and distrib
+// contracts.
+func (sw fleetSweep) run(points []game.SweepPoint) ([]fleet.Replication, error) {
+	out := make([]fleet.Replication, len(points))
 	for i, pt := range points {
-		spec, err := distribCellSpec(pt, trials, seed, i, fleetN, shards, clusters, stealLat)
-		if err != nil {
-			return nil, err
+		var err error
+		if sw.procs > 0 {
+			out[i], err = sw.distribute(pt, i, len(points))
+		} else {
+			out[i], err = sw.replicate(pt, i)
 		}
-		coord, err := distrib.NewCoordinator(spec, distrib.Options{
-			Workers: procs,
-			Start:   start,
-			Progress: func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rcstealsweep: cell %d/%d: %d/%d trials", i+1, len(points), done, total)
-			},
-		})
 		if err != nil {
-			return nil, fmt.Errorf("cell (U=%d p=%d) distributed fleet: %w", pt.U, pt.P, err)
-		}
-		rep, err := coord.Run(context.Background())
-		if err != nil {
-			fmt.Fprintln(os.Stderr)
-			return nil, fmt.Errorf("cell (U=%d p=%d) distributed fleet: %w", pt.U, pt.P, err)
-		}
-		out[i] = fleetCell{
-			completion: engineSummary(rep.Completion),
-			imbalance:  engineSummary(rep.Imbalance),
-			steals:     engineSummary(rep.Steals),
-			inflight:   engineSummary(rep.InFlight),
+			return nil, fmt.Errorf("cell (U=%d p=%d) fleet: %w", pt.U, pt.P, err)
 		}
 	}
-	fmt.Fprintln(os.Stderr)
+	if sw.procs > 0 {
+		fmt.Fprintln(os.Stderr)
+	}
 	return out, nil
 }
 
-// engineSummary converts a public fleet summary back to the engine form
-// the table plumbing carries. The fields mirror one another exactly; only
-// the package differs.
-func engineSummary(s fleet.Summary) stats.Summary {
-	return stats.Summary{
-		N:      s.N,
-		Mean:   s.Mean,
-		Std:    s.Std,
-		SE:     s.SE,
-		Min:    s.Min,
-		Max:    s.Max,
-		Median: s.Median,
-		P90:    s.P90,
-		P99:    s.P99,
-		CI95Lo: s.CI95Lo,
-		CI95Hi: s.CI95Hi,
+// replicate runs one cell's study in process.
+func (sw fleetSweep) replicate(pt game.SweepPoint, cell int) (fleet.Replication, error) {
+	cfg, job, err := sw.cell(pt, cell)
+	if err != nil {
+		return fleet.Replication{}, err
 	}
+	f, err := fleet.New(cfg)
+	if err != nil {
+		return fleet.Replication{}, err
+	}
+	return f.Replicate(context.Background(), job, sw.trials)
+}
+
+// distribute runs one cell's study across sw.procs workers.
+func (sw fleetSweep) distribute(pt game.SweepPoint, cell, cells int) (fleet.Replication, error) {
+	spec, err := sw.spec(pt, cell)
+	if err != nil {
+		return fleet.Replication{}, err
+	}
+	coord, err := distrib.NewCoordinator(spec, distrib.Options{
+		Workers: sw.procs,
+		Start:   sw.start,
+		Progress: func(done, total int) {
+			fmt.Fprintf(os.Stderr, "\rcstealsweep: cell %d/%d: %d/%d trials", cell+1, cells, done, total)
+		},
+	})
+	if err != nil {
+		return fleet.Replication{}, err
+	}
+	rep, err := coord.Run(context.Background())
+	if err != nil {
+		fmt.Fprintln(os.Stderr)
+	}
+	return rep, err
 }
 
 func parseTicks(s string) ([]quant.Tick, error) {

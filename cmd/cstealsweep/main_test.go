@@ -6,15 +6,17 @@ import (
 
 	"cyclesteal/distrib"
 	"cyclesteal/internal/game"
+	"cyclesteal/internal/quant"
 )
 
-// TestDistribCellSpec pins the cell → wire-spec mapping -distribute rests
-// on: the facade config restates the sweep cell exactly (caller unit = one
+// TestDistribCellSpec pins the cell → wire-spec mapping -fleet rests on:
+// the facade config restates the sweep cell exactly (caller unit = one
 // tick, fixed (U, p) contract under the E8 Poisson temperament, the fleet
 // mode's usual job), and the resulting spec builds a runnable study.
 func TestDistribCellSpec(t *testing.T) {
 	pt := game.SweepPoint{U: 1200, P: 2, C: 100}
-	spec, err := distribCellSpec(pt, 40, 9, 3, 6, 4, 2, 50)
+	sw := fleetSweep{trials: 40, seed: 9, stations: 6, shards: 4, clusters: 2, stealLatency: 50}
+	spec, err := sw.spec(pt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestDistribCellSpec(t *testing.T) {
 // TestDistribCellSpecShortLifespan pins the perStation floor: a lifespan
 // under one setup still gets one task per station.
 func TestDistribCellSpecShortLifespan(t *testing.T) {
-	spec, err := distribCellSpec(game.SweepPoint{U: 50, P: 1, C: 100}, 5, 1, 0, 3, 0, 0, 0)
+	spec, err := fleetSweep{trials: 5, seed: 1, stations: 3}.spec(game.SweepPoint{U: 50, P: 1, C: 100}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,26 +77,62 @@ func TestDistribCellSpecShortLifespan(t *testing.T) {
 }
 
 // TestDistribCellSpecRejectsZeroInterrupts pins the loud failure for p = 0
-// cells: the wire owner grammar reads a zero allowance as "the default",
-// so -distribute must refuse rather than silently change the contract.
+// cells: the fleet's fixed owner reads a zero allowance as "the default",
+// so -fleet must refuse at every -distribute rather than silently change
+// the contract.
 func TestDistribCellSpecRejectsZeroInterrupts(t *testing.T) {
-	_, err := distribCellSpec(game.SweepPoint{U: 1000, P: 0, C: 100}, 10, 1, 0, 4, 0, 0, 0)
-	if err == nil {
+	sw := fleetSweep{trials: 10, seed: 1, stations: 4}
+	pt := game.SweepPoint{U: 1000, P: 0, C: 100}
+	if _, err := sw.spec(pt, 0); err == nil {
 		t.Fatal("p = 0 cell accepted; want a loud rejection")
+	}
+	for _, procs := range []int{0, 1} {
+		sw.procs, sw.start = procs, distrib.InProcess()
+		if _, err := sw.run([]game.SweepPoint{pt}); err == nil {
+			t.Errorf("-distribute %d ran a p = 0 cell; want a loud rejection", procs)
+		}
 	}
 }
 
-// TestDistribCellSpecSeedPerCell pins the per-cell seed stride matching
-// sweepFleet's, so in-process and distributed cells replay the same trial
-// streams.
+// TestDistribCellSpecSeedPerCell pins the per-cell seed stride: each cell
+// replays its own range of trial streams.
 func TestDistribCellSpecSeedPerCell(t *testing.T) {
 	for _, cell := range []int{0, 1, 7} {
-		spec, err := distribCellSpec(game.SweepPoint{U: 500, P: 1, C: 100}, 5, 11, cell, 2, 0, 0, 0)
+		spec, err := fleetSweep{trials: 5, seed: 11, stations: 2}.spec(game.SweepPoint{U: 500, P: 1, C: 100}, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := 11 + int64(cell)<<32; spec.Seed != want {
 			t.Errorf("cell %d seed %d, want %d", cell, spec.Seed, want)
 		}
+	}
+}
+
+// TestFleetSweepSameAtEveryDistribute pins what -distribute may change:
+// where the fleet columns are computed, never what. Two cells of a
+// clustered fleet with a priced crossing replicate in process and through
+// a coordinator over in-process workers, and every summary agrees.
+func TestFleetSweepSameAtEveryDistribute(t *testing.T) {
+	points := game.Grid([]quant.Tick{1000}, []int{1, 2}, 100)
+	sw := fleetSweep{trials: 24, seed: 5, stations: 8, shards: 4, clusters: 2, stealLatency: 100, workers: 2}
+	local, err := sw.run(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.procs, sw.start = 2, distrib.InProcess()
+	remote, err := sw.run(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(local, remote) {
+		t.Fatalf("in process and distributed cells differ:\n%+v\n%+v", local, remote)
+	}
+	for i, rep := range local {
+		if rep.Trials != 24 || rep.Completion.Mean <= 0 || rep.Completion.Mean >= 1 {
+			t.Errorf("cell %d: %d trials, completion %g; want 24 trials completing part of the job", i, rep.Trials, rep.Completion.Mean)
+		}
+	}
+	if local[0].Completion.Mean == local[1].Completion.Mean {
+		t.Error("p = 1 and p = 2 cells read the same completion; the cells are not their own")
 	}
 }

@@ -134,6 +134,24 @@ func checkScaled(t *testing.T, base, got reflect.Value, k float64, path string) 
 	}
 }
 
+// mixedFleet is the standard heterogeneous NOW of the experiments, on a
+// grid of c ticks per setup: offices, laptops and overnight lab machines,
+// round-robin, with the station models the default Owners promise.
+func mixedFleet(stations int, c quant.Tick) []station.Workstation {
+	fleet := make([]station.Workstation, stations)
+	for i := range fleet {
+		switch i % 3 {
+		case 0:
+			fleet[i] = station.Workstation{ID: i, Owner: station.Office{MeanIdle: 250 * c, MaxP: 2}, Setup: c}
+		case 1:
+			fleet[i] = station.Workstation{ID: i, Owner: station.Laptop{MeanIdle: 100 * c}, Setup: c}
+		default:
+			fleet[i] = station.Workstation{ID: i, Owner: station.Overnight{Window: 400 * c}, Setup: c}
+		}
+	}
+	return fleet
+}
+
 // TestDefaultOwnersMatchMixedFleet pins the facade's default fleet to the
 // experiments' standard heterogeneous NOW: promoting the engines must not
 // quietly change what "a 64-station fleet" means.
@@ -142,9 +160,9 @@ func TestDefaultOwnersMatchMixedFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := station.MixedFleet(7, 100)
+	want := mixedFleet(7, 100)
 	if !reflect.DeepEqual(f.stations, want) {
-		t.Fatalf("default fleet diverged from station.MixedFleet:\n got %+v\nwant %+v", f.stations, want)
+		t.Fatalf("default fleet diverged from the standard mixed fleet:\n got %+v\nwant %+v", f.stations, want)
 	}
 }
 
@@ -171,8 +189,9 @@ func TestOwnerAndPolicySelectors(t *testing.T) {
 func facadeJob() Job { return Job{Tasks: ExponentialTasks(600, 12, 3)} }
 
 // equivalentInternalJob quantizes facadeJob exactly as the facade does for
-// Setup 5, TicksPerSetup 100.
-func equivalentInternalJob(j Job) farm.Job {
+// Setup 5, TicksPerSetup 100, and deals it over groups hands as task.Deal
+// does, each with its smallest duration.
+func equivalentInternalJob(j Job, groups int) farm.Job {
 	tasks := make([]task.Task, len(j.Tasks))
 	for i, d := range j.Tasks {
 		tk := quant.Tick(math.Round(d / 5 * 100))
@@ -181,7 +200,16 @@ func equivalentInternalJob(j Job) farm.Job {
 		}
 		tasks[i] = task.Task{ID: i, Duration: tk}
 	}
-	return farm.Job{Tasks: tasks}
+	hands := make([]task.Hand, groups)
+	for g, h := range task.Deal(tasks, groups) {
+		hands[g].Tasks = h
+		for _, tk := range h {
+			if hands[g].MinDur == 0 || tk.Duration < hands[g].MinDur {
+				hands[g].MinDur = tk.Duration
+			}
+		}
+	}
+	return farm.Job{Dealt: hands}
 }
 
 // A batch run's intake quantizes the job straight into its group queues:
@@ -227,13 +255,13 @@ func TestQuantizeDealtMatchesDeal(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n == 0 {
-				if fj.Dealt != nil || fj.Tasks != nil || work != 0 {
+				if fj.Dealt != nil || work != 0 {
 					t.Fatalf("empty job dealt over %d groups: %+v, total %d", groups, fj, work)
 				}
 				continue
 			}
-			if work != total || fj.Tasks != nil || len(fj.Dealt) != groups {
-				t.Fatalf("n=%d over %d groups: total %d (flat %d), %d plain tasks, %d hands", n, groups, work, total, len(fj.Tasks), len(fj.Dealt))
+			if work != total || len(fj.Dealt) != groups {
+				t.Fatalf("n=%d over %d groups: total %d (flat %d), %d hands", n, groups, work, total, len(fj.Dealt))
 			}
 			for g, want := range task.Deal(flat, groups) {
 				h := fj.Dealt[g]
@@ -288,10 +316,10 @@ func TestRunDeterministicBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, err := farm.Farm{
-		Stations:                station.MixedFleet(24, 100),
+		Stations:                mixedFleet(24, 100),
 		OpportunitiesPerStation: 6,
 		Shards:                  4,
-	}.RunDeterministic(context.Background(), equivalentInternalJob(job), f.factory, 11, 1)
+	}.RunDeterministic(context.Background(), equivalentInternalJob(job, 4), f.factory, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +442,8 @@ func TestPrivateReplicateHonorsCheckpoint(t *testing.T) {
 }
 
 // TestReplicateBitIdentical pins Replicate to itself across worker counts
-// and to the raw internal/farm replication.
+// and to the raw internal/farm replication: every shard of the study,
+// merged.
 func TestReplicateBitIdentical(t *testing.T) {
 	cfg := Config{Stations: 16, Setup: 5, Opportunities: 4, Shards: 4, Seed: 21}
 	job := facadeJob()
@@ -441,11 +470,15 @@ func TestReplicateBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := farm.Farm{
-		Stations:                station.MixedFleet(16, 100),
+	shards, err := farm.Farm{
+		Stations:                mixedFleet(16, 100),
 		OpportunitiesPerStation: 4,
 		Shards:                  4,
-	}.Replicate(context.Background(), equivalentInternalJob(job), f.factory, mc.Config{Trials: 10, Seed: 21})
+	}.ReplicateShards(context.Background(), equivalentInternalJob(job, 4), f.factory, mc.Config{Trials: 10, Seed: 21}, false, new(Study).AllShards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := mc.MergeShards(farm.NumMetrics, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,8 @@ func TestSplitIntakeMatchesSerial(t *testing.T) {
 				if work != wantWork {
 					t.Errorf("n=%d over %d hands at %d workers: total %d, serial %d", n, groups, workers, work, wantWork)
 				}
-				if got.Tasks != nil || len(got.Dealt) != groups {
-					t.Fatalf("n=%d over %d hands at %d workers: %d plain tasks, %d hands", n, groups, workers, len(got.Tasks), len(got.Dealt))
+				if len(got.Dealt) != groups {
+					t.Fatalf("n=%d over %d hands at %d workers: %d hands", n, groups, workers, len(got.Dealt))
 				}
 				for h, wh := range want.Dealt {
 					gh := got.Dealt[h]

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 
+	"cyclesteal/internal/mc"
 	"cyclesteal/internal/stats"
 )
 
@@ -96,12 +97,18 @@ func (f *Fleet) Replicate(ctx context.Context, job Job, trials int) (Replication
 			cb(Progress{Completed: done, Remaining: total - done})
 		}
 	}
-	// Replicate IS the sharded study run over all shards: the single-process
-	// and distributed paths share every line — engine core, shard cut, state
-	// round trip, merge, assembly — so they cannot drift apart.
-	results, err := st.RunShards(ctx, st.AllShards(), progress)
+	// Replicate is the sharded study run over all shards and merged in
+	// process: the single-process and distributed paths share the engine
+	// core, the shard cut, the merge and the assembly. Only the state round
+	// trip is RunShards' and Merge's own, and the distrib tests compare
+	// that path with this one.
+	shards, err := st.runShards(ctx, st.AllShards(), progress)
 	if err != nil {
 		return Replication{}, err
 	}
-	return st.Merge(results)
+	sums, err := mc.MergeShards(st.MetricColumns(), shards)
+	if err != nil {
+		return Replication{}, err
+	}
+	return st.assemble(sums), nil
 }

@@ -25,72 +25,17 @@ const StudyShards = mc.Shards
 // KLL-style compactor hierarchy behind Median/P90/P99. Level l values carry
 // weight 2^l; sketch merge is a level-wise union, so rebuilt sketches merge
 // bit-identically regardless of where each shard ran.
-type SketchState struct {
-	// K is the per-level buffer capacity.
-	K int `json:"k"`
-	// N is the number of observations the sketch represents.
-	N int64 `json:"n"`
-	// Bound is the accumulated rank-error bound.
-	Bound int64 `json:"bound"`
-	// Parity holds each level's alternating-selection offset.
-	Parity []bool `json:"parity,omitempty"`
-	// Levels holds each level's retained values.
-	Levels [][]float64 `json:"levels,omitempty"`
-}
+type SketchState = stats.SketchState
 
 // AccumState is the serializable state of one metric's accumulator within
 // one shard: Welford moments, exact extremes, and the quantile sketch. All
 // floats are finite and round-trip exactly through JSON (Go marshals the
 // shortest representation that parses back to the same bits), which is what
-// keeps distributed merges bit-identical to in-process ones.
-type AccumState struct {
-	// N is the number of trials folded in.
-	N int `json:"n"`
-	// Mean and M2 are the Welford running mean and sum of squared deviations.
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	// Min and Max are the exact extremes (meaningful only when N ≥ 1).
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
-	// Sketch is the quantile sketch state; nil when quantile tracking is
-	// disabled for the column.
-	Sketch *SketchState `json:"sketch,omitempty"`
-}
-
-// Validate checks the structural invariants the replication engine
-// maintains by construction — a decoder feeding wire data through here gets
-// a loud error instead of state that lies.
-func (a AccumState) Validate() error {
-	return a.internal().Validate()
-}
-
-func (a AccumState) internal() stats.AccumState {
-	st := stats.AccumState{N: a.N, Mean: a.Mean, M2: a.M2, Min: a.Min, Max: a.Max}
-	if a.Sketch != nil {
-		st.Sketch = &stats.SketchState{
-			K:      a.Sketch.K,
-			N:      a.Sketch.N,
-			Bound:  a.Sketch.Bound,
-			Parity: a.Sketch.Parity,
-			Levels: a.Sketch.Levels,
-		}
-	}
-	return st
-}
-
-func accumState(st stats.AccumState) AccumState {
-	a := AccumState{N: st.N, Mean: st.Mean, M2: st.M2, Min: st.Min, Max: st.Max}
-	if st.Sketch != nil {
-		a.Sketch = &SketchState{
-			K:      st.Sketch.K,
-			N:      st.Sketch.N,
-			Bound:  st.Sketch.Bound,
-			Parity: st.Sketch.Parity,
-			Levels: st.Sketch.Levels,
-		}
-	}
-	return a
-}
+// keeps distributed merges bit-identical to in-process ones. Its Validate
+// checks the structural invariants the replication engine maintains by
+// construction, so a decoder feeding wire data through it gets a loud
+// error instead of state that lies.
+type AccumState = stats.AccumState
 
 // ShardResult is one shard's partial study state: a full accumulator per
 // metric column, covering exactly the trials the shard owns. It is the unit
@@ -247,10 +192,7 @@ func (s *Study) AllShards() []int {
 // cancellation. Cancelling ctx stops every worker at its next trial
 // boundary and returns ctx.Err().
 func (s *Study) RunShards(ctx context.Context, shardIDs []int, progress func(done, total int)) ([]ShardResult, error) {
-	cfg := s.cfg
-	cfg.Progress = progress
-	cfg.ProgressInterval = s.interval
-	shards, err := s.fm.ReplicateShards(ctx, s.fj, s.factory, cfg, s.statCols, shardIDs)
+	shards, err := s.runShards(ctx, shardIDs, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -258,11 +200,20 @@ func (s *Study) RunShards(ctx context.Context, shardIDs []int, progress func(don
 	for i, sh := range shards {
 		res := ShardResult{Shard: sh.Shard, Metrics: make([]AccumState, len(sh.Accums))}
 		for m, a := range sh.Accums {
-			res.Metrics[m] = accumState(a.State())
+			res.Metrics[m] = a.State()
 		}
 		out[i] = res
 	}
 	return out, nil
+}
+
+// runShards computes the named shards' accumulators: RunShards before the
+// state snapshot, and what Replicate merges in process.
+func (s *Study) runShards(ctx context.Context, shardIDs []int, progress func(done, total int)) ([]mc.ShardAccums, error) {
+	cfg := s.cfg
+	cfg.Progress = progress
+	cfg.ProgressInterval = s.interval
+	return s.fm.ReplicateShards(ctx, s.fj, s.factory, cfg, s.statCols, shardIDs)
 }
 
 // Merge folds a complete cover of shard results — every shard exactly once,
@@ -284,7 +235,7 @@ func (s *Study) Merge(results []ShardResult) (Replication, error) {
 		want := mc.ShardTrials(s.trials, r.Shard)
 		accums := make([]*stats.Accumulator, cols)
 		for m, st := range r.Metrics {
-			a, err := stats.AccumulatorFromState(st.internal())
+			a, err := stats.AccumulatorFromState(st)
 			if err != nil {
 				return Replication{}, fmt.Errorf("fleet: shard %d metric %d: %w", r.Shard, m, err)
 			}

@@ -108,7 +108,7 @@ func TestTopologyRunDeterministicBitIdentical(t *testing.T) {
 		Shards:                  4,
 		Topology:                farm.Topology{Clusters: 2, CrossLatency: 40},
 	}
-	raw, err := fm.RunDeterministic(context.Background(), equivalentInternalJob(job), f.factory, 11, 1)
+	raw, err := fm.RunDeterministic(context.Background(), equivalentInternalJob(job, fm.Groups()), f.factory, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,8 +186,9 @@ func writeWALLine(w io.Writer, v any) error {
 // field or kind, bytes after a line's object, a tick below 1, a negative
 // checkpoint, a round running backwards or a line over walMaxLine bytes is
 // an error naming its line, never a panic and never a silent skip. Blank
-// lines are skipped but counted. Lines decode through jsonl.Unmarshal, the
-// strict decode the distrib wire frames share.
+// lines, of JSON whitespace only, are skipped but counted. Other lines
+// decode whole through jsonl.Unmarshal, the strict decode the distrib wire
+// frames share.
 func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, walMaxLine)
@@ -196,8 +197,8 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 	n := 0
 	for sc.Scan() {
 		n++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+		line := sc.Bytes()
+		if len(bytes.TrimLeft(line, " \t\r\n")) == 0 {
 			continue
 		}
 		if hdr.Format == "" {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -89,6 +90,16 @@ func TestReadWALRejectsMalformed(t *testing.T) {
 		{"caller-unit duration", header + `{"round":0,"kind":"submit","tasks":[12.5]}` + "\n", "line 2"},
 		{"negative checkpoint", header + `{"round":0,"kind":"checkpoint","checkpoint":-2}` + "\n", "checkpoint"},
 		{"trailing data", header + `{"round":0,"kind":"join"} {"round":1,"kind":"leave"}` + "\n", "trailing"},
+	}
+	// None of these bytes is JSON whitespace: after a record they are
+	// trailing data, and a line of one of them alone is not blank.
+	for _, b := range []string{"\v", "\f", "\u0085", "\u00a0"} {
+		name := fmt.Sprintf("%q", b)
+		cases = append(cases,
+			struct{ name, log, want string }{name + " after a record", header + `{"round":0,"kind":"join"}` + b + "\n", "line 2: trailing"},
+			struct{ name, log, want string }{name + " alone on a line", header + `{"round":0,"kind":"join"}` + "\n" + b + "\n", "line 3"},
+			struct{ name, log, want string }{name + " after the header", strings.TrimSuffix(header, "\n") + b + "\n", "header"},
+		)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

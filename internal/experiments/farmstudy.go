@@ -3,15 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"cyclesteal/internal/farm"
-	"cyclesteal/internal/mc"
-	"cyclesteal/internal/model"
-	"cyclesteal/internal/sched"
-	"cyclesteal/internal/station"
+	"cyclesteal/fleet"
+	"cyclesteal/internal/quant"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
-	"cyclesteal/internal/task"
 )
 
 // FarmStudy is experiment E11 (an extension beyond the paper's single-
@@ -20,10 +17,12 @@ import (
 // kills, and load balance. It closes the loop on the paper's title — the
 // per-opportunity guarantees of §3–5 compose into fleet-level throughput.
 //
-// Each policy is replicated trials times on the internal/mc engine (one
-// whole farmed job per trial, over independent owner randomness), so the
-// reported numbers are means with confidence intervals rather than one
-// draw, and are bit-identical for a fixed cfg.Seed at any cfg.Workers.
+// The fleet is the facade's default owner mix (offices, laptops and
+// overnight lab machines), on a grid of one tick per caller unit. Each
+// policy is one fleet.Replicate of trials trials (one whole farmed job per
+// trial, over independent owner randomness), so the reported numbers are
+// means with confidence intervals rather than one draw, and are
+// bit-identical for a fixed cfg.Seed at any cfg.Workers.
 func FarmStudy(cfg Config, stations, opportunitiesPer int, jobTasks int, trials int) (*tab.Table, error) {
 	cfg = cfg.normalize()
 	c := cfg.C
@@ -31,57 +30,76 @@ func FarmStudy(cfg Config, stations, opportunitiesPer int, jobTasks int, trials 
 		return nil, fmt.Errorf("experiments: E11 needs trials ≥ 1, got %d", trials)
 	}
 
-	fleet := station.MixedFleet(stations, c)
-	job := farm.Job{Tasks: task.Exponential(jobTasks, float64(2*c), cfg.Seed)}
+	// Exponential durations of mean 2c, cut to whole ticks of at least 1.
+	durations := fleet.ExponentialTasks(jobTasks, float64(2*c), cfg.Seed)
+	var total float64
+	for i, d := range durations {
+		durations[i] = max(1, math.Trunc(d))
+		total += durations[i]
+	}
+	job := fleet.Job{Tasks: durations}
 
 	policies := []struct {
-		name    string
-		factory station.SchedulerFactory
+		name   string
+		policy fleet.Policy
 	}{
-		{"single-period", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
-			return sched.SinglePeriod{}, nil
-		}},
-		{"fixed-chunk 25c", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
-			return sched.FixedChunk{T: 25 * ws.Setup}, nil
-		}},
-		{"non-adaptive §3.1", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
-			return sched.NewNonAdaptive(ct.U, ct.P, ws.Setup)
-		}},
-		{"adaptive equalized", func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
-			return sched.NewAdaptiveEqualized(ws.Setup)
-		}},
+		{"single-period", fleet.Policy{Name: "single"}},
+		{"fixed-chunk 25c", fleet.Policy{Name: "fixedchunk", Chunk: float64(25 * c)}},
+		{"non-adaptive §3.1", fleet.Policy{Name: "nonadaptive"}},
+		{"adaptive equalized", fleet.Policy{Name: "equalized"}},
 	}
 
 	t := tab.New(
 		fmt.Sprintf("E11: shared job across a NOW (%d stations, %d tasks ≈ %s·c of work, c = %d ticks, %d trials)",
-			stations, jobTasks, tab.FormatFloat(inC(job.TotalWork(), c)), c, trials),
+			stations, jobTasks, tab.FormatFloat(inCf(total, c)), c, trials),
 		"policy", "tasks done", "completion %", "±95%", "killed/c", "interrupts", "imbalance",
 	)
 	for i, p := range policies {
-		f := farm.Farm{Stations: fleet, OpportunitiesPerStation: opportunitiesPer}
+		fc := tickFleet(cfg, c, stations, opportunitiesPer)
+		fc.Policy = p.policy
 		// Disjoint seed-stream ranges per policy. The stride is independent
 		// of the trial count so widening trials extends each policy's
 		// existing stream instead of rebasing it (mc prefix stability).
-		sums, err := f.Replicate(context.Background(), job, p.factory, mc.Config{
-			Trials:  trials,
-			Seed:    cfg.Seed + int64(i)<<32,
-			Workers: cfg.Workers,
-		})
+		fc.Seed = cfg.Seed + int64(i)<<32
+		rep, err := replicate(fc, job, trials)
 		if err != nil {
 			return nil, err
 		}
-		completion := sums[farm.MetricCompletionFrac]
 		t.Row(p.name,
-			sums[farm.MetricTasksCompleted].Mean,
-			100*completion.Mean,
-			100*stats.TCritical95(completion.N-1)*completion.SE,
-			inCf(sums[farm.MetricKilledTicks].Mean, c),
-			sums[farm.MetricInterrupts].Mean,
-			sums[farm.MetricImbalance].Mean,
+			rep.TasksCompleted.Mean,
+			100*rep.Completion.Mean,
+			100*stats.TCritical95(rep.Completion.N-1)*rep.Completion.SE,
+			inCf(rep.Killed.Mean, c),
+			rep.Interrupts.Mean,
+			rep.Imbalance.Mean,
 		)
 	}
 	t.Note("killed/c = borrowed lifespan destroyed by draconian interrupts, in setup-cost units; all cells are means over %d replications", trials)
 	t.Note("against stochastic owners the period-sized policies tie within ~1%% while the single period forfeits whole visits;")
 	t.Note("the adaptive schedule's distinguishing edge is its worst-case floor (E4/E5), bought at no expected-throughput cost (E8)")
 	return t, nil
+}
+
+// tickFleet is the fleet the farm studies (E11, E12, E14) replicate:
+// stations of setup cost c ticks on a grid of Setup c and TicksPerSetup c,
+// so one caller unit is one tick, with the facade's default owner mix and
+// policy until the study names its own.
+func tickFleet(cfg Config, c quant.Tick, stations, opportunitiesPer int) fleet.Config {
+	return fleet.Config{
+		Stations:      stations,
+		Setup:         float64(c),
+		TicksPerSetup: int(c),
+		Opportunities: opportunitiesPer,
+		Seed:          cfg.Seed,
+		Workers:       cfg.Workers,
+	}
+}
+
+// replicate builds the fleet and replicates the job on it.
+func replicate(fc fleet.Config, job fleet.Job, trials int) (fleet.Replication, error) {
+	f, err := fleet.New(fc)
+	if err != nil {
+		return fleet.Replication{}, err
+	}
+	return f.Replicate(context.Background(), job, trials)
 }

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"cyclesteal/internal/farm"
-	"cyclesteal/internal/mc"
-	"cyclesteal/internal/model"
-	"cyclesteal/internal/sched"
-	"cyclesteal/internal/station"
+	"cyclesteal/fleet"
+	"cyclesteal/internal/lazyrand"
+	"cyclesteal/internal/quant"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
-	"cyclesteal/internal/task"
 )
 
 // FleetScale is experiment E12: the fleet-scaling study behind the paper's
@@ -32,9 +28,9 @@ import (
 //     is the engine-scaling view: it grows ~linearly in stations on a fixed
 //     worker budget, and shrinks with cores via the two-level pool.
 //
-// Each fleet size replicates on Farm.Replicate's two-level deterministic
-// engine, so every number in the table (wall-clock excepted) is bit-identical
-// at any cfg.Workers.
+// Each fleet size is one fleet.Replicate of the facade's default owner mix
+// on a grid of one tick per caller unit, so every number in the table
+// (wall-clock excepted) is bit-identical at any cfg.Workers.
 func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, trials int) (*tab.Table, error) {
 	cfg = cfg.normalize()
 	c := cfg.C
@@ -43,9 +39,6 @@ func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, tri
 	}
 	if len(fleets) == 0 {
 		return nil, fmt.Errorf("experiments: E12 needs at least one fleet size")
-	}
-	factory := func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
-		return sched.NewAdaptiveEqualized(ws.Setup)
 	}
 
 	t := tab.New(
@@ -60,28 +53,23 @@ func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, tri
 		// Uniform durations bounded away from zero keep Bag.Take's first-fit
 		// hunt short (its min-duration cutoff) on queues tens of thousands
 		// deep; heterogeneity comes from the 8× duration spread.
-		fleet := station.MixedFleet(n, c)
-		job := farm.Job{Tasks: task.Uniform(n*tasksPerStation, c/2, 4*c, cfg.Seed+int64(n))}
-		f := farm.Farm{Stations: fleet, OpportunitiesPerStation: opportunitiesPer}
-		start := time.Now()
+		job := fleet.Job{Tasks: uniformTicks(n*tasksPerStation, c/2, 4*c, cfg.Seed+int64(n))}
+		fc := tickFleet(cfg, c, n, opportunitiesPer)
 		// Disjoint seed-stream ranges per fleet size (mc prefix stability).
-		sums, err := f.Replicate(context.Background(), job, factory, mc.Config{
-			Trials:  trials,
-			Seed:    cfg.Seed + int64(i)<<32,
-			Workers: cfg.Workers,
-		})
+		fc.Seed = cfg.Seed + int64(i)<<32
+		start := time.Now()
+		rep, err := replicate(fc, job, trials)
 		if err != nil {
 			return nil, err
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000 / float64(trials)
-		completion := sums[farm.MetricCompletionFrac]
 		t.Row(n,
-			sums[farm.MetricTasksCompleted].Mean,
-			100*completion.Mean,
-			100*stats.TCritical95(completion.N-1)*completion.SE,
-			sums[farm.MetricImbalance].Mean,
-			inCf(sums[farm.MetricKilledTicks].P99, c),
-			sums[farm.MetricSteals].Mean,
+			rep.TasksCompleted.Mean,
+			100*rep.Completion.Mean,
+			100*stats.TCritical95(rep.Completion.N-1)*rep.Completion.SE,
+			rep.Imbalance.Mean,
+			inCf(rep.Killed.P99, c),
+			rep.Steals.Mean,
 			ms,
 		)
 	}
@@ -89,4 +77,18 @@ func FleetScale(cfg Config, fleets []int, opportunitiesPer, tasksPerStation, tri
 	t.Note("p99 killed/c = 99th percentile over trials of lifespan destroyed by kills, from the bounded-error quantile sketch (internal/stats.Sketch)")
 	t.Note("steals = mean cross-queue migrations per trial at round barriers; ms/trial = engine wall-clock, the only column allowed to vary with -workers")
 	return t, nil
+}
+
+// uniformTicks draws n task durations uniform in [lo, hi] whole ticks, as
+// caller units of one tick each: lo + Int63n(hi−lo+1) from one seeded
+// stream, task by task. A lo below 1 reads as 1, and a hi below lo as lo.
+func uniformTicks(n int, lo, hi quant.Tick, seed int64) []float64 {
+	lo = max(lo, 1)
+	hi = max(hi, lo)
+	rng := lazyrand.New(seed)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(lo + rng.Int63n(hi-lo+1))
+	}
+	return out
 }

@@ -5,17 +5,39 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"cyclesteal/internal/tab"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
-// goldenIDs are the game-layer tables pinned by value. Each renders at
-// cstealtables' defaults in about a second at most and prints no
-// wall-clock column, so its text output is a pure function of the code.
+// goldenIDs are the tables pinned by value: the game-layer tables, and the
+// fleet studies E11, E12 and E14. Each renders at cstealtables' defaults in
+// about a second at most. Apart from the columns timingColumns blanks, its
+// text output is a pure function of the code.
 var goldenIDs = []string{
 	"table1", "table2", "nonadaptive", "optgap", "prop41",
 	"ablation-quantum", "ablation-guideline", "structure",
+	"farm", "fleetscale", "topology",
+}
+
+// timingColumns names, by experiment ID, the wall-clock columns a golden
+// blanks: they vary run to run, and nothing else in the table does.
+var timingColumns = map[string][]string{
+	"fleetscale": {"ms/trial"},
+}
+
+// blankTiming empties the cells of the named columns in every row.
+func blankTiming(tb *tab.Table, cols []string) {
+	for c, h := range tb.Header {
+		if slices.Contains(cols, h) {
+			for _, row := range tb.Rows {
+				row[c] = ""
+			}
+		}
+	}
 }
 
 // TestGoldenTables renders each pinned table exactly as `cstealtables
@@ -35,6 +57,7 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			blankTiming(tb, timingColumns[id])
 			var got bytes.Buffer
 			if err := tb.WriteText(&got); err != nil {
 				t.Fatal(err)

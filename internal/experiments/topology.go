@@ -1,18 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"cyclesteal/internal/farm"
-	"cyclesteal/internal/mc"
-	"cyclesteal/internal/model"
+	"cyclesteal/fleet"
 	"cyclesteal/internal/quant"
-	"cyclesteal/internal/sched"
-	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
 	"cyclesteal/internal/tab"
-	"cyclesteal/internal/task"
 )
 
 // Topology is experiment E14: the two-tier NOW-of-NOWs study behind the
@@ -32,9 +26,9 @@ import (
 // spends in flight, and the qualitative effect is scale-invariant: at every
 // fleet size, completion degrades monotonically in the crossing price.
 //
-// Each (fleet, latency) cell replicates on Farm.Replicate's two-level
-// deterministic engine with a disjoint seed-stream range, so every number in
-// the table is bit-identical at any cfg.Workers.
+// Each (fleet, latency) cell is one fleet.Replicate, with a disjoint
+// seed-stream range, on a grid of one tick per caller unit, so every number
+// in the table is bit-identical at any cfg.Workers.
 func TopologyStudy(cfg Config, fleets []int, latencies []quant.Tick, opportunitiesPer, tasksPerStation, trials int) (*tab.Table, error) {
 	cfg = cfg.normalize()
 	if trials < 1 {
@@ -43,9 +37,10 @@ func TopologyStudy(cfg Config, fleets []int, latencies []quant.Tick, opportuniti
 	if len(fleets) == 0 || len(latencies) == 0 {
 		return nil, fmt.Errorf("experiments: E14 needs at least one fleet size and one latency")
 	}
-	factory := func(ws station.Workstation, ct station.Contract) (model.EpisodeScheduler, error) {
-		return sched.NewAdaptiveEqualized(ws.Setup)
-	}
+	// Stations i mod 4 ∈ {0, 1} — cluster 0 over four shards — are strong,
+	// cluster 1 weak.
+	strong, weak := fleet.Overnight{Window: 8}, fleet.Overnight{Window: 3}
+	owners := []fleet.Owner{strong, strong, weak, weak}
 
 	t := tab.New(
 		fmt.Sprintf("E14: two-tier topology — completion vs cross-cluster steal latency (2 clusters, %d tasks/station × 2 ticks, %d opportunities/station, %d trials)",
@@ -62,33 +57,19 @@ func TopologyStudy(cfg Config, fleets []int, latencies []quant.Tick, opportuniti
 			if lat < 0 {
 				return nil, fmt.Errorf("experiments: E14 latency %d must be ≥ 0", lat)
 			}
-			// Cluster 0 (stations i%4 ∈ {0,1}) is strong, cluster 1 weak.
-			stations := make([]station.Workstation, n)
-			for i := range stations {
-				owner := station.OwnerModel(station.Overnight{Window: 8})
-				if i%4 >= 2 {
-					owner = station.Overnight{Window: 3}
-				}
-				stations[i] = station.Workstation{ID: i, Owner: owner, Setup: 1}
-			}
-			f := farm.Farm{
-				Stations:                stations,
-				OpportunitiesPerStation: opportunitiesPer,
-				Shards:                  4,
-				Topology:                farm.Topology{Clusters: 2, CrossLatency: lat},
-			}
-			job := farm.Job{Tasks: task.Fixed(n*tasksPerStation, 2)}
+			fc := tickFleet(cfg, 1, n, opportunitiesPer)
+			fc.Owners = owners
+			fc.Shards = 4
+			fc.Clusters = 2
+			fc.StealLatency = float64(lat)
 			// Disjoint seed-stream ranges per cell (mc prefix stability).
-			sums, err := f.Replicate(context.Background(), job, factory, mc.Config{
-				Trials:  trials,
-				Seed:    cfg.Seed + int64(row)<<32,
-				Workers: cfg.Workers,
-			})
+			fc.Seed = cfg.Seed + int64(row)<<32
+			rep, err := replicate(fc, fleet.Job{Tasks: fleet.FixedTasks(n*tasksPerStation, 2)}, trials)
 			if err != nil {
 				return nil, err
 			}
 			row++
-			completion := sums[farm.MetricCompletionFrac]
+			completion := rep.Completion
 			if base < 0 {
 				base = completion.Mean
 			}
@@ -97,12 +78,12 @@ func TopologyStudy(cfg Config, fleets []int, latencies []quant.Tick, opportuniti
 				overhead = 100 * (base - completion.Mean) / base
 			}
 			t.Row(n, int(lat),
-				sums[farm.MetricTasksCompleted].Mean,
+				rep.TasksCompleted.Mean,
 				100*completion.Mean,
 				100*stats.TCritical95(completion.N-1)*completion.SE,
 				overhead,
-				sums[farm.MetricSteals].Mean,
-				sums[farm.MetricTasksInFlight].Mean,
+				rep.Steals.Mean,
+				rep.InFlight.Mean,
 			)
 		}
 	}

@@ -1,16 +1,15 @@
 package farm
 
 // BenchmarkFarm* quantify the round engine's fleet-scaling path: a two-tier
-// RunDeterministic with priced crossings, the two-level Replicate engine,
-// and a job's arrival in the Core. CI runs each once per PR as a
-// compile-and-execute smoke and records ns/op per commit in the
+// RunDeterministic with priced crossings, and a job's arrival in the Core.
+// fleet's BenchmarkFleetReplicateGuideline prices replication. CI runs each
+// once as a compile-and-execute smoke and records ns/op per commit in the
 // BENCH_<sha>.json artifact.
 
 import (
 	"context"
 	"testing"
 
-	"cyclesteal/internal/mc"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/task"
 )
@@ -43,10 +42,14 @@ func BenchmarkFarmTopologyDeterministic(b *testing.B) {
 		Shards:                  8,
 		Topology:                Topology{Clusters: 4, CrossLatency: 8},
 	}
-	job := Job{Tasks: task.Fixed(2000, 2)}
+	tasks := task.Fixed(2000, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A run consumes its job: deal each afresh, off the clock.
+		b.StopTimer()
+		job := deal(f, tasks)
+		b.StartTimer()
 		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, int64(i), 4)
 		if err != nil {
 			b.Fatal(err)
@@ -57,31 +60,11 @@ func BenchmarkFarmTopologyDeterministic(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmReplicateTwoLevel measures the deterministic two-level
-// replication engine on a 256-station fleet — the Replicate configuration
-// E12 runs at fleet scale.
-func BenchmarkFarmReplicateTwoLevel(b *testing.B) {
-	f := benchFleet(256)
-	f.OpportunitiesPerStation = 4
-	job := Job{Tasks: task.Exponential(4000, 20, 3)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sums, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 4, Seed: 1, Workers: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sums[MetricTasksCompleted].Mean <= 0 {
-			b.Fatal("no work done")
-		}
-	}
-}
-
 // BenchmarkFarmCoreAddTasks prices a job's arrival in the round engine:
 // dealing 100,000 tasks round-robin into a fresh 64-group Core's queues —
 // what every activated service job pays once.
 func BenchmarkFarmCoreAddTasks(b *testing.B) {
-	tasks := task.Uniform(100000, 5, 50, 1)
+	tasks := uniform(100000, 5, 50, 1)
 	f := benchFleet(64)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -287,8 +287,8 @@ func (c *Core) AddTasks(tasks []task.Task) {
 	}
 	c.total += len(tasks)
 	if c.live == 0 || c.live == len(c.runners) {
-		// Fast path: no group is dead — every batch run of a plain job,
-		// and a service whose fleet has lost no group.
+		// Fast path: no group is dead — a service whose fleet has lost
+		// no group.
 		task.DealInto(c.queues, tasks)
 		return
 	}
@@ -341,9 +341,6 @@ func (c *Core) Total() int { return c.total }
 
 // Steals reports cross-queue task movements so far.
 func (c *Core) Steals() int { return c.steals }
-
-// InFlight reports the tasks currently crossing between clusters.
-func (c *Core) InFlight() int { return c.flight.InFlight() }
 
 // ApplyFaults applies the armed plan's round-top station crashes for the
 // given round: the explicitly scheduled ones first (in schedule order, dead

@@ -10,9 +10,11 @@
 // interrupt; internal/sched decides period sizing on each opportunity; this
 // package binds them to a workload and reports job-level outcomes
 // (completion fraction, work distribution across stations, lost-to-kills
-// accounting). Every run — the batch RunDeterministic, the Replicate family,
-// and the fleet package's resident service — plays on the one round engine,
-// Core.
+// accounting). Every run — the batch RunDeterministic, ReplicateShards'
+// trials, and the fleet package's resident service — plays on the one
+// round engine, Core. Outside tests, the fleet package is its only
+// importer: every experiment and command reaches the engine through
+// fleet's front door.
 //
 // # Layouts
 //
@@ -30,11 +32,11 @@
 // order. Every station draws contracts from its own rng stream derived from
 // (seed, station ID) via station.RNG, so the entire result is a pure
 // function of (fleet, job, factory, seed, Shards, Private): any inner
-// worker count produces bit-identical results. Replicate stacks that inside
-// internal/mc's seed-stream contract — trial-level parallelism outside,
-// station-group parallelism inside, split by mc.SplitWorkers — so fleet
-// summaries stay bit-identical at any -workers setting while fleets scale
-// to thousands of stations.
+// worker count produces bit-identical results. ReplicateShards stacks that
+// inside internal/mc's seed-stream contract — trial-level parallelism
+// outside, station-group parallelism inside, split by mc.SplitWorkers — so
+// fleet summaries stay bit-identical at any worker budget while fleets
+// scale to thousands of stations.
 package farm
 
 import (
@@ -48,31 +50,25 @@ import (
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sim"
 	"cyclesteal/internal/station"
-	"cyclesteal/internal/stats"
 	"cyclesteal/internal/task"
 )
 
-// Job is one data-parallel computation to farm across the fleet: a plain
-// task list, which a run deals round-robin over its group queues, or the
-// same partition already made. A job may carry both: a run deals the list
-// onto the backs of the dealt queues. That is how a replication trial
-// deals a plain list into queue storage its worker keeps.
+// Job is one data-parallel computation to farm across the fleet, dealt over
+// the run's Groups() queues.
 type Job struct {
-	Tasks []task.Task
-	// Dealt, when non-nil, is the job already dealt over the run's Groups()
-	// queues: hand g holds the tasks task.Deal(tasks, Groups()) puts in hand
-	// g, with their smallest duration. RunDeterministic takes each hand as
-	// its queue's storage, with no copy, so a dealt job is consumed by the
-	// one run it is passed to. Replicate and ReplicateShards take it as a
-	// read-only template: each trial copies its hands into storage the
-	// trial's mc worker keeps, and no trial writes to the template.
+	// Dealt holds one hand per group: hand g holds the tasks
+	// task.Deal(tasks, Groups()) puts in hand g, with their smallest
+	// duration. nil is the empty job. RunDeterministic takes each hand as
+	// its queue's storage, with no copy, so a job is consumed by the one run
+	// it is passed to. ReplicateShards takes it as a read-only template:
+	// each trial copies its hands into storage the trial's mc worker keeps,
+	// and no trial writes to the template.
 	Dealt []task.Hand
 }
 
-// TotalWork returns the total task time of the job: its dealt hands and
-// its plain task list.
+// TotalWork returns the total task time of the job's hands.
 func (j Job) TotalWork() quant.Tick {
-	work := task.Durations(j.Tasks)
+	var work quant.Tick
 	for _, h := range j.Dealt {
 		work += task.Durations(h.Tasks)
 	}
@@ -326,8 +322,8 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 }
 
 // RunDeterministic farms the job with fully reproducible semantics at any
-// worker count — the batch run, and the engine Replicate runs inside the mc
-// trial pool.
+// worker count — the batch run, and the engine ReplicateShards runs inside
+// the mc trial pool.
 //
 // Stations are partitioned into groups (station i in group i mod groups),
 // each group owning one local task queue dealt round-robin from the job:
@@ -356,12 +352,9 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 // each round barrier, where the counts are exact and the callback sequence
 // is itself a pure function of the same key.
 //
-// A dealt job (Job.Dealt) must have one hand per group. It enters without
-// a copy: each group's queue takes its hand as storage, so the run
-// consumes the job. Its queues start exactly as the plain job's deal would
-// leave them, so the result is the same. The job's plain task list is then
-// dealt round-robin onto the queues' backs, into the hands' spare capacity
-// where it fits.
+// The job must have one hand per group, or none. It enters without a
+// copy: each group's queue takes its hand as storage, so the run consumes
+// the job.
 func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64, workers int) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -393,18 +386,14 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	}
 
 	// A batch run is a thin shell over the event-driven Core: join the
-	// whole fleet up front, take the job's hands and deal its plain list
-	// in, play bounded rounds. No churn, no completion tracking. In the
-	// Private layout the round-robin deal gives station i the hand
-	// task.Deal would.
+	// whole fleet up front, take the job's hands, play bounded rounds. No
+	// churn, no completion tracking. In the Private layout station i plays
+	// hand i.
 	core := f.NewCore(factory, seed, groups, n, false)
 	for _, ws := range f.Stations {
 		core.Join(ws)
 	}
-	if job.Dealt != nil {
-		core.AddDealt(job.Dealt)
-	}
-	core.AddTasks(job.Tasks)
+	core.AddDealt(job.Dealt)
 	if f.Faults.Active() {
 		// The plan's own seed wins; a zero-seed plan derives its draw stream
 		// from the run seed, so replication stays replayable per trial.
@@ -447,7 +436,7 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 		// this exact state.
 		f.Progress(core.Snapshot())
 	}
-	return f.assemble(core.Reports(), core.Pending(), core.Steals(), core.InFlight(), core.TasksLost()), nil
+	return core.Result(), nil
 }
 
 // FaultSeedSalt derives a run's default fault-draw stream from its seed when
@@ -456,7 +445,8 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 // never perturbs a single existing draw.
 const FaultSeedSalt = 0x6661756c74 // "fault"
 
-// Replication metric indexes: the order of the summaries Replicate returns.
+// Replication metric indexes: the order of a replication trial's metric
+// vector, and of the summaries its merged shards give.
 const (
 	MetricTasksCompleted = iota // tasks completed fleet-wide
 	MetricCompletionFrac        // completed task work / job total, in [0, 1]
@@ -473,31 +463,6 @@ const (
 	NumMetrics
 )
 
-// Replicate replays the farmed job cfg.Trials times on the internal/mc
-// replication engine and returns one summary per metric, indexed by the
-// Metric* constants. The worker budget (cfg.Workers; 0 = GOMAXPROCS) is
-// split by mc.SplitWorkers into a two-level pool: trial-level parallelism
-// outside (saturated first — it needs no coordination) and station-group
-// parallelism inside each trial via RunDeterministic, so a thousand-station
-// fleet exploits the machine even at low trial counts. Trial i derives its
-// farm seed from the engine's deterministic stream for cfg.Seed+i, both
-// levels are free of result-affecting scheduling, and the summaries are
-// therefore bit-identical at any worker budget.
-//
-// A dealt job is a read-only template: every trial copies its hands into
-// the group hands its mc worker keeps, and plays them. A plain job is dealt
-// straight into those hands. Either way a trial's queues reuse its worker's
-// storage, and the summaries are those of the plain job. A dealt job must
-// have one hand per group.
-func (f Farm) Replicate(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config) ([]stats.Summary, error) {
-	if err := f.checkHands(job); err != nil {
-		return nil, err
-	}
-	cfg, inner := mc.SplitConfig(cfg)
-	newState, fn := f.trialVec(ctx, job, factory, inner, false)
-	return mc.RunVecState(ctx, cfg, NumMetrics, newState, fn)
-}
-
 // checkHands refuses a dealt job that does not have one hand per group.
 func (f Farm) checkHands(job Job) error {
 	if groups := f.Groups(); job.Dealt != nil && len(job.Dealt) != groups {
@@ -506,10 +471,10 @@ func (f Farm) checkHands(job Job) error {
 	return nil
 }
 
-// trialVec builds the one replication trial closure every farm study —
-// whole-run, per-station, or shard-subset — executes, so the distributed
-// and single-process paths cannot drift apart. stationCols widens the
-// metric vector with one played-lifespan column per station.
+// trialVec builds the one replication trial closure every farm study
+// executes, so the distributed and single-process paths cannot drift
+// apart. stationCols widens the metric vector with one played-lifespan
+// column per station.
 //
 // It also returns the mc state hook that gives each worker one set of
 // group hands, sized to the job once: a trial refills them (see refill) and
@@ -521,8 +486,8 @@ func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFa
 	cols := f.ReplicateColumns(stationCols)
 	total := job.TotalWork() // a property of the job: summed once, not per trial
 	var newState mc.NewState
-	if len(job.Tasks) > 0 || job.Dealt != nil {
-		newState = func() any { return job.hands(f.Groups()) }
+	if job.Dealt != nil {
+		newState = func() any { return job.hands() }
 	}
 	return newState, func(rng *rand.Rand, state any) ([]float64, error) {
 		run := job
@@ -545,41 +510,32 @@ func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFa
 }
 
 // hands allocates the group hands one replication worker keeps for the
-// job: empty, each with room for exactly what a trial puts in it — its
-// dealt hand and its round-robin share of the plain list. The hands share
+// job: empty, each with room for exactly its dealt hand. The hands share
 // one backing array, and each is capped at its own room, so a queue that
 // outgrows its hand during a trial moves to new storage instead of writing
 // into its neighbour's.
-func (j Job) hands(groups int) []task.Hand {
-	size := len(j.Tasks)
+func (j Job) hands() []task.Hand {
+	size := 0
 	for _, h := range j.Dealt {
 		size += len(h.Tasks)
 	}
 	storage := make([]task.Task, size)
-	hands := make([]task.Hand, groups)
-	for g := range hands {
-		n := (len(j.Tasks) - g + groups - 1) / groups // tasks g, g+groups, …
-		if j.Dealt != nil {
-			n += len(j.Dealt[g].Tasks)
-		}
+	hands := make([]task.Hand, len(j.Dealt))
+	for g, h := range j.Dealt {
+		n := len(h.Tasks)
 		hands[g].Tasks, storage = storage[:0:n], storage[n:]
 	}
 	return hands
 }
 
 // refill loads one trial's job into a worker's hands: a copy of each dealt
-// hand (the template is only read), with the plain list left for the run to
-// deal onto them. Each hand restarts from its own storage, whatever the
-// previous trial's queue did with it.
+// hand (the template is only read). Each hand restarts from its own
+// storage, whatever the previous trial's queue did with it.
 func (j Job) refill(hands []task.Hand) Job {
-	for g := range hands {
-		h := task.Hand{Tasks: hands[g].Tasks[:0]}
-		if j.Dealt != nil {
-			h.Tasks, h.MinDur = append(h.Tasks, j.Dealt[g].Tasks...), j.Dealt[g].MinDur
-		}
-		hands[g] = h
+	for g, h := range j.Dealt {
+		hands[g] = task.Hand{Tasks: append(hands[g].Tasks[:0], h.Tasks...), MinDur: h.MinDur}
 	}
-	return Job{Tasks: j.Tasks, Dealt: hands}
+	return Job{Dealt: hands}
 }
 
 // ReplicateColumns is the metric-vector width of a replication trial: the
@@ -592,14 +548,19 @@ func (f Farm) ReplicateColumns(stationCols bool) int {
 	return NumMetrics
 }
 
-// ReplicateShards runs just the named mc shards of the replication study and
-// returns their partial accumulators — the farm-level face of the
-// distributed replication contract: the same trial closure Replicate drives
-// (with stationCols, widened by one played-lifespan column per station),
-// over exactly the trials those shards own, so a complete cover merged by
-// mc.MergeShards reproduces the single-process summaries bit for bit
-// wherever each subset ran. Like Replicate it takes a dealt job as a
-// read-only template, and refuses one without a hand per group.
+// ReplicateShards replays the farmed job over the named mc shards of a
+// cfg.Trials-trial study and returns their partial accumulators, one
+// summary column per Metric* constant (with stationCols, widened by one
+// played-lifespan column per station). A complete cover merged by
+// mc.MergeShards gives the study's summaries, bit for bit wherever each
+// subset ran. The worker budget (cfg.Workers; 0 = GOMAXPROCS) is split by
+// mc.SplitConfig into a two-level pool: trial-level parallelism outside
+// (saturated first — it needs no coordination) and station-group
+// parallelism inside each trial via RunDeterministic, so a
+// thousand-station fleet exploits the machine even at low trial counts.
+// Trial i derives its farm seed from the engine's deterministic stream for
+// cfg.Seed+i, and neither level's worker count changes a bit. The job is a
+// read-only template, refused without a hand per group.
 func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config, stationCols bool, shardIDs []int) ([]mc.ShardAccums, error) {
 	if err := f.checkHands(job); err != nil {
 		return nil, err

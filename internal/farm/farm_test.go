@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/mc"
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
@@ -43,26 +44,108 @@ func layouts(f Farm) map[string]Farm {
 	return map[string]Farm{"shared": shared, "sharded": f, "private": privateFarm(f)}
 }
 
+// uniform returns n tasks with IDs 0..n−1 and durations uniform in
+// [lo, hi] ticks, drawn from one seeded stream.
+func uniform(n int, lo, hi quant.Tick, seed int64) []task.Task {
+	rng := lazyrand.New(seed)
+	out := make([]task.Task, n)
+	for i := range out {
+		out[i] = task.Task{ID: i, Duration: lo + rng.Int63n(hi-lo+1)}
+	}
+	return out
+}
+
+// exponential returns n tasks with IDs 0..n−1 and exponential durations of
+// the given mean, cut to whole ticks of at least 1, drawn from one seeded
+// stream.
+func exponential(n int, mean float64, seed int64) []task.Task {
+	rng := lazyrand.New(seed)
+	out := make([]task.Task, n)
+	for i := range out {
+		out[i] = task.Task{ID: i, Duration: max(1, quant.Tick(rng.ExpFloat64()*mean))}
+	}
+	return out
+}
+
+// deal is the job of tasks dealt over f's groups the way a batch intake
+// deals it: task.Deal's hands, each with its smallest duration. No tasks is
+// the empty job. A run consumes the job, so each run deals afresh.
+func deal(f Farm, tasks []task.Task) Job {
+	if len(tasks) == 0 {
+		return Job{}
+	}
+	hands := task.Deal(tasks, f.Groups())
+	job := Job{Dealt: make([]task.Hand, len(hands))}
+	for g, h := range hands {
+		job.Dealt[g].Tasks = h
+		for _, t := range h {
+			if job.Dealt[g].MinDur == 0 || t.Duration < job.Dealt[g].MinDur {
+				job.Dealt[g].MinDur = t.Duration
+			}
+		}
+	}
+	return job
+}
+
+// replicate is the whole replication study of the job: every mc shard,
+// merged in process, as fleet.Replicate runs it.
+func replicate(f Farm, job Job, cfg mc.Config) ([]stats.Summary, error) {
+	all := make([]int, mc.Shards)
+	for s := range all {
+		all[s] = s
+	}
+	shards, err := f.ReplicateShards(context.Background(), job, equalizedFactory, cfg, false, all)
+	if err != nil {
+		return nil, err
+	}
+	return mc.MergeShards(NumMetrics, shards)
+}
+
+// playCore is RunDeterministic's batch loop, without faults, over a Core
+// whose queues take the job as a task list through AddTasks, the service's
+// intake: the reference a dealt job's run is pinned to.
+func playCore(f Farm, tasks []task.Task, seed int64, workers int) (Result, error) {
+	core := f.NewCore(equalizedFactory, seed, f.Groups(), len(f.Stations), false)
+	for _, ws := range f.Stations {
+		core.Join(ws)
+	}
+	core.AddTasks(tasks)
+	for round := 0; round < max(f.OpportunitiesPerStation, 1); round++ {
+		if !f.Private && core.Pending() == 0 {
+			break
+		}
+		if err := core.PlayRound(context.Background(), workers); err != nil {
+			return Result{}, err
+		}
+	}
+	return core.Result(), nil
+}
+
 func TestFarmCompletesSmallJob(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 20000})
 	f.Shards = 1 // every station plays against the one queue
-	job := Job{Tasks: task.Uniform(200, 5, 50, 1)}
+	tasks := uniform(200, 5, 50, 1)
+	job := deal(f, tasks)
+	total := job.TotalWork()
+	if total != task.Durations(tasks) {
+		t.Fatalf("dealt job's total work %d, its tasks' %d", total, task.Durations(tasks))
+	}
 	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 6 stations × 10 × 20000 ticks of lifespan dwarf the job: it must finish.
 	if res.TasksLeft != 0 {
-		t.Errorf("%d tasks left of %d", res.TasksLeft, len(job.Tasks))
+		t.Errorf("%d tasks left of %d", res.TasksLeft, len(tasks))
 	}
-	if res.TasksCompleted != len(job.Tasks) {
-		t.Errorf("completed %d, want %d", res.TasksCompleted, len(job.Tasks))
+	if res.TasksCompleted != len(tasks) {
+		t.Errorf("completed %d, want %d", res.TasksCompleted, len(tasks))
 	}
-	if got := res.CompletionFraction(job.TotalWork()); got != 1 {
+	if got := res.CompletionFraction(total); got != 1 {
 		t.Errorf("completion fraction %g", got)
 	}
-	if res.TaskWork != job.TotalWork() {
-		t.Errorf("task work %d ≠ job total %d", res.TaskWork, job.TotalWork())
+	if res.TaskWork != total {
+		t.Errorf("task work %d ≠ job total %d", res.TaskWork, total)
 	}
 }
 
@@ -72,26 +155,26 @@ func TestFarmCompletesSmallJob(t *testing.T) {
 // (the empty job) completes nothing, plays every station's every
 // opportunity, and banks some but not all of the lifespan it is offered.
 func TestFarmConservationAcrossWorkerCounts(t *testing.T) {
-	job := Job{Tasks: task.Uniform(3000, 5, 80, 2)}
+	tasks := uniform(3000, 5, 80, 2)
 	base := testFarm(8, station.Laptop{MeanIdle: 3000})
 	type input struct {
-		f   Farm
-		job Job
+		f     Farm
+		tasks []task.Task
 	}
-	inputs := map[string]input{"empty job": {privateFarm(base), Job{}}}
+	inputs := map[string]input{"empty job": {privateFarm(base), nil}}
 	for name, f := range layouts(base) {
-		inputs[name] = input{f, job}
+		inputs[name] = input{f, tasks}
 	}
 	for name, in := range inputs {
 		t.Run(name, func(t *testing.T) {
-			f, job := in.f, in.job
+			f, tasks := in.f, in.tasks
 			for _, workers := range []int{1, 2, 8} {
-				res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, workers)
+				res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 7, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
-					t.Errorf("workers=%d: %d + %d ≠ %d", workers, res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+				if res.TasksCompleted+res.TasksLeft != len(tasks) {
+					t.Errorf("workers=%d: %d + %d ≠ %d", workers, res.TasksCompleted, res.TasksLeft, len(tasks))
 				}
 				var sumTasks int
 				var sumWork, sumFluid, lifespan quant.Tick
@@ -109,7 +192,7 @@ func TestFarmConservationAcrossWorkerCounts(t *testing.T) {
 				if res.TaskWork > res.FluidWork {
 					t.Errorf("workers=%d: task work %d > fluid %d", workers, res.TaskWork, res.FluidWork)
 				}
-				if len(job.Tasks) > 0 {
+				if len(tasks) > 0 {
 					if res.TasksCompleted == 0 {
 						t.Errorf("workers=%d: no tasks completed fleet-wide", workers)
 					}
@@ -141,7 +224,7 @@ func TestFarmEmptyFleet(t *testing.T) {
 func TestFarmFactoryErrorPropagates(t *testing.T) {
 	for name, f := range layouts(testFarm(3, station.Laptop{MeanIdle: 2000})) {
 		t.Run(name, func(t *testing.T) {
-			_, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(100, 5)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+			_, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(100, 5)), func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 				return nil, errBoom
 			}, 1, 0)
 			if err == nil {
@@ -161,8 +244,7 @@ func TestFarmStopsBorrowingWhenJobDone(t *testing.T) {
 	// A tiny job against a huge fleet: most opportunities should never start.
 	f := testFarm(4, station.Overnight{Window: 50000})
 	f.OpportunitiesPerStation = 50
-	job := Job{Tasks: task.Fixed(5, 10)}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 3, 0)
+	res, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(5, 10)), equalizedFactory, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +287,7 @@ func TestCompletionFractionEmptyJob(t *testing.T) {
 func TestFarmMaliciousOwnersStillFinish(t *testing.T) {
 	base := station.Overnight{Window: 30000}
 	f := testFarm(5, station.Malicious{Base: base, Setup: 10})
-	job := Job{Tasks: task.Uniform(500, 5, 40, 9)}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, 0)
+	res, err := f.RunDeterministic(context.Background(), deal(f, uniform(500, 5, 40, 9)), equalizedFactory, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,19 +301,19 @@ func TestFarmMaliciousOwnersStillFinish(t *testing.T) {
 
 func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
 	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
-	job := Job{Tasks: task.Exponential(400, 20, 3)}
+	tasks := exponential(400, 20, 3)
 	for _, in := range []struct {
 		name string
 		f    Farm
 		job  Job
 	}{
-		{"shared job", shared, job},
-		{"private", privateFarm(shared), job},
+		{"shared job", shared, deal(shared, tasks)},
+		{"private", privateFarm(shared), deal(privateFarm(shared), tasks)},
 		{"empty job", privateFarm(shared), Job{}},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			run := func(workers int) []stats.Summary {
-				sums, err := in.f.Replicate(context.Background(), in.job, equalizedFactory, mc.Config{Trials: 6, Seed: 9, Workers: workers})
+				sums, err := replicate(in.f, in.job, mc.Config{Trials: 6, Seed: 9, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,8 +335,7 @@ func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
 func TestReplicateMetricSanity(t *testing.T) {
 	f := testFarm(4, station.Office{MeanIdle: 400, MaxP: 2})
 	t.Run("shared job", func(t *testing.T) {
-		job := Job{Tasks: task.Exponential(300, 20, 7)}
-		sums, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 5, Seed: 1})
+		sums, err := replicate(f, deal(f, exponential(300, 20, 7)), mc.Config{Trials: 5, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +363,7 @@ func TestReplicateMetricSanity(t *testing.T) {
 
 	// A fluid survey banks work over the lifespan it is offered, and no tasks.
 	t.Run("empty job", func(t *testing.T) {
-		survey, err := privateFarm(f).Replicate(context.Background(), Job{}, equalizedFactory, mc.Config{Trials: 5, Seed: 2})
+		survey, err := replicate(privateFarm(f), Job{}, mc.Config{Trials: 5, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,10 +384,9 @@ func TestReplicateMetricSanity(t *testing.T) {
 
 func TestReplicateRejectsBadConfig(t *testing.T) {
 	f := testFarm(2, station.Office{MeanIdle: 100, MaxP: 1})
-	job := Job{Tasks: task.Fixed(10, 5)}
 	for name, f := range map[string]Farm{"sharded": f, "private": privateFarm(f)} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 0, Seed: 1}); err == nil {
+			if _, err := replicate(f, deal(f, task.Fixed(10, 5)), mc.Config{Trials: 0, Seed: 1}); err == nil {
 				t.Error("trials=0 accepted")
 			}
 		})
@@ -316,13 +395,13 @@ func TestReplicateRejectsBadConfig(t *testing.T) {
 
 func TestFarmRunShardedCompletesSmallJob(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 20000}) // Shards 0 = auto-sharded
-	job := Job{Tasks: task.Uniform(200, 5, 50, 1)}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 0)
+	tasks := uniform(200, 5, 50, 1)
+	res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TasksLeft != 0 || res.TasksCompleted != len(job.Tasks) {
-		t.Errorf("sharded run left %d of %d", res.TasksLeft, len(job.Tasks))
+	if res.TasksLeft != 0 || res.TasksCompleted != len(tasks) {
+		t.Errorf("sharded run left %d of %d", res.TasksLeft, len(tasks))
 	}
 }
 
@@ -357,7 +436,7 @@ func TestFarmRunJoinsAllErrors(t *testing.T) {
 			// A job far larger than the fleet can finish, so no station skips
 			// its opportunities (and its factory call) just because the queues
 			// drained.
-			_, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(100000, 50)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+			_, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(100000, 50)), func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 				if ws.ID%2 == 1 {
 					return nil, errBoom
 				}
@@ -398,23 +477,23 @@ func resultsEqual(a, b Result) bool {
 func TestRunDeterministicBitIdenticalAcrossWorkers(t *testing.T) {
 	f := testFarm(30, station.Office{MeanIdle: 800, MaxP: 2})
 	f.OpportunitiesPerStation = 6
-	job := Job{Tasks: task.Exponential(2000, 15, 3)}
+	tasks := exponential(2000, 15, 3)
 	for _, in := range []struct {
-		name string
-		f    Farm
-		job  Job
+		name  string
+		f     Farm
+		tasks []task.Task
 	}{
-		{"shared job", f, job},
-		{"private", privateFarm(f), job},
-		{"empty job", privateFarm(f), Job{}},
+		{"shared job", f, tasks},
+		{"private", privateFarm(f), tasks},
+		{"empty job", privateFarm(f), nil},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			base, err := in.f.RunDeterministic(context.Background(), in.job, equalizedFactory, 99, 1)
+			base, err := in.f.RunDeterministic(context.Background(), deal(in.f, in.tasks), equalizedFactory, 99, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 8, 0} {
-				got, err := in.f.RunDeterministic(context.Background(), in.job, equalizedFactory, 99, workers)
+				got, err := in.f.RunDeterministic(context.Background(), deal(in.f, in.tasks), equalizedFactory, 99, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -426,24 +505,9 @@ func TestRunDeterministicBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// dealt is job dealt over f's groups the way a batch intake deals it:
-// task.Deal's hands, each with its smallest duration.
-func dealt(f Farm, job Job) Job {
-	hands := task.Deal(job.Tasks, f.Groups())
-	out := Job{Dealt: make([]task.Hand, len(hands))}
-	for g, h := range hands {
-		out.Dealt[g].Tasks = h
-		for _, t := range h {
-			if out.Dealt[g].MinDur == 0 || t.Duration < out.Dealt[g].MinDur {
-				out.Dealt[g].MinDur = t.Duration
-			}
-		}
-	}
-	return out
-}
-
-// A job dealt over the run's groups plays bit-identically to the plain job
-// in every layout, clustered and priced crossings included.
+// A job dealt over the run's groups plays bit-identically to the same tasks
+// dealt into its queues by Core.AddTasks, the service's intake, in every
+// layout, clustered and priced crossings included.
 func TestRunDeterministicDealtMatchesPlain(t *testing.T) {
 	base := testFarm(12, station.Office{MeanIdle: 800, MaxP: 2})
 	base.OpportunitiesPerStation = 6
@@ -452,19 +516,19 @@ func TestRunDeterministicDealtMatchesPlain(t *testing.T) {
 	clustered.Topology = Topology{Clusters: 3, CrossLatency: 40}
 	farms := layouts(base)
 	farms["clustered"] = clustered
-	job := Job{Tasks: task.Exponential(1500, 15, 4)}
+	tasks := exponential(1500, 15, 4)
 	for name, f := range farms {
 		t.Run(name, func(t *testing.T) {
-			want, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, 2)
+			want, err := playCore(f, tasks, 7, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.RunDeterministic(context.Background(), dealt(f, job), equalizedFactory, 7, 2)
+			got, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 7, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !resultsEqual(got, want) || got.InFlight != want.InFlight || got.TasksLost != want.TasksLost {
-				t.Errorf("dealt job played %+v, plain job %+v", got, want)
+				t.Errorf("dealt job played %+v, AddTasks' queues %+v", got, want)
 			}
 		})
 	}
@@ -475,14 +539,12 @@ func TestRunDeterministicDealtMatchesPlain(t *testing.T) {
 func TestDealtJobRefusals(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 1000})
 	f.Shards = 3
-	job := Job{Tasks: task.Fixed(30, 5)}
 	cfg := mc.Config{Trials: 2, Seed: 1}
 	for _, groups := range []int{2, 4} {
-		bad := dealt(Farm{Stations: f.Stations, Shards: groups}, job)
+		bad := deal(Farm{Stations: f.Stations, Shards: groups}, task.Fixed(30, 5))
 		_, runErr := f.RunDeterministic(context.Background(), bad, equalizedFactory, 1, 1)
-		_, repErr := f.Replicate(context.Background(), bad, equalizedFactory, cfg)
 		_, shardErr := f.ReplicateShards(context.Background(), bad, equalizedFactory, cfg, false, []int{0})
-		for name, err := range map[string]error{"RunDeterministic": runErr, "Replicate": repErr, "ReplicateShards": shardErr} {
+		for name, err := range map[string]error{"RunDeterministic": runErr, "ReplicateShards": shardErr} {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d hands", groups)) || !strings.Contains(err.Error(), "3 groups") {
 				t.Errorf("%s of a job dealt over %d hands on 3 groups: error %v, want one naming both counts", name, groups, err)
 			}
@@ -490,11 +552,11 @@ func TestDealtJobRefusals(t *testing.T) {
 	}
 }
 
-// Replication takes a dealt job as a read-only template, and replays a
-// plain one, on queue storage each mc worker keeps: in every layout, at any
-// worker budget, replicating either gives exactly what playing each trial
-// on fresh queues gives, whole or by shards, and leaves the template's
-// hands as they were. A dealt job's total work is its plain list's.
+// Replication takes a dealt job as a read-only template and replays it on
+// queue storage each mc worker keeps: in every layout, at any worker
+// budget, replicating gives exactly what playing each trial on fresh
+// queues, fed the tasks by Core.AddTasks, gives, and leaves the template's
+// hands as they were.
 func TestReplicateDealtMatchesPlain(t *testing.T) {
 	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
 	shared.Stations[2].Owner = station.Laptop{MeanIdle: 300}
@@ -503,35 +565,32 @@ func TestReplicateDealtMatchesPlain(t *testing.T) {
 	// worker's storage.
 	idle := testFarm(5, station.Overnight{Window: 2000})
 	idle.Stations[1].Owner = station.Overnight{Window: 1}
-	job := Job{Tasks: task.Exponential(400, 20, 3)}
+	tasks := exponential(400, 20, 3)
 	for _, in := range []struct {
-		name string
-		f    Farm
-		job  Job
+		name  string
+		f     Farm
+		tasks []task.Task
 	}{
-		{"shared job", shared, job},
-		{"idle neighbour", idle, job},
-		{"private", privateFarm(shared), job},
-		{"empty job", privateFarm(shared), Job{}},
+		{"shared job", shared, tasks},
+		{"idle neighbour", idle, tasks},
+		{"private", privateFarm(shared), tasks},
+		{"empty job", privateFarm(shared), nil},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			f, plain := in.f, in.job
-			tmpl := dealt(f, plain)
-			before := dealt(f, plain) // an independent copy of the template
-			if got, want := tmpl.TotalWork(), plain.TotalWork(); got != want {
-				t.Errorf("dealt job's total work %d, plain list's %d", got, want)
-			}
+			f, tasks := in.f, in.tasks
+			tmpl := deal(f, tasks)
+			before := deal(f, tasks) // an independent copy of the template
 			for _, workers := range []int{1, 8} {
 				cfg := mc.Config{Trials: 40, Seed: 9, Workers: workers}
 				outer, inner := mc.SplitConfig(cfg)
-				// Each trial on fresh queues: the plain job, dealt by the run.
+				// Each trial on fresh queues, fed by AddTasks.
 				want, err := mc.RunVec(context.Background(), outer, NumMetrics, func(rng *rand.Rand) ([]float64, error) {
-					res, err := f.RunDeterministic(context.Background(), plain, equalizedFactory, rng.Int63(), inner)
+					res, err := playCore(f, tasks, rng.Int63(), inner)
 					if err != nil {
 						return nil, err
 					}
 					out := make([]float64, NumMetrics)
-					fillMetrics(out, res, plain.TotalWork())
+					fillMetrics(out, res, task.Durations(tasks))
 					return out, nil
 				})
 				if err != nil {
@@ -540,26 +599,12 @@ func TestReplicateDealtMatchesPlain(t *testing.T) {
 				if in.name == "idle neighbour" && want[MetricSteals].Min == 0 {
 					t.Fatalf("workers=%d: a trial made no steal; the case tests nothing", workers)
 				}
-				for _, j := range []Job{plain, tmpl} {
-					got, err := f.Replicate(context.Background(), j, equalizedFactory, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d: Replicate of the job dealt=%v\n got %+v\nwant %+v", workers, j.Dealt != nil, got, want)
-					}
-				}
-				ids := []int{0, 3, 5, 6}
-				wantShards, err := f.ReplicateShards(context.Background(), plain, equalizedFactory, cfg, true, ids)
+				got, err := replicate(f, tmpl, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotShards, err := f.ReplicateShards(context.Background(), tmpl, equalizedFactory, cfg, true, ids)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotShards, wantShards) {
-					t.Errorf("workers=%d: ReplicateShards of the dealt job diverged from the plain list's", workers)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d: replicating the dealt job\n got %+v\nwant %+v", workers, got, want)
 				}
 			}
 			if !reflect.DeepEqual(tmpl, before) {
@@ -572,13 +617,13 @@ func TestReplicateDealtMatchesPlain(t *testing.T) {
 func TestRunDeterministicConserves(t *testing.T) {
 	f := testFarm(12, station.Laptop{MeanIdle: 3000})
 	f.OpportunitiesPerStation = 8
-	job := Job{Tasks: task.Uniform(3000, 5, 80, 2)}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, 4)
+	tasks := uniform(3000, 5, 80, 2)
+	res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
-		t.Errorf("%d + %d ≠ %d", res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+	if res.TasksCompleted+res.TasksLeft != len(tasks) {
+		t.Errorf("%d + %d ≠ %d", res.TasksCompleted, res.TasksLeft, len(tasks))
 	}
 	if res.TaskWork > res.FluidWork {
 		t.Errorf("task work %d > fluid %d", res.TaskWork, res.FluidWork)
@@ -593,8 +638,7 @@ func TestRunDeterministicStealsRescueIdleGroupTasks(t *testing.T) {
 		{ID: 1, Owner: station.Overnight{Window: 1}, Setup: 10},
 	}
 	f := Farm{Stations: stations, OpportunitiesPerStation: 10, Shards: 2}
-	job := Job{Tasks: task.Fixed(5, 10)}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 3, 2)
+	res, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(5, 10)), equalizedFactory, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,9 +668,9 @@ func TestReplicateThousandStationsDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	f := Farm{Stations: stations, OpportunitiesPerStation: 3}
-	job := Job{Tasks: task.Exponential(8000, 15, 5)}
+	job := deal(f, exponential(8000, 15, 5))
 	run := func(workers int) []stats.Summary {
-		sums, err := f.Replicate(context.Background(), job, equalizedFactory, mc.Config{Trials: 2, Seed: 31, Workers: workers})
+		sums, err := replicate(f, job, mc.Config{Trials: 2, Seed: 31, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,43 +693,44 @@ func TestReplicateThousandStationsDeterministicAcrossWorkers(t *testing.T) {
 func TestRunReuseConserves(t *testing.T) {
 	f := testFarm(16, station.Laptop{MeanIdle: 2000})
 	f.Shards = 1
-	job := Job{Tasks: task.Uniform(2000, 5, 60, 9)}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, 0)
+	tasks := uniform(2000, 5, 60, 9)
+	res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
-		t.Errorf("%d + %d ≠ %d", res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+	if res.TasksCompleted+res.TasksLeft != len(tasks) {
+		t.Errorf("%d + %d ≠ %d", res.TasksCompleted, res.TasksLeft, len(tasks))
 	}
 }
 
 // TestReplicateShardsBitIdentical pins the distribution contract at the farm
 // layer: running the study's mc shards in disjoint subsets (any grouping, any
-// order) and merging the partial accumulators reproduces Replicate — and,
-// with per-station columns, one whole mc.RunVec of the same trials — bit for
-// bit.
+// order) and merging the partial accumulators reproduces one whole
+// mc.RunVecState of the same trials, with or without per-station columns,
+// bit for bit.
 func TestReplicateShardsBitIdentical(t *testing.T) {
 	shared := testFarm(5, station.Office{MeanIdle: 500, MaxP: 2})
 	shared.Stations[2].Owner = station.Laptop{MeanIdle: 300}
-	job := Job{Tasks: task.Exponential(400, 20, 3)}
+	tasks := exponential(400, 20, 3)
 	cfg := mc.Config{Trials: 90, Seed: 9}
 	for _, in := range []struct {
 		name string
 		f    Farm
 		job  Job
 	}{
-		{"shared job", shared, job},
-		{"private", privateFarm(shared), job},
+		{"shared job", shared, deal(shared, tasks)},
+		{"private", privateFarm(shared), deal(privateFarm(shared), tasks)},
 		{"empty job", privateFarm(shared), Job{}},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			f, job := in.f, in.job
-			want, err := f.Replicate(context.Background(), job, equalizedFactory, cfg)
+			outer, inner := mc.SplitConfig(cfg)
+			newState, trial := f.trialVec(context.Background(), job, equalizedFactory, inner, false)
+			want, err := mc.RunVecState(context.Background(), outer, NumMetrics, newState, trial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outer, inner := mc.SplitConfig(cfg)
-			newState, trial := f.trialVec(context.Background(), job, equalizedFactory, inner, true)
+			newState, trial = f.trialVec(context.Background(), job, equalizedFactory, inner, true)
 			wantStations, err := mc.RunVecState(context.Background(), outer, f.ReplicateColumns(true), newState, trial)
 			if err != nil {
 				t.Fatal(err)
@@ -714,7 +759,7 @@ func TestReplicateShardsBitIdentical(t *testing.T) {
 					if !stationCols {
 						for m := range want {
 							if sums[m] != want[m] {
-								t.Errorf("parts=%d metric %d diverged from Replicate:\n got %+v\nwant %+v", parts, m, sums[m], want[m])
+								t.Errorf("parts=%d metric %d diverged from RunVecState:\n got %+v\nwant %+v", parts, m, sums[m], want[m])
 							}
 						}
 						continue

@@ -159,23 +159,23 @@ func TestParcelArrivingAtCrashedGroupIsLost(t *testing.T) {
 	core := crossLossCore(fault.Plan{Seed: 5, LossProb: 1e-12, StealRetries: 1})
 	ctx := context.Background()
 	// Play until a parcel is in flight, then crash both cluster-0 stations.
-	for round := 0; round < 40 && core.InFlight() == 0; round++ {
+	for round := 0; round < 40 && core.Result().InFlight == 0; round++ {
 		if err := core.PlayRound(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if core.InFlight() == 0 {
+	if core.Result().InFlight == 0 {
 		t.Fatal("no parcel ever departed")
 	}
 	core.Crash(0)
 	core.Crash(1)
 	lostBefore := core.TasksLost()
-	for round := 0; round < 40 && core.InFlight() > 0; round++ {
+	for round := 0; round < 40 && core.Result().InFlight > 0; round++ {
 		if err := core.PlayRound(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if core.InFlight() != 0 {
+	if core.Result().InFlight != 0 {
 		t.Fatal("parcel never matured")
 	}
 	if core.TasksLost() <= lostBefore {
@@ -187,51 +187,51 @@ func TestParcelArrivingAtCrashedGroupIsLost(t *testing.T) {
 // fault plan realizes bit-identically from its seed at any worker count, and
 // the loss accounting conserves the job.
 func TestRunDeterministicFaultPlanReplays(t *testing.T) {
-	job := Job{Tasks: task.Uniform(600, 5, 40, 3)}
+	tasks := uniform(600, 5, 40, 3)
 	f := testFarm(8, station.Office{MeanIdle: 2500, MaxP: 2})
 	f.Shards = 8
 	f.OpportunitiesPerStation = 20
 	f.Topology = Topology{Clusters: 2, CrossLatency: 4}
 	f.Faults = fault.Plan{Seed: 11, CrashProb: 0.02, LossProb: 0.3}
-	a, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 1)
+	a, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 8)
+	b, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("faulted run diverged between workers 1 and 8")
 	}
-	if a.TasksCompleted+a.TasksLeft+a.TasksLost != len(job.Tasks) {
+	if a.TasksCompleted+a.TasksLeft+a.TasksLost != len(tasks) {
 		t.Errorf("conservation broken: %d + %d + %d ≠ %d",
-			a.TasksCompleted, a.TasksLeft, a.TasksLost, len(job.Tasks))
+			a.TasksCompleted, a.TasksLeft, a.TasksLost, len(tasks))
 	}
 }
 
 // A scheduled crash at a known round destroys the orphaned group's queue —
 // work is genuinely lost relative to the fault-free run.
 func TestRunDeterministicScheduledCrashLosesWork(t *testing.T) {
-	job := Job{Tasks: task.Uniform(600, 5, 40, 3)}
+	tasks := uniform(600, 5, 40, 3)
 	f := testFarm(8, station.Office{MeanIdle: 2500, MaxP: 2})
 	f.Shards = 8
 	f.OpportunitiesPerStation = 20
-	base, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 4)
+	base, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Faults = fault.Plan{Crashes: []fault.Crash{{Round: 1, Station: 2}, {Round: 1, Station: 5}}}
-	crashed, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 4)
+	crashed, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if crashed.TasksLost == 0 {
 		t.Error("scheduled crashes destroyed nothing")
 	}
-	if crashed.TasksCompleted+crashed.TasksLeft+crashed.TasksLost != len(job.Tasks) {
+	if crashed.TasksCompleted+crashed.TasksLeft+crashed.TasksLost != len(tasks) {
 		t.Errorf("conservation broken: %d + %d + %d ≠ %d",
-			crashed.TasksCompleted, crashed.TasksLeft, crashed.TasksLost, len(job.Tasks))
+			crashed.TasksCompleted, crashed.TasksLeft, crashed.TasksLost, len(tasks))
 	}
 	if crashed.TasksCompleted > base.TasksCompleted {
 		t.Errorf("crashes increased completion: %d > %d", crashed.TasksCompleted, base.TasksCompleted)
@@ -241,15 +241,15 @@ func TestRunDeterministicScheduledCrashLosesWork(t *testing.T) {
 // An inactive plan (a bare retry budget) arms nothing: the run is
 // bit-identical to one without a Faults field at all.
 func TestRunDeterministicInactiveFaultPlanPinned(t *testing.T) {
-	job := Job{Tasks: task.Uniform(400, 5, 40, 3)}
+	tasks := uniform(400, 5, 40, 3)
 	f := testFarm(8, station.Office{MeanIdle: 2500, MaxP: 2})
 	f.Shards = 4
-	base, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 9, 4)
+	base, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Faults = fault.Plan{StealRetries: 4}
-	got, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 9, 4)
+	got, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +259,8 @@ func TestRunDeterministicInactiveFaultPlanPinned(t *testing.T) {
 }
 
 func TestFaultPlanRejections(t *testing.T) {
-	job := Job{Tasks: task.Fixed(40, 5)}
 	f := testFarm(4, station.Office{MeanIdle: 2500, MaxP: 2})
+	job := deal(f, task.Fixed(40, 5)) // both runs refuse it before taking its hands
 	f.Faults = fault.Plan{KillRound: 3}
 	if _, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 1, 1); err == nil || !strings.Contains(err.Error(), "KillRound") {
 		t.Errorf("batch run accepted a scheduler kill: %v", err)
@@ -273,21 +273,20 @@ func TestFaultPlanRejections(t *testing.T) {
 
 // The whole fleet crashing ends the run early with everything queued lost.
 func TestRunDeterministicFleetWipeout(t *testing.T) {
-	job := Job{Tasks: task.Fixed(80, 5)}
 	f := testFarm(4, station.Office{MeanIdle: 2500, MaxP: 2})
 	f.Shards = 4
 	f.OpportunitiesPerStation = 20
 	f.Faults = fault.Plan{Crashes: []fault.Crash{
 		{Round: 1, Station: 0}, {Round: 1, Station: 1}, {Round: 1, Station: 2}, {Round: 1, Station: 3},
 	}}
-	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, 2)
+	res, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(80, 5)), equalizedFactory, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TasksLeft != 0 {
 		t.Errorf("wipeout left %d tasks queued; they died with their hosts", res.TasksLeft)
 	}
-	if res.TasksCompleted+res.TasksLost != len(job.Tasks) {
-		t.Errorf("conservation broken: %d + %d ≠ %d", res.TasksCompleted, res.TasksLost, len(job.Tasks))
+	if res.TasksCompleted+res.TasksLost != 80 {
+		t.Errorf("conservation broken: %d + %d ≠ 80", res.TasksCompleted, res.TasksLost)
 	}
 }

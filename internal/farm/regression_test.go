@@ -72,7 +72,7 @@ func TestFarmRunNoEarlyExitStarvationOnLateKill(t *testing.T) {
 	singlePeriod := func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 		return sched.SinglePeriod{}, nil
 	}
-	res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(1, 50)}, singlePeriod, 1, 2)
+	res, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(1, 50)), singlePeriod, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestFarmRunNoEarlyExitStarvationOnLateKill(t *testing.T) {
 // The per-station lifespan accounting holds in every layout: a station
 // banks no more work, and idles no more, than the lifespan it was offered.
 func TestFarmRunAccountsLifespan(t *testing.T) {
-	job := Job{Tasks: task.Uniform(500, 5, 50, 1)}
+	tasks := uniform(500, 5, 50, 1)
 	for name, f := range layouts(testFarm(4, station.Office{MeanIdle: 3000, MaxP: 2})) {
-		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 11, 0)
+		res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 11, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestFleetRunsAllOpportunitiesDespiteEmptyBags(t *testing.T) {
 	f := privateFarm(testFarm(3, station.Overnight{Window: 20000}))
 	f.OpportunitiesPerStation = 7
 	// One tiny task per station, done in its first period.
-	res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(3, 10)}, equalizedFactory, 5, 0)
+	res, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(3, 10)), equalizedFactory, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

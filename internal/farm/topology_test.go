@@ -62,17 +62,17 @@ func TestResolveShards(t *testing.T) {
 // The zero-value and explicit single-cluster topologies are the flat engine,
 // bit for bit.
 func TestTopologyZeroValuePinnedToFlat(t *testing.T) {
-	job := Job{Tasks: task.Uniform(1200, 5, 60, 3)}
+	tasks := uniform(1200, 5, 60, 3)
 	base := testFarm(24, station.Office{MeanIdle: 2500, MaxP: 2})
 	base.Shards = 8
-	want, err := base.RunDeterministic(context.Background(), job, equalizedFactory, 99, 4)
+	want, err := base.RunDeterministic(context.Background(), deal(base, tasks), equalizedFactory, 99, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, topo := range []Topology{{}, {Clusters: 1}} {
 		f := base
 		f.Topology = topo
-		got, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 99, 4)
+		got, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 99, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestTopologyZeroValuePinnedToFlat(t *testing.T) {
 // RunDeterministic with an active topology is bit-identical at any worker
 // count — the engine's core contract extended to the priced steal path.
 func TestTopologyRunDeterministicWorkerInvariance(t *testing.T) {
-	job := Job{Tasks: task.Uniform(800, 1, 4, 3)}
+	tasks := uniform(800, 1, 4, 3)
 	for _, topo := range []Topology{
 		{Clusters: 2, CrossLatency: 0},
 		{Clusters: 4, CrossLatency: 6},
@@ -97,19 +97,19 @@ func TestTopologyRunDeterministicWorkerInvariance(t *testing.T) {
 		f.Shards = 8
 		f.OpportunitiesPerStation = 30
 		f.Topology = topo
-		want, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, 1)
+		want, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 7, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, 8)
+		got, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 7, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("topology %+v: workers 1 vs 8 diverged", topo)
 		}
-		if got.TasksCompleted+got.TasksLeft != len(job.Tasks) {
-			t.Errorf("topology %+v: %d + %d ≠ %d", topo, got.TasksCompleted, got.TasksLeft, len(job.Tasks))
+		if got.TasksCompleted+got.TasksLeft != len(tasks) {
+			t.Errorf("topology %+v: %d + %d ≠ %d", topo, got.TasksCompleted, got.TasksLeft, len(tasks))
 		}
 		if got.InFlight > got.TasksLeft {
 			t.Errorf("topology %+v: InFlight %d > TasksLeft %d", topo, got.InFlight, got.TasksLeft)
@@ -121,12 +121,12 @@ func TestTopologyRunDeterministicWorkerInvariance(t *testing.T) {
 // oversupplied homes) never steals, and stays bit-identical at any worker
 // count.
 func TestTopologyRunNoStealBitIdentical(t *testing.T) {
-	job := Job{Tasks: task.Fixed(50000, 5)}
+	tasks := task.Fixed(50000, 5)
 	run := func(workers int) Result {
 		f := testFarm(8, station.Overnight{Window: 1000})
 		f.Shards = 8
 		f.Topology = Topology{Clusters: 4, CrossLatency: 5}
-		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 11, workers)
+		res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 11, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,18 +146,18 @@ func TestTopologyRunNoStealBitIdentical(t *testing.T) {
 // worker count, the job still completes with ample lifespan, and nothing
 // stays stranded in flight.
 func TestTopologyRunConservesAndCompletes(t *testing.T) {
-	job := Job{Tasks: task.Uniform(600, 5, 40, 2)}
+	tasks := uniform(600, 5, 40, 2)
 	for _, workers := range []int{1, 8} {
 		f := testFarm(8, station.Overnight{Window: 20000})
 		f.Shards = 4
 		f.OpportunitiesPerStation = 20
 		f.Topology = Topology{Clusters: 2, CrossLatency: 2}
-		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, workers)
+		res, err := f.RunDeterministic(context.Background(), deal(f, tasks), equalizedFactory, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TasksCompleted+res.TasksLeft != len(job.Tasks) {
-			t.Errorf("workers=%d: %d + %d ≠ %d", workers, res.TasksCompleted, res.TasksLeft, len(job.Tasks))
+		if res.TasksCompleted+res.TasksLeft != len(tasks) {
+			t.Errorf("workers=%d: %d + %d ≠ %d", workers, res.TasksCompleted, res.TasksLeft, len(tasks))
 		}
 		if res.TasksLeft != 0 || res.InFlight != 0 {
 			t.Errorf("workers=%d: %d left / %d in flight with ample lifespan", workers, res.TasksLeft, res.InFlight)
@@ -170,8 +170,7 @@ func TestTopologyEngineValidation(t *testing.T) {
 	f := testFarm(16, station.Overnight{Window: 100})
 	f.Shards = 8
 	f.Topology = Topology{Clusters: 5}
-	job := Job{Tasks: task.Fixed(10, 5)}
-	if _, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 1, 1); err == nil || !strings.Contains(err.Error(), "clusters") {
+	if _, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(10, 5)), equalizedFactory, 1, 1); err == nil || !strings.Contains(err.Error(), "clusters") {
 		t.Errorf("RunDeterministic accepted 5 clusters over 8 shards: %v", err)
 	}
 }
@@ -198,7 +197,7 @@ func TestTopologyCrossLatencyCostsThroughput(t *testing.T) {
 			Shards:                  4,
 			Topology:                Topology{Clusters: 2, CrossLatency: latency},
 		}
-		res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(400, 2)}, equalizedFactory, 21, 4)
+		res, err := f.RunDeterministic(context.Background(), deal(f, task.Fixed(400, 2)), equalizedFactory, 21, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

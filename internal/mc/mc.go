@@ -26,17 +26,20 @@
 // Shards, processed in increasing i within a shard) and merging the shard
 // accumulators in shard order. Both the partition and the merge order are
 // independent of Workers, and floating-point association is therefore fixed.
+// A study of fewer trials than Shards leaves shards with no trial; they
+// build no accumulators of their own but share one empty set, which a merge
+// leaves out as it leaves out any empty accumulator.
 //
 // The quantile fields of each summary (Median, P90, P99) come from per-shard
 // bounded-error sketches (stats.Sketch) pooled by level-wise union, so they
 // carry a guaranteed rank-error bound and — unlike the mean — do not even
 // depend on the shard merge order.
 //
-// Trial closures that are themselves parallel (e.g. farm.RunDeterministic)
-// compose with the engine through SplitWorkers: the budget splits into an
-// outer trial pool and an inner per-trial pool, and because neither level's
-// worker count can influence results, the combined two-level pool keeps the
-// contract.
+// Trial closures that are themselves parallel (farm.ReplicateShards' runs
+// of farm.RunDeterministic) compose with the engine through SplitWorkers:
+// the budget splits into an outer trial pool and an inner per-trial pool,
+// and because neither level's worker count can influence results, the
+// combined two-level pool keeps the contract.
 //
 // Closures run concurrently: a closure may freely use its private *rand.Rand
 // during the call, and anything it creates, but shared inputs (schedulers,
@@ -224,7 +227,9 @@ func RunVecState(ctx context.Context, cfg Config, metrics int, newState NewState
 // built from exactly the trials i ≡ Shard (mod Shards), in increasing i.
 // Because that set and order are pure functions of (Seed, Trials, Shard), a
 // shard's accumulators are bit-identical wherever they are computed — the
-// property the distributed replication layer ships across processes.
+// property the distributed replication layer ships across processes. The
+// shards of one call that own no trial share one set of empty
+// accumulators: read them, never add to them.
 type ShardAccums struct {
 	Shard  int
 	Accums []*stats.Accumulator // one per metric, in the study's metric order
@@ -314,11 +319,11 @@ func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewSt
 			var rng *rand.Rand
 			for j := range jobs {
 				s := shardIDs[j]
-				st := &shards[j]
-				st.accs = make([]*stats.Accumulator, metrics)
-				for m := range st.accs {
-					st.accs[m] = stats.NewAccumulator(sketchCap)
+				if s >= cfg.Trials {
+					continue // owns no trial: takes the shared empty set below
 				}
+				st := &shards[j]
+				st.accs = newAccums(metrics)
 				for i := s; i < cfg.Trials; i += Shards {
 					if err := ctx.Err(); err != nil {
 						st.err = err
@@ -382,10 +387,27 @@ func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewSt
 	}
 
 	out := make([]ShardAccums, len(shardIDs))
+	var empty []*stats.Accumulator
 	for j, s := range shardIDs {
-		out[j] = ShardAccums{Shard: s, Accums: shards[j].accs}
+		accs := shards[j].accs
+		if accs == nil {
+			if empty == nil {
+				empty = newAccums(metrics)
+			}
+			accs = empty
+		}
+		out[j] = ShardAccums{Shard: s, Accums: accs}
 	}
 	return out, nil
+}
+
+// newAccums builds one empty accumulator per metric.
+func newAccums(metrics int) []*stats.Accumulator {
+	accs := make([]*stats.Accumulator, metrics)
+	for m := range accs {
+		accs[m] = stats.NewAccumulator(sketchCap)
+	}
+	return accs
 }
 
 // MergeShards folds a complete cover of shard accumulators — every shard in
@@ -420,10 +442,7 @@ func MergeShards(metrics int, shards []ShardAccums) ([]stats.Summary, error) {
 		byShard[sh.Shard] = sh
 	}
 
-	merged := make([]*stats.Accumulator, metrics)
-	for m := range merged {
-		merged[m] = stats.NewAccumulator(sketchCap)
-	}
+	merged := newAccums(metrics)
 	for s := 0; s < Shards; s++ {
 		for m, acc := range byShard[s].Accums {
 			merged[m].Merge(acc)
@@ -470,8 +489,8 @@ func SplitWorkers(budget, outerCap int) (outer, inner int) {
 // returned config's Workers is the outer trial-pool budget (trial
 // parallelism is bounded by both the trial count and the engine's Shards
 // partition) and inner is the worker budget each trial's closure may spawn.
-// This is the shared prologue of the farm's Replicate family — keeping the
-// Shards-cap invariant in one place.
+// This is the prologue of farm.ReplicateShards, which keeps the Shards-cap
+// invariant in one place.
 func SplitConfig(cfg Config) (outerCfg Config, inner int) {
 	outerCap := cfg.Trials
 	if outerCap > Shards {

@@ -8,11 +8,23 @@ import (
 
 	"cyclesteal/internal/adversary"
 	"cyclesteal/internal/game"
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/model"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/sched"
 	"cyclesteal/internal/task"
 )
+
+// uniform returns n tasks with IDs 0..n−1 and durations uniform in
+// [lo, hi] ticks, drawn from one seeded stream.
+func uniform(n int, lo, hi quant.Tick, seed int64) []task.Task {
+	rng := lazyrand.New(seed)
+	out := make([]task.Task, n)
+	for i := range out {
+		out[i] = task.Task{ID: i, Duration: lo + rng.Int63n(hi-lo+1)}
+	}
+	return out
+}
 
 func TestOpportunityValidate(t *testing.T) {
 	if err := (Opportunity{U: 0, P: 0, C: 1}).Validate(); err == nil {
@@ -174,7 +186,7 @@ func TestRecordPeriodsChangesOnlyTheLog(t *testing.T) {
 		s:      tail,
 		adv:    func() Interrupter { return &adversary.Scripted{Offsets: []quant.Tick{100, 700}} },
 		opp:    Opportunity{U: 1000, P: 2, C: c},
-		tasks:  task.Uniform(80, 5, 60, 1),
+		tasks:  uniform(80, 5, 60, 1),
 		idleAt: true,
 	}}
 	rng := rand.New(rand.NewSource(31))
@@ -189,7 +201,7 @@ func TestRecordPeriodsChangesOnlyTheLog(t *testing.T) {
 		mk, seed := interrupters[trial/len(schedulers)%len(interrupters)], rng.Int63()
 		sh.adv = func() Interrupter { return mk(seed, opp.U, opp.P) }
 		if rng.Intn(2) == 0 {
-			sh.tasks = task.Uniform(150, 1, 80, seed)
+			sh.tasks = uniform(150, 1, 80, seed)
 		}
 		if rng.Intn(2) == 0 {
 			sh.cfg.Checkpoint = 1 + rng.Int63n(60)
@@ -591,8 +603,8 @@ func TestRunBuffersReuseBitIdentical(t *testing.T) {
 		_ = rngB.Int63n(5000) // keep streams aligned
 		advA := &adversary.Random{Rng: rngA, Prob: 0.7}
 		advB := &adversary.Random{Rng: rngB, Prob: 0.7}
-		bagA := task.NewBag(task.Uniform(60, 5, 40, int64(trial)))
-		bagB := task.NewBag(task.Uniform(60, 5, 40, int64(trial)))
+		bagA := task.NewBag(uniform(60, 5, 40, int64(trial)))
+		bagB := task.NewBag(uniform(60, 5, 40, int64(trial)))
 		resA, errA := Run(eq, advA, Opportunity{U: U, P: 2, C: c}, Config{Bag: bagA, Buffers: shared})
 		resB, errB := Run(eq, advB, Opportunity{U: U, P: 2, C: c}, Config{Bag: bagB})
 		if (errA == nil) != (errB == nil) {

@@ -5,9 +5,9 @@
 // deterministic per-station rng derivation every engine shares.
 //
 // It is the dependency floor of the fleet layer: internal/farm drives
-// stations against a job and imports only this package for the model, so
-// the experiments and CLIs that build fleets can share it without an
-// import cycle.
+// stations against a job and imports only this package for the model, and
+// the fleet package builds every station a run plays from its owner
+// temperaments.
 package station
 
 import (
@@ -129,26 +129,6 @@ type Workstation struct {
 // SchedulerFactory builds a scheduler for a specific contract on a specific
 // workstation (schedules depend on U, p and c).
 type SchedulerFactory func(ws Workstation, c Contract) (model.EpisodeScheduler, error)
-
-// MixedFleet builds the standard heterogeneous NOW used by the farm
-// experiments (E11, E12) and the fleet-mode CLIs: offices, laptops and
-// overnight lab machines round-robin, all with setup cost c. Keeping the
-// owner mix in one place keeps CLI output comparable with the experiment
-// tables.
-func MixedFleet(stations int, c quant.Tick) []Workstation {
-	fleet := make([]Workstation, stations)
-	for i := range fleet {
-		switch i % 3 {
-		case 0:
-			fleet[i] = Workstation{ID: i, Owner: Office{MeanIdle: 250 * c, MaxP: 2}, Setup: c}
-		case 1:
-			fleet[i] = Workstation{ID: i, Owner: Laptop{MeanIdle: 100 * c}, Setup: c}
-		default:
-			fleet[i] = Workstation{ID: i, Owner: Overnight{Window: 400 * c}, Setup: c}
-		}
-	}
-	return fleet
-}
 
 // RNG derives station id's private contract stream from a run seed — the
 // per-station half of the determinism contract every farm run shares.

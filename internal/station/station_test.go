@@ -32,27 +32,6 @@ func TestOwnerModelsSampleSanely(t *testing.T) {
 	}
 }
 
-func TestMixedFleetShape(t *testing.T) {
-	fleet := MixedFleet(7, 50)
-	if len(fleet) != 7 {
-		t.Fatalf("fleet size %d", len(fleet))
-	}
-	for i, ws := range fleet {
-		if ws.ID != i {
-			t.Errorf("station %d has ID %d", i, ws.ID)
-		}
-		if ws.Setup != 50 {
-			t.Errorf("station %d setup %d", i, ws.Setup)
-		}
-		if ws.Owner == nil {
-			t.Fatalf("station %d has no owner", i)
-		}
-	}
-	if fleet[0].Owner.Name() != "office" || fleet[1].Owner.Name() != "laptop" || fleet[2].Owner.Name() != "overnight" {
-		t.Errorf("owner mix broken: %s/%s/%s", fleet[0].Owner.Name(), fleet[1].Owner.Name(), fleet[2].Owner.Name())
-	}
-}
-
 // The XOR scheme RNG replaced had a structural collision: for any station
 // pair (id, id') the seed seed ^ (id+1)·K ^ (id'+1)·K replayed id's stream
 // on id'. The splitmix64 mix must not reproduce it.

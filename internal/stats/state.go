@@ -7,7 +7,9 @@ import "fmt"
 // process boundary and be rebuilt bit-identically on the other side. The
 // conversions copy float64 fields verbatim — no rounding, no recomputation —
 // which is what lets a coordinator merge worker-produced shard accumulators
-// into summaries identical to a single-process run.
+// into summaries identical to a single-process run. The JSON tags are the
+// distrib wire's names: fleet.AccumState and fleet.SketchState are these
+// types.
 //
 // FromState is the untrusted direction: it re-validates every structural
 // invariant the incremental API maintains by construction (weight
@@ -18,16 +20,16 @@ import "fmt"
 // SketchState is the full serializable state of a Sketch.
 type SketchState struct {
 	// K is the per-level buffer capacity.
-	K int
+	K int `json:"k"`
 	// N is the number of observations the sketch represents.
-	N int64
+	N int64 `json:"n"`
 	// Bound is the accumulated rank-error bound (Σ 2^l over compactions).
-	Bound int64
+	Bound int64 `json:"bound"`
 	// Parity holds each level's alternating-selection offset.
-	Parity []bool
+	Parity []bool `json:"parity,omitempty"`
 	// Levels holds each level's retained values; Levels[l] values carry
 	// weight 2^l.
-	Levels [][]float64
+	Levels [][]float64 `json:"levels,omitempty"`
 }
 
 // State snapshots the sketch. The returned state shares no memory with the
@@ -94,14 +96,16 @@ func (s *Sketch) restore(st SketchState) {
 // AccumState is the full serializable state of an Accumulator.
 type AccumState struct {
 	// N is the number of observations folded in.
-	N int
+	N int `json:"n"`
 	// Mean and M2 are the Welford running mean and sum of squared deviations.
-	Mean, M2 float64
+	Mean float64 `json:"mean"`
+	M2   float64 `json:"m2"`
 	// Min and Max are the exact extremes (meaningful only when N ≥ 1).
-	Min, Max float64
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
 	// Sketch is the quantile sketch's state; nil when quantile tracking is
 	// disabled.
-	Sketch *SketchState
+	Sketch *SketchState `json:"sketch,omitempty"`
 }
 
 // State snapshots the accumulator (deep copy; see Sketch.State).

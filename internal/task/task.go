@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 )
 
@@ -302,10 +301,9 @@ func QuantizeRange(hands []Hand, lo, hi int, durations []float64, g quant.Grid) 
 // once (not at all when its storage has room), takes tasks i, i+len(bags),
 // … in one strided pass, folds their durations into its minimum in a local
 // and sets its length and minimum once. Interleaving the bags task by task
-// would write every bag's header once per task. Every plain task list
-// enters the farm's queues through it: a plain job's run or replication
-// trial, a service arrival, a departed group's drained queue. bags must
-// not be empty.
+// would write every bag's header once per task. Every task list that
+// arrives at running queues enters them through it: a service arrival, a
+// departed group's drained queue. bags must not be empty.
 func DealInto(bags []*Bag, tasks []Task) {
 	if len(tasks) == 0 {
 		return
@@ -360,8 +358,6 @@ func Durations(tasks []Task) quant.Tick {
 	return sum
 }
 
-// --- generators ---------------------------------------------------------------
-
 // Fixed returns n tasks of identical duration d — the workload shape of the
 // coscheduling auction baseline [1].
 func Fixed(n int, d quant.Tick) []Task {
@@ -370,40 +366,6 @@ func Fixed(n int, d quant.Tick) []Task {
 	}
 	out := make([]Task, n)
 	for i := range out {
-		out[i] = Task{ID: i, Duration: d}
-	}
-	return out
-}
-
-// Uniform returns n tasks with durations uniform in [lo, hi].
-func Uniform(n int, lo, hi quant.Tick, seed int64) []Task {
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	rng := lazyrand.New(seed)
-	out := make([]Task, n)
-	for i := range out {
-		out[i] = Task{ID: i, Duration: lo + quant.Tick(rng.Int63n(int64(hi-lo+1)))}
-	}
-	return out
-}
-
-// Exponential returns n tasks with (clamped) exponentially distributed
-// durations of the given mean — heavy-ish tails without unbounded outliers.
-func Exponential(n int, mean float64, seed int64) []Task {
-	if mean < 1 {
-		mean = 1
-	}
-	rng := lazyrand.New(seed)
-	out := make([]Task, n)
-	for i := range out {
-		d := quant.Tick(rng.ExpFloat64() * mean)
-		if d < 1 {
-			d = 1
-		}
 		out[i] = Task{ID: i, Duration: d}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cyclesteal/internal/lazyrand"
 	"cyclesteal/internal/quant"
 )
 
@@ -75,7 +76,7 @@ func TestReturnPutsTasksAtFront(t *testing.T) {
 func TestTakeReturnConservesWork(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tasks := Uniform(30, 1, 40, seed)
+		tasks := uniform(30, 1, 40, seed)
 		b := NewBag(tasks)
 		totalBefore := b.RemainingWork()
 		var inFlight []Task
@@ -116,8 +117,43 @@ func TestFixedGenerator(t *testing.T) {
 	}
 }
 
+// uniform returns n tasks with durations uniform in [lo, hi]: the varied
+// task lists the bag tests draw.
+func uniform(n int, lo, hi quant.Tick, seed int64) []Task {
+	if lo < 1 {
+		lo = 1
+	}
+	if hi < lo {
+		hi = lo
+	}
+	rng := lazyrand.New(seed)
+	out := make([]Task, n)
+	for i := range out {
+		out[i] = Task{ID: i, Duration: lo + quant.Tick(rng.Int63n(int64(hi-lo+1)))}
+	}
+	return out
+}
+
+// exponential returns n tasks with (clamped) exponentially distributed
+// durations of the given mean — heavy-ish tails without unbounded outliers.
+func exponential(n int, mean float64, seed int64) []Task {
+	if mean < 1 {
+		mean = 1
+	}
+	rng := lazyrand.New(seed)
+	out := make([]Task, n)
+	for i := range out {
+		d := quant.Tick(rng.ExpFloat64() * mean)
+		if d < 1 {
+			d = 1
+		}
+		out[i] = Task{ID: i, Duration: d}
+	}
+	return out
+}
+
 func TestUniformGenerator(t *testing.T) {
-	tasks := Uniform(200, 5, 15, 42)
+	tasks := uniform(200, 5, 15, 42)
 	if err := Validate(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -127,25 +163,25 @@ func TestUniformGenerator(t *testing.T) {
 		}
 	}
 	// Deterministic for a fixed seed.
-	again := Uniform(200, 5, 15, 42)
+	again := uniform(200, 5, 15, 42)
 	for i := range tasks {
 		if tasks[i] != again[i] {
 			t.Fatal("Uniform not deterministic for fixed seed")
 		}
 	}
 	// Degenerate bounds.
-	for _, tk := range Uniform(5, 9, 3, 1) {
+	for _, tk := range uniform(5, 9, 3, 1) {
 		if tk.Duration != 9 {
 			t.Errorf("hi<lo should clamp to lo, got %d", tk.Duration)
 		}
 	}
-	if Uniform(1, 0, 0, 1)[0].Duration != 1 {
+	if uniform(1, 0, 0, 1)[0].Duration != 1 {
 		t.Error("lo<1 should clamp to 1")
 	}
 }
 
 func TestExponentialGenerator(t *testing.T) {
-	tasks := Exponential(1000, 20, 3)
+	tasks := exponential(1000, 20, 3)
 	if err := Validate(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +193,7 @@ func TestExponentialGenerator(t *testing.T) {
 	if mean < 15 || mean > 25 {
 		t.Errorf("sample mean %g, want ≈ 20", mean)
 	}
-	if Exponential(1, 0, 1)[0].Duration < 1 {
+	if exponential(1, 0, 1)[0].Duration < 1 {
 		t.Error("durations must be ≥ 1")
 	}
 }
@@ -238,7 +274,7 @@ func TestBagStealAndAppend(t *testing.T) {
 func TestTakeIntoMatchesTake(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
-		tasks := Uniform(1+rng.Intn(40), 1, 30, int64(trial))
+		tasks := uniform(1+rng.Intn(40), 1, 30, int64(trial))
 		a := NewBag(tasks)
 		b := NewBag(tasks)
 		buf := make([]Task, 0, 8)
@@ -297,7 +333,7 @@ func TestTakeIntoPreservesPrefixAndReusesBuffer(t *testing.T) {
 // worth into a reused buffer, return it) that dominates the simulator's
 // contended path.
 func BenchmarkBagTakeInto(b *testing.B) {
-	tasks := Uniform(5000, 5, 50, 1)
+	tasks := uniform(5000, 5, 50, 1)
 	bag := NewBag(tasks)
 	var buf []Task
 	b.ReportAllocs()
@@ -312,7 +348,7 @@ func BenchmarkBagTakeInto(b *testing.B) {
 // storage already has room, as a resident service's activation of a job
 // does.
 func BenchmarkDealInto(b *testing.B) {
-	tasks := Uniform(20000, 1, 50, 1)
+	tasks := uniform(20000, 1, 50, 1)
 	bags := make([]*Bag, 64)
 	for i := range bags {
 		bags[i] = &Bag{}
@@ -358,7 +394,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		bags := make([]*Bag, k)
 		for i := range bags {
-			bags[i] = NewBag(Uniform(r.Intn(30), 1, 40, seed+int64(i)))
+			bags[i] = NewBag(uniform(r.Intn(30), 1, 40, seed+int64(i)))
 			for step := r.Intn(6); step > 0; step-- {
 				got := bags[i].TakeInto(nil, quant.Tick(r.Intn(90)))
 				if r.Intn(3) == 0 {
@@ -411,7 +447,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		case 2:
 			n = 0
 		}
-		check(fmt.Sprintf("trial %d", trial), used(k, int64(trial)), used(k, int64(trial)), Uniform(n, 1, 50, int64(trial)))
+		check(fmt.Sprintf("trial %d", trial), used(k, int64(trial)), used(k, int64(trial)), uniform(n, 1, 50, int64(trial)))
 	}
 
 	// Explicit shapes. Task counts: fewer than the bags, one per bag, and
@@ -422,7 +458,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		"head": func(k int, seed int64) []*Bag {
 			bags := make([]*Bag, k)
 			for i := range bags {
-				bags[i] = NewBag(Uniform(12, 1, 40, seed+int64(i)))
+				bags[i] = NewBag(uniform(12, 1, 40, seed+int64(i)))
 				bags[i].TakeInto(nil, 100)
 				if bags[i].head == 0 {
 					t.Fatalf("bag %d took nothing; the head > 0 shape needs a taken prefix", i)
@@ -433,7 +469,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 		"full": func(k int, seed int64) []*Bag {
 			bags := make([]*Bag, k)
 			for i := range bags {
-				bags[i] = NewBag(Uniform(i%3, 1, 40, seed+int64(i))) // cap == len: a deal must grow it
+				bags[i] = NewBag(uniform(i%3, 1, 40, seed+int64(i))) // cap == len: a deal must grow it
 			}
 			return bags
 		},
@@ -441,7 +477,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 			bags := make([]*Bag, k)
 			for i := range bags {
 				bags[i] = &Bag{buf: make([]Task, 0, 64)}
-				bags[i].Append(Uniform(3, 20, 40, seed+int64(i)))
+				bags[i].Append(uniform(3, 20, 40, seed+int64(i)))
 			}
 			return bags
 		},
@@ -451,7 +487,7 @@ func TestDealIntoMatchesDealAppend(t *testing.T) {
 			for _, n := range []int{k - 1, k, k + 1, 2*k - 1, 2 * k, 2*k + 1, 5*k - 1, 5*k + 1} {
 				seed := int64(100*k + n)
 				label := fmt.Sprintf("%s bags, %d of them, %d tasks", name, k, n)
-				check(label, build(k, seed), build(k, seed), Uniform(n, 1, 50, seed))
+				check(label, build(k, seed), build(k, seed), uniform(n, 1, 50, seed))
 			}
 		}
 	}
