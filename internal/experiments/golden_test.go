@@ -13,14 +13,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
-// goldenIDs are the tables pinned by value: the game-layer tables, and the
-// fleet studies E11, E12 and E14. Each renders at cstealtables' defaults in
-// about a second at most. Apart from the columns timingColumns blanks, its
-// text output is a pure function of the code.
+// goldenIDs are the tables pinned by value: the game-layer tables, E10's
+// task granularity, and the fleet studies E11–E17 bar E9d. E13's trace
+// column replays a recorded trace, and E17's rows cross the distrib wire
+// to in-process workers. Each renders at cstealtables' defaults in about a
+// second at most. Apart from the columns timingColumns blanks, its text
+// output is a pure function of the code.
 var goldenIDs = []string{
 	"table1", "table2", "nonadaptive", "optgap", "prop41",
-	"ablation-quantum", "ablation-guideline", "structure",
-	"farm", "fleetscale", "topology",
+	"ablation-quantum", "ablation-guideline", "structure", "tasks",
+	"farm", "fleetscale", "owners", "topology", "resident", "faults", "distrib",
 }
 
 // timingColumns names, by experiment ID, the wall-clock columns a golden
