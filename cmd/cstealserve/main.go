@@ -368,7 +368,8 @@ func watchDir(ctx context.Context, stop <-chan struct{}, dir string, errw io.Wri
 }
 
 // Job lines are bounded so a hostile line cannot allocate without bound:
-// maxJobLine bytes per line, maxTasksPerJob tasks in the job it expands to.
+// maxJobLine bytes per line, its LF or CRLF ending aside, and
+// maxTasksPerJob tasks in the job it expands to.
 const (
 	maxJobLine     = 1 << 20
 	maxTasksPerJob = 1 << 20
@@ -377,12 +378,18 @@ const (
 // submitLines hands every job line r holds to submit, named name:N by its
 // line number; blank lines and '#' comments are skipped. It returns the
 // reader's error, a line over maxJobLine bytes included, naming its line.
+// The cap is the one the library's line formats apply: a line of exactly
+// maxJobLine bytes is read, with any line ending, and the scanner holds at
+// most one line and its "\r\n".
 func submitLines(r io.Reader, name string, submit func(line, where string)) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), maxJobLine)
+	sc.Buffer(nil, maxJobLine+len("\r\n"))
 	n := 0
 	for sc.Scan() {
 		n++
+		if len(sc.Bytes()) > maxJobLine {
+			return fmt.Errorf("%s:%d: %w", name, n, bufio.ErrTooLong)
+		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue

@@ -341,3 +341,29 @@ func TestJobLinesBounded(t *testing.T) {
 		t.Errorf("over-long watched line reported as %q, want big.jobs:3", errOut.String())
 	}
 }
+
+// A job line of exactly the 1 MiB cap is read with any line ending, and
+// one byte more is an error naming its line.
+func TestJobLineCapExact(t *testing.T) {
+	for _, end := range []string{"\n", "\r\n", ""} {
+		for _, n := range []int{maxJobLine, maxJobLine + 1} {
+			long := "ana 5x2" + strings.Repeat(" ", n-len("ana 5x2"))
+			var submitted []string
+			err := submitLines(strings.NewReader("bo 3x2\n"+long+end), "stdin", func(line, where string) {
+				submitted = append(submitted, where+" "+line)
+			})
+			want := []string{"stdin:1 bo 3x2", "stdin:2 ana 5x2"}
+			if n > maxJobLine {
+				want = want[:1]
+				if err == nil || !strings.Contains(err.Error(), "stdin:2") || !strings.Contains(err.Error(), "too long") {
+					t.Errorf("a %d-byte line ending %q: error %v, want a too-long error naming stdin:2", n, end, err)
+				}
+			} else if err != nil {
+				t.Errorf("a %d-byte line ending %q: %v", n, end, err)
+			}
+			if !reflect.DeepEqual(submitted, want) {
+				t.Errorf("a %d-byte line ending %q: submitted %q, want %q", n, end, submitted, want)
+			}
+		}
+	}
+}

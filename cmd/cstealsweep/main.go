@@ -38,6 +38,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -45,6 +46,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,6 +111,9 @@ func main() {
 	pl, err := parseInts(*ps)
 	if err != nil {
 		fatal(err)
+	}
+	if *trials > 0 && *fleetN > 1 && slices.Contains(pl, 0) {
+		fatal(errZeroAllowance) // before any cell is solved
 	}
 	us := make([]quant.Tick, len(rs))
 	for i, r := range rs {
@@ -272,6 +277,11 @@ func sweepMonteCarlo(points []game.SweepPoint, trials int, seed int64, workers i
 	return sums, nil
 }
 
+// errZeroAllowance refuses a p = 0 cell under -fleet: the fleet's fixed
+// owner reads a zero allowance as the standard one. main checks the flags
+// for one before solving anything.
+var errZeroAllowance = errors.New("-fleet cannot express a zero interrupt allowance: the fleet's fixed owner reads 0 as the standard allowance (drop p=0 from -ps)")
+
 // fleetSweep is the -fleet study: each cell's fleet, its trials, and where
 // they run.
 type fleetSweep struct {
@@ -292,11 +302,11 @@ type fleetSweep struct {
 // station, so the completion column reads as the fleet-level achievable
 // fraction of the contract. What cannot be stated is the cell's solved
 // optimal schedule (a value table, not named data), so stations schedule
-// with the named default, the equalized policy. A p = 0 cell is refused:
-// the fixed owner reads a zero allowance as the standard one.
+// with the named default, the equalized policy. A p = 0 cell is refused
+// (errZeroAllowance).
 func (sw fleetSweep) cell(pt game.SweepPoint, cell int) (fleet.Config, fleet.Job, error) {
 	if pt.P < 1 {
-		return fleet.Config{}, fleet.Job{}, fmt.Errorf("-fleet cannot express a zero interrupt allowance: the fleet's fixed owner reads 0 as the standard allowance (drop p=0 from -ps)")
+		return fleet.Config{}, fleet.Job{}, errZeroAllowance
 	}
 	cfg := fleet.Config{
 		Stations:      sw.stations,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"reflect"
 	"testing"
 
@@ -8,6 +10,29 @@ import (
 	"cyclesteal/internal/game"
 	"cyclesteal/internal/quant"
 )
+
+// TestMain doubles as the command: re-invoked with CSTEALSWEEP_MAIN set,
+// the test binary runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("CSTEALSWEEP_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// -fleet refuses a p = 0 cell when the flags are read, before any cell is
+// solved. The cells' U, 10^10 ticks, is past what the exact solver takes,
+// so a sweep that solved either cell first would end naming the value
+// table instead.
+func TestFleetRefusesZeroAllowanceFirst(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-ratios", "100000000", "-ps", "0,1", "-trials", "4", "-fleet", "6")
+	cmd.Env = append(os.Environ(), "CSTEALSWEEP_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || string(out) != "cstealsweep: "+errZeroAllowance.Error()+"\n" {
+		t.Fatalf("-ps 0,1 -fleet 6: %v, output %q; want the zero-allowance refusal alone", err, out)
+	}
+}
 
 // TestDistribCellSpec pins the cell → wire-spec mapping -fleet rests on:
 // the facade config restates the sweep cell exactly (caller unit = one

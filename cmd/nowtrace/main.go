@@ -1,15 +1,15 @@
 // Command nowtrace works with NOW availability traces in the public
-// cyclesteal/trace format — the stand-in for the workstation-usage logs a
-// 1990s cluster deployment would collect. It can generate a trace by
-// recording a synthetic fleet run, replay an existing trace file through a
-// scheduling policy, or summarize a trace file.
+// cyclesteal/trace format, JSON Lines — the stand-in for the
+// workstation-usage logs a 1990s cluster deployment would collect. It can
+// generate a trace by recording a synthetic fleet run and writing it to
+// standard output, replay an existing trace file through a scheduling
+// policy, or summarize a trace file.
 //
 // Usage:
 //
-//	nowtrace -stations 20 -per 50 -owner office > trace.csv
-//	nowtrace -stations 20 -per 50 -owner laptop -format jsonl > trace.jsonl
-//	nowtrace -summary trace.csv
-//	nowtrace -replay trace.csv -policy guideline
+//	nowtrace -stations 20 -per 50 -owner office > trace.jsonl
+//	nowtrace -summary trace.jsonl
+//	nowtrace -replay trace.jsonl -policy guideline
 package main
 
 import (
@@ -31,7 +31,6 @@ func main() {
 		setup    = flag.Float64("setup", 5, "per-period setup cost, time units")
 		ticks    = flag.Int("ticks", 0, "grid resolution, ticks per setup cost (0 = library default)")
 		seed     = flag.Int64("seed", 1, "rng seed")
-		format   = flag.String("format", "csv", "output encoding: csv or jsonl")
 		policy   = flag.String("policy", "", "scheduling policy for -replay: "+strings.Join(fleet.Policies(), ", "))
 		replay   = flag.String("replay", "", "replay this trace file through the policy and report the run")
 		summary  = flag.String("summary", "", "print summary statistics of this trace file")
@@ -44,12 +43,12 @@ func main() {
 	case *replay != "":
 		fatalIf(replayFile(*replay, *policy, *setup))
 	default:
-		fatalIf(generate(*stations, *per, *owner, *setup, *ticks, *seed, *format))
+		fatalIf(generate(*stations, *per, *owner, *setup, *ticks, *seed))
 	}
 }
 
 // generate records a synthetic fleet survey and writes its trace to stdout.
-func generate(stations, per int, ownerName string, setup float64, ticks int, seed int64, format string) error {
+func generate(stations, per int, ownerName string, setup float64, ticks int, seed int64) error {
 	o, err := fleet.OwnerByName(ownerName)
 	if err != nil {
 		return err
@@ -70,25 +69,17 @@ func generate(stations, per int, ownerName string, setup float64, ticks int, see
 	if _, err := f.Run(context.Background(), fleet.Job{}); err != nil {
 		return err
 	}
-	tr := rec.Trace()
-	switch format {
-	case "csv":
-		return trace.WriteCSV(os.Stdout, tr)
-	case "jsonl":
-		return trace.WriteJSONL(os.Stdout, tr)
-	default:
-		return fmt.Errorf("unknown format %q (want csv or jsonl)", format)
-	}
+	return trace.WriteJSONL(os.Stdout, rec.Trace())
 }
 
-// load reads a trace file in either encoding.
+// load reads a trace file.
 func load(path string) (*trace.Trace, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer fh.Close()
-	return trace.Read(fh)
+	return trace.ReadJSONL(fh)
 }
 
 // replayFile replays a recorded trace through the named policy and reports

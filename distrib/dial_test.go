@@ -68,12 +68,23 @@ func sendShard(s *stream, id int) {
 	s.send(Frame{Kind: FrameShard, Shard: &fleet.ShardResult{Shard: id}})
 }
 
+// withFrameMaxLine lowers the frame line cap for one test.
+func withFrameMaxLine(t *testing.T, n int) {
+	old := frameMaxLine
+	frameMaxLine = n
+	t.Cleanup(func() { frameMaxLine = old })
+}
+
 // Every way a worker can fail its handshake, or the assignment it took,
 // fails the study with an error naming the cause, after the retry budget:
 // each chunk is dealt MaxRetries+1 times, every deal dials afresh, and no
 // goroutine outlives Run.
 func TestDialRefusesBadHandshakes(t *testing.T) {
 	spec, _ := testSpec(t, 40)
+	// Every frame of these conversations fits; one row writes a line a
+	// byte longer.
+	const maxLine = 4096
+	withFrameMaxLine(t, maxLine)
 	hangUp := func(*stream) {}
 	cases := []struct {
 		name    string
@@ -120,6 +131,10 @@ func TestDialRefusesBadHandshakes(t *testing.T) {
 		{"a frame of another kind", assigned(func(s *stream, shards []int) {
 			s.send(Frame{Kind: FrameAssign, Shards: shards})
 		}), 0, []string{`unexpected "assign" frame mid-assignment`}},
+		{"a line over the cap", assigned(func(s *stream, _ []int) {
+			line := `{"frame":"progress","done":1,"total":2}`
+			s.write([]byte(line + strings.Repeat(" ", maxLine+1-len(line)) + "\n"))
+		}), 0, []string{"line 2: too long"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,6 +158,30 @@ func TestDialRefusesBadHandshakes(t *testing.T) {
 				t.Errorf("%d dials, want a fresh one per deal", n)
 			}
 		})
+	}
+}
+
+// A frame line of exactly the cap is read with any line ending, and one
+// byte more is an error naming its line on the connection.
+func TestStreamBoundsLines(t *testing.T) {
+	const maxLine = 64
+	withFrameMaxLine(t, maxLine)
+	hello := `{"frame":"hello","format":"cyclesteal-distrib","version":2}` + "\n"
+	progress := func(n int) string {
+		line := `{"frame":"progress","done":1,"total":2}`
+		return line + strings.Repeat(" ", n-len(line))
+	}
+	for _, end := range []string{"\n", "\r\n", ""} {
+		s := newStream(strings.NewReader(hello+progress(maxLine)+end), io.Discard)
+		s.recv()
+		if f, err := s.recv(); err != nil || f.Kind != FrameProgress {
+			t.Errorf("a line of exactly the cap ending %q: %+v, %v", end, f, err)
+		}
+		s = newStream(strings.NewReader(hello+progress(maxLine+1)+end), io.Discard)
+		s.recv()
+		if _, err := s.recv(); err == nil || !strings.Contains(err.Error(), "line 2: too long") {
+			t.Errorf("a line one byte over the cap ending %q: error %v, want one naming line 2", end, err)
+		}
 	}
 }
 

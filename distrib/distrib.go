@@ -26,9 +26,9 @@ package distrib
 
 import (
 	"fmt"
-	"math"
 
 	"cyclesteal/fleet"
+	"cyclesteal/internal/task"
 )
 
 // OwnerSpec is the wire form of one owner temperament: a named base shape
@@ -291,7 +291,8 @@ func (s Spec) buildFleet() (*fleet.Fleet, error) {
 const maxStations = 1 << 20
 
 // Validate cheaply checks the wire-level invariants: field ranges, known
-// owner and pool names, and ticks of at least 1 whose sum fits the grid.
+// owner and pool names, and ticks of at least 1 whose sum fits the grid
+// (task.CheckTicks, the rule a logged submit's ticks meet too).
 // It never allocates proportionally to the spec's sizes — that is what
 // lets decoders validate untrusted input safely. The full semantic
 // validation (topology coherence) happens in fleet.New, which every
@@ -319,15 +320,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("distrib: owner %d: %w", i, err)
 		}
 	}
-	var work int64
-	for i, t := range s.Ticks {
-		if t < 1 {
-			return fmt.Errorf("distrib: task %d duration must be ≥ 1 tick, got %d", i, t)
-		}
-		if work > math.MaxInt64-t {
-			return fmt.Errorf("distrib: task %d: the job's total duration overflows the tick grid", i)
-		}
-		work += t
+	if _, err := task.CheckTicks(s.Ticks); err != nil {
+		return fmt.Errorf("distrib: %w", err)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -28,8 +27,10 @@ import (
 // assign/answer rounds repeat until the coordinator closes the connection.
 // Decoding is strict: unknown fields, any byte after a frame's object but
 // JSON whitespace, unknown kinds, out-of-range shard IDs and structurally
-// invalid accumulator states are errors, never guesses, and so is a line
-// over jsonl.MaxLine bytes, the cap the service WAL shares. A frame line is
+// invalid accumulator states are errors, never guesses, and so is a blank
+// line, or a line over jsonl.MaxLine bytes, its ending aside: the cap the
+// service WAL and the trace share, read by the same jsonl.Lines, whose
+// error names the line's number on the connection. A frame line is
 // exactly json.Marshal's bytes for its Frame and a newline. The study
 // spec's job crosses once, as integer ticks on the grid the spec names
 // (version 1 carried caller-unit floats); the coordinator writes the tick
@@ -377,29 +378,34 @@ func encodeFrame(f Frame) ([]byte, error) {
 	return append(append(line, raw[cut:]...), '\n'), nil
 }
 
-// stream frames one connection: sequential reads, mutex-serialized writes
+// frameMaxLine caps one frame line on a connection, its line ending
+// aside. Tests lower it.
+var frameMaxLine = jsonl.MaxLine
+
+// stream frames one connection: sequential reads through jsonl.Lines, the
+// reader the trace and the service WAL share, and mutex-serialized writes
 // (a worker's progress callback and its shard sender may race).
 type stream struct {
-	r  *bufio.Scanner
+	r  *jsonl.Lines
 	w  io.Writer
 	mu sync.Mutex
 }
 
 func newStream(r io.Reader, w io.Writer) *stream {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), jsonl.MaxLine)
-	return &stream{r: sc, w: w}
+	return &stream{r: jsonl.NewLines(r, frameMaxLine), w: w}
 }
 
-// recv reads the next frame. io.EOF reports a cleanly closed peer.
+// recv reads the next frame. io.EOF reports a cleanly closed peer; a line
+// over the cap is an error naming its line on the connection.
 func (s *stream) recv() (Frame, error) {
-	if !s.r.Scan() {
-		if err := s.r.Err(); err != nil {
-			return Frame{}, err
-		}
-		return Frame{}, io.EOF
+	line, err := s.r.Next()
+	if err == io.EOF {
+		return Frame{}, err
 	}
-	return ParseFrame(s.r.Bytes())
+	if err != nil {
+		return Frame{}, fmt.Errorf("distrib: %w", err)
+	}
+	return ParseFrame(line)
 }
 
 func (s *stream) send(f Frame) error {

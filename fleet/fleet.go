@@ -722,20 +722,16 @@ func taskTicks(tasks []task.Task) []int64 {
 }
 
 // dealTicks deals a job on the grid into hands as task.Quantize deals one
-// in caller units and returns its total ticks. It refuses a tick below 1 or a
-// total that overflows, naming the first such task.
+// in caller units and returns its total ticks. It refuses what
+// task.CheckTicks refuses.
 func dealTicks(hands []task.Hand, ticks []int64) (quant.Tick, error) {
+	work, err := task.CheckTicks(ticks)
+	if err != nil {
+		return 0, fmt.Errorf("fleet: %w", err)
+	}
 	sizeHands(hands, 0, len(hands), len(ticks))
-	var work quant.Tick
 	h, row := 0, 0
 	for i, t := range ticks {
-		if t < 1 {
-			return 0, fmt.Errorf("fleet: task %d duration must be ≥ 1 tick, got %d", i, t)
-		}
-		if work > math.MaxInt64-t {
-			return 0, fmt.Errorf("fleet: task %d: the job's total duration overflows the tick grid", i)
-		}
-		work += t
 		hand := &hands[h]
 		hand.Tasks[row] = task.Task{ID: i, Duration: t}
 		if hand.MinDur == 0 || t < hand.MinDur {

@@ -51,13 +51,13 @@ func TestRecordReplaySurveyBitIdentical(t *testing.T) {
 		t.Fatalf("recorded trace empty: %d stations, %d opportunities", tr.Stations(), len(tr.Opportunities))
 	}
 
-	// Golden round trip: the trace must survive the documented encodings and
+	// Golden round trip: the trace must survive the documented encoding and
 	// replay bit-identically at any worker count.
 	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, tr); err != nil {
+	if err := trace.WriteJSONL(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.ReadCSV(bytes.NewReader(buf.Bytes()))
+	loaded, err := trace.ReadJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"cyclesteal/internal/jsonl"
+	"cyclesteal/internal/task"
 )
 
 // The service write-ahead log is JSON Lines, the same shape as the trace
@@ -29,7 +28,8 @@ import (
 // names that grid; RecoverService refuses a log whose grid disagrees with
 // the configuration it is given. Version 1 logged caller-unit durations; a
 // log of another version is refused with an error naming both. A line may
-// run to jsonl.MaxLine bytes, the cap the distrib wire frames share.
+// run to jsonl.MaxLine bytes, its line ending aside, the cap the trace and
+// the distrib wire frames share.
 const (
 	walFormat  = "cyclesteal-service-wal"
 	walVersion = 2
@@ -42,13 +42,6 @@ var walMaxLine = jsonl.MaxLine
 // walRecordSlack bounds a submit record's bytes beyond its task array and
 // tenant: the keys, the two integers and the newline.
 const walRecordSlack = 128
-
-// walHeader is the log's first line.
-type walHeader struct {
-	Format        string `json:"format"`
-	Version       int    `json:"version"`
-	TicksPerSetup int    `json:"ticks_per_setup"`
-}
 
 // walRecord is one event line. Kind travels as the event kind's name, so
 // the log reads without this package's enum values at hand.
@@ -65,7 +58,7 @@ type walRecord struct {
 }
 
 func writeWALHeader(w io.Writer, ticksPerSetup int) error {
-	return writeWALLine(w, walHeader{Format: walFormat, Version: walVersion, TicksPerSetup: ticksPerSetup})
+	return writeWALLine(w, jsonl.Header{Format: walFormat, Version: walVersion, TicksPerSetup: ticksPerSetup})
 }
 
 // writeWALRecord writes ev's line: exactly the bytes json.Marshal writes for
@@ -182,55 +175,36 @@ func writeWALLine(w io.Writer, v any) error {
 	return err
 }
 
-// decodeWAL parses a whole log strictly: a malformed header, an unknown
-// field or kind, bytes after a line's object, a tick below 1, a negative
+// decodeWAL parses a whole log strictly through jsonl.ReadLog, the reader
+// the trace shares: a malformed header, an unknown field or kind, bytes
+// after a line's object, ticks task.CheckTicks refuses, a negative
 // checkpoint, a round running backwards or a line over walMaxLine bytes is
 // an error naming its line, never a panic and never a silent skip. Blank
 // lines, of JSON whitespace only, are skipped but counted. Other lines
 // decode whole through jsonl.Unmarshal, the strict decode the distrib wire
 // frames share.
-func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, walMaxLine)
-	var hdr walHeader
+func decodeWAL(r io.Reader) (jsonl.Header, []ServiceEvent, error) {
 	var events []ServiceEvent
-	n := 0
-	for sc.Scan() {
-		n++
-		line := sc.Bytes()
-		if len(bytes.TrimLeft(line, " \t\r\n")) == 0 {
-			continue
-		}
-		if hdr.Format == "" {
-			if err := decodeWALHeader(line, &hdr); err != nil {
-				return hdr, nil, err
-			}
-			continue
-		}
+	hdr, err := jsonl.ReadLog(r, walMaxLine, walFormat, walVersion, func(line []byte) error {
 		var rec walRecord
 		if err := jsonl.Unmarshal(line, &rec); err != nil {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n, err)
+			return err
 		}
 		kind := EventKind(slices.Index(eventKindNames[:], rec.Kind))
-		if kind < 0 {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: unknown kind %q", n, rec.Kind)
+		switch {
+		case kind < 0:
+			return fmt.Errorf("unknown kind %q", rec.Kind)
+		case rec.Round < 0:
+			return fmt.Errorf("negative round %d", rec.Round)
+		case len(events) > 0 && rec.Round < events[len(events)-1].Round:
+			return fmt.Errorf("round %d runs backwards (previous event at round %d)", rec.Round, events[len(events)-1].Round)
+		case len(events) > 0 && events[len(events)-1].Kind == EventKill:
+			return fmt.Errorf("events after the kill record")
+		case rec.Checkpoint < 0: // encoding/json reads no NaN or infinity
+			return fmt.Errorf("checkpoint must be ≥ 0, got %g", rec.Checkpoint)
 		}
-		if rec.Round < 0 {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: negative round %d", n, rec.Round)
-		}
-		if len(events) > 0 && rec.Round < events[len(events)-1].Round {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: round %d runs backwards (previous event at round %d)", n, rec.Round, events[len(events)-1].Round)
-		}
-		if len(events) > 0 && events[len(events)-1].Kind == EventKill {
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: events after the kill record", n)
-		}
-		if rec.Checkpoint < 0 { // encoding/json reads no NaN or infinity
-			return hdr, nil, fmt.Errorf("fleet: wal: line %d: checkpoint must be ≥ 0, got %g", n, rec.Checkpoint)
-		}
-		for i, t := range rec.Ticks {
-			if t < 1 {
-				return hdr, nil, fmt.Errorf("fleet: wal: line %d: task %d duration must be ≥ 1 tick, got %d", n, i, t)
-			}
+		if _, err := task.CheckTicks(rec.Ticks); err != nil {
+			return err
 		}
 		if len(rec.Ticks) == 0 {
 			rec.Ticks = nil // "tasks":[] and an absent field read the same
@@ -246,31 +220,12 @@ func decodeWAL(r io.Reader) (walHeader, []ServiceEvent, error) {
 			Adaptive:   rec.Adaptive,
 			Sampled:    rec.Sampled,
 		})
-	}
-	if err := sc.Err(); err != nil {
-		return hdr, nil, fmt.Errorf("fleet: wal: line %d: %w", n+1, err)
-	}
-	if hdr.Format == "" {
-		return hdr, nil, fmt.Errorf("fleet: wal: missing header")
+		return nil
+	})
+	if err != nil {
+		return hdr, nil, fmt.Errorf("fleet: wal: %w", err)
 	}
 	return hdr, events, nil
-}
-
-// decodeWALHeader parses and checks the log's first line.
-func decodeWALHeader(line []byte, hdr *walHeader) error {
-	if err := jsonl.Unmarshal(line, hdr); err != nil {
-		return fmt.Errorf("fleet: wal: header: %w", err)
-	}
-	if hdr.Format != walFormat {
-		return fmt.Errorf("fleet: wal: format %q, want %q", hdr.Format, walFormat)
-	}
-	if hdr.Version != walVersion {
-		return fmt.Errorf("fleet: wal: log version %d, but this build reads version %d", hdr.Version, walVersion)
-	}
-	if hdr.TicksPerSetup < 1 {
-		return fmt.Errorf("fleet: wal: ticks_per_setup must be ≥ 1, got %d", hdr.TicksPerSetup)
-	}
-	return nil
 }
 
 // ReadWAL decodes a service write-ahead log into its event sequence,

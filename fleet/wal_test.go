@@ -87,6 +87,7 @@ func TestReadWALRejectsMalformed(t *testing.T) {
 		{"events after kill", header + `{"round":1,"kind":"kill"}` + "\n" + `{"round":2,"kind":"join"}` + "\n", "after the kill"},
 		{"negative duration", header + `{"round":0,"kind":"submit","tasks":[3,-1]}` + "\n", "line 2: task 1 duration must be ≥ 1 tick, got -1"},
 		{"zero tick", header + `{"round":0,"kind":"submit","tasks":[0]}` + "\n", "line 2: task 0 duration must be ≥ 1 tick, got 0"},
+		{"total overflow", header + `{"round":0,"kind":"submit","tasks":[1,9223372036854775807,1]}` + "\n", "line 2: task 1: the job's total duration overflows the tick grid"},
 		{"caller-unit duration", header + `{"round":0,"kind":"submit","tasks":[12.5]}` + "\n", "line 2"},
 		{"negative checkpoint", header + `{"round":0,"kind":"checkpoint","checkpoint":-2}` + "\n", "checkpoint"},
 		{"trailing data", header + `{"round":0,"kind":"join"} {"round":1,"kind":"leave"}` + "\n", "trailing"},
@@ -189,7 +190,7 @@ func FuzzReadWAL(f *testing.F) {
 		if err := writeWALHeader(&buf, 100); err != nil {
 			t.Fatalf("re-encoding header: %v", err)
 		}
-		if err := writeWALLine(&old, walHeader{Format: walFormat, Version: 1, TicksPerSetup: 100}); err != nil {
+		if err := writeWALLine(&old, jsonl.Header{Format: walFormat, Version: 1, TicksPerSetup: 100}); err != nil {
 			t.Fatal(err)
 		}
 		for _, ev := range events {
@@ -235,12 +236,26 @@ func TestWALReadersRefuseTrailingData(t *testing.T) {
 	}
 }
 
-// A line over the cap errors, naming it, as soon as the reader has buffered
-// the cap's worth of it: an endless line neither hangs the decoder nor
-// grows its buffer without bound.
+// A line of exactly the cap is read with any line ending, and one byte
+// more is an error naming it, as soon as the reader has buffered the cap's
+// worth of it: an endless line neither hangs the decoder nor grows its
+// buffer without bound.
 func TestReadWALBoundsLines(t *testing.T) {
 	withWALMaxLine(t, 1024)
 	header := `{"format":"cyclesteal-service-wal","version":2,"ticks_per_setup":100}` + "\n\n"
+	join := func(n int) string {
+		rec := `{"round":0,"kind":"join"}`
+		return rec + strings.Repeat(" ", n-len(rec))
+	}
+	for _, end := range []string{"\n", "\r\n", ""} {
+		if evs, err := ReadWAL(strings.NewReader(header + join(1024) + end)); err != nil || len(evs) != 1 {
+			t.Errorf("a line of exactly the cap ending %q: %d events, %v", end, len(evs), err)
+		}
+		_, err := ReadWAL(strings.NewReader(header + join(1025) + end))
+		if err == nil || !strings.Contains(err.Error(), "line 3: too long") {
+			t.Errorf("a line one byte over the cap ending %q: error %v, want a too-long error naming line 3", end, err)
+		}
+	}
 	r := &endlessLine{}
 	_, err := ReadWAL(io.MultiReader(strings.NewReader(header), r))
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "too long") {

@@ -294,6 +294,25 @@ func QuantizeRange(hands []Hand, lo, hi int, durations []float64, g quant.Grid) 
 	return work, -1
 }
 
+// CheckTicks applies Quantize's rule to a job already on the grid, as a
+// study spec or a logged submit carries one: every tick is at least 1, and
+// the total fits a quant.Tick. It returns the total, or an error naming the
+// first task that breaks the rule, for the caller to prefix with its
+// package.
+func CheckTicks(ticks []int64) (quant.Tick, error) {
+	var work quant.Tick
+	for i, t := range ticks {
+		if t < 1 {
+			return 0, fmt.Errorf("task %d duration must be ≥ 1 tick, got %d", i, t)
+		}
+		if work > math.MaxInt64-t {
+			return 0, fmt.Errorf("task %d: the job's total duration overflows the tick grid", i)
+		}
+		work += t
+	}
+	return work, nil
+}
+
 // DealInto deals tasks round-robin onto the backs of bags: task i goes to
 // bags[i mod len(bags)], the partition Deal makes, and each bag ends up
 // exactly as if Append had added its hand. Unlike Deal it builds no

@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -779,5 +780,29 @@ func TestTakeIntoTightensMinDurAfterFullScan(t *testing.T) {
 	}
 	if b.minDur != 6 {
 		t.Fatalf("after a scan that left 5 of 7 unused, minDur = %d, want 6", b.minDur)
+	}
+}
+
+// TestCheckTicks pins the rule a job already on the grid meets: its total
+// when every tick is at least 1 and the sum fits, else an error naming the
+// first task that breaks it.
+func TestCheckTicks(t *testing.T) {
+	if work, err := CheckTicks([]int64{5, 1, math.MaxInt64 - 7, 1}); err != nil || work != math.MaxInt64 {
+		t.Errorf("ticks summing to MaxInt64: %d, %v", work, err)
+	}
+	if work, err := CheckTicks(nil); err != nil || work != 0 {
+		t.Errorf("no ticks: %d, %v", work, err)
+	}
+	for _, c := range []struct {
+		ticks []int64
+		want  string
+	}{
+		{[]int64{5, 0, -1}, "task 1 duration must be ≥ 1 tick, got 0"},
+		{[]int64{-5}, "task 0 duration must be ≥ 1 tick, got -5"},
+		{[]int64{1, math.MaxInt64, 0}, "task 1: the job's total duration overflows the tick grid"},
+	} {
+		if _, err := CheckTicks(c.ticks); err == nil || err.Error() != c.want {
+			t.Errorf("CheckTicks(%v): error %v, want %q", c.ticks, err, c.want)
+		}
 	}
 }

@@ -19,20 +19,16 @@
 // increasing, each in [1, Lifespan], at most Allowance of them. Opportunities
 // are grouped by station in the order the station played them.
 //
-// Two encodings carry the same model (see encode.go): CSV, whose first
-// record is the magic header
-//
-//	cyclesteal-trace,1,<ticks_per_setup>
-//
-// followed by a column-name row and one row per opportunity
-// (station,lifespan,allowance,interrupts — interrupts ';'-separated); and
-// JSONL, whose first line is
+// A trace is JSON Lines (see encode.go): its first line is the header
 //
 //	{"format":"cyclesteal-trace","version":1,"ticks_per_setup":N}
 //
 // followed by one object per opportunity
-// ({"station":S,"lifespan":U,"allowance":P,"interrupts":[...]}). Read
-// auto-detects the encoding.
+// ({"station":S,"lifespan":U,"allowance":P,"interrupts":[...]}).
+// ReadJSONL reads it through the line reader and header check the service
+// write-ahead log shares: each line at most 256 MiB without its ending, a
+// blank line of JSON whitespace only skipped, and every error naming its
+// line.
 package trace
 
 import (
@@ -49,20 +45,21 @@ const FormatVersion = 1
 // target.
 const MaxStations = 1 << 20
 
-// Opportunity is one recorded cycle-stealing opportunity.
+// Opportunity is one recorded cycle-stealing opportunity, and its JSON
+// form one line of a trace.
 type Opportunity struct {
 	// Station is the workstation that offered the opportunity (its fleet
 	// station index).
-	Station int
+	Station int `json:"station"`
 	// Lifespan is the usable lifespan U in ticks, ≥ 1.
-	Lifespan int64
+	Lifespan int64 `json:"lifespan"`
 	// Allowance is the interrupt allowance p the contract granted, ≥ 0.
-	Allowance int
+	Allowance int `json:"allowance"`
 	// Interrupts are the owner's actual returns: absolute elapsed offsets
 	// within the opportunity, strictly increasing, each in [1, Lifespan].
 	// At most Allowance entries. A return beyond the last scheduled period
 	// still consumes lifespan, so it is recorded like any other.
-	Interrupts []int64
+	Interrupts []int64 `json:"interrupts,omitempty"`
 }
 
 // Trace is one recorded availability log.

@@ -2,10 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -69,21 +67,6 @@ func TestShapeHelpers(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := sample()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TicksPerSetup != tr.TicksPerSetup || !reflect.DeepEqual(back.Opportunities, tr.Opportunities) {
-		t.Fatalf("csv round trip mutated the trace:\n got %+v\nwant %+v", back.Opportunities, tr.Opportunities)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := sample()
 	var buf bytes.Buffer
@@ -99,30 +82,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadAutoDetect(t *testing.T) {
-	tr := sample()
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"csv":   func(b *bytes.Buffer) error { return WriteCSV(b, tr) },
-		"jsonl": func(b *bytes.Buffer) error { return WriteJSONL(b, tr) },
-	} {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		buf2 := bytes.NewBufferString("\n \t" + buf.String()) // leading whitespace must not confuse sniffing
-		back, err := Read(buf2)
-		if err != nil {
-			t.Fatalf("%s autodetect: %v", name, err)
-		}
-		if !reflect.DeepEqual(back.Opportunities, tr.Opportunities) {
-			t.Fatalf("%s autodetect mutated the trace", name)
-		}
-	}
-	if _, err := Read(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 // endlessLine reads as one line that never ends, counting what was read.
 type endlessLine struct{ read int }
 
@@ -134,95 +93,59 @@ func (r *endlessLine) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// A line of exactly the cap is read and one byte more is an error naming
-// the line, in both encodings and through Read; an endless line is refused
-// once the reader holds a cap's worth of it.
+// A line of exactly the cap is read, with any line ending, and one byte
+// more is an error naming the line; an endless line is refused once the
+// reader holds a cap's worth of it.
 func TestReadersBoundLines(t *testing.T) {
 	const limit = 80
 	withMaxLine(t, limit)
-	// The last line of each trace is n bytes long: the CSV row pads its
-	// lifespan with leading zeros, the JSONL object trails spaces.
-	csvHead := "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n"
-	csvTrace := func(n int) string {
-		return csvHead + "0," + strings.Repeat("0", n-len("0,100,1,")) + "100,1,\n"
-	}
-	jsonlHead := `{"format":"cyclesteal-trace","version":1,"ticks_per_setup":100}` + "\n"
-	jsonlTrace := func(n int) string {
+	// The last line of each trace is n bytes long: the object trails
+	// spaces.
+	head := `{"format":"cyclesteal-trace","version":1,"ticks_per_setup":100}` + "\n"
+	trace := func(n int, end string) string {
 		obj := `{"station":0,"lifespan":100,"allowance":1}`
-		return jsonlHead + obj + strings.Repeat(" ", n-len(obj)) + "\n"
+		return head + obj + strings.Repeat(" ", n-len(obj)) + end
 	}
-	for _, c := range []struct {
-		name  string
-		trace func(int) string
-		read  func(io.Reader) (*Trace, error)
-		line  string
-	}{
-		{"ReadCSV", csvTrace, ReadCSV, "line 3"},
-		{"ReadJSONL", jsonlTrace, ReadJSONL, "line 2"},
-		{"Read csv", csvTrace, Read, "line 3"},
-		{"Read jsonl", jsonlTrace, Read, "line 2"},
-	} {
-		if tr, err := c.read(strings.NewReader(c.trace(limit))); err != nil || len(tr.Opportunities) != 1 || tr.Opportunities[0].Lifespan != 100 {
-			t.Errorf("%s: a line of exactly the cap: %v", c.name, err)
+	for _, end := range []string{"\n", "\r\n", ""} {
+		if tr, err := ReadJSONL(strings.NewReader(trace(limit, end))); err != nil || len(tr.Opportunities) != 1 || tr.Opportunities[0].Lifespan != 100 {
+			t.Errorf("a line of exactly the cap ending %q: %v", end, err)
 		}
-		_, err := c.read(strings.NewReader(c.trace(limit + 1)))
-		if err == nil || !strings.Contains(err.Error(), c.line) || !strings.Contains(err.Error(), "too long") {
-			t.Errorf("%s: a line one byte over the cap: error %v, want a too-long error naming %s", c.name, err, c.line)
+		_, err := ReadJSONL(strings.NewReader(trace(limit+1, end)))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "too long") {
+			t.Errorf("a line one byte over the cap ending %q: error %v, want a too-long error naming line 2", end, err)
 		}
 	}
-	for _, c := range []struct {
-		name string
-		head string
-		read func(io.Reader) (*Trace, error)
-	}{
-		{"ReadCSV", csvHead, ReadCSV},
-		{"ReadJSONL", jsonlHead, ReadJSONL},
-	} {
-		r := &endlessLine{}
-		_, err := c.read(io.MultiReader(strings.NewReader(c.head), r))
-		if err == nil || !strings.Contains(err.Error(), "too long") {
-			t.Errorf("%s: endless line: error %v, want a too-long error", c.name, err)
-		}
-		if r.read > 2*limit {
-			t.Errorf("%s: read %d bytes of a line capped at %d", c.name, r.read, limit)
-		}
+	r := &endlessLine{}
+	_, err := ReadJSONL(io.MultiReader(strings.NewReader(head), r))
+	if err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Errorf("endless line: error %v, want a too-long error", err)
 	}
-
-	// A row within the line cap but over maxInterruptsPerRow is refused
-	// before its interrupt list is split: the read allocates a small
-	// multiple of the input, not a string header per interrupt.
-	in := csvHead + "0,100,1," + strings.Repeat(";", maxInterruptsPerRow) + "\n"
-	withMaxLine(t, len(in))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadCSV(strings.NewReader(in))
-	runtime.ReadMemStats(&after)
-	if want := fmt.Sprintf("has %d interrupts", maxInterruptsPerRow+1); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("a row of %d interrupts: error %v, want one saying it %s", maxInterruptsPerRow+1, err, want)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16*uint64(len(in)) {
-		t.Errorf("refusing a %d-byte row of too many interrupts allocated %d bytes, want < 16× the input", len(in), alloc)
+	if r.read > 2*limit {
+		t.Errorf("read %d bytes of a line capped at %d", r.read, limit)
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"no magic":       "station,lifespan\n1,2\n",
-		"bad version":    "cyclesteal-trace,9,100\nstation,lifespan,allowance,interrupts\n",
-		"bad ticks":      "cyclesteal-trace,1,zebra\nstation,lifespan,allowance,interrupts\n",
-		"short row":      "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,5\n",
-		"bad station":    "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\nx,5,1,\n",
-		"bad lifespan":   "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,x,1,\n",
-		"bad allowance":  "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,5,x,\n",
-		"bad interrupt":  "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,5,1,x\n",
-		"over allowance": "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,5,0,3\n",
-		"unsorted":       "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,5,2,3;2\n",
+// Only JSON whitespace makes a line blank: a line of a vertical tab, a
+// form feed, NEL or a no-break space is an error naming it, as it is in the
+// service WAL. A CSV trace is refused at its first line.
+func TestReadJSONLRefusesNonJSONSpace(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, sample()); err != nil {
+		t.Fatal(err)
 	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
+	if tr, err := ReadJSONL(strings.NewReader("\n \t\r\n" + buf.String() + "\n\r\n")); err != nil || len(tr.Opportunities) != 4 {
+		t.Fatalf("blank lines of JSON whitespace: %v", err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	for _, b := range []string{"\v", "\f", "\u0085", "\u00a0"} {
+		in := strings.Join(lines[:2], "") + b + "\n" + strings.Join(lines[2:], "")
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("a line of only %q: error %v, want one naming line 3", b, err)
 		}
+	}
+	csv := "cyclesteal-trace,1,100\nstation,lifespan,allowance,interrupts\n0,2412,2,401;1180\n"
+	if _, err := ReadJSONL(strings.NewReader(csv)); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("a CSV trace: error %v, want one naming line 1", err)
 	}
 }
 
